@@ -1,8 +1,7 @@
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§5), so `go test -bench=.` regenerates every experimental
 // artifact at CI scale. The drivers are the same code paths cmd/
-// ncg-experiments runs at -scale paper; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// ncg-experiments runs at -scale paper.
 package ncg
 
 import (

@@ -21,18 +21,6 @@ func MaxResponder(s *game.State, u, k int, alpha float64) bestresponse.Response 
 	return bestresponse.MaxBestResponse(s, u, k, alpha)
 }
 
-// SumResponder is a SUMNCG responder: exact subset search when the view is
-// small, greedy local moves otherwise (see DESIGN.md §3, substitution 4).
-func SumResponder(maxCandidates int) Responder {
-	return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-		ex := bestresponse.SumBestResponseExhaustive(s, u, k, alpha, maxCandidates)
-		if ex.Feasible {
-			return ex.Response
-		}
-		return bestresponse.SumGreedyResponse(s, u, k, alpha)
-	}
-}
-
 // NewMaxResponder returns a MaxResponder bound to its own
 // bestresponse.Evaluator, so a worker running many cells reuses one set
 // of scratch buffers instead of going through the shared pool per call.
@@ -44,8 +32,9 @@ func NewMaxResponder() Responder {
 	}
 }
 
-// NewSumResponder is SumResponder bound to its own Evaluator; see
-// NewMaxResponder.
+// NewSumResponder returns a SUMNCG responder — exact subset search when
+// the view has at most maxCandidates candidates, greedy local moves
+// otherwise — bound to its own Evaluator; see NewMaxResponder.
 func NewSumResponder(maxCandidates int) Responder {
 	e := bestresponse.NewEvaluator()
 	return func(s *game.State, u, k int, alpha float64) bestresponse.Response {

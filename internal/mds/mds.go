@@ -224,7 +224,7 @@ func greedyExtra(nbs []bitset, full, covered, forced bitset) []int {
 // nodeBudget bounds the branch-and-bound search tree. The budget is far
 // above what any experiment-scale instance needs; when it is exhausted the
 // solver returns its greedy-seeded incumbent, which is still a valid
-// dominating set but no longer certified minimum (Truncated reports this).
+// dominating set but no longer certified minimum.
 const nodeBudget = 4 << 20
 
 type solver struct {
@@ -327,10 +327,6 @@ func (s *solver) packingBound(covered bitset) int {
 	}
 	return count
 }
-
-// Truncated reports whether the last search exhausted its node budget
-// (result still dominates, but minimality is not certified).
-func (s *solver) Truncated() bool { return s.nodes >= nodeBudget }
 
 // pickBranchVertex returns the uncovered vertex with the smallest closed
 // neighborhood (fewest possible coverers), or -1 when all are covered.

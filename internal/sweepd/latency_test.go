@@ -50,7 +50,7 @@ func TestJobLatencyHistogramServed(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 4)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandler(mgr))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	sp := Spec{N: 12, Alphas: []float64{0.5, 1}, Ks: []int{2, 1000}, Seeds: 2}

@@ -100,7 +100,7 @@ func (js *jobState) restartable() bool {
 // files, consults the shared result cache, and resumes unfinished jobs
 // after a restart.
 type Manager struct {
-	store   JobStore
+	store   *Store
 	cache   *Cache
 	workers int
 	// replicas, when set, is this daemon's local copies of other members'
@@ -152,7 +152,7 @@ type Manager struct {
 // NewManager wires a manager over a store and a (possibly nil) cache.
 // workers ≤ 0 means GOMAXPROCS; the bound applies across all jobs
 // combined, not per job.
-func NewManager(store JobStore, cache *Cache, workers int) *Manager {
+func NewManager(store *Store, cache *Cache, workers int) *Manager {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -468,7 +468,7 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 	meta, merr := m.store.LoadMeta(id)
 	writeMeta := false
 	if merr != nil || meta.Created.IsZero() {
-		meta = JobMeta{Created: m.now()}
+		meta = store.Meta{Created: m.now()}
 		writeMeta = true
 	}
 	if !meta.Finished.IsZero() {
@@ -543,7 +543,7 @@ func (m *Manager) finish(js *jobState, status JobStatus, errMsg string) {
 	js.job.Status = status
 	js.job.Error = errMsg
 	js.job.Finished = m.now()
-	meta := JobMeta{Created: js.job.Created, Finished: js.job.Finished}
+	meta := store.Meta{Created: js.job.Created, Finished: js.job.Finished}
 	id := js.job.ID
 	job := js.job
 	m.mu.Unlock()

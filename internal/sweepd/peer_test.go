@@ -78,7 +78,7 @@ func TestPeerLeaseStreamsCanonicalLines(t *testing.T) {
 	}
 	mgr := NewManager(store, NewCache(1024), 2)
 	defer mgr.Close()
-	srv := httptest.NewServer(newHandler(mgr, 5*time.Millisecond, 10*time.Millisecond))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: 5 * time.Millisecond, HeartbeatInterval: 10 * time.Millisecond}))
 	defer srv.Close()
 
 	start, end := 3, 7
@@ -153,7 +153,7 @@ func TestPeerLeaseRejections(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandler(mgr))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	valid := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
@@ -199,7 +199,7 @@ func TestPeerLeaseHeartbeats(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	srv := httptest.NewServer(newHandler(mgr, time.Millisecond, time.Millisecond))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: time.Millisecond, HeartbeatInterval: time.Millisecond}))
 	defer srv.Close()
 
 	resp := postLease(t, srv.URL, LeaseRequest{Spec: sp, Start: 0, End: len(sp.Cells())})
@@ -358,7 +358,7 @@ func TestPeerMembershipDisabled(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandler(mgr))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	resp, err := http.Post(srv.URL+"/peer/hello", "application/json",

@@ -106,7 +106,7 @@ func splitRecordLines(data []byte) [][]byte {
 // ReplicatorOptions wires a Replicator into the daemon.
 type ReplicatorOptions struct {
 	// Store is where the finished jobs' primary artifacts live.
-	Store JobStore
+	Store *Store
 	// Fanout is how many members (besides the leader) should hold a copy
 	// of each finished job; ≤ 0 defaults to 2.
 	Fanout int

@@ -111,7 +111,7 @@ func TestPeerSubmitRunsLocally(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 2)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandler(mgr))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	body := `{"n":8,"alphas":[1],"ks":[2],"seeds":1}`

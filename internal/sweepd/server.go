@@ -196,7 +196,9 @@ func (h *handler) rateLimit(next http.Handler) http.Handler {
 	})
 }
 
-// NewHandler builds the sweepd HTTP JSON API over a manager:
+// NewHandlerConfig builds the sweepd HTTP JSON API over a manager, with
+// the serving knobs (rate limits, follow-mode intervals) of cfg — the
+// zero Config serves with production defaults:
 //
 //	POST   /sweeps              submit a Spec; idempotent (same spec ⇒ same job)
 //	GET    /sweeps              list job snapshots
@@ -240,19 +242,9 @@ func (h *handler) rateLimit(next http.Handler) http.Handler {
 // serve terminal jobs this daemon holds a replica of; a job held
 // neither way answers one 307 hop toward a member the replica or lease
 // table says has it.
-func NewHandler(m *Manager) http.Handler {
-	return NewHandlerConfig(m, Config{})
-}
-
-// NewHandlerConfig builds the API with explicit serving knobs (rate
-// limits, follow-mode intervals); see Config.
 func NewHandlerConfig(m *Manager, cfg Config) http.Handler {
 	_, mux := buildHandler(m, cfg)
 	return mux
-}
-
-func newHandler(m *Manager, poll, heartbeat time.Duration) http.Handler {
-	return NewHandlerConfig(m, Config{PollInterval: poll, HeartbeatInterval: heartbeat})
 }
 
 // buildHandler wires the handler, its routes, and the rate-limiting
@@ -691,37 +683,40 @@ func (h *handler) list(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"sweeps": h.m.List()})
 }
 
-func (h *handler) get(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := h.m.Get(id)
-	if !ok {
-		if job, ok = h.replicaJob(id); !ok {
-			if h.redirectRead(w, r, id) {
-				return
-			}
-			writeError(w, http.StatusNotFound, "no such sweep")
-			return
-		}
+// lookup resolves the job a read is about: the manager's own job, else
+// (read fan-out) this daemon's replica of a finished one. With neither
+// it answers the request itself — one redirect hop toward a holder, else
+// 404 — and reports ok=false.
+func (h *handler) lookup(w http.ResponseWriter, r *http.Request, id string) (job Job, replica bool, ok bool) {
+	if job, ok = h.m.Get(id); ok {
+		return job, false, true
 	}
-	writeJSON(w, http.StatusOK, job)
+	if job, ok = h.replicaJob(id); ok {
+		return job, true, true
+	}
+	if !h.redirectRead(w, r, id) {
+		writeError(w, http.StatusNotFound, "no such sweep")
+	}
+	return Job{}, false, false
+}
+
+func (h *handler) get(w http.ResponseWriter, r *http.Request) {
+	if job, _, ok := h.lookup(w, r, r.PathValue("id")); ok {
+		writeJSON(w, http.StatusOK, job)
+	}
 }
 
 func (h *handler) results(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	job, ok := h.m.Get(id)
+	job, replica, ok := h.lookup(w, r, id)
 	if !ok {
-		// Read fan-out: a replica of the finished job serves the exact
-		// bytes the leader would (verified on receipt, immutable since).
-		// No local copy at all → one redirect hop toward a holder.
-		if rjob, rok := h.replicaJob(id); rok {
-			h.replicaReads.Add(1)
-			h.serveLinePrefix(w, r, id, h.m.Replicas().ResultsPath(id), rjob)
-			return
-		}
-		if h.redirectRead(w, r, id) {
-			return
-		}
-		writeError(w, http.StatusNotFound, "no such sweep")
+		return
+	}
+	if replica {
+		// A replica of the finished job serves the exact bytes the leader
+		// would (verified on receipt, immutable since).
+		h.replicaReads.Add(1)
+		h.serveLinePrefix(w, r, id, h.m.Replicas().ResultsPath(id), job)
 		return
 	}
 	if v := r.URL.Query().Get("follow"); v != "" {
@@ -911,19 +906,14 @@ func (h *handler) followResults(w http.ResponseWriter, r *http.Request, id strin
 // status semantics are serveLinePrefix's, shared with /results.
 func (h *handler) trajectories(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	job, ok := h.m.Get(id)
-	path := h.m.TrajectoryPath(id)
+	job, replica, ok := h.lookup(w, r, id)
 	if !ok {
-		if rjob, rok := h.replicaJob(id); rok {
-			job, path = rjob, h.m.Replicas().TrajectoryPath(id)
-			h.replicaReads.Add(1)
-		} else {
-			if h.redirectRead(w, r, id) {
-				return
-			}
-			writeError(w, http.StatusNotFound, "no such sweep")
-			return
-		}
+		return
+	}
+	path := h.m.TrajectoryPath(id)
+	if replica {
+		path = h.m.Replicas().TrajectoryPath(id)
+		h.replicaReads.Add(1)
 	}
 	if !job.Spec.Trajectories {
 		writeError(w, http.StatusNotFound,
@@ -1055,22 +1045,17 @@ func (h *handler) summary(w http.ResponseWriter, r *http.Request) {
 	// Status before data, same invariant as /results: a terminal label is
 	// only attached to checkpoint bytes read after the status flipped, so
 	// "done" summaries always cover the full grid.
-	job, ok := h.m.Get(id)
-	path := h.m.ResultsPath(id)
+	job, replica, ok := h.lookup(w, r, id)
 	if !ok {
+		return
+	}
+	path := h.m.ResultsPath(id)
+	if replica {
 		// Replica-held finished jobs summarize like any done job: the
 		// roll-up runs over the replica checkpoint once, freezes, and
 		// serves the frozen payload from then on.
-		if rjob, rok := h.replicaJob(id); rok {
-			job, path = rjob, h.m.Replicas().ResultsPath(id)
-			h.replicaReads.Add(1)
-		} else {
-			if h.redirectRead(w, r, id) {
-				return
-			}
-			writeError(w, http.StatusNotFound, "no such sweep")
-			return
-		}
+		path = h.m.Replicas().ResultsPath(id)
+		h.replicaReads.Add(1)
 	}
 	h.mu.Lock()
 	st := h.summaries[id]
@@ -1206,197 +1191,120 @@ func (st *summaryState) build(job Job) SweepSummary {
 }
 
 func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	// series declares a metric family and writes its one unlabelled
+	// sample; a nil v declares only, for the labelled samples that follow
+	// (format is the sample's name and label set).
+	series := func(name, kind, help string, v any) {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
+		if v != nil {
+			fmt.Fprintf(w, "%s %v\n", name, v)
+		}
+	}
+	sample := func(v any, format string, labels ...any) {
+		fmt.Fprintf(w, format+" %v\n", append(labels, v)...)
+	}
+	states := []string{"alive", "suspect", "down"}
+
 	ms := h.m.Stats()
 	cs := h.m.CacheStats()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	cellsPerSec := 0.0
 	if secs := ms.Uptime.Seconds(); secs > 0 {
 		cellsPerSec = float64(ms.CellsAppended) / secs
 	}
-	fmt.Fprintf(w, "# HELP sweepd_cells_appended_total Checkpoint lines written since daemon start (computed or cache-served).\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cells_appended_total counter\n")
-	fmt.Fprintf(w, "sweepd_cells_appended_total %d\n", ms.CellsAppended)
-	fmt.Fprintf(w, "# HELP sweepd_cells_per_second Mean checkpoint throughput over the daemon's uptime.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cells_per_second gauge\n")
-	fmt.Fprintf(w, "sweepd_cells_per_second %g\n", cellsPerSec)
-	fmt.Fprintf(w, "# HELP sweepd_uptime_seconds Seconds since the daemon's manager started.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "sweepd_uptime_seconds %g\n", ms.Uptime.Seconds())
-	fmt.Fprintf(w, "# HELP sweepd_cache_hits_total Result-cache hits (memory and disk tiers).\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "sweepd_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# HELP sweepd_cache_disk_hits_total Subset of hits promoted from the disk spill tier.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cache_disk_hits_total counter\n")
-	fmt.Fprintf(w, "sweepd_cache_disk_hits_total %d\n", cs.DiskHits)
-	fmt.Fprintf(w, "# HELP sweepd_cache_misses_total Result-cache misses.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "sweepd_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# HELP sweepd_cache_evictions_total Memory-tier LRU evictions.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "sweepd_cache_evictions_total %d\n", cs.Evictions)
-	fmt.Fprintf(w, "# HELP sweepd_cache_entries Entries resident in the memory tier.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cache_entries gauge\n")
-	fmt.Fprintf(w, "sweepd_cache_entries %d\n", cs.Entries)
-	fmt.Fprintf(w, "# HELP sweepd_jobs Jobs per lifecycle status.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_jobs gauge\n")
+	series("sweepd_cells_appended_total", "counter", "Checkpoint lines written since daemon start (computed or cache-served).", ms.CellsAppended)
+	series("sweepd_cells_per_second", "gauge", "Mean checkpoint throughput over the daemon's uptime.", cellsPerSec)
+	series("sweepd_uptime_seconds", "gauge", "Seconds since the daemon's manager started.", ms.Uptime.Seconds())
+	series("sweepd_cache_hits_total", "counter", "Result-cache hits (memory and disk tiers).", cs.Hits)
+	series("sweepd_cache_disk_hits_total", "counter", "Subset of hits promoted from the disk spill tier.", cs.DiskHits)
+	series("sweepd_cache_misses_total", "counter", "Result-cache misses.", cs.Misses)
+	series("sweepd_cache_evictions_total", "counter", "Memory-tier LRU evictions.", cs.Evictions)
+	series("sweepd_cache_entries", "gauge", "Entries resident in the memory tier.", cs.Entries)
+	series("sweepd_jobs", "gauge", "Jobs per lifecycle status.", nil)
 	for _, st := range []JobStatus{StatusRunning, StatusDone, StatusCanceled, StatusFailed} {
-		fmt.Fprintf(w, "sweepd_jobs{status=%q} %d\n", st, ms.Jobs[st])
+		sample(ms.Jobs[st], "sweepd_jobs{status=%q}", st)
 	}
-	fmt.Fprintf(w, "# HELP sweepd_jobs_evicted_total Jobs removed by TTL GC or explicit purge.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_jobs_evicted_total counter\n")
-	fmt.Fprintf(w, "sweepd_jobs_evicted_total %d\n", ms.JobsEvicted)
-	fmt.Fprintf(w, "# HELP sweepd_spill_bytes_reclaimed_total Cache spill-file bytes deleted by job eviction.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_spill_bytes_reclaimed_total counter\n")
-	fmt.Fprintf(w, "sweepd_spill_bytes_reclaimed_total %d\n", ms.SpillBytesReclaimed)
-	fmt.Fprintf(w, "# HELP sweepd_queue_depth Running jobs contending for the shared worker gate.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_queue_depth gauge\n")
-	fmt.Fprintf(w, "sweepd_queue_depth %d\n", ms.QueueDepth)
-	fmt.Fprintf(w, "# HELP sweepd_busy_workers Worker-pool tokens currently checked out.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_busy_workers gauge\n")
-	fmt.Fprintf(w, "sweepd_busy_workers %d\n", ms.BusyWorkers)
-	fmt.Fprintf(w, "# HELP sweepd_throttled_requests_total Requests shed with 429 by the rate limiter.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_throttled_requests_total counter\n")
-	fmt.Fprintf(w, "sweepd_throttled_requests_total %d\n", h.throttled.Load())
-	fmt.Fprintf(w, "# HELP sweepd_quota_rejections_total Submissions refused by the -max-jobs cap.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_quota_rejections_total counter\n")
-	fmt.Fprintf(w, "sweepd_quota_rejections_total %d\n", h.quotaRejections.Load())
-	fmt.Fprintf(w, "# HELP sweepd_cache_coalesced_total Computations avoided by in-flight (kernel, cell) dedup.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_cache_coalesced_total counter\n")
-	fmt.Fprintf(w, "sweepd_cache_coalesced_total %d\n", cs.Coalesced)
-	fmt.Fprintf(w, "# HELP sweepd_peer_leases_served_total Leases this daemon completed for remote leaders.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_peer_leases_served_total counter\n")
-	fmt.Fprintf(w, "sweepd_peer_leases_served_total %d\n", h.leasesServed.Load())
-	fmt.Fprintf(w, "# HELP sweepd_peer_cells_served_total Cell result lines streamed to remote leaders.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_peer_cells_served_total counter\n")
-	fmt.Fprintf(w, "sweepd_peer_cells_served_total %d\n", h.leaseCellsServed.Load())
-	fmt.Fprintf(w, "# HELP sweepd_remote_cells_total Cells of this daemon's jobs computed by peers.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_remote_cells_total counter\n")
-	fmt.Fprintf(w, "sweepd_remote_cells_total %d\n", ms.RemoteCells)
+	series("sweepd_jobs_evicted_total", "counter", "Jobs removed by TTL GC or explicit purge.", ms.JobsEvicted)
+	series("sweepd_spill_bytes_reclaimed_total", "counter", "Cache spill-file bytes deleted by job eviction.", ms.SpillBytesReclaimed)
+	series("sweepd_queue_depth", "gauge", "Running jobs contending for the shared worker gate.", ms.QueueDepth)
+	series("sweepd_busy_workers", "gauge", "Worker-pool tokens currently checked out.", ms.BusyWorkers)
+	series("sweepd_throttled_requests_total", "counter", "Requests shed with 429 by the rate limiter.", h.throttled.Load())
+	series("sweepd_quota_rejections_total", "counter", "Submissions refused by the -max-jobs cap.", h.quotaRejections.Load())
+	series("sweepd_cache_coalesced_total", "counter", "Computations avoided by in-flight (kernel, cell) dedup.", cs.Coalesced)
+	series("sweepd_peer_leases_served_total", "counter", "Leases this daemon completed for remote leaders.", h.leasesServed.Load())
+	series("sweepd_peer_cells_served_total", "counter", "Cell result lines streamed to remote leaders.", h.leaseCellsServed.Load())
+	series("sweepd_remote_cells_total", "counter", "Cells of this daemon's jobs computed by peers.", ms.RemoteCells)
 	if h.peerStats != nil {
 		ps := h.peerStats()
-		fmt.Fprintf(w, "# HELP sweepd_peers Peer daemons configured for sharding.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_peers gauge\n")
-		fmt.Fprintf(w, "sweepd_peers %d\n", ps.Peers)
-		fmt.Fprintf(w, "# HELP sweepd_peer_leases_issued_total Lease attempts sent to peers.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_peer_leases_issued_total counter\n")
-		fmt.Fprintf(w, "sweepd_peer_leases_issued_total %d\n", ps.LeasesIssued)
-		fmt.Fprintf(w, "# HELP sweepd_peer_lease_failures_total Leases that failed and were reclaimed locally.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_peer_lease_failures_total counter\n")
-		fmt.Fprintf(w, "sweepd_peer_lease_failures_total %d\n", ps.LeaseFailures)
+		series("sweepd_peers", "gauge", "Peer daemons configured for sharding.", ps.Peers)
+		series("sweepd_peer_leases_issued_total", "counter", "Lease attempts sent to peers.", ps.LeasesIssued)
+		series("sweepd_peer_lease_failures_total", "counter", "Leases that failed and were reclaimed locally.", ps.LeaseFailures)
 	}
 	if h.cluster != nil {
 		cl := h.cluster.ClusterStats()
-		fmt.Fprintf(w, "# HELP sweepd_cluster_members Known cluster members per health state (self excluded).\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_members gauge\n")
-		for _, state := range []string{"alive", "suspect", "down"} {
-			fmt.Fprintf(w, "sweepd_cluster_members{state=%q} %d\n", state, cl.MembersByState[state])
+		series("sweepd_cluster_members", "gauge", "Known cluster members per health state (self excluded).", nil)
+		for _, state := range states {
+			sample(cl.MembersByState[state], "sweepd_cluster_members{state=%q}", state)
 		}
-		fmt.Fprintf(w, "# HELP sweepd_cluster_peer_state Per-peer membership state (1 = current state).\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_peer_state gauge\n")
+		series("sweepd_cluster_peer_state", "gauge", "Per-peer membership state (1 = current state).", nil)
 		for _, m := range h.cluster.Members() {
 			if m.Self {
 				continue
 			}
-			for _, state := range []string{"alive", "suspect", "down"} {
+			for _, state := range states {
 				v := 0
 				if m.State == state {
 					v = 1
 				}
-				fmt.Fprintf(w, "sweepd_cluster_peer_state{peer=%q,state=%q} %d\n", m.URL, state, v)
+				sample(v, "sweepd_cluster_peer_state{peer=%q,state=%q}", m.URL, state)
 			}
 		}
-		fmt.Fprintf(w, "# HELP sweepd_cluster_probes_total Health probes sent to peers.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_probes_total counter\n")
-		fmt.Fprintf(w, "sweepd_cluster_probes_total %d\n", cl.Probes)
-		fmt.Fprintf(w, "# HELP sweepd_cluster_probe_failures_total Health probes that failed.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_probe_failures_total counter\n")
-		fmt.Fprintf(w, "sweepd_cluster_probe_failures_total %d\n", cl.ProbeFailures)
-		fmt.Fprintf(w, "# HELP sweepd_cluster_backoffs_total Times a down peer's probe backoff was raised.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_backoffs_total counter\n")
-		fmt.Fprintf(w, "sweepd_cluster_backoffs_total %d\n", cl.Backoffs)
-		fmt.Fprintf(w, "# HELP sweepd_cluster_readmissions_total Down peers revived by a successful probe or hello.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_readmissions_total counter\n")
-		fmt.Fprintf(w, "sweepd_cluster_readmissions_total %d\n", cl.Readmissions)
-		fmt.Fprintf(w, "# HELP sweepd_cluster_tombstones Decommissioned member URLs currently barred from gossip resurrection.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_tombstones gauge\n")
-		fmt.Fprintf(w, "sweepd_cluster_tombstones %d\n", cl.Tombstones)
-		fmt.Fprintf(w, "# HELP sweepd_cluster_tombstoned_total Members decommissioned after staying down past the tombstone deadline.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_tombstoned_total counter\n")
-		fmt.Fprintf(w, "sweepd_cluster_tombstoned_total %d\n", cl.Tombstoned)
-		fmt.Fprintf(w, "# HELP sweepd_cluster_job_leases Job leadership leases in this member's table.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_cluster_job_leases gauge\n")
-		fmt.Fprintf(w, "sweepd_cluster_job_leases %d\n", cl.Leases)
+		series("sweepd_cluster_probes_total", "counter", "Health probes sent to peers.", cl.Probes)
+		series("sweepd_cluster_probe_failures_total", "counter", "Health probes that failed.", cl.ProbeFailures)
+		series("sweepd_cluster_backoffs_total", "counter", "Times a down peer's probe backoff was raised.", cl.Backoffs)
+		series("sweepd_cluster_readmissions_total", "counter", "Down peers revived by a successful probe or hello.", cl.Readmissions)
+		series("sweepd_cluster_tombstones", "gauge", "Decommissioned member URLs currently barred from gossip resurrection.", cl.Tombstones)
+		series("sweepd_cluster_tombstoned_total", "counter", "Members decommissioned after staying down past the tombstone deadline.", cl.Tombstoned)
+		series("sweepd_cluster_job_leases", "gauge", "Job leadership leases in this member's table.", cl.Leases)
 	}
 	if h.schedStats != nil {
 		ss := h.schedStats()
-		fmt.Fprintf(w, "# HELP sweepd_sched_forwards_total Submissions forwarded to a less-loaded member.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_sched_forwards_total counter\n")
-		fmt.Fprintf(w, "sweepd_sched_forwards_total %d\n", ss.Forwards)
-		fmt.Fprintf(w, "# HELP sweepd_sched_forward_failures_total Forwards that failed and fell back to local admission.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_sched_forward_failures_total counter\n")
-		fmt.Fprintf(w, "sweepd_sched_forward_failures_total %d\n", ss.ForwardFailures)
-		fmt.Fprintf(w, "# HELP sweepd_sched_adoptions_total Orphaned jobs this member adopted from dead leaders.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_sched_adoptions_total counter\n")
-		fmt.Fprintf(w, "sweepd_sched_adoptions_total %d\n", ss.Adoptions)
-		fmt.Fprintf(w, "# HELP sweepd_sched_leadership_lost_total Local jobs ceded to a peer holding a newer lease generation.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_sched_leadership_lost_total counter\n")
-		fmt.Fprintf(w, "sweepd_sched_leadership_lost_total %d\n", ss.LeadershipLost)
-		fmt.Fprintf(w, "# HELP sweepd_sched_replica_seeds_total Adoptions seeded from a local replica instead of an HTTP tail-fetch.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_sched_replica_seeds_total counter\n")
-		fmt.Fprintf(w, "sweepd_sched_replica_seeds_total %d\n", ss.ReplicaSeeds)
+		series("sweepd_sched_forwards_total", "counter", "Submissions forwarded to a less-loaded member.", ss.Forwards)
+		series("sweepd_sched_forward_failures_total", "counter", "Forwards that failed and fell back to local admission.", ss.ForwardFailures)
+		series("sweepd_sched_adoptions_total", "counter", "Orphaned jobs this member adopted from dead leaders.", ss.Adoptions)
+		series("sweepd_sched_leadership_lost_total", "counter", "Local jobs ceded to a peer holding a newer lease generation.", ss.LeadershipLost)
+		series("sweepd_sched_replica_seeds_total", "counter", "Adoptions seeded from a local replica instead of an HTTP tail-fetch.", ss.ReplicaSeeds)
 	}
 	if h.replicaStats != nil {
 		rs := h.replicaStats()
-		fmt.Fprintf(w, "# HELP sweepd_replicas_pushed_total Finished-job replicas successfully pushed to peers.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replicas_pushed_total counter\n")
-		fmt.Fprintf(w, "sweepd_replicas_pushed_total %d\n", rs.Pushed)
-		fmt.Fprintf(w, "# HELP sweepd_replica_push_failures_total Replica pushes that failed.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replica_push_failures_total counter\n")
-		fmt.Fprintf(w, "sweepd_replica_push_failures_total %d\n", rs.PushFailures)
-		fmt.Fprintf(w, "# HELP sweepd_replica_bytes_pushed_total Body bytes of successful replica pushes.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replica_bytes_pushed_total counter\n")
-		fmt.Fprintf(w, "sweepd_replica_bytes_pushed_total %d\n", rs.BytesPushed)
+		series("sweepd_replicas_pushed_total", "counter", "Finished-job replicas successfully pushed to peers.", rs.Pushed)
+		series("sweepd_replica_push_failures_total", "counter", "Replica pushes that failed.", rs.PushFailures)
+		series("sweepd_replica_bytes_pushed_total", "counter", "Body bytes of successful replica pushes.", rs.BytesPushed)
 	}
 	if rset := h.m.Replicas(); rset != nil {
-		held := 0
-		if ids, err := rset.List(); err == nil {
-			held = len(ids)
-		}
-		fmt.Fprintf(w, "# HELP sweepd_replicas_held Finished-job replicas currently stored for other members.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replicas_held gauge\n")
-		fmt.Fprintf(w, "sweepd_replicas_held %d\n", held)
-		fmt.Fprintf(w, "# HELP sweepd_replicas_received_total Verified replica pushes stored on this daemon.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replicas_received_total counter\n")
-		fmt.Fprintf(w, "sweepd_replicas_received_total %d\n", h.replicasReceived.Load())
-		fmt.Fprintf(w, "# HELP sweepd_replica_bytes_received_total Body bytes of stored replica pushes.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replica_bytes_received_total counter\n")
-		fmt.Fprintf(w, "sweepd_replica_bytes_received_total %d\n", h.replicaBytesReceived.Load())
-		fmt.Fprintf(w, "# HELP sweepd_replica_reads_total Terminal reads served from this daemon's replica set.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replica_reads_total counter\n")
-		fmt.Fprintf(w, "sweepd_replica_reads_total %d\n", h.replicaReads.Load())
-		fmt.Fprintf(w, "# HELP sweepd_replica_redirects_total Reads of unknown jobs answered with a one-hop redirect to a likely holder.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_replica_redirects_total counter\n")
-		fmt.Fprintf(w, "sweepd_replica_redirects_total %d\n", h.replicaRedirects.Load())
+		ids, _ := rset.List() // an unreadable replica dir reports as 0 held
+		series("sweepd_replicas_held", "gauge", "Finished-job replicas currently stored for other members.", len(ids))
+		series("sweepd_replicas_received_total", "counter", "Verified replica pushes stored on this daemon.", h.replicasReceived.Load())
+		series("sweepd_replica_bytes_received_total", "counter", "Body bytes of stored replica pushes.", h.replicaBytesReceived.Load())
+		series("sweepd_replica_reads_total", "counter", "Terminal reads served from this daemon's replica set.", h.replicaReads.Load())
+		series("sweepd_replica_redirects_total", "counter", "Reads of unknown jobs answered with a one-hop redirect to a likely holder.", h.replicaRedirects.Load())
 	}
-	fmt.Fprintf(w, "# HELP sweepd_not_modified_total Conditional reads answered 304 via ETag.\n")
-	fmt.Fprintf(w, "# TYPE sweepd_not_modified_total counter\n")
-	fmt.Fprintf(w, "sweepd_not_modified_total %d\n", h.notModified.Load())
+	series("sweepd_not_modified_total", "counter", "Conditional reads answered 304 via ETag.", h.notModified.Load())
 	// Per-job cell wall-time histograms (locally computed cells only).
 	// Jobs with no observations are skipped, and evicted jobs drop their
 	// series, so cardinality tracks the -max-jobs retention cap.
 	if lats := h.m.JobLatencies(); len(lats) > 0 {
-		fmt.Fprintf(w, "# HELP sweepd_job_cell_seconds Wall time of locally computed cells, per job.\n")
-		fmt.Fprintf(w, "# TYPE sweepd_job_cell_seconds histogram\n")
+		series("sweepd_job_cell_seconds", "histogram", "Wall time of locally computed cells, per job.", nil)
 		for _, jl := range lats {
 			cum := uint64(0)
 			for i, bound := range jl.Buckets {
 				cum += jl.Counts[i]
-				fmt.Fprintf(w, "sweepd_job_cell_seconds_bucket{job=%q,le=%q} %d\n", jl.ID, formatBound(bound), cum)
+				sample(cum, "sweepd_job_cell_seconds_bucket{job=%q,le=%q}", jl.ID, formatBound(bound))
 			}
 			cum += jl.Counts[len(jl.Buckets)]
-			fmt.Fprintf(w, "sweepd_job_cell_seconds_bucket{job=%q,le=\"+Inf\"} %d\n", jl.ID, cum)
-			fmt.Fprintf(w, "sweepd_job_cell_seconds_sum{job=%q} %g\n", jl.ID, jl.Sum)
-			fmt.Fprintf(w, "sweepd_job_cell_seconds_count{job=%q} %d\n", jl.ID, jl.Count)
+			sample(cum, "sweepd_job_cell_seconds_bucket{job=%q,le=%q}", jl.ID, "+Inf")
+			sample(jl.Sum, "sweepd_job_cell_seconds_sum{job=%q}", jl.ID)
+			sample(jl.Count, "sweepd_job_cell_seconds_count{job=%q}", jl.ID)
 		}
 	}
 }

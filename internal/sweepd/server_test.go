@@ -32,7 +32,7 @@ func newTestServerTuned(t *testing.T, poll, heartbeat time.Duration) (*httptest.
 		t.Fatal(err)
 	}
 	mgr := NewManager(store, NewCache(1024), 4)
-	srv := httptest.NewServer(newHandler(mgr, poll, heartbeat))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: poll, HeartbeatInterval: heartbeat}))
 	t.Cleanup(func() {
 		srv.Close()
 		mgr.Close()
@@ -369,7 +369,7 @@ func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
 	cell2 := dynamics.Cell{Alpha: 1, K: 2, Seed: 1}
 	f.Write(append(cacheLine(cell1), '\n')) //nolint:errcheck
 
-	srv := httptest.NewServer(newHandler(mgr, time.Millisecond, 2*time.Millisecond))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: time.Millisecond, HeartbeatInterval: 2 * time.Millisecond}))
 	t.Cleanup(srv.Close)
 	res, err := http.Get(srv.URL + "/sweeps/feedjob/results?follow=1")
 	if err != nil {

@@ -3,66 +3,20 @@ package sweepd
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
-	"repro/internal/dynamics"
-	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
 )
 
-// JobStore is the durable-plane seam: everything the manager (and
-// through it the HTTP, GC, shard, and sched layers) needs from a job
-// store. *Store — the filesystem backend in internal/sweepd/store,
-// wrapped with spec typing — is the default implementation; any backend
-// must pass the storetest conformance suite.
-type JobStore interface {
-	// Root returns the store's base directory (or an equivalent
-	// identifier for non-filesystem backends).
-	Root() string
-	// CreateJob persists a normalized, validated spec under its content
-	// address, idempotently (created=false when the job already exists).
-	CreateJob(sp Spec) (id string, created bool, err error)
-	// LoadSpec reads a job's spec back, normalized.
-	LoadSpec(id string) (Spec, error)
-	// SpecPath names where the job's spec bytes live, for diagnostics.
-	SpecPath(id string) string
-	// WriteMeta / LoadMeta persist the job's lifecycle record; a missing
-	// or corrupt record is an error and callers fall back to timestamps.
-	WriteMeta(id string, meta JobMeta) error
-	LoadMeta(id string) (JobMeta, error)
-	// DeleteJob removes a job entirely — spec, meta, and checkpoint.
-	DeleteJob(id string) error
-	// SweepOrphans removes half-created job artifacts older than cutoff.
-	SweepOrphans(cutoff time.Time) (removed int, err error)
-	// Jobs lists the IDs of all persisted jobs, sorted.
-	Jobs() ([]string, error)
-	// ResultsPath / TrajectoryPath locate the job's checkpoint and
-	// per-round sidecar files for streaming reads.
-	ResultsPath(id string) string
-	TrajectoryPath(id string) string
-	// LoadResults reads a job's checkpoint, repairing a torn tail.
-	LoadResults(id string) ([]dynamics.CellResult, error)
-	// Appender / TrajectoryAppender open the checkpoint and sidecar for
-	// streaming appends.
-	Appender(id string) (*ncgio.CheckpointWriter, error)
-	TrajectoryAppender(id string) (*ncgio.CheckpointWriter, error)
-	// ReconcileTrajectories truncates checkpoint and sidecar to their
-	// longest common cell-prefix before a trajectory job resumes.
-	ReconcileTrajectories(id string) error
-}
-
-// JobMeta is the job lifecycle record (created / finished timestamps),
-// shared with the store backend.
-type JobMeta = store.Meta
-
-// Store is the default JobStore: the filesystem backend from
-// internal/sweepd/store with spec marshaling layered on top. One
-// directory per job holds the normalized spec (spec.json) and the
+// Store is the job store: the filesystem backend from
+// internal/sweepd/store (whose paths, checkpoint appenders, lifecycle
+// meta, delete and orphan sweep it promotes unchanged) plus the two
+// operations that need the Spec type. One directory per job holds the
+// normalized spec (spec.json), the lifecycle record (meta.json) and the
 // streaming results checkpoint (results.jsonl, one canonical ncgio cell
 // line per result, in canonical cell order). Everything a restarted
 // daemon needs to resume lives here.
 type Store struct {
-	fs *store.FS
+	*store.FS
 }
 
 // OpenStore opens (creating if needed) a store rooted at dir. Orphan
@@ -72,34 +26,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweepd: %w", err)
 	}
-	return &Store{fs: fs}, nil
-}
-
-// Root returns the store directory.
-func (st *Store) Root() string { return st.fs.Root() }
-
-// SpecPath returns the job's on-disk spec path (error messages point
-// clients and operators at the exact bytes that failed to parse).
-func (st *Store) SpecPath(id string) string { return st.fs.SpecPath(id) }
-
-// ResultsPath returns the job's checkpoint file path.
-func (st *Store) ResultsPath(id string) string { return st.fs.ResultsPath(id) }
-
-// TrajectoryPath returns the job's per-round trajectory sidecar path
-// (only written for specs with Trajectories set).
-func (st *Store) TrajectoryPath(id string) string { return st.fs.TrajectoryPath(id) }
-
-// TrajectoryAppender opens the job's trajectory sidecar for streaming
-// appends, repairing any torn tail first.
-func (st *Store) TrajectoryAppender(id string) (*ncgio.CheckpointWriter, error) {
-	return st.fs.TrajectoryAppender(id)
-}
-
-// ReconcileTrajectories truncates a trajectory job's checkpoint AND
-// sidecar back to their longest common cell-prefix before a resume; see
-// the store package for the full crash-damage contract.
-func (st *Store) ReconcileTrajectories(id string) error {
-	return st.fs.ReconcileTrajectories(id)
+	return &Store{FS: fs}, nil
 }
 
 // CreateJob persists a normalized, validated spec under its content
@@ -113,59 +40,23 @@ func (st *Store) CreateJob(sp Spec) (id string, created bool, err error) {
 	if err != nil {
 		return "", false, fmt.Errorf("sweepd: %w", err)
 	}
-	created, err = st.fs.CreateJob(id, append(data, '\n'))
+	created, err = st.FS.CreateJob(id, append(data, '\n'))
 	if err != nil {
 		return "", false, fmt.Errorf("sweepd: %w", err)
 	}
 	return id, created, nil
 }
 
-// LoadSpec reads a job's spec back.
+// LoadSpec reads a job's spec back, normalized.
 func (st *Store) LoadSpec(id string) (Spec, error) {
-	data, err := st.fs.ReadSpec(id)
+	data, err := st.ReadSpec(id)
 	if err != nil {
 		return Spec{}, fmt.Errorf("sweepd: %w", err)
 	}
 	var sp Spec
 	if err := json.Unmarshal(data, &sp); err != nil {
-		return Spec{}, fmt.Errorf("sweepd: job %s: invalid spec %s: %w", id, st.fs.SpecPath(id), err)
+		return Spec{}, fmt.Errorf("sweepd: job %s: invalid spec %s: %w", id, st.SpecPath(id), err)
 	}
 	sp.Normalize()
 	return sp, nil
 }
-
-// WriteMeta persists the job's lifecycle record atomically (temp file +
-// rename), same contract as the spec itself.
-func (st *Store) WriteMeta(id string, meta JobMeta) error { return st.fs.WriteMeta(id, meta) }
-
-// LoadMeta reads a job's lifecycle record. A missing or corrupt
-// meta.json is an error; callers fall back to filesystem timestamps.
-func (st *Store) LoadMeta(id string) (JobMeta, error) { return st.fs.LoadMeta(id) }
-
-// DeleteJob removes a job's directory entirely — spec, meta, and
-// checkpoint. Callers (Manager.Evict) are responsible for making sure
-// no runner still holds the checkpoint open.
-func (st *Store) DeleteJob(id string) error { return st.fs.DeleteJob(id) }
-
-// SweepOrphans removes half-created job artifacts older than cutoff;
-// see the store package for the crash-window contract.
-func (st *Store) SweepOrphans(cutoff time.Time) (removed int, err error) {
-	return st.fs.SweepOrphans(cutoff)
-}
-
-// Jobs lists the IDs of all persisted jobs, sorted.
-func (st *Store) Jobs() ([]string, error) { return st.fs.Jobs() }
-
-// LoadResults reads a job's checkpoint, repairing a torn tail if the
-// previous process died mid-append.
-func (st *Store) LoadResults(id string) ([]dynamics.CellResult, error) {
-	return st.fs.LoadResults(id)
-}
-
-// Appender opens the job's checkpoint for streaming appends.
-func (st *Store) Appender(id string) (*ncgio.CheckpointWriter, error) {
-	return st.fs.Appender(id)
-}
-
-// compile-time check: the filesystem-backed Store is a JobStore.
-var _ JobStore = (*Store)(nil)

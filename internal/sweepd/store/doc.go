@@ -1,6 +1,5 @@
-// Package store is the durable plane of sweepd, split out behind the
-// sweepd.JobStore seam so backends can vary independently of job
-// semantics.
+// Package store is the durable plane of sweepd: the files a job and its
+// replicas live in, kept apart from job semantics.
 //
 // Two kinds of artifact live here:
 //
@@ -26,6 +25,6 @@
 //
 // The package is deliberately bytes-level: specs pass through as raw
 // JSON (json.RawMessage in manifests), so store does not depend on the
-// sweepd spec type and sweepd can layer its typed Store adapter on top
-// without an import cycle.
+// sweepd spec type; sweepd.Store embeds FS and adds the two spec-typed
+// operations (CreateJob, LoadSpec) without an import cycle.
 package store

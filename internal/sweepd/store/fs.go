@@ -30,8 +30,8 @@ type Meta struct {
 // FS is the filesystem backend: one directory per job holding the
 // normalized spec (spec.json) and the streaming results checkpoint
 // (results.jsonl, one canonical ncgio cell line per result, in canonical
-// cell order). It stores specs as opaque bytes; the typed surface lives
-// in sweepd.Store.
+// cell order). It stores specs as opaque bytes; sweepd.Store embeds it
+// and adds the spec-typed CreateJob and LoadSpec.
 type FS struct {
 	root string
 }

@@ -1,12 +1,6 @@
-// Package storetest is the sweepd.JobStore conformance suite: every
-// backend — the filesystem default today, anything else tomorrow — must
-// pass Run, which pins the semantics the manager depends on (idempotent
-// creation, spec round-trips, lifecycle metadata, torn-tail repair,
-// deletion, orphan sweeping, trajectory reconciliation).
-package storetest
+package sweepd
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,16 +8,24 @@ import (
 
 	"repro/internal/dynamics"
 	"repro/internal/ncgio"
-	"repro/internal/sweepd"
+	"repro/internal/sweepd/store"
 )
 
-// Run drives the conformance suite against a backend. open must return
-// a fresh, empty store per call (each subtest gets its own).
-func Run(t *testing.T, open func(t *testing.T) sweepd.JobStore) {
-	t.Helper()
-
-	spec := func() sweepd.Spec {
-		sp := sweepd.Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2}
+// TestStoreConformance pins the store semantics the manager depends on
+// (idempotent creation, spec round-trips, lifecycle metadata, torn-tail
+// repair, deletion, orphan sweeping, trajectory reconciliation), each
+// subtest against a fresh store.
+func TestStoreConformance(t *testing.T) {
+	open := func(t *testing.T) *Store {
+		t.Helper()
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	spec := func() Spec {
+		sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2}
 		sp.Normalize()
 		return sp
 	}
@@ -76,7 +78,7 @@ func Run(t *testing.T, open func(t *testing.T) sweepd.JobStore) {
 		if _, err := st.LoadMeta(id); err == nil {
 			t.Fatal("LoadMeta before WriteMeta must error (callers fall back to timestamps)")
 		}
-		meta := sweepd.JobMeta{
+		meta := store.Meta{
 			Created:  time.Date(2026, 8, 1, 10, 0, 0, 0, time.UTC),
 			Finished: time.Date(2026, 8, 1, 11, 0, 0, 0, time.UTC),
 		}
@@ -201,7 +203,7 @@ func Run(t *testing.T, open func(t *testing.T) sweepd.JobStore) {
 		st := open(t)
 		var want []string
 		for n := 10; n < 13; n++ {
-			sp := sweepd.Spec{N: n, Alphas: []float64{1}, Ks: []int{2}, Seeds: 1}
+			sp := Spec{N: n, Alphas: []float64{1}, Ks: []int{2}, Seeds: 1}
 			sp.Normalize()
 			id, _, err := st.CreateJob(sp)
 			if err != nil {
@@ -297,7 +299,12 @@ func Run(t *testing.T, open func(t *testing.T) sweepd.JobStore) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs := readTrajectories(t, st.TrajectoryPath(id))
+		f, err := os.Open(st.TrajectoryPath(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		recs := readTrajectories(t, f)
 		if len(res) != 2 || len(recs) != 2 {
 			t.Fatalf("after reconcile: %d checkpoint cells, %d sidecar records; want 2 and 2 (longest common prefix)", len(res), len(recs))
 		}
@@ -307,13 +314,13 @@ func Run(t *testing.T, open func(t *testing.T) sweepd.JobStore) {
 // cellResult fabricates a valid result for the spec's i-th canonical
 // cell (zero Result marshals as a converged run — fine for storage
 // semantics, which never inspect outcomes).
-func cellResult(sp sweepd.Spec, i int) dynamics.CellResult {
+func cellResult(sp Spec, i int) dynamics.CellResult {
 	return dynamics.CellResult{Cell: sp.CellsRange(i, i+1)[0]}
 }
 
 // writeCells appends the spec's first n canonical cells to w (closing
 // it) and returns their cells in order.
-func writeCells(t *testing.T, w *ncgio.CheckpointWriter, sp sweepd.Spec, n int) []dynamics.Cell {
+func writeCells(t *testing.T, w *ncgio.CheckpointWriter, sp Spec, n int) []dynamics.Cell {
 	t.Helper()
 	var cells []dynamics.Cell
 	for i := 0; i < n; i++ {
@@ -332,23 +339,46 @@ func writeCells(t *testing.T, w *ncgio.CheckpointWriter, sp sweepd.Spec, n int) 
 	return cells
 }
 
-// readTrajectories parses every line of a trajectory sidecar.
-func readTrajectories(t *testing.T, path string) []ncgio.TrajectoryRecord {
-	t.Helper()
-	data, err := os.ReadFile(path)
+// TestStoreSpecRoundTripEveryDialect: the on-disk spec is what resume
+// and adoption trust, so for one valid spec per dialect × graph family
+// CreateJob → LoadSpec must give back the same ID and kernel hash.
+func TestStoreSpecRoundTripEveryDialect(t *testing.T) {
+	familyParams := map[string]func(*Spec){
+		"tree":           func(*Spec) {},
+		"gnp":            func(sp *Spec) { sp.P = 0.4 },
+		"grid-delete":    func(sp *Spec) { sp.P = 0.3 },
+		"pa-tree":        func(*Spec) {},
+		"random-regular": func(sp *Spec) { sp.Q = 3 },
+	}
+	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []ncgio.TrajectoryRecord
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+	for d := range dialects {
+		for g := range graphFamilies {
+			params, ok := familyParams[g]
+			if !ok {
+				t.Fatalf("graph family %q has no parameters in this test; add them", g)
+			}
+			sp := dialectSpec()
+			sp.Dialect, sp.Graph = d, g
+			params(&sp)
+			sp.Normalize()
+			if err := sp.Validate(); err != nil {
+				t.Fatalf("dialect %q on %q: %v", d, g, err)
+			}
+			id, created, err := st.CreateJob(sp)
+			if err != nil || !created || id != sp.ID() {
+				t.Fatalf("dialect %q on %q: CreateJob = %q, %v, %v; want %q created", d, g, id, created, err, sp.ID())
+			}
+			got, err := st.LoadSpec(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.ID() != sp.ID() || got.KernelHash() != sp.KernelHash() {
+				t.Fatalf("dialect %q on %q: spec changed on disk: got %+v (id %s kernel %s), want %+v (id %s kernel %s)",
+					d, g, got, got.ID(), got.KernelHash(), sp, sp.ID(), sp.KernelHash())
+			}
 		}
-		tr, err := ncgio.UnmarshalTrajectory(line)
-		if err != nil {
-			t.Fatalf("bad sidecar line %q: %v", line, err)
-		}
-		recs = append(recs, tr)
 	}
-	return recs
 }

@@ -52,7 +52,7 @@ func TestTrajectorySidecar(t *testing.T) {
 	}
 	mgr := NewManager(store, NewCache(1024), 4)
 	defer mgr.Close()
-	srv := httptest.NewServer(newHandler(mgr, 5*time.Millisecond, time.Second))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: 5 * time.Millisecond, HeartbeatInterval: time.Second}))
 	defer srv.Close()
 
 	sp := trajSpec()
@@ -374,7 +374,7 @@ func TestTrajectoryLeaseStreamsRecords(t *testing.T) {
 	}
 	mgr := NewManager(store, NewCache(1024), 2)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandler(mgr))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	sp := trajSpec()

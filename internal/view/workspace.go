@@ -402,9 +402,8 @@ func (ws *Workspace) InnerSum() (sum int64, ok bool) {
 
 // BallDistFrom runs a BFS from local src over the ball CSR (center
 // excluded) into out, which must have length Size(). Unreached vertices —
-// always including the center — get graph.Unreachable truncated to int32
-// (unreach32); callers should compare with Reached. The maintained
-// incremental state is untouched.
+// always including the center — get unreach32, larger than any real
+// distance. The maintained incremental state is untouched.
 func (ws *Workspace) BallDistFrom(src int32, out []int32) {
 	for i := range out {
 		out[i] = unreach32
@@ -424,6 +423,3 @@ func (ws *Workspace) BallDistFrom(src int32, out []int32) {
 	}
 	ws.queue = q
 }
-
-// Reached reports whether a BallDistFrom output entry is a real distance.
-func Reached(d int32) bool { return d != unreach32 }
