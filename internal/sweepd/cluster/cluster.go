@@ -1,16 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	mrand "math/rand/v2"
-	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,12 +69,6 @@ type Options struct {
 	// jitter in [backoff/2, backoff] so a cluster restarted in unison
 	// does not re-probe in lockstep.
 	BackoffMax time.Duration
-	// Client issues the probe, hello, and member-pull requests (default:
-	// a client with a bounded dial/TLS-handshake timeout and an overall
-	// request timeout of ProbeInterval — floored at 3s so an aggressive
-	// cadence never makes healthy loopback round-trips look dead — so
-	// one black-holed peer cannot stall probe cycles indefinitely).
-	Client *http.Client
 	// Logf, when set, receives membership diagnostics (state
 	// transitions, rejected URLs, hello failures) — wire it to
 	// log.Printf so a daemon that silently fails to join leaves a
@@ -183,8 +174,12 @@ type Registry struct {
 	now   func() time.Time
 	randf func() float64
 
-	stop chan struct{}
-	done chan struct{}
+	// ctx is the registry's lifetime: Close cancels it, which stops the
+	// probe loop and ends the production transport's in-flight calls, so
+	// Close never waits on a black-holed member.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
 	// started/closed guard double Start/Close.
 	started bool
 	closed  bool
@@ -243,25 +238,6 @@ func New(opts Options) *Registry {
 	if opts.BackoffMax < opts.ProbeInterval {
 		opts.BackoffMax = opts.ProbeInterval
 	}
-	if opts.Client == nil {
-		timeout := opts.ProbeInterval
-		if timeout < 3*time.Second {
-			timeout = 3 * time.Second
-		}
-		opts.Client = &http.Client{
-			Timeout: timeout,
-			Transport: &http.Transport{
-				Proxy: http.ProxyFromEnvironment,
-				DialContext: (&net.Dialer{
-					Timeout:   3 * time.Second,
-					KeepAlive: 30 * time.Second,
-				}).DialContext,
-				TLSHandshakeTimeout: 3 * time.Second,
-				MaxIdleConns:        16,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
-	}
 	if opts.LeaseExpiry <= 0 {
 		opts.LeaseExpiry = 6 * opts.ProbeInterval
 	}
@@ -269,7 +245,6 @@ func New(opts Options) *Registry {
 		opts:       opts,
 		now:        time.Now,
 		randf:      jitterRand,
-		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		instanceID: newInstanceID(),
 		self:       sweepd.NormalizePeerURL(opts.Self),
@@ -282,7 +257,11 @@ func New(opts Options) *Registry {
 	if r.self != "" {
 		r.selfURLs[r.self] = true
 	}
-	r.probe = &httpTransport{client: opts.Client}
+	r.ctx, r.cancel = context.WithCancel(context.Background())
+	// Each probe, hello, and member pull gets ProbeInterval — floored at
+	// 3s so an aggressive cadence never makes healthy loopback round-trips
+	// look dead — so one black-holed peer cannot stall a probe cycle.
+	r.probe = &httpTransport{ctx: r.ctx, timeout: max(opts.ProbeInterval, 3*time.Second)}
 	for _, s := range sweepd.NormalizePeerURLs(opts.Seeds) {
 		if r.selfURLs[s] {
 			continue
@@ -339,7 +318,7 @@ func (r *Registry) Start() {
 		r.probeOnce()
 		for {
 			select {
-			case <-r.stop:
+			case <-r.ctx.Done():
 				return
 			case <-ticker.C:
 				r.probeOnce()
@@ -359,7 +338,7 @@ func (r *Registry) Close() {
 	r.closed = true
 	started := r.started
 	r.mu.Unlock()
-	close(r.stop)
+	r.cancel()
 	if started {
 		<-r.done
 	}
@@ -931,21 +910,16 @@ func (r *Registry) maintainLocked(now time.Time) {
 	}
 }
 
-// httpTransport is the production transport over the sweepd HTTP API.
+// httpTransport is the production transport: the shared peer client, each
+// call under ctx (the registry's lifetime) and bounded by timeout.
 type httpTransport struct {
-	client *http.Client
+	ctx     context.Context
+	timeout time.Duration
 }
 
 func (t *httpTransport) probe(url string) (probeReply, error) {
-	resp, err := t.client.Get(url + "/healthz")
-	if err != nil {
-		return probeReply{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 64*1024)) //nolint:errcheck // drain for reuse
-		return probeReply{}, fmt.Errorf("cluster: %s/healthz: %s", url, resp.Status)
-	}
+	ctx, cancel := context.WithTimeout(t.ctx, t.timeout)
+	defer cancel()
 	// The instance ID and load snapshot ride in the healthz payload; a
 	// daemon without them (or a non-sweepd endpoint) just probes as
 	// alive with no identity and unknown capacity.
@@ -955,48 +929,36 @@ func (t *httpTransport) probe(url string) (probeReply, error) {
 		} `json:"cluster"`
 		Load *sweepd.LoadInfo `json:"load"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&payload); err != nil {
-		return probeReply{}, nil //nolint:nilerr // a 200 with an odd body is still alive
+	status, err := sweepd.Peer.JSON(ctx, http.MethodGet, url+"/healthz", nil, &payload, 1<<20, 0)
+	if status == 0 {
+		return probeReply{}, err
+	}
+	if err != nil {
+		return probeReply{}, nil //nolint:nilerr // a 2xx with an odd body is still alive
 	}
 	return probeReply{instanceID: payload.Cluster.InstanceID, load: payload.Load}, nil
 }
 
 func (t *httpTransport) hello(url, self string) (*sweepd.MembersResponse, error) {
-	body, err := json.Marshal(sweepd.HelloRequest{AdvertiseURL: self})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := t.client.Post(url+"/peer/hello", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return nil, fmt.Errorf("cluster: %s/peer/hello: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
+	ctx, cancel := context.WithTimeout(t.ctx, t.timeout)
+	defer cancel()
 	// The response is the receiver's gossip payload — the announcer's
 	// first gossip pull.
 	var mr sweepd.MembersResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&mr); err != nil {
+	status, err := sweepd.Peer.JSON(ctx, http.MethodPost, url+"/peer/hello", sweepd.HelloRequest{AdvertiseURL: self}, &mr, 4<<20, 0)
+	if status == 0 {
+		return nil, err
+	}
+	if err != nil {
 		return nil, nil //nolint:nilerr // announced fine; just no table to merge
 	}
 	return &mr, nil
 }
 
 func (t *httpTransport) members(url string) (*sweepd.MembersResponse, error) {
-	resp, err := t.client.Get(url + "/peer/members")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for reuse
-		return nil, fmt.Errorf("cluster: %s/peer/members: %s", url, resp.Status)
-	}
-	var mr sweepd.MembersResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&mr); err != nil {
-		return nil, err
-	}
-	return &mr, nil
+	ctx, cancel := context.WithTimeout(t.ctx, t.timeout)
+	defer cancel()
+	mr := new(sweepd.MembersResponse)
+	_, err := sweepd.Peer.JSON(ctx, http.MethodGet, url+"/peer/members", nil, mr, 4<<20, 0)
+	return mr, err
 }

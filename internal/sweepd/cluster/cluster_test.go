@@ -9,6 +9,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -1017,5 +1019,31 @@ func TestGossipHearsayCannotRefreshThirdPartyLease(t *testing.T) {
 	r.probeOnce()
 	if ls := r.Leases(); len(ls) != 1 || !ls[0].Updated.Equal(*now) {
 		t.Fatalf("owner's own listing did not refresh the lease: %+v", ls)
+	}
+}
+
+// TestCloseDoesNotWaitOnBlackHoledPeer: a probe cycle stuck on a member
+// that accepts the request and never answers must not hold Close — it
+// cancels the context every call of the production transport carries.
+func TestCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release) // only after Close has returned
+
+	r := New(Options{Seeds: []string{srv.URL}, ProbeInterval: 5 * time.Second})
+	r.Start() // the immediate first cycle probes the seed
+	<-entered
+
+	start := time.Now()
+	r.Close()
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Close waited %v on a peer that never answers", elapsed)
 	}
 }

@@ -35,7 +35,7 @@
 // # Health and backoff
 //
 // The probe loop dials each due member's GET /healthz every
-// ProbeInterval:
+// ProbeInterval, through the shared sweepd.PeerClient like every call:
 //
 //	alive --(probe fails)--> suspect --(DownAfter consecutive
 //	fails)--> down --(probe succeeds)--> alive (readmission)

@@ -3,9 +3,7 @@ package sweepd
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -84,30 +82,6 @@ func NormalizePeerURLs(urls []string) []string {
 func ValidPeerURL(s string) bool {
 	u, err := url.Parse(s)
 	return err == nil && (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
-}
-
-// RetryAfter reads a 429's Retry-After hint — RFC 7231 allows both
-// delta-seconds ("120") and an HTTP-date ("Wed, 21 Oct 2015 07:28:00
-// GMT") — clamped to [100ms, max]: a zero, past, absent, or malformed
-// hint must not produce a busy-loop, and no hint may outwait max. Both
-// peer client paths (shard leases and scheduler forwarding) share it,
-// so every retry against the /peer/* rate class backs off identically.
-func RetryAfter(resp *http.Response, now time.Time, max time.Duration) time.Duration {
-	wait := time.Second
-	if s := strings.TrimSpace(resp.Header.Get("Retry-After")); s != "" {
-		if secs, err := strconv.Atoi(s); err == nil {
-			wait = time.Duration(secs) * time.Second
-		} else if at, err := http.ParseTime(s); err == nil {
-			wait = at.Sub(now)
-		}
-	}
-	if wait < 100*time.Millisecond {
-		wait = 100 * time.Millisecond
-	}
-	if wait > max {
-		wait = max
-	}
-	return wait
 }
 
 // LoadInfo is one daemon's capacity snapshot, advertised in /healthz and

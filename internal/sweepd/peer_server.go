@@ -1,0 +1,289 @@
+package sweepd
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"sync"
+	"time"
+
+	"repro/internal/sweepd/store"
+)
+
+// maxReplicaBody bounds one POST /peer/replicas/{id} body (manifest +
+// full checkpoint + sidecar), mirroring the adoption tail-fetch cap.
+const maxReplicaBody = 64 << 20
+
+// peerHello serves POST /peer/hello: a booting daemon announces its
+// advertise URL and is registered as an alive member at once (it just
+// proved it can reach us; the probe loop keeps it honest from here).
+// The response carries the member table, so a hello doubles as the
+// joiner's first gossip pull.
+func (h *handler) peerHello(w http.ResponseWriter, r *http.Request) {
+	if h.cluster == nil {
+		writeError(w, http.StatusServiceUnavailable, "cluster membership not enabled on this daemon")
+		return
+	}
+	var req HelloRequest
+	if !decodeJSON(w, r, 64*1024, "hello", &req) {
+		return
+	}
+	adv := NormalizePeerURL(req.AdvertiseURL)
+	if !ValidPeerURL(adv) {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("advertise_url %q is not an absolute http(s) base URL", req.AdvertiseURL))
+		return
+	}
+	h.cluster.Hello(adv)
+	writeJSON(w, http.StatusOK, h.gossipPayload())
+}
+
+// gossipPayload builds the hello/members reply: the member table, plus
+// job leases and tombstones when the registry keeps them (it does when
+// scheduling is enabled) — the vehicle that spreads leadership state
+// and decommissions cluster-wide.
+func (h *handler) gossipPayload() MembersResponse {
+	mr := MembersResponse{Members: h.cluster.Members()}
+	if lt, ok := h.cluster.(LeaseTable); ok {
+		mr.Leases = lt.Leases()
+		mr.Tombstones = lt.Tombstones()
+	}
+	// Only this daemon's OWN replica ad rides along (receivers reject
+	// hearsay), spreading replica placement one authoritative hop per
+	// probe cycle, same as capacity.
+	if rs := h.m.Replicas(); rs != nil {
+		if s, ok := h.cluster.(interface{ Self() string }); ok {
+			if self := s.Self(); self != "" {
+				if ids, err := rs.List(); err == nil && len(ids) > 0 {
+					mr.Replicas = []ReplicaAd{{URL: self, JobIDs: ids}}
+				}
+			}
+		}
+	}
+	return mr
+}
+
+// peerMembers serves GET /peer/members: the member table, self first —
+// the relay half of one-hop gossip (peers poll it each probe cycle).
+func (h *handler) peerMembers(w http.ResponseWriter, r *http.Request) {
+	if h.cluster == nil {
+		writeError(w, http.StatusServiceUnavailable, "cluster membership not enabled on this daemon")
+		return
+	}
+	writeJSON(w, http.StatusOK, h.gossipPayload())
+}
+
+// peerSubmit serves POST /peer/jobs: the receiving half of a scheduler
+// forward. It always admits locally — never re-forwards — so a spec
+// cannot ping-pong between two members whose load views disagree.
+func (h *handler) peerSubmit(w http.ResponseWriter, r *http.Request) {
+	var sp Spec
+	if !decodeJSON(w, r, 1<<20, "spec", &sp) {
+		return
+	}
+	job, created, err := h.m.Submit(sp)
+	h.writeSubmitResult(w, job, created, err)
+}
+
+// peerClaim serves POST /peer/jobs/claim: an adopter pushes its new
+// lease so this member learns the leadership change (and a zombie
+// ex-leader cedes) before the next gossip cycle. The generation guard
+// in the lease table decides acceptance.
+func (h *handler) peerClaim(w http.ResponseWriter, r *http.Request) {
+	lt, ok := h.cluster.(LeaseTable)
+	if !ok {
+		writeError(w, http.StatusServiceUnavailable, "cluster scheduling not enabled on this daemon")
+		return
+	}
+	var lease JobLease
+	if !decodeJSON(w, r, 1<<20, "lease", &lease) {
+		return
+	}
+	if lease.JobID == "" || lease.Owner == "" || lease.Generation == 0 {
+		writeError(w, http.StatusBadRequest, "lease needs job_id, owner, and a nonzero generation")
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"accepted": lt.UpdateLease(lease)})
+}
+
+// receiveReplica serves POST /peer/replicas/{id}: a leader pushing one
+// finished job's immutable artifacts. The body is one ReplicaManifest
+// line, then the full canonical checkpoint, then (for trajectory specs)
+// the full sidecar. Nothing lands unverified: the spec must hash to the
+// job ID and the manifest kernel, and every line must be the canonical
+// record of its grid position — so a stored replica is exactly as
+// trustworthy as a locally computed checkpoint. The manifest generation
+// is the zombie guard: a push from a deposed leader (lower generation
+// than the stored copy's) answers 409 and changes nothing.
+func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
+	rs := h.m.Replicas()
+	if rs == nil {
+		writeError(w, http.StatusServiceUnavailable, "replica storage not enabled on this daemon")
+		return
+	}
+	id := r.PathValue("id")
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxReplicaBody+1))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading replica body: "+err.Error())
+		return
+	}
+	if len(body) > maxReplicaBody {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("replica body exceeds %d bytes", maxReplicaBody))
+		return
+	}
+	nl := bytes.IndexByte(body, '\n')
+	if nl < 0 {
+		writeError(w, http.StatusBadRequest, "replica body has no manifest line")
+		return
+	}
+	var m store.ReplicaManifest
+	if err := json.Unmarshal(body[:nl], &m); err != nil {
+		writeError(w, http.StatusBadRequest, "bad replica manifest: "+err.Error())
+		return
+	}
+	checkpoint, trajectory, ok := splitReplicaBody(body[nl+1:], m.CheckpointLines)
+	if !ok {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("replica body has fewer than the %d checkpoint lines the manifest frames", m.CheckpointLines))
+		return
+	}
+	if _, err := VerifyReplica(id, m, checkpoint, trajectory); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if cur, err := rs.Manifest(id); err == nil {
+		if cur.Generation > m.Generation {
+			writeJSON(w, http.StatusConflict, map[string]any{
+				"error": fmt.Sprintf("replica of job %s already stored at generation %d; push was generation %d",
+					id, cur.Generation, m.Generation),
+			})
+			return
+		}
+		if cur.Generation == m.Generation {
+			// Same generation ⇒ same leader ⇒ same immutable bytes
+			// (determinism); re-pushes are idempotent.
+			writeJSON(w, http.StatusOK, map[string]any{"stored": false, "held": true})
+			return
+		}
+	}
+	m.StoredAt = time.Now()
+	if err := rs.Put(m, checkpoint, trajectory); err != nil {
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	h.replicasReceived.Add(1)
+	h.replicaBytesReceived.Add(uint64(len(body)))
+	writeJSON(w, http.StatusOK, map[string]any{"stored": true, "held": true})
+}
+
+// splitReplicaBody cuts a replica body (after the manifest line) at the
+// end of its ckLines-th non-blank line: checkpoint bytes, then sidecar
+// bytes. ok=false when fewer complete lines exist.
+func splitReplicaBody(data []byte, ckLines int) (checkpoint, trajectory []byte, ok bool) {
+	if ckLines < 0 {
+		return nil, nil, false
+	}
+	off, seen := 0, 0
+	for seen < ckLines {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			return nil, nil, false
+		}
+		if len(bytes.TrimSpace(data[off:off+nl])) > 0 {
+			seen++
+		}
+		off += nl + 1
+	}
+	return data[:off], data[off:], true
+}
+
+// peerLease serves POST /peer/leases, the follower half of the sharding
+// protocol: validate the leader's spec and range, then stream each cell's
+// canonical result line as the local pool produces it (in canonical
+// order), with blank heartbeat lines while long cells compute so the
+// leader's lease watchdog can tell "slow" from "dead". Trajectory specs
+// stream ncgio lease records instead of bare result lines, carrying each
+// cell's per-round stats alongside its canonical checkpoint bytes. A
+// failure after streaming began simply ends the stream short — the leader
+// counts lines and reclaims the remainder.
+func (h *handler) peerLease(w http.ResponseWriter, r *http.Request) {
+	var req LeaseRequest
+	if !decodeJSON(w, r, 1<<20, "lease", &req) {
+		return
+	}
+	sp := req.Spec
+	sp.Normalize()
+	if err := sp.Validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	if n := sp.NumCells(); req.Start < 0 || req.End > n || req.Start >= req.End {
+		writeError(w, http.StatusBadRequest,
+			fmt.Sprintf("lease range [%d, %d) outside grid of %d cells", req.Start, req.End, n))
+		return
+	}
+
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+
+	// The emitter and the heartbeat ticker share the connection; wmu also
+	// guards lastByte so heartbeats only fill genuine silence. The
+	// handler must not return while the ticker goroutine can still touch
+	// the ResponseWriter, so it is joined (not just signaled) on the way
+	// out.
+	var wmu sync.Mutex
+	lastByte := time.Now()
+	stop := make(chan struct{})
+	hbDone := make(chan struct{})
+	defer func() {
+		close(stop)
+		<-hbDone
+	}()
+	go func() {
+		defer close(hbDone)
+		ticker := time.NewTicker(h.heartbeatInterval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-r.Context().Done():
+				return
+			case <-ticker.C:
+				wmu.Lock()
+				if time.Since(lastByte) >= h.heartbeatInterval {
+					if _, err := io.WriteString(w, "\n"); err == nil {
+						if flusher != nil {
+							flusher.Flush()
+						}
+						lastByte = time.Now()
+					}
+				}
+				wmu.Unlock()
+			}
+		}
+	}()
+	emit := func(line []byte) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+		if _, err := io.WriteString(w, "\n"); err != nil {
+			return err
+		}
+		if flusher != nil {
+			flusher.Flush()
+		}
+		lastByte = time.Now()
+		h.leaseCellsServed.Add(1)
+		return nil
+	}
+	if err := h.m.ServeLease(r.Context(), sp, req.Start, req.End, emit); err == nil {
+		h.leasesServed.Add(1)
+	}
+}

@@ -176,13 +176,19 @@ func TestPeerLeaseRejections(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Post(srv.URL+"/peer/leases", "application/json", strings.NewReader("{not json"))
+	good, err := json.Marshal(LeaseRequest{Spec: valid, Start: 0, End: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage body: status = %d, want 400", resp.StatusCode)
+	for _, bad := range []string{"{not json", string(good) + `{"x":1}`} {
+		resp, err := http.Post(srv.URL+"/peer/leases", "application/json", strings.NewReader(bad))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: status = %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 
@@ -291,6 +297,7 @@ func TestPeerHelloAndMembers(t *testing.T) {
 		`{"advertise_url":"/just/a/path"}`,
 		`{not json`,
 		`{"advertise_url":"http://a:1","extra":true}`,
+		`{"advertise_url":"http://a:1"}{"x":1}`, // exactly one JSON value
 	} {
 		resp, err := http.Post(srv.URL+"/peer/hello", "application/json", strings.NewReader(bad))
 		if err != nil {

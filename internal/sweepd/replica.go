@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,7 +10,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
@@ -122,8 +122,6 @@ type ReplicatorOptions struct {
 	// Generation returns the job's current lease generation for the
 	// manifest's zombie guard; nil or 0 defaults to 1 (never-adopted).
 	Generation func(jobID string) uint64
-	// Client is the HTTP client for pushes; nil gets a 30s-timeout one.
-	Client *http.Client
 	// Logf receives replication diagnostics; nil silences them.
 	Logf func(format string, args ...any)
 }
@@ -153,9 +151,6 @@ type Replicator struct {
 func NewReplicator(opts ReplicatorOptions) *Replicator {
 	if opts.Fanout <= 0 {
 		opts.Fanout = 2
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 30 * time.Second}
 	}
 	return &Replicator{opts: opts}
 }
@@ -321,22 +316,18 @@ func (rp *Replicator) buildBody(job Job) ([]byte, int, error) {
 }
 
 // push POSTs one replica body to a member; any non-2xx answer is a
-// failure except 200 from an up-to-date holder (the handler answers 200
-// for an idempotent same-generation repush too).
+// failure (the handler answers 200 for an idempotent same-generation
+// repush too). A 429 from the receiver's -replica-rate class is waited
+// out rather than counted: the deficit would otherwise stay until the
+// next restart re-fires the finish hook.
 func (rp *Replicator) push(base, id string, body []byte) error {
-	req, err := http.NewRequest(http.MethodPost, base+"/peer/replicas/"+id, bytes.NewReader(body))
+	ctx, cancel := context.WithTimeout(context.Background(), PeerCallTimeout)
+	defer cancel()
+	resp, err := Peer.Do(ctx, http.MethodPost, base+"/peer/replicas/"+id, "application/x-ndjson", body, PeerCallTimeout, nil)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := rp.opts.Client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("peer answered %s", resp.Status)
-	}
+	discard(resp)
 	return nil
 }
 

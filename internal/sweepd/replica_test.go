@@ -167,6 +167,37 @@ func TestReplicationPushAndReplicaServedReads(t *testing.T) {
 	}
 }
 
+// TestReplicaPushWaitsOutReplicaRate: the receiver's -replica-rate class
+// sheds the second of two back-to-back pushes with a 429. That is load
+// shedding, not a failed target: the push waits out Retry-After and
+// lands, instead of leaving the job under-replicated until a restart.
+func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
+	leaderMgr, _, _, leaderSrv, _ := newLifecycleRig(t, Config{})
+	_, fh, followerSrv, _ := newReplicaRig(t, Config{ReplicaRate: 1})
+	rp := NewReplicator(ReplicatorOptions{
+		Store:   leaderMgr.store,
+		Fanout:  1,
+		Self:    func() string { return leaderSrv.URL },
+		Targets: func() []MemberLoad { return []MemberLoad{{URL: followerSrv.URL}} },
+		Logf:    t.Logf,
+	})
+	for _, seeds := range []int{1, 2} {
+		job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: seeds})
+		if err := rp.Replicate(job); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := rp.Stats(); st.Pushed != 2 || st.PushFailures != 0 {
+		t.Fatalf("push stats = %+v; want both pushed, none failed", st)
+	}
+	if got := fh.replicasReceived.Load(); got != 2 {
+		t.Fatalf("follower received %d replicas, want 2", got)
+	}
+	if fh.throttled.Load() == 0 {
+		t.Fatal("the second push was never throttled; the test did not exercise the 429 path")
+	}
+}
+
 // TestReceiveReplicaVerification exercises the receive guards: nothing
 // unverified lands, and generations are monotonic.
 func TestReceiveReplicaVerification(t *testing.T) {

@@ -13,8 +13,8 @@
 // submission runs locally unless some alive peer's last-probed load
 // (queue depth, then busy workers, then running jobs — sweepd.LoadInfo)
 // is strictly below the local manager's live load; then the spec is
-// forwarded to the least-loaded peer over POST /peer/jobs, honoring
-// Retry-After on 429s up to a bounded budget. A failed forward falls
+// forwarded to the least-loaded peer over POST /peer/jobs, the shared
+// sweepd.PeerClient waiting out 429s up to ForwardBudget. A failed forward falls
 // back to local admission, and only if the local quota also refuses
 // does the client get a 307 with the chosen peer in Location. Ties
 // prefer local execution, so an idle cluster behaves exactly like a

@@ -1,15 +1,10 @@
 package sched
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,10 +71,6 @@ type Options struct {
 	// it. Default 5s.
 	ForwardBudget time.Duration
 
-	// Client is used for forwards, claims, and checkpoint fetches.
-	// Defaults to a bounded-dial client with a 30s overall timeout.
-	Client *http.Client
-
 	// Logf receives scheduler events. Defaults to log.Printf-shaped
 	// no-op when nil.
 	Logf func(format string, args ...any)
@@ -89,10 +80,15 @@ type Options struct {
 // placement on submit, per-job leadership leases while running, and
 // adoption of orphaned jobs. See the package comment for the protocol.
 type Scheduler struct {
-	opts   Options
-	client *http.Client
-	logf   func(string, ...any)
-	now    func() time.Time // injected in tests
+	opts Options
+	logf func(string, ...any)
+	now  func() time.Time // injected in tests
+
+	// ctx is the scheduler's lifetime: Close cancels it, which stops the
+	// loop and ends the peer calls of a tick in flight, so Close never
+	// waits on a black-holed peer.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu    sync.Mutex
 	gens  map[string]uint64 // job id -> generation we lead at
@@ -100,7 +96,6 @@ type Scheduler struct {
 
 	started bool
 	closed  bool
-	stop    chan struct{}
 	done    chan struct{}
 
 	forwards        atomic.Uint64
@@ -125,25 +120,14 @@ func New(opts Options) (*Scheduler, error) {
 		opts.ForwardBudget = 5 * time.Second
 	}
 	s := &Scheduler{
-		opts:   opts,
-		client: opts.Client,
-		logf:   opts.Logf,
-		now:    time.Now,
-		gens:   make(map[string]uint64),
-		ceded:  make(map[string]bool),
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
+		opts:  opts,
+		logf:  opts.Logf,
+		now:   time.Now,
+		gens:  make(map[string]uint64),
+		ceded: make(map[string]bool),
+		done:  make(chan struct{}),
 	}
-	if s.client == nil {
-		s.client = &http.Client{
-			Timeout: 30 * time.Second,
-			Transport: &http.Transport{
-				DialContext:           (&net.Dialer{Timeout: 5 * time.Second}).DialContext,
-				ResponseHeaderTimeout: 10 * time.Second,
-				MaxIdleConnsPerHost:   4,
-			},
-		}
-	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if s.logf == nil {
 		s.logf = func(string, ...any) {}
 	}
@@ -175,7 +159,7 @@ func (s *Scheduler) Close() {
 	s.closed = true
 	started := s.started
 	s.mu.Unlock()
-	close(s.stop)
+	s.cancel()
 	if started {
 		<-s.done
 	}
@@ -187,7 +171,7 @@ func (s *Scheduler) loop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-s.stop:
+		case <-s.ctx.Done():
 			return
 		case <-t.C:
 			s.tick()
@@ -262,44 +246,11 @@ func (s *Scheduler) pickTarget() string {
 // forward POSTs the spec to target's /peer/jobs, waiting out 429s per
 // their Retry-After up to ForwardBudget.
 func (s *Scheduler) forward(ctx context.Context, target string, sp sweepd.Spec) (sweepd.Job, bool, error) {
-	body, err := json.Marshal(sp)
-	if err != nil {
-		return sweepd.Job{}, false, err
-	}
-	var waited time.Duration
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, target+"/peer/jobs", bytes.NewReader(body))
-		if err != nil {
-			return sweepd.Job{}, false, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := s.client.Do(req)
-		if err != nil {
-			return sweepd.Job{}, false, err
-		}
-		if resp.StatusCode == http.StatusTooManyRequests && waited < s.opts.ForwardBudget {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			wait := sweepd.RetryAfter(resp, s.now(), s.opts.ForwardBudget-waited)
-			resp.Body.Close()
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				return sweepd.Job{}, false, ctx.Err()
-			}
-			waited += wait
-			continue
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return sweepd.Job{}, false, fmt.Errorf("%s/peer/jobs: %s: %s", target, resp.Status, strings.TrimSpace(string(msg)))
-		}
-		var job sweepd.Job
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&job); err != nil {
-			return sweepd.Job{}, false, fmt.Errorf("%s/peer/jobs: bad response: %w", target, err)
-		}
-		return job, resp.StatusCode == http.StatusAccepted, nil
-	}
+	ctx, cancel := context.WithTimeout(ctx, sweepd.PeerCallTimeout)
+	defer cancel()
+	var job sweepd.Job
+	status, err := sweepd.Peer.JSON(ctx, http.MethodPost, target+"/peer/jobs", sp, &job, 1<<20, s.opts.ForwardBudget)
+	return job, status == http.StatusAccepted, err
 }
 
 // tick is one scheduler round: refresh leases for jobs we lead, then
@@ -506,17 +457,14 @@ func (s *Scheduler) fetchCheckpoint(jobID string) []byte {
 		if m.Self || m.State != "alive" {
 			continue
 		}
-		resp, err := s.client.Get(m.URL + "/sweeps/" + jobID + "/results")
-		if err != nil {
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		ctx, cancel := context.WithTimeout(s.ctx, sweepd.PeerCallTimeout)
+		var b []byte
+		resp, err := sweepd.Peer.Do(ctx, http.MethodGet, m.URL+"/sweeps/"+jobID+"/results", "", nil, 0, nil)
+		if err == nil {
+			b, err = io.ReadAll(io.LimitReader(resp.Body, maxCheckpointFetch))
 			resp.Body.Close()
-			continue
 		}
-		b, err := io.ReadAll(io.LimitReader(resp.Body, maxCheckpointFetch))
-		resp.Body.Close()
+		cancel()
 		if err == nil && len(b) > 0 {
 			s.logf("sched: recovered %d checkpoint bytes for job %s from %s", len(b), jobID, m.URL)
 			return b
@@ -529,19 +477,12 @@ func (s *Scheduler) fetchCheckpoint(jobID string) []byte {
 // cluster converges before the next gossip cycle (and so a racing
 // adopter cedes immediately). Best effort: gossip is the backstop.
 func (s *Scheduler) broadcastClaim(l sweepd.JobLease) {
-	body, err := json.Marshal(l)
-	if err != nil {
-		return
-	}
 	for _, m := range s.opts.Cluster.Members() {
 		if m.Self || m.State != "alive" {
 			continue
 		}
-		resp, err := s.client.Post(m.URL+"/peer/jobs/claim", "application/json", bytes.NewReader(body))
-		if err != nil {
-			continue
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		resp.Body.Close()
+		ctx, cancel := context.WithTimeout(s.ctx, sweepd.PeerCallTimeout)
+		sweepd.Peer.JSON(ctx, http.MethodPost, m.URL+"/peer/jobs/claim", l, nil, 0, 0) //nolint:errcheck // best effort
+		cancel()
 	}
 }

@@ -543,3 +543,38 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 		t.Fatalf("stats = %+v, want Adoptions=1 ReplicaSeeds=1", st)
 	}
 }
+
+// TestCloseDoesNotWaitOnBlackHoledPeer: a tick stuck in a peer call —
+// here the adoption's checkpoint fetch, against a member that accepts the
+// request and never answers — must not hold Close: it cancels the
+// scheduler's lifetime context, which every peer call of the loop carries.
+func TestCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release) // only after Close has returned
+
+	sp := testSpec()
+	c := newFakeCluster("http://self:1")
+	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 1, Updated: time.Now().Add(-time.Minute)}
+	c.leases[sp.ID()] = orphan
+	c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: srv.URL, State: "alive"}}
+	s, err := New(Options{Cluster: c, Manager: &fakeManager{}, Heartbeat: time.Millisecond, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	<-entered
+
+	start := time.Now()
+	s.Close()
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Close waited %v on a peer that never answers", elapsed)
+	}
+}

@@ -1,9 +1,8 @@
 package sweepd
 
-// Tests for the scheduler-facing HTTP surface: RetryAfter parsing
-// (shared by the shard backend and the scheduler's forwarding path),
-// the /peer/jobs and /peer/jobs/claim endpoints, the lease/tombstone
-// gossip payload, and POST /sweeps routed through a Submitter.
+// Tests for the scheduler-facing HTTP surface: the /peer/jobs and
+// /peer/jobs/claim endpoints, the lease/tombstone gossip payload, and
+// POST /sweeps routed through a Submitter.
 
 import (
 	"context"
@@ -16,43 +15,6 @@ import (
 	"testing"
 	"time"
 )
-
-func respWithRetryAfter(v string) *http.Response {
-	h := http.Header{}
-	if v != "" {
-		h.Set("Retry-After", v)
-	}
-	return &http.Response{Header: h}
-}
-
-// TestRetryAfterForms covers both wire forms of Retry-After plus the
-// clamps: delta-seconds, HTTP-date, and absent/garbage/past values.
-func TestRetryAfterForms(t *testing.T) {
-	now := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
-	max := 30 * time.Second
-	cases := []struct {
-		name   string
-		header string
-		want   time.Duration
-	}{
-		{"absent defaults to 1s", "", time.Second},
-		{"delta seconds", "7", 7 * time.Second},
-		{"delta zero clamps up", "0", 100 * time.Millisecond},
-		{"delta beyond max clamps down", "3600", max},
-		{"http date", now.Add(5 * time.Second).UTC().Format(http.TimeFormat), 5 * time.Second},
-		{"http date beyond max clamps down", now.Add(10 * time.Minute).UTC().Format(http.TimeFormat), max},
-		{"http date in the past clamps up", now.Add(-time.Minute).UTC().Format(http.TimeFormat), 100 * time.Millisecond},
-		{"surrounding space tolerated", "  9  ", 9 * time.Second},
-		{"garbage defaults to 1s", "soon", time.Second},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := RetryAfter(respWithRetryAfter(tc.header), now, max); got != tc.want {
-				t.Fatalf("RetryAfter(%q) = %v, want %v", tc.header, got, tc.want)
-			}
-		})
-	}
-}
 
 // fakeLeaseMembership is fakeMembership plus a generation-guarded
 // lease table — the HTTP layer's view of a scheduling-enabled
@@ -196,6 +158,11 @@ func TestPeerClaim(t *testing.T) {
 	}
 	if code, _ := claim(`{not json`); code != http.StatusBadRequest {
 		t.Fatalf("garbage claim code = %d, want 400", code)
+	}
+	lease.Generation = 3
+	lb, _ = json.Marshal(lease)
+	if code, _ := claim(string(lb) + `{"x":1}`); code != http.StatusBadRequest {
+		t.Fatalf("claim with trailing data code = %d, want 400", code)
 	}
 
 	// Without a LeaseTable (plain Membership, or no cluster at all) the

@@ -20,6 +20,7 @@
 //	            └─ shard executor       (this package)
 //	                 ├─ local consumer  → dynamics.LocalExecutor
 //	                 └─ one goroutine per peer → POST /peer/leases
+//	                                             (sweepd.PeerClient)
 //
 // The executor splits the job's todo indices into maximal consecutive
 // runs capped at the configured lease size, then lets the local pool and
@@ -59,7 +60,7 @@
 // range locally, and stops leasing to that peer for the rest of the
 // Execute call (the next job probes it afresh). Cells already streamed
 // back are kept — a half-served lease wastes only its tail. The same
-// reclaim path covers rejected leases (non-200), disconnects, short
+// reclaim path covers rejected leases (non-2xx), disconnects, short
 // streams, and malformed or misaligned lines. Followers never push work
 // and leaders never retry a range on another peer before falling back
 // locally, so no cell can be double-appended and a sweep always

@@ -6,8 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -28,16 +26,6 @@ type Options struct {
 	// no bytes for this long is canceled and its remainder reclaimed
 	// locally (default 45s; followers heartbeat every ~15s).
 	LeaseTTL time.Duration
-	// DialTimeout bounds connection establishment (TCP dial and TLS
-	// handshake) of the default client (default 5s). Without it a
-	// black-holed peer — dropped SYNs, no RST — would stall every lease
-	// attempt for the full lease TTL before reclaim. Ignored when Client
-	// is set.
-	DialTimeout time.Duration
-	// Client issues the lease requests (default: a client with the
-	// bounded DialTimeout but no overall timeout — leases are long-lived
-	// streams whose liveness the TTL watchdog owns).
-	Client *http.Client
 }
 
 // PeerSource supplies the peers a job may lease to. The pool snapshots
@@ -92,21 +80,6 @@ func NewFromSource(source PeerSource, opts Options) *Pool {
 	}
 	if opts.LeaseTTL <= 0 {
 		opts.LeaseTTL = 45 * time.Second
-	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Transport: &http.Transport{
-			Proxy: http.ProxyFromEnvironment,
-			DialContext: (&net.Dialer{
-				Timeout:   opts.DialTimeout,
-				KeepAlive: 30 * time.Second,
-			}).DialContext,
-			TLSHandshakeTimeout: opts.DialTimeout,
-			MaxIdleConns:        64,
-			IdleConnTimeout:     90 * time.Second,
-		}}
 	}
 	return &Pool{source: source, opts: opts}
 }
@@ -285,41 +258,17 @@ func (e *executor) lease(ctx context.Context, peer string, cr cellRange, cells [
 	watchdog := time.AfterFunc(ttl, cancel)
 	defer watchdog.Stop()
 
-	// A 429 is load shedding (-peer-rate on the follower), not death:
-	// honor Retry-After and retry instead of retiring a healthy peer,
-	// bounding total backoff by the lease TTL so a peer that only ever
-	// throttles still falls back to local compute eventually.
-	var resp *http.Response
-	for backoff := time.Duration(0); ; {
-		hreq, err := http.NewRequestWithContext(lctx, http.MethodPost, peer+"/peer/leases", bytes.NewReader(body))
-		if err != nil {
-			return 0, err
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err = e.pool.opts.Client.Do(hreq)
-		if err != nil {
-			return 0, fmt.Errorf("shard: peer %s: %w", peer, err)
-		}
-		if resp.StatusCode != http.StatusTooManyRequests || backoff >= ttl {
-			break
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for reuse
-		resp.Body.Close()
-		wait := sweepd.RetryAfter(resp, time.Now(), ttl)
-		watchdog.Reset(wait + ttl)
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-		backoff += wait
-		watchdog.Reset(ttl)
+	// A 429 is load shedding (-peer-rate on the follower), not death: the
+	// client waits out Retry-After (the watchdog is pushed past each wait)
+	// instead of retiring a healthy peer, bounding total backoff by the
+	// lease TTL so a peer that only ever throttles still falls back to
+	// local compute eventually.
+	resp, err := sweepd.Peer.Do(lctx, http.MethodPost, peer+"/peer/leases", "application/json", body, ttl,
+		func(wait time.Duration) { watchdog.Reset(wait + ttl) })
+	if err != nil {
+		return 0, fmt.Errorf("shard: peer %s: %w", peer, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096)) //nolint:errcheck // drain for reuse
-		return 0, fmt.Errorf("shard: peer %s rejected lease: %s", peer, resp.Status)
-	}
 
 	br := bufio.NewReaderSize(resp.Body, 64*1024)
 	want := cr.len()

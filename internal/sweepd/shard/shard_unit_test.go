@@ -1,19 +1,12 @@
 package shard
 
 // In-package unit tests for the lease plumbing: peer-URL normalization
-// and dedup in New, and the default client's bounded connection
-// establishment. (Retry-After parsing moved to sweepd.RetryAfter and
-// is tested there.)
+// and dedup in New. (Retry-After parsing and the bounded dial belong to
+// sweepd.PeerClient and are tested there.)
 
 import (
-	"context"
-	"net/http"
 	"strings"
 	"testing"
-	"time"
-
-	"repro/internal/dynamics"
-	"repro/internal/sweepd"
 )
 
 // TestNewNormalizesAndDedupes: programmatic construction gets the same
@@ -47,53 +40,6 @@ func TestNewNormalizesAndDedupes(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDefaultClientBoundsDialing: a black-holed peer (non-routable
-// address, dropped SYNs) must fail a lease within the dial timeout
-// instead of stalling it until the lease TTL watchdog fires.
-func TestDefaultClientBoundsDialing(t *testing.T) {
-	sp := sweepd.Spec{N: 8, Alphas: []float64{1}, Ks: []int{2}, Seeds: 1}
-	sp.Normalize()
-	// 10.255.255.1 is a non-routable RFC 1918 address: SYNs go nowhere.
-	// Some sandboxes reject it instantly instead — also a fast failure,
-	// which is all this test asserts.
-	pool := New([]string{"http://10.255.255.1:9"}, Options{
-		DialTimeout: 100 * time.Millisecond,
-		LeaseTTL:    time.Hour, // the watchdog must NOT be what saves us
-	})
-	e := &executor{pool: pool, peers: pool.source.AlivePeers(), spec: sp}
-	send := func(dynamics.IndexedResult) bool { return true }
-
-	start := time.Now()
-	_, err := e.lease(context.Background(), "http://10.255.255.1:9", cellRange{0, 1}, sp.Cells(), send)
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("lease against a black hole succeeded")
-	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("lease took %v to fail; dial is not bounded", elapsed)
-	}
-}
-
-// TestDefaultClientHasTransportTimeouts pins the construction itself:
-// the default client must carry a bounded dialer, not http.Client{}'s
-// unbounded zero transport.
-func TestDefaultClientHasTransportTimeouts(t *testing.T) {
-	p := New(nil, Options{})
-	tr, ok := p.opts.Client.Transport.(*http.Transport)
-	if !ok {
-		t.Fatalf("default client transport is %T, want *http.Transport", p.opts.Client.Transport)
-	}
-	if tr.TLSHandshakeTimeout <= 0 {
-		t.Fatal("TLS handshake timeout unset")
-	}
-	if tr.DialContext == nil {
-		t.Fatal("DialContext unset; dials are unbounded")
-	}
-	if p.opts.Client.Timeout != 0 {
-		t.Fatal("overall client timeout must stay unset — streams are bounded by the lease watchdog")
 	}
 }
 
