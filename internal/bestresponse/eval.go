@@ -3,6 +3,7 @@ package bestresponse
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,10 +15,20 @@ import (
 
 // Evaluator owns the reusable buffers for computing many responses — the
 // pooled view workspace, the candidate filters, and the MAXNCG
-// all-pairs/bitset machinery. Responses are byte-identical to the
-// package-level functions (which run on a pooled Evaluator themselves);
-// holding one explicitly just keeps a sweep's allocations O(workers)
-// instead of O(moves).
+// neighborhood-power slab and dominating-set solver. Responses are
+// byte-identical to the package-level functions (which run on a pooled
+// Evaluator themselves); holding one explicitly just keeps a sweep's
+// allocations O(workers) instead of O(moves).
+//
+// The power slab is the one buffer that is not linear in the ball: for a
+// center-less view of rB vertices it holds levels·rB·⌈rB/64⌉ words, where
+// levels <= min(hTop, diam+1), hTop is the largest eccentricity the scan
+// can still improve on (below the player's current cost, at most 2k+1)
+// and diam the largest diameter of a component of the view. That is less
+// than the 4·rB² bytes of the all-pairs distance table it replaced
+// whenever levels <= 32 — every local view and every small-diameter graph
+// — and more on a long path under full knowledge, where levels approaches
+// rB. It is kept at its high-water mark, like every other buffer here.
 //
 // An Evaluator is not safe for concurrent use: give each worker its own.
 type Evaluator struct {
@@ -36,14 +47,14 @@ type Evaluator struct {
 	// cand holds the exhaustive search's candidate locals.
 	cand []int32
 
-	// MAXNCG machinery: all-pairs distances over the center-less view,
-	// one flat bitset slab for the h-power closed neighborhoods, and the
-	// forced-dominator list.
-	restDist []int32
-	row      []int32
-	slab     []uint64
-	nbs      [][]uint64
-	forced   []int
+	// MAXNCG machinery: the closed-neighborhood powers of the center-less
+	// view (level-major, see buildPowers), the rows of the level being
+	// solved, the forced-dominator list, the incumbent set and the solver.
+	powers  []uint64
+	nbs     [][]uint64
+	forced  []int
+	bestSet []int
+	solver  mds.Solver
 }
 
 const (
@@ -308,6 +319,48 @@ func (e *Evaluator) SumBestResponseExhaustive(s *game.State, u, k int, alpha flo
 	}
 }
 
+// buildPowers fills e.powers with the closed-neighborhood powers of the
+// center-less view H∖{u} for levels 0…top-1 and returns how many levels
+// it stored: row j of level t is {i : d(j,i) <= t} as a bitset over the
+// rB rest vertices (rest j = local j+1). Level t+1 is level t with every
+// ball neighbor's level-t row ORed in — 2m·⌈rB/64⌉ word-ORs per level,
+// where all-pairs BFS would cost rB traversals. It stops at the first
+// level that equals its predecessor, since every later level does too;
+// level t of the view is stored level min(t, returned-1).
+func (e *Evaluator) buildPowers(rB, top int) int {
+	e.powers = e.powers[:0]
+	if top == 0 {
+		return 0
+	}
+	words := (rB + 63) / 64
+	stride := rB * words
+	e.powers = slices.Grow(e.powers, stride)[:stride]
+	clear(e.powers)
+	for j := 0; j < rB; j++ {
+		e.powers[j*words+j/64] |= 1 << (j % 64)
+	}
+	for t := 1; t < top; t++ {
+		e.powers = slices.Grow(e.powers, stride)[:(t+1)*stride]
+		prev, next := e.powers[(t-1)*stride:t*stride], e.powers[t*stride:]
+		copy(next, prev)
+		grew := false
+		for j := 0; j < rB; j++ {
+			row := next[j*words : (j+1)*words]
+			for _, l := range e.ws.BallAdj(int32(j + 1)) {
+				for x, w := range prev[int(l-1)*words:][:words] {
+					row[x] |= w
+				}
+			}
+			grew = grew || !slices.Equal(row, prev[j*words:(j+1)*words])
+		}
+		if !grew {
+			e.powers = e.powers[:t*stride]
+			return t
+		}
+	}
+	return top
+}
+
 // MaxBestResponse is the Evaluator form of the package-level
 // MaxBestResponse.
 func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Response {
@@ -327,48 +380,25 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 		}
 	}
 
-	// All-pairs distances over H∖{u}, computed once: the ball CSR already
-	// excludes the center, so a plain BFS per vertex is exactly the
-	// center-less metric the h-power dominating-set reduction needs.
-	if cap(e.restDist) < rB*rB {
-		e.restDist = make([]int32, rB*rB)
+	// Candidate eccentricities run from min(2k+1, rB) down (k is compared
+	// before doubling: 2k+1 wraps for huge k), but the scan skips every
+	// h >= cur-ε, so the powers are needed only below the first h it keeps.
+	hTop := rB
+	if k < rB {
+		hTop = min(rB, 2*k+1)
 	}
-	e.restDist = e.restDist[:rB*rB]
-	if cap(e.row) < rB+1 {
-		e.row = make([]int32, rB+1)
+	for hTop >= 1 && float64(hTop) >= cur-epsilon {
+		hTop--
 	}
-	e.row = e.row[:rB+1]
-	for j := 0; j < rB; j++ {
-		e.ws.BallDistFrom(int32(j+1), e.row)
-		copy(e.restDist[j*rB:(j+1)*rB], e.row[1:])
-	}
-
-	maxH := 2*k + 1
-	if maxH > rB {
-		maxH = rB
-	}
-	if maxH < 1 {
-		maxH = 1
-	}
+	levels := e.buildPowers(rB, hTop)
 	words := (rB + 63) / 64
-	if cap(e.slab) < rB*words {
-		e.slab = make([]uint64, rB*words)
-	}
-	e.slab = e.slab[:rB*words]
-	if cap(e.nbs) < rB {
-		e.nbs = make([][]uint64, rB)
-	}
-	e.nbs = e.nbs[:rB]
-	for j := range e.nbs {
-		e.nbs[j] = e.slab[j*words : (j+1)*words]
-	}
+	e.nbs = slices.Grow(e.nbs[:0], rB)[:rB]
 
 	// Descending h with the incumbent cap, exactly like the reference:
 	// identical neighborhoods feed an identical branch-and-bound.
 	bestCost := cur
-	var bestSet []int
 	improved := false
-	for h := maxH; h >= 1; h-- {
+	for h := hTop; h >= 1; h-- {
 		if float64(h) >= bestCost-epsilon {
 			continue // cost >= h can no longer improve on the incumbent
 		}
@@ -380,27 +410,18 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 			}
 		}
 		// Closed neighborhoods of the (h-1)-th power: {i : d(j,i) <= h-1}.
-		for i := range e.slab {
-			e.slab[i] = 0
+		level := e.powers[min(h-1, levels-1)*rB*words:]
+		for j := range e.nbs {
+			e.nbs[j] = level[j*words : (j+1)*words]
 		}
-		hh := int32(h - 1)
-		for j := 0; j < rB; j++ {
-			row := e.restDist[j*rB : (j+1)*rB]
-			nb := e.nbs[j]
-			for i, d := range row {
-				if d <= hh {
-					nb[i/64] |= 1 << (i % 64)
-				}
-			}
-		}
-		extra, ok := mds.MinDominatingExtraAtMostBitsets(rB, e.nbs, e.forced, limit)
+		extra, ok := e.solver.Solve(rB, e.nbs, e.forced, limit)
 		if !ok {
 			continue
 		}
 		cost := alpha*float64(len(extra)) + float64(h)
 		if cost < bestCost-epsilon {
 			bestCost = cost
-			bestSet = extra
+			e.bestSet = append(e.bestSet[:0], extra...) // extra is the solver's
 			improved = true
 		}
 	}
@@ -413,8 +434,8 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 			Improving:   false,
 		}
 	}
-	strategy := make([]int, 0, len(bestSet))
-	for _, j := range bestSet {
+	strategy := make([]int, 0, len(e.bestSet))
+	for _, j := range e.bestSet {
 		strategy = append(strategy, int(e.ws.Orig[j+1]))
 	}
 	sort.Ints(strategy)

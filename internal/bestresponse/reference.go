@@ -187,10 +187,11 @@ func refMaxBestResponse(s *game.State, u, k int, alpha float64) Response {
 
 	// Candidate eccentricities h: d(u,v) = 1 + d_{H∖u}(S∪forced, v), so the
 	// achievable eccentricity range is 1..(1+ecc of any vertex). 2k+1 is a
-	// safe upper bound inside a radius-k view; cap by nRest as well.
-	maxH := 2*k + 1
-	if maxH > nRest {
-		maxH = nRest
+	// safe upper bound inside a radius-k view; cap by nRest as well (k is
+	// compared before doubling: 2k+1 wraps for huge k).
+	maxH := nRest
+	if k < nRest && 2*k+1 < nRest {
+		maxH = 2*k + 1
 	}
 	if maxH < 1 {
 		maxH = 1

@@ -47,7 +47,8 @@ func SumBestResponseExhaustive(s *game.State, u, k int, alpha float64, maxCandid
 // "better response" in the paper's terminology — or Improving=false when
 // no local move helps. This keeps SUMNCG dynamics runnable at sizes where
 // the exact responder is infeasible (the paper itself limited experiments
-// to MAXNCG for exactly this reason; see §5 and DESIGN.md §3).
+// to MAXNCG for exactly this reason, see §5; package mds's doc describes
+// the exact solver that stands in for the paper's ILP there).
 func SumGreedyResponse(s *game.State, u, k int, alpha float64) Response {
 	e := evalPool.Get().(*Evaluator)
 	r := e.SumGreedyResponse(s, u, k, alpha)

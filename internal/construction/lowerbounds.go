@@ -27,8 +27,8 @@ func CycleState(n int) (*game.State, error) {
 // q-regular graph with girth >= 2k+2 (so every player's view is a tree),
 // with each edge owned by a uniformly random endpoint. It uses the exact
 // projective-plane incidence graph when 2k+2 <= 6 and a prime q-1 exists,
-// and the randomized high-girth generator otherwise (DESIGN.md §3,
-// substitution 2).
+// and the randomized high-girth generator otherwise (the substitution
+// package gen's doc describes).
 func HighGirthState(n, q, k int, rng *rand.Rand) (*game.State, error) {
 	g, err := gen.RegularHighGirth(n, q, 2*k+2, rng, 200)
 	if err != nil {

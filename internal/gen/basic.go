@@ -3,6 +3,13 @@
 // random trees via Prüfer sequences (§5.2), Erdős–Rényi G(n,p) graphs
 // (§5.2), and the high-girth regular graphs underlying the dense lower
 // bounds (Lemma 3.2, Theorem 4.3).
+//
+// The high-girth family is a documented substitution. The paper cites the
+// algebraic Lazebnik–Ustimenko–Woldar graphs; here girth 6 is served
+// exactly by projective-plane incidence graphs (same parameters,
+// elementary modular arithmetic: ProjectivePlaneIncidence), and larger
+// girths by a randomized greedy generator with certified girth and exact
+// regularity but weaker density (RegularHighGirth).
 package gen
 
 import "repro/internal/graph"

@@ -14,7 +14,7 @@ import (
 // This is the exact g=6 member of the dense high-girth family invoked in
 // Lemma 3.2 (the paper cites Lazebnik–Ustimenko–Woldar; incidence graphs of
 // projective planes achieve the same parameters for girth 6 and are
-// constructible with elementary modular arithmetic — see DESIGN.md §3).
+// constructible with elementary modular arithmetic — see the package doc).
 // Points occupy ids [0, q²+q+1); lines occupy ids [q²+q+1, 2(q²+q+1)).
 func ProjectivePlaneIncidence(q int) (*graph.Graph, error) {
 	if q < 2 || !isPrime(q) {
@@ -68,7 +68,7 @@ func isPrime(n int) bool {
 //
 // The resulting graph is exactly q-regular and has certified girth >= g;
 // density is near-optimal for small g, weaker than algebraic constructions
-// for large g (documented substitution, DESIGN.md §3).
+// for large g (documented substitution, see the package doc).
 func RegularHighGirth(n, q, g int, rng *rand.Rand, maxRestarts int) (*graph.Graph, error) {
 	if q < 2 || g < 3 {
 		return nil, fmt.Errorf("gen: RegularHighGirth needs q >= 2 and g >= 3 (got q=%d g=%d)", q, g)

@@ -33,7 +33,8 @@ func BenchmarkBFSWithin(b *testing.B) {
 }
 
 // BenchmarkAllEccentricitiesParallel vs ...Serial is the ablation for the
-// parallel BFS fan-out (DESIGN.md: "parallel all-pairs BFS").
+// parallel BFS fan-out (package doc: "build it once, then fan BFS out
+// across workers").
 func BenchmarkAllEccentricitiesParallel(b *testing.B) {
 	g := benchGraph(500, 1000)
 	b.ReportAllocs()

@@ -1,44 +1,38 @@
 // Package mds solves the (constrained) MINIMUM DOMINATING SET problem that
 // the paper's best-response computation reduces to (§5.3). The paper used
 // the Gurobi ILP solver; this package substitutes an exact branch-and-bound
-// search over bitset-encoded closed neighborhoods (see DESIGN.md §3) with a
-// greedy warm start, plus a greedy approximation for callers that prefer
-// speed over optimality.
+// search over bitset-encoded closed neighborhoods with a greedy warm
+// start, plus a greedy approximation for callers that prefer speed over
+// optimality. This comment is the record of that substitution.
 //
 // A set S dominates graph G when every vertex is in S or adjacent to a
 // vertex of S. The constrained variant starts from a set of forced
 // vertices that are already in the solution for free; the solver minimizes
 // only the number of additional vertices.
+//
+// All entry points run on a Solver, which owns every buffer a solve
+// needs. The package-level functions borrow one from a pool and return a
+// fresh copy of its result; a caller that solves in a loop (the
+// best-response scan) holds its own Solver and allocates nothing.
 package mds
 
 import (
+	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
 
-// bitset is a fixed-capacity set of vertex ids.
-type bitset []uint64
+// The helpers below treat a []uint64 as a fixed-capacity set of vertex
+// ids; operands of one call have equal length.
 
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+func setBit(b []uint64, i int)      { b[i/64] |= 1 << (i % 64) }
+func hasBit(b []uint64, i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
 
-func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
-func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
-func (b bitset) orInto(dst, other bitset) {
-	for i := range b {
-		dst[i] = b[i] | other[i]
-	}
-}
-
-// count returns the number of set bits.
-func (b bitset) count() int {
+// popcount returns the number of set bits.
+func popcount(b []uint64) int {
 	c := 0
 	for _, w := range b {
 		c += bits.OnesCount64(w)
@@ -46,49 +40,70 @@ func (b bitset) count() int {
 	return c
 }
 
-// uncoveredCount counts bits set in full but not in b.
-func uncoveredCount(full, covered bitset) int {
+// gain counts the vertices of nb that are in uncov.
+func gain(nb, uncov []uint64) int {
+	uncov = uncov[:len(nb)]
 	c := 0
-	for i := range full {
-		c += bits.OnesCount64(full[i] &^ covered[i])
+	for i, w := range nb {
+		c += bits.OnesCount64(w & uncov[i])
 	}
 	return c
 }
 
-// firstUncovered returns the lowest vertex id present in full but not in
-// covered, or -1 when everything is covered.
-func firstUncovered(full, covered bitset) int {
-	for i := range full {
-		if w := full[i] &^ covered[i]; w != 0 {
+// first returns the lowest vertex id in b, or -1 when b is empty.
+func first(b []uint64) int {
+	for i, w := range b {
+		if w != 0 {
 			return i*64 + bits.TrailingZeros64(w)
 		}
 	}
 	return -1
 }
 
-// newGain counts how many currently uncovered vertices nb would cover.
-func newGain(nb, covered, full bitset) int {
-	c := 0
-	for i := range nb {
-		c += bits.OnesCount64(nb[i] & full[i] &^ covered[i])
+// resize returns s with length n, reallocating only when it must grow.
+// The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return c
+	return s[:n]
 }
 
-// closedNeighborhoods returns N[v] = {v} ∪ N(v) as bitsets.
-func closedNeighborhoods(g *graph.Graph) []bitset {
-	n := g.N()
-	nbs := make([]bitset, n)
-	for v := 0; v < n; v++ {
-		nb := newBitset(n)
-		nb.set(v)
-		for _, w := range g.Neighbors(v) {
-			nb.set(int(w))
-		}
-		nbs[v] = nb
-	}
-	return nbs
+// nodeBudget bounds the branch-and-bound search tree. The budget is far
+// above what any experiment-scale instance needs; when it is exhausted the
+// solver returns its greedy-seeded incumbent, which is still a valid
+// dominating set but no longer certified minimum.
+const nodeBudget = 4 << 20
+
+// Solver is the reusable state of the dominating-set search: the bitsets,
+// stacks and per-vertex tables of one solve, kept so that the next solve
+// allocates nothing. The zero value is ready to use; instances of any size
+// may follow each other. A Solver is not safe for concurrent use.
+type Solver struct {
+	nbs [][]uint64 // the caller's closed neighborhoods; read, never written
+
+	full    []uint64 // every vertex id below n
+	forced  []uint64
+	uncov   []uint64 // full minus covered at the node being expanded
+	blocked []uint64 // packingBound's scratch
+	covered []uint64 // one row per search depth, grown on demand
+	size    []int    // |N[v]|, for pickBranchVertex
+	gains   []int    // gain of every vertex at the node being expanded
+	cand    []int    // candidate lists of the nodes on the current path
+	chosen  []int    // the current path's selection; empty between solves, like cand
+
+	best     []int // incumbent; meaningful only while found
+	found    bool
+	bestSize int // strict size bound for further solutions
+	nodes    int // search nodes expanded
+
+	// Neighborhoods of the graph entry points, built here so that they
+	// too are reused.
+	graphSlab []uint64
+	graphRows [][]uint64
 }
+
+var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 
 // MinDominatingExtra returns a minimum-cardinality set S of vertices such
 // that forced ∪ S dominates g. The result excludes forced vertices and is
@@ -105,70 +120,25 @@ func MinDominatingExtra(g *graph.Graph, forced []int) []int {
 // cheaper than my incumbent?" (the best-response loop) use the cap to
 // skip proving optimality of solutions they would discard anyway.
 func MinDominatingExtraAtMost(g *graph.Graph, forced []int, limit int) ([]int, bool) {
-	if g.N() == 0 {
-		return nil, limit > 0
-	}
-	if limit <= 0 {
-		return nil, false
-	}
-	return minDominatingExtraAtMost(g.N(), closedNeighborhoods(g), forced, limit)
+	s := solverPool.Get().(*Solver)
+	defer solverPool.Put(s)
+	set, ok := s.Solve(g.N(), s.closedNeighborhoods(g), forced, limit)
+	return slices.Clone(set), ok
 }
 
 // MinDominatingExtraAtMostBitsets is MinDominatingExtraAtMost for callers
 // that already hold the closed neighborhoods of the (implicit) graph as
 // bitsets: nbs[v] must contain bit v plus every vertex v dominates, packed
 // in (n+63)/64 uint64 words. The best-response hot path builds these
-// directly from an all-pairs distance table — one slab per power instead
-// of materializing power graphs. The slices are read, never written, and
-// the search is the same branch-and-bound as the graph entry point, so
-// identical neighborhoods yield identical solutions.
+// directly as neighborhood powers instead of materializing power graphs.
+// The slices are read, never written, and the search is the same
+// branch-and-bound as the graph entry point, so identical neighborhoods
+// yield identical solutions.
 func MinDominatingExtraAtMostBitsets(n int, nbs [][]uint64, forced []int, limit int) ([]int, bool) {
-	if n == 0 {
-		return nil, limit > 0
-	}
-	if limit <= 0 {
-		return nil, false
-	}
-	bs := make([]bitset, n)
-	for i := range bs {
-		bs[i] = bitset(nbs[i])
-	}
-	return minDominatingExtraAtMost(n, bs, forced, limit)
-}
-
-// minDominatingExtraAtMost is the shared core; n > 0 and limit > 0.
-func minDominatingExtraAtMost(n int, nbs []bitset, forced []int, limit int) ([]int, bool) {
-	full := newBitset(n)
-	for v := 0; v < n; v++ {
-		full.set(v)
-	}
-	covered := newBitset(n)
-	forcedSet := newBitset(n)
-	for _, f := range forced {
-		forcedSet.set(f)
-		nbs[f].orInto(covered, covered)
-	}
-	if firstUncovered(full, covered) == -1 {
-		return []int{}, true
-	}
-
-	s := &solver{
-		n:        n,
-		nbs:      nbs,
-		full:     full,
-		forced:   forcedSet,
-		bestSize: limit,
-	}
-	// Greedy warm start tightens the bound when it beats the cap.
-	if greedy := greedyExtra(nbs, full, covered.clone(), forcedSet); len(greedy) < limit {
-		s.best = greedy
-		s.bestSize = len(greedy)
-	}
-	s.search(covered, nil)
-	if s.best == nil {
-		return nil, false
-	}
-	return s.best, true
+	s := solverPool.Get().(*Solver)
+	defer solverPool.Put(s)
+	set, ok := s.Solve(n, nbs, forced, limit)
+	return slices.Clone(set), ok
 }
 
 // Greedy returns a greedily built dominating set of g extending forced
@@ -179,150 +149,230 @@ func Greedy(g *graph.Graph, forced []int) []int {
 	if n == 0 {
 		return nil
 	}
-	nbs := closedNeighborhoods(g)
-	full := newBitset(n)
-	for v := 0; v < n; v++ {
-		full.set(v)
-	}
-	covered := newBitset(n)
-	forcedSet := newBitset(n)
-	for _, f := range forced {
-		forcedSet.set(f)
-		nbs[f].orInto(covered, covered)
-	}
-	return greedyExtra(nbs, full, covered, forcedSet)
+	s := solverPool.Get().(*Solver)
+	defer solverPool.Put(s)
+	s.reset(n, s.closedNeighborhoods(g), forced)
+	s.greedyExtra(math.MaxInt)
+	return append([]int(nil), s.best...)
 }
 
-// greedyExtra repeatedly picks the vertex covering the most uncovered
-// vertices. covered is consumed.
-func greedyExtra(nbs []bitset, full, covered, forced bitset) []int {
-	var out []int
-	n := len(nbs)
-	for firstUncovered(full, covered) != -1 {
-		bestV, bestGain := -1, 0
-		for v := 0; v < n; v++ {
-			if forced.has(v) {
+// closedNeighborhoods returns N[v] = {v} ∪ N(v) as bitsets held by s.
+func (s *Solver) closedNeighborhoods(g *graph.Graph) [][]uint64 {
+	n := g.N()
+	words := (n + 63) / 64
+	s.graphSlab = resize(s.graphSlab, n*words)
+	clear(s.graphSlab)
+	s.graphRows = resize(s.graphRows, n)
+	for v := range s.graphRows {
+		nb := s.graphSlab[v*words : (v+1)*words]
+		setBit(nb, v)
+		for _, w := range g.Neighbors(v) {
+			setBit(nb, int(w))
+		}
+		s.graphRows[v] = nb
+	}
+	return s.graphRows
+}
+
+// Solve is MinDominatingExtraAtMostBitsets on s's buffers. The returned
+// slice belongs to s and is overwritten by its next solve — also by one
+// that fails — so a caller that keeps a result copies it.
+func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, bool) {
+	if n == 0 {
+		return nil, limit > 0
+	}
+	if limit <= 0 {
+		return nil, false
+	}
+	s.reset(n, nbs, forced)
+	s.nodes = 0
+	if first(s.uncov) == -1 {
+		return []int{}, true
+	}
+	// Greedy warm start tightens the bound when it beats the cap.
+	s.bestSize = limit
+	if s.found = s.greedyExtra(limit); s.found {
+		s.bestSize = len(s.best)
+	}
+	s.search(s.row(0))
+	if !s.found {
+		return nil, false
+	}
+	return s.best, true
+}
+
+// reset sizes the buffers for an n-vertex instance and leaves row 0 of
+// covered holding what forced dominates, uncov its complement.
+func (s *Solver) reset(n int, nbs [][]uint64, forced []int) {
+	words := (n + 63) / 64
+	s.nbs = nbs[:n]
+	s.full = resize(s.full, words)
+	s.forced = resize(s.forced, words)
+	s.uncov = resize(s.uncov, words)
+	s.blocked = resize(s.blocked, words)
+	s.size = resize(s.size, n)
+	s.gains = resize(s.gains, n)
+	for i := range s.full {
+		s.full[i] = ^uint64(0)
+	}
+	if n%64 != 0 {
+		s.full[words-1] = 1<<(n%64) - 1
+	}
+	clear(s.forced)
+	for v, nb := range s.nbs {
+		s.size[v] = popcount(nb)
+	}
+	s.covered = s.covered[:0]
+	covered := s.row(0)
+	clear(covered)
+	for _, f := range forced {
+		setBit(s.forced, f)
+		for i, w := range nbs[f] {
+			covered[i] |= w
+		}
+	}
+	s.setUncovered(covered)
+}
+
+// row returns depth d's covered bitset, extending the slab when the
+// search first gets that deep. Rows handed out earlier stay valid: a node
+// only reads its own row and writes its children's.
+func (s *Solver) row(d int) []uint64 {
+	words := len(s.full)
+	if need := (d + 1) * words; need > len(s.covered) {
+		s.covered = append(s.covered, make([]uint64, need-len(s.covered))...)
+	}
+	return s.covered[d*words : (d+1)*words]
+}
+
+// setUncovered points uncov at the complement of covered.
+func (s *Solver) setUncovered(covered []uint64) {
+	for i, f := range s.full {
+		s.uncov[i] = f &^ covered[i]
+	}
+}
+
+// greedyExtra fills best by repeatedly picking the vertex that covers the
+// most uncovered vertices, starting from row 0. It gives up, reporting
+// false, as soon as the set can no longer stay below limit: such a warm
+// start would be discarded anyway.
+func (s *Solver) greedyExtra(limit int) bool {
+	// The search has not started, so depth 1's row is free to consume.
+	covered := s.row(1)
+	copy(covered, s.row(0))
+	s.best = s.best[:0]
+	for {
+		s.setUncovered(covered)
+		u := first(s.uncov)
+		if u == -1 {
+			return true
+		}
+		if len(s.best)+1 >= limit {
+			return false
+		}
+		bestV, bestGain := u, 0 // isolated uncovered vertices cover only themselves
+		for v, nb := range s.nbs {
+			if hasBit(s.forced, v) {
 				continue
 			}
-			if gain := newGain(nbs[v], covered, full); gain > bestGain {
-				bestGain, bestV = gain, v
+			if g := gain(nb, s.uncov); g > bestGain {
+				bestGain, bestV = g, v
 			}
 		}
-		if bestV == -1 {
-			// Isolated uncovered vertices cover only themselves.
-			u := firstUncovered(full, covered)
-			out = append(out, u)
-			nbs[u].orInto(covered, covered)
-			continue
+		s.best = append(s.best, bestV)
+		for i, w := range s.nbs[bestV] {
+			covered[i] |= w
 		}
-		out = append(out, bestV)
-		nbs[bestV].orInto(covered, covered)
 	}
-	return out
-}
-
-// nodeBudget bounds the branch-and-bound search tree. The budget is far
-// above what any experiment-scale instance needs; when it is exhausted the
-// solver returns its greedy-seeded incumbent, which is still a valid
-// dominating set but no longer certified minimum.
-const nodeBudget = 4 << 20
-
-type solver struct {
-	n        int
-	nbs      []bitset
-	full     bitset
-	forced   bitset
-	best     []int // nil until a solution below the cap is found
-	bestSize int   // strict size bound for further solutions
-	nodes    int   // search nodes expanded
 }
 
 // search explores selections in a branch-and-bound over "which vertex
 // covers the branching vertex": only vertices in N[u] can cover u, so
 // branching on them is complete. The branching vertex is the uncovered
 // vertex with the fewest coverers, which minimizes the branching factor.
-func (s *solver) search(covered bitset, chosen []int) {
-	if len(chosen) >= s.bestSize || s.nodes >= nodeBudget {
+// covered is row len(chosen).
+func (s *Solver) search(covered []uint64) {
+	if len(s.chosen) >= s.bestSize || s.nodes >= nodeBudget {
 		return // cannot improve (or out of budget)
 	}
 	s.nodes++
-	u := s.pickBranchVertex(covered)
+	s.setUncovered(covered)
+	u := s.pickBranchVertex()
 	if u == -1 {
-		s.best = append(chosen[:0:0], chosen...)
-		s.bestSize = len(chosen)
+		s.best = append(s.best[:0], s.chosen...)
+		s.found = true
+		s.bestSize = len(s.chosen)
 		return
 	}
 	// Lower bound 1: each new vertex covers at most maxGain uncovered
 	// vertices, so at least ceil(uncovered/maxGain) more picks are needed.
-	uncov := uncoveredCount(s.full, covered)
+	open := popcount(s.uncov)
 	maxGain := 1
-	for v := 0; v < s.n; v++ {
-		if g := newGain(s.nbs[v], covered, s.full); g > maxGain {
+	for v, nb := range s.nbs {
+		g := gain(nb, s.uncov)
+		s.gains[v] = g
+		if g > maxGain {
 			maxGain = g
 		}
 	}
-	need := (uncov + maxGain - 1) / maxGain
-	if len(chosen)+need >= s.bestSize {
+	need := (open + maxGain - 1) / maxGain
+	if len(s.chosen)+need >= s.bestSize {
 		return
 	}
 	// Lower bound 2 (packing): uncovered vertices whose closed
 	// neighborhoods are pairwise disjoint each require a distinct pick.
 	// Much tighter than LB1 on sparse graphs (paths, cycles, tori).
-	if len(chosen)+s.packingBound(covered) >= s.bestSize {
+	if len(s.chosen)+s.packingBound() >= s.bestSize {
 		return
 	}
-	// Branch over the candidates that can cover u, best gain first.
-	var candidates []int
-	for v := 0; v < s.n; v++ {
-		if s.nbs[u].has(v) {
-			candidates = append(candidates, v)
+	// Branch over the candidates that can cover u, best gain first (ties
+	// by vertex id: the insertion sort is stable).
+	base := len(s.cand)
+	for i, w := range s.nbs[u] {
+		for w &= s.full[i]; w != 0; w &= w - 1 {
+			s.cand = append(s.cand, i*64+bits.TrailingZeros64(w))
 		}
 	}
-	gains := make(map[int]int, len(candidates))
-	for _, c := range candidates {
-		gains[c] = newGain(s.nbs[c], covered, s.full)
-	}
-	for i := 1; i < len(candidates); i++ {
-		for j := i; j > 0 && gains[candidates[j]] > gains[candidates[j-1]]; j-- {
-			candidates[j], candidates[j-1] = candidates[j-1], candidates[j]
+	top := len(s.cand)
+	for i := base + 1; i < top; i++ {
+		for j := i; j > base && s.gains[s.cand[j]] > s.gains[s.cand[j-1]]; j-- {
+			s.cand[j], s.cand[j-1] = s.cand[j-1], s.cand[j]
 		}
 	}
-	next := newBitset(s.n)
-	for _, c := range candidates {
-		s.nbs[c].orInto(next, covered)
-		s.search(next.clone(), append(chosen, c))
+	next := s.row(len(s.chosen) + 1)
+	for i := base; i < top; i++ {
+		c := s.cand[i]
+		for x, w := range s.nbs[c] {
+			next[x] = w | covered[x]
+		}
+		s.chosen = append(s.chosen, c)
+		s.search(next)
+		s.chosen = s.chosen[:len(s.chosen)-1]
 	}
+	s.cand = s.cand[:base]
 }
 
 // packingBound greedily collects uncovered vertices with pairwise
 // disjoint closed neighborhoods; any dominating set needs one distinct
-// vertex per member, so the count lower-bounds the remaining picks.
-func (s *solver) packingBound(covered bitset) int {
-	blocked := newBitset(s.n)
+// vertex per member, so the count lower-bounds the remaining picks. (A
+// vertex w covers v iff w ∈ N[v], so two packed vertices share no coverer
+// exactly when their closed neighborhoods are disjoint.)
+func (s *Solver) packingBound() int {
+	clear(s.blocked)
 	count := 0
-	for v := 0; v < s.n; v++ {
-		if covered.has(v) || !s.full.has(v) {
-			continue
-		}
-		nb := s.nbs[v]
-		disjoint := true
-		for i := range nb {
-			if nb[i]&blocked[i] != 0 {
-				disjoint = false
-				break
+	for i, w := range s.uncov {
+	vertices:
+		for ; w != 0; w &= w - 1 {
+			nb := s.nbs[i*64+bits.TrailingZeros64(w)]
+			for x, b := range s.blocked[:len(nb)] {
+				if nb[x]&b != 0 {
+					continue vertices
+				}
 			}
-		}
-		if !disjoint {
-			continue
-		}
-		count++
-		// Block every vertex that could cover v (N[N[v]] would be exact;
-		// blocking N[v] plus all vertices whose neighborhood meets N[v] is
-		// the correct notion — a vertex w covers v iff v ∈ N[w], i.e.
-		// w ∈ N[v]. Two packed vertices must not share a coverer, so it
-		// suffices that their closed neighborhoods are disjoint.)
-		for i := range nb {
-			blocked[i] |= nb[i]
+			count++
+			for x, b := range nb {
+				s.blocked[x] |= b
+			}
 		}
 	}
 	return count
@@ -330,16 +380,16 @@ func (s *solver) packingBound(covered bitset) int {
 
 // pickBranchVertex returns the uncovered vertex with the smallest closed
 // neighborhood (fewest possible coverers), or -1 when all are covered.
-func (s *solver) pickBranchVertex(covered bitset) int {
-	best, bestDeg := -1, 1<<30
-	for v := 0; v < s.n; v++ {
-		if covered.has(v) || !s.full.has(v) {
-			continue
-		}
-		if d := s.nbs[v].count(); d < bestDeg {
-			best, bestDeg = v, d
-			if d <= 1 {
-				break
+func (s *Solver) pickBranchVertex() int {
+	best, bestSize := -1, 1<<30
+	for i, w := range s.uncov {
+		for ; w != 0; w &= w - 1 {
+			v := i*64 + bits.TrailingZeros64(w)
+			if d := s.size[v]; d < bestSize {
+				best, bestSize = v, d
+				if d <= 1 {
+					return best
+				}
 			}
 		}
 	}

@@ -400,6 +400,12 @@ func (ws *Workspace) InnerSum() (sum int64, ok bool) {
 	return ws.innerSum, true
 }
 
+// BallAdj returns the ball-CSR row of local l: its neighbors within the
+// ball, the center excluded (so every entry is >= 1, and the center's own
+// row is empty). The slice aliases the workspace; callers must not write
+// to it, and it is valid until the next Extract.
+func (ws *Workspace) BallAdj(l int32) []int32 { return ws.tgt[ws.off[l]:ws.off[l+1]] }
+
 // BallDistFrom runs a BFS from local src over the ball CSR (center
 // excluded) into out, which must have length Size(). Unreached vertices —
 // always including the center — get unreach32, larger than any real
