@@ -137,6 +137,39 @@ func TestEvaluatorMatchesReference(t *testing.T) {
 	}
 }
 
+// radiusZeroCases visits every player of every test graph at k = 0,
+// where the view is {u} and the current targets lie outside it: owners of
+// no edge, of one (the only case with a finite move) and of several, at
+// an α that makes dropping the sole edge pay and at α = 0, where it does
+// not.
+func radiusZeroCases(t *testing.T, check func(tag string, s *game.State, u int, alpha float64)) {
+	rng := rand.New(rand.NewSource(20260929))
+	bought := map[int]bool{}
+	for gi, g := range diffGraphs(rng) {
+		s := game.FromGraphRandomOwners(g, rng)
+		for u := 0; u < s.N(); u++ {
+			bought[min(s.BoughtCount(u), 2)] = true
+			for _, alpha := range []float64{0, 0.5, 2.7} {
+				check(fmt.Sprintf("[g=%d u=%d k=0 a=%g]", gi, u, alpha), s, u, alpha)
+			}
+		}
+	}
+	if len(bought) != 3 {
+		t.Fatalf("players owning 0, 1 and >= 2 edges not all covered: %v", bought)
+	}
+}
+
+// TestGreedyRadiusZeroMatchesReference pins the radius-zero answer of the
+// greedy responders, which once ran on the references themselves.
+func TestGreedyRadiusZeroMatchesReference(t *testing.T) {
+	radiusZeroCases(t, func(tag string, s *game.State, u int, alpha float64) {
+		checkResponse(t, "SumGreedyResponse"+tag,
+			SumGreedyResponse(s, u, 0, alpha), refSumGreedyResponse(s, u, 0, alpha))
+		checkResponse(t, "MaxGreedyResponse"+tag,
+			MaxGreedyResponse(s, u, 0, alpha), refMaxGreedyResponse(s, u, 0, alpha))
+	})
+}
+
 // TestEvaluatorMatchesReferenceUnderDynamics evolves states by applying
 // the REFERENCE responses for several rounds, comparing both
 // implementations at every intermediate state — exactly the sequence of

@@ -226,15 +226,27 @@ func (e *Evaluator) greedyScan(current []int, bestScore float64, eval func(candL
 	return bestScore, best, improving
 }
 
+// radiusZeroResponse is the answer of every single-move responder (greedy
+// and large-neighborhood, either objective) at k = 0, where the scans
+// below do not apply: they place the current targets in the view, at
+// distance 1. The view is {u}, so there is nothing to add or swap in, and
+// a strategy that keeps a current target names a vertex outside the view,
+// which costs InfiniteCost. The one finite move drops a sole target: it
+// saves α and changes no distance u can see. cur and dropped score the
+// current and the empty strategy.
+func radiusZeroResponse(current []int, cur, dropped float64) Response {
+	if len(current) == 1 && dropped < cur-epsilon {
+		return Response{Strategy: []int{}, Cost: dropped, CurrentCost: cur, Improving: true}
+	}
+	return Response{Strategy: slices.Clone(current), Cost: cur, CurrentCost: cur}
+}
+
 // SumGreedyResponse is the Evaluator form of the package-level
 // SumGreedyResponse.
 func (e *Evaluator) SumGreedyResponse(s *game.State, u, k int, alpha float64) Response {
 	current := s.Strategy(u)
-	if k == 0 && len(current) > 0 {
-		// Radius zero puts the current targets outside the view; the
-		// incremental scan assumes they are in it (they sit at distance 1
-		// for every k >= 1), so this corner runs on the reference.
-		return refSumGreedyResponse(s, u, k, alpha)
+	if k == 0 {
+		return radiusZeroResponse(current, 0, -alpha)
 	}
 	e.prepare(s, u, k)
 	e.markCandidates(s, u, current)
@@ -470,9 +482,8 @@ func (e *Evaluator) MaxEvaluate(s *game.State, u, k int, alpha float64, strategy
 // MaxGreedyResponse.
 func (e *Evaluator) MaxGreedyResponse(s *game.State, u, k int, alpha float64) Response {
 	current := s.Strategy(u)
-	if k == 0 && len(current) > 0 {
-		// Same radius-zero corner as SumGreedyResponse.
-		return refMaxGreedyResponse(s, u, k, alpha)
+	if k == 0 {
+		return radiusZeroResponse(current, alpha*float64(len(current)), 0)
 	}
 	e.prepare(s, u, k)
 	e.markCandidates(s, u, current)

@@ -32,11 +32,8 @@ const maxDescentSteps = 64
 // relative to the current one (negative = gain), like SumGreedyResponse.
 func (e *Evaluator) SumLargeNeighborhoodResponse(s *game.State, u, k int, alpha float64) Response {
 	current := s.Strategy(u)
-	if k == 0 && len(current) > 0 {
-		// Radius zero puts the current targets outside the view; the
-		// incremental scan assumes they are in it, so this corner runs on
-		// the reference (same as SumGreedyResponse).
-		return refLargeNeighborhoodResponse(s, u, k, alpha, game.Sum)
+	if k == 0 {
+		return radiusZeroResponse(current, 0, -alpha)
 	}
 	e.prepare(s, u, k)
 	bought := s.BoughtCount(u)
@@ -76,9 +73,8 @@ func (e *Evaluator) SumLargeNeighborhoodResponse(s *game.State, u, k int, alpha 
 // MaxGreedyResponse.
 func (e *Evaluator) MaxLargeNeighborhoodResponse(s *game.State, u, k int, alpha float64) Response {
 	current := s.Strategy(u)
-	if k == 0 && len(current) > 0 {
-		// Same radius-zero corner as SumLargeNeighborhoodResponse.
-		return refLargeNeighborhoodResponse(s, u, k, alpha, game.Max)
+	if k == 0 {
+		return radiusZeroResponse(current, alpha*float64(len(current)), 0)
 	}
 	e.prepare(s, u, k)
 	cur := alpha*float64(s.BoughtCount(u)) + float64(e.ws.ViewEcc())

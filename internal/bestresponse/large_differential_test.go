@@ -38,6 +38,19 @@ func TestLargeNeighborhoodMatchesReference(t *testing.T) {
 	}
 }
 
+// TestLargeNeighborhoodRadiusZeroMatchesReference is the k = 0 row of the
+// test above, over every player (see radiusZeroCases).
+func TestLargeNeighborhoodRadiusZeroMatchesReference(t *testing.T) {
+	radiusZeroCases(t, func(tag string, s *game.State, u int, alpha float64) {
+		checkResponse(t, "SumLargeNeighborhoodResponse"+tag,
+			SumLargeNeighborhoodResponse(s, u, 0, alpha),
+			refLargeNeighborhoodResponse(s, u, 0, alpha, game.Sum))
+		checkResponse(t, "MaxLargeNeighborhoodResponse"+tag,
+			MaxLargeNeighborhoodResponse(s, u, 0, alpha),
+			refLargeNeighborhoodResponse(s, u, 0, alpha, game.Max))
+	})
+}
+
 // TestLargeNeighborhoodDescends checks the descent's defining properties
 // on instances where a single greedy move is NOT optimal within the move
 // budget: the compound response never scores worse than the single-move

@@ -14,9 +14,7 @@ import (
 // verbatim except for the ref prefix. They are the specification: the
 // pooled Evaluator in eval.go must return byte-identical responses, and
 // the differential tests in differential_test.go pin the two against each
-// other on randomized instances. They also cover the one corner the fast
-// path delegates back (radius-zero greedy moves, where current strategy
-// targets fall outside the view).
+// other on randomized instances. Nothing outside the tests calls them.
 
 // refSumDelta is the reference implementation of SumDelta.
 func refSumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64 {
@@ -39,7 +37,7 @@ func refSumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64
 		hPrime.AddEdge(v.Center, lw)
 	}
 	newDist := make([]int, hPrime.N())
-	hPrime.BFS(v.Center, newDist, nil)
+	hPrime.BFS(v.Center, newDist)
 
 	// Frontier guard: d_H(u,f) = k must imply d_{H'}(u,f) <= k.
 	for i, d := range v.Dist {
@@ -334,7 +332,7 @@ func refMaxEvaluate(s *game.State, u, k int, alpha float64, strategy []int) floa
 		h.AddEdge(v.Center, lw)
 	}
 	dist := make([]int, h.N())
-	h.BFS(v.Center, dist, nil)
+	h.BFS(v.Center, dist)
 	ecc := 0
 	for _, d := range dist {
 		if d > ecc {

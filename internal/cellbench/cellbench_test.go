@@ -120,9 +120,7 @@ func TestBenchCell(t *testing.T) {
 // representative (α, k) cells — the end-to-end number the event-driven
 // engine exists to improve. Each row records the run shape (players,
 // rounds, responder evaluations per round) alongside the usual
-// measurements; the matching *Eager row re-runs the same cell through the
-// evaluate-everyone loop as the wall-clock baseline and carries no shape
-// (its evaluations are rounds×players by construction).
+// measurements.
 func convergenceRows(t *testing.T) map[string]cellBench {
 	t.Helper()
 	cases := []struct {
@@ -132,18 +130,15 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 		variant game.Variant
 		alpha   float64
 		k       int
-		eager   bool
 		dialect string // "" best-response, "swap", "large-neighborhood"
 	}{
 		{name: "RunToConvergenceMaxLocal", n: 100, p: 0.06, variant: game.Max, alpha: 2, k: 3},
-		{name: "RunToConvergenceMaxLocalEager", n: 100, p: 0.06, variant: game.Max, alpha: 2, k: 3, eager: true},
 		{name: "RunToConvergenceMaxFull", n: 100, p: 0.06, variant: game.Max, alpha: 2, k: 1000},
 		{name: "RunToConvergenceSum", n: 60, p: 0.2, variant: game.Sum, alpha: 2, k: 2},
 		{name: "RunToConvergenceSwap", n: 100, p: 0.06, variant: game.Sum, alpha: 1, k: 1000, dialect: "swap"},
 		{name: "RunToConvergenceLargeNbr", n: 60, p: 0.2, variant: game.Sum, alpha: 2, k: 2, dialect: "large-neighborhood"},
 	}
 	rows := make(map[string]cellBench, len(cases))
-	evals := make(map[string]int, len(cases))
 	for _, c := range cases {
 		proto := gnpState(c.n, c.p)
 		cfg := dynamics.DefaultConfig(c.variant, c.alpha, c.k)
@@ -154,14 +149,10 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 		case "large-neighborhood":
 			cfg.NewResponder = dynamics.NewLargeNeighborhoodResponder(c.variant)
 		}
-		if c.eager {
-			cfg.Activation = dynamics.ActivationEager
-		}
 		probe := dynamics.Run(proto.Clone(), cfg)
 		if probe.Status != dynamics.Converged {
 			t.Fatalf("%s: dynamics did not converge (%v after %d rounds)", c.name, probe.Status, probe.Rounds)
 		}
-		evals[c.name] = probe.Evaluations
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -172,26 +163,20 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 			}
 		})
 		row := cellBench{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
+			NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp:   r.AllocsPerOp(),
+			BytesPerOp:    r.AllocedBytesPerOp(),
+			Players:       c.n,
+			Rounds:        probe.Rounds,
+			EvalsPerRound: float64(probe.Evaluations) / float64(probe.Rounds),
 		}
-		if !c.eager {
-			row.Players = c.n
-			row.Rounds = probe.Rounds
-			row.EvalsPerRound = float64(probe.Evaluations) / float64(probe.Rounds)
-			if row.EvalsPerRound >= float64(c.n) {
-				t.Fatalf("%s: %.1f evaluations per round is not below n=%d — dirty-set skipping is broken",
-					c.name, row.EvalsPerRound, c.n)
-			}
+		if row.EvalsPerRound >= float64(c.n) {
+			t.Fatalf("%s: %.1f evaluations per round is not below n=%d — dirty-set skipping is broken",
+				c.name, row.EvalsPerRound, c.n)
 		}
 		rows[c.name] = row
 		t.Logf("%s: %.0f ns/op, %d allocs/op, rounds=%d evals=%d",
 			c.name, row.NsPerOp, row.AllocsPerOp, probe.Rounds, probe.Evaluations)
-	}
-	if evals["RunToConvergenceMaxLocal"] >= evals["RunToConvergenceMaxLocalEager"] {
-		t.Fatalf("event-driven run made %d evaluations, eager baseline made %d — no work was skipped",
-			evals["RunToConvergenceMaxLocal"], evals["RunToConvergenceMaxLocalEager"])
 	}
 	return rows
 }

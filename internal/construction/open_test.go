@@ -39,7 +39,7 @@ func TestOpenTorusLemma35(t *testing.T) {
 		if x, y := ot.CheckLemma35(); x != -1 {
 			t.Fatalf("%+v: Lemma 3.5 violated at %v vs %v: d=%d < bound=%d",
 				p, ot.Coords[x], ot.Coords[y],
-				ot.Graph.Dist(x, y), ot.Lemma35Bound(x, y))
+				ot.Graph.Distances(x)[y], ot.Lemma35Bound(x, y))
 		}
 	}
 }

@@ -5,23 +5,6 @@ import (
 	"repro/internal/graph"
 )
 
-// Activation selects how the engine decides which players to evaluate
-// each round.
-type Activation int
-
-const (
-	// ActivationDirty is the event-driven default: players provably
-	// unaffected by recent moves are skipped. Results are bit-identical
-	// to evaluating everyone as long as responders honor the locality
-	// contract (see the package documentation); every responder in this
-	// repository does.
-	ActivationDirty Activation = iota
-	// ActivationEager evaluates every player every round — required for
-	// custom responders that read state outside the k-ball-plus-incident-
-	// arcs contract, and useful as a differential baseline.
-	ActivationEager
-)
-
 // dirtySet tracks the per-player clean/dirty bits of the event-driven
 // engine. A player is clean when her last evaluated response was
 // non-improving AND no arc incident to a vertex within distance ≤ k of
@@ -35,7 +18,6 @@ const (
 // them — reachable in the post-graph). Everything starts dirty, so the
 // first round evaluates everyone.
 type dirtySet struct {
-	enabled bool
 	k       int
 	dirty   []bool
 	scratch *graph.Scratch
@@ -43,41 +25,25 @@ type dirtySet struct {
 	diff    []int32
 }
 
-// newDirtySet builds the activation tracker for a run; with
-// ActivationEager it is a no-op shell and borrows no scratch.
-func newDirtySet(n int, cfg Config) *dirtySet {
-	d := &dirtySet{k: cfg.K}
-	if cfg.Activation != ActivationDirty {
-		return d
-	}
-	d.enabled = true
-	d.dirty = make([]bool, n)
+// newDirtySet builds the activation tracker for a run of n players at
+// view radius k.
+func newDirtySet(n, k int) *dirtySet {
+	d := &dirtySet{k: k, dirty: make([]bool, n), scratch: graph.GetScratch(n)}
 	for i := range d.dirty {
 		d.dirty[i] = true
 	}
-	d.scratch = graph.GetScratch(n)
 	return d
 }
 
 // clean reports whether u can be skipped this activation.
-func (d *dirtySet) clean(u int) bool {
-	return d.enabled && !d.dirty[u]
-}
+func (d *dirtySet) clean(u int) bool { return !d.dirty[u] }
 
 // settle records a non-improving evaluation: u stays clean until a move
 // touches her neighborhood.
-func (d *dirtySet) settle(u int) {
-	if d.enabled {
-		d.dirty[u] = false
-	}
-}
+func (d *dirtySet) settle(u int) { d.dirty[u] = false }
 
 // apply performs u's move and dirties every possibly-affected player.
 func (d *dirtySet) apply(s *game.State, u int, strategy []int) {
-	if !d.enabled {
-		s.SetStrategy(u, strategy)
-		return
-	}
 	d.diff = s.StrategyDiff(u, strategy, d.diff[:0])
 	d.srcs = append(d.srcs[:0], int32(u))
 	d.srcs = append(d.srcs, d.diff...)
@@ -94,9 +60,4 @@ func (d *dirtySet) mark(g *graph.Graph) {
 }
 
 // release returns the pooled scratch.
-func (d *dirtySet) release() {
-	if d.scratch != nil {
-		graph.PutScratch(d.scratch)
-		d.scratch = nil
-	}
-}
+func (d *dirtySet) release() { graph.PutScratch(d.scratch) }

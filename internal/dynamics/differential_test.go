@@ -115,16 +115,15 @@ func TestEngineSkipsWork(t *testing.T) {
 	if res.Evaluations >= naive {
 		t.Fatalf("event-driven engine evaluated %d times, naive bound is %d", res.Evaluations, naive)
 	}
-	// Eager activation restores the naive count exactly.
+	// The naive loop makes the full count and lands on the same result.
 	rng = rand.New(rand.NewSource(5))
 	s2 := randomState(40, rng)
-	cfg.Activation = ActivationEager
-	res2 := Run(s2, cfg)
+	res2 := runReference(s2, cfg, RoundRobin, nil)
 	if res2.Evaluations != res2.Rounds*s2.N() {
-		t.Fatalf("eager activation evaluated %d times over %d rounds of %d players",
+		t.Fatalf("naive loop evaluated %d times over %d rounds of %d players",
 			res2.Evaluations, res2.Rounds, s2.N())
 	}
-	assertSameResult(t, "dirty-vs-eager", res, res2)
+	assertSameResult(t, "engine-vs-naive", res, res2)
 }
 
 // TestScheduledContextCancellation pins the satellite fix: RunScheduled

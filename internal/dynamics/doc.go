@@ -35,10 +35,11 @@
 // responders (k beyond the diameter) degrade gracefully: the bounded BFS
 // covers the whole component, reproducing dirty-everyone behavior.
 //
-// Custom responders that read state OUTSIDE the k-ball-plus-incident-arcs
-// contract must set Config.Activation = ActivationEager, which restores
-// the evaluate-everyone loop. Every responder in this repository is
-// k-local.
+// That locality contract is a requirement on every Responder, not an
+// option: there is no evaluate-everyone mode to fall back to. A custom
+// responder that reads state OUTSIDE the k-ball plus the arcs bought
+// towards the player will be skipped when it should not be. Every
+// responder in this repository is k-local.
 //
 // # Reference implementation and differential testing
 //

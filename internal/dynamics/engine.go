@@ -9,10 +9,9 @@ import (
 )
 
 // Responder computes a (best or better) response for one player. It must
-// be deterministic for cycle detection to be sound, and — unless
-// Config.Activation is ActivationEager — a function of the player's
-// k-ball view plus the arcs bought towards her (the locality contract
-// every responder in this repository satisfies), so the engine may skip
+// be deterministic for cycle detection to be sound, and a function of the
+// player's k-ball view plus the arcs bought towards her (the locality
+// contract of the package documentation), because the engine skips
 // players whose neighborhood has not changed.
 type Responder func(s *game.State, u, k int, alpha float64) bestresponse.Response
 
@@ -118,12 +117,12 @@ type Result struct {
 	// FinalStats repeats the last collected round statistics for
 	// convenience (zero value when no round ran).
 	FinalStats RoundStats
-	// Evaluations counts the responder calls actually made. Under the
-	// default event-driven activation it is sub-linear in n·Rounds on
-	// converging runs (clean players are skipped); the naive loop would
-	// report exactly n per round. It is intentionally NOT serialized in
-	// checkpoints — results are byte-identical either way, and this field
-	// only observes how much work the engine avoided.
+	// Evaluations counts the responder calls actually made. It is
+	// sub-linear in n·Rounds on converging runs (clean players are
+	// skipped); the naive loop would report exactly n per round. It is
+	// intentionally NOT serialized in checkpoints — results are
+	// byte-identical either way, and this field only observes how much
+	// work the engine avoided.
 	Evaluations int
 	// RoundEvaluations records the responder calls of each round when
 	// CollectPerRound is set (parallel to PerRound), so trajectories can
@@ -151,10 +150,6 @@ type Config struct {
 	// CollectPerRound enables per-round statistics (costly: all-pairs BFS
 	// per round). The final round is always collected.
 	CollectPerRound bool
-	// Activation selects the engine's player-activation strategy; the
-	// zero value is the event-driven default. See the package
-	// documentation for the locality contract it relies on.
-	Activation Activation
 }
 
 // DefaultConfig mirrors the paper's setup for the given variant. It sets
@@ -238,7 +233,7 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 	if schedule != RoundRobin {
 		order = rng.Perm(n)
 	}
-	dirty := newDirtySet(n, cfg)
+	dirty := newDirtySet(n, cfg.K)
 	defer dirty.release()
 	var co collector
 	defer co.release()

@@ -96,19 +96,19 @@ func tryRegularHighGirth(n, q, g int, rng *rand.Rand) *graph.Graph {
 	for i := range deficient {
 		deficient[i] = i
 	}
-	dist := make([]int, n)
-	queue := make([]int32, n)
+	scratch := graph.GetScratch(n)
+	defer graph.PutScratch(scratch)
 	// Repeatedly pick a random deficient vertex and connect it to a random
 	// compatible deficient partner (distance >= g-1, not already adjacent).
 	stall := 0
 	for len(deficient) > 1 && stall < 4*n*q {
 		ui := rng.Intn(len(deficient))
 		u := deficient[ui]
-		gr.BFSWithin(u, g-2, dist, queue)
+		gr.BFSWithinScratch(u, g-2, scratch)
 		// Candidates: deficient vertices at distance >= g-1 from u.
 		var candidates []int
 		for _, v := range deficient {
-			if v != u && dist[v] == graph.Unreachable {
+			if v != u && scratch.Dist(v) == graph.Unreachable {
 				candidates = append(candidates, v)
 			}
 		}

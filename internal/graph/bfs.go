@@ -1,134 +1,123 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-)
+import "slices"
 
 // Unreachable is the distance reported for vertices in a different connected
 // component. It is large enough to dominate any real distance but small
 // enough that modest sums do not overflow int.
 const Unreachable = int(1) << 40
 
-// BFS computes single-source shortest-path distances from src into dist,
-// which must have length g.N(). Unreachable vertices get Unreachable.
-// The provided queue buffer is reused when non-nil and large enough;
-// callers running many BFS passes should allocate both once.
-func (g *Graph) BFS(src int, dist []int, queue []int32) {
-	g.check(src)
+// within is the single-source traversal behind both representations: it
+// checks src and k, then explores rows from src out to distance k.
+func within(rows [][]int32, src, k int, s *Scratch) []int32 {
+	checkVertex(src, len(rows))
+	if k < 0 {
+		panic("graph: negative radius")
+	}
+	return s.bfs(rows, []int32{int32(src)}, k)
+}
+
+// BFSWithinScratch explores only vertices at distance at most k from src
+// and returns them in BFS order (aliasing the scratch queue, valid until
+// the next traversal). Distances are readable through s.Dist.
+func (g *Graph) BFSWithinScratch(src, k int, s *Scratch) []int32 {
+	return within(g.adj, src, k, s)
+}
+
+// MultiBFSWithinScratch runs a multi-source bounded breadth-first search:
+// it explores exactly the vertices at distance at most k from ANY source
+// and returns them in BFS order (aliasing the scratch queue, valid until
+// the next traversal). Distances — the minimum over sources — are
+// readable through s.Dist. Duplicate sources are tolerated; an empty
+// source set yields an empty traversal.
+//
+// This is the dirty set of the event-driven dynamics engine: after a
+// strategy change touches a set of arc endpoints, every player whose
+// k-ball could have seen the change is within distance k of one of those
+// endpoints (in the pre- or post-move graph), so one bounded traversal
+// per side over-approximates the affected players without ever scanning
+// the whole network.
+func (g *Graph) MultiBFSWithinScratch(srcs []int32, k int, s *Scratch) []int32 {
+	for _, v := range srcs {
+		g.check(int(v))
+	}
+	if k < 0 {
+		panic("graph: negative radius")
+	}
+	return s.bfs(g.adj, srcs, k)
+}
+
+// distancesInto spreads a search from src out to distance k over dist,
+// which must have length g.N(): Unreachable everywhere the search did not
+// get to. It returns the visited vertices, aliasing the scratch queue.
+func (g *Graph) distancesInto(src, k int, dist []int, s *Scratch) []int32 {
 	if len(dist) != g.n {
-		panic("graph: BFS dist buffer has wrong length")
+		panic("graph: dist buffer has wrong length")
 	}
-	if cap(queue) < g.n {
-		queue = make([]int32, g.n)
-	}
-	queue = queue[:g.n]
+	visited := within(g.adj, src, k, s)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
-	dist[src] = 0
-	queue[0] = int32(src)
-	head, tail := 0, 1
-	for head < tail {
-		u := int(queue[head])
-		head++
-		du := dist[u]
-		for _, w := range g.adj[u] {
-			if dist[w] == Unreachable {
-				dist[w] = du + 1
-				queue[tail] = w
-				tail++
-			}
-		}
+	for _, v := range visited {
+		dist[v] = int(s.dist[v])
 	}
+	return visited
+}
+
+// BFS computes single-source shortest-path distances from src into dist,
+// which must have length g.N(). Unreachable vertices get Unreachable.
+func (g *Graph) BFS(src int, dist []int) {
+	s := GetScratch(g.n)
+	g.distancesInto(src, g.n, dist, s)
+	PutScratch(s)
+}
+
+// BFSWithin computes distances from src, exploring only vertices at distance
+// at most k. dist must have length g.N(); vertices beyond radius k (or
+// unreachable) get Unreachable. It returns the visited vertices in BFS
+// order, in a fresh slice; BFSWithinScratch is the allocation-free form.
+func (g *Graph) BFSWithin(src, k int, dist []int) []int32 {
+	s := GetScratch(g.n)
+	visited := slices.Clone(g.distancesInto(src, k, dist, s))
+	PutScratch(s)
+	return visited
 }
 
 // Distances returns a fresh slice of distances from src.
 func (g *Graph) Distances(src int) []int {
 	dist := make([]int, g.n)
-	g.BFS(src, dist, nil)
+	g.BFS(src, dist)
 	return dist
 }
 
-// Dist returns the distance between u and v (Unreachable when
-// disconnected). The BFS stops as soon as v is reached and runs on pooled
-// scratch buffers, so point queries allocate nothing and never pay for
-// the far side of the graph.
-func (g *Graph) Dist(u, v int) int {
-	g.check(u)
-	g.check(v)
-	s := GetScratch(g.n)
-	d := g.bfsTarget(u, v, s)
-	PutScratch(s)
-	return d
+// eccentricity returns the eccentricity of v over rows, or Unreachable
+// when v's component does not cover them. BFS order is by distance, so
+// the last vertex visited is a farthest one.
+func eccentricity(rows [][]int32, v int, s *Scratch) int {
+	visited := within(rows, v, len(rows), s)
+	if len(visited) < len(rows) {
+		return Unreachable
+	}
+	return int(s.dist[visited[len(visited)-1]])
 }
 
-// BFSWithin computes distances from src, exploring only vertices at distance
-// at most k. dist must have length g.N(); vertices beyond radius k (or
-// unreachable) get Unreachable. It returns the visited vertices in BFS order.
-func (g *Graph) BFSWithin(src, k int, dist []int, queue []int32) []int32 {
-	g.check(src)
-	if len(dist) != g.n {
-		panic("graph: BFSWithin dist buffer has wrong length")
+// sumDistances returns the status of v over rows: the sum of distances
+// from v to every other vertex, each vertex outside v's component
+// contributing exactly Unreachable.
+func sumDistances(rows [][]int32, v int, s *Scratch) int {
+	visited := within(rows, v, len(rows), s)
+	sum := 0
+	for _, u := range visited {
+		sum += int(s.dist[u])
 	}
-	if k < 0 {
-		panic("graph: negative radius")
-	}
-	if cap(queue) < g.n {
-		queue = make([]int32, g.n)
-	}
-	queue = queue[:g.n]
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue[0] = int32(src)
-	head, tail := 0, 1
-	for head < tail {
-		u := int(queue[head])
-		head++
-		du := dist[u]
-		if du == k {
-			continue
-		}
-		for _, w := range g.adj[u] {
-			if dist[w] == Unreachable {
-				dist[w] = du + 1
-				queue[tail] = w
-				tail++
-			}
-		}
-	}
-	return queue[:tail]
-}
-
-// Ball returns the vertices at distance at most k from src, in BFS order.
-func (g *Graph) Ball(src, k int) []int {
-	dist := make([]int, g.n)
-	visited := g.BFSWithin(src, k, dist, nil)
-	out := make([]int, len(visited))
-	for i, v := range visited {
-		out[i] = int(v)
-	}
-	return out
+	return sum + (len(rows)-len(visited))*Unreachable
 }
 
 // Eccentricity returns the eccentricity of v, or Unreachable when the graph
 // is disconnected from v's component. Runs on pooled scratch buffers.
 func (g *Graph) Eccentricity(v int) int {
-	g.check(v)
 	s := GetScratch(g.n)
-	visited := g.bfsScratch(v, s)
-	ecc := 0
-	if len(visited) < g.n {
-		ecc = Unreachable
-	} else {
-		for _, u := range visited {
-			if d := int(s.dist[u]); d > ecc {
-				ecc = d
-			}
-		}
-	}
+	ecc := eccentricity(g.adj, v, s)
 	PutScratch(s)
 	return ecc
 }
@@ -138,14 +127,8 @@ func (g *Graph) Eccentricity(v int) int {
 // (each missing vertex contributes exactly Unreachable). Runs on pooled
 // scratch buffers.
 func (g *Graph) SumDistances(v int) int {
-	g.check(v)
 	s := GetScratch(g.n)
-	visited := g.bfsScratch(v, s)
-	sum := 0
-	for _, u := range visited {
-		sum += int(s.dist[u])
-	}
-	sum += (g.n - len(visited)) * Unreachable
+	sum := sumDistances(g.adj, v, s)
 	PutScratch(s)
 	return sum
 }
@@ -161,65 +144,4 @@ func (g *Graph) AllEccentricities() []int {
 // parallel over one flat CSR snapshot. The result index is the vertex id.
 func (g *Graph) AllSumDistances() []int {
 	return g.CSR().AllSumDistancesInto(nil)
-}
-
-// AllEccentricitiesInto is AllEccentricities over an existing snapshot,
-// reusing dst when it is large enough — the allocation-free form for
-// callers (per-round statistics collection) that recompute every round.
-func (c *CSR) AllEccentricitiesInto(dst []int) []int {
-	if cap(dst) < c.n {
-		dst = make([]int, c.n)
-	}
-	dst = dst[:c.n]
-	parallelVertices(c.n, func(v int, s *Scratch) {
-		dst[v] = c.Eccentricity(v, s)
-	})
-	return dst
-}
-
-// AllSumDistancesInto is AllSumDistances over an existing snapshot,
-// reusing dst when it is large enough.
-func (c *CSR) AllSumDistancesInto(dst []int) []int {
-	if cap(dst) < c.n {
-		dst = make([]int, c.n)
-	}
-	dst = dst[:c.n]
-	parallelVertices(c.n, func(v int, s *Scratch) {
-		dst[v] = c.SumDistances(v, s)
-	})
-	return dst
-}
-
-// parallelVertices runs fn(v, scratch) for every vertex v using a fixed
-// pool of GOMAXPROCS workers, each owning one reusable Scratch. Writes by
-// different vertices must target disjoint memory.
-func parallelVertices(n int, fn func(v int, s *Scratch)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		s := GetScratch(n)
-		for v := 0; v < n; v++ {
-			fn(v, s)
-		}
-		PutScratch(s)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := GetScratch(n)
-			// Strided assignment keeps the schedule deterministic and
-			// avoids a shared work channel for this embarrassingly
-			// parallel loop.
-			for v := w; v < n; v += workers {
-				fn(v, s)
-			}
-			PutScratch(s)
-		}(w)
-	}
-	wg.Wait()
 }

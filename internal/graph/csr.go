@@ -1,15 +1,21 @@
 package graph
 
+import (
+	"runtime"
+	"sync"
+)
+
 // CSR is a flat compressed-sparse-row snapshot of a Graph: the targets of
-// vertex v are tgt[off[v]:off[v+1]], packed as int32 in the same order as
-// the adjacency lists (BFS visit order — and therefore every downstream
-// tie-break — is identical on both representations). A CSR is immutable
-// and safe for concurrent traversals, each using its own Scratch; it does
-// not track later mutations of the source Graph.
+// every vertex are packed into one int32 slab in the same order as the
+// adjacency lists (BFS visit order — and therefore every downstream
+// tie-break — is identical on both representations), and rows[v] is the
+// slice header of v's span of it, so the traversal kernel reads a CSR
+// exactly as it reads Graph.adj. A CSR is immutable and safe for
+// concurrent traversals, each using its own Scratch; it does not track
+// later mutations of the source Graph.
 type CSR struct {
-	n   int
-	off []int32
-	tgt []int32
+	rows [][]int32
+	tgt  []int32
 }
 
 // CSR returns a fresh flat snapshot of g.
@@ -21,132 +27,65 @@ func (g *Graph) CSRInto(c *CSR) *CSR {
 	if c == nil {
 		c = &CSR{}
 	}
-	c.n = g.n
-	if cap(c.off) < g.n+1 {
-		c.off = make([]int32, g.n+1)
+	if cap(c.rows) < g.n {
+		c.rows = make([][]int32, g.n)
 	}
-	c.off = c.off[:g.n+1]
+	c.rows = c.rows[:g.n]
 	if cap(c.tgt) < 2*g.m {
 		c.tgt = make([]int32, 2*g.m)
 	}
 	c.tgt = c.tgt[:2*g.m]
-	pos := int32(0)
-	for v := 0; v < g.n; v++ {
-		c.off[v] = pos
-		pos += int32(copy(c.tgt[pos:], g.adj[v]))
+	pos := 0
+	for v, l := range g.adj {
+		end := pos + copy(c.tgt[pos:], l)
+		c.rows[v] = c.tgt[pos:end:end]
+		pos = end
 	}
-	c.off[g.n] = pos
 	return c
 }
 
-// N returns the number of vertices.
-func (c *CSR) N() int { return c.n }
-
-// Degree returns the degree of v.
-func (c *CSR) Degree(v int) int { return int(c.off[v+1] - c.off[v]) }
-
-// Neighbors returns the packed targets of v, aliasing the snapshot.
-func (c *CSR) Neighbors(v int) []int32 { return c.tgt[c.off[v]:c.off[v+1]] }
-
-// BFS runs a full breadth-first search from src, recording distances in
-// the scratch (read them with s.Dist) and returning the visited vertices
-// in BFS order (aliasing the scratch queue, valid until its next use).
-func (c *CSR) BFS(src int, s *Scratch) []int32 {
-	s.begin(c.n)
-	s.visit(int32(src), 0)
-	s.queue[0] = int32(src)
-	head, tail := 0, 1
-	for head < tail {
-		u := s.queue[head]
-		head++
-		du := s.dist[u]
-		for _, w := range c.tgt[c.off[u]:c.off[u+1]] {
-			if s.visit(w, du+1) {
-				s.queue[tail] = w
-				tail++
-			}
-		}
-	}
-	return s.queue[:tail]
-}
-
 // BFSWithin explores only vertices at distance at most k from src,
-// returning them in BFS order; distances are readable through s.Dist.
+// returning them in BFS order (aliasing the scratch queue, valid until
+// its next traversal); distances are readable through s.Dist.
 func (c *CSR) BFSWithin(src, k int, s *Scratch) []int32 {
-	if k < 0 {
-		panic("graph: negative radius")
+	return within(c.rows, src, k, s)
+}
+
+// AllEccentricitiesInto is Graph.AllEccentricities over an existing
+// snapshot, reusing dst when it is large enough — the allocation-free
+// form for callers (per-round statistics collection) that recompute
+// every round.
+func (c *CSR) AllEccentricitiesInto(dst []int) []int { return c.allInto(dst, eccentricity) }
+
+// AllSumDistancesInto is Graph.AllSumDistances over an existing snapshot,
+// reusing dst when it is large enough.
+func (c *CSR) AllSumDistancesInto(dst []int) []int { return c.allInto(dst, sumDistances) }
+
+// allInto fills dst[v] = usage(c.rows, v, scratch) for every vertex v
+// using a fixed pool of GOMAXPROCS workers, each owning one reusable
+// Scratch.
+func (c *CSR) allInto(dst []int, usage func(rows [][]int32, v int, s *Scratch) int) []int {
+	n := len(c.rows)
+	if cap(dst) < n {
+		dst = make([]int, n)
 	}
-	s.begin(c.n)
-	s.visit(int32(src), 0)
-	s.queue[0] = int32(src)
-	head, tail := 0, 1
-	for head < tail {
-		u := s.queue[head]
-		head++
-		du := s.dist[u]
-		if int(du) == k {
-			continue
-		}
-		for _, w := range c.tgt[c.off[u]:c.off[u+1]] {
-			if s.visit(w, du+1) {
-				s.queue[tail] = w
-				tail++
+	dst = dst[:n]
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := GetScratch(n)
+			// Strided assignment keeps the schedule deterministic and
+			// avoids a shared work channel for this embarrassingly
+			// parallel loop.
+			for v := w; v < n; v += workers {
+				dst[v] = usage(c.rows, v, s)
 			}
-		}
+			PutScratch(s)
+		}(w)
 	}
-	return s.queue[:tail]
-}
-
-// Dist returns the distance between u and v with an early-exit BFS.
-func (c *CSR) Dist(u, v int, s *Scratch) int {
-	if u == v {
-		return 0
-	}
-	s.begin(c.n)
-	s.visit(int32(u), 0)
-	s.queue[0] = int32(u)
-	head, tail := 0, 1
-	for head < tail {
-		x := s.queue[head]
-		head++
-		dx := s.dist[x]
-		for _, w := range c.tgt[c.off[x]:c.off[x+1]] {
-			if s.visit(w, dx+1) {
-				if int(w) == v {
-					return int(dx + 1)
-				}
-				s.queue[tail] = w
-				tail++
-			}
-		}
-	}
-	return Unreachable
-}
-
-// Eccentricity returns the eccentricity of v (Unreachable when v's
-// component does not cover the graph).
-func (c *CSR) Eccentricity(v int, s *Scratch) int {
-	visited := c.BFS(v, s)
-	if len(visited) < c.n {
-		return Unreachable
-	}
-	ecc := int32(0)
-	for _, u := range visited {
-		if d := s.dist[u]; d > ecc {
-			ecc = d
-		}
-	}
-	return int(ecc)
-}
-
-// SumDistances returns the status of v: the sum of distances from v to
-// every other vertex, counting Unreachable per missing vertex exactly as
-// the full-slice BFS does.
-func (c *CSR) SumDistances(v int, s *Scratch) int {
-	visited := c.BFS(v, s)
-	sum := 0
-	for _, u := range visited {
-		sum += int(s.dist[u])
-	}
-	return sum + (c.n-len(visited))*Unreachable
+	wg.Wait()
+	return dst
 }

@@ -9,15 +9,22 @@
 // vertices over asymptotic cleverness. All query methods are read-only and
 // safe for concurrent use as long as no writer is active.
 //
-// Two companion types serve the hot paths. CSR is an immutable flat
-// snapshot (packed int32 offset/target arrays, adjacency order preserved)
-// for traversal-heavy read workloads: build it once, then fan BFS out
-// across workers. Scratch is the reusable buffer set those kernels run on
-// — an epoch-stamped visited array plus int32 distance/queue buffers — so
-// a traversal neither allocates nor pays an O(n) clear. The one-shot
-// conveniences (Dist, Eccentricity, SumDistances, ...) borrow a Scratch
-// from an internal pool, making them allocation-free after warm-up while
-// keeping their original signatures and results.
+// Every traversal is one loop. Scratch.bfs is the package's only
+// breadth-first search (Girth, which tracks parents, aside): multi-source,
+// radius-bounded, reading adjacency as one []int32 row per vertex and
+// returning the visited vertices in BFS order. It has two row sources.
+// Graph.adj is the mutable one. CSR is an immutable snapshot that packs
+// the same rows, in the same order, into one slab and keeps a row header
+// per vertex: build it once, then fan searches out across workers. The
+// public traversals — BFS, BFSWithin, Distances, Eccentricity,
+// SumDistances, IsConnected, BFSWithinScratch, MultiBFSWithinScratch,
+// CSR.BFSWithin, AllEccentricitiesInto, ... — are wrappers that check
+// their arguments (a vertex out of range, a negative radius or a
+// wrong-length buffer panics with a "graph:" message before anything is
+// written), run the kernel, and shape its result. Scratch is the buffer
+// set the kernel runs on — an epoch-stamped visited array plus int32
+// distance/queue buffers — so a traversal neither allocates nor pays an
+// O(n) clear; wrappers that take no Scratch borrow one from a pool.
 package graph
 
 import (
@@ -48,9 +55,12 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.m }
 
 // check panics when v is out of range.
-func (g *Graph) check(v int) {
-	if v < 0 || v >= g.n {
-		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, g.n))
+func (g *Graph) check(v int) { checkVertex(v, g.n) }
+
+// checkVertex panics when v does not index a graph on n vertices.
+func checkVertex(v, n int) {
+	if v < 0 || v >= n {
+		panic(fmt.Sprintf("graph: vertex %d out of range [0,%d)", v, n))
 	}
 }
 

@@ -13,22 +13,20 @@ func benchGraph(n, extra int) *Graph {
 func BenchmarkBFS(b *testing.B) {
 	g := benchGraph(1000, 2000)
 	dist := make([]int, g.N())
-	queue := make([]int32, g.N())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.BFS(i%g.N(), dist, queue)
+		g.BFS(i%g.N(), dist)
 	}
 }
 
 func BenchmarkBFSWithin(b *testing.B) {
 	g := benchGraph(1000, 2000)
 	dist := make([]int, g.N())
-	queue := make([]int32, g.N())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.BFSWithin(i%g.N(), 3, dist, queue)
+		g.BFSWithin(i%g.N(), 3, dist)
 	}
 }
 
@@ -47,12 +45,11 @@ func BenchmarkAllEccentricitiesParallel(b *testing.B) {
 func BenchmarkAllEccentricitiesSerial(b *testing.B) {
 	g := benchGraph(500, 1000)
 	dist := make([]int, g.N())
-	queue := make([]int32, g.N())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for v := 0; v < g.N(); v++ {
-			g.BFS(v, dist, queue)
+			g.BFS(v, dist)
 			e := 0
 			for _, d := range dist {
 				if d > e {

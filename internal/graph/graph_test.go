@@ -221,12 +221,11 @@ func TestBFSDisconnected(t *testing.T) {
 func TestBFSBufferReuse(t *testing.T) {
 	g := cycle(8)
 	dist := make([]int, 8)
-	queue := make([]int32, 8)
-	g.BFS(0, dist, queue)
+	g.BFS(0, dist)
 	if dist[4] != 4 {
 		t.Fatalf("dist[4] = %d, want 4", dist[4])
 	}
-	g.BFS(4, dist, queue)
+	g.BFS(4, dist)
 	if dist[0] != 4 || dist[4] != 0 {
 		t.Fatalf("buffer reuse produced stale distances: %v", dist)
 	}
@@ -239,13 +238,13 @@ func TestBFSWrongBufferPanics(t *testing.T) {
 			t.Fatal("BFS with short dist buffer did not panic")
 		}
 	}()
-	g.BFS(0, make([]int, 2), nil)
+	g.BFS(0, make([]int, 2))
 }
 
 func TestBFSWithin(t *testing.T) {
 	g := path(10)
 	dist := make([]int, 10)
-	visited := g.BFSWithin(3, 2, dist, nil)
+	visited := g.BFSWithin(3, 2, dist)
 	if len(visited) != 5 { // vertices 1..5
 		t.Fatalf("visited %d vertices, want 5", len(visited))
 	}
@@ -266,24 +265,9 @@ func TestBFSWithin(t *testing.T) {
 
 func TestBFSWithinZero(t *testing.T) {
 	g := complete(5)
-	ball := g.Ball(2, 0)
+	ball := g.BFSWithin(2, 0, make([]int, 5))
 	if len(ball) != 1 || ball[0] != 2 {
-		t.Fatalf("Ball(2,0) = %v, want [2]", ball)
-	}
-}
-
-func TestBallOrderAndContents(t *testing.T) {
-	g := star(6)
-	ball := g.Ball(0, 1)
-	if len(ball) != 6 {
-		t.Fatalf("star center ball size = %d, want 6", len(ball))
-	}
-	if ball[0] != 0 {
-		t.Fatal("ball does not start at the source")
-	}
-	leafBall := g.Ball(1, 1)
-	if len(leafBall) != 2 {
-		t.Fatalf("leaf radius-1 ball size = %d, want 2", len(leafBall))
+		t.Fatalf("BFSWithin(2,0) = %v, want [2]", ball)
 	}
 }
 
@@ -484,7 +468,7 @@ func TestQuickDistanceSymmetry(t *testing.T) {
 		n := 3 + int(a%20)
 		g := qcGraph(seed, n)
 		u, v := int(a)%n, int(b)%n
-		return g.Dist(u, v) == g.Dist(v, u)
+		return g.Distances(u)[v] == g.Distances(v)[u]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -496,7 +480,7 @@ func TestQuickTriangleInequality(t *testing.T) {
 		n := 3 + int(a%15)
 		g := qcGraph(seed, n)
 		x, y, z := int(a)%n, int(b)%n, int(c)%n
-		return g.Dist(x, z) <= g.Dist(x, y)+g.Dist(y, z)
+		return g.Distances(x)[z] <= g.Distances(x)[y]+g.Distances(y)[z]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
@@ -509,9 +493,10 @@ func TestQuickBallNesting(t *testing.T) {
 		g := qcGraph(seed, n)
 		src := int(a) % n
 		k := int(r % 5)
-		inner := g.Ball(src, k)
-		outer := g.Ball(src, k+1)
-		in := make(map[int]bool, len(outer))
+		dist := make([]int, n)
+		inner := g.BFSWithin(src, k, dist)
+		outer := g.BFSWithin(src, k+1, dist)
+		in := make(map[int32]bool, len(outer))
 		for _, v := range outer {
 			in[v] = true
 		}
@@ -540,7 +525,7 @@ func TestQuickPowerMonotone(t *testing.T) {
 		}
 		// Power-2 edges must have distance <= 2 in g.
 		for _, e := range p2.Edges() {
-			if g.Dist(e.U, e.V) > 2 {
+			if g.Distances(e.U)[e.V] > 2 {
 				return false
 			}
 		}

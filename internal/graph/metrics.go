@@ -6,14 +6,10 @@ func (g *Graph) IsConnected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	dist := make([]int, g.n)
-	g.BFS(0, dist, nil)
-	for _, d := range dist {
-		if d == Unreachable {
-			return false
-		}
-	}
-	return true
+	s := GetScratch(g.n)
+	reached := len(within(g.adj, 0, g.n, s))
+	PutScratch(s)
+	return reached == g.n
 }
 
 // Components returns the connected components of g as vertex lists, ordered
@@ -25,12 +21,11 @@ func (g *Graph) Components() [][]int {
 	}
 	var out [][]int
 	dist := make([]int, g.n)
-	queue := make([]int32, g.n)
 	for s := 0; s < g.n; s++ {
 		if comp[s] >= 0 {
 			continue
 		}
-		g.BFS(s, dist, queue)
+		g.BFS(s, dist)
 		var members []int
 		for v, d := range dist {
 			if d != Unreachable && comp[v] < 0 {

@@ -51,15 +51,6 @@ func TestComplementSize(t *testing.T) {
 	}
 }
 
-func TestBallDisconnected(t *testing.T) {
-	g := New(5)
-	g.AddEdge(0, 1)
-	ball := g.Ball(0, 10)
-	if len(ball) != 2 {
-		t.Fatalf("ball across components: %v", ball)
-	}
-}
-
 func TestGirthTwoVertexCycleImpossible(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1)

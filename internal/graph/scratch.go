@@ -2,27 +2,19 @@ package graph
 
 import "sync"
 
-// Scratch holds the reusable buffers of a BFS: an epoch-stamped visited
-// array (so a fresh traversal never pays an O(n) clear), int32 distances,
-// and the queue. A Scratch is not safe for concurrent use; give each
-// worker its own, or borrow one from the package pool with GetScratch.
+// Scratch holds the reusable buffers of a traversal: an epoch-stamped
+// visited array (so a fresh traversal never pays an O(n) clear), int32
+// distances, and the queue. The zero value is ready to use and grows on
+// demand. A Scratch is not safe for concurrent use; give each worker its
+// own, or borrow one from the package pool with GetScratch.
 //
 // Distances are only meaningful for vertices visited by the most recent
-// traversal; Dist converts unvisited vertices to Unreachable, matching
-// the full-slice BFS convention.
+// traversal; Dist converts unvisited vertices to Unreachable.
 type Scratch struct {
 	epoch uint32
 	seen  []uint32
 	dist  []int32
 	queue []int32
-}
-
-// NewScratch returns a Scratch sized for graphs of up to n vertices. It
-// grows on demand, so n is a hint, not a cap.
-func NewScratch(n int) *Scratch {
-	s := &Scratch{}
-	s.grow(n)
-	return s
 }
 
 // grow ensures capacity for n vertices. New seen entries start at zero,
@@ -60,6 +52,41 @@ func (s *Scratch) visit(v int32, d int32) bool {
 	return true
 }
 
+// bfs is the package's one breadth-first search; every public traversal
+// is a wrapper that checks its arguments and calls it. It explores
+// rows — Graph.adj or CSR.rows, one neighbour list per vertex — from
+// every vertex of srcs (duplicates count once, none yields an empty
+// traversal) out to distance k; a full search passes k = len(rows),
+// which no distance reaches. It returns the visited vertices in BFS
+// order — sources in the order given, then neighbours in row order,
+// which decides local ids in views and hence every downstream tie-break
+// — as a prefix of the scratch queue, valid until the next traversal.
+// The caller has checked that every source indexes rows and k >= 0.
+func (s *Scratch) bfs(rows [][]int32, srcs []int32, k int) []int32 {
+	s.begin(len(rows))
+	tail := 0
+	for _, v := range srcs {
+		if s.visit(v, 0) {
+			s.queue[tail] = v
+			tail++
+		}
+	}
+	for head := 0; head < tail; head++ {
+		u := s.queue[head]
+		du := s.dist[u]
+		if int(du) == k {
+			continue
+		}
+		for _, w := range rows[u] {
+			if s.visit(w, du+1) {
+				s.queue[tail] = w
+				tail++
+			}
+		}
+	}
+	return s.queue[:tail]
+}
+
 // Dist returns the distance recorded for v by the most recent traversal,
 // or Unreachable when v was not visited.
 func (s *Scratch) Dist(v int) int {
@@ -69,9 +96,9 @@ func (s *Scratch) Dist(v int) int {
 	return int(s.dist[v])
 }
 
-// scratchPool recycles Scratches for the package-level conveniences
-// (Graph.Dist, Eccentricity, ...) so one-shot queries stay allocation-free
-// after warm-up.
+// scratchPool recycles Scratches for the wrappers that take none
+// (Distances, Eccentricity, IsConnected, ...) so one-shot queries stay
+// allocation-free after warm-up.
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
 
 // GetScratch borrows a Scratch sized for n vertices from the shared pool.
@@ -84,82 +111,3 @@ func GetScratch(n int) *Scratch {
 
 // PutScratch returns a Scratch to the shared pool.
 func PutScratch(s *Scratch) { scratchPool.Put(s) }
-
-// bfsScratch runs a full BFS from src over the adjacency lists, returning
-// the visited vertices in BFS order (a prefix of the scratch queue, valid
-// until the next traversal).
-func (g *Graph) bfsScratch(src int, s *Scratch) []int32 {
-	s.begin(g.n)
-	s.visit(int32(src), 0)
-	s.queue[0] = int32(src)
-	head, tail := 0, 1
-	for head < tail {
-		u := s.queue[head]
-		head++
-		du := s.dist[u]
-		for _, w := range g.adj[u] {
-			if s.visit(w, du+1) {
-				s.queue[tail] = w
-				tail++
-			}
-		}
-	}
-	return s.queue[:tail]
-}
-
-// bfsTarget runs a BFS from src that stops as soon as target is reached,
-// returning the distance (Unreachable when disconnected).
-func (g *Graph) bfsTarget(src, target int, s *Scratch) int {
-	if src == target {
-		return 0
-	}
-	s.begin(g.n)
-	s.visit(int32(src), 0)
-	s.queue[0] = int32(src)
-	head, tail := 0, 1
-	for head < tail {
-		u := s.queue[head]
-		head++
-		du := s.dist[u]
-		for _, w := range g.adj[u] {
-			if s.visit(w, du+1) {
-				if int(w) == target {
-					return int(du + 1)
-				}
-				s.queue[tail] = w
-				tail++
-			}
-		}
-	}
-	return Unreachable
-}
-
-// BFSWithinScratch is BFSWithin on reusable scratch buffers: it explores
-// only vertices at distance at most k from src and returns them in BFS
-// order (aliasing the scratch queue, valid until the next traversal).
-// Distances are readable through s.Dist.
-func (g *Graph) BFSWithinScratch(src, k int, s *Scratch) []int32 {
-	g.check(src)
-	if k < 0 {
-		panic("graph: negative radius")
-	}
-	s.begin(g.n)
-	s.visit(int32(src), 0)
-	s.queue[0] = int32(src)
-	head, tail := 0, 1
-	for head < tail {
-		u := s.queue[head]
-		head++
-		du := s.dist[u]
-		if int(du) == k {
-			continue
-		}
-		for _, w := range g.adj[u] {
-			if s.visit(w, du+1) {
-				s.queue[tail] = w
-				tail++
-			}
-		}
-	}
-	return s.queue[:tail]
-}

@@ -37,15 +37,16 @@ func (g *Graph) Power(h int) *Graph {
 		return p
 	}
 	dist := make([]int, g.n)
-	queue := make([]int32, g.n)
+	s := GetScratch(g.n)
 	for u := 0; u < g.n; u++ {
-		g.BFSWithin(u, h, dist, queue)
+		g.distancesInto(u, h, dist, s)
 		for v := u + 1; v < g.n; v++ {
 			if dist[v] <= h {
 				p.AddEdge(u, v)
 			}
 		}
 	}
+	PutScratch(s)
 	return p
 }
 

@@ -51,40 +51,6 @@ func TestCellResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesActivationInvariant pins the sweep-facing guarantee
-// of the event-driven engine: a sweep under the default dirty-set
-// activation marshals to exactly the same checkpoint bytes as one forced
-// through the eager evaluate-everyone loop. This is what lets resume,
-// caching, and replication mix checkpoints produced by either engine
-// generation.
-func TestCheckpointBytesActivationInvariant(t *testing.T) {
-	cells := dynamics.Grid([]float64{0.5, 2, 8}, []int{2, 1000}, 2)
-	factory := func(cell dynamics.Cell, rng *rand.Rand) *game.State {
-		return game.FromGraphRandomOwners(gen.RandomTree(14, rng), rng)
-	}
-	for _, variant := range []game.Variant{game.Max, game.Sum} {
-		dirty := dynamics.DefaultConfig(variant, 0, 0)
-		eager := dirty
-		eager.Activation = dynamics.ActivationEager
-		a := dynamics.Sweep(cells, dirty, factory, 42)
-		b := dynamics.Sweep(cells, eager, factory, 42)
-		for i := range a {
-			la, err := MarshalCellResult(a[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			lb, err := MarshalCellResult(b[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(la, lb) {
-				t.Fatalf("%v cell %+v: checkpoint bytes differ between activations:\n%s\n%s",
-					variant, a[i].Cell, la, lb)
-			}
-		}
-	}
-}
-
 func TestMarshalCellResultDeterministic(t *testing.T) {
 	r := sampleResults(t, 1)[0]
 	a, err := MarshalCellResult(r)

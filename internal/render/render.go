@@ -33,7 +33,7 @@ func TorusASCIIWithView(t *construction.Torus, center, k int) (string, error) {
 	}
 	g := t.State.Graph()
 	dist := make([]int, g.N())
-	g.BFSWithin(center, k, dist, nil)
+	g.BFSWithin(center, k, dist)
 	visible := make(map[int]bool, g.N())
 	for v := 0; v < g.N(); v++ {
 		if dist[v] <= k {

@@ -13,7 +13,7 @@ import (
 // usage evaluates the objective for the center of a modified view graph.
 func usage(h *graph.Graph, center int, obj Objective) int {
 	dist := make([]int, h.N())
-	h.BFS(center, dist, nil)
+	h.BFS(center, dist)
 	switch obj {
 	case MaxEcc:
 		ecc := 0

@@ -37,7 +37,7 @@ func Extract(g *graph.Graph, u, k int) *View {
 		panic("view: negative radius")
 	}
 	dist := make([]int, g.N())
-	visited := g.BFSWithin(u, k, dist, nil)
+	visited := g.BFSWithin(u, k, dist)
 	vertices := make([]int, len(visited))
 	for i, v := range visited {
 		vertices[i] = int(v)

@@ -112,12 +112,13 @@ func TestQuickViewDistancesAgree(t *testing.T) {
 		u := int(uRaw) % n
 		v := Extract(g, u, k)
 		globalDist := g.Distances(u)
+		localDist := v.H.Distances(v.Center)
 		for i, orig := range v.Orig {
 			if v.Dist[i] != globalDist[orig] {
 				return false
 			}
 			// Distances inside the induced subgraph must also agree.
-			if v.H.Dist(v.Center, i) != globalDist[orig] {
+			if localDist[i] != globalDist[orig] {
 				return false
 			}
 		}
