@@ -62,7 +62,7 @@
 // not drain the /peer/* bucket gossip depends on).
 //
 // The daemon bounds its own growth: done/failed jobs are garbage-
-// collected -job-ttl after they finish (directory, cache spill files,
+// collected -job-ttl after they finish (directory, cache spill segment,
 // and summary state all reclaimed; 0 disables GC), at most -max-jobs
 // jobs are retained (submissions beyond the cap get 429), and -rate
 // caps requests/second per endpoint class (read vs mutate; 429 +
@@ -74,9 +74,16 @@
 // <data>/<id>/results.jsonl one result-line at a time, and resumed
 // automatically on restart — a daemon killed mid-sweep picks up where the
 // checkpoint ends and produces byte-identical results. The result cache
-// spills to content-addressed files under <data>/cache (override with
-// -cache-dir; "none" keeps it memory-only), so restarts keep their hit
-// rate too.
+// spills under <data>/cache (override with -cache-dir; "none" keeps it
+// memory-only), so restarts keep their hit rate too: one append-only
+// checkpoint-format file per kernel, <cache-dir>/<kernel>/segment.jsonl,
+// with an in-memory offset index that is built by scanning a segment on
+// its kernel's first touch and costs memory in proportion to the cells
+// spilled for retained jobs' kernels. Per-cell spill files left in those
+// directories by an older daemon are never read — cells held only there
+// are cold after the upgrade, retained jobs' checkpoints re-warm the
+// cache on resume as before — and are deleted with the kernel directory
+// by GC or a purge.
 //
 // The workload is pluggable per spec: "dialect" selects the move rule
 // (best-response, the default; swap; large-neighborhood) and "graph"
@@ -101,7 +108,7 @@
 //	                            for specs with "trajectories": true)
 //	DELETE /sweeps/{id}         cancel (checkpoint kept; 409 if already terminal)
 //	DELETE /sweeps/{id}?purge=1 evict a terminal job entirely (store dir,
-//	                            spill files, summary state)
+//	                            spill segment, summary state)
 //	POST   /peer/leases         compute a cell range for a peer daemon
 //	                            (the follower half of -peers sharding)
 //	POST   /peer/hello          a booting daemon announces its -advertise URL

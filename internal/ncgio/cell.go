@@ -81,6 +81,22 @@ func UnmarshalCellResult(line []byte) (dynamics.CellResult, error) {
 	return r, nil
 }
 
+// UnmarshalCell decodes only the coordinates of a cell-result line,
+// skipping the statistics and the embedded state: what an index over
+// many lines needs to key them. A line it accepts may still fail
+// UnmarshalCellResult; decode in full before trusting the record.
+func UnmarshalCell(line []byte) (dynamics.Cell, error) {
+	var in struct {
+		Alpha float64 `json:"alpha"`
+		K     int     `json:"k"`
+		Seed  int64   `json:"seed"`
+	}
+	if err := json.Unmarshal(line, &in); err != nil {
+		return dynamics.Cell{}, fmt.Errorf("ncgio: %w", err)
+	}
+	return dynamics.Cell{Alpha: in.Alpha, K: in.K, Seed: in.Seed}, nil
+}
+
 // EncodeCellResult writes r to w as one JSONL line.
 func EncodeCellResult(w io.Writer, r dynamics.CellResult) error {
 	line, err := MarshalCellResult(r)
@@ -188,7 +204,10 @@ func DecodePrefix(data []byte) (out []dynamics.CellResult, clean int) {
 // file is fsynced every SyncEvery records and on Close, bounding how much
 // a crash can lose — ReadCheckpoint repairs any torn tail.
 type CheckpointWriter struct {
-	f         *os.File
+	f *os.File
+	// fsync is f.Sync; a field so tests can count the calls.
+	fsync func() error
+	// since counts the records appended since the last successful fsync.
 	since     int
 	SyncEvery int
 	// scratch assembles line+'\n' so each append is one whole-line write
@@ -203,7 +222,7 @@ func NewCheckpointWriter(path string) (*CheckpointWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ncgio: %w", err)
 	}
-	return &CheckpointWriter{f: f, SyncEvery: 32}, nil
+	return &CheckpointWriter{f: f, fsync: f.Sync, SyncEvery: 32}, nil
 }
 
 // Append writes one result as a JSONL line.
@@ -232,13 +251,20 @@ func (w *CheckpointWriter) AppendLine(line []byte) error {
 
 // Sync fsyncs the file.
 func (w *CheckpointWriter) Sync() error {
+	if err := w.fsync(); err != nil {
+		return err
+	}
 	w.since = 0
-	return w.f.Sync()
+	return nil
 }
 
-// Close syncs and closes the underlying file.
+// Close syncs whatever was appended since the last Sync — nothing, when
+// the caller has just synced — and closes the underlying file.
 func (w *CheckpointWriter) Close() error {
-	serr := w.Sync()
+	var serr error
+	if w.since > 0 {
+		serr = w.Sync()
+	}
 	cerr := w.f.Close()
 	if serr != nil {
 		return serr

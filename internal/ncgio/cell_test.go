@@ -150,3 +150,77 @@ func TestUnmarshalCellResultRejectsBadStatus(t *testing.T) {
 		t.Fatal("bad status accepted")
 	}
 }
+
+// countingWriter opens a checkpoint writer whose fsyncs are counted (and
+// still performed).
+func countingWriter(t *testing.T) (*CheckpointWriter, *int) {
+	t.Helper()
+	w, err := NewCheckpointWriter(filepath.Join(t.TempDir(), "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.SyncEvery = 1 << 30
+	syncs, fsync := new(int), w.fsync
+	w.fsync = func() error { *syncs++; return fsync() }
+	return w, syncs
+}
+
+// TestCloseSkipsFsyncAfterSync: the daemon's runner syncs before it
+// publishes a terminal status and closes on its way out; the second
+// fsync of the same descriptor, with nothing appended in between, is
+// skipped.
+func TestCloseSkipsFsyncAfterSync(t *testing.T) {
+	w, syncs := countingWriter(t)
+	if err := w.AppendLine([]byte(`{"alpha":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if *syncs != 1 {
+		t.Fatalf("append, Sync, Close fsynced %d times, want 1", *syncs)
+	}
+}
+
+// TestCloseSyncsUnsyncedTail: a record appended after the last Sync is
+// still made durable by Close.
+func TestCloseSyncsUnsyncedTail(t *testing.T) {
+	w, syncs := countingWriter(t)
+	for i := 0; i < 2; i++ {
+		if err := w.AppendLine([]byte(`{"alpha":1}`)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if *syncs != 2 {
+		t.Fatalf("append, Sync, append, Close fsynced %d times, want 2", *syncs)
+	}
+}
+
+// TestUnmarshalCellMatchesFullDecode: the coordinates-only decoder keys a
+// line the way the full decoder does.
+func TestUnmarshalCellMatchesFullDecode(t *testing.T) {
+	for _, r := range sampleResults(t, 4) {
+		line, err := MarshalCellResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell, err := UnmarshalCell(line)
+		if err != nil || cell != r.Cell {
+			t.Fatalf("UnmarshalCell = %+v, %v; want %+v", cell, err, r.Cell)
+		}
+	}
+	if _, err := UnmarshalCell([]byte(`{"alpha":`)); err == nil {
+		t.Fatal("torn line decoded")
+	}
+}

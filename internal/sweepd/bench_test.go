@@ -118,6 +118,74 @@ func BenchmarkCacheGetPut(b *testing.B) {
 	}
 }
 
+// BenchmarkCacheSpill measures the disk tier on its own: put spills
+// fresh cells of four kernels (the emit path pays this once per computed
+// cell), get reads back cells the memory tier has evicted (decode and key
+// check included), miss asks a warm kernel for a cell it never held.
+func BenchmarkCacheSpill(b *testing.B) {
+	kernels := make([]string, 4)
+	for i := range kernels {
+		kernels[i] = fmt.Sprintf("kernel-%d", i)
+	}
+	open := func(b *testing.B) *Cache {
+		c, err := NewDiskCache(64, b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return c
+	}
+	// fill spills 4096 cells a kernel, leaving the last 64 in memory.
+	fill := func(c *Cache) []dynamics.Cell {
+		cells := dynamics.Grid([]float64{0.5, 1, 2, 5}, []int{2, 4, 8, 1000}, 256)
+		for _, kernel := range kernels {
+			for _, cell := range cells {
+				c.Put(kernel, cell, cacheLine(cell))
+			}
+		}
+		return cells
+	}
+	b.Run("put", func(b *testing.B) {
+		sp := Spec{N: 40, Alphas: []float64{2}, Ks: []int{1000}, Seeds: 1}
+		sp.Normalize()
+		line, err := ncgio.MarshalCellResult(dynamics.Sweep(sp.Cells(), sp.Config(), sp.Factory(), 1)[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		c := open(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c.Put(kernels[i%len(kernels)], dynamics.Cell{Alpha: 2, K: 1000, Seed: int64(i)}, line)
+		}
+	})
+	b.Run("get", func(b *testing.B) {
+		c := open(b)
+		cells := fill(c)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(kernels[i%len(kernels)], cells[i%len(cells)]); !ok {
+				b.Fatal("spilled cell missed")
+			}
+		}
+		b.StopTimer()
+		if st := c.Stats(); st.DiskHits != uint64(b.N) {
+			b.Fatalf("%d of %d reads came from disk", st.DiskHits, b.N)
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		c := open(b)
+		fill(c)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := c.Get(kernels[i%len(kernels)], dynamics.Cell{Alpha: 3, K: 3, Seed: int64(i)}); ok {
+				b.Fatal("unknown cell served")
+			}
+		}
+	})
+}
+
 // BenchmarkSweepEndToEnd runs a small managed job start to finish —
 // store, checkpoint, and cache included — giving the daemon's per-job
 // overhead over a bare dynamics.Sweep.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"container/list"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -28,8 +27,8 @@ type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
-	// DiskHits counts the subset of Hits served by promoting a spill
-	// file into the memory tier (always 0 for a memory-only cache).
+	// DiskHits counts the subset of Hits served by promoting a spilled
+	// record into the memory tier (always 0 for a memory-only cache).
 	DiskHits uint64 `json:"disk_hits"`
 	// Coalesced counts computations avoided by in-flight dedup: a sweep
 	// that found another sweep already computing the same (kernel, cell)
@@ -43,17 +42,22 @@ type CacheStats struct {
 // verbatim and still be byte-identical to a recomputation. Eviction is
 // LRU.
 //
-// A cache built with NewDiskCache additionally spills every entry to a
-// content-addressed file (<dir>/<kernel>/<cell>.jsonl): the memory LRU
-// bounds the hot tier, while the spill tier persists across restarts, so
-// a daemon reopened over the same directory keeps its hit rate instead of
-// lazily re-warming from whichever checkpoints it happens to re-read.
-// Entries evicted from memory remain on disk and are promoted back on
-// their next Get.
+// A cache built with NewDiskCache additionally spills every entry by
+// appending it to its kernel's segment (<dir>/<kernel>/segment.jsonl, a
+// file in checkpoint format): the memory LRU bounds the hot tier, while
+// the spill tier persists across restarts, so a daemon reopened over the
+// same directory keeps its hit rate instead of lazily re-warming from
+// whichever checkpoints it happens to re-read. Entries evicted from
+// memory remain on disk and are promoted back on their next Get.
 type Cache struct {
-	mu        sync.Mutex
-	max       int
-	dir       string // spill directory; "" = memory-only
+	mu  sync.Mutex
+	max int
+	dir string // spill directory; "" = memory-only
+	// segs holds one segment per kernel directory under dir, so a kernel
+	// with nothing on disk misses without a system call; opened lists the
+	// segments holding a descriptor, longest-open first.
+	segs      map[string]*segment
+	opened    *list.List
 	entries   map[cacheKey]*list.Element
 	order     *list.List // front = most recently used
 	hits      uint64
@@ -89,16 +93,28 @@ func NewCache(max int) *Cache {
 	return &Cache{max: max, entries: make(map[cacheKey]*list.Element), order: list.New()}
 }
 
-// NewDiskCache builds a cache whose entries spill to files under dir.
-// The max bound applies to the in-memory tier only; spill files persist
-// until the store is garbage-collected (see ROADMAP: job GC). max ≤ 0
-// still disables the cache entirely, disk tier included.
+// NewDiskCache builds a cache whose entries spill to per-kernel segments
+// under dir. The max bound applies to the in-memory tier only; a segment
+// persists until job GC or a purge evicts the last retained job of its
+// kernel (RemoveKernel). max ≤ 0 still disables the cache entirely, disk
+// tier included.
 func NewDiskCache(max int, dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweepd: cache dir: %w", err)
 	}
+	kernels, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("sweepd: cache dir: %w", err)
+	}
 	c := NewCache(max)
 	c.dir = dir
+	c.segs = make(map[string]*segment, len(kernels))
+	c.opened = list.New()
+	for _, k := range kernels {
+		if k.IsDir() {
+			c.segs[k.Name()] = &segment{path: filepath.Join(dir, k.Name(), segmentName)}
+		}
+	}
 	return c, nil
 }
 
@@ -145,7 +161,7 @@ func (c *Cache) Put(kernel string, cell dynamics.Cell, line []byte) {
 
 // PutMemory stores the line in the memory tier only, leaving the disk
 // spill tier untouched. Lease service uses this: a leased kernel may
-// belong to no local job, so spill files written for it would never be
+// belong to no local job, so a segment written for it would never be
 // reclaimed by job GC (RemoveKernel only runs on eviction) — the memory
 // LRU bounds follower warmth instead.
 func (c *Cache) PutMemory(kernel string, cell dynamics.Cell, line []byte) {
@@ -174,7 +190,7 @@ func (c *Cache) put(key cacheKey, line []byte, spill bool) {
 	}
 	c.mu.Unlock()
 	if spill && c.dir != "" {
-		c.spillLine(key.Kernel, key.Cell, line)
+		c.spill(key.Kernel, key.Cell, line)
 	}
 }
 
@@ -215,10 +231,11 @@ func (c *Cache) land(key cacheKey, fl *flight, res dynamics.Result, ok bool) {
 }
 
 // RemoveKernel drops every entry for kernel from both tiers and deletes
-// the kernel's spill directory, returning the number of spill-file
-// bytes reclaimed from disk. Job GC calls this when the last retained
-// job using a kernel is evicted; determinism makes the removal safe —
-// a future job with the same kernel simply recomputes.
+// the kernel's spill directory — its segment, and whatever per-cell files
+// an older daemon left there — returning the number of bytes reclaimed
+// from disk. Job GC calls this when the last retained job using a kernel
+// is evicted; determinism makes the removal safe — a future job with the
+// same kernel simply recomputes.
 func (c *Cache) RemoveKernel(kernel string) int64 {
 	if c == nil {
 		return 0
@@ -233,25 +250,39 @@ func (c *Cache) RemoveKernel(kernel string) int64 {
 			delete(c.entries, ce.key)
 		}
 	}
-	dir := c.dir
 	c.mu.Unlock()
-	if dir == "" {
+	// Every kernel directory has a segment: NewDiskCache registers the
+	// ones it finds, spill the ones it creates (a memory-only cache has
+	// neither).
+	s := c.lockSegment(kernel, false)
+	if s == nil {
 		return 0
 	}
-	kdir := filepath.Join(dir, kernel)
-	entries, err := os.ReadDir(kdir)
-	if err != nil {
-		return 0
-	}
+	// The segment stays registered, locked and dead until its directory is
+	// gone: a concurrent Put of the same kernel waits on the lock, then
+	// starts a fresh segment in a fresh directory.
+	s.dead, s.index = true, nil
+	s.closeFile()
 	var reclaimed int64
-	for _, e := range entries {
-		if info, err := e.Info(); err == nil {
-			reclaimed += info.Size()
+	kdir := filepath.Dir(s.path)
+	if entries, err := os.ReadDir(kdir); err == nil {
+		for _, e := range entries {
+			if info, err := e.Info(); err == nil {
+				reclaimed += info.Size()
+			}
+		}
+		if os.RemoveAll(kdir) != nil {
+			reclaimed = 0
 		}
 	}
-	if err := os.RemoveAll(kdir); err != nil {
-		return 0
+	c.mu.Lock()
+	delete(c.segs, kernel)
+	if s.opened != nil {
+		c.opened.Remove(s.opened)
+		s.opened = nil
 	}
+	c.mu.Unlock()
+	s.mu.Unlock()
 	return reclaimed
 }
 
@@ -272,57 +303,201 @@ func (c *Cache) Stats() CacheStats {
 	}
 }
 
-// spillPath addresses one entry's spill file. The α coordinate is encoded
-// via its exact float64 bits so distinct alphas can never collide in a
-// filename (and the kernel hash is already hex, safe as a directory).
-func (c *Cache) spillPath(kernel string, cell dynamics.Cell) string {
-	name := fmt.Sprintf("a%016x-k%d-s%d.jsonl", math.Float64bits(cell.Alpha), cell.K, cell.Seed)
-	return filepath.Join(c.dir, kernel, name)
+// segmentName is the one file of a kernel's spill directory.
+const segmentName = "segment.jsonl"
+
+// maxOpenSegments bounds the descriptors the disk tier keeps open, however
+// many kernels the daemon retains: opening one more closes the segment
+// that has been open longest, which reopens on its next use.
+const maxOpenSegments = 64
+
+// segment is the disk tier of one kernel: an append-only file of
+// canonical lines, each followed by '\n' — a checkpoint in any cell
+// order, duplicates benign — and an index from cell to the line's
+// place in it. The index costs memory in proportion to the cells
+// spilled for kernels the daemon still retains.
+type segment struct {
+	mu   sync.Mutex
+	path string
+	// index is nil until the first touch in this process scans the file.
+	index map[dynamics.Cell]span
+	size  int64    // append offset: the length of the whole-line prefix
+	f     *os.File // nil while closed
+	buf   []byte   // line + '\n', reused across appends
+	dead  bool     // RemoveKernel took the segment; look it up again
+	// opened is the segment's place in Cache.opened (guarded by Cache.mu).
+	opened *list.Element
 }
 
-// spillLine persists one entry via temp file + rename, so readers (and a
-// daemon killed mid-write) only ever see a complete file. Concurrent
-// spills of the same cell are benign: determinism means both writers
-// carry identical bytes, and rename is atomic. Spilling is best-effort —
-// on any error the memory tier still holds the line.
-func (c *Cache) spillLine(kernel string, cell dynamics.Cell, line []byte) {
-	path := c.spillPath(kernel, cell)
-	if _, err := os.Stat(path); err == nil {
-		return // already spilled (e.g. a checkpoint re-read on resume)
+// span places one line (without its newline) in a segment file.
+type span struct {
+	off int64
+	n   int
+}
+
+// lockSegment returns kernel's segment, locked. A kernel with no spill
+// directory gets a segment only when create is set; otherwise the result
+// is nil and nothing is locked.
+func (c *Cache) lockSegment(kernel string, create bool) *segment {
+	for {
+		c.mu.Lock()
+		s := c.segs[kernel]
+		if s == nil && create {
+			s = &segment{
+				path:  filepath.Join(c.dir, kernel, segmentName),
+				index: make(map[dynamics.Cell]span),
+			}
+			c.segs[kernel] = s
+		}
+		c.mu.Unlock()
+		if s == nil {
+			return nil
+		}
+		s.mu.Lock()
+		if !s.dead {
+			return s
+		}
+		s.mu.Unlock()
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+}
+
+// load builds, on the segment's first touch in this process, the index of
+// what an earlier process left: the tail a crash tore is truncated, and
+// every whole line is keyed by the cell it records. A line that does not
+// decode is skipped — its cell misses and is spilled again; one that
+// decodes to the wrong thing is caught when a hit is validated.
+func (s *segment) load() {
+	if s.index != nil {
 		return
 	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	s.index = make(map[dynamics.Cell]span)
+	if ncgio.RepairTail(s.path) != nil {
+		return
+	}
+	data, err := os.ReadFile(s.path)
 	if err != nil {
+		return // no segment yet (a directory of legacy per-cell files)
+	}
+	off := 0
+	for off < len(data) {
+		nl := bytes.IndexByte(data[off:], '\n')
+		if nl < 0 {
+			break
+		}
+		if cell, err := ncgio.UnmarshalCell(data[off : off+nl]); err == nil {
+			s.index[cell] = span{off: int64(off), n: nl}
+		}
+		off += nl + 1
+	}
+	s.size = int64(off)
+}
+
+// file returns s's descriptor, opening it (and, for a kernel's first
+// spill, creating its directory) when s holds none. A newly opened
+// segment joins c.opened; past maxOpenSegments the longest-open one
+// leaves the list and is handed back, for the caller to release once it
+// has unlocked s — segment locks never nest.
+func (c *Cache) file(s *segment) (f *os.File, evicted *segment) {
+	if s.f != nil {
+		return s.f, nil
+	}
+	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_CREATE, 0o644)
+	if os.IsNotExist(err) && os.MkdirAll(filepath.Dir(s.path), 0o755) == nil {
+		f, err = os.OpenFile(s.path, os.O_RDWR|os.O_CREATE, 0o644)
+	}
+	if err != nil {
+		return nil, nil
+	}
+	s.f = f
+	c.mu.Lock()
+	s.opened = c.opened.PushBack(s)
+	if c.opened.Len() > maxOpenSegments {
+		evicted = c.opened.Remove(c.opened.Front()).(*segment)
+		evicted.opened = nil
+	}
+	c.mu.Unlock()
+	return f, evicted
+}
+
+// release closes the descriptor of a segment file() evicted (nil: none).
+func (s *segment) release() {
+	if s == nil {
 		return
 	}
-	_, werr := tmp.Write(append(append(make([]byte, 0, len(line)+1), line...), '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil || os.Rename(tmp.Name(), path) != nil {
-		os.Remove(tmp.Name()) //nolint:errcheck
+	s.mu.Lock()
+	s.closeFile()
+	s.mu.Unlock()
+}
+
+func (s *segment) closeFile() {
+	if s.f != nil {
+		s.f.Close() //nolint:errcheck // spilling is best-effort and un-fsynced
+		s.f = nil
 	}
 }
 
-// loadSpill reads and validates one spill file. The stored form is the
-// canonical line plus a trailing newline (each spill file is itself a
-// valid one-record checkpoint); spill writes are atomic, so a file that
-// fails validation is external corruption and is deleted rather than
-// served.
+// spill appends one entry to its kernel's segment: one write at the
+// tracked end of the file, so a failed or short write is overwritten by
+// the next append instead of tearing the middle of the segment, and a
+// daemon killed mid-write leaves a tail the next load truncates. A cell
+// the segment already holds (a checkpoint re-read on resume, a promoted
+// entry evicted and recomputed) is not written again. Spilling is
+// best-effort — on any error the memory tier still holds the line.
+func (c *Cache) spill(kernel string, cell dynamics.Cell, line []byte) {
+	s := c.lockSegment(kernel, true)
+	s.load()
+	var evicted *segment
+	if _, ok := s.index[cell]; !ok {
+		var f *os.File
+		if f, evicted = c.file(s); f != nil {
+			s.buf = append(append(s.buf[:0], line...), '\n')
+			if _, err := f.WriteAt(s.buf, s.size); err == nil {
+				s.index[cell] = span{off: s.size, n: len(line)}
+				s.size += int64(len(s.buf))
+			}
+		}
+	}
+	s.mu.Unlock()
+	evicted.release()
+}
+
+// loadSpill reads and validates one spilled line. A cell the index does
+// not hold misses without touching the disk. Bytes that do not decode to
+// a result of exactly this cell — external corruption, or an index that
+// no longer describes the file — are never served: the entry is dropped,
+// so the cell's next Put appends a fresh record.
 func (c *Cache) loadSpill(kernel string, cell dynamics.Cell) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false
 	}
-	path := c.spillPath(kernel, cell)
-	data, err := os.ReadFile(path)
-	if err != nil {
+	s := c.lockSegment(kernel, false)
+	if s == nil {
 		return nil, false
 	}
-	line := bytes.TrimSuffix(data, []byte("\n"))
-	if rec, err := ncgio.UnmarshalCellResult(line); err != nil || rec.Cell != cell {
-		os.Remove(path) //nolint:errcheck
+	s.load()
+	at, ok := s.index[cell]
+	if !ok {
+		s.mu.Unlock()
 		return nil, false
 	}
-	return line, true
+	line := make([]byte, at.n)
+	f, evicted := c.file(s)
+	read := f != nil
+	if read {
+		_, err := f.ReadAt(line, at.off)
+		read = err == nil
+	}
+	s.mu.Unlock()
+	evicted.release()
+	if read {
+		if rec, err := ncgio.UnmarshalCellResult(line); err == nil && rec.Cell == cell {
+			return line, true
+		}
+	}
+	s.mu.Lock()
+	if s.index[cell] == at {
+		delete(s.index, cell)
+	}
+	s.mu.Unlock()
+	return nil, false
 }

@@ -134,7 +134,7 @@ func TestKilledJobResumesByteIdentical(t *testing.T) {
 }
 
 // TestWarmRestartServesFromDiskCache upgrades restart determinism to
-// restart warmth: a daemon killed mid-sweep leaves spill files behind,
+// restart warmth: a daemon killed mid-sweep leaves a spill segment behind,
 // and a restarted daemon serves those cells from the disk cache — zero
 // recomputation — even in the worst case where the checkpoint itself is
 // gone, while the final results stay byte-identical to an uninterrupted
@@ -187,11 +187,11 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	}
 	mgr1.Close()
 
-	spills, err := os.ReadDir(filepath.Join(cacheDir, sp.KernelHash()))
+	segment, err := os.ReadFile(filepath.Join(cacheDir, sp.KernelHash(), segmentName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spilled := len(spills)
+	spilled := bytes.Count(segment, []byte("\n"))
 	if spilled == 0 {
 		t.Fatal("no cells spilled before the kill")
 	}

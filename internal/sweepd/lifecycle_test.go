@@ -67,7 +67,7 @@ func newLifecycleRig(t *testing.T, cfg Config) (*Manager, *fakeClock, *handler, 
 
 // TestGCReapsTerminalJobEndToEnd is the tentpole contract: once a done
 // job's TTL lapses, one GC pass reclaims its store directory, its
-// kernel's cache spill files, and the server's summary state — and the
+// kernel's cache spill segment, and the server's summary state — and the
 // job is gone from the API.
 func TestGCReapsTerminalJobEndToEnd(t *testing.T) {
 	mgr, clk, h, srv, dir := newLifecycleRig(t, Config{})

@@ -801,7 +801,7 @@ func (m *Manager) ServeLease(ctx context.Context, sp Spec, start, end int, emit 
 		}
 		if !reused {
 			// Memory tier only: this kernel may belong to no local job,
-			// and spill files without an owning job are never GC'd.
+			// and a segment without an owning job is never GC'd.
 			m.cache.PutMemory(kernel, r.Cell, line)
 		}
 		return emit(line)
@@ -887,7 +887,7 @@ func (m *Manager) Cancel(id string) (Job, bool) {
 }
 
 // Evict removes a terminal job entirely: its store directory (spec,
-// meta, checkpoint), its kernel's cache spill files when no other
+// meta, checkpoint), its kernel's cache spill segment when no other
 // retained job shares the kernel, and its registration — after which
 // GET /sweeps/{id} is a 404 and resubmitting the spec recomputes from
 // scratch. It reports ok=false for an unknown job and ErrJobRunning for

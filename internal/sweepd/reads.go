@@ -43,23 +43,26 @@ func (h *handler) replicaJob(id string) (Job, bool) {
 }
 
 // redirectRead answers a read for a job this daemon holds neither a
-// primary nor a replica of: one 307 hop to an alive member the replica
-// table (or, failing that, the lease table) says has it. The forwarded
-// URL carries hop=1 so a stale table cannot bounce a client around the
-// mesh — the second daemon either serves or 404s. Returns false when
-// there is nowhere to point (caller 404s).
+// primary nor a replica of: one 307 hop to the member this daemon's own
+// submit handler placed it on a moment ago, else to an alive member the
+// replica table (or, failing that, the lease table) says has it. The
+// forwarded URL carries hop=1 so a stale table cannot bounce a client
+// around the mesh — the second daemon either serves or 404s. Returns
+// false when there is nowhere to point (caller 404s).
 func (h *handler) redirectRead(w http.ResponseWriter, r *http.Request, id string) bool {
-	if h.cluster == nil || r.URL.Query().Get("hop") != "" {
+	if r.URL.Query().Get("hop") != "" {
 		return false
 	}
 	self := ""
 	if s, ok := h.cluster.(interface{ Self() string }); ok {
 		self = s.Self()
 	}
-	target := ""
-	if rt, ok := h.cluster.(ReplicaTable); ok {
-		if holders := rt.ReplicaHolders(id); len(holders) > 0 {
-			target = holders[0]
+	target := h.forwardedTo(id)
+	if target == "" {
+		if rt, ok := h.cluster.(ReplicaTable); ok {
+			if holders := rt.ReplicaHolders(id); len(holders) > 0 {
+				target = holders[0]
+			}
 		}
 	}
 	if target == "" {

@@ -283,10 +283,10 @@ func TestSubmitViaBusyMemberForwardsToIdlePeer(t *testing.T) {
 // the adopter keeps the job) instead of split-braining.
 func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	sp := sweepd.Spec{
-		N:      60, // ~25ms/cell: the sweep outlives kill, adoption, and zombie windows
+		N:      100, // ~5ms/cell: the sweep outlives kill, adoption, and zombie windows
 		Alphas: []float64{0.3, 0.5, 1, 2, 5},
 		Ks:     []int{2, 3, 1000},
-		Seeds:  6, // 90 cells
+		Seeds:  12, // 180 cells, ~1s on the leader's one worker
 	}
 	sp.Normalize()
 	ref := runReference(t, sp)

@@ -5,13 +5,16 @@ package sweepd
 // POST /sweeps routed through a Submitter.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -350,5 +353,135 @@ func TestHealthzAdvertisesLoad(t *testing.T) {
 	mb.Body.Close()
 	if !strings.Contains(string(raw), "sweepd_sched_adoptions_total 4") {
 		t.Fatalf("metrics missing sched counters:\n%s", raw)
+	}
+}
+
+// forwardingSubmitter places every sweep on one peer the way the
+// scheduler's forward does: POST /peer/jobs there, report PlacedOn.
+type forwardingSubmitter struct{ peer string }
+
+func (f forwardingSubmitter) SubmitSweep(_ context.Context, sp Spec) (PlacedJob, error) {
+	body, err := json.Marshal(sp)
+	if err != nil {
+		return PlacedJob{}, err
+	}
+	resp, err := http.Post(f.peer+"/peer/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		return PlacedJob{}, err
+	}
+	defer resp.Body.Close()
+	var job Job
+	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+		return PlacedJob{}, err
+	}
+	return PlacedJob{Job: job, Created: resp.StatusCode == http.StatusAccepted, PlacedOn: f.peer}, nil
+}
+
+// TestForwardedSubmitRedirectsReadsAtOnce: the member that received and
+// forwarded a submission answers reads and follows of that job with one
+// 307 hop to the placement target straight away — its lease and replica
+// tables stay empty throughout (gossip held back), which used to mean 404
+// until the lease arrived. The memory expires, is bounded, and does not
+// answer a request that has already hopped.
+func TestForwardedSubmitRedirectsReadsAtOnce(t *testing.T) {
+	newDaemon := func(cfg Config) (*Manager, *handler, *httptest.Server) {
+		store, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr := NewManager(store, nil, 2)
+		t.Cleanup(mgr.Close)
+		h, mux := buildHandler(mgr, cfg)
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		return mgr, h, srv
+	}
+	targetMgr, _, target := newDaemon(Config{PollInterval: 2 * time.Millisecond})
+	var clock atomic.Int64 // seconds
+	_, h, front := newDaemon(Config{
+		Sched:   forwardingSubmitter{peer: target.URL},
+		Cluster: &fakeLeaseMembership{},
+		now:     func() time.Time { return time.Unix(clock.Load(), 0) },
+	})
+
+	sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 3}
+	sp.Normalize()
+	body, _ := json.Marshal(sp)
+	resp, err := http.Post(front.URL+"/sweeps", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Sweep-Placement") != target.URL {
+		t.Fatalf("submit = %s placed on %q, want 202 on %s", resp.Status, resp.Header.Get("X-Sweep-Placement"), target.URL)
+	}
+	id := sp.ID()
+
+	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	status := func(path string) (int, string) {
+		t.Helper()
+		resp, err := noFollow.Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header.Get("Location")
+	}
+	if code, loc := status("/sweeps/" + id); code != http.StatusTemporaryRedirect || loc != target.URL+"/sweeps/"+id+"?hop=1" {
+		t.Fatalf("read at the forwarding member = %d → %q, want 307 → the target with hop=1", code, loc)
+	}
+	if code, _ := status("/sweeps/" + id + "?hop=1"); code != http.StatusNotFound {
+		t.Fatalf("already-hopped read = %d, want 404", code)
+	}
+	if code, _ := status("/sweeps/0000000000000000"); code != http.StatusNotFound {
+		t.Fatalf("read of a job never forwarded = %d, want 404", code)
+	}
+
+	// A follow through the front member lands on the target and streams
+	// the whole grid.
+	resp, err = http.Get(front.URL + "/sweeps/" + id + "/results?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("follow via the forwarding member = %s, %v", resp.Status, err)
+	}
+	lines := 0
+	for _, l := range bytes.Split(stream, []byte("\n")) {
+		if len(l) > 0 { // heartbeats are blank lines
+			lines++
+		}
+	}
+	if lines != sp.NumCells() {
+		t.Fatalf("follow streamed %d lines, want %d", lines, sp.NumCells())
+	}
+	waitStatus(t, targetMgr, id, StatusDone)
+
+	// Entries expire...
+	clock.Add(int64(forwardTTL/time.Second) - 1)
+	if code, _ := status("/sweeps/" + id); code != http.StatusTemporaryRedirect {
+		t.Fatalf("read just inside the TTL = %d, want 307", code)
+	}
+	clock.Add(1)
+	if code, _ := status("/sweeps/" + id); code != http.StatusNotFound {
+		t.Fatalf("read after the TTL = %d, want 404", code)
+	}
+	// ...and the memory is bounded: full of live entries it takes no
+	// more, full of expired ones it sweeps them.
+	for i := 0; i < maxForwards+10; i++ {
+		h.rememberForward(fmt.Sprintf("job-%d", i), target.URL)
+	}
+	if n := len(h.forwards); n != maxForwards {
+		t.Fatalf("memory holds %d forwards, bound is %d", n, maxForwards)
+	}
+	clock.Add(int64(forwardTTL / time.Second))
+	h.rememberForward("late", target.URL)
+	if n := len(h.forwards); n != 1 || h.forwardedTo("late") != target.URL {
+		t.Fatalf("after expiry the memory holds %d forwards, want the one live entry", n)
 	}
 }

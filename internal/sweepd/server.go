@@ -59,7 +59,8 @@ type Config struct {
 	// SchedStats, when set, feeds the scheduler counters (forwards,
 	// adoptions, leadership losses) into /metrics and /healthz.
 	SchedStats func() SchedStats
-	// now is the rate limiter's clock; tests inject a fake.
+	// now is the clock of the rate limiter and of the remembered
+	// forwards; tests inject a fake.
 	now func() time.Time
 }
 
@@ -107,6 +108,59 @@ type handler struct {
 
 	mu        sync.Mutex
 	summaries map[string]*summaryState
+	// forwards remembers where this daemon's own submit handler placed
+	// jobs on peers, so a read arriving before the placement has gossiped
+	// is redirected instead of 404ed (see redirectRead).
+	forwards map[string]forward
+	now      func() time.Time
+}
+
+// forward is one remembered placement: the member a forwarded job was
+// accepted by, and when.
+type forward struct {
+	target string
+	at     time.Time
+}
+
+const (
+	// forwardTTL is how long a remembered placement answers reads. The
+	// lease table takes over within a gossip round; past the default
+	// -adopt-after the job may have moved off a dead target, so the
+	// memory must not outlive it.
+	forwardTTL = 30 * time.Second
+	// maxForwards bounds the memory; a daemon forwarding faster than this
+	// per forwardTTL falls back to the lease table for the overflow.
+	maxForwards = 4096
+)
+
+// rememberForward records that job id was placed on target.
+func (h *handler) rememberForward(id, target string) {
+	now := h.now()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(h.forwards) >= maxForwards {
+		for id, f := range h.forwards {
+			if now.Sub(f.at) >= forwardTTL {
+				delete(h.forwards, id)
+			}
+		}
+		if len(h.forwards) >= maxForwards {
+			return
+		}
+	}
+	h.forwards[id] = forward{target: target, at: now}
+}
+
+// forwardedTo returns the member job id was placed on by a submission
+// this daemon forwarded within the last forwardTTL, else "".
+func (h *handler) forwardedTo(id string) string {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	f, ok := h.forwards[id]
+	if !ok || h.now().Sub(f.at) >= forwardTTL {
+		return "" // an expired entry is swept when the memory fills
+	}
+	return f.target
 }
 
 // NewHandlerConfig builds the sweepd HTTP JSON API over a manager, with
@@ -127,7 +181,7 @@ type handler struct {
 //	                            NDJSON (404 unless the spec set trajectories)
 //	DELETE /sweeps/{id}         cancel a running job (409 if already terminal);
 //	                            ?purge=1 evicts a terminal job entirely (store
-//	                            dir, spill files, summary state)
+//	                            dir, spill segment, summary state)
 //	POST   /peer/leases         compute a contiguous cell range for a peer
 //	                            daemon, streaming canonical result lines back
 //	                            (lease records carrying per-round stats for
@@ -186,6 +240,8 @@ func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
 		schedStats:        cfg.SchedStats,
 		replicaStats:      cfg.ReplicaStats,
 		summaries:         make(map[string]*summaryState),
+		forwards:          make(map[string]forward),
+		now:               cfg.now,
 	}
 	// Job GC must release the per-job summary state too, or the daemon
 	// leaks one summaryState per job forever.
@@ -326,6 +382,7 @@ func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
 		// copy and expose the placement decision for tooling.
 		w.Header().Set("X-Sweep-Placement", placed.PlacedOn)
 		w.Header().Set("Location", placed.PlacedOn+"/sweeps/"+placed.Job.ID)
+		h.rememberForward(placed.Job.ID, placed.PlacedOn)
 	}
 	h.writeSubmitResult(w, placed.Job, placed.Created, err)
 }
@@ -368,7 +425,7 @@ func (h *handler) cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // purge handles DELETE /sweeps/{id}?purge=1: evict a terminal job
-// entirely — store directory, spill files, summary state — instead of
+// entirely — store directory, spill segment, summary state — instead of
 // the default cancel-keeping-the-checkpoint semantics.
 func (h *handler) purge(w http.ResponseWriter, id string) {
 	job, ok, err := h.m.Evict(id)
