@@ -30,6 +30,11 @@ import (
 // — and more on a long path under full knowledge, where levels approaches
 // rB. It is kept at its high-water mark, like every other buffer here.
 //
+// An Evaluator also counts what its exact MAXNCG scans did (ScanStats):
+// most of that work is proving that no cheaper dominating set exists, and
+// the counters say how much of it the root bounds and the carried lower
+// bound of MaxBestResponse disposed of.
+//
 // An Evaluator is not safe for concurrent use: give each worker its own.
 type Evaluator struct {
 	ws view.Workspace
@@ -55,7 +60,30 @@ type Evaluator struct {
 	forced  []int
 	bestSet []int
 	solver  mds.Solver
+
+	stats ScanStats
+	// onSkip, set by tests only, sees every level the scan's carried bound
+	// skips, with the cap its solve would have run under.
+	onSkip func(h, limit int)
 }
+
+// ScanStats counts what the exact MAXNCG scan (MaxBestResponse) has done
+// over an Evaluator's lifetime. The counts depend only on the sequence of
+// calls, never on timing, and are observations: nothing that is written to
+// a checkpoint reads them.
+type ScanStats struct {
+	Calls  int64 // MaxBestResponse calls
+	Levels int64 // target eccentricities below the player's current cost
+	// Solves + Skipped is every level whose cap was computed; the rest of
+	// Levels fell to the incumbent found at a higher level.
+	Solves       int64 // levels handed to the dominating-set solver
+	Skipped      int64 // levels the carried lower bound proved hopeless
+	RootRefusals int64 // solves refused by the root bounds alone
+	Nodes        int64 // search nodes expanded over all solves
+}
+
+// ScanStats returns the counters accumulated so far.
+func (e *Evaluator) ScanStats() ScanStats { return e.stats }
 
 const (
 	flagCurrent uint8 = 1 << iota // local is a current strategy target
@@ -373,10 +401,35 @@ func (e *Evaluator) buildPowers(rB, top int) int {
 	return top
 }
 
+// levelRows points e.nbs at the closed neighborhoods of the t-th power of
+// the center-less view, {i : d(j,i) <= t}, out of the levels buildPowers
+// stored.
+func (e *Evaluator) levelRows(rB, t, levels int) [][]uint64 {
+	words := (rB + 63) / 64
+	level := e.powers[min(t, levels-1)*rB*words:]
+	e.nbs = slices.Grow(e.nbs[:0], rB)[:rB]
+	for j := range e.nbs {
+		e.nbs[j] = level[j*words : (j+1)*words]
+	}
+	return e.nbs
+}
+
 // MaxBestResponse is the Evaluator form of the package-level
 // MaxBestResponse.
+//
+// The scan over target eccentricities h runs downwards and carries lb, a
+// certified lower bound on the number of extra dominators: a refused solve
+// under cap L proves that none smaller than L exists, a successful one
+// finds the minimum, and the minimum only grows as h falls because the
+// neighborhoods N^{h-1}[v] shrink. A level whose cap is at most lb can
+// only be refused, so it is skipped. Skipping refusals leaves every
+// successful solve — its cap, its neighborhoods, the optimum its search
+// meets first — as it was, which is why the bound may be carried while an
+// incumbent set may not. A solve that ran out of search budget certifies
+// nothing (mds.Solver.Proved) and leaves lb alone.
 func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Response {
 	e.prepare(s, u, k)
+	e.stats.Calls++
 	cur := alpha*float64(s.BoughtCount(u)) + float64(e.ws.ViewEcc())
 	rB := e.ws.Size() - 1 // the center-less view H∖{u}; rest j = local j+1
 	if rB == 0 {
@@ -384,12 +437,12 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 		return Response{Strategy: []int{}, Cost: 0, CurrentCost: cur, Improving: cur > epsilon}
 	}
 
-	// Forced dominators: view vertices that bought an edge towards u.
+	// Forced dominators: view vertices that bought an edge towards u —
+	// prepare's fixed list as rest ids, ascending like the locals the ball
+	// BFS hands the center's neighbors.
 	e.forced = e.forced[:0]
-	for j := 0; j < rB; j++ {
-		if s.Buys(int(e.ws.Orig[j+1]), u) {
-			e.forced = append(e.forced, j)
-		}
+	for _, l := range e.fixed {
+		e.forced = append(e.forced, int(l)-1)
 	}
 
 	// Candidate eccentricities run from min(2k+1, rB) down (k is compared
@@ -403,31 +456,42 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 		hTop--
 	}
 	levels := e.buildPowers(rB, hTop)
-	words := (rB + 63) / 64
-	e.nbs = slices.Grow(e.nbs[:0], rB)[:rB]
+	e.stats.Levels += int64(hTop)
 
 	// Descending h with the incumbent cap, exactly like the reference:
 	// identical neighborhoods feed an identical branch-and-bound.
 	bestCost := cur
 	improved := false
+	lb := 0
 	for h := hTop; h >= 1; h-- {
 		if float64(h) >= bestCost-epsilon {
 			continue // cost >= h can no longer improve on the incumbent
 		}
 		limit := rB + 1
 		if alpha > 0 {
-			useful := (bestCost - float64(h)) / alpha
-			if c := int(math.Ceil(useful)); c < limit {
-				limit = c
+			// Compared before converting: the quotient leaves int's range
+			// for a small enough α.
+			if useful := (bestCost - float64(h)) / alpha; useful < float64(limit) {
+				limit = int(math.Ceil(useful))
 			}
 		}
-		// Closed neighborhoods of the (h-1)-th power: {i : d(j,i) <= h-1}.
-		level := e.powers[min(h-1, levels-1)*rB*words:]
-		for j := range e.nbs {
-			e.nbs[j] = level[j*words : (j+1)*words]
+		if limit <= lb {
+			e.stats.Skipped++
+			if e.onSkip != nil {
+				e.onSkip(h, limit)
+			}
+			continue
 		}
-		extra, ok := e.solver.Solve(rB, e.nbs, e.forced, limit)
+		extra, ok := e.solver.Solve(rB, e.levelRows(rB, h-1, levels), e.forced, limit)
+		lb = max(lb, e.solver.Proved())
+		e.stats.Solves++
+		e.stats.Nodes += int64(e.solver.Nodes())
 		if !ok {
+			// A search that gets past its root expands a child too, so one
+			// node means the root bounds refused.
+			if e.solver.Nodes() == 1 {
+				e.stats.RootRefusals++
+			}
 			continue
 		}
 		cost := alpha*float64(len(extra)) + float64(h)

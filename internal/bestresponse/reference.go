@@ -11,10 +11,12 @@ import (
 )
 
 // This file retains the original clone-and-BFS responder implementations,
-// verbatim except for the ref prefix. They are the specification: the
-// pooled Evaluator in eval.go must return byte-identical responses, and
-// the differential tests in differential_test.go pin the two against each
-// other on randomized instances. Nothing outside the tests calls them.
+// verbatim except for the ref prefix and two integer-overflow fixes the
+// fast path shares (2k+1 for a huge k, the solve cap for a tiny α). They
+// are the specification: the pooled Evaluator in eval.go must return
+// byte-identical responses, and the differential tests in
+// differential_test.go pin the two against each other on randomized
+// instances. Nothing outside the tests calls them.
 
 // refSumDelta is the reference implementation of SumDelta.
 func refSumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64 {
@@ -210,9 +212,10 @@ func refMaxBestResponse(s *game.State, u, k int, alpha float64) Response {
 		}
 		limit := nRest + 1
 		if alpha > 0 {
-			useful := (bestCost - float64(h)) / alpha
-			if c := int(math.Ceil(useful)); c < limit {
-				limit = c
+			// Compared before converting: the quotient leaves int's range
+			// for a small enough α.
+			if useful := (bestCost - float64(h)) / alpha; useful < float64(limit) {
+				limit = int(math.Ceil(useful))
 			}
 		}
 		p := rest.Power(h - 1)

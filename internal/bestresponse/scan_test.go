@@ -1,0 +1,134 @@
+package bestresponse
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/game"
+	"repro/internal/gen"
+	"repro/internal/mds"
+)
+
+// TestMaxBestResponseTinyAlpha is the regression test for the cap
+// ⌈(bestCost-h)/α⌉ leaving int's range: below α ≈ 1e-19 the conversion
+// went negative, every solve was refused and the exact responder — fast
+// path and reference alike — reported no improving move for anyone. Edges
+// that cheap are as good as free, so the players who want to move are the
+// ones who want to at 1e-12, where nothing overflows.
+func TestMaxBestResponseTinyAlpha(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	s := game.FromGraphRandomOwners(gen.RandomTree(40, rng), rng)
+	for _, k := range []int{2, 1000} {
+		var want []int // the improving players at α = 1e-12
+		for _, alpha := range []float64{1e-12, 1e-19, 1e-30, 1e-300, math.SmallestNonzeroFloat64} {
+			var improving []int
+			for u := 0; u < s.N(); u++ {
+				got := MaxBestResponse(s, u, k, alpha)
+				checkResponse(t, fmt.Sprintf("MaxBestResponse[u=%d k=%d a=%g]", u, k, alpha),
+					got, refMaxBestResponse(s, u, k, alpha))
+				if got.Improving {
+					improving = append(improving, u)
+				}
+			}
+			if want == nil {
+				if want = improving; len(want) == 0 {
+					t.Fatalf("k=%d: nobody improves at α=%g; the instance pins nothing", k, alpha)
+				}
+			}
+			if !slices.Equal(improving, want) {
+				t.Fatalf("k=%d α=%g: improving players %v, at α=1e-12 %v", k, alpha, improving, want)
+			}
+		}
+	}
+}
+
+// TestScanSkipsOnlyFailingLevels re-solves every level the carried lower
+// bound made the scan skip, with the neighborhoods, forced set and cap the
+// solve would have run under: each must be a refusal, or the skip changed
+// an answer. The differential tests already pin the responses; this pins
+// the reason they did not move.
+func TestScanSkipsOnlyFailingLevels(t *testing.T) {
+	rng := rand.New(rand.NewSource(20260808))
+	var e Evaluator
+	calls, skips := 0, 0
+	for gi, g := range diffGraphs(rng) {
+		s := game.FromGraphRandomOwners(g, rng)
+		for _, k := range []int{1, 2, 3, 1000} {
+			for _, alpha := range []float64{0, 0.5, 1, 2, 3, 5, 8} {
+				for u := 0; u < s.N(); u++ {
+					tag := fmt.Sprintf("g=%d u=%d k=%d a=%g", gi, u, k, alpha)
+					e.onSkip = func(h, limit int) {
+						skips++
+						rB := e.ws.Size() - 1
+						levels := len(e.powers) / (rB * ((rB + 63) / 64))
+						if set, ok := mds.MinDominatingExtraAtMostBitsets(rB, e.levelRows(rB, h-1, levels), e.forced, limit); ok {
+							t.Fatalf("%s: skipped h=%d, but %v dominates under its cap %d", tag, h, set, limit)
+						}
+					}
+					checkResponse(t, "MaxBestResponse["+tag+"]",
+						e.MaxBestResponse(s, u, k, alpha), refMaxBestResponse(s, u, k, alpha))
+					calls++
+				}
+			}
+		}
+	}
+	st := e.ScanStats()
+	if st.Calls != int64(calls) || st.Skipped != int64(skips) {
+		t.Fatalf("stats %+v after %d calls and %d observed skips", st, calls, skips)
+	}
+	if st.Skipped == 0 || st.RootRefusals == 0 || st.Nodes <= st.RootRefusals {
+		t.Fatalf("stats %+v: the instances exercise no skip, no root refusal or no search", st)
+	}
+	if st.Solves+st.Skipped > st.Levels || st.RootRefusals > st.Solves {
+		t.Fatalf("stats %+v are inconsistent", st)
+	}
+	t.Logf("%+v", st)
+}
+
+// FuzzMaxBestResponse pins the fast exact responder to the reference on
+// states of at most 12 players decoded from the input: byte 0 picks n,
+// byte 1 the player, byte 2 the radius, byte 3 the price, then two bits
+// per vertex pair — no edge, bought by the lower endpoint, by the higher,
+// by both.
+func FuzzMaxBestResponse(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{11, 0, 4, 5, 0x55, 0x55, 0x55, 0x55, 0x55})
+	f.Add([]byte{11, 3, 2, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{8, 1, 1, 0, 0x12, 0x40, 0x09, 0x81, 0x24, 0x02, 0x10})
+	f.Add([]byte{9, 7, 3, 2, 0x41, 0x10, 0x04, 0x01, 0x40, 0x10, 0x04, 0x01, 0x40})
+	f.Add([]byte{10, 5, 4, 9, 0x01, 0x04, 0x10, 0x40, 0x01, 0x04, 0x10, 0x40, 0x01, 0x04, 0x10, 0x40})
+	f.Add([]byte{7, 2, 0, 6, 0x99, 0x66, 0x99, 0x66, 0x99, 0x66})
+	ks := []int{0, 1, 2, 3, 1000, math.MaxInt}
+	alphas := []float64{0, math.SmallestNonzeroFloat64, 1e-30, 1e-19, 1e-9, 0.3, 0.5, 1, 2, 2.7, 5, 8, 1e6}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) int {
+			if i < len(data) {
+				return int(data[i])
+			}
+			return 0
+		}
+		n := 1 + at(0)%12
+		u := at(1) % n
+		k := ks[at(2)%len(ks)]
+		alpha := alphas[at(3)%len(alphas)]
+		s := game.NewState(n)
+		bit := 32
+		for a := 0; a < n; a++ {
+			for b := a + 1; b < n; b++ {
+				owners := at(bit/8) >> (bit % 8) & 3
+				if owners&1 != 0 {
+					s.Buy(a, b)
+				}
+				if owners&2 != 0 {
+					s.Buy(b, a)
+				}
+				bit += 2
+			}
+		}
+		checkResponse(t, fmt.Sprintf("MaxBestResponse[n=%d u=%d k=%d a=%g %v]", n, u, k, alpha, s.Graph().Edges()),
+			MaxBestResponse(s, u, k, alpha), refMaxBestResponse(s, u, k, alpha))
+	})
+}

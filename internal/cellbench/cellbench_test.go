@@ -26,7 +26,12 @@ import (
 // RunToConvergence rows additionally carry the run shape: player count,
 // rounds to convergence, and responder evaluations per round, whose
 // strictly-below-players property CI asserts (the event-driven engine's
-// contract that rounds cost what actually changed).
+// contract that rounds cost what actually changed). The two exact-MAX
+// rows also carry what the §5.3 scan did per responder call, from
+// bestresponse.Evaluator.ScanStats: dominating-set solves per call, and
+// the share of levels whose solve the carried lower bound made
+// unnecessary. Those are counts — they repeat exactly — so CI gates them
+// tightly.
 type cellBench struct {
 	NsPerOp       float64 `json:"ns_per_op"`
 	AllocsPerOp   int64   `json:"allocs_per_op"`
@@ -34,6 +39,8 @@ type cellBench struct {
 	Players       int     `json:"players,omitempty"`
 	Rounds        int     `json:"rounds,omitempty"`
 	EvalsPerRound float64 `json:"evals_per_round,omitempty"`
+	SolvesPerCall float64 `json:"solves_per_call,omitempty"`
+	SkippedShare  float64 `json:"skipped_share,omitempty"`
 }
 
 // benchState mirrors the fixture of the per-package benchmarks: a random
@@ -149,7 +156,15 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 		case "large-neighborhood":
 			cfg.NewResponder = dynamics.NewLargeNeighborhoodResponder(c.variant)
 		}
-		probe := dynamics.Run(proto.Clone(), cfg)
+		probeCfg := cfg
+		var scan *bestresponse.Evaluator
+		if c.variant == game.Max && c.dialect == "" {
+			// Same responder as NewMaxResponder, on an Evaluator whose
+			// counters the row can read afterwards.
+			scan = bestresponse.NewEvaluator()
+			probeCfg.Responder = scan.MaxBestResponse
+		}
+		probe := dynamics.Run(proto.Clone(), probeCfg)
 		if probe.Status != dynamics.Converged {
 			t.Fatalf("%s: dynamics did not converge (%v after %d rounds)", c.name, probe.Status, probe.Rounds)
 		}
@@ -169,6 +184,12 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 			Players:       c.n,
 			Rounds:        probe.Rounds,
 			EvalsPerRound: float64(probe.Evaluations) / float64(probe.Rounds),
+		}
+		if scan != nil {
+			st := scan.ScanStats()
+			row.SolvesPerCall = float64(st.Solves) / float64(st.Calls)
+			row.SkippedShare = float64(st.Skipped) / float64(st.Solves+st.Skipped)
+			t.Logf("%s: %+v", c.name, st)
 		}
 		if row.EvalsPerRound >= float64(c.n) {
 			t.Fatalf("%s: %.1f evaluations per round is not below n=%d — dirty-set skipping is broken",

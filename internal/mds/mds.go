@@ -14,6 +14,13 @@
 // needs. The package-level functions borrow one from a pool and return a
 // fresh copy of its result; a caller that solves in a loop (the
 // best-response scan) holds its own Solver and allocates nothing.
+//
+// A solve runs under a cap and most of the scan's solves are refusals — no
+// set below the cap exists — so a solve tries its proofs cheapest first:
+// the two lower bounds of the search root against the cap, then the greedy
+// warm start, then the branch-and-bound. What a solve proved is kept
+// (Solver.Proved), so the scan can carry it to levels where the
+// neighborhoods are smaller and the optimum can only be larger.
 package mds
 
 import (
@@ -72,8 +79,9 @@ func resize[T any](s []T, n int) []T {
 // nodeBudget bounds the branch-and-bound search tree. The budget is far
 // above what any experiment-scale instance needs; when it is exhausted the
 // solver returns its greedy-seeded incumbent, which is still a valid
-// dominating set but no longer certified minimum.
-const nodeBudget = 4 << 20
+// dominating set but no longer certified minimum (Proved reports 0). It is
+// a variable only so that a test can exhaust it; nothing else assigns it.
+var nodeBudget = 4 << 20
 
 // Solver is the reusable state of the dominating-set search: the bitsets,
 // stacks and per-vertex tables of one solve, kept so that the next solve
@@ -96,6 +104,7 @@ type Solver struct {
 	found    bool
 	bestSize int // strict size bound for further solutions
 	nodes    int // search nodes expanded
+	proved   int // see Proved
 
 	// Neighborhoods of the graph entry points, built here so that they
 	// too are reused.
@@ -175,9 +184,16 @@ func (s *Solver) closedNeighborhoods(g *graph.Graph) [][]uint64 {
 }
 
 // Solve is MinDominatingExtraAtMostBitsets on s's buffers. The returned
-// slice belongs to s and is overwritten by its next solve — also by one
-// that fails — so a caller that keeps a result copies it.
+// slice belongs to s and may be overwritten by its next solve — also by
+// one that fails — so a caller that keeps a result copies it.
+//
+// The root's two lower bounds are tried against limit itself before the
+// greedy warm start and the search. A root bound that already needs limit
+// picks is exactly the case where the warm start would give up and the
+// search would stop at its first node, so the early return changes neither
+// the answer nor the node count (it reports that one node).
 func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, bool) {
+	s.nodes, s.proved = 0, 0
 	if n == 0 {
 		return nil, limit > 0
 	}
@@ -185,9 +201,12 @@ func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, b
 		return nil, false
 	}
 	s.reset(n, nbs, forced)
-	s.nodes = 0
 	if first(s.uncov) == -1 {
 		return []int{}, true
+	}
+	if s.rootNeeds(limit) {
+		s.nodes, s.proved = 1, limit
+		return nil, false
 	}
 	// Greedy warm start tightens the bound when it beats the cap.
 	s.bestSize = limit
@@ -195,11 +214,40 @@ func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, b
 		s.bestSize = len(s.best)
 	}
 	s.search(s.row(0))
+	// A search cut off by nodeBudget certifies nothing: its incumbent is a
+	// dominating set, but a smaller one may exist in what it never visited.
+	if s.nodes < nodeBudget {
+		s.proved = s.bestSize
+	}
 	if !s.found {
 		return nil, false
 	}
 	return s.best, true
 }
+
+// rootNeeds reports whether one of search's two lower bounds, evaluated at
+// the root (uncov as reset left it), already demands limit or more picks.
+func (s *Solver) rootNeeds(limit int) bool {
+	maxGain := 1
+	for _, nb := range s.nbs {
+		if g := gain(nb, s.uncov); g > maxGain {
+			maxGain = g
+		}
+	}
+	if (popcount(s.uncov)+maxGain-1)/maxGain >= limit {
+		return true
+	}
+	return s.packingBound() >= limit
+}
+
+// Nodes returns the number of search nodes the last Solve expanded.
+func (s *Solver) Nodes() int { return s.nodes }
+
+// Proved returns the lower bound the last Solve certified: no set smaller
+// than Proved() extends forced to a dominating set. That is the optimum's
+// size after a successful solve and limit after a refusal — and 0, nothing,
+// when the search ran out of nodeBudget before it had seen every branch.
+func (s *Solver) Proved() int { return s.proved }
 
 // reset sizes the buffers for an n-vertex instance and leaves row 0 of
 // covered holding what forced dominates, uncov its complement.

@@ -282,10 +282,10 @@ type fakeReplicaMesh struct {
 	holders map[string][]string
 }
 
-func (f *fakeReplicaMesh) Hello(string)                    {}
-func (f *fakeReplicaMesh) Members() []MemberInfo           { return nil }
-func (f *fakeReplicaMesh) ClusterStats() ClusterStats      { return ClusterStats{} }
-func (f *fakeReplicaMesh) Self() string                    { return f.self }
+func (f *fakeReplicaMesh) Hello(string)                      {}
+func (f *fakeReplicaMesh) Members() []MemberInfo             { return nil }
+func (f *fakeReplicaMesh) ClusterStats() ClusterStats        { return ClusterStats{} }
+func (f *fakeReplicaMesh) Self() string                      { return f.self }
 func (f *fakeReplicaMesh) ReplicaHolders(id string) []string { return f.holders[id] }
 
 // TestReadRedirectOneHop: a daemon holding neither primary nor replica

@@ -31,9 +31,9 @@ type storeBench struct {
 	// the steady-state poll cost once a client holds the ETag.
 	NotModifiedMS float64 `json:"not_modified_ms"`
 	// Size of the artifact being pushed and served.
-	Cells           int     `json:"cells"`
-	CheckpointBytes int     `json:"checkpoint_bytes"`
-	GeneratedAt     string  `json:"generated_at"`
+	Cells           int    `json:"cells"`
+	CheckpointBytes int    `json:"checkpoint_bytes"`
+	GeneratedAt     string `json:"generated_at"`
 }
 
 // TestBenchStore writes BENCH_store.json when BENCH_OUT names the

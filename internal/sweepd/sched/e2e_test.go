@@ -283,10 +283,15 @@ func TestSubmitViaBusyMemberForwardsToIdlePeer(t *testing.T) {
 // the adopter keeps the job) instead of split-braining.
 func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	sp := sweepd.Spec{
-		N:      100, // ~5ms/cell: the sweep outlives kill, adoption, and zombie windows
+		// Sized by exact-MAX cell cost: the sweep must outlive the kill,
+		// adoption and zombie windows, so it is ~3.5ms/cell × 300 cells —
+		// over a second on the leader's one worker, half that on the
+		// adopter's two. A faster kernel shrinks those windows; the two
+		// "spec too small" guards below say so when it has.
+		N:      100,
 		Alphas: []float64{0.3, 0.5, 1, 2, 5},
 		Ks:     []int{2, 3, 1000},
-		Seeds:  12, // 180 cells, ~1s on the leader's one worker
+		Seeds:  20,
 	}
 	sp.Normalize()
 	ref := runReference(t, sp)
@@ -335,9 +340,17 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
+	adopter := c
+	if b.sch.Stats().Adoptions > 0 {
+		adopter = b
+	}
+
 	// Revive the dead leader over its old store while the adopted run is
 	// still going: it resumes the job, heartbeats its stale generation,
 	// loses the comparison, and cedes.
+	if j, _ := adopter.mgr.Get(job.ID); j.Status != sweepd.StatusRunning {
+		t.Fatalf("adopted run already finished (%s); spec too small to test the cede", j.Status)
+	}
 	zombie, err := buildDaemon(a.dir, 1, time.Hour, b.srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -355,13 +368,6 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	}
 
 	// The adopter finishes the job byte-identically to the reference.
-	var adopter *daemon
-	for _, d := range []*daemon{b, c} {
-		if d.sch.Stats().Adoptions > 0 {
-			adopter = d
-			break
-		}
-	}
 	waitDone(t, adopter.mgr, job.ID)
 	data, err := os.ReadFile(adopter.store.ResultsPath(job.ID))
 	if err != nil {

@@ -117,6 +117,13 @@ func (ws *Workspace) InnerBase() int64 { return ws.innerBase }
 // same order view.Extract produces — so every downstream tie-break is
 // preserved. The incremental state is left unset; call ResetBase before
 // reading any aggregate.
+//
+// The ball CSR is written during the BFS itself: every neighbor of an
+// interior vertex (distance < k) is in the ball and has its local id by the
+// time that vertex's scan ends, and BFS order puts all interior rows before
+// the first frontier row. Only the frontier (distance k) has neighbors
+// outside the ball, so only its rows are filtered, afterwards. Every buffer
+// is kept at its high-water mark.
 func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 	if k < 0 {
 		panic("view: negative radius")
@@ -131,77 +138,50 @@ func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 	ws.K = k
 	ws.Orig = ws.Orig[:0]
 	ws.Dist = ws.Dist[:0]
+	ws.CenterAdj = ws.CenterAdj[:0]
+	ws.off = append(ws.off[:0], 0, 0) // the center's row is empty
+	ws.tgt = ws.tgt[:0]
+	ws.innerBase = 0
 
 	// Ball BFS over the global graph; lid doubles as the visited mark.
 	ws.lid[u] = 1
 	ws.Orig = append(ws.Orig, int32(u))
 	ws.Dist = append(ws.Dist, 0)
-	for head := 0; head < len(ws.Orig); head++ {
+	head := 0
+	for ; head < len(ws.Orig) && int(ws.Dist[head]) < k; head++ {
 		d := ws.Dist[head]
-		if int(d) == k {
-			continue
-		}
+		ws.innerBase += int64(d)
 		for _, w := range g.Neighbors(int(ws.Orig[head])) {
 			if ws.lid[w] == 0 {
 				ws.Orig = append(ws.Orig, w)
 				ws.Dist = append(ws.Dist, d+1)
 				ws.lid[w] = int32(len(ws.Orig))
 			}
+			if int(w) != u {
+				ws.tgt = append(ws.tgt, ws.lid[w]-1)
+			}
 		}
+		if head == 0 {
+			// What the center's scan wrote is its adjacency, in global
+			// adjacency order (empty when k == 0 ends the BFS before it).
+			ws.CenterAdj = append(ws.CenterAdj, ws.tgt...)
+			ws.tgt = ws.tgt[:0]
+			continue
+		}
+		ws.off = append(ws.off, int32(len(ws.tgt)))
 	}
 	b := len(ws.Orig)
-
-	// Local CSR of the ball, center arcs excluded.
-	if cap(ws.off) < b+1 {
-		ws.off = make([]int32, b+1)
-	}
-	ws.off = ws.off[:b+1]
-	ws.off[0] = 0
-	ws.off[1] = 0 // the center's row is empty
-	deg := 0
-	for l := 1; l < b; l++ {
+	// Frontier rows; max skips the center when k == 0 stopped the BFS there.
+	for l := max(head, 1); l < b; l++ {
 		for _, w := range g.Neighbors(int(ws.Orig[l])) {
 			if int(w) != u && ws.lid[w] != 0 {
-				deg++
+				ws.tgt = append(ws.tgt, ws.lid[w]-1)
 			}
 		}
-		ws.off[l+1] = int32(deg)
+		ws.off = append(ws.off, int32(len(ws.tgt)))
 	}
-	if cap(ws.tgt) < deg {
-		ws.tgt = make([]int32, deg)
-	}
-	ws.tgt = ws.tgt[:deg]
-	pos := 0
-	for l := 1; l < b; l++ {
-		for _, w := range g.Neighbors(int(ws.Orig[l])) {
-			if int(w) != u && ws.lid[w] != 0 {
-				ws.tgt[pos] = ws.lid[w] - 1
-				pos++
-			}
-		}
-	}
-
-	// Center adjacency, in the center's global adjacency order. Every
-	// neighbor is at distance 1 <= k except when k == 0.
-	ws.CenterAdj = ws.CenterAdj[:0]
-	if k > 0 {
-		for _, w := range g.Neighbors(u) {
-			ws.CenterAdj = append(ws.CenterAdj, ws.lid[w]-1)
-		}
-	}
-
-	// Baselines of the unmodified view.
-	ws.innerBase = 0
-	ws.viewEcc = 0
-	for l := 0; l < b; l++ {
-		d := ws.Dist[l]
-		if int(d) < k {
-			ws.innerBase += int64(d)
-		}
-		if d > ws.viewEcc {
-			ws.viewEcc = d
-		}
-	}
+	// BFS order is distance order: the last vertex is a farthest one.
+	ws.viewEcc = ws.Dist[b-1]
 
 	// Size the incremental buffers; histo must stay all-zero between
 	// ResetBase calls, which fresh allocations and the reset loop both
