@@ -148,44 +148,35 @@ func TestQualityNeverBelowOne(t *testing.T) {
 	}
 }
 
-// TestRunRecordPipeline serializes sweep outcomes as JSONL and decodes
-// them back.
+// TestRunRecordPipeline serializes run outcomes as the checkpoint's JSONL
+// lines and decodes them back, final profile included.
 func TestRunRecordPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	var buf bytes.Buffer
+	var want []dynamics.CellResult
 	for seed := 0; seed < 3; seed++ {
 		s := RandomState(15, rng)
-		cfg := DefaultConfig(MaxNCG, 2, 3)
-		res := Run(s, cfg)
-		raw, err := ncgio.MarshalState(res.Final)
+		res := Run(s, DefaultConfig(MaxNCG, 2, 3))
+		rec := dynamics.CellResult{Cell: dynamics.Cell{Alpha: 2, K: 3, Seed: int64(seed)}, Result: res}
+		line, err := ncgio.MarshalCellResult(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := ncgio.RunRecord{
-			Variant: "MAXNCG", Alpha: 2, K: 3, Seed: int64(seed),
-			Status: res.Status.String(), Rounds: res.Rounds,
-			TotalMoves: res.TotalMoves, Diameter: res.FinalStats.Diameter,
-			SocialCost: res.FinalStats.SocialCost, Quality: res.FinalStats.Quality,
-			State: raw,
-		}
-		if err := ncgio.EncodeRunRecord(&buf, rec); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(line)
+		buf.WriteByte('\n')
+		want = append(want, rec)
 	}
-	recs, err := ncgio.DecodeRunRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
+	recs, clean := ncgio.DecodePrefix(buf.Bytes())
+	if len(recs) != 3 || clean != buf.Len() {
+		t.Fatalf("records=%d, %d of %d bytes consumed", len(recs), clean, buf.Len())
 	}
-	if len(recs) != 3 {
-		t.Fatalf("records=%d", len(recs))
-	}
-	for _, rec := range recs {
-		s, err := ncgio.DecodeState(bytes.NewReader(rec.State))
-		if err != nil {
-			t.Fatal(err)
+	for i, rec := range recs {
+		if rec.Cell != want[i].Cell || rec.Result.Status != want[i].Result.Status ||
+			rec.Result.Rounds != want[i].Result.Rounds || rec.Result.FinalStats != want[i].Result.FinalStats {
+			t.Fatalf("record %d: %+v, want %+v", i, rec, want[i])
 		}
-		if s.N() != 15 {
-			t.Fatalf("embedded state n=%d", s.N())
+		if rec.Result.Final.Fingerprint() != want[i].Result.Final.Fingerprint() {
+			t.Fatalf("record %d: embedded profile changed", i)
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // The tests in this file pin the pooled Evaluator against the retained
-// reference implementations (reference.go) on randomized instances: the
+// reference implementations (reference_test.go) on randomized instances: the
 // fast path must return byte-identical strategies and Improving flags,
 // and costs equal up to float-summation noise. Run under -race in CI.
 

@@ -523,25 +523,6 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 	}
 }
 
-// MaxEvaluate is the Evaluator form of the package-level MaxEvaluate.
-func (e *Evaluator) MaxEvaluate(s *game.State, u, k int, alpha float64, strategy []int) float64 {
-	e.prepare(s, u, k)
-	e.edges = append(e.edges[:0], e.fixed...)
-	for _, w := range strategy {
-		l := e.ws.LocalOf(w)
-		if l < 0 {
-			return game.InfiniteCost // outside the strategy space
-		}
-		e.edges = append(e.edges, int32(l))
-	}
-	e.ws.ResetBase(e.edges)
-	ecc := e.ws.EccAll()
-	if ecc >= graph.Unreachable {
-		return game.InfiniteCost
-	}
-	return alpha*float64(len(strategy)) + float64(ecc)
-}
-
 // MaxGreedyResponse is the Evaluator form of the package-level
 // MaxGreedyResponse.
 func (e *Evaluator) MaxGreedyResponse(s *game.State, u, k int, alpha float64) Response {

@@ -17,7 +17,7 @@ import (
 // view plus the arcs bought towards her, so event-driven activation
 // stays sound.
 //
-// The naive counterpart in large_reference.go is the executable spec:
+// The naive counterpart in large_reference_test.go is the executable spec:
 // same candidate order, same tie-breaks, one fresh BFS per candidate.
 // The differential tests pin the two byte-identical.
 
@@ -27,8 +27,8 @@ import (
 // of the response's definition — both implementations share it.
 const maxDescentSteps = 64
 
-// SumLargeNeighborhoodResponse is the Evaluator form of the package-level
-// SumLargeNeighborhoodResponse. Cost is the Δ of the final strategy
+// SumLargeNeighborhoodResponse runs shift/exchange best-improvement
+// descent for the SUM objective. Cost is the Δ of the final strategy
 // relative to the current one (negative = gain), like SumGreedyResponse.
 func (e *Evaluator) SumLargeNeighborhoodResponse(s *game.State, u, k int, alpha float64) Response {
 	current := s.Strategy(u)
@@ -68,8 +68,8 @@ func (e *Evaluator) SumLargeNeighborhoodResponse(s *game.State, u, k int, alpha 
 	}
 }
 
-// MaxLargeNeighborhoodResponse is the Evaluator form of the package-level
-// MaxLargeNeighborhoodResponse. Costs are absolute view costs, like
+// MaxLargeNeighborhoodResponse runs shift/exchange best-improvement
+// descent for the MAX objective. Costs are absolute view costs, like
 // MaxGreedyResponse.
 func (e *Evaluator) MaxLargeNeighborhoodResponse(s *game.State, u, k int, alpha float64) Response {
 	current := s.Strategy(u)
@@ -107,22 +107,4 @@ func (e *Evaluator) MaxLargeNeighborhoodResponse(s *game.State, u, k int, alpha 
 		CurrentCost: cur,
 		Improving:   steps > 0,
 	}
-}
-
-// SumLargeNeighborhoodResponse runs shift/exchange best-improvement
-// descent for the SUM objective on a pooled Evaluator.
-func SumLargeNeighborhoodResponse(s *game.State, u, k int, alpha float64) Response {
-	e := evalPool.Get().(*Evaluator)
-	r := e.SumLargeNeighborhoodResponse(s, u, k, alpha)
-	evalPool.Put(e)
-	return r
-}
-
-// MaxLargeNeighborhoodResponse runs shift/exchange best-improvement
-// descent for the MAX objective on a pooled Evaluator.
-func MaxLargeNeighborhoodResponse(s *game.State, u, k int, alpha float64) Response {
-	e := evalPool.Get().(*Evaluator)
-	r := e.MaxLargeNeighborhoodResponse(s, u, k, alpha)
-	evalPool.Put(e)
-	return r
 }

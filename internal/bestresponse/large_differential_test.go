@@ -10,10 +10,11 @@ import (
 
 // TestLargeNeighborhoodMatchesReference pins the workspace-backed
 // shift/exchange descent (large.go) against its clone-and-BFS executable
-// spec (large_reference.go) on randomized instances across every
+// spec (large_reference_test.go) on randomized instances across every
 // generator family — byte-identical strategies, Improving flags, and
 // costs up to float-summation noise. Run under -race in CI.
 func TestLargeNeighborhoodMatchesReference(t *testing.T) {
+	ev := NewEvaluator()
 	rng := rand.New(rand.NewSource(20260808))
 	alphas := []float64{0.5, 1, 2.7}
 	ks := []int{1, 2, 3, 1000}
@@ -27,10 +28,10 @@ func TestLargeNeighborhoodMatchesReference(t *testing.T) {
 						return fmt.Sprintf("%s[g=%d u=%d k=%d a=%g]", fn, gi, u, k, alpha)
 					}
 					checkResponse(t, tag("SumLargeNeighborhoodResponse"),
-						SumLargeNeighborhoodResponse(s, u, k, alpha),
+						ev.SumLargeNeighborhoodResponse(s, u, k, alpha),
 						refLargeNeighborhoodResponse(s, u, k, alpha, game.Sum))
 					checkResponse(t, tag("MaxLargeNeighborhoodResponse"),
-						MaxLargeNeighborhoodResponse(s, u, k, alpha),
+						ev.MaxLargeNeighborhoodResponse(s, u, k, alpha),
 						refLargeNeighborhoodResponse(s, u, k, alpha, game.Max))
 				}
 			}
@@ -41,12 +42,13 @@ func TestLargeNeighborhoodMatchesReference(t *testing.T) {
 // TestLargeNeighborhoodRadiusZeroMatchesReference is the k = 0 row of the
 // test above, over every player (see radiusZeroCases).
 func TestLargeNeighborhoodRadiusZeroMatchesReference(t *testing.T) {
+	ev := NewEvaluator()
 	radiusZeroCases(t, func(tag string, s *game.State, u int, alpha float64) {
 		checkResponse(t, "SumLargeNeighborhoodResponse"+tag,
-			SumLargeNeighborhoodResponse(s, u, 0, alpha),
+			ev.SumLargeNeighborhoodResponse(s, u, 0, alpha),
 			refLargeNeighborhoodResponse(s, u, 0, alpha, game.Sum))
 		checkResponse(t, "MaxLargeNeighborhoodResponse"+tag,
-			MaxLargeNeighborhoodResponse(s, u, 0, alpha),
+			ev.MaxLargeNeighborhoodResponse(s, u, 0, alpha),
 			refLargeNeighborhoodResponse(s, u, 0, alpha, game.Max))
 	})
 }
@@ -59,6 +61,7 @@ func TestLargeNeighborhoodRadiusZeroMatchesReference(t *testing.T) {
 // step cap was the binding constraint, which these small instances never
 // hit).
 func TestLargeNeighborhoodDescends(t *testing.T) {
+	ev := NewEvaluator()
 	rng := rand.New(rand.NewSource(99))
 	for gi, g := range diffGraphs(rng) {
 		s := game.FromGraphRandomOwners(g, rng)
@@ -68,10 +71,10 @@ func TestLargeNeighborhoodDescends(t *testing.T) {
 				k, alpha := 2, 1.0
 				var large, greedy Response
 				if variant == game.Sum {
-					large = SumLargeNeighborhoodResponse(s, u, k, alpha)
+					large = ev.SumLargeNeighborhoodResponse(s, u, k, alpha)
 					greedy = SumGreedyResponse(s, u, k, alpha)
 				} else {
-					large = MaxLargeNeighborhoodResponse(s, u, k, alpha)
+					large = ev.MaxLargeNeighborhoodResponse(s, u, k, alpha)
 					greedy = MaxGreedyResponse(s, u, k, alpha)
 				}
 				if large.Cost > greedy.Cost+costTol {

@@ -6,15 +6,18 @@
 // SUMNCG, Proposition 2.2 additionally forbids strategies that push
 // frontier vertices beyond distance k.
 //
-// Two implementations coexist. The Evaluator (eval.go) is the hot path:
-// it extracts the player's view once into a pooled view.Workspace and
-// scores every candidate deviation by incremental, undoable distance
-// relaxation — no clone, no full BFS per candidate. The original
-// clone-and-BFS responders are retained in reference.go as the executable
-// specification; the package-level functions run on a pooled Evaluator
-// and return byte-identical responses (same sorted strategies, same
-// epsilon tie-breaks), which differential_test.go enforces on randomized
-// instances.
+// The Evaluator (eval.go) is the implementation: it extracts the player's
+// view once into a pooled view.Workspace and scores every candidate
+// deviation by incremental, undoable distance relaxation — no clone, no
+// full BFS per candidate; the package-level functions run on a pooled
+// Evaluator. What it is held to lives behind the test boundary, where the
+// compiler keeps production code from calling it: reference_test.go and
+// large_reference_test.go retain the original clone-and-BFS responders
+// (ref*) as the executable specification, and differential_test.go,
+// large_differential_test.go, scan_test.go, powers_test.go and
+// FuzzMaxBestResponse pin the Evaluator to them on randomized instances —
+// byte-identical responses, same sorted strategies, same epsilon
+// tie-breaks.
 package bestresponse
 
 import (
@@ -58,15 +61,4 @@ func MaxBestResponse(s *game.State, u, k int, alpha float64) Response {
 	r := e.MaxBestResponse(s, u, k, alpha)
 	evalPool.Put(e)
 	return r
-}
-
-// MaxEvaluate computes the view-restricted MAXNCG cost of an arbitrary
-// candidate strategy (global ids, all inside u's view): α·|σ'| plus the
-// eccentricity of u in the modified view H'. Used by tests and by the LKE
-// auditor to cross-check responder outputs against exhaustive search.
-func MaxEvaluate(s *game.State, u, k int, alpha float64, strategy []int) float64 {
-	e := evalPool.Get().(*Evaluator)
-	c := e.MaxEvaluate(s, u, k, alpha, strategy)
-	evalPool.Put(e)
-	return c
 }

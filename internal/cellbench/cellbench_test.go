@@ -154,7 +154,7 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 			cfg.Responder = dynamics.SwapResponder(c.variant)
 			cfg.NewResponder = nil
 		case "large-neighborhood":
-			cfg.NewResponder = dynamics.NewLargeNeighborhoodResponder(c.variant)
+			cfg.NewResponder = func() dynamics.Responder { return dynamics.NewLargeNeighborhoodResponder(c.variant) }
 		}
 		probeCfg := cfg
 		var scan *bestresponse.Evaluator

@@ -182,7 +182,7 @@ func TestTorusIsLKETheorem312Regime(t *testing.T) {
 	k, alpha := 4, 2.0
 	cfg := dynamics.DefaultConfig(game.Max, alpha, k)
 	if dev := dynamics.FirstDeviator(tor.State, cfg); dev != -1 {
-		r := dynamics.MaxResponder(tor.State, dev, k, alpha)
+		r := dynamics.NewMaxResponder()(tor.State, dev, k, alpha)
 		t.Fatalf("player %d (coords %v, intersection=%v) deviates: %+v",
 			dev, tor.Coords[dev], tor.Intersection[dev], r)
 	}

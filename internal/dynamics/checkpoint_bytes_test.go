@@ -13,7 +13,7 @@ import (
 
 // TestCheckpointBytesMatchReference pins the sweep-facing guarantee of
 // the event-driven engine: every cell of a sweep marshals to exactly the
-// checkpoint bytes the naive evaluate-everyone loop of reference.go
+// checkpoint bytes the naive evaluate-everyone loop of reference_test.go
 // produces for it. This is what lets resume, caching, and replication mix
 // checkpoints written before and after dirty-set activation.
 func TestCheckpointBytesMatchReference(t *testing.T) {

@@ -178,7 +178,7 @@ func TestScheduledFinalStatsBackfill(t *testing.T) {
 		cfg := DefaultConfig(game.Max, 1, 2)
 		cfg.MaxRounds = 1 // stop while moves are still happening
 		cfg.CollectPerRound = true
-		res := RunScheduled(s, cfg, schedule, rand.New(rand.NewSource(4)))
+		res, _ := RunScheduledContext(context.Background(), s, cfg, schedule, rand.New(rand.NewSource(4)))
 		if res.Status != RoundLimit || len(res.PerRound) != 1 {
 			t.Fatalf("%v: status %v with %d collected rounds", schedule, res.Status, len(res.PerRound))
 		}

@@ -5,10 +5,15 @@
 //
 // # One engine, three schedules
 //
-// Run, RunContext, RunScheduled, RunScheduledContext, and RunTraced are
-// all thin wrappers over one round-loop engine (runEngine): round-robin
-// is the schedule the paper uses, the permutation schedules are
-// ablations, and the trace variant only adds a move hook. The engine
+// Run, RunContext, RunScheduledContext, and RunTraced are all thin
+// wrappers over one round-loop engine (runEngine): round-robin is the
+// schedule the paper uses, the permutation schedules are ablations, and
+// the trace variant only adds a move hook. Production runs enter through
+// Run and RunContext; the other two doors stay because they are what pins
+// the engine to the specification under permuted activation and what pins
+// the move log. Schedule, RNG and trace are arguments of those doors and
+// not Config fields: Config is copied per cell by every sweep worker, and
+// a shared *rand.Rand inside it would be shared state. The engine
 // owns cancellation (checked between rounds), cycle detection (disabled
 // under RandomEachRound, where a repeated profile is not conclusive),
 // and the FinalStats.Moves backfill — every entry point reports
@@ -39,13 +44,17 @@
 // option: there is no evaluate-everyone mode to fall back to. A custom
 // responder that reads state OUTSIDE the k-ball plus the arcs bought
 // towards the player will be skipped when it should not be. Every
-// responder in this repository is k-local.
+// responder in this repository is k-local, and each is one constructor in
+// responders.go returning a Responder that owns its scratch — the single
+// seam through which a move rule reaches the engine.
 //
 // # Reference implementation and differential testing
 //
-// reference.go retains the naive loop — every player evaluated every
-// round — as an unexported executable specification in the
-// internal/bestresponse style. differential_test.go drives both over
+// reference_test.go retains the naive loop — every player evaluated every
+// round — as the executable specification, in the internal/bestresponse
+// style: a test file, so the compiler keeps the engine from calling it
+// (export_test.go hands it to the external tests that also import ncgio).
+// differential_test.go drives both over
 // randomized graphs, variants, and all three schedules, asserting
 // byte-identical Results (Rounds, TotalMoves, Status, PerRound, final
 // fingerprint) — which is exactly what keeps sweep checkpoints

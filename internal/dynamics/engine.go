@@ -2,48 +2,12 @@ package dynamics
 
 import (
 	"context"
+	"math/rand"
 
 	"repro/internal/bestresponse"
 	"repro/internal/game"
 	"repro/internal/graph"
 )
-
-// Responder computes a (best or better) response for one player. It must
-// be deterministic for cycle detection to be sound, and a function of the
-// player's k-ball view plus the arcs bought towards her (the locality
-// contract of the package documentation), because the engine skips
-// players whose neighborhood has not changed.
-type Responder func(s *game.State, u, k int, alpha float64) bestresponse.Response
-
-// MaxResponder is the exact MAXNCG best responder (§5.3 reduction).
-func MaxResponder(s *game.State, u, k int, alpha float64) bestresponse.Response {
-	return bestresponse.MaxBestResponse(s, u, k, alpha)
-}
-
-// NewMaxResponder returns a MaxResponder bound to its own
-// bestresponse.Evaluator, so a worker running many cells reuses one set
-// of scratch buffers instead of going through the shared pool per call.
-// Responses are identical to MaxResponder's.
-func NewMaxResponder() Responder {
-	e := bestresponse.NewEvaluator()
-	return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-		return e.MaxBestResponse(s, u, k, alpha)
-	}
-}
-
-// NewSumResponder returns a SUMNCG responder — exact subset search when
-// the view has at most maxCandidates candidates, greedy local moves
-// otherwise — bound to its own Evaluator; see NewMaxResponder.
-func NewSumResponder(maxCandidates int) Responder {
-	e := bestresponse.NewEvaluator()
-	return func(s *game.State, u, k int, alpha float64) bestresponse.Response {
-		ex := e.SumBestResponseExhaustive(s, u, k, alpha, maxCandidates)
-		if ex.Feasible {
-			return ex.Response
-		}
-		return e.SumGreedyResponse(s, u, k, alpha)
-	}
-}
 
 // Status describes how a dynamics run ended.
 type Status int
@@ -160,7 +124,7 @@ type Config struct {
 func DefaultConfig(variant game.Variant, alpha float64, k int) Config {
 	nr := NewMaxResponder
 	if variant == game.Sum {
-		nr = func() Responder { return NewSumResponder(16) }
+		nr = NewSumResponder
 	}
 	return Config{
 		Variant:         variant,
@@ -200,14 +164,7 @@ func Run(s *game.State, cfg Config) Result {
 // final statistics) together with ctx.Err(); the rounds already played
 // before the cancellation point are identical to an uninterrupted run's.
 func RunContext(ctx context.Context, s *game.State, cfg Config) (Result, error) {
-	return runEngine(ctx, s, cfg, RoundRobin, nil, engineHooks{})
-}
-
-// engineHooks are the optional engine callbacks. onMove fires for every
-// improving response, BEFORE the move is applied (so the state still
-// holds the old strategy) — RunTraced builds its move log from it.
-type engineHooks struct {
-	onMove func(round, u int, r bestresponse.Response)
+	return runEngine(ctx, s, cfg, RoundRobin, nil, nil)
 }
 
 // runEngine is the one round loop behind every entry point: it applies
@@ -215,7 +172,10 @@ type engineHooks struct {
 // via the dirty set (see activation.go), detects cycles where the
 // schedule makes repeats conclusive, and collects statistics. rng is
 // required by the permutation schedules and ignored by RoundRobin.
-func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule, rng rngSource, hooks engineHooks) (Result, error) {
+// onMove, when non-nil, fires for every improving response BEFORE the
+// move is applied (so the state still holds the old strategy) — RunTraced
+// builds its move log from it.
+func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule, rng *rand.Rand, onMove func(round, u int, r bestresponse.Response)) (Result, error) {
 	cfg.Responder = cfg.ResolveResponder()
 	if cfg.Responder == nil {
 		panic("dynamics: nil responder")
@@ -256,8 +216,8 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 			evals++
 			r := cfg.Responder(s, u, cfg.K, cfg.Alpha)
 			if r.Improving {
-				if hooks.onMove != nil {
-					hooks.onMove(round, u, r)
+				if onMove != nil {
+					onMove(round, u, r)
 				}
 				dirty.apply(s, u, r.Strategy)
 				moves++
@@ -295,12 +255,6 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 		res.FinalStats.Moves = res.PerRound[len(res.PerRound)-1].Moves
 	}
 	return res, nil
-}
-
-// rngSource is the slice of *rand.Rand the engine needs; an interface so
-// the signature does not force callers to build one for RoundRobin.
-type rngSource interface {
-	Perm(n int) []int
 }
 
 // collector owns the pooled buffers of per-round statistics collection:

@@ -68,7 +68,7 @@ func TestSweepContextRoutesTodoThroughExecutor(t *testing.T) {
 	}
 	var emitted []int
 	var reusedIdx []int
-	out, err := dynamics.SweepContext(context.Background(), cells, dynamics.Config{Responder: dynamics.MaxResponder}, testFactory(8), 1,
+	out, err := dynamics.SweepContext(context.Background(), cells, dynamics.Config{NewResponder: dynamics.NewMaxResponder}, testFactory(8), 1,
 		dynamics.SweepOptions{
 			Executor: exec,
 			Have:     have,
@@ -128,7 +128,7 @@ func TestSweepContextExecutorShortDeliveryIsAnError(t *testing.T) {
 			// Close without delivering the rest and without a ctx error.
 		},
 	}
-	_, err := dynamics.SweepContext(context.Background(), cells, dynamics.Config{Responder: dynamics.MaxResponder}, testFactory(8), 1,
+	_, err := dynamics.SweepContext(context.Background(), cells, dynamics.Config{NewResponder: dynamics.NewMaxResponder}, testFactory(8), 1,
 		dynamics.SweepOptions{Executor: exec})
 	if err == nil || !strings.Contains(err.Error(), "delivered") {
 		t.Fatalf("err = %v, want short-delivery error", err)
@@ -146,7 +146,7 @@ func TestSweepContextIgnoresOutOfRangeIndices(t *testing.T) {
 			}
 		},
 	}
-	_, err := dynamics.SweepContext(context.Background(), cells, dynamics.Config{Responder: dynamics.MaxResponder}, testFactory(8), 1,
+	_, err := dynamics.SweepContext(context.Background(), cells, dynamics.Config{NewResponder: dynamics.NewMaxResponder}, testFactory(8), 1,
 		dynamics.SweepOptions{Executor: exec})
 	if err != nil {
 		t.Fatalf("out-of-range indices must be dropped, got error %v", err)

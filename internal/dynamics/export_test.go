@@ -1,5 +1,5 @@
 package dynamics
 
-// RunReference exposes the naive round loop of reference.go to the
+// RunReference exposes the naive round loop of reference_test.go to the
 // external tests of this package, which may import ncgio.
 var RunReference = runReference

@@ -51,6 +51,16 @@ func Sweep(cells []Cell, base Config, factory Factory, baseSeed int64) []CellRes
 	return out
 }
 
+// CellState reconstructs the starting state a sweep builds for one cell:
+// the factory applied to the cell's private RNG stream derived from the
+// base seed. Exported so differential tests (and debugging tools) can
+// re-create the exact network a daemon-run cell started from and replay
+// it through an independent implementation.
+func CellState(factory Factory, cell Cell, baseSeed int64) *game.State {
+	rng := rand.New(rand.NewSource(cellSeed(baseSeed, cell)))
+	return factory(cell, rng)
+}
+
 // cellSeed mixes the base seed with the cell coordinates into an
 // independent stream seed (splitmix64 finalizer).
 func cellSeed(base int64, c Cell) int64 {

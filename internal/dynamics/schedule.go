@@ -4,7 +4,6 @@ import (
 	"context"
 	"math/rand"
 
-	"repro/internal/bestresponse"
 	"repro/internal/game"
 )
 
@@ -39,33 +38,13 @@ func (s Schedule) String() string {
 	}
 }
 
-// MaxGreedyResponder is the single-move "better response" for MAXNCG —
-// the dynamics variant whose divergence the paper cites from
-// Kawald–Lenzner (§2).
-func MaxGreedyResponder(s *game.State, u, k int, alpha float64) bestresponse.Response {
-	return bestresponse.MaxGreedyResponse(s, u, k, alpha)
-}
-
-// RunScheduled is Run with an explicit activation schedule. rng is used
-// by the permutation schedules and may be nil for RoundRobin.
-func RunScheduled(s *game.State, cfg Config, schedule Schedule, rng *rand.Rand) Result {
-	res, _ := RunScheduledContext(context.Background(), s, cfg, schedule, rng)
-	return res
-}
-
-// RunScheduledContext is RunScheduled with cancellation, checked between
-// rounds; see RunContext for the partial-result contract. All schedules
-// share the one engine, so they report identically: cycle detection runs
-// whenever the activation order is deterministic across rounds
-// (RoundRobin and FixedPermutation), and FinalStats.Moves reflects the
-// last collected round.
+// RunScheduledContext is RunContext with an explicit activation schedule;
+// see RunContext for the cancellation and partial-result contract. rng is
+// used by the permutation schedules and may be nil for RoundRobin. All
+// schedules share the one engine, so they report identically: cycle
+// detection runs whenever the activation order is deterministic across
+// rounds (RoundRobin and FixedPermutation), and FinalStats.Moves reflects
+// the last collected round.
 func RunScheduledContext(ctx context.Context, s *game.State, cfg Config, schedule Schedule, rng *rand.Rand) (Result, error) {
-	if schedule == RoundRobin {
-		return runEngine(ctx, s, cfg, RoundRobin, nil, engineHooks{})
-	}
-	var src rngSource
-	if rng != nil {
-		src = rng
-	}
-	return runEngine(ctx, s, cfg, schedule, src, engineHooks{})
+	return runEngine(ctx, s, cfg, schedule, rng, nil)
 }

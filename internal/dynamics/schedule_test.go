@@ -1,6 +1,7 @@
 package dynamics
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestRunScheduledRoundRobinDelegates(t *testing.T) {
 	s2 := game.FromGraphLowOwners(gen.Path(12))
 	cfg := DefaultConfig(game.Max, 1, 3)
 	a := Run(s1, cfg)
-	b := RunScheduled(s2, cfg, RoundRobin, nil)
+	b, _ := RunScheduledContext(context.Background(), s2, cfg, RoundRobin, nil)
 	if a.Status != b.Status || a.Rounds != b.Rounds ||
 		a.Final.Fingerprint() != b.Final.Fingerprint() {
 		t.Fatal("RoundRobin schedule deviates from Run")
@@ -34,7 +35,7 @@ func TestRunScheduledPermutationsConverge(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		s := game.FromGraphRandomOwners(gen.RandomTree(15, rng), rng)
 		cfg := DefaultConfig(game.Max, 1, 3)
-		res := RunScheduled(s, cfg, sched, rng)
+		res, _ := RunScheduledContext(context.Background(), s, cfg, sched, rng)
 		if res.Status != Converged {
 			t.Fatalf("%v: status=%v", sched, res.Status)
 		}
@@ -50,7 +51,7 @@ func TestRunScheduledNeedsRNG(t *testing.T) {
 			t.Fatal("permutation schedule without RNG did not panic")
 		}
 	}()
-	RunScheduled(game.NewState(3), DefaultConfig(game.Max, 1, 2), FixedPermutation, nil)
+	RunScheduledContext(context.Background(), game.NewState(3), DefaultConfig(game.Max, 1, 2), FixedPermutation, nil) //nolint:errcheck
 }
 
 func TestBetterResponseDynamicsConverges(t *testing.T) {
@@ -59,7 +60,7 @@ func TestBetterResponseDynamicsConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	s := game.FromGraphRandomOwners(gen.RandomTree(20, rng), rng)
 	cfg := DefaultConfig(game.Max, 1, 3)
-	cfg.Responder = MaxGreedyResponder
+	cfg.Responder = NewMaxGreedyResponder()
 	res := Run(s, cfg)
 	if res.Status != Converged {
 		t.Fatalf("better-response dynamics status=%v", res.Status)
@@ -81,7 +82,7 @@ func TestBetterVsBestQuality(t *testing.T) {
 		t.Skip("no convergence at this seed")
 	}
 	greedyCfg := best
-	greedyCfg.Responder = MaxGreedyResponder
+	greedyCfg.Responder = NewMaxGreedyResponder()
 	if FirstDeviator(res.Final, greedyCfg) != -1 {
 		t.Fatal("best-response equilibrium fails the single-move audit")
 	}

@@ -33,7 +33,7 @@ func (m Move) String() string {
 // naive loop would record.
 func RunTraced(s *game.State, cfg Config) (Result, []Move) {
 	var moves []Move
-	hooks := engineHooks{onMove: func(round, u int, r bestresponse.Response) {
+	res, _ := runEngine(context.Background(), s, cfg, RoundRobin, nil, func(round, u int, r bestresponse.Response) {
 		moves = append(moves, Move{
 			Round:      round,
 			Player:     u,
@@ -42,34 +42,6 @@ func RunTraced(s *game.State, cfg Config) (Result, []Move) {
 			CostBefore: r.CurrentCost,
 			CostAfter:  r.Cost,
 		})
-	}}
-	res, _ := runEngine(context.Background(), s, cfg, RoundRobin, nil, hooks)
+	})
 	return res, moves
-}
-
-// Replay applies a move log to a fresh copy of the starting state and
-// returns the reconstructed final state. It errors when a move's Old
-// strategy does not match the state (log/state mismatch).
-func Replay(start *game.State, moves []Move) (*game.State, error) {
-	s := start.Clone()
-	for i, m := range moves {
-		cur := s.Strategy(m.Player)
-		if !equalInts(cur, m.Old) {
-			return nil, fmt.Errorf("dynamics: move %d expects %v, state has %v", i, m.Old, cur)
-		}
-		s.SetStrategy(m.Player, m.New)
-	}
-	return s, nil
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -46,9 +46,6 @@ type Params struct {
 	CheckpointDir string
 }
 
-// DefaultParams returns CI-scale parameters with a fixed seed.
-func DefaultParams() Params { return Params{Scale: ScaleCI, Seed: 1} }
-
 // Alphas returns the α grid (§5.1 lists the paper's 15 values).
 func (p Params) Alphas() []float64 {
 	if p.AlphaGrid != nil {

@@ -11,6 +11,9 @@ import (
 	"repro/internal/gen"
 )
 
+// DefaultParams returns CI-scale parameters with a fixed seed.
+func DefaultParams() Params { return Params{Scale: ScaleCI, Seed: 1} }
+
 func TestRunSweepCheckpointResumesWithoutRecomputation(t *testing.T) {
 	dir := t.TempDir()
 	p := DefaultParams()

@@ -150,17 +150,6 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.adj[v]
 }
 
-// SortedNeighbors returns a fresh, sorted copy of v's adjacency list.
-func (g *Graph) SortedNeighbors(v int) []int {
-	g.check(v)
-	out := make([]int, len(g.adj[v]))
-	for i, w := range g.adj[v] {
-		out[i] = int(w)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{n: g.n, m: g.m, adj: make([][]int32, g.n)}

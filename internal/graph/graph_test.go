@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -287,7 +288,7 @@ func TestEccentricityAndDiameter(t *testing.T) {
 		if d := c.g.Diameter(); d != c.diam {
 			t.Errorf("%s: diameter = %d, want %d", c.name, d, c.diam)
 		}
-		if r := c.g.Radius(); r != c.radius {
+		if r := slices.Min(c.g.AllEccentricities()); r != c.radius {
 			t.Errorf("%s: radius = %d, want %d", c.name, r, c.radius)
 		}
 	}
@@ -300,7 +301,7 @@ func TestDisconnectedDiameter(t *testing.T) {
 	if g.Diameter() != Unreachable {
 		t.Fatal("disconnected diameter should be Unreachable")
 	}
-	if g.Radius() != Unreachable {
+	if slices.Min(g.AllEccentricities()) != Unreachable {
 		t.Fatal("disconnected radius should be Unreachable")
 	}
 	if g.IsConnected() {
@@ -565,7 +566,7 @@ func TestQuickEccentricityBounds(t *testing.T) {
 		n := 3 + int(a%15)
 		g := qcGraph(seed, n)
 		diam := g.Diameter()
-		rad := g.Radius()
+		rad := slices.Min(g.AllEccentricities())
 		// radius <= diameter <= 2*radius for connected graphs.
 		return rad <= diam && diam <= 2*rad
 	}

@@ -53,21 +53,6 @@ func (g *Graph) Diameter() int {
 	return d
 }
 
-// Radius returns the smallest eccentricity. For a disconnected graph every
-// eccentricity is Unreachable, so the radius is Unreachable too.
-func (g *Graph) Radius() int {
-	if g.n <= 1 {
-		return 0
-	}
-	r := Unreachable
-	for _, e := range g.AllEccentricities() {
-		if e < r {
-			r = e
-		}
-	}
-	return r
-}
-
 // Girth returns the length of a shortest cycle in g, or Unreachable when g
 // is acyclic. It runs a BFS from every vertex and detects the first
 // cross/back edge closing a cycle, which is exact for unweighted graphs.

@@ -49,8 +49,3 @@ func (g *Graph) Power(h int) *Graph {
 	PutScratch(s)
 	return p
 }
-
-// ComplementSize returns the number of vertex pairs that are NOT edges.
-func (g *Graph) ComplementSize() int {
-	return g.n*(g.n-1)/2 - g.m
-}

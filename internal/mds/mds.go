@@ -2,8 +2,7 @@
 // the paper's best-response computation reduces to (§5.3). The paper used
 // the Gurobi ILP solver; this package substitutes an exact branch-and-bound
 // search over bitset-encoded closed neighborhoods with a greedy warm
-// start, plus a greedy approximation for callers that prefer speed over
-// optimality. This comment is the record of that substitution.
+// start. This comment is the record of that substitution.
 //
 // A set S dominates graph G when every vertex is in S or adjacent to a
 // vertex of S. The constrained variant starts from a set of forced
@@ -24,7 +23,6 @@
 package mds
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -148,21 +146,6 @@ func MinDominatingExtraAtMostBitsets(n int, nbs [][]uint64, forced []int, limit 
 	defer solverPool.Put(s)
 	set, ok := s.Solve(n, nbs, forced, limit)
 	return slices.Clone(set), ok
-}
-
-// Greedy returns a greedily built dominating set of g extending forced
-// (forced vertices are excluded from the result). The result dominates g
-// but need not be minimum.
-func Greedy(g *graph.Graph, forced []int) []int {
-	n := g.N()
-	if n == 0 {
-		return nil
-	}
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	s.reset(n, s.closedNeighborhoods(g), forced)
-	s.greedyExtra(math.MaxInt)
-	return append([]int(nil), s.best...)
 }
 
 // closedNeighborhoods returns N[v] = {v} ∪ N(v) as bitsets held by s.
@@ -440,74 +423,6 @@ func (s *Solver) pickBranchVertex() int {
 				}
 			}
 		}
-	}
-	return best
-}
-
-// Dominates reports whether forced ∪ set dominates g.
-func Dominates(g *graph.Graph, set, forced []int) bool {
-	n := g.N()
-	covered := make([]bool, n)
-	mark := func(v int) {
-		covered[v] = true
-		for _, w := range g.Neighbors(v) {
-			covered[w] = true
-		}
-	}
-	for _, v := range set {
-		mark(v)
-	}
-	for _, v := range forced {
-		mark(v)
-	}
-	for v := 0; v < n; v++ {
-		if !covered[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// BruteForce returns an exact minimum extra dominating set by exhaustive
-// subset enumeration. Exponential — reference implementation for tests
-// (n <= ~20).
-func BruteForce(g *graph.Graph, forced []int) []int {
-	n := g.N()
-	if n > 25 {
-		panic("mds: BruteForce limited to n <= 25")
-	}
-	forcedIn := make(map[int]bool, len(forced))
-	for _, f := range forced {
-		forcedIn[f] = true
-	}
-	var candidates []int
-	for v := 0; v < n; v++ {
-		if !forcedIn[v] {
-			candidates = append(candidates, v)
-		}
-	}
-	var best []int
-	found := false
-	for mask := 0; mask < 1<<len(candidates); mask++ {
-		if found && bits.OnesCount(uint(mask)) >= len(best) {
-			continue
-		}
-		var set []int
-		for i, v := range candidates {
-			if mask&(1<<i) != 0 {
-				set = append(set, v)
-			}
-		}
-		if Dominates(g, set, forced) {
-			best = set
-			found = true
-		}
-	}
-	if !found {
-		return nil
-	}
-	if best == nil {
-		best = []int{}
 	}
 	return best
 }

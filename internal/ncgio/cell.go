@@ -1,11 +1,9 @@
 package ncgio
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/dynamics"
@@ -97,48 +95,14 @@ func UnmarshalCell(line []byte) (dynamics.Cell, error) {
 	return dynamics.Cell{Alpha: in.Alpha, K: in.K, Seed: in.Seed}, nil
 }
 
-// EncodeCellResult writes r to w as one JSONL line.
-func EncodeCellResult(w io.Writer, r dynamics.CellResult) error {
-	line, err := MarshalCellResult(r)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
-	_, err = w.Write(line)
-	return err
-}
-
-// DecodeCellResults reads all JSONL cell results from r. It is strict:
-// any malformed line is an error (use ReadCheckpoint for crash-tolerant
-// file reads).
-func DecodeCellResults(r io.Reader) ([]dynamics.CellResult, error) {
-	var out []dynamics.CellResult
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := UnmarshalCellResult(line)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return out, fmt.Errorf("ncgio: %w", err)
-	}
-	return out, nil
-}
-
 // ReadCheckpoint loads a CellResult JSONL checkpoint file, tolerating a
 // torn tail: if the process died mid-append, the final partial line is
 // discarded and the file is truncated back to the last clean record, so a
 // subsequent resume appends from a well-formed prefix. A missing file is
 // an empty checkpoint, not an error. Only a job's own runner should use
 // this (truncation races a live writer); readers serving a checkpoint
-// they do not own want LoadCheckpoint.
+// they do not own decode its bytes with DecodePrefix, which leaves the
+// file alone.
 func ReadCheckpoint(path string) ([]dynamics.CellResult, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -153,22 +117,6 @@ func ReadCheckpoint(path string) ([]dynamics.CellResult, error) {
 			return out, fmt.Errorf("ncgio: repairing torn checkpoint: %w", err)
 		}
 	}
-	return out, nil
-}
-
-// LoadCheckpoint reads a checkpoint without repairing it: the clean prefix
-// of records is returned and any torn or in-flight tail is ignored,
-// leaving the file untouched. Safe on a checkpoint another process — or a
-// live runner in this one — is still appending to.
-func LoadCheckpoint(path string) ([]dynamics.CellResult, error) {
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("ncgio: %w", err)
-	}
-	out, _ := DecodePrefix(data)
 	return out, nil
 }
 

@@ -72,20 +72,23 @@ func TestMarshalCellResultDeterministic(t *testing.T) {
 	}
 }
 
+// TestDecodeCellResultsStream decodes a stream of result lines the way the
+// serving layer does: DecodePrefix returns every record in order and
+// consumes the whole buffer.
 func TestDecodeCellResultsStream(t *testing.T) {
 	results := sampleResults(t, 5)
 	var buf bytes.Buffer
 	for _, r := range results {
-		if err := EncodeCellResult(&buf, r); err != nil {
+		line, err := MarshalCellResult(r)
+		if err != nil {
 			t.Fatal(err)
 		}
+		buf.Write(line)
+		buf.WriteByte('\n')
 	}
-	got, err := DecodeCellResults(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(results) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(results))
+	got, clean := DecodePrefix(buf.Bytes())
+	if len(got) != len(results) || clean != buf.Len() {
+		t.Fatalf("decoded %d records up to byte %d, want %d up to %d", len(got), clean, len(results), buf.Len())
 	}
 	for i := range got {
 		if got[i].Cell != results[i].Cell {

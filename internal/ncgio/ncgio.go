@@ -63,44 +63,8 @@ func DecodeState(r io.Reader) (*game.State, error) {
 	return s, nil
 }
 
-// RunRecord is the serializable summary of one dynamics run, rich enough
-// to re-audit the final state (the profile itself is embedded).
-type RunRecord struct {
-	Variant    string          `json:"variant"`
-	Alpha      float64         `json:"alpha"`
-	K          int             `json:"k"`
-	Seed       int64           `json:"seed"`
-	Status     string          `json:"status"`
-	Rounds     int             `json:"rounds"`
-	TotalMoves int             `json:"total_moves"`
-	Diameter   int             `json:"diameter"`
-	SocialCost float64         `json:"social_cost"`
-	Quality    float64         `json:"quality"`
-	State      json.RawMessage `json:"state"`
-}
-
-// EncodeRunRecord serializes one record as a JSON line (JSONL-friendly).
-func EncodeRunRecord(w io.Writer, rec RunRecord) error {
-	return json.NewEncoder(w).Encode(rec)
-}
-
-// DecodeRunRecords reads all JSONL records from r.
-func DecodeRunRecords(r io.Reader) ([]RunRecord, error) {
-	var out []RunRecord
-	dec := json.NewDecoder(r)
-	for {
-		var rec RunRecord
-		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
-		} else if err != nil {
-			return out, fmt.Errorf("ncgio: %w", err)
-		}
-		out = append(out, rec)
-	}
-}
-
-// MarshalState returns the JSON bytes of a state (for embedding in
-// RunRecord.State).
+// MarshalState returns the JSON bytes of a state (the cell-result codec
+// embeds them in every line).
 func MarshalState(s *game.State) (json.RawMessage, error) {
 	out := stateJSON{N: s.N()}
 	for u := 0; u < s.N(); u++ {

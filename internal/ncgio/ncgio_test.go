@@ -79,47 +79,3 @@ func TestDecodeEmptyState(t *testing.T) {
 		t.Fatal("nonempty")
 	}
 }
-
-func TestRunRecordsJSONL(t *testing.T) {
-	s := game.NewState(3)
-	s.Buy(0, 1)
-	raw, err := MarshalState(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	for i := 0; i < 3; i++ {
-		rec := RunRecord{
-			Variant: "MAXNCG", Alpha: 2, K: 3, Seed: int64(i),
-			Status: "converged", Rounds: 4, TotalMoves: 7,
-			Diameter: 5, SocialCost: 100, Quality: 1.5, State: raw,
-		}
-		if err := EncodeRunRecord(&buf, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := DecodeRunRecords(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("decoded %d records", len(recs))
-	}
-	if recs[1].Seed != 1 || recs[2].Quality != 1.5 {
-		t.Fatalf("record content: %+v", recs)
-	}
-	// The embedded state decodes back.
-	back, err := DecodeState(bytes.NewReader(recs[0].State))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Buys(0, 1) {
-		t.Fatal("embedded state lost arcs")
-	}
-}
-
-func TestDecodeRunRecordsMalformed(t *testing.T) {
-	if _, err := DecodeRunRecords(strings.NewReader(`{"variant":"x"}garbage`)); err == nil {
-		t.Fatal("trailing garbage accepted")
-	}
-}

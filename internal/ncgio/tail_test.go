@@ -106,44 +106,3 @@ func TestTailerFramesWholeLines(t *testing.T) {
 		t.Fatalf("got %q", got)
 	}
 }
-
-// TestLoadCheckpointLeavesTornTail checks the read-only loader returns
-// the clean prefix without repairing the file — the property the HTTP
-// serving layer relies on when reading checkpoints it does not own —
-// while ReadCheckpoint still truncates.
-func TestLoadCheckpointLeavesTornTail(t *testing.T) {
-	line := `{"alpha":1,"k":2,"seed":3,"status":"converged","rounds":1,"total_moves":1}`
-	data := line + "\n" + `{"alpha":2,"k":`
-	path := filepath.Join(t.TempDir(), "ck.jsonl")
-	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Cell.Alpha != 1 || recs[0].Cell.K != 2 {
-		t.Fatalf("recs = %+v", recs)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != data {
-		t.Fatalf("LoadCheckpoint mutated the file: %q", after)
-	}
-
-	recs, err = ReadCheckpoint(path)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("ReadCheckpoint = %d recs, %v", len(recs), err)
-	}
-	after, _ = os.ReadFile(path)
-	if string(after) != line+"\n" {
-		t.Fatalf("ReadCheckpoint did not repair the tail: %q", after)
-	}
-
-	if recs, err := LoadCheckpoint(filepath.Join(t.TempDir(), "missing.jsonl")); err != nil || recs != nil {
-		t.Fatalf("missing file = %v, %v (want nil, nil)", recs, err)
-	}
-}

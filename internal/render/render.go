@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/construction"
-	"repro/internal/graph"
 )
 
 // TorusASCII renders a d=2 torus as a character grid: intersection
@@ -88,26 +87,4 @@ func asciiGrid(t *construction.Torus, ov *viewOverlay) (string, error) {
 		b.WriteByte('\n')
 	}
 	return b.String(), nil
-}
-
-// DegreeProfile renders the degree multiset of a graph as a compact
-// "degree^count" line, e.g. "2^60 4^24" — the shape summary used when a
-// full drawing is too large.
-func DegreeProfile(g *graph.Graph) string {
-	counts := map[int]int{}
-	maxDeg := 0
-	for v := 0; v < g.N(); v++ {
-		d := g.Degree(v)
-		counts[d]++
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	var parts []string
-	for d := 0; d <= maxDeg; d++ {
-		if counts[d] > 0 {
-			parts = append(parts, fmt.Sprintf("%d^%d", d, counts[d]))
-		}
-	}
-	return strings.Join(parts, " ")
 }

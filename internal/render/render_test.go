@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/construction"
-	"repro/internal/gen"
 )
 
 func fig2Torus(t *testing.T) *construction.Torus {
@@ -76,14 +75,5 @@ func TestTorusASCIIRejects3D(t *testing.T) {
 	}
 	if _, err := TorusASCIIWithView(tor, 0, 2); err == nil {
 		t.Fatal("3-d view accepted")
-	}
-}
-
-func TestDegreeProfile(t *testing.T) {
-	if got := DegreeProfile(gen.Star(5)); got != "1^4 4^1" {
-		t.Fatalf("star profile: %q", got)
-	}
-	if got := DegreeProfile(gen.Cycle(6)); got != "2^6" {
-		t.Fatalf("cycle profile: %q", got)
 	}
 }

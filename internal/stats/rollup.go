@@ -36,9 +36,6 @@ func (r *Rollup[K]) Add(key K, values ...float64) {
 // Keys lists the group keys in first-insertion order.
 func (r *Rollup[K]) Keys() []K { return r.keys }
 
-// Metrics lists the declared metric names.
-func (r *Rollup[K]) Metrics() []string { return r.metrics }
-
 // Summaries returns the per-metric Summarize roll-up for one key (zero
 // summaries for a key never added).
 func (r *Rollup[K]) Summaries(key K) map[string]Summary {

@@ -16,9 +16,6 @@ func TestRollupGroupsAndSummarizes(t *testing.T) {
 	if len(keys) != 2 || keys[0] != (key{1, 2}) || keys[1] != (key{2, 2}) {
 		t.Fatalf("keys = %v (want first-insertion order)", keys)
 	}
-	if m := r.Metrics(); len(m) != 2 || m[0] != "diameter" || m[1] != "rounds" {
-		t.Fatalf("metrics = %v", m)
-	}
 
 	s := r.Summaries(key{1, 2})
 	if want := Summarize([]float64{4, 8}); s["diameter"] != want {

@@ -76,40 +76,3 @@ func Summarize(xs []float64) Summary {
 	}
 	return s
 }
-
-// SummarizeInts converts and summarizes an int sample.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
-// Min returns the minimum (0 for empty).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum (0 for empty).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}

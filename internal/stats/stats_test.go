@@ -61,23 +61,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{1, 2, 3})
-	if !almost(s.Mean, 2, 1e-12) || s.N != 3 {
-		t.Fatalf("%+v", s)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatal("min/max wrong")
-	}
-	if Min(nil) != 0 || Max(nil) != 0 {
-		t.Fatal("empty min/max not 0")
-	}
-}
-
 func TestQuickCIContainsMeanShift(t *testing.T) {
 	// Shifting a sample shifts the mean and preserves the half-width.
 	f := func(raw []float64, shiftRaw int8) bool {

@@ -10,7 +10,7 @@ import (
 )
 
 // Pins the workspace-backed BestSwap against the retained clone-and-BFS
-// reference (reference.go) on randomized states: same move, same found
+// reference (reference_test.go) on randomized states: same move, same found
 // flag, at every state best-swap dynamics actually visits.
 
 func diffGraphs(rng *rand.Rand) []*graph.Graph {

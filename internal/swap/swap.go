@@ -12,6 +12,12 @@
 // worst-case realizable network coincides with the view (the Prop. 2.1
 // argument only uses that the view is a subgraph certificate, which
 // holds verbatim when the move set shrinks).
+//
+// BestSwap is what runs — dynamics.SwapResponder puts it behind the
+// engine. Run and IsSwapStable are the standalone loop the daemon's swap
+// dialect and the root integration tests are differential-tested against,
+// and reference_test.go keeps the original clone-and-BFS scan
+// (refBestSwap) as BestSwap's executable specification.
 package swap
 
 import (
@@ -45,8 +51,8 @@ const (
 // The scan runs on a pooled view.Workspace: the view is extracted once,
 // each removal is an O(ball) distance recompute, and each candidate
 // re-attachment is an incremental relax/undo. Results are identical to
-// the retained reference implementation (refBestSwap): same move, same
-// strict-integer tie-breaks.
+// the reference implementation retained in reference_test.go
+// (refBestSwap): same move, same strict-integer tie-breaks.
 func BestSwap(s *game.State, u, k int, obj Objective) (SwapMove, bool) {
 	ws := view.GetWorkspace()
 	m, ok := bestSwap(ws, s, u, k, obj)

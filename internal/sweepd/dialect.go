@@ -13,13 +13,13 @@ import (
 // This file is the dialect seam: every workload-specific decision between
 // the JSON spec and the engine lives in one of two registries, keyed by
 // the spec's `dialect` and `graph` fields. A dialect owns the move rule
-// (the dynamics.Config, responders included); a graph family owns the
-// starting-network generator (the dynamics.Factory) plus normalization
-// and validation of its own parameters. Everything downstream — the
-// result cache, shard leases, replication, summaries, trajectories — only
-// ever consumes Spec through ID/KernelHash/Cells/Config/Factory, so a new
-// workload is exactly one registry entry: the serving layers handle it
-// unmodified.
+// (the responder constructor Spec.Config hands the engine); a graph
+// family owns the starting-network generator (the dynamics.Factory) plus
+// normalization and validation of its own parameters. Everything
+// downstream — the result cache, shard leases, replication, summaries,
+// trajectories — only ever consumes Spec through
+// ID/KernelHash/Cells/Config/Factory, so a new workload is exactly one
+// registry entry: the serving layers handle it unmodified.
 //
 // Hash discipline: a registry entry's normalize MUST zero every field
 // that does not apply to it (and new Spec fields must be `omitempty` and
@@ -32,57 +32,21 @@ import (
 // field) hash identically.
 const DialectBestResponse = "best-response"
 
-// dialect is one move rule: its extra validation and its engine
-// configuration (α and k are filled per cell by the sweep runner).
-type dialect struct {
-	validate func(sp Spec) error
-	config   func(sp Spec) dynamics.Config
-}
-
-// dialects maps Spec.Dialect (post-Normalize) to its implementation.
-var dialects = map[string]dialect{
+// dialects maps Spec.Dialect (post-Normalize) to its move rule: the
+// dynamics constructor Spec.Config resolves once per worker.
+var dialects = map[string]func(game.Variant) dynamics.Responder{
 	// Best-response dynamics (§5.1): exact MAXNCG responder, exhaustive-
 	// then-greedy SUMNCG responder. The legacy — and default — workload.
-	"": {
-		config: func(sp Spec) dynamics.Config {
-			cfg := dynamics.DefaultConfig(sp.variant(), 0, 0)
-			cfg.MaxRounds = sp.MaxRounds
-			cfg.CycleCheckAfter = sp.CycleCheckAfter
-			cfg.CollectPerRound = sp.Trajectories
-			return cfg
-		},
-	},
+	"": func(v game.Variant) dynamics.Responder { return dynamics.DefaultConfig(v, 0, 0).NewResponder() },
 	// Swap-only games (Alon et al. via internal/swap): re-point one owned
 	// edge, no purchases or deletions. α is part of the grid for cache
 	// addressing and statistics but does not influence moves (the edge
 	// count is invariant).
-	"swap": {
-		config: func(sp Spec) dynamics.Config {
-			v := sp.variant()
-			return dynamics.Config{
-				Variant:         v,
-				Responder:       dynamics.SwapResponder(v),
-				MaxRounds:       sp.MaxRounds,
-				CycleCheckAfter: sp.CycleCheckAfter,
-				CollectPerRound: sp.Trajectories,
-			}
-		},
-	},
+	"swap": dynamics.SwapResponder,
 	// Large-neighborhood best response à la Sokol et al.: shift/exchange
 	// best-improvement descent inside the view, a compound deviation
 	// explored heuristically (bestresponse/large.go).
-	"large-neighborhood": {
-		config: func(sp Spec) dynamics.Config {
-			v := sp.variant()
-			return dynamics.Config{
-				Variant:         v,
-				NewResponder:    dynamics.NewLargeNeighborhoodResponder(v),
-				MaxRounds:       sp.MaxRounds,
-				CycleCheckAfter: sp.CycleCheckAfter,
-				CollectPerRound: sp.Trajectories,
-			}
-		},
-	},
+	"large-neighborhood": dynamics.NewLargeNeighborhoodResponder,
 }
 
 // graphFamily is one starting-network family: parameter normalization

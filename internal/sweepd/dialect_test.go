@@ -1,10 +1,14 @@
 package sweepd
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/bestresponse"
 	"repro/internal/dynamics"
+	"repro/internal/game"
 	"repro/internal/ncgio"
 	"repro/internal/swap"
 )
@@ -63,6 +67,68 @@ func TestDialectAndGraphValidation(t *testing.T) {
 				t.Fatalf("Validate = %v, want error containing %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestDialectConfigs pins the one seam between a spec and the engine, for
+// every dialect × variant: Config carries the spec's budgets and leaves
+// Responder unset (each worker resolves its own), what ResolveResponder
+// hands out answers exactly like the constructor the registry names, and
+// two resolved responders share no scratch — two goroutines drive one each
+// over the same states (CI runs this package under -race) and both must
+// reproduce the sequential answers.
+func TestDialectConfigs(t *testing.T) {
+	const n, k, alpha = 14, 2, 1.0
+	var states []*game.State
+	for seed := int64(0); seed < 50; seed++ {
+		states = append(states, dynamics.CellState(dynamics.ERFactory(n, 0.3), dynamics.Cell{Alpha: alpha, K: k, Seed: seed}, 7))
+	}
+	respondAll := func(r dynamics.Responder) []bestresponse.Response {
+		var out []bestresponse.Response
+		for _, s := range states {
+			for u := 0; u < n; u++ {
+				out = append(out, r(s, u, k, alpha))
+			}
+		}
+		return out
+	}
+	for name, construct := range dialects {
+		for _, variant := range []string{"max", "sum"} {
+			sp := Spec{Dialect: name, Variant: variant, N: n, Alphas: []float64{alpha}, Ks: []int{k}, Seeds: 1,
+				MaxRounds: 37, CycleCheckAfter: 11, Trajectories: variant == "sum"}
+			sp.Normalize()
+			if err := sp.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			tag := name + "/" + variant
+			cfg := sp.Config()
+			if cfg.Variant != sp.variant() || cfg.MaxRounds != 37 || cfg.CycleCheckAfter != 11 || cfg.CollectPerRound != sp.Trajectories {
+				t.Fatalf("%s: Config() = %+v does not carry the spec's variant and budgets", tag, cfg)
+			}
+			if cfg.Responder != nil || cfg.NewResponder == nil {
+				t.Fatalf("%s: Config() must name a constructor, not share one responder", tag)
+			}
+			want := respondAll(construct(sp.variant()))
+			if got := respondAll(cfg.ResolveResponder()); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: the resolved responder and the registry's constructor disagree", tag)
+			}
+			var wg sync.WaitGroup
+			got := make([][]bestresponse.Response, 2)
+			for i := range got {
+				r := cfg.ResolveResponder()
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i] = respondAll(r)
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if !reflect.DeepEqual(got[i], want) {
+					t.Fatalf("%s: concurrent responder %d deviates from the sequential answers", tag, i)
+				}
+			}
+		}
 	}
 }
 

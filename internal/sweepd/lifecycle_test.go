@@ -521,6 +521,27 @@ func TestResumePlaceholderSurfacesSpecError(t *testing.T) {
 		t.Fatalf("invalid-spec placeholder error = %q", job2.Error)
 	}
 
+	// So does a spec persisted before Validate had its ceilings: it must
+	// come back failed with the cap in its Error, never as a running job
+	// whose factory asks for n = 4e9 players.
+	const id3 = "cccccccccccccccc"
+	if err := os.MkdirAll(filepath.Join(dir, id3), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, id3, "spec.json"),
+		[]byte(`{"variant":"max","graph":"tree","n":4000000000,"alphas":[1],"ks":[2],"seeds":1,"base_seed":1,"max_rounds":100,"cycle_check_after":25}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mgr3 := NewManager(store, nil, 1)
+	mgr3.now = clk.Now
+	t.Cleanup(mgr3.Close)
+	if err := mgr3.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	if job3, _ := mgr3.Get(id3); job3.Status != StatusFailed || !strings.Contains(job3.Error, "10000-player cap") {
+		t.Fatalf("over-cap placeholder = %+v", job3)
+	}
+
 	// GC reaps placeholders like any failed job.
 	clk.Advance(2 * time.Hour)
 	mgr.gcOnce(time.Hour)

@@ -59,8 +59,8 @@ func NormalizePeerURL(s string) string {
 
 // NormalizePeerURLs normalizes each URL, drops empties, and dedupes
 // while preserving first-seen order — the shared parsing step behind
-// -peers, shard.New, and the cluster registry, so no layer can spawn two
-// lease streams against one peer spelled two ways.
+// -peers and the cluster registry, so no layer can spawn two lease
+// streams against one peer spelled two ways.
 func NormalizePeerURLs(urls []string) []string {
 	out := make([]string, 0, len(urls))
 	seen := make(map[string]bool, len(urls))

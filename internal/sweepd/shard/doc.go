@@ -30,14 +30,14 @@
 // # Peer sources
 //
 // Which peers a job leases to comes from a PeerSource, snapshotted once
-// per job so membership changes never touch a job in flight. New wraps
-// a static -peers list (normalized and deduplicated); NewFromSource
-// accepts a live source — in production the cluster.Registry, whose
-// AlivePeers() excludes suspect and down members. When the source also
-// implements FailureReporter, every failed lease is reported back, so
-// the registry demotes the peer immediately and subsequent jobs skip it
-// until a health probe readmits it; a static source simply retries the
-// peer on the next job, the original behavior. See package cluster for
+// per job so membership changes never touch a job in flight.
+// NewFromSource takes the source — in production the cluster.Registry
+// (a -peers list seeds it), whose AlivePeers() excludes suspect and down
+// members; the tests' fixed list lives in shard_unit_test.go. When the
+// source also implements FailureReporter, every failed lease is reported
+// back, so the registry demotes the peer immediately and subsequent jobs
+// skip it until a health probe readmits it; a source that does not simply
+// sees the peer retried on the next job. See package cluster for
 // discovery (hello/gossip), health probing, and backoff.
 //
 // # Determinism

@@ -30,8 +30,7 @@ type Options struct {
 
 // PeerSource supplies the peers a job may lease to. The pool snapshots
 // it once per job, so membership changes never touch a job in flight.
-// cluster.Registry implements it (alive members only); a static -peers
-// list is wrapped by New.
+// cluster.Registry implements it (alive members only).
 type PeerSource interface {
 	AlivePeers() []string
 }
@@ -44,12 +43,6 @@ type FailureReporter interface {
 	ReportLeaseFailure(url string)
 }
 
-// staticPeers is the PeerSource for a fixed -peers list: always "alive",
-// exactly the pre-registry behavior.
-type staticPeers []string
-
-func (s staticPeers) AlivePeers() []string { return s }
-
 // Pool fans sweep work out to peer daemons. It implements
 // sweepd.ExecutorProvider; install it with Manager.SetExecutorProvider.
 // A Pool is safe for concurrent use by many jobs.
@@ -60,16 +53,6 @@ type Pool struct {
 	leasesIssued  atomic.Uint64
 	leaseFailures atomic.Uint64
 	remoteCells   atomic.Uint64
-}
-
-// New builds a pool over a static list of peer base URLs (e.g.
-// "http://10.0.0.2:8080"). URLs are normalized (trailing slashes
-// stripped) and deduplicated, so programmatic callers get the same
-// hygiene as the -peers flag — "http://a:1" and "http://a:1/" never
-// spawn two lease goroutines against one peer. An empty peer list is
-// valid: every job then runs locally.
-func New(peers []string, opts Options) *Pool {
-	return NewFromSource(staticPeers(sweepd.NormalizePeerURLs(peers)), opts)
 }
 
 // NewFromSource builds a pool whose peers come from a live source —

@@ -7,7 +7,30 @@ package shard
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/sweepd"
 )
+
+// New and staticPeers are the fixture of this package's tests (the
+// end-to-end ones in shard_test.go included): a pool over a fixed peer
+// list. Both binaries that build a Pool hand NewFromSource a
+// cluster.Registry.
+
+// staticPeers is the PeerSource for a fixed -peers list: always "alive",
+// exactly the pre-registry behavior.
+type staticPeers []string
+
+func (s staticPeers) AlivePeers() []string { return s }
+
+// New builds a pool over a static list of peer base URLs (e.g.
+// "http://10.0.0.2:8080"). URLs are normalized (trailing slashes
+// stripped) and deduplicated, so programmatic callers get the same
+// hygiene as the -peers flag — "http://a:1" and "http://a:1/" never
+// spawn two lease goroutines against one peer. An empty peer list is
+// valid: every job then runs locally.
+func New(peers []string, opts Options) *Pool {
+	return NewFromSource(staticPeers(sweepd.NormalizePeerURLs(peers)), opts)
+}
 
 // TestNewNormalizesAndDedupes: programmatic construction gets the same
 // URL hygiene as the -peers flag — "http://a:1/" must not produce

@@ -47,14 +47,15 @@ type Spec struct {
 	// (preferential-attachment tree), or "random-regular" (connected
 	// q-regular, degree Q).
 	Graph string `json:"graph,omitempty"`
-	// N is the number of players (required, ≥ 2).
+	// N is the number of players (required, 2 ≤ n ≤ maxPlayers).
 	N int `json:"n"`
 	// P is the edge probability (Graph "gnp") or the edge deletion
 	// probability (Graph "grid-delete"); unused otherwise.
 	P float64 `json:"p,omitempty"`
 	// Q is the vertex degree, required iff Graph == "random-regular".
 	Q int `json:"q,omitempty"`
-	// Alphas and Ks span the grid; Seeds random starts per (α, k) pair.
+	// Alphas (each in (0, maxAlpha]) and Ks span the grid; Seeds random
+	// starts per (α, k) pair.
 	Alphas []float64 `json:"alphas"`
 	Ks     []int     `json:"ks"`
 	Seeds  int       `json:"seeds"`
@@ -81,6 +82,18 @@ type Spec struct {
 // maxJobCells caps a single job's grid so one bad request can't pin the
 // server; paper scale (15×12×20 = 3600) fits comfortably.
 const maxJobCells = 200_000
+
+// maxPlayers caps n: the start-state factory allocates O(n) maps and a
+// full-knowledge responder an n²/8-byte neighbourhood-power slab per level
+// (12.5 MB at the cap), so an unbounded n lets one request exhaust memory
+// — which the Go runtime treats as fatal, on this member and then on each
+// one that adopts the job. 50× the paper's largest instance (n = 200).
+const maxPlayers = 10_000
+
+// maxAlpha caps α: per-cell seeding converts α·1e6 to int64, and past
+// 9.2e12 the Go spec leaves that conversion implementation-dependent, so
+// two architectures would seed the same cell differently.
+const maxAlpha = 1e12
 
 // Normalize fills defaults in place and lets the spec's graph family
 // zero the parameters that do not apply to it (the hash discipline: a
@@ -113,12 +126,13 @@ func (sp *Spec) Normalize() {
 	sp.Ks = dedupInts(sp.Ks)
 }
 
-// Validate reports the first problem with a normalized spec. Grid and
-// budget constraints are common to every workload; dialect- and
-// graph-specific parameter checks are delegated to the registries.
+// Validate reports the first problem with a normalized spec. Size, grid
+// and budget constraints are common to every workload; a graph family's
+// checks on its own parameters are delegated to its registry entry. Every
+// way a spec enters a daemon (submit, peer lease, adoption, resume) goes
+// through here.
 func (sp Spec) Validate() error {
-	d, ok := dialects[sp.Dialect]
-	if !ok {
+	if _, ok := dialects[sp.Dialect]; !ok {
 		return fmt.Errorf("sweepd: unknown dialect %q (valid: %s)", sp.Dialect, dialectNames())
 	}
 	switch sp.Variant {
@@ -129,6 +143,9 @@ func (sp Spec) Validate() error {
 	if sp.N < 2 {
 		return fmt.Errorf("sweepd: need n ≥ 2, got %d", sp.N)
 	}
+	if sp.N > maxPlayers {
+		return fmt.Errorf("sweepd: n=%d exceeds the %d-player cap", sp.N, maxPlayers)
+	}
 	f, ok := graphFamilies[sp.Graph]
 	if !ok {
 		return fmt.Errorf("sweepd: unknown graph %q (valid: %s)", sp.Graph, graphNames())
@@ -138,17 +155,15 @@ func (sp Spec) Validate() error {
 			return err
 		}
 	}
-	if d.validate != nil {
-		if err := d.validate(sp); err != nil {
-			return err
-		}
-	}
 	if len(sp.Alphas) == 0 {
 		return fmt.Errorf("sweepd: empty alpha grid")
 	}
 	for _, a := range sp.Alphas {
 		if a <= 0 {
 			return fmt.Errorf("sweepd: need α > 0, got %g", a)
+		}
+		if a > maxAlpha {
+			return fmt.Errorf("sweepd: α=%g exceeds the %g cap", a, maxAlpha)
 		}
 	}
 	if len(sp.Ks) == 0 {
@@ -233,15 +248,24 @@ func (sp Spec) CellsRange(start, end int) []dynamics.Cell {
 	return out
 }
 
-// Config builds the dynamics configuration for this job — the spec's
-// dialect owns the responder choice; α and k are filled per cell by the
-// sweep runner. The spec must have passed Validate.
+// Config builds the dynamics configuration for this job: the budgets are
+// the spec's, the move rule is the dialect's constructor behind
+// NewResponder (so every worker resolves its own instance), and α and k
+// are filled per cell by the sweep runner. The spec must have passed
+// Validate.
 func (sp Spec) Config() dynamics.Config {
-	d, ok := dialects[sp.Dialect]
+	newResponder, ok := dialects[sp.Dialect]
 	if !ok {
 		panic("sweepd: Config on unvalidated spec with unknown dialect " + sp.Dialect)
 	}
-	return d.config(sp)
+	v := sp.variant()
+	return dynamics.Config{
+		Variant:         v,
+		NewResponder:    func() dynamics.Responder { return newResponder(v) },
+		MaxRounds:       sp.MaxRounds,
+		CycleCheckAfter: sp.CycleCheckAfter,
+		CollectPerRound: sp.Trajectories,
+	}
 }
 
 // Factory builds the starting-state factory for this job — the spec's

@@ -48,9 +48,6 @@ func Open(dir string) (*FS, error) {
 	return fs, nil
 }
 
-// Root returns the store directory.
-func (fs *FS) Root() string { return fs.root }
-
 func (fs *FS) jobDir(id string) string   { return filepath.Join(fs.root, id) }
 func (fs *FS) metaPath(id string) string { return filepath.Join(fs.jobDir(id), "meta.json") }
 

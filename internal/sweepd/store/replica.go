@@ -77,9 +77,6 @@ func OpenReplicaSet(dir string) (*ReplicaSet, error) {
 	return rs, nil
 }
 
-// Root returns the replica store directory.
-func (rs *ReplicaSet) Root() string { return rs.root }
-
 func (rs *ReplicaSet) dir(id string) string { return filepath.Join(rs.root, id) }
 
 // ManifestPath returns the replica's manifest path.

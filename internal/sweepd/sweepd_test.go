@@ -1,6 +1,8 @@
 package sweepd
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dynamics"
@@ -188,5 +190,38 @@ func TestStoreCreateJobIdempotent(t *testing.T) {
 	ids, err := st.Jobs()
 	if err != nil || len(ids) != 1 || ids[0] != id1 {
 		t.Fatalf("jobs = %v, %v", ids, err)
+	}
+}
+
+// TestSpecValidateRejectsOversize pins the two ceilings every entry point
+// inherits from Validate: a spec at a cap is accepted (and hashes like any
+// other — no field, no normalisation behind the caps), one past it is
+// refused with an error that names the cap.
+func TestSpecValidateRejectsOversize(t *testing.T) {
+	atCap := Spec{N: maxPlayers, Alphas: []float64{maxAlpha}, Ks: []int{2}, Seeds: 1}
+	atCap.Normalize()
+	if err := atCap.Validate(); err != nil {
+		t.Fatalf("spec at both caps rejected: %v", err)
+	}
+	if got, want := atCap.ID(), "d2973020fa2a627f"; got != want {
+		t.Fatalf("spec at the caps hashes to %s, want %s", got, want)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*Spec)
+		want   string
+	}{
+		{"n one past", func(s *Spec) { s.N = maxPlayers + 1 }, "10000-player cap"},
+		{"n from the report", func(s *Spec) { s.N = 4_000_000_000 }, "10000-player cap"},
+		{"alpha one past", func(s *Spec) { s.Alphas = []float64{math.Nextafter(maxAlpha, math.Inf(1))} }, "1e+12 cap"},
+		{"alpha past int64", func(s *Spec) { s.Alphas = []float64{1, 1e13} }, "1e+12 cap"},
+	}
+	for _, c := range cases {
+		sp := atCap
+		c.mutate(&sp)
+		err := sp.Validate()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Validate = %v, want an error naming the %s", c.name, err, c.want)
+		}
 	}
 }

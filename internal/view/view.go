@@ -91,25 +91,3 @@ func (v *View) Frontier() []int {
 // vertices; in that case the player effectively plays the full-knowledge
 // game (gray regions of Figures 3–4).
 func (v *View) SeesAll(n int) bool { return v.H.N() == n }
-
-// GlobalStrategyToLocal translates a set of global vertex ids into local
-// ids, dropping targets outside the view (they are not in the player's
-// strategy space under locality).
-func (v *View) GlobalStrategyToLocal(strategy []int) []int {
-	var out []int
-	for _, g := range strategy {
-		if l, ok := v.Local[g]; ok {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// LocalStrategyToGlobal translates local ids back to global ids.
-func (v *View) LocalStrategyToGlobal(strategy []int) []int {
-	out := make([]int, len(strategy))
-	for i, l := range strategy {
-		out[i] = v.Orig[l]
-	}
-	return out
-}
