@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/game"
-	"repro/internal/graph"
 	"repro/internal/mds"
 	"repro/internal/view"
 )
@@ -270,30 +269,9 @@ func radiusZeroResponse(current []int, cur, dropped float64) Response {
 }
 
 // SumGreedyResponse is the Evaluator form of the package-level
-// SumGreedyResponse.
+// SumGreedyResponse: one step of the descent in large.go.
 func (e *Evaluator) SumGreedyResponse(s *game.State, u, k int, alpha float64) Response {
-	current := s.Strategy(u)
-	if k == 0 {
-		return radiusZeroResponse(current, 0, -alpha)
-	}
-	e.prepare(s, u, k)
-	e.markCandidates(s, u, current)
-	bought := s.BoughtCount(u)
-	eval := func(candLen int) float64 {
-		sum, ok := e.ws.InnerSum()
-		if !ok {
-			return game.InfiniteCost
-		}
-		return alpha*float64(candLen-bought) + float64(sum-e.ws.InnerBase())
-	}
-	bestDelta, best, improving := e.greedyScan(current, 0.0, eval)
-	e.clearFlags()
-	return Response{
-		Strategy:    e.materialize(current, best),
-		Cost:        bestDelta,
-		CurrentCost: 0,
-		Improving:   improving,
-	}
+	return e.descend(s, u, k, alpha, game.Sum, 1)
 }
 
 // SumBestResponseExhaustive is the Evaluator form of the package-level
@@ -524,28 +502,7 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 }
 
 // MaxGreedyResponse is the Evaluator form of the package-level
-// MaxGreedyResponse.
+// MaxGreedyResponse: one step of the descent in large.go.
 func (e *Evaluator) MaxGreedyResponse(s *game.State, u, k int, alpha float64) Response {
-	current := s.Strategy(u)
-	if k == 0 {
-		return radiusZeroResponse(current, alpha*float64(len(current)), 0)
-	}
-	e.prepare(s, u, k)
-	e.markCandidates(s, u, current)
-	cur := alpha*float64(s.BoughtCount(u)) + float64(e.ws.ViewEcc())
-	eval := func(candLen int) float64 {
-		ecc := e.ws.EccAll()
-		if ecc >= graph.Unreachable {
-			return game.InfiniteCost
-		}
-		return alpha*float64(candLen) + float64(ecc)
-	}
-	bestCost, best, improving := e.greedyScan(current, cur, eval)
-	e.clearFlags()
-	return Response{
-		Strategy:    e.materialize(current, best),
-		Cost:        bestCost,
-		CurrentCost: cur,
-		Improving:   improving,
-	}
+	return e.descend(s, u, k, alpha, game.Max, 1)
 }

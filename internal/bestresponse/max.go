@@ -10,14 +10,16 @@
 // view once into a pooled view.Workspace and scores every candidate
 // deviation by incremental, undoable distance relaxation — no clone, no
 // full BFS per candidate; the package-level functions run on a pooled
-// Evaluator. What it is held to lives behind the test boundary, where the
-// compiler keeps production code from calling it: reference_test.go and
-// large_reference_test.go retain the original clone-and-BFS responders
-// (ref*) as the executable specification, and differential_test.go,
-// large_differential_test.go, scan_test.go, powers_test.go and
-// FuzzMaxBestResponse pin the Evaluator to them on randomized instances —
-// byte-identical responses, same sorted strategies, same epsilon
-// tie-breaks.
+// Evaluator. The four single-move responders (greedy and
+// large-neighborhood, either objective) are one descent under two step
+// caps (large.go). What it is held to lives behind the test boundary,
+// where the compiler keeps production code from calling it:
+// reference_test.go and large_reference_test.go retain the original
+// clone-and-BFS responders (ref*) as the executable specification, and
+// differential_test.go, large_differential_test.go, scan_test.go,
+// powers_test.go and FuzzMaxBestResponse pin the Evaluator to them on
+// randomized instances — byte-identical responses, same sorted
+// strategies, same epsilon tie-breaks.
 package bestresponse
 
 import (

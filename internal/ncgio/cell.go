@@ -125,23 +125,13 @@ func ReadCheckpoint(path string) ([]dynamics.CellResult, error) {
 // (a torn or corrupt tail is left unconsumed rather than erroring, so
 // incremental readers can retry it once more bytes land).
 func DecodePrefix(data []byte) (out []dynamics.CellResult, clean int) {
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // torn tail: no terminating newline
-		}
-		line := bytes.TrimSpace(data[off : off+nl])
-		off += nl + 1
-		if len(line) == 0 {
-			clean = off
-			continue
-		}
+	for line, end := range Lines(data) {
 		rec, err := UnmarshalCellResult(line)
 		if err != nil {
-			break // torn or corrupt record: keep the prefix before it
+			break // corrupt record: keep the prefix before it
 		}
 		out = append(out, rec)
-		clean = off
+		clean = end
 	}
 	return out, clean
 }

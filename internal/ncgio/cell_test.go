@@ -12,7 +12,7 @@ import (
 	"repro/internal/gen"
 )
 
-func sampleResults(t *testing.T, n int) []dynamics.CellResult {
+func sampleResults(t testing.TB, n int) []dynamics.CellResult {
 	t.Helper()
 	cells := dynamics.Grid([]float64{0.5, 2}, []int{2, 1000}, (n+3)/4)
 	cfg := dynamics.DefaultConfig(game.Max, 0, 0)

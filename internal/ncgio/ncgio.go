@@ -3,6 +3,15 @@
 // later. The on-disk format is stable JSON: a state is its player count
 // plus the sorted arc list (buyer → target), which is exactly the
 // information content of a strategy profile σ.
+//
+// Framing. Checkpoints, trajectory sidecars, cache segments and replica
+// bodies are JSONL: a record is a non-blank line terminated by '\n', and
+// bytes after the last newline are a torn tail — the trace of a crash
+// mid-append — never a record. Lines is that rule and the only place it is
+// written. Readers skip blank lines and leave a tail alone; only a file's
+// owner, about to append again, may truncate one (ReadCheckpoint,
+// RepairTail). Whoever stores foreign bytes verbatim also refuses padding
+// and blank lines, which Lines' offsets reveal.
 package ncgio
 
 import (
@@ -34,6 +43,12 @@ func EncodeState(w io.Writer, s *game.State) error {
 	return enc.Encode(out)
 }
 
+// maxStatePlayers caps a decoded state's player count: a state costs
+// memory in proportion to n however few bytes spell it, peers send the
+// bytes, and the runtime treats the 32 GB a line naming n = 4e9 asks for
+// as fatal. 100× the largest n a sweep spec may name.
+const maxStatePlayers = 1 << 20
+
 // DecodeState reads a state previously written by EncodeState. The
 // decoded state passes game.Validate by construction; malformed arcs
 // (out-of-range ids, self-buys, duplicates) are rejected.
@@ -43,8 +58,8 @@ func DecodeState(r io.Reader) (*game.State, error) {
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("ncgio: %w", err)
 	}
-	if in.N < 0 {
-		return nil, fmt.Errorf("ncgio: negative player count %d", in.N)
+	if in.N < 0 || in.N > maxStatePlayers {
+		return nil, fmt.Errorf("ncgio: player count %d outside [0, %d]", in.N, maxStatePlayers)
 	}
 	s := game.NewState(in.N)
 	for _, arc := range in.Arcs {

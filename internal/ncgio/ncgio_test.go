@@ -59,6 +59,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
 		"garbage":      "not json",
 		"negative n":   `{"n":-1,"arcs":[]}`,
+		"oversize n":   `{"n":4000000000,"arcs":[]}`,
 		"out of range": `{"n":3,"arcs":[[0,5]]}`,
 		"self buy":     `{"n":3,"arcs":[[1,1]]}`,
 		"duplicate":    `{"n":3,"arcs":[[0,1],[0,1]]}`,

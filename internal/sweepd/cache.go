@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"bytes"
 	"container/list"
 	"fmt"
 	"os"
@@ -363,9 +362,10 @@ func (c *Cache) lockSegment(kernel string, create bool) *segment {
 
 // load builds, on the segment's first touch in this process, the index of
 // what an earlier process left: the tail a crash tore is truncated, and
-// every whole line is keyed by the cell it records. A line that does not
-// decode is skipped — its cell misses and is spilled again; one that
-// decodes to the wrong thing is caught when a hit is validated.
+// every record (ncgio.Lines) is keyed by the cell it names and placed
+// where spill writes one, directly before its newline. A line that does
+// not decode is skipped — its cell misses and is spilled again; a padded
+// one, or one that decodes to the wrong thing, fails a hit's validation.
 func (s *segment) load() {
 	if s.index != nil {
 		return
@@ -378,18 +378,12 @@ func (s *segment) load() {
 	if err != nil {
 		return // no segment yet (a directory of legacy per-cell files)
 	}
-	off := 0
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
+	for line, end := range ncgio.Lines(data) {
+		if cell, err := ncgio.UnmarshalCell(line); err == nil {
+			s.index[cell] = span{off: int64(end - 1 - len(line)), n: len(line)}
 		}
-		if cell, err := ncgio.UnmarshalCell(data[off : off+nl]); err == nil {
-			s.index[cell] = span{off: int64(off), n: nl}
-		}
-		off += nl + 1
 	}
-	s.size = int64(off)
+	s.size = int64(len(data))
 }
 
 // file returns s's descriptor, opening it (and, for a kernel's first

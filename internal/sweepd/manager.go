@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
 )
 
@@ -314,45 +312,26 @@ func (m *Manager) Adopt(sp Spec, checkpoint []byte) (Job, bool, error) {
 }
 
 // seedCheckpoint writes the maximal canonical prefix of raw (a fetched
-// checkpoint tail) as the job's local checkpoint. Each line must decode
-// and match the spec's canonical cell at its index; the first torn,
-// alien, or out-of-order line ends the import — the runner recomputes
-// from there. An existing non-empty local checkpoint wins outright (it
-// is already a trusted canonical prefix). Caller holds m.mu and has
-// verified no runner is registered for the job. Best-effort: any
-// failure just means adoption starts from less.
+// checkpoint tail, or this daemon's replica of the job) as the job's
+// local checkpoint. The first line canonicalPrefix refuses — torn, alien,
+// out of order, padded, after a blank line — ends the import and the
+// runner recomputes from there, so what lands is framed as this daemon's
+// own writer frames (a record's encoding is not checked: VerifyReplica).
+// An existing non-empty local checkpoint wins outright (it is already a
+// trusted canonical prefix). Caller holds m.mu and has verified no runner
+// is registered for the job. Best-effort: any failure just means adoption
+// starts from less.
 func (m *Manager) seedCheckpoint(sp Spec, raw []byte) {
 	path := m.store.ResultsPath(sp.ID())
 	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
 		return
 	}
-	keep, idx := 0, 0
-	for off := 0; off < len(raw); {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := bytes.TrimSpace(raw[off : off+nl])
-		off += nl + 1
-		if len(line) == 0 {
-			break
-		}
-		rec, err := ncgio.UnmarshalCellResult(line)
-		if err != nil || idx >= sp.NumCells() || rec.Cell != sp.CellsRange(idx, idx+1)[0] {
-			break
-		}
-		idx++
-		keep = off
-	}
+	keep, _ := sp.canonicalPrefix(raw, resultCell) // a refusal is where recomputing starts, not an error
 	if keep == 0 {
 		return
 	}
 	tmp := path + ".adopt"
-	if err := os.WriteFile(tmp, raw[:keep], 0o644); err != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
-		return
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if os.WriteFile(tmp, raw[:keep], 0o644) != nil || os.Rename(tmp, path) != nil {
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
 	}
 }

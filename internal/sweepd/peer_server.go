@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
 )
 
@@ -111,12 +111,12 @@ func (h *handler) peerClaim(w http.ResponseWriter, r *http.Request) {
 // receiveReplica serves POST /peer/replicas/{id}: a leader pushing one
 // finished job's immutable artifacts. The body is one ReplicaManifest
 // line, then the full canonical checkpoint, then (for trajectory specs)
-// the full sidecar. Nothing lands unverified: the spec must hash to the
-// job ID and the manifest kernel, and every line must be the canonical
-// record of its grid position — so a stored replica is exactly as
-// trustworthy as a locally computed checkpoint. The manifest generation
-// is the zombie guard: a push from a deposed leader (lower generation
-// than the stored copy's) answers 409 and changes nothing.
+// the full sidecar. Nothing lands unverified (VerifyReplica): the spec
+// must hash to the job ID and the manifest kernel, and every line must be
+// the record of its grid position, framed as the leader's writer frames
+// it — what is stored is what was verified, byte for byte. The manifest
+// generation is the zombie guard: a push from a deposed leader (lower
+// generation than the stored copy's) answers 409 and changes nothing.
 func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 	rs := h.m.Replicas()
 	if rs == nil {
@@ -134,23 +134,18 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("replica body exceeds %d bytes", maxReplicaBody))
 		return
 	}
-	nl := bytes.IndexByte(body, '\n')
-	if nl < 0 {
-		writeError(w, http.StatusBadRequest, "replica body has no manifest line")
-		return
+	var head, rest []byte
+	for line, end := range ncgio.Lines(body) {
+		head, rest = line, body[end:]
+		break
 	}
 	var m store.ReplicaManifest
-	if err := json.Unmarshal(body[:nl], &m); err != nil {
-		writeError(w, http.StatusBadRequest, "bad replica manifest: "+err.Error())
+	if err := json.Unmarshal(head, &m); err != nil { // a body without a whole line has no head
+		writeError(w, http.StatusBadRequest, "bad replica manifest line: "+err.Error())
 		return
 	}
-	checkpoint, trajectory, ok := splitReplicaBody(body[nl+1:], m.CheckpointLines)
-	if !ok {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("replica body has fewer than the %d checkpoint lines the manifest frames", m.CheckpointLines))
-		return
-	}
-	if _, err := VerifyReplica(id, m, checkpoint, trajectory); err != nil {
+	checkpoint, trajectory, err := VerifyReplica(id, m, rest)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -177,27 +172,6 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 	h.replicasReceived.Add(1)
 	h.replicaBytesReceived.Add(uint64(len(body)))
 	writeJSON(w, http.StatusOK, map[string]any{"stored": true, "held": true})
-}
-
-// splitReplicaBody cuts a replica body (after the manifest line) at the
-// end of its ckLines-th non-blank line: checkpoint bytes, then sidecar
-// bytes. ok=false when fewer complete lines exist.
-func splitReplicaBody(data []byte, ckLines int) (checkpoint, trajectory []byte, ok bool) {
-	if ckLines < 0 {
-		return nil, nil, false
-	}
-	off, seen := 0, 0
-	for seen < ckLines {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			return nil, nil, false
-		}
-		if len(bytes.TrimSpace(data[off:off+nl])) > 0 {
-			seen++
-		}
-		off += nl + 1
-	}
-	return data[:off], data[off:], true
 }
 
 // peerLease serves POST /peer/leases, the follower half of the sharding

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -198,6 +199,18 @@ func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
 	}
 }
 
+// postReplica pushes one replica body and returns the status it drew.
+func postReplica(t *testing.T, base, id, body string) int {
+	t.Helper()
+	resp, err := http.Post(base+"/peer/replicas/"+id, "application/x-ndjson", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // TestReceiveReplicaVerification exercises the receive guards: nothing
 // unverified lands, and generations are monotonic.
 func TestReceiveReplicaVerification(t *testing.T) {
@@ -212,15 +225,7 @@ func TestReceiveReplicaVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(id string, b []byte) int {
-		resp, err := http.Post(followerSrv.URL+"/peer/replicas/"+id, "application/x-ndjson", strings.NewReader(string(b)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body) //nolint:errcheck
-		resp.Body.Close()
-		return resp.StatusCode
-	}
+	post := func(id string, b []byte) int { return postReplica(t, followerSrv.URL, id, string(b)) }
 	mutate := func(f func(m *store.ReplicaManifest)) []byte {
 		nl := strings.IndexByte(string(body), '\n')
 		var m store.ReplicaManifest
@@ -318,5 +323,154 @@ func TestReadRedirectOneHop(t *testing.T) {
 	resp, _ = getRaw(t, srv.URL+"/sweeps/00000000000000cd/results", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("holderless read = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestReceiveReplicaRejectsNonCanonicalFraming: a replica is stored byte
+// for byte and served under the leader's strong ETag, so a push whose
+// records decode correctly but are framed differently — padded, separated
+// by blank lines, followed by a torn tail — must not land. The honest
+// body then does, and reads back identical to the leader's.
+func TestReceiveReplicaRejectsNonCanonicalFraming(t *testing.T) {
+	leaderMgr, _, _, leaderSrv, _ := newLifecycleRig(t, Config{})
+	_, fh, followerSrv, _ := newReplicaRig(t, Config{})
+
+	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2, Trajectories: true}
+	job := runDoneJob(t, leaderMgr, sp)
+	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(body), "\n") // manifest, 2 records, 2 sidecar records, ""
+	if len(lines) != 6 || lines[5] != "" {
+		t.Fatalf("honest body has %d lines, want manifest + 2 + 2", len(lines)-1)
+	}
+	rewrite := func(f func(i int, line string) string) string {
+		var b strings.Builder
+		for i, line := range lines[:5] {
+			if i > 0 {
+				line = f(i, line)
+			}
+			b.WriteString(line)
+		}
+		return b.String()
+	}
+	cases := map[string]string{
+		"padded records": rewrite(func(_ int, line string) string {
+			return "  " + strings.TrimSuffix(line, "\n") + " \t\n"
+		}),
+		"blank line before each record": rewrite(func(_ int, line string) string { return "\n" + line }),
+		"blank line between checkpoint and sidecar": rewrite(func(i int, line string) string {
+			if i == 3 {
+				return "\n" + line
+			}
+			return line
+		}),
+		"torn tail after the sidecar": string(body) + `{"alpha":1`,
+	}
+	post := func(b string) int { return postReplica(t, followerSrv.URL, job.ID, b) }
+	for name, b := range cases {
+		if code := post(b); code != http.StatusBadRequest {
+			t.Errorf("%s: push answered %d, want 400", name, code)
+		}
+	}
+	if got := fh.replicasReceived.Load(); got != 0 {
+		t.Fatalf("%d non-canonical pushes were stored", got)
+	}
+
+	if code := post(string(body)); code != http.StatusOK {
+		t.Fatalf("honest push = %d", code)
+	}
+	for _, path := range []string{"/results", "/trajectories"} {
+		lresp, want := getRaw(t, leaderSrv.URL+"/sweeps/"+job.ID+path, nil)
+		fresp, got := getRaw(t, followerSrv.URL+"/sweeps/"+job.ID+path, nil)
+		if fresp.StatusCode != http.StatusOK || string(got) != string(want) {
+			t.Fatalf("%s: follower serves %d bytes (status %d), leader %d", path, len(got), fresp.StatusCode, len(want))
+		}
+		if l, f := lresp.Header.Get("ETag"), fresp.Header.Get("ETag"); l == "" || l != f {
+			t.Fatalf("%s: ETag leader %q, follower %q", path, l, f)
+		}
+	}
+}
+
+// TestReadRejectsMalformedJobID: ServeMux hands {id} over unescaped, so
+// "..%2Fevil" arrives as "../evil". With a manifest planted one level
+// above the replica root that names itself "../evil", the replica read
+// door used to join the id into a path and serve the planted file.
+func TestReadRejectsMalformedJobID(t *testing.T) {
+	_, _, srv, dir := newReplicaRig(t, Config{})
+	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 1}
+	sp.Normalize()
+	specJSON, err := json.Marshal(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := json.Marshal(store.ReplicaManifest{
+		JobID: "../evil", Kernel: sp.KernelHash(), Generation: 1, Status: string(StatusDone),
+		CheckpointLines: 1, Spec: specJSON,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evil := filepath.Join(dir, "evil")
+	if err := os.MkdirAll(evil, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string]string{"manifest.json": string(manifest), "results.jsonl": "planted\n"} {
+		if err := os.WriteFile(filepath.Join(evil, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, path := range []string{"", "/results", "/summary", "/trajectories"} {
+		resp, body := getRaw(t, srv.URL+"/sweeps/..%2Fevil"+path, nil)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET /sweeps/..%%2Fevil%s = %d, want 404: %s", path, resp.StatusCode, body)
+		}
+	}
+}
+
+// TestAdoptSeedsOnlyCanonicalPrefix: adoption imports a fetched tail only
+// up to the first record that is not framed the way this daemon's own
+// writer frames it, recomputes the rest, and ends byte-identical to an
+// uninterrupted run either way.
+func TestAdoptSeedsOnlyCanonicalPrefix(t *testing.T) {
+	sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 4}
+	sp.Normalize()
+	refMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	job := runDoneJob(t, refMgr, sp)
+	want, err := os.ReadFile(refMgr.ResultsPath(job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := strings.SplitAfter(string(want), "\n")
+	if len(recs) != 9 {
+		t.Fatalf("reference checkpoint has %d records, want 8", len(recs)-1)
+	}
+	for name, tc := range map[string]struct {
+		tail   string
+		seeded uint64
+	}{
+		"honest":                       {string(want), 8},
+		"blank line after record 3":    {strings.Join(recs[:3], "") + "\n" + strings.Join(recs[3:], ""), 3},
+		"record 2 padded":              {strings.Join(recs[:2], "") + " " + strings.Join(recs[2:], ""), 2},
+		"torn tail after 5 records":    {strings.Join(recs[:5], "") + recs[5][:20], 5},
+		"records 1 and 2 swapped":      {recs[0] + recs[2] + recs[1] + strings.Join(recs[3:], ""), 1},
+		"a ninth record past the grid": {string(want) + recs[7], 8},
+	} {
+		mgr, _, _, _, _ := newLifecycleRig(t, Config{})
+		if _, _, err := mgr.Adopt(sp, []byte(tc.tail)); err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, mgr, job.ID, StatusDone)
+		if got := 8 - mgr.Stats().CellsAppended; got != tc.seeded {
+			t.Errorf("%s: seeded %d records, want %d", name, got, tc.seeded)
+		}
+		got, err := os.ReadFile(mgr.ResultsPath(job.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s: adopted checkpoint differs from the uninterrupted run's (%d vs %d bytes)", name, len(got), len(want))
+		}
 	}
 }

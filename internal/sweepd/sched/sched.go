@@ -405,8 +405,16 @@ func (s *Scheduler) electAdopter(self string) string {
 // receipt, no network needed, and present even when the dead leader
 // held the only live copy), else whatever tail an alive peer still
 // holds — seed it locally, resume the sweep, and publish the
-// generation+1 lease.
+// generation+1 lease. The lease came from a peer and its JobID is about
+// to name a replica directory, a URL path and the lease published here: one
+// that is not its spec's content address (16 hex digits) is skipped.
 func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
+	sp := l.Spec
+	sp.Normalize()
+	if sp.ID() != l.JobID {
+		s.logf("sched: skipping lease from %s: job id %q is not its spec's (%s)", l.Owner, l.JobID, sp.ID())
+		return
+	}
 	checkpoint := s.opts.Manager.ReplicaCheckpoint(l.JobID)
 	if checkpoint != nil {
 		s.replicaSeeds.Add(1)

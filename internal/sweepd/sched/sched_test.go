@@ -120,8 +120,9 @@ type fakeManager struct {
 	adopted   []adoptCall
 	submitErr error
 	// replicaCheckpoints scripts ReplicaCheckpoint by job ID (nil map =
-	// no replicas held).
+	// no replicas held); replicaAsked records the IDs it was asked for.
 	replicaCheckpoints map[string][]byte
+	replicaAsked       []string
 }
 
 func (m *fakeManager) Submit(sp sweepd.Spec) (sweepd.Job, bool, error) {
@@ -158,6 +159,7 @@ func (m *fakeManager) Load() sweepd.LoadInfo {
 func (m *fakeManager) ReplicaCheckpoint(id string) []byte {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.replicaAsked = append(m.replicaAsked, id)
 	return m.replicaCheckpoints[id]
 }
 
@@ -189,6 +191,7 @@ type peerDaemon struct {
 	submits    int
 	claims     []sweepd.JobLease
 	checkpoint []byte
+	fetches    int // GET /sweeps/{id}/results requests seen
 	rejections int // initial 429s to serve on /peer/jobs, with Retry-After: 0
 	srv        *httptest.Server
 }
@@ -229,6 +232,7 @@ func newPeerDaemon(t *testing.T) *peerDaemon {
 	})
 	mux.HandleFunc("GET /sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
+		p.fetches++
 		ck := p.checkpoint
 		p.mu.Unlock()
 		if len(ck) == 0 {
@@ -541,6 +545,42 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 	}
 	if st := s.Stats(); st.Adoptions != 1 || st.ReplicaSeeds != 1 {
 		t.Fatalf("stats = %+v, want Adoptions=1 ReplicaSeeds=1", st)
+	}
+}
+
+// TestAdoptionSkipsLeaseWithForeignJobID: a lease's JobID comes from a
+// peer and is about to name a replica directory and a URL path. One that
+// is not the content address of the spec it carries is left alone: no
+// replica lookup, no fetch from a peer, no adoption, no new lease.
+func TestAdoptionSkipsLeaseWithForeignJobID(t *testing.T) {
+	peer := newPeerDaemon(t)
+	peer.checkpoint = []byte("checkpoint-tail\n")
+	c := newFakeCluster("http://self:1")
+	m := &fakeManager{}
+	s := newTestScheduler(t, c, m)
+	orphan := sweepd.JobLease{JobID: "../evil", Spec: testSpec(), Owner: "http://dead:1", Generation: 1, Updated: time.Now().Add(-time.Minute)}
+	c.leases[orphan.JobID] = orphan
+	c.members = []sweepd.MemberInfo{
+		{URL: "http://dead:1", State: "down"},
+		{URL: peer.srv.URL, State: "alive"},
+	}
+	c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
+
+	s.tick()
+	if len(m.replicaAsked) != 0 || len(m.adopted) != 0 {
+		t.Fatalf("manager saw ReplicaCheckpoint%q and %d Adopt calls, want none", m.replicaAsked, len(m.adopted))
+	}
+	peer.mu.Lock()
+	fetches, claims := peer.fetches, len(peer.claims)
+	peer.mu.Unlock()
+	if fetches != 0 || claims != 0 {
+		t.Fatalf("peer saw %d checkpoint fetches and %d claims, want none", fetches, claims)
+	}
+	if l, _ := c.lease(orphan.JobID); l.Owner != orphan.Owner || l.Generation != 1 {
+		t.Fatalf("lease = %+v, want untouched", l)
+	}
+	if st := s.Stats(); st.Adoptions != 0 {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -253,6 +253,8 @@ func (e *executor) lease(ctx context.Context, peer string, cr cellRange, cells [
 	}
 	defer resp.Body.Close()
 
+	// Not ncgio.Lines, alone among readers of record lines: a blank line
+	// here is a heartbeat the watchdog must see the moment it arrives.
 	br := bufio.NewReaderSize(resp.Body, 64*1024)
 	want := cr.len()
 	for got < want {

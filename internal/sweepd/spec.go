@@ -26,6 +26,7 @@ import (
 	"sort"
 
 	"repro/internal/dynamics"
+	"repro/internal/ncgio"
 )
 
 // Spec declares one sweep job: the game dialect and starting-network
@@ -231,21 +232,72 @@ func (sp Spec) NumCells() int {
 	return len(sp.Alphas) * len(sp.Ks) * sp.Seeds
 }
 
-// CellsRange expands only the [start, end) slice of the canonical grid
-// by index arithmetic — the lease path serves ranges far smaller than
-// the grid, and must not pay O(grid) per lease. Offsets must be
-// validated against NumCells by the caller.
-func (sp Spec) CellsRange(start, end int) []dynamics.Cell {
+// CellAt is cell i of the canonical grid by index arithmetic. The index
+// must be validated against NumCells by the caller.
+func (sp Spec) CellAt(i int) dynamics.Cell {
 	ks, seeds := len(sp.Ks), sp.Seeds
+	return dynamics.Cell{
+		Alpha: sp.Alphas[i/(ks*seeds)],
+		K:     sp.Ks[(i/seeds)%ks],
+		Seed:  int64(i % seeds),
+	}
+}
+
+// CellsRange expands only the [start, end) slice of the canonical grid
+// — the lease path serves ranges far smaller than the grid, and must
+// not pay O(grid) per lease. Offsets must be validated against NumCells
+// by the caller.
+func (sp Spec) CellsRange(start, end int) []dynamics.Cell {
 	out := make([]dynamics.Cell, 0, end-start)
 	for i := start; i < end; i++ {
-		out = append(out, dynamics.Cell{
-			Alpha: sp.Alphas[i/(ks*seeds)],
-			K:     sp.Ks[(i/seeds)%ks],
-			Seed:  int64(i % seeds),
-		})
+		out = append(out, sp.CellAt(i))
 	}
 	return out
+}
+
+// canonicalPrefix is the canonical-order rule for checkpoint-format bytes
+// this process did not append itself, written once. It walks the leading
+// records of data (framed by ncgio.Lines) that cellOf decodes, that are
+// cell i of the grid at position i, and that occupy exactly their line
+// plus one newline — no padding, no blank line before them — and stops
+// after NumCells of them. data[:end] is that prefix, a checkpoint a runner
+// can resume from; err, nil exactly when the prefix is the whole grid,
+// says why the next record was refused. That a record is the canonical
+// encoding of what it decodes to is not checked: see VerifyReplica.
+func (sp Spec) canonicalPrefix(data []byte, cellOf func(line []byte) (dynamics.Cell, error)) (end int, err error) {
+	n, total := 0, sp.NumCells()
+	for line, next := range ncgio.Lines(data) {
+		if n == total {
+			break
+		}
+		if next-end != len(line)+1 {
+			return end, fmt.Errorf("line %d is padded or follows a blank line", n)
+		}
+		cell, err := cellOf(line)
+		if err != nil {
+			return end, fmt.Errorf("line %d: %w", n, err)
+		}
+		if want := sp.CellAt(n); cell != want {
+			return end, fmt.Errorf("line %d is cell %+v, canonical order wants %+v", n, cell, want)
+		}
+		n, end = n+1, next
+	}
+	if n < total {
+		return end, fmt.Errorf("%d complete records, grid has %d cells", n, total)
+	}
+	return end, nil
+}
+
+// resultCell and trajectoryCell decode one checkpoint or sidecar line in
+// full and return the cell it records.
+func resultCell(line []byte) (dynamics.Cell, error) {
+	rec, err := ncgio.UnmarshalCellResult(line)
+	return rec.Cell, err
+}
+
+func trajectoryCell(line []byte) (dynamics.Cell, error) {
+	tr, err := ncgio.UnmarshalTrajectory(line)
+	return tr.Cell(), err
 }
 
 // Config builds the dynamics configuration for this job: the budgets are

@@ -1,10 +1,9 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -93,116 +92,45 @@ func (fs *FS) TrajectoryAppender(id string) (*ncgio.CheckpointWriter, error) {
 // regenerate it (resume skips checkpointed cells). Missing files are
 // empty prefixes. Only the job's own runner may call this (truncation
 // races a live writer).
+//
+// Both files are read whole (ncgio.Lines frames bytes, not streams): the
+// memory LoadResults spends on the checkpoint one call later, plus the
+// sidecar's size, once per resume of a trajectory job.
 func (fs *FS) ReconcileTrajectories(id string) error {
-	ckWalk, err := openRecordWalker(fs.ResultsPath(id))
-	if err != nil {
-		return err
+	paths := [2]string{fs.ResultsPath(id), fs.TrajectoryPath(id)}
+	var data [2][]byte
+	for i, path := range paths {
+		var err error
+		if data[i], err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("store: %w", err)
+		}
 	}
-	defer ckWalk.close()
-	trWalk, err := openRecordWalker(fs.TrajectoryPath(id))
-	if err != nil {
-		return err
-	}
-	defer trWalk.close()
-
-	// Walk both record streams in lockstep to the longest common cell
-	// prefix; both files stream through fixed-size buffers (resume-sized
-	// checkpoints carry full network states and must not be slurped
-	// twice — LoadResults follows right after).
-	for {
-		ckLine, ckOK := ckWalk.next()
-		trLine, trOK := trWalk.next()
-		if !ckOK || !trOK {
+	nextTr, stop := iter.Pull2(ncgio.Lines(data[1]))
+	defer stop()
+	var agreed [2]int // where the common prefix ends in each file
+	for ckLine, ckEnd := range ncgio.Lines(data[0]) {
+		trLine, trEnd, ok := nextTr()
+		if !ok {
 			break
 		}
 		rec, err := ncgio.UnmarshalCellResult(ckLine)
 		if err != nil {
-			break // torn/corrupt checkpoint tail; drop it and the rest
+			break // corrupt checkpoint record; drop it and the rest
 		}
 		trec, err := ncgio.UnmarshalTrajectory(trLine)
 		if err != nil || trec.Cell() != rec.Cell {
 			break
 		}
-		ckWalk.commit()
-		trWalk.commit()
+		agreed = [2]int{ckEnd, trEnd}
 	}
-	if err := ckWalk.truncate(); err != nil {
-		return err
-	}
-	return trWalk.truncate()
-}
-
-// recordWalker streams one checkpoint-format file's non-blank lines,
-// tracking the byte offset of the last committed (agreed-prefix) record
-// so the file can be truncated back to it without ever holding more
-// than a buffer in memory. A missing file walks as empty.
-type recordWalker struct {
-	path      string
-	f         *os.File
-	br        *bufio.Reader
-	size      int64
-	off       int64 // bytes consumed from the reader
-	committed int64 // end of the agreed prefix
-}
-
-func openRecordWalker(path string) (*recordWalker, error) {
-	w := &recordWalker{path: path}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return w, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	w.f, w.size = f, fi.Size()
-	w.br = bufio.NewReaderSize(f, 64*1024)
-	return w, nil
-}
-
-// next returns the next non-blank line (without its newline); ok=false
-// at EOF or a torn (newline-less) tail.
-func (w *recordWalker) next() ([]byte, bool) {
-	if w.br == nil {
-		return nil, false
-	}
-	for {
-		line, err := w.br.ReadBytes('\n')
-		if err != nil {
-			return nil, false // EOF or torn tail: nothing provably whole
+	for i, path := range paths {
+		if agreed[i] < len(data[i]) { // never true of a missing file
+			if err := os.Truncate(path, int64(agreed[i])); err != nil {
+				return fmt.Errorf("store: reconciling trajectories: %w", err)
+			}
 		}
-		w.off += int64(len(line))
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) == 0 {
-			continue
-		}
-		return trimmed, true
-	}
-}
-
-// commit marks everything consumed so far as part of the agreed prefix.
-func (w *recordWalker) commit() { w.committed = w.off }
-
-// truncate cuts the file back to the agreed prefix (no-op when nothing
-// follows it, or the file never existed).
-func (w *recordWalker) truncate() error {
-	if w.f == nil || w.committed >= w.size {
-		return nil
-	}
-	if err := os.Truncate(w.path, w.committed); err != nil {
-		return fmt.Errorf("store: reconciling trajectories: %w", err)
 	}
 	return nil
-}
-
-func (w *recordWalker) close() {
-	if w.f != nil {
-		w.f.Close()
-	}
 }
 
 // CreateJob persists pre-marshaled spec bytes under the given content

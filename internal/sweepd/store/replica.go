@@ -140,8 +140,13 @@ func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) erro
 }
 
 // Manifest reads a replica's manifest back; os.IsNotExist(err) means no
-// replica of that job is stored here.
+// replica of that job is stored here. Readers ask it first, with an id
+// from a URL or a peer's lease: one that is not a content address is
+// refused before it joins a path.
 func (rs *ReplicaSet) Manifest(id string) (ReplicaManifest, error) {
+	if !jobIDPattern.MatchString(id) {
+		return ReplicaManifest{}, fmt.Errorf("store: invalid replica job id %q", id)
+	}
 	data, err := os.ReadFile(rs.ManifestPath(id))
 	if err != nil {
 		return ReplicaManifest{}, err
