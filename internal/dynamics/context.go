@@ -15,9 +15,14 @@ type SweepOptions struct {
 	Workers int
 	// Have, when non-nil, is consulted before computing a cell. Returning
 	// (r, true) reuses r instead of re-running the dynamics — the hook for
-	// checkpoint resume and cross-job result caches. Reused results are
-	// still delivered to OnResult in their canonical position.
-	Have func(Cell) (Result, bool)
+	// checkpoint resume and cross-job result caches. It is called exactly
+	// once per cell, i being the cell's position in the cells slice (the
+	// index OnResult reports), in slice order, on the calling goroutine and
+	// before any cell is computed or delivered — so a caller may answer by
+	// position and keep what it found beside the sequencer, keyed by i.
+	// Reused results are still delivered to OnResult in their canonical
+	// position.
+	Have func(i int, c Cell) (Result, bool)
 	// OnResult, when non-nil, receives every cell's result in canonical
 	// cell order (the order of the cells slice), regardless of which
 	// worker finished first: result i+1 is never delivered before result
@@ -73,7 +78,7 @@ func SweepContext(ctx context.Context, cells []Cell, base Config, factory Factor
 	todo := make([]int, 0, len(cells))
 	for i, c := range cells {
 		if opt.Have != nil {
-			if r, ok := opt.Have(c); ok {
+			if r, ok := opt.Have(i, c); ok {
 				out[i] = CellResult{Cell: c, Result: r}
 				reused[i] = true
 				continue

@@ -140,7 +140,7 @@ func TestSweepContextResumeMatchesUninterrupted(t *testing.T) {
 	_, err = dynamics.SweepContext(context.Background(), cells, cfg, testFactory(14), 11,
 		dynamics.SweepOptions{
 			Workers: 3,
-			Have: func(c dynamics.Cell) (dynamics.Result, bool) {
+			Have: func(_ int, c dynamics.Cell) (dynamics.Result, bool) {
 				r, ok := checkpoint[c]
 				return r, ok
 			},
@@ -165,6 +165,49 @@ func TestSweepContextResumeMatchesUninterrupted(t *testing.T) {
 	for i := range fullLines {
 		if !bytes.Equal(resumed[i], fullLines[i]) {
 			t.Fatalf("line %d differs after resume:\n%s\n%s", i, resumed[i], fullLines[i])
+		}
+	}
+}
+
+// TestSweepContextHaveByPosition pins the contract a caller that answers
+// Have by position relies on: one call per cell, in slice order, i the
+// cell's position in cells — the index OnResult later reports for it — and
+// all of them before the first delivery.
+func TestSweepContextHaveByPosition(t *testing.T) {
+	// The same cell twice: only the index tells the two positions apart.
+	cells := append(testGrid(), testGrid()[0])
+	var asked []int
+	delivered := 0
+	_, err := dynamics.SweepContext(context.Background(), cells, dynamics.DefaultConfig(game.Max, 0, 0), testFactory(10), 4,
+		dynamics.SweepOptions{
+			Workers: 3,
+			Have: func(i int, c dynamics.Cell) (dynamics.Result, bool) {
+				if delivered > 0 {
+					t.Errorf("Have(%d) called after %d deliveries", i, delivered)
+				}
+				if c != cells[i] {
+					t.Errorf("Have(%d) got cell %+v, cells[%d] is %+v", i, c, i, cells[i])
+				}
+				asked = append(asked, i)
+				return fakeResult(1000 + i), i%3 == 0
+			},
+			OnResult: func(i int, r dynamics.CellResult, reused bool) error {
+				delivered++
+				if reused != (i%3 == 0) || (reused && r.Result.Rounds != 1000+i) {
+					t.Errorf("cell %d: reused=%v rounds=%d, want Have's answer for position %d", i, reused, r.Result.Rounds, i)
+				}
+				return nil
+			},
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != len(cells) || delivered != len(cells) {
+		t.Fatalf("Have called %d times, %d deliveries, for %d cells", len(asked), delivered, len(cells))
+	}
+	for want, got := range asked {
+		if got != want {
+			t.Fatalf("Have call %d was for position %d", want, got)
 		}
 	}
 }

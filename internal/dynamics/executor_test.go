@@ -55,7 +55,7 @@ func TestSweepContextRoutesTodoThroughExecutor(t *testing.T) {
 		},
 	}
 	// Every third cell is resolved by Have and must not reach the executor.
-	have := func(c dynamics.Cell) (dynamics.Result, bool) {
+	have := func(_ int, c dynamics.Cell) (dynamics.Result, bool) {
 		for i, cc := range cells {
 			if cc == c {
 				if i%3 == 0 {
@@ -163,7 +163,7 @@ func TestLocalExecutorObserve(t *testing.T) {
 	_, err := dynamics.SweepContext(context.Background(), cells, cfg, testFactory(10), 2,
 		dynamics.SweepOptions{
 			Workers: 4,
-			Have: func(c dynamics.Cell) (dynamics.Result, bool) {
+			Have: func(_ int, c dynamics.Cell) (dynamics.Result, bool) {
 				if c == cells[0] {
 					return fakeResult(1), true
 				}

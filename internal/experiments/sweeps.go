@@ -69,7 +69,7 @@ func checkpointedSweep(path string, cells []dynamics.Cell, cfg dynamics.Config, 
 	defer w.Close()
 	writeBroken := false
 	return dynamics.SweepContext(context.Background(), cells, cfg, factory, seed, dynamics.SweepOptions{
-		Have: func(c dynamics.Cell) (dynamics.Result, bool) {
+		Have: func(_ int, c dynamics.Cell) (dynamics.Result, bool) {
 			r, ok := done[c]
 			return r, ok
 		},

@@ -99,8 +99,8 @@ func UnmarshalCell(line []byte) (dynamics.Cell, error) {
 // torn tail: if the process died mid-append, the final partial line is
 // discarded and the file is truncated back to the last clean record, so a
 // subsequent resume appends from a well-formed prefix. A missing file is
-// an empty checkpoint, not an error. Only a job's own runner should use
-// this (truncation races a live writer); readers serving a checkpoint
+// an empty checkpoint, not an error. Only the checkpoint's owner should
+// use this (truncation races a live writer); readers serving a checkpoint
 // they do not own decode its bytes with DecodePrefix, which leaves the
 // file alone.
 func ReadCheckpoint(path string) ([]dynamics.CellResult, error) {

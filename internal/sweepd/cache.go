@@ -36,9 +36,14 @@ type CacheStats struct {
 }
 
 // Cache is a bounded, concurrency-safe, content-addressed result cache.
-// Values are the canonical JSONL encodings of cell results (as produced
-// by ncgio.MarshalCellResult), so a hit can be appended to a checkpoint
-// verbatim and still be byte-identical to a recomputation. Eviction is
+// Values are cell-result lines, and a hit is appended to a checkpoint or
+// streamed to a lease as it is, without a codec (Manager.sweepLines). The
+// rule that makes that safe: every line in the cache was produced by this
+// process's encoder or decoded in full by it on the way in. A line enters
+// three ways — a computed cell, encoded once by sweepLines (Put,
+// PutMemory); a line of a job's own checkpoint, decoded by
+// Spec.canonicalPrefix when the job resumes (Put); a line an earlier
+// process spilled, decoded by loadSpill when Get promotes it. Eviction is
 // LRU.
 //
 // A cache built with NewDiskCache additionally spills every entry by

@@ -162,8 +162,8 @@ type transport interface {
 // /healthz on a background loop, applies exponential backoff to down
 // peers, learns new members from hellos and one-hop gossip (pulling
 // /peer/members from each alive peer), and announces Self to peers it
-// probes. It implements sweepd.Membership for the HTTP layer and
-// shard.PeerSource (AlivePeers / ReportLeaseFailure) for the lease pool.
+// probes. It implements sweepd.Cluster for the HTTP layer, sched.Cluster
+// for the scheduler and shard.PeerSource for the lease pool.
 // A Registry is safe for concurrent use.
 type Registry struct {
 	opts  Options
@@ -344,7 +344,7 @@ func (r *Registry) Close() {
 	}
 }
 
-// Hello implements sweepd.Membership: a peer announced itself, so it is
+// Hello implements sweepd.Cluster: a peer announced itself, so it is
 // demonstrably reachable — register it alive (reviving a down member)
 // and let the probe loop take it from there.
 func (r *Registry) Hello(advertiseURL string) {
@@ -378,7 +378,7 @@ func (r *Registry) Hello(advertiseURL string) {
 	m.gen++
 }
 
-// Members implements sweepd.Membership: the known cluster, self first,
+// Members implements sweepd.Cluster: the known cluster, self first,
 // then peers sorted by URL. Each row carries the member's last-probed
 // load (self's comes live from SelfLoad), so the member table doubles
 // as the cluster's capacity map.
@@ -434,7 +434,7 @@ func (r *Registry) AliveLoads() []sweepd.MemberLoad {
 	return out
 }
 
-// UpdateLease implements sweepd.LeaseTable: record or refresh a job
+// UpdateLease implements sweepd.Cluster: record or refresh a job
 // lease under the generation guard. The update wins when the job is
 // unknown, the generation is strictly higher, or — at equal generation
 // — the owner is unchanged (a heartbeat refresh) or lexicographically
@@ -467,7 +467,7 @@ func (r *Registry) updateLeaseLocked(l sweepd.JobLease) bool {
 	return true
 }
 
-// DropLease implements sweepd.LeaseTable: the job finished (or its
+// DropLease implements sched.Cluster: the job finished (or its
 // leader released it), so remove the lease unless a higher generation
 // has already claimed it.
 func (r *Registry) DropLease(jobID string, gen uint64) {
@@ -478,7 +478,7 @@ func (r *Registry) DropLease(jobID string, gen uint64) {
 	}
 }
 
-// Leases implements sweepd.LeaseTable: the lease table sorted by job
+// Leases implements sweepd.Cluster: the lease table sorted by job
 // ID, each lease's Updated stamp being this registry's local receipt
 // time (never a remote clock).
 func (r *Registry) Leases() []sweepd.JobLease {
@@ -494,7 +494,7 @@ func (r *Registry) Leases() []sweepd.JobLease {
 	return out
 }
 
-// Tombstones implements sweepd.LeaseTable: active tombstones sorted by
+// Tombstones implements sweepd.Cluster: active tombstones sorted by
 // URL.
 func (r *Registry) Tombstones() []sweepd.Tombstone {
 	r.mu.Lock()
@@ -507,7 +507,7 @@ func (r *Registry) Tombstones() []sweepd.Tombstone {
 	return out
 }
 
-// ClusterStats implements sweepd.Membership.
+// ClusterStats implements sweepd.Cluster.
 func (r *Registry) ClusterStats() sweepd.ClusterStats {
 	r.mu.Lock()
 	byState := map[string]int{string(StateAlive): 0, string(StateSuspect): 0, string(StateDown): 0}
@@ -545,7 +545,7 @@ func (r *Registry) AlivePeers() []string {
 	return out
 }
 
-// ReplicaHolders implements sweepd.ReplicaTable: the advertise URLs of
+// ReplicaHolders implements sweepd.Cluster: the advertise URLs of
 // ALIVE members whose own gossiped ad lists a replica of the job,
 // sorted. The read fan-out path redirects misses here; a down holder is
 // excluded so one-hop redirects never point at a corpse.

@@ -660,7 +660,7 @@ func TestMembersSelfFirst(t *testing.T) {
 	if ms[1].Self || ms[1].URL != peerA {
 		t.Fatalf("peer row = %+v", ms[1])
 	}
-	var _ sweepd.Membership = r // compile-time interface checks
+	var _ sweepd.Cluster = r // compile-time interface checks
 }
 
 // TestStartStopLifecycle exercises the real probe loop briefly: Start

@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"slices"
 	"sort"
 	"time"
 )
@@ -146,11 +145,8 @@ func (m *Manager) Evict(id string) (Job, bool, error) {
 		delete(m.jobs, id)
 		m.jobsEvicted++
 		m.spillBytesReclaimed += uint64(reclaimed)
-		hooks := slices.Clone(m.evictHooks)
 		m.mu.Unlock()
-		for _, fn := range hooks {
-			fn(id)
-		}
+		fire(m, &m.evictHooks, id)
 		return job, true, nil
 	}
 }
@@ -185,14 +181,16 @@ func (m *Manager) StartGC(ttl, interval time.Duration) {
 
 // gcOnce runs one GC pass: sweep half-created orphan dirs older than
 // ttl, expire replicas stored at least ttl ago (their receiver-stamped
-// clock, so expiry never depends on the dead leader's clock), then
-// evict every done/failed job whose terminal timestamp (or, lacking
-// one, its creation time) is at least ttl old.
+// clock, so expiry never depends on the dead leader's clock; the evict
+// hooks run for them, as reads served from a replica leave per-job state
+// too), then evict every done/failed job whose terminal timestamp (or,
+// lacking one, its creation time) is at least ttl old.
 func (m *Manager) gcOnce(ttl time.Duration) {
 	cutoff := m.now().Add(-ttl)
 	m.store.SweepOrphans(cutoff) //nolint:errcheck // best-effort
 	if rs := m.Replicas(); rs != nil {
-		rs.SweepExpired(cutoff) //nolint:errcheck // best-effort
+		expired, _ := rs.SweepExpired(cutoff) // best-effort
+		fire(m, &m.evictHooks, expired...)
 	}
 	m.mu.Lock()
 	var victims []string

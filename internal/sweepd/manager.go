@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -57,8 +58,8 @@ type Manager struct {
 	jobs map[string]*jobState
 	// maxJobs caps retained jobs (every status counts); 0 = unlimited.
 	maxJobs int
-	// evictHooks run (outside mu) after each eviction; the HTTP layer
-	// registers one to drop its per-job summary state.
+	// evictHooks run (outside mu) after each eviction or replica expiry;
+	// the HTTP layer registers one to drop its per-job summary state.
 	evictHooks []func(id string)
 	// finishHooks run (outside mu) each time a job reaches a terminal
 	// status; the replicator registers one to push finished checkpoints.
@@ -125,8 +126,8 @@ func (m *Manager) SetExecutorProvider(p ExecutorProvider) {
 }
 
 // OnEvict registers fn to run after each job eviction (TTL GC or
-// explicit purge), outside the manager lock. Used by the HTTP layer to
-// release per-job serving state.
+// explicit purge) and each replica expiry, outside the manager lock. Used
+// by the HTTP layer to release per-job serving state.
 func (m *Manager) OnEvict(fn func(id string)) {
 	m.mu.Lock()
 	m.evictHooks = append(m.evictHooks, fn)
@@ -182,14 +183,17 @@ func (m *Manager) ReplicaCheckpoint(id string) []byte {
 	return data
 }
 
-// fireFinishHooks runs the registered finish hooks (outside mu) with a
-// snapshot of the job.
-func (m *Manager) fireFinishHooks(job Job) {
+// fire runs the hooks registered in *hooks — finishHooks with a job
+// snapshot, evictHooks with an ID — for each v: snapshotted under mu, run
+// outside it.
+func fire[T any](m *Manager, hooks *[]func(T), vs ...T) {
 	m.mu.Lock()
-	hooks := slices.Clone(m.finishHooks)
+	fns := slices.Clone(*hooks)
 	m.mu.Unlock()
-	for _, fn := range hooks {
-		fn(job)
+	for _, v := range vs {
+		for _, fn := range fns {
+			fn(v)
+		}
 	}
 }
 
@@ -298,42 +302,51 @@ func (m *Manager) Adopt(sp Spec, checkpoint []byte) (Job, bool, error) {
 	if _, _, err := m.store.CreateJob(sp); err != nil {
 		return Job{}, false, fmt.Errorf("%w: %w", ErrStore, err)
 	}
-	if len(checkpoint) > 0 {
-		// Seeding happens under mu: admit also registers under mu before
-		// spawning a runner, so no runner can have the checkpoint open
-		// while it is being replaced.
+	if tmp := m.stageCheckpoint(sp, checkpoint); tmp != "" {
+		// Only the commit happens under mu. admit also registers under mu
+		// before spawning a runner, so no runner can have the checkpoint
+		// open while it is being replaced; a non-empty local checkpoint
+		// wins outright (it is this daemon's own writing).
+		path := m.store.ResultsPath(sp.ID())
 		m.mu.Lock()
-		if _, registered := m.jobs[sp.ID()]; !registered {
-			m.seedCheckpoint(sp, checkpoint)
+		_, registered := m.jobs[sp.ID()]
+		fi, err := os.Stat(path)
+		if registered || (err == nil && fi.Size() > 0) || os.Rename(tmp, path) != nil {
+			os.Remove(tmp) //nolint:errcheck // best-effort cleanup
 		}
 		m.mu.Unlock()
 	}
 	return m.admit(sp, false)
 }
 
-// seedCheckpoint writes the maximal canonical prefix of raw (a fetched
-// checkpoint tail, or this daemon's replica of the job) as the job's
-// local checkpoint. The first line canonicalPrefix refuses — torn, alien,
-// out of order, padded, after a blank line — ends the import and the
-// runner recomputes from there, so what lands is framed as this daemon's
-// own writer frames (a record's encoding is not checked: VerifyReplica).
-// An existing non-empty local checkpoint wins outright (it is already a
-// trusted canonical prefix). Caller holds m.mu and has verified no runner
-// is registered for the job. Best-effort: any failure just means adoption
-// starts from less.
-func (m *Manager) seedCheckpoint(sp Spec, raw []byte) {
-	path := m.store.ResultsPath(sp.ID())
-	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
-		return
-	}
+// stageCheckpoint writes the maximal canonical prefix of raw (a fetched
+// checkpoint tail, or this daemon's replica of the job) to a temp file of
+// its own beside the job's checkpoint and returns its path, "" when there
+// is nothing to seed. The first line canonicalPrefix refuses — torn,
+// alien, out of order, padded, after a blank line — ends the import and
+// the runner recomputes from there, so what lands is framed as this
+// daemon's own writer frames (a record's encoding is not checked:
+// VerifyReplica). It must not take m.mu: every line is decoded in full,
+// 0.7 s for a paper grid, and /healthz, the peers' probes and every running
+// job's counters wait on that lock. Best-effort: any failure just means
+// adoption starts from less.
+func (m *Manager) stageCheckpoint(sp Spec, raw []byte) string {
 	keep, _ := sp.canonicalPrefix(raw, resultCell) // a refusal is where recomputing starts, not an error
 	if keep == 0 {
-		return
+		return ""
 	}
-	tmp := path + ".adopt"
-	if os.WriteFile(tmp, raw[:keep], 0o644) != nil || os.Rename(tmp, path) != nil {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup
+	f, err := os.CreateTemp(filepath.Dir(m.store.ResultsPath(sp.ID())), "adopt-*")
+	if err != nil {
+		return ""
 	}
+	if _, err = f.Write(raw[:keep]); err == nil {
+		err = f.Chmod(0o644) // the mode the appender creates a checkpoint with
+	}
+	if cerr := f.Close(); err != nil || cerr != nil {
+		os.Remove(f.Name()) //nolint:errcheck // best-effort cleanup
+		return ""
+	}
+	return f.Name()
 }
 
 // admit registers the job and starts its runner. A job that is running
@@ -440,5 +453,5 @@ func (m *Manager) finish(js *jobState, status JobStatus, errMsg string) {
 	job := js.job
 	m.mu.Unlock()
 	m.store.WriteMeta(id, meta) //nolint:errcheck // best-effort; GC falls back to Created
-	m.fireFinishHooks(job)
+	fire(m, &m.finishHooks, job)
 }

@@ -153,22 +153,6 @@ type Tombstone struct {
 	Until time.Time `json:"until"`
 }
 
-// LeaseTable is the optional Membership extension the scheduler and the
-// claim endpoint drive. cluster.Registry implements it.
-type LeaseTable interface {
-	// UpdateLease records (or refreshes) a job lease, reporting whether
-	// it won the generation comparison. A rejected update means someone
-	// else now leads the job.
-	UpdateLease(l JobLease) bool
-	// DropLease removes the lease if its generation is ≤ gen (the owner
-	// finished or released the job).
-	DropLease(jobID string, gen uint64)
-	// Leases snapshots the table, sorted by job ID.
-	Leases() []JobLease
-	// Tombstones snapshots active tombstones, sorted by URL.
-	Tombstones() []Tombstone
-}
-
 // PlacedJob is the result of a scheduled submission: the job snapshot
 // plus where it landed ("" = this daemon; otherwise the peer base URL
 // the spec was forwarded to).
@@ -256,15 +240,6 @@ type ReplicaStats struct {
 	BytesPushed  uint64 `json:"bytes_pushed"`
 }
 
-// ReplicaTable is the optional Membership extension the read fan-out
-// path consults: which alive members hold a replica of a job.
-// cluster.Registry implements it from gossiped ReplicaAds.
-type ReplicaTable interface {
-	// ReplicaHolders returns the advertise URLs of alive members known
-	// to hold a replica of the job (possibly empty; never self).
-	ReplicaHolders(jobID string) []string
-}
-
 // MembersResponse is the GET /peer/members (and POST /peer/hello
 // response) payload. Leases, Tombstones, and Replicas ride along so one
 // gossip pull per cycle carries membership, capacity, job leadership,
@@ -305,17 +280,31 @@ type ClusterStats struct {
 	Leases int `json:"leases"`
 }
 
-// Membership is the cluster-membership surface the HTTP layer serves
-// (POST /peer/hello, GET /peer/members, /healthz, /metrics). It is
-// implemented by cluster.Registry; the interface lives here so sweepd
-// does not import its own subpackage.
-type Membership interface {
+// Cluster is the cluster.Registry as the HTTP layer drives it: membership
+// (POST /peer/hello, GET /peer/members, /healthz, /metrics), the lease
+// table behind the gossip payload and POST /peer/jobs/claim, and the
+// replica table behind one-hop read redirects. The interface lives here
+// so sweepd does not import its own subpackage, and so tests can fake it.
+type Cluster interface {
+	// Self returns this daemon's advertise URL ("" until known).
+	Self() string
 	// Hello registers (or revives) a peer that announced itself.
 	Hello(advertiseURL string)
 	// Members snapshots the known cluster, self first.
 	Members() []MemberInfo
 	// ClusterStats snapshots the probe/backoff counters.
 	ClusterStats() ClusterStats
+	// UpdateLease records (or refreshes) a job lease, reporting whether it
+	// won the generation comparison (if not, someone else leads the job).
+	UpdateLease(l JobLease) bool
+	// Leases snapshots the lease table, sorted by job ID; Tombstones the
+	// active tombstones, sorted by URL.
+	Leases() []JobLease
+	Tombstones() []Tombstone
+	// ReplicaHolders returns the advertise URLs of alive members known
+	// (from gossiped ReplicaAds) to hold a replica of the job — possibly
+	// empty, never self.
+	ReplicaHolders(jobID string) []string
 }
 
 // ExecutorProvider supplies the compute backend for each job, letting the

@@ -16,16 +16,25 @@ import (
 // full checkpoint + sidecar), mirroring the adoption tail-fetch cap.
 const maxReplicaBody = 64 << 20
 
+// clustered guards the endpoints that drive the cluster registry: a daemon
+// wired without one refuses with 503 — never a silent empty table or a
+// dropped claim.
+func (h *handler) clustered(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if h.cluster == nil {
+			writeError(w, http.StatusServiceUnavailable, "cluster membership not enabled on this daemon")
+			return
+		}
+		next(w, r)
+	}
+}
+
 // peerHello serves POST /peer/hello: a booting daemon announces its
 // advertise URL and is registered as an alive member at once (it just
 // proved it can reach us; the probe loop keeps it honest from here).
 // The response carries the member table, so a hello doubles as the
 // joiner's first gossip pull.
 func (h *handler) peerHello(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil {
-		writeError(w, http.StatusServiceUnavailable, "cluster membership not enabled on this daemon")
-		return
-	}
 	var req HelloRequest
 	if !decodeJSON(w, r, 64*1024, "hello", &req) {
 		return
@@ -40,25 +49,22 @@ func (h *handler) peerHello(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.gossipPayload())
 }
 
-// gossipPayload builds the hello/members reply: the member table, plus
-// job leases and tombstones when the registry keeps them (it does when
-// scheduling is enabled) — the vehicle that spreads leadership state
-// and decommissions cluster-wide.
+// gossipPayload builds the hello/members reply: the member table, job
+// leases and tombstones — the vehicle that spreads leadership state and
+// decommissions cluster-wide.
 func (h *handler) gossipPayload() MembersResponse {
-	mr := MembersResponse{Members: h.cluster.Members()}
-	if lt, ok := h.cluster.(LeaseTable); ok {
-		mr.Leases = lt.Leases()
-		mr.Tombstones = lt.Tombstones()
+	mr := MembersResponse{
+		Members:    h.cluster.Members(),
+		Leases:     h.cluster.Leases(),
+		Tombstones: h.cluster.Tombstones(),
 	}
 	// Only this daemon's OWN replica ad rides along (receivers reject
 	// hearsay), spreading replica placement one authoritative hop per
 	// probe cycle, same as capacity.
 	if rs := h.m.Replicas(); rs != nil {
-		if s, ok := h.cluster.(interface{ Self() string }); ok {
-			if self := s.Self(); self != "" {
-				if ids, err := rs.List(); err == nil && len(ids) > 0 {
-					mr.Replicas = []ReplicaAd{{URL: self, JobIDs: ids}}
-				}
+		if self := h.cluster.Self(); self != "" {
+			if ids, err := rs.List(); err == nil && len(ids) > 0 {
+				mr.Replicas = []ReplicaAd{{URL: self, JobIDs: ids}}
 			}
 		}
 	}
@@ -68,10 +74,6 @@ func (h *handler) gossipPayload() MembersResponse {
 // peerMembers serves GET /peer/members: the member table, self first —
 // the relay half of one-hop gossip (peers poll it each probe cycle).
 func (h *handler) peerMembers(w http.ResponseWriter, r *http.Request) {
-	if h.cluster == nil {
-		writeError(w, http.StatusServiceUnavailable, "cluster membership not enabled on this daemon")
-		return
-	}
 	writeJSON(w, http.StatusOK, h.gossipPayload())
 }
 
@@ -92,11 +94,6 @@ func (h *handler) peerSubmit(w http.ResponseWriter, r *http.Request) {
 // ex-leader cedes) before the next gossip cycle. The generation guard
 // in the lease table decides acceptance.
 func (h *handler) peerClaim(w http.ResponseWriter, r *http.Request) {
-	lt, ok := h.cluster.(LeaseTable)
-	if !ok {
-		writeError(w, http.StatusServiceUnavailable, "cluster scheduling not enabled on this daemon")
-		return
-	}
 	var lease JobLease
 	if !decodeJSON(w, r, 1<<20, "lease", &lease) {
 		return
@@ -105,7 +102,7 @@ func (h *handler) peerClaim(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "lease needs job_id, owner, and a nonzero generation")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"accepted": lt.UpdateLease(lease)})
+	writeJSON(w, http.StatusOK, map[string]any{"accepted": h.cluster.UpdateLease(lease)})
 }
 
 // receiveReplica serves POST /peer/replicas/{id}: a leader pushing one

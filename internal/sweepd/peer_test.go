@@ -115,6 +115,16 @@ func TestPeerLeaseStreamsCanonicalLines(t *testing.T) {
 			t.Fatalf("cache-served lease line %d differs", i)
 		}
 	}
+
+	// And what a hit answers is the cache's bytes, not a re-encoding of
+	// them: mark one cached line in a way a decode + encode would erase.
+	marked := append(bytes.TrimSuffix(lines[1], []byte("}")), `,"mark":1}`...)
+	mgr.cache.PutMemory(sp.KernelHash(), sp.CellAt(start+1), marked)
+	resp3 := postLease(t, srv.URL, LeaseRequest{Spec: sp, Start: start, End: end})
+	defer resp3.Body.Close()
+	if lines3 := readLeaseLines(t, resp3.Body); len(lines3) != end-start || !bytes.Equal(lines3[1], marked) {
+		t.Fatalf("a lease over cached cells did not answer the cached bytes:\n%s", bytes.Join(lines3, []byte("\n")))
+	}
 }
 
 // TestCellsRangeMatchesCells pins the lease path's index arithmetic to
@@ -251,6 +261,14 @@ func (f *fakeMembership) ClusterStats() ClusterStats {
 		Probes:         7,
 	}
 }
+
+// The rest of Cluster, for tests that only exercise membership: no
+// advertise URL, no lease table, no replica table.
+func (f *fakeMembership) Self() string                   { return "" }
+func (f *fakeMembership) UpdateLease(JobLease) bool      { return false }
+func (f *fakeMembership) Leases() []JobLease             { return nil }
+func (f *fakeMembership) Tombstones() []Tombstone        { return nil }
+func (f *fakeMembership) ReplicaHolders(string) []string { return nil }
 
 // TestPeerHelloAndMembers covers the membership endpoints: a valid hello
 // registers the announcer and returns the member table (the joiner's

@@ -53,21 +53,16 @@ func (h *handler) redirectRead(w http.ResponseWriter, r *http.Request, id string
 	if r.URL.Query().Get("hop") != "" {
 		return false
 	}
-	self := ""
-	if s, ok := h.cluster.(interface{ Self() string }); ok {
-		self = s.Self()
-	}
-	target := h.forwardedTo(id)
-	if target == "" {
-		if rt, ok := h.cluster.(ReplicaTable); ok {
-			if holders := rt.ReplicaHolders(id); len(holders) > 0 {
+	self, target := "", h.forwardedTo(id)
+	if h.cluster != nil {
+		self = h.cluster.Self()
+		if target == "" {
+			if holders := h.cluster.ReplicaHolders(id); len(holders) > 0 {
 				target = holders[0]
 			}
 		}
-	}
-	if target == "" {
-		if lt, ok := h.cluster.(LeaseTable); ok {
-			for _, l := range lt.Leases() {
+		if target == "" {
+			for _, l := range h.cluster.Leases() {
 				if l.JobID == id && l.Owner != self {
 					target = l.Owner
 					break

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sweepd/store"
 )
@@ -280,8 +281,8 @@ func TestReceiveReplicaVerification(t *testing.T) {
 	}
 }
 
-// fakeReplicaMesh is a Membership + ReplicaTable + Self stub for the
-// redirect path.
+// fakeReplicaMesh is a Cluster stub for the redirect path: a self URL and
+// a replica table, nothing else.
 type fakeReplicaMesh struct {
 	self    string
 	holders map[string][]string
@@ -292,6 +293,9 @@ func (f *fakeReplicaMesh) Members() []MemberInfo             { return nil }
 func (f *fakeReplicaMesh) ClusterStats() ClusterStats        { return ClusterStats{} }
 func (f *fakeReplicaMesh) Self() string                      { return f.self }
 func (f *fakeReplicaMesh) ReplicaHolders(id string) []string { return f.holders[id] }
+func (f *fakeReplicaMesh) UpdateLease(JobLease) bool         { return false }
+func (f *fakeReplicaMesh) Leases() []JobLease                { return nil }
+func (f *fakeReplicaMesh) Tombstones() []Tombstone           { return nil }
 
 // TestReadRedirectOneHop: a daemon holding neither primary nor replica
 // answers 307 toward a holder, and the forwarded hop marker prevents a
@@ -426,6 +430,82 @@ func TestReadRejectsMalformedJobID(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("GET /sweeps/..%%2Fevil%s = %d, want 404: %s", path, resp.StatusCode, body)
 		}
+	}
+}
+
+// TestReplicaExpiryReleasesSummaryState: a /summary served from a replica
+// freezes per-job state in the handler like any done job's, and the GC
+// pass that expires the replica must release it — the manager never ran
+// the job, so no eviction of its own ever would.
+func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
+	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	mgr, h, srv, _ := newReplicaRig(t, Config{})
+	clk := newFakeClock()
+	mgr.now = clk.Now
+
+	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
+	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postReplica(t, srv.URL, job.ID, string(body)); code != http.StatusOK {
+		t.Fatalf("replica push = %d", code)
+	}
+	var sum SweepSummary
+	if code := getJSON(t, srv.URL+"/sweeps/"+job.ID+"/summary", &sum); code != http.StatusOK || sum.Cells != 2 {
+		t.Fatalf("replica-served summary = %d, %d cells", code, sum.Cells)
+	}
+	held := func() int {
+		h.mu.Lock()
+		defer h.mu.Unlock()
+		return len(h.summaries)
+	}
+	if held() != 1 {
+		t.Fatalf("handler holds %d summaries after a replica-served read, want 1", held())
+	}
+	clk.Advance(2 * time.Hour)
+	mgr.gcOnce(time.Hour)
+	if ids, _ := mgr.Replicas().List(); len(ids) != 0 {
+		t.Fatalf("replica survived its TTL: %v", ids)
+	}
+	if held() != 0 {
+		t.Fatalf("handler still holds %d summaries after the replica expired", held())
+	}
+}
+
+// TestAdoptStagesOutsideManagerLock: the part of adoption that takes as
+// long as the fetched tail is big — decoding every line, writing the temp
+// file — must not need the manager lock that /healthz, the peers' probes
+// and every running job's counters wait on. Staging completes while the
+// test holds it.
+func TestAdoptStagesOutsideManagerLock(t *testing.T) {
+	sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 4}
+	sp.Normalize()
+	refMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	job := runDoneJob(t, refMgr, sp)
+	want, err := os.ReadFile(refMgr.ResultsPath(job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	if _, _, err := mgr.store.CreateJob(sp); err != nil {
+		t.Fatal(err)
+	}
+
+	staged := make(chan string, 1)
+	mgr.mu.Lock()
+	go func() { staged <- mgr.stageCheckpoint(sp, want) }()
+	var tmp string
+	select {
+	case tmp = <-staged:
+	case <-time.After(30 * time.Second):
+	}
+	mgr.mu.Unlock()
+	if tmp == "" {
+		t.Fatal("stageCheckpoint did not finish while the manager lock was held")
+	}
+	if got, err := os.ReadFile(tmp); err != nil || string(got) != string(want) {
+		t.Fatalf("staged %d bytes (%v), want the %d-byte canonical prefix", len(got), err, len(want))
 	}
 }
 

@@ -1,45 +1,95 @@
 package sweepd
 
+// One cell pipeline: sweepLines is this package's only caller of
+// dynamics.SweepContext and the only place a cell becomes a line. runJob
+// and ServeLease are that call with two emitters, and a resumed job enters
+// it as a prefix length — cells before it are skipped by index.
+
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/dynamics"
 	"repro/internal/ncgio"
 )
 
-// executorFor composes the job's compute backend: the sharding provider's
-// executor when one is installed (falling back to the local pool when it
-// declines the job), wrapped in the in-flight dedup layer when the cache
-// is enabled so concurrent sweeps sharing a kernel never compute the same
-// cell twice.
-func (m *Manager) executorFor(js *jobState, sp Spec, kernel string) dynamics.Executor {
+// executorFor picks the job's compute backend: the sharding provider's
+// executor when one is installed, the local pool when none is or when it
+// declines the job.
+func (m *Manager) executorFor(js *jobState, sp Spec) dynamics.Executor {
 	m.mu.Lock()
 	provider := m.execProvider
 	m.mu.Unlock()
-	var exec dynamics.Executor
 	if provider != nil {
-		exec = provider.ExecutorFor(sp, func(cells int) {
+		if exec := provider.ExecutorFor(sp, func(cells int) {
 			m.mu.Lock()
 			js.job.RemoteCells += cells
 			m.remoteCells += uint64(cells)
 			m.mu.Unlock()
-		})
+		}); exec != nil {
+			return exec
+		}
 	}
-	if exec == nil {
-		exec = dynamics.LocalExecutor{}
-	}
-	return m.wrapDedup(kernel, exec)
+	return dynamics.LocalExecutor{}
 }
 
-// wrapDedup layers in-flight (kernel, cell) coalescing over an executor
-// when the cache is enabled (the flight registry lives in the cache).
-func (m *Manager) wrapDedup(kernel string, exec dynamics.Executor) dynamics.Executor {
-	if !m.cache.enabled() {
-		return exec
+// sweepLines sweeps cells — a contiguous range of sp's canonical grid —
+// and hands emit every cell from position skip on, in canonical order, as
+// its canonical line. A cell the result cache holds is emitted as the
+// cached bytes, hit set and Result zero: nothing is decoded (Cache says
+// why the bytes can be trusted). Any other cell is computed on exec and
+// encoded once. Cells before skip, the caller's checkpointed prefix, are
+// not looked up, computed or emitted.
+//
+// Trajectory specs bypass the cache in both directions: its codec drops
+// PerRound, so a cache-served cell would leave a silent hole in the
+// sidecar or the lease record. In-flight dedup applies to them too
+// (flights carry the full in-memory Result); it is layered over exec
+// whenever the cache is enabled, so concurrent sweeps sharing a kernel
+// never compute the same cell twice.
+func (m *Manager) sweepLines(ctx context.Context, sp Spec, cells []dynamics.Cell, skip int, exec dynamics.Executor,
+	observe func(i int, d time.Duration), emit func(r dynamics.CellResult, line []byte, hit bool) error) error {
+	kernel := sp.KernelHash()
+	useCache := !sp.Trajectories
+	if m.cache.enabled() {
+		exec = &dedupExecutor{cache: m.cache, kernel: kernel, inner: exec}
 	}
-	return &dedupExecutor{cache: m.cache, kernel: kernel, inner: exec}
+	// hits holds a cache-served cell's line from the look-up until its turn
+	// in the sequencer.
+	hits := make([][]byte, len(cells))
+	_, err := dynamics.SweepContext(ctx, cells, sp.Config(), sp.Factory(), sp.BaseSeed, dynamics.SweepOptions{
+		Workers: m.workers,
+		Gate:    m.gate,
+		Have: func(i int, c dynamics.Cell) (_ dynamics.Result, have bool) {
+			if i < skip {
+				return dynamics.Result{}, true
+			}
+			if useCache {
+				hits[i], have = m.cache.Get(kernel, c)
+			}
+			return dynamics.Result{}, have
+		},
+		OnResult: func(i int, r dynamics.CellResult, hit bool) (err error) {
+			if i < skip {
+				return nil
+			}
+			line := hits[i]
+			hits[i] = nil
+			if !hit {
+				if line, err = ncgio.MarshalCellResult(r); err != nil {
+					return err
+				}
+			}
+			return emit(r, line, hit)
+		},
+		DiscardResults: true,
+		Executor:       exec,
+		Observe:        observe,
+	})
+	return err
 }
 
 // runJob resumes the job from its checkpoint and sweeps the remaining
@@ -51,7 +101,6 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	id, sp := js.job.ID, js.job.Spec
 	fail := func(err error) { m.finish(js, StatusFailed, err.Error()) }
 
-	kernel := sp.KernelHash()
 	if sp.Trajectories {
 		// Truncate checkpoint and sidecar to their longest common
 		// cell-prefix before reading either: crash damage (surplus
@@ -64,36 +113,40 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 			return
 		}
 	}
-	prior, err := m.store.LoadResults(id)
-	if err != nil {
+	// What survives of an earlier run is the checkpoint's canonical prefix:
+	// every retained line is decoded in full, and the first that is torn,
+	// damaged, out of place or padded is cut off with all that follows and
+	// recomputed, so the finished file is the canonical grid.
+	path := m.store.ResultsPath(id)
+	data, err := os.ReadFile(path)
+	if err != nil && !os.IsNotExist(err) {
 		fail(err)
 		return
 	}
-	// Trajectory jobs bypass the shared result cache entirely: its codec
-	// drops PerRound, so a cache-served cell would leave a silent hole in
-	// the sidecar. Every trajectory cell is either resumed from this
-	// job's own checkpoint (its sidecar record already written) or
-	// computed fresh (in-flight dedup still applies — flights carry the
-	// full in-memory Result, PerRound included).
-	useCache := !sp.Trajectories
-
-	// Keep only the light summaries of checkpointed cells: their final
-	// states go into the cache as encoded lines and are then released,
-	// so resuming a huge job does not pin every decoded state in memory.
-	inCheckpoint := make(map[dynamics.Cell]bool, len(prior))
-	priorByCell := make(map[dynamics.Cell]dynamics.Result, len(prior))
-	for _, r := range prior {
-		if useCache {
-			if line, err := ncgio.MarshalCellResult(r); err == nil {
-				m.cache.Put(kernel, r.Cell, line)
-			}
+	keep, _ := sp.canonicalPrefix(data, resultCell) // a refusal is where recomputing starts, not an error
+	if keep < len(data) {
+		err = os.Truncate(path, int64(keep))
+		if err == nil && sp.Trajectories {
+			err = m.store.ReconcileTrajectories(id) // the sidecar agreed with the longer prefix
 		}
-		inCheckpoint[r.Cell] = true
-		res := r.Result
-		res.Final = nil
-		priorByCell[r.Cell] = res
+		if err != nil {
+			fail(err)
+			return
+		}
 	}
-	prior = nil
+	// The retained lines warm the cache as bytes — copied, so that an entry
+	// does not pin the file buffer — and their count is the resume point.
+	kernel := sp.KernelHash()
+	done := 0
+	for line := range ncgio.Lines(data[:keep]) {
+		if !sp.Trajectories {
+			m.cache.Put(kernel, sp.CellAt(done), bytes.Clone(line))
+		}
+		done++
+	}
+	m.mu.Lock()
+	js.job.Completed = done
+	m.mu.Unlock()
 
 	w, err := m.store.Appender(id)
 	if err != nil {
@@ -114,36 +167,8 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 		defer tw.Close()
 	}
 
-	have := func(c dynamics.Cell) (dynamics.Result, bool) {
-		if r, ok := priorByCell[c]; ok {
-			return r, true
-		}
-		if useCache {
-			if line, ok := m.cache.Get(kernel, c); ok {
-				if r, err := ncgio.UnmarshalCellResult(line); err == nil {
-					m.mu.Lock()
-					js.job.CacheHits++
-					m.mu.Unlock()
-					return r.Result, true
-				}
-			}
-		}
-		return dynamics.Result{}, false
-	}
-	onResult := func(_ int, r dynamics.CellResult, reused bool) error {
-		if inCheckpoint[r.Cell] {
-			// Already on disk (and cached above); just count it. Its
-			// trajectory line (if any) was appended before the interruption.
-			m.mu.Lock()
-			js.job.Completed++
-			m.mu.Unlock()
-			return nil
-		}
-		line, err := ncgio.MarshalCellResult(r)
-		if err != nil {
-			return err
-		}
-		if tw != nil && !reused && len(r.Result.PerRound) > 0 {
+	emit := func(r dynamics.CellResult, line []byte, hit bool) error {
+		if tw != nil && len(r.Result.PerRound) > 0 {
 			// Sidecar line BEFORE checkpoint line: a process kill between
 			// the two appends then leaves a surplus sidecar record rather
 			// than a checkpointed cell with no trajectory; either way —
@@ -161,11 +186,14 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 		if err := w.AppendLine(line); err != nil {
 			return err
 		}
-		if useCache {
+		if !hit && !sp.Trajectories {
 			m.cache.Put(kernel, r.Cell, line)
 		}
 		m.mu.Lock()
 		js.job.Completed++
+		if hit {
+			js.job.CacheHits++
+		}
 		m.cellsAppended++
 		m.mu.Unlock()
 		return nil
@@ -176,15 +204,7 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 		m.mu.Unlock()
 	}
 
-	_, err = dynamics.SweepContext(ctx, sp.Cells(), sp.Config(), sp.Factory(), sp.BaseSeed, dynamics.SweepOptions{
-		Workers:        m.workers,
-		Gate:           m.gate,
-		Have:           have,
-		OnResult:       onResult,
-		DiscardResults: true,
-		Executor:       m.executorFor(js, sp, kernel),
-		Observe:        observe,
-	})
+	err = m.sweepLines(ctx, sp, sp.Cells(), done, m.executorFor(js, sp), observe, emit)
 	if err := w.Sync(); err != nil {
 		fail(err)
 		return
@@ -213,64 +233,36 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 // of the peer-sharding protocol (POST /peer/leases). Lease work draws
 // from the same worker gate as local jobs, so a daemon serving peers
 // never exceeds its configured CPU-bound concurrency, and it shares the
-// result cache both ways: cached cells are served without recomputation,
-// computed cells warm the cache (and coalesce with any local job
+// result cache both ways: cached cells are answered with the cache's
+// bytes, computed cells warm the cache (and coalesce with any local job
 // computing the same kernel). The spec must be normalized and validated
 // by the caller.
 //
 // Trajectory specs change the framing, not the protocol: each cell is
 // emitted as one ncgio lease record wrapping the canonical result line
 // with its per-round stats (the checkpoint codec drops them, so bare
-// lines could not carry the very data the spec asked for). Such leases
-// bypass the result cache in both directions — its codec would strip
-// PerRound and hand a later lease a record with a silent hole — but
-// in-flight dedup still applies (flights carry the full in-memory
-// Result).
+// lines could not carry the very data the spec asked for).
 func (m *Manager) ServeLease(ctx context.Context, sp Spec, start, end int, emit func(line []byte) error) error {
 	if n := sp.NumCells(); start < 0 || end > n || start >= end {
 		return fmt.Errorf("sweepd: lease range [%d, %d) outside grid of %d cells", start, end, n)
 	}
+	kernel := sp.KernelHash()
 	// Expand only the leased range: a follower serving thousands of
 	// leases against a six-figure grid must not pay O(grid) per lease.
-	sub := sp.CellsRange(start, end)
-	kernel := sp.KernelHash()
-	useCache := !sp.Trajectories
-	have := func(c dynamics.Cell) (dynamics.Result, bool) {
-		if useCache {
-			if line, ok := m.cache.Get(kernel, c); ok {
-				if r, err := ncgio.UnmarshalCellResult(line); err == nil {
-					return r.Result, true
+	return m.sweepLines(ctx, sp, sp.CellsRange(start, end), 0, dynamics.LocalExecutor{}, nil,
+		func(r dynamics.CellResult, line []byte, hit bool) error {
+			if sp.Trajectories {
+				rec, err := ncgio.MarshalLeaseRecord(line, r.Result.PerRound)
+				if err != nil {
+					return err
 				}
+				return emit(rec)
 			}
-		}
-		return dynamics.Result{}, false
-	}
-	onResult := func(_ int, r dynamics.CellResult, reused bool) error {
-		line, err := ncgio.MarshalCellResult(r)
-		if err != nil {
-			return err
-		}
-		if sp.Trajectories {
-			rec, err := ncgio.MarshalLeaseRecord(line, r.Result.PerRound)
-			if err != nil {
-				return err
+			if !hit {
+				// Memory tier only: this kernel may belong to no local job,
+				// and a segment without an owning job is never GC'd.
+				m.cache.PutMemory(kernel, r.Cell, line)
 			}
-			return emit(rec)
-		}
-		if !reused {
-			// Memory tier only: this kernel may belong to no local job,
-			// and a segment without an owning job is never GC'd.
-			m.cache.PutMemory(kernel, r.Cell, line)
-		}
-		return emit(line)
-	}
-	_, err := dynamics.SweepContext(ctx, sub, sp.Config(), sp.Factory(), sp.BaseSeed, dynamics.SweepOptions{
-		Workers:        m.workers,
-		Gate:           m.gate,
-		Have:           have,
-		OnResult:       onResult,
-		DiscardResults: true,
-		Executor:       m.wrapDedup(kernel, dynamics.LocalExecutor{}),
-	})
-	return err
+			return emit(line)
+		})
 }

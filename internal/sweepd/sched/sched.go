@@ -27,7 +27,16 @@ type Cluster interface {
 	// AliveLoads returns the last-probed load of every alive member
 	// whose load is known, sorted by URL.
 	AliveLoads() []sweepd.MemberLoad
-	sweepd.LeaseTable
+	// UpdateLease records (or refreshes) a job lease, reporting whether it
+	// won the generation comparison (if not, someone else leads the job);
+	// DropLease removes it if its generation is ≤ gen (the owner finished
+	// or released the job); Leases snapshots the table, sorted by job ID.
+	UpdateLease(l sweepd.JobLease) bool
+	DropLease(jobID string, gen uint64)
+	Leases() []sweepd.JobLease
+	// ReportLeaseFailure says a peer failed a forward, so the next probe
+	// cycle rechecks it sooner (shared with the shard backend).
+	ReportLeaseFailure(url string)
 }
 
 // Manager is the job-manager surface the scheduler drives.
@@ -41,14 +50,6 @@ type Manager interface {
 	// held replica of the job, or nil when none exists — adoption
 	// prefers this over an HTTP tail-fetch from peers.
 	ReplicaCheckpoint(id string) []byte
-}
-
-// failureReporter lets the scheduler tell the registry a peer failed
-// a forward, so the next probe cycle rechecks it sooner. Satisfied by
-// *cluster.Registry (ReportLeaseFailure, shared with the shard
-// backend). Optional.
-type failureReporter interface {
-	ReportLeaseFailure(url string)
 }
 
 // Options configures a Scheduler. Cluster and Manager are required.
@@ -209,9 +210,7 @@ func (s *Scheduler) SubmitSweep(ctx context.Context, sp sweepd.Spec) (sweepd.Pla
 	}
 	s.forwardFailures.Add(1)
 	s.logf("sched: forward to %s failed: %v; admitting locally", target, err)
-	if fr, ok := s.opts.Cluster.(failureReporter); ok {
-		fr.ReportLeaseFailure(target)
-	}
+	s.opts.Cluster.ReportLeaseFailure(target)
 	job, created, lerr := s.opts.Manager.Submit(sp)
 	if errors.Is(lerr, sweepd.ErrJobQuota) {
 		// Full here too: hand the client the member we picked so it

@@ -168,9 +168,9 @@ func TestPeerClaim(t *testing.T) {
 		t.Fatalf("claim with trailing data code = %d, want 400", code)
 	}
 
-	// Without a LeaseTable (plain Membership, or no cluster at all) the
-	// endpoint refuses rather than silently dropping claims.
-	bare := httptest.NewServer(NewHandlerConfig(mgr, Config{Cluster: &fakeMembership{}}))
+	// Without a cluster the endpoint refuses rather than silently
+	// dropping claims.
+	bare := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer bare.Close()
 	resp, err := http.Post(bare.URL+"/peer/jobs/claim", "application/json", strings.NewReader(string(lb)))
 	if err != nil {
@@ -178,7 +178,7 @@ func TestPeerClaim(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("claim without lease table = %d, want 503", resp.StatusCode)
+		t.Fatalf("claim without a cluster = %d, want 503", resp.StatusCode)
 	}
 }
 

@@ -45,12 +45,10 @@ type Config struct {
 	// cmd/ncg-server wires it to the shard.Pool.
 	PeerStats func() PeerStats
 	// Cluster, when set, enables the membership endpoints (POST
-	// /peer/hello, GET /peer/members) and the per-peer state gauges;
-	// cmd/ncg-server wires it to the cluster.Registry. Nil means the
-	// membership endpoints answer 503. When the value also implements
-	// LeaseTable (cluster.Registry does), the gossip payload carries
-	// job leases and tombstones and POST /peer/jobs/claim is live.
-	Cluster Membership
+	// /peer/hello, GET /peer/members, POST /peer/jobs/claim), the
+	// per-peer state gauges and read redirects; cmd/ncg-server wires it
+	// to the cluster.Registry. Nil means those endpoints answer 503.
+	Cluster Cluster
 	// Sched, when set, routes POST /sweeps through the cluster
 	// scheduler (capacity-aware placement, forwarding); cmd/ncg-server
 	// wires it to the sched.Scheduler. Nil means submissions always
@@ -87,7 +85,7 @@ type handler struct {
 	leaseCellsServed atomic.Uint64
 	peerStats        func() PeerStats
 	// cluster serves the membership endpoints (nil = not clustered).
-	cluster Membership
+	cluster Cluster
 	// sched places submissions cluster-wide (nil = always local);
 	// schedStats snapshots its counters for /metrics and /healthz.
 	sched      Submitter
@@ -261,10 +259,10 @@ func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
 	mux.HandleFunc("GET /sweeps/{id}/trajectories", h.trajectories)
 	mux.HandleFunc("DELETE /sweeps/{id}", h.cancel)
 	mux.HandleFunc("POST /peer/leases", h.peerLease)
-	mux.HandleFunc("POST /peer/hello", h.peerHello)
-	mux.HandleFunc("GET /peer/members", h.peerMembers)
+	mux.HandleFunc("POST /peer/hello", h.clustered(h.peerHello))
+	mux.HandleFunc("GET /peer/members", h.clustered(h.peerMembers))
 	mux.HandleFunc("POST /peer/jobs", h.peerSubmit)
-	mux.HandleFunc("POST /peer/jobs/claim", h.peerClaim)
+	mux.HandleFunc("POST /peer/jobs/claim", h.clustered(h.peerClaim))
 	mux.HandleFunc("POST /peer/replicas/{id}", h.receiveReplica)
 	return h, h.rateLimit(mux)
 }

@@ -33,12 +33,11 @@
 // per job so membership changes never touch a job in flight.
 // NewFromSource takes the source — in production the cluster.Registry
 // (a -peers list seeds it), whose AlivePeers() excludes suspect and down
-// members; the tests' fixed list lives in shard_unit_test.go. When the
-// source also implements FailureReporter, every failed lease is reported
-// back, so the registry demotes the peer immediately and subsequent jobs
-// skip it until a health probe readmits it; a source that does not simply
-// sees the peer retried on the next job. See package cluster for
-// discovery (hello/gossip), health probing, and backoff.
+// members; the tests' fixed list lives in shard_unit_test.go. Every failed
+// lease is reported back to the source, so the registry demotes the peer
+// immediately and subsequent jobs skip it until a health probe readmits
+// it. See package cluster for discovery (hello/gossip), health probing,
+// and backoff.
 //
 // # Determinism
 //

@@ -28,18 +28,14 @@ type Options struct {
 	LeaseTTL time.Duration
 }
 
-// PeerSource supplies the peers a job may lease to. The pool snapshots
-// it once per job, so membership changes never touch a job in flight.
-// cluster.Registry implements it (alive members only).
+// PeerSource supplies the peers a job may lease to, and hears back which
+// of them failed a lease, so a registry demotes the peer at once instead of
+// every subsequent job rediscovering the failure at lease-TTL cost. The
+// pool snapshots AlivePeers once per job, so membership changes never
+// touch a job in flight. cluster.Registry implements it (alive members
+// only).
 type PeerSource interface {
 	AlivePeers() []string
-}
-
-// FailureReporter is an optional PeerSource extension: when the source
-// implements it, the pool reports each peer whose lease failed, letting
-// a registry demote the peer immediately instead of every subsequent
-// job rediscovering the failure at lease-TTL cost.
-type FailureReporter interface {
 	ReportLeaseFailure(url string)
 }
 
@@ -89,14 +85,6 @@ func (p *Pool) ExecutorFor(sp sweepd.Spec, onRemote func(cells int)) dynamics.Ex
 		return nil
 	}
 	return &executor{pool: p, peers: peers, spec: sp, onRemote: onRemote}
-}
-
-// reportFailure feeds a failed lease back to the peer source (when it
-// accepts feedback), so registries demote the peer for subsequent jobs.
-func (p *Pool) reportFailure(peer string) {
-	if fr, ok := p.source.(FailureReporter); ok {
-		fr.ReportLeaseFailure(peer)
-	}
 }
 
 // executor shards one job's cells between the local pool and the job's
@@ -205,7 +193,7 @@ func (e *executor) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan
 						// canceled outright is not a peer failure.
 						if ctx.Err() == nil {
 							e.pool.leaseFailures.Add(1)
-							e.pool.reportFailure(peer)
+							e.pool.source.ReportLeaseFailure(peer)
 							local(cr.todo()[got:])
 						}
 						return

@@ -20,7 +20,8 @@ import (
 // exactly the pre-registry behavior.
 type staticPeers []string
 
-func (s staticPeers) AlivePeers() []string { return s }
+func (s staticPeers) AlivePeers() []string      { return s }
+func (s staticPeers) ReportLeaseFailure(string) {}
 
 // New builds a pool over a static list of peer base URLs (e.g.
 // "http://10.0.0.2:8080"). URLs are normalized (trailing slashes

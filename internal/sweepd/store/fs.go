@@ -94,7 +94,7 @@ func (fs *FS) TrajectoryAppender(id string) (*ncgio.CheckpointWriter, error) {
 // races a live writer).
 //
 // Both files are read whole (ncgio.Lines frames bytes, not streams): the
-// memory LoadResults spends on the checkpoint one call later, plus the
+// memory the runner spends on the checkpoint one call later, plus the
 // sidecar's size, once per resume of a trajectory job.
 func (fs *FS) ReconcileTrajectories(id string) error {
 	paths := [2]string{fs.ResultsPath(id), fs.TrajectoryPath(id)}

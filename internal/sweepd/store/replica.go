@@ -190,12 +190,13 @@ func (rs *ReplicaSet) Delete(id string) error {
 
 // SweepExpired removes replicas stored before cutoff — the replica half
 // of TTL GC, so replicated checkpoints cannot accumulate forever on
-// members that never ran the job. A replica whose manifest is
-// unreadable falls back to the directory's modtime.
-func (rs *ReplicaSet) SweepExpired(cutoff time.Time) (removed int, err error) {
+// members that never ran the job — and reports the IDs it removed. A
+// replica whose manifest is unreadable falls back to the directory's
+// modtime.
+func (rs *ReplicaSet) SweepExpired(cutoff time.Time) (removed []string, err error) {
 	ids, lerr := rs.List()
 	if lerr != nil {
-		return 0, lerr
+		return nil, lerr
 	}
 	for _, id := range ids {
 		var stored time.Time
@@ -216,7 +217,7 @@ func (rs *ReplicaSet) SweepExpired(cutoff time.Time) (removed int, err error) {
 			}
 			continue
 		}
-		removed++
+		removed = append(removed, id)
 	}
 	return removed, err
 }

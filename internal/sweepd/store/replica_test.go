@@ -158,8 +158,8 @@ func TestReplicaSetSweepExpired(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 1 {
-		t.Fatalf("SweepExpired removed %d, want 1", removed)
+	if len(removed) != 1 {
+		t.Fatalf("SweepExpired removed %d, want 1", len(removed))
 	}
 	ids, err := rs.List()
 	if err != nil {
