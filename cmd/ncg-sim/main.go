@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"repro/internal/analysis"
+	"repro/internal/bestresponse"
 	"repro/internal/dynamics"
 	"repro/internal/game"
 	"repro/internal/gen"
@@ -68,6 +69,13 @@ func main() {
 	cfg := dynamics.DefaultConfig(v, *alpha, *k)
 	cfg.MaxRounds = *rounds
 	cfg.CollectPerRound = true
+	var scan *bestresponse.Evaluator
+	if v == game.Max {
+		// NewMaxResponder's rule, on an Evaluator whose scan counters the
+		// summary can read.
+		scan = bestresponse.NewEvaluator()
+		cfg.Responder = scan.MaxBestResponse
+	}
 
 	fmt.Printf("%s dynamics: n=%d α=%g k=%d graph=%s seed=%d\n\n",
 		v, *n, *alpha, *k, *graphF, *seed)
@@ -79,8 +87,16 @@ func main() {
 	}
 	t.Render(os.Stdout)
 
-	fmt.Printf("\noutcome: %s after %d rounds, %d total moves\n",
+	fmt.Printf("\noutcome: %s after %d rounds, %d total moves",
 		res.Status, res.Rounds, res.TotalMoves)
+	if scan != nil {
+		// A solve that ran out of search budget returns a dominating set
+		// nobody certified: that many responses may not have been best ones.
+		st := scan.ScanStats()
+		fmt.Printf("; %d responder calls, %d solves, %d out of search budget",
+			st.Calls, st.Solves, st.BudgetExhausted)
+	}
+	fmt.Println()
 	fs := res.FinalStats
 	fmt.Printf("final: diameter=%d social=%.1f quality=%.3f unfairness=%.3f min/avg view=%d/%.1f\n",
 		fs.Diameter, fs.SocialCost, fs.Quality, fs.Unfairness, fs.MinViewSize, fs.AvgViewSize)

@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/game"
+	"repro/internal/graph"
 	"repro/internal/mds"
 	"repro/internal/view"
 )
@@ -23,11 +24,10 @@ import (
 // center-less view of rB vertices it holds levels·rB·⌈rB/64⌉ words, where
 // levels <= min(hTop, diam+1), hTop is the largest eccentricity the scan
 // can still improve on (below the player's current cost, at most 2k+1)
-// and diam the largest diameter of a component of the view. That is less
-// than the 4·rB² bytes of the all-pairs distance table it replaced
-// whenever levels <= 32 — every local view and every small-diameter graph
-// — and more on a long path under full knowledge, where levels approaches
-// rB. It is kept at its high-water mark, like every other buffer here.
+// and diam the largest diameter of a component of the view: a few levels
+// on every local view and every small-diameter graph, close to rB of them
+// on a long path under full knowledge. It is kept at its high-water mark,
+// like every other buffer here.
 //
 // An Evaluator also counts what its exact MAXNCG scans did (ScanStats):
 // most of that work is proving that no cheaper dominating set exists, and
@@ -52,9 +52,11 @@ type Evaluator struct {
 	cand []int32
 
 	// MAXNCG machinery: the closed-neighborhood powers of the center-less
-	// view (level-major, see buildPowers), the rows of the level being
-	// solved, the forced-dominator list, the incumbent set and the solver.
+	// view (level-major, see buildPowers), the ball rows they are raised
+	// over, the rows of the level being solved, the forced-dominator list,
+	// the incumbent set and the solver.
 	powers  []uint64
+	rows    [][]int32
 	nbs     [][]uint64
 	forced  []int
 	bestSet []int
@@ -79,6 +81,10 @@ type ScanStats struct {
 	Skipped      int64 // levels the carried lower bound proved hopeless
 	RootRefusals int64 // solves refused by the root bounds alone
 	Nodes        int64 // search nodes expanded over all solves
+	// BudgetExhausted counts the solves whose search ran out of node
+	// budget (mds.Solver.Exhausted): each may have cost its call the
+	// certificate that the response is a best one.
+	BudgetExhausted int64
 }
 
 // ScanStats returns the counters accumulated so far.
@@ -340,11 +346,10 @@ func (e *Evaluator) SumBestResponseExhaustive(s *game.State, u, k int, alpha flo
 // buildPowers fills e.powers with the closed-neighborhood powers of the
 // center-less view H∖{u} for levels 0…top-1 and returns how many levels
 // it stored: row j of level t is {i : d(j,i) <= t} as a bitset over the
-// rB rest vertices (rest j = local j+1). Level t+1 is level t with every
-// ball neighbor's level-t row ORed in — 2m·⌈rB/64⌉ word-ORs per level,
-// where all-pairs BFS would cost rB traversals. It stops at the first
-// level that equals its predecessor, since every later level does too;
-// level t of the view is stored level min(t, returned-1).
+// rB rest vertices (rest j = local j+1). Each level is one
+// graph.PowerStep over the ball rows from the level below it. It stops at
+// the first level that equals its predecessor, since every later level
+// does too; level t of the view is stored level min(t, returned-1).
 func (e *Evaluator) buildPowers(rB, top int) int {
 	e.powers = e.powers[:0]
 	if top == 0 {
@@ -354,24 +359,14 @@ func (e *Evaluator) buildPowers(rB, top int) int {
 	stride := rB * words
 	e.powers = slices.Grow(e.powers, stride)[:stride]
 	clear(e.powers)
+	e.rows = e.rows[:0]
 	for j := 0; j < rB; j++ {
 		e.powers[j*words+j/64] |= 1 << (j % 64)
+		e.rows = append(e.rows, e.ws.BallAdj(int32(j+1)))
 	}
 	for t := 1; t < top; t++ {
 		e.powers = slices.Grow(e.powers, stride)[:(t+1)*stride]
-		prev, next := e.powers[(t-1)*stride:t*stride], e.powers[t*stride:]
-		copy(next, prev)
-		grew := false
-		for j := 0; j < rB; j++ {
-			row := next[j*words : (j+1)*words]
-			for _, l := range e.ws.BallAdj(int32(j + 1)) {
-				for x, w := range prev[int(l-1)*words:][:words] {
-					row[x] |= w
-				}
-			}
-			grew = grew || !slices.Equal(row, prev[j*words:(j+1)*words])
-		}
-		if !grew {
+		if !graph.PowerStep(e.rows, 1, words, e.powers[(t-1)*stride:t*stride], e.powers[t*stride:]) {
 			e.powers = e.powers[:t*stride]
 			return t
 		}
@@ -464,6 +459,9 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 		lb = max(lb, e.solver.Proved())
 		e.stats.Solves++
 		e.stats.Nodes += int64(e.solver.Nodes())
+		if e.solver.Exhausted() {
+			e.stats.BudgetExhausted++
+		}
 		if !ok {
 			// A search that gets past its root expands a child too, so one
 			// node means the root bounds refused.

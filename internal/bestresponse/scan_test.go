@@ -85,6 +85,9 @@ func TestScanSkipsOnlyFailingLevels(t *testing.T) {
 	if st.Solves+st.Skipped > st.Levels || st.RootRefusals > st.Solves {
 		t.Fatalf("stats %+v are inconsistent", st)
 	}
+	if st.BudgetExhausted != 0 {
+		t.Fatalf("stats %+v: a solve of the differential set ran out of search budget, so its answers are pinned to the budget", st)
+	}
 	t.Logf("%+v", st)
 }
 

@@ -7,6 +7,7 @@
 package cellbench
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/dynamics"
 	"repro/internal/game"
 	"repro/internal/gen"
+	"repro/internal/ncgio"
 	"repro/internal/swap"
 )
 
@@ -41,6 +43,8 @@ type cellBench struct {
 	EvalsPerRound float64 `json:"evals_per_round,omitempty"`
 	SolvesPerCall float64 `json:"solves_per_call,omitempty"`
 	SkippedShare  float64 `json:"skipped_share,omitempty"`
+	// Cells is set on the sweep row, whose op is one cell of that many.
+	Cells int `json:"cells,omitempty"`
 }
 
 // benchState mirrors the fixture of the per-package benchmarks: a random
@@ -108,6 +112,10 @@ func TestBenchCell(t *testing.T) {
 	for name, row := range convergenceRows(t) {
 		results[name] = row
 	}
+	for name, row := range statsPassRows() {
+		results[name] = row
+	}
+	results["SweepJobMaxLocal"] = sweepJobRow(t)
 
 	payload := struct {
 		Benchmarks  map[string]cellBench `json:"benchmarks"`
@@ -200,4 +208,88 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 			c.name, row.NsPerOp, row.AllocsPerOp, probe.Rounds, probe.Evaluations)
 	}
 	return rows
+}
+
+// statsPassRows times the engine's statistics pass alone, through its
+// public door: a run whose responder never moves is one quiet round and
+// one collect. G(100, 0.06) is the benchmark's cell shape, where the pass
+// is a handful of levels; a 1000-vertex path is the other side of the
+// trade, one level per hop of a diameter-999 network, reported so the cost
+// is on record and gated only on allocations.
+func statsPassRows() map[string]cellBench {
+	still := func(*game.State, int, int, float64) bestresponse.Response {
+		return bestresponse.Response{}
+	}
+	rng := rand.New(rand.NewSource(1))
+	protos := map[string]*game.State{
+		"Gnp100":   gnpState(100, 0.06),
+		"Path1000": game.FromGraphRandomOwners(gen.Path(1000), rng),
+	}
+	rows := map[string]cellBench{}
+	for shape, proto := range protos {
+		for _, variant := range []game.Variant{game.Max, game.Sum} {
+			cfg := dynamics.Config{Variant: variant, Alpha: 2, K: 3, Responder: still}
+			r := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dynamics.Run(proto, cfg)
+				}
+			})
+			name := "CollectMax" + shape
+			if variant == game.Sum {
+				name = "CollectSum" + shape
+			}
+			rows[name] = cellBench{
+				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+				AllocsPerOp: r.AllocsPerOp(),
+				BytesPerOp:  r.AllocedBytesPerOp(),
+			}
+		}
+	}
+	return rows
+}
+
+// sweepJobCells is the front-door benchmark's solo-local job: G(100,
+// 0.06), α ∈ {0.5, 1, 2, 3, 5, 8}, k ∈ {2, 3}, 10 seeds, exact MAX
+// responder.
+var sweepJobCells = dynamics.Grid([]float64{0.5, 1, 2, 3, 5, 8}, []int{2, 3}, 10)
+
+// BenchmarkSweepJobMaxLocal runs that job the way the daemon's runner
+// does, minus the daemon — dynamics.SweepContext on one worker, every
+// result encoded as its checkpoint line — so one op is factory,
+// responder, dirty-set searches, statistics pass and codec for 120
+// cells, without the 150 ms follow tick in front of them. It is the
+// profile recipe behind README's "where a local cell's time goes":
+//
+//	go test ./internal/cellbench -run '^$' -bench SweepJobMaxLocal -benchtime 30x -cpuprofile cpu.out
+func BenchmarkSweepJobMaxLocal(b *testing.B) {
+	cfg := dynamics.DefaultConfig(game.Max, 0, 0)
+	opt := dynamics.SweepOptions{
+		Workers:        1,
+		DiscardResults: true,
+		OnResult: func(_ int, r dynamics.CellResult, _ bool) error {
+			_, err := ncgio.MarshalCellResult(r)
+			return err
+		},
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := dynamics.SweepContext(context.Background(), sweepJobCells, cfg, dynamics.ERFactory(100, 0.06), int64(i), opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// sweepJobRow reports BenchmarkSweepJobMaxLocal per cell.
+func sweepJobRow(t *testing.T) cellBench {
+	r := testing.Benchmark(BenchmarkSweepJobMaxLocal)
+	per := int64(r.N) * int64(len(sweepJobCells))
+	row := cellBench{
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(per),
+		AllocsPerOp: int64(r.MemAllocs) / per,
+		BytesPerOp:  int64(r.MemBytes) / per,
+		Cells:       len(sweepJobCells),
+	}
+	t.Logf("SweepJobMaxLocal: %.0f ns/cell, %d allocs/cell over %d jobs", row.NsPerOp, row.AllocsPerOp, r.N)
+	return row
 }

@@ -3,6 +3,7 @@ package dynamics
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"repro/internal/bestresponse"
 	"repro/internal/game"
@@ -111,8 +112,9 @@ type Config struct {
 	// threshold; we use rounds as the deterministic analogue).
 	MaxRounds       int
 	CycleCheckAfter int
-	// CollectPerRound enables per-round statistics (costly: all-pairs BFS
-	// per round). The final round is always collected.
+	// CollectPerRound enables per-round statistics (one pass over the
+	// network's neighbourhood powers per round, graph.PowerStats). The
+	// final round is always collected.
 	CollectPerRound bool
 }
 
@@ -195,8 +197,8 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 	}
 	dirty := newDirtySet(n, cfg.K)
 	defer dirty.release()
-	var co collector
-	defer co.release()
+	ps := graph.GetPowerStats()
+	defer graph.PutPowerStats(ps)
 	for round := 1; round <= cfg.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -229,7 +231,7 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 		res.TotalMoves += moves
 		res.Evaluations += evals
 		if cfg.CollectPerRound {
-			res.PerRound = append(res.PerRound, co.collect(s, cfg, round, moves))
+			res.PerRound = append(res.PerRound, collect(ps, s, cfg, round, moves))
 			res.RoundEvaluations = append(res.RoundEvaluations, evals)
 		}
 		if moves == 0 {
@@ -250,30 +252,21 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 			res.Status = RoundLimit
 		}
 	}
-	res.FinalStats = co.collect(s, cfg, res.Rounds, 0)
+	res.FinalStats = collect(ps, s, cfg, res.Rounds, 0)
 	if len(res.PerRound) > 0 {
 		res.FinalStats.Moves = res.PerRound[len(res.PerRound)-1].Moves
 	}
 	return res, nil
 }
 
-// collector owns the pooled buffers of per-round statistics collection:
-// one CSR snapshot, one distance fan-out per metric family, and one BFS
-// scratch for the view-size scan. It computes all player costs ONCE per
-// collect and derives social cost, quality, and unfairness from the same
-// pass (the naive form recomputed the all-pairs fan-out three times),
-// and reads the diameter off the eccentricity fan-out for free. Values
-// are bit-identical to the game.SocialCost/Quality/Unfairness chain —
-// same operations in the same order — which referenceCollect pins.
-type collector struct {
-	csr     *graph.CSR
-	ecc     []int
-	sums    []int
-	scratch *graph.Scratch
-}
-
-// collect computes the round statistics on the current network.
-func (co *collector) collect(s *game.State, cfg Config, round, moves int) RoundStats {
+// collect computes the round statistics on the current network, on the
+// run's pooled ps. One pass over the neighbourhood powers of the network
+// gives every eccentricity (hence the diameter), every distance sum and
+// every view size; all player costs are computed ONCE per collect and
+// social cost, quality and unfairness derive from that pass. Values are
+// bit-identical to the game.SocialCost/Quality/Unfairness chain — same
+// operations in the same order — which referenceCollect pins.
+func collect(ps *graph.PowerStats, s *game.State, cfg Config, round, moves int) RoundStats {
 	g := s.Graph()
 	n := s.N()
 	st := RoundStats{
@@ -284,19 +277,13 @@ func (co *collector) collect(s *game.State, cfg Config, round, moves int) RoundS
 		MinBought: s.MinBought(),
 		MaxBought: s.MaxBought(),
 	}
-	co.csr = g.CSRInto(co.csr)
-	co.ecc = co.csr.AllEccentricitiesInto(co.ecc)
+	g.PowerStats(cfg.K, ps)
 	if n > 1 {
-		for _, e := range co.ecc {
-			if e > st.Diameter {
-				st.Diameter = e
-			}
-		}
+		st.Diameter = slices.Max(ps.Ecc)
 	}
-	usage := co.ecc
+	usage := ps.Ecc
 	if cfg.Variant == game.Sum {
-		co.sums = co.csr.AllSumDistancesInto(co.sums)
-		usage = co.sums
+		usage = ps.Sum
 	}
 	// One cost pass feeds social cost, quality, and unfairness. The
 	// per-player expression and the summation order match
@@ -329,33 +316,15 @@ func (co *collector) collect(s *game.State, cfg Config, round, moves int) RoundS
 	}
 	if n > 0 {
 		st.AvgBought = float64(s.TotalBought()) / float64(n)
-		if co.scratch == nil {
-			co.scratch = graph.GetScratch(n)
-		}
-		minV, maxV, sumV := n+1, 0, 0
-		for u := 0; u < n; u++ {
-			sz := len(co.csr.BFSWithin(u, cfg.K, co.scratch))
-			if sz < minV {
-				minV = sz
-			}
-			if sz > maxV {
-				maxV = sz
-			}
+		sumV := 0
+		for _, sz := range ps.Ball {
 			sumV += sz
 		}
-		st.MinViewSize = minV
-		st.MaxViewSize = maxV
+		st.MinViewSize = slices.Min(ps.Ball)
+		st.MaxViewSize = slices.Max(ps.Ball)
 		st.AvgViewSize = float64(sumV) / float64(n)
 	}
 	return st
-}
-
-// release returns the pooled scratch; the collector stays reusable.
-func (co *collector) release() {
-	if co.scratch != nil {
-		graph.PutScratch(co.scratch)
-		co.scratch = nil
-	}
 }
 
 // IsLKE audits whether s is a Local Knowledge Equilibrium for the given

@@ -84,11 +84,11 @@ func runReference(s *game.State, cfg Config, schedule Schedule, rng *rand.Rand) 
 }
 
 // referenceCollect recomputes every round statistic from the public
-// one-shot APIs — three independent all-pairs fan-outs for social cost,
-// quality, and unfairness, plus one more for the diameter. The engine's
-// pooled collector derives all of them from a single cost pass; the
-// differential tests pin the floats as identical (same operations, same
-// order), not merely close.
+// one-shot APIs — three independent all-pairs passes for social cost,
+// quality, and unfairness, one more for the diameter, and a bounded BFS
+// per player for the view sizes. The engine's collect derives all of them
+// from a single graph.PowerStats pass; the differential tests pin the
+// floats as identical (same operations, same order), not merely close.
 func referenceCollect(s *game.State, cfg Config, round, moves int) RoundStats {
 	g := s.Graph()
 	n := s.N()

@@ -21,8 +21,8 @@ func PlayerCost(s *State, variant Variant, alpha float64, u int) float64 {
 	}
 }
 
-// AllPlayerCosts returns every player's cost, computing the distance terms
-// with the parallel BFS fan-out.
+// AllPlayerCosts returns every player's cost, reading the distance terms
+// off one pass over the network's neighbourhood powers (graph.PowerStats).
 func AllPlayerCosts(s *State, variant Variant, alpha float64) []float64 {
 	var usage []int
 	switch variant {

@@ -132,16 +132,3 @@ func (g *Graph) SumDistances(v int) int {
 	PutScratch(s)
 	return sum
 }
-
-// AllEccentricities computes the eccentricity of every vertex with a
-// parallel fan-out of BFS workers over one flat CSR snapshot. The result
-// index is the vertex id.
-func (g *Graph) AllEccentricities() []int {
-	return g.CSR().AllEccentricitiesInto(nil)
-}
-
-// AllSumDistances computes the status (sum of distances) of every vertex in
-// parallel over one flat CSR snapshot. The result index is the vertex id.
-func (g *Graph) AllSumDistances() []int {
-	return g.CSR().AllSumDistancesInto(nil)
-}

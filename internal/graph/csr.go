@@ -1,10 +1,5 @@
 package graph
 
-import (
-	"runtime"
-	"sync"
-)
-
 // CSR is a flat compressed-sparse-row snapshot of a Graph: the targets of
 // every vertex are packed into one int32 slab in the same order as the
 // adjacency lists (BFS visit order — and therefore every downstream
@@ -49,43 +44,4 @@ func (g *Graph) CSRInto(c *CSR) *CSR {
 // its next traversal); distances are readable through s.Dist.
 func (c *CSR) BFSWithin(src, k int, s *Scratch) []int32 {
 	return within(c.rows, src, k, s)
-}
-
-// AllEccentricitiesInto is Graph.AllEccentricities over an existing
-// snapshot, reusing dst when it is large enough — the allocation-free
-// form for callers (per-round statistics collection) that recompute
-// every round.
-func (c *CSR) AllEccentricitiesInto(dst []int) []int { return c.allInto(dst, eccentricity) }
-
-// AllSumDistancesInto is Graph.AllSumDistances over an existing snapshot,
-// reusing dst when it is large enough.
-func (c *CSR) AllSumDistancesInto(dst []int) []int { return c.allInto(dst, sumDistances) }
-
-// allInto fills dst[v] = usage(c.rows, v, scratch) for every vertex v
-// using a fixed pool of GOMAXPROCS workers, each owning one reusable
-// Scratch.
-func (c *CSR) allInto(dst []int, usage func(rows [][]int32, v int, s *Scratch) int) []int {
-	n := len(c.rows)
-	if cap(dst) < n {
-		dst = make([]int, n)
-	}
-	dst = dst[:n]
-	workers := min(runtime.GOMAXPROCS(0), n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := GetScratch(n)
-			// Strided assignment keeps the schedule deterministic and
-			// avoids a shared work channel for this embarrassingly
-			// parallel loop.
-			for v := w; v < n; v += workers {
-				dst[v] = usage(c.rows, v, s)
-			}
-			PutScratch(s)
-		}(w)
-	}
-	wg.Wait()
-	return dst
 }

@@ -76,26 +76,3 @@ func TestMultiBFSWithinEdgeCases(t *testing.T) {
 	}()
 	g.MultiBFSWithinScratch([]int32{0}, -1, s)
 }
-
-// TestAllFanOutIntoMatchesFresh pins the Into variants to the allocating
-// conveniences they back.
-func TestAllFanOutIntoMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := randomDirtyGraph(25, 10, rng)
-	c := g.CSR()
-	ecc := c.AllEccentricitiesInto(make([]int, 3)) // too small: must grow
-	sums := c.AllSumDistancesInto(nil)
-	wantEcc := g.AllEccentricities()
-	wantSum := g.AllSumDistances()
-	for v := 0; v < g.N(); v++ {
-		if ecc[v] != wantEcc[v] || sums[v] != wantSum[v] {
-			t.Fatalf("vertex %d: into (%d,%d) vs fresh (%d,%d)",
-				v, ecc[v], sums[v], wantEcc[v], wantSum[v])
-		}
-	}
-	// Reuse: a large-enough dst must be returned in place.
-	buf := make([]int, g.N())
-	if out := c.AllEccentricitiesInto(buf); &out[0] != &buf[0] {
-		t.Fatal("AllEccentricitiesInto reallocated a sufficient buffer")
-	}
-}

@@ -15,16 +15,23 @@
 // returning the visited vertices in BFS order. It has two row sources.
 // Graph.adj is the mutable one. CSR is an immutable snapshot that packs
 // the same rows, in the same order, into one slab and keeps a row header
-// per vertex: build it once, then fan searches out across workers. The
-// public traversals — BFS, BFSWithin, Distances, Eccentricity,
-// SumDistances, IsConnected, BFSWithinScratch, MultiBFSWithinScratch,
-// CSR.BFSWithin, AllEccentricitiesInto, ... — are wrappers that check
+// per vertex. The public traversals — BFS, BFSWithin, Distances,
+// Eccentricity, SumDistances, IsConnected, BFSWithinScratch,
+// MultiBFSWithinScratch, CSR.BFSWithin, ... — are wrappers that check
 // their arguments (a vertex out of range, a negative radius or a
 // wrong-length buffer panics with a "graph:" message before anything is
 // written), run the kernel, and shape its result. Scratch is the buffer
 // set the kernel runs on — an epoch-stamped visited array plus int32
 // distance/queue buffers — so a traversal neither allocates nor pays an
 // O(n) clear; wrappers that take no Scratch borrow one from a pool.
+//
+// Every all-pairs question is one loop too, and not a traversal:
+// PowerStep (powers.go) raises the closed neighbourhoods of every vertex
+// one level at a time as bit rows over the same adjacency rows. The
+// best-response scan keeps the levels it solves on; PowerStats keeps two
+// and reads every eccentricity, distance sum and ball size off row
+// popcounts (AllEccentricities, AllSumDistances, Diameter). It starts no
+// goroutine: the caller decides what runs in parallel.
 package graph
 
 import (

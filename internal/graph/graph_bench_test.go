@@ -30,10 +30,9 @@ func BenchmarkBFSWithin(b *testing.B) {
 	}
 }
 
-// BenchmarkAllEccentricitiesParallel vs ...Serial is the ablation for the
-// parallel BFS fan-out (package doc: "build it once, then fan BFS out
-// across workers").
-func BenchmarkAllEccentricitiesParallel(b *testing.B) {
+// BenchmarkAllEccentricitiesPowers vs ...Serial is the ablation for the
+// neighbourhood-power kernel (PowerStats) against one BFS per vertex.
+func BenchmarkAllEccentricitiesPowers(b *testing.B) {
 	g := benchGraph(500, 1000)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -208,11 +208,11 @@ func (h *oracleHarness) compare(tag string, g *Graph, o *oracle, sources []int) 
 			wantComps = append(wantComps, visited)
 		}
 	}
-	if got := h.csr.AllEccentricitiesInto(nil); !slices.Equal(got, wantEcc) {
-		t.Fatalf("%s: AllEccentricitiesInto = %v, oracle %v", tag, got, wantEcc)
+	if got := g.AllEccentricities(); !slices.Equal(got, wantEcc) {
+		t.Fatalf("%s: AllEccentricities = %v, oracle %v", tag, got, wantEcc)
 	}
-	if got := h.csr.AllSumDistancesInto(nil); !slices.Equal(got, wantSum) {
-		t.Fatalf("%s: AllSumDistancesInto = %v, oracle %v", tag, got, wantSum)
+	if got := g.AllSumDistances(); !slices.Equal(got, wantSum) {
+		t.Fatalf("%s: AllSumDistances = %v, oracle %v", tag, got, wantSum)
 	}
 	if got, want := g.IsConnected(), len(wantComps) <= 1; got != want {
 		t.Fatalf("%s: IsConnected = %v, oracle %v", tag, got, want)

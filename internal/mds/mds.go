@@ -100,9 +100,10 @@ type Solver struct {
 
 	best     []int // incumbent; meaningful only while found
 	found    bool
-	bestSize int // strict size bound for further solutions
-	nodes    int // search nodes expanded
-	proved   int // see Proved
+	bestSize int  // strict size bound for further solutions
+	nodes    int  // search nodes expanded
+	proved   int  // see Proved
+	cutOff   bool // see Exhausted
 
 	// Neighborhoods of the graph entry points, built here so that they
 	// too are reused.
@@ -176,7 +177,7 @@ func (s *Solver) closedNeighborhoods(g *graph.Graph) [][]uint64 {
 // search would stop at its first node, so the early return changes neither
 // the answer nor the node count (it reports that one node).
 func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, bool) {
-	s.nodes, s.proved = 0, 0
+	s.nodes, s.proved, s.cutOff = 0, 0, false
 	if n == 0 {
 		return nil, limit > 0
 	}
@@ -199,7 +200,7 @@ func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, b
 	s.search(s.row(0))
 	// A search cut off by nodeBudget certifies nothing: its incumbent is a
 	// dominating set, but a smaller one may exist in what it never visited.
-	if s.nodes < nodeBudget {
+	if s.cutOff = s.nodes >= nodeBudget; !s.cutOff {
 		s.proved = s.bestSize
 	}
 	if !s.found {
@@ -231,6 +232,11 @@ func (s *Solver) Nodes() int { return s.nodes }
 // size after a successful solve and limit after a refusal — and 0, nothing,
 // when the search ran out of nodeBudget before it had seen every branch.
 func (s *Solver) Proved() int { return s.proved }
+
+// Exhausted reports whether the last Solve's search ended on nodeBudget:
+// what it returned is then a dominating set (or a refusal) that nothing
+// certifies, and a caller that promises exact answers has to say so.
+func (s *Solver) Exhausted() bool { return s.cutOff }
 
 // reset sizes the buffers for an n-vertex instance and leaves row 0 of
 // covered holding what forced dominates, uncov its complement.

@@ -70,6 +70,9 @@ func TestExhaustedSolveProvesNothing(t *testing.T) {
 			if proved := s.Proved(); optOK && proved != len(opt) || !optOK && proved != limit {
 				t.Fatalf("n=%d limit=%d: uncut solve returned %v %v and certifies %d", n, limit, opt, optOK, proved)
 			}
+			if s.Exhausted() {
+				t.Fatalf("n=%d limit=%d: a solve of %d nodes reports its budget of %d exhausted", n, limit, s.Nodes(), room)
+			}
 			nodeBudget = 4
 			want, wantOK, wantNodes := refSolve(in, limit)
 			got, ok := s.Solve(in.n, in.nbs, in.forced, limit)
@@ -77,8 +80,8 @@ func TestExhaustedSolveProvesNothing(t *testing.T) {
 				t.Fatalf("n=%d limit=%d: cut short, got %v %v after %d nodes, retained core %v %v after %d",
 					n, limit, got, ok, s.Nodes(), want, wantOK, wantNodes)
 			}
-			if s.Proved() != 0 {
-				t.Fatalf("n=%d limit=%d: a search cut off after %d nodes certifies %d", n, limit, s.Nodes(), s.Proved())
+			if s.Proved() != 0 || !s.Exhausted() {
+				t.Fatalf("n=%d limit=%d: a search cut off after %d nodes certifies %d, exhausted %v", n, limit, s.Nodes(), s.Proved(), s.Exhausted())
 			}
 			if ok {
 				withSet++

@@ -98,8 +98,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 		series("sweepd_replica_bytes_pushed_total", "counter", "Body bytes of successful replica pushes.", rs.BytesPushed)
 	}
 	if rset := h.m.Replicas(); rset != nil {
-		ids, _ := rset.List() // an unreadable replica dir reports as 0 held
-		series("sweepd_replicas_held", "gauge", "Finished-job replicas currently stored for other members.", len(ids))
+		series("sweepd_replicas_held", "gauge", "Finished-job replicas currently stored for other members.", len(rset.List()))
 		series("sweepd_replicas_received_total", "counter", "Verified replica pushes stored on this daemon.", h.replicasReceived.Load())
 		series("sweepd_replica_bytes_received_total", "counter", "Body bytes of stored replica pushes.", h.replicaBytesReceived.Load())
 		series("sweepd_replica_reads_total", "counter", "Terminal reads served from this daemon's replica set.", h.replicaReads.Load())

@@ -63,7 +63,7 @@ func (h *handler) gossipPayload() MembersResponse {
 	// probe cycle, same as capacity.
 	if rs := h.m.Replicas(); rs != nil {
 		if self := h.cluster.Self(); self != "" {
-			if ids, err := rs.List(); err == nil && len(ids) > 0 {
+			if ids := rs.List(); len(ids) > 0 {
 				mr.Replicas = []ReplicaAd{{URL: self, JobIDs: ids}}
 			}
 		}

@@ -465,7 +465,7 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	}
 	clk.Advance(2 * time.Hour)
 	mgr.gcOnce(time.Hour)
-	if ids, _ := mgr.Replicas().List(); len(ids) != 0 {
+	if ids := mgr.Replicas().List(); len(ids) != 0 {
 		t.Fatalf("replica survived its TTL: %v", ids)
 	}
 	if held() != 0 {

@@ -25,10 +25,7 @@ func waitReplica(t *testing.T, id string, ds ...*daemon) {
 	deadline := time.Now().Add(30 * time.Second)
 	for _, d := range ds {
 		for {
-			ids, err := d.rs.List()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ids := d.rs.List()
 			if slices.Contains(ids, id) {
 				break
 			}

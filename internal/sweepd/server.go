@@ -300,9 +300,7 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 			"bytes_received": h.replicaBytesReceived.Load(),
 			"reads_served":   h.replicaReads.Load(),
 			"redirects":      h.replicaRedirects.Load(),
-		}
-		if ids, err := rs.List(); err == nil {
-			rep["held"] = len(ids)
+			"held":           len(rs.List()),
 		}
 		if h.replicaStats != nil {
 			rep["push"] = h.replicaStats()

@@ -69,8 +69,8 @@ type Spec struct {
 	// Trajectories opts into per-round statistics: every cell's
 	// RoundStats sequence is appended to a trajectory.jsonl sidecar next
 	// to the checkpoint (served at GET /sweeps/{id}/trajectories). The
-	// main CellResult codec stays small either way. Collection costs an
-	// all-pairs BFS per round. Because the cache codec drops PerRound,
+	// main CellResult codec stays small either way. Collection costs one
+	// graph.PowerStats pass per round. Because the cache codec drops PerRound,
 	// trajectory jobs bypass the result cache — every cell is computed
 	// (locally or on a peer: leases for trajectory specs stream ncgio
 	// lease records that carry per-round stats next to each canonical

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -55,25 +56,39 @@ type ReplicaManifest struct {
 // concurrent use.
 type ReplicaSet struct {
 	root string
-	// mu serializes Put/Delete against each other; reads go straight to
-	// the filesystem (directory renames are atomic).
+	// mu serializes Put/Delete against each other; reads of a replica's
+	// files go straight to the filesystem (directory renames are atomic).
 	mu sync.Mutex
+	// held is the sorted IDs of the replicas stored here: every liveness
+	// probe, /metrics scrape and gossip reply asks for it, so it is kept
+	// in memory — seeded by one directory walk at open, then replaced,
+	// never modified in place, under mu by whatever Put or Delete did to
+	// one ID (noteHeld). List is one atomic load.
+	held atomic.Pointer[[]string]
 }
 
 // OpenReplicaSet opens (creating if needed) a replica store rooted at
-// dir, clearing any staging dirs a crash mid-Put left behind.
+// dir, clearing any staging dirs a crash mid-Put left behind and reading
+// which replicas it holds.
 func OpenReplicaSet(dir string) (*ReplicaSet, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	rs := &ReplicaSet{root: dir}
-	if entries, err := os.ReadDir(dir); err == nil {
-		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".tmp") {
-				os.RemoveAll(filepath.Join(dir, e.Name())) //nolint:errcheck // best-effort cleanup
-			}
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	ids := []string{}
+	for _, e := range entries {
+		switch {
+		case strings.HasSuffix(e.Name(), ".tmp"):
+			os.RemoveAll(filepath.Join(dir, e.Name())) //nolint:errcheck // best-effort cleanup
+		case e.IsDir() && jobIDPattern.MatchString(e.Name()) && rs.hasManifest(e.Name()):
+			ids = append(ids, e.Name())
 		}
 	}
+	rs.held.Store(&ids)
 	return rs, nil
 }
 
@@ -108,6 +123,7 @@ func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) erro
 	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	defer rs.noteHeld(m.JobID)
 	tmp := rs.dir(m.JobID) + ".tmp"
 	if err := os.RemoveAll(tmp); err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -158,30 +174,40 @@ func (rs *ReplicaSet) Manifest(id string) (ReplicaManifest, error) {
 	return m, nil
 }
 
-// List returns the IDs of all stored replicas, sorted.
-func (rs *ReplicaSet) List() ([]string, error) {
-	entries, err := os.ReadDir(rs.root)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
+// List returns the IDs of all stored replicas, sorted. The slice is
+// shared with later calls: read it, do not write to it.
+func (rs *ReplicaSet) List() []string { return *rs.held.Load() }
+
+// hasManifest reports whether a complete replica of id is on disk: its
+// directory is renamed into place with the manifest inside.
+func (rs *ReplicaSet) hasManifest(id string) bool {
+	_, err := os.Stat(rs.ManifestPath(id))
+	return err == nil
+}
+
+// noteHeld brings id's membership in the held set in line with the disk
+// after a write that may have changed it, however that write ended (a Put
+// that failed after removing the old copy holds nothing). Called with mu
+// held.
+func (rs *ReplicaSet) noteHeld(id string) {
+	ids := *rs.held.Load()
+	i, listed := slices.BinarySearch(ids, id)
+	switch stored := rs.hasManifest(id); {
+	case stored && !listed:
+		ids = slices.Insert(slices.Clone(ids), i, id)
+	case !stored && listed:
+		ids = slices.Delete(slices.Clone(ids), i, i+1)
+	default:
+		return
 	}
-	var ids []string
-	for _, e := range entries {
-		if !e.IsDir() || !jobIDPattern.MatchString(e.Name()) {
-			continue
-		}
-		if _, err := os.Stat(rs.ManifestPath(e.Name())); err != nil {
-			continue
-		}
-		ids = append(ids, e.Name())
-	}
-	sort.Strings(ids)
-	return ids, nil
+	rs.held.Store(&ids)
 }
 
 // Delete removes one replica.
 func (rs *ReplicaSet) Delete(id string) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	defer rs.noteHeld(id)
 	if err := os.RemoveAll(rs.dir(id)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -194,11 +220,7 @@ func (rs *ReplicaSet) Delete(id string) error {
 // replica whose manifest is unreadable falls back to the directory's
 // modtime.
 func (rs *ReplicaSet) SweepExpired(cutoff time.Time) (removed []string, err error) {
-	ids, lerr := rs.List()
-	if lerr != nil {
-		return nil, lerr
-	}
-	for _, id := range ids {
+	for _, id := range rs.List() {
 		var stored time.Time
 		if m, merr := rs.Manifest(id); merr == nil {
 			stored = m.StoredAt

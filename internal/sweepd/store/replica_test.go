@@ -3,6 +3,7 @@ package store
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -51,10 +52,7 @@ func TestReplicaSetPutRoundTrip(t *testing.T) {
 	if string(got) != string(tr) {
 		t.Fatalf("trajectory bytes = %q, want %q", got, tr)
 	}
-	ids, err := rs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := rs.List()
 	if len(ids) != 1 || ids[0] != id {
 		t.Fatalf("List = %v", ids)
 	}
@@ -128,10 +126,7 @@ func TestReplicaSetDelete(t *testing.T) {
 	if err := rs.Delete(id); err != nil {
 		t.Fatal(err)
 	}
-	ids, err := rs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := rs.List()
 	if len(ids) != 0 {
 		t.Fatalf("List after Delete = %v", ids)
 	}
@@ -161,10 +156,7 @@ func TestReplicaSetSweepExpired(t *testing.T) {
 	if len(removed) != 1 {
 		t.Fatalf("SweepExpired removed %d, want 1", len(removed))
 	}
-	ids, err := rs.List()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := rs.List()
 	if len(ids) != 1 || ids[0] != fresh.JobID {
 		t.Fatalf("List after sweep = %v, want only %s", ids, fresh.JobID)
 	}
@@ -185,4 +177,65 @@ func TestOpenReplicaSetClearsStaging(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("crash staging dir survived OpenReplicaSet: %v", err)
 	}
+}
+
+// TestReplicaSetListMatchesWalk pins the in-memory held set to the
+// directory: after every Put (new, replacing, out of order), Delete (held,
+// not held) and SweepExpired, List equals what a fresh OpenReplicaSet
+// reads off the disk — a directory without a manifest and a file with a
+// job ID's name are on disk too, and in neither list.
+func TestReplicaSetListMatchesWalk(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "00000000000000ee"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "00000000000000ff"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := OpenReplicaSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, want ...string) {
+		t.Helper()
+		fresh, err := OpenReplicaSet(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rs.List(); !slices.Equal(got, fresh.List()) || !slices.Equal(got, want) {
+			t.Fatalf("after %s: List = %v, a fresh walk %v, want %v", step, got, fresh.List(), want)
+		}
+	}
+	put := func(id string, stored time.Time) {
+		t.Helper()
+		m := testManifest(id)
+		m.StoredAt = stored
+		if err := rs.Put(m, []byte("x\n"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("open")
+	now := time.Now()
+	put("00000000000000cc", now)
+	check("first Put", "00000000000000cc")
+	put("00000000000000aa", now.Add(-2*time.Hour))
+	put("00000000000000dd", now.Add(-3*time.Hour))
+	put("00000000000000bb", now)
+	check("Puts out of order", "00000000000000aa", "00000000000000bb", "00000000000000cc", "00000000000000dd")
+	put("00000000000000bb", now)
+	check("replacing Put", "00000000000000aa", "00000000000000bb", "00000000000000cc", "00000000000000dd")
+	if err := rs.Put(testManifest("not-a-job-id"), nil, nil); err == nil {
+		t.Fatal("Put accepted an invalid job id")
+	}
+	check("refused Put", "00000000000000aa", "00000000000000bb", "00000000000000cc", "00000000000000dd")
+	for _, id := range []string{"00000000000000cc", "00000000000000cc", "0000000000000099"} {
+		if err := rs.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+		check("Delete "+id, "00000000000000aa", "00000000000000bb", "00000000000000dd")
+	}
+	if removed, err := rs.SweepExpired(now.Add(-time.Hour)); err != nil || len(removed) != 2 {
+		t.Fatalf("SweepExpired removed %v, %v; want the two old replicas", removed, err)
+	}
+	check("SweepExpired", "00000000000000bb")
 }
