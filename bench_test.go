@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/table"
 )
 
 // benchParams keeps every benchmark on the same deterministic sub-grid.
@@ -20,6 +21,36 @@ func benchParams() experiments.Params {
 		SeedsOverride: 3,
 		TreeSizeGrid:  []int{20, 50},
 		DynTreeSize:   40,
+	}
+}
+
+// onFreshRunner hands run benchParams on a runner over a new store: an
+// iteration that reused the last one's store would time a resubmit of
+// finished jobs, not the sweeps.
+func onFreshRunner(b *testing.B, run func(p experiments.Params) error) {
+	b.Helper()
+	r, err := experiments.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	p := benchParams()
+	p.Runner = r
+	if err := run(p); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// sweepTable benchmarks a sweep-backed driver that renders one table.
+func sweepTable(b *testing.B, driver func(experiments.Params) (*table.Table, error)) {
+	for i := 0; i < b.N; i++ {
+		onFreshRunner(b, func(p experiments.Params) error {
+			tab, err := driver(p)
+			if err == nil && len(tab.Rows) == 0 {
+				b.Fatal("empty table")
+			}
+			return err
+		})
 	}
 }
 
@@ -78,67 +109,42 @@ func BenchmarkFigure4(b *testing.B) {
 }
 
 // BenchmarkFigure5 regenerates Figure 5 (view sizes at equilibrium vs α, k).
-func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.Figure5(benchParams()); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
+func BenchmarkFigure5(b *testing.B) { sweepTable(b, experiments.Figure5) }
 
 // BenchmarkFigure6 regenerates Figure 6 (equilibrium quality vs n at α ∈ {1,10}).
-func BenchmarkFigure6(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.Figure6(benchParams()); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
+func BenchmarkFigure6(b *testing.B) { sweepTable(b, experiments.Figure6) }
 
 // BenchmarkFigure7 regenerates Figure 7 (quality vs k at α=2, trees + ER).
-func BenchmarkFigure7(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.Figure7(benchParams()); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
+func BenchmarkFigure7(b *testing.B) { sweepTable(b, experiments.Figure7) }
 
 // BenchmarkFigure8 regenerates Figure 8 (max degree / bought edges vs α).
-func BenchmarkFigure8(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.Figure8(benchParams()); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
+func BenchmarkFigure8(b *testing.B) { sweepTable(b, experiments.Figure8) }
 
 // BenchmarkFigure9 regenerates Figure 9 (unfairness ratio vs α).
-func BenchmarkFigure9(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.Figure9(benchParams()); len(tab.Rows) == 0 {
-			b.Fatal("empty table")
-		}
-	}
-}
+func BenchmarkFigure9(b *testing.B) { sweepTable(b, experiments.Figure9) }
 
 // BenchmarkFigure10 regenerates Figure 10 (rounds to convergence).
 func BenchmarkFigure10(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		left, right := experiments.Figure10(benchParams())
-		if len(left.Rows) == 0 || len(right.Rows) == 0 {
-			b.Fatal("empty table")
-		}
+		onFreshRunner(b, func(p experiments.Params) error {
+			left, right, err := experiments.Figure10(p)
+			if err == nil && (len(left.Rows) == 0 || len(right.Rows) == 0) {
+				b.Fatal("empty table")
+			}
+			return err
+		})
 	}
 }
 
 // BenchmarkCycleCensus regenerates the §5.4 convergence census.
 func BenchmarkCycleCensus(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if tab := experiments.CycleCensus(benchParams()); len(tab.Rows) != 3 {
+	sweepTable(b, func(p experiments.Params) (*table.Table, error) {
+		tab, err := experiments.CycleCensus(p)
+		if err == nil && len(tab.Rows) != 3 {
 			b.Fatal("bad census")
 		}
-	}
+		return tab, err
+	})
 }
 
 // BenchmarkLowerBoundAudit re-verifies the lower-bound constructions
@@ -162,23 +168,26 @@ func BenchmarkSumLowerBoundAudit(b *testing.B) {
 
 // BenchmarkCorollary314 runs the empirical LKE≡NE check (Corollary 3.14).
 func BenchmarkCorollary314(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, holds := experiments.Corollary314Check(benchParams()); !holds {
+	sweepTable(b, func(p experiments.Params) (*table.Table, error) {
+		tab, holds, err := experiments.Corollary314Check(p)
+		if err == nil && !holds {
 			b.Fatal("Corollary 3.14 violated")
 		}
-	}
+		return tab, err
+	})
 }
 
 // BenchmarkTheorem44 runs the SUMNCG full-knowledge threshold check.
 // The exact (exhaustive) SUMNCG responder limits this to a small grid.
 func BenchmarkTheorem44(b *testing.B) {
-	p := benchParams()
-	p.AlphaGrid = []float64{0.5, 2}
-	p.KGrid = []int{2, 6}
-	p.SeedsOverride = 2
-	for i := 0; i < b.N; i++ {
-		if _, holds := experiments.Theorem44Check(p); !holds {
+	sweepTable(b, func(p experiments.Params) (*table.Table, error) {
+		p.AlphaGrid = []float64{0.5, 2}
+		p.KGrid = []int{2, 6}
+		p.SeedsOverride = 2
+		tab, holds, err := experiments.Theorem44Check(p)
+		if err == nil && !holds {
 			b.Fatal("Theorem 4.4 violated")
 		}
-	}
+		return tab, err
+	})
 }

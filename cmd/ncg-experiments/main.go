@@ -11,10 +11,15 @@
 //
 // -scale paper reproduces the full §5.1 grids (15 α × 12 k × 20 seeds) —
 // expect a long run; -scale ci runs the representative sub-grid used by
-// the test suite and benchmarks. With -checkpoint DIR every sweep streams
-// its results to a resumable JSONL checkpoint: re-running after an
-// interruption skips all completed cells and produces identical output.
-// Unknown -run or -scale values exit non-zero with the list of valid ids.
+// the test suite and benchmarks. Every dynamics sweep is a job of an
+// in-process sweep daemon (internal/sweepd) whose store is -checkpoint DIR
+// (one process at a time), or a temporary directory removed on exit:
+// drivers reading the same grid share one job, a re-run over DIR resumes
+// after an interruption and prints identical output, and `ncg-server
+// -data DIR` serves the jobs afterwards. A store failure ends the run with
+// its error, the checkpoints written so far kept. Unknown -run or -scale
+// values exit non-zero with the list of valid ids, as do -seed < 1 (base
+// seed 0 means "default" in a sweep spec) and a grid the daemon refuses.
 package main
 
 import (
@@ -40,10 +45,13 @@ func main() {
 		dynN       = flag.Int("dyn-n", 0, "override: tree size for the dynamics sweeps (0 = scale default)")
 		alphas     = flag.String("alphas", "", "override: comma-separated α grid")
 		ks         = flag.String("ks", "", "override: comma-separated k grid")
-		checkpoint = flag.String("checkpoint", "", "directory for resumable sweep checkpoints (empty = in-memory only)")
+		checkpoint = flag.String("checkpoint", "", "sweep job store: resumable checkpoints and result cache (empty = a temporary directory)")
 	)
 	flag.Parse()
 
+	if *seed < 1 {
+		log.Fatalf("bad -seed %d: need seed ≥ 1", *seed)
+	}
 	p := experiments.Params{Scale: experiments.ScaleCI, Seed: *seed}
 	switch *scale {
 	case "ci":
@@ -54,7 +62,6 @@ func main() {
 	}
 	p.SeedsOverride = *seeds
 	p.DynTreeSize = *dynN
-	p.CheckpointDir = *checkpoint
 	if *alphas != "" {
 		for _, part := range strings.Split(*alphas, ",") {
 			x, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
@@ -83,54 +90,61 @@ func main() {
 		}
 		fmt.Println()
 	}
+	// one emits the table of a driver that can fail, or passes its error on.
+	one := func(t *table.Table, err error) error {
+		if err == nil {
+			emit(t)
+		}
+		return err
+	}
 
 	// One dispatch table drives validation, the error text, and
 	// execution, so a new experiment cannot be wired up but unlisted (or
 	// listed but unwired).
 	drivers := []struct {
 		id  string
-		run func()
+		run func() error
 	}{
-		{"tableI", func() { emit(experiments.TableI(p)) }},
-		{"tableII", func() { emit(experiments.TableII(p)) }},
-		{"fig1", func() {
-			t, err := experiments.Figure1(p)
+		{"tableI", func() error { return one(experiments.TableI(p), nil) }},
+		{"tableII", func() error { return one(experiments.TableII(p), nil) }},
+		{"fig1", func() error { return one(experiments.Figure1(p)) }},
+		{"fig2", func() error { return one(experiments.Figure2(p)) }},
+		{"fig3", func() error { return one(experiments.Figure3(100000), nil) }},
+		{"fig4", func() error { return one(experiments.Figure4(100000), nil) }},
+		{"fig5", func() error { return one(experiments.Figure5(p)) }},
+		{"fig6", func() error { return one(experiments.Figure6(p)) }},
+		{"fig7", func() error { return one(experiments.Figure7(p)) }},
+		{"fig8", func() error { return one(experiments.Figure8(p)) }},
+		{"fig9", func() error { return one(experiments.Figure9(p)) }},
+		{"fig10", func() error {
+			left, right, err := experiments.Figure10(p)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			emit(t)
-		}},
-		{"fig2", func() {
-			t, err := experiments.Figure2(p)
-			if err != nil {
-				log.Fatal(err)
-			}
-			emit(t)
-		}},
-		{"fig3", func() { emit(experiments.Figure3(100000)) }},
-		{"fig4", func() { emit(experiments.Figure4(100000)) }},
-		{"fig5", func() { emit(experiments.Figure5(p)) }},
-		{"fig6", func() { emit(experiments.Figure6(p)) }},
-		{"fig7", func() { emit(experiments.Figure7(p)) }},
-		{"fig8", func() { emit(experiments.Figure8(p)) }},
-		{"fig9", func() { emit(experiments.Figure9(p)) }},
-		{"fig10", func() {
-			left, right := experiments.Figure10(p)
 			emit(left)
 			emit(right)
+			return nil
 		}},
-		{"census", func() { emit(experiments.CycleCensus(p)) }},
-		{"dialects", func() { emit(experiments.DialectComparison(p)) }},
-		{"audit", func() {
+		{"census", func() error { return one(experiments.CycleCensus(p)) }},
+		{"dialects", func() error { return one(experiments.DialectComparison(p)) }},
+		{"audit", func() error {
 			emit(experiments.LowerBoundAudit(p))
 			emit(experiments.SumLowerBoundAudit(p))
+			return nil
 		}},
-		{"theory", func() {
-			t1, ok1 := experiments.Corollary314Check(p)
+		{"theory", func() error {
+			t1, ok1, err := experiments.Corollary314Check(p)
+			if err != nil {
+				return err
+			}
 			emit(t1)
-			t2, ok2 := experiments.Theorem44Check(p)
+			t2, ok2, err := experiments.Theorem44Check(p)
+			if err != nil {
+				return err
+			}
 			emit(t2)
 			fmt.Printf("Corollary 3.14 holds: %v; Theorem 4.4 holds: %v\n", ok1, ok2)
+			return nil
 		}},
 	}
 
@@ -141,9 +155,20 @@ func main() {
 	if !slices.Contains(valid, *run) {
 		log.Fatalf("unknown experiment %q; valid: %s", *run, strings.Join(valid, " "))
 	}
+	// Opened last, so that a refused flag leaves no temporary store
+	// behind, and closed before any exit: log.Fatal skips deferred calls.
+	runner, err := experiments.Open(*checkpoint)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p.Runner = runner
 	for _, d := range drivers {
 		if *run == "all" || *run == d.id {
-			d.run()
+			if err := d.run(); err != nil {
+				runner.Close()
+				log.Fatal(err)
+			}
 		}
 	}
+	runner.Close()
 }

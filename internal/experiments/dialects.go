@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"log"
 
 	"repro/internal/dynamics"
 	"repro/internal/stats"
@@ -11,13 +10,13 @@ import (
 )
 
 // DialectComparison runs one α×k grid under every registered game
-// dialect on two graph families, side by side — the same registry-driven
-// Config/Factory path the sweep daemon uses, so the table's rows are
-// reproducible as daemon jobs with the printed spec fields. Swap
-// dynamics keep the network's edge count invariant and large-
-// neighborhood descent explores compound deviations, so the three move
-// rules reach visibly different equilibria from identical starts.
-func DialectComparison(p Params) *table.Table {
+// dialect on two graph families, side by side — each row is a daemon job
+// with the printed spec fields (the best-response tree row is the §5.1
+// tree sweep's job). Swap dynamics keep the network's edge count
+// invariant and large-neighborhood descent explores compound deviations,
+// so the three move rules reach visibly different equilibria from
+// identical starts.
+func DialectComparison(p Params) (*table.Table, error) {
 	n := p.DynamicsTreeSize()
 	configs := []struct {
 		dialect string
@@ -34,17 +33,10 @@ func DialectComparison(p Params) *table.Table {
 	t := table.New(fmt.Sprintf("Dialect comparison — move rules across graph families (n = %d)", n),
 		"dialect", "graph", "converged", "rounds", "moves", "diameter")
 	for _, c := range configs {
-		sp := sweepd.Spec{
-			Dialect: c.dialect, Graph: c.graph, N: n, P: c.prob,
-			Alphas: p.Alphas(), Ks: p.Ks(), Seeds: p.Seeds(),
-			BaseSeed: p.Seed,
+		results, err := p.sweep(sweepd.Spec{Dialect: c.dialect, Graph: c.graph, N: n, P: c.prob, BaseSeed: p.Seed})
+		if err != nil {
+			return nil, err
 		}
-		sp.Normalize()
-		if err := sp.Validate(); err != nil {
-			log.Fatalf("experiments: dialect comparison spec: %v", err)
-		}
-		label := fmt.Sprintf("dialects-%s-%s-n%d", c.dialect, c.graph, n)
-		results := runSweep(p, label, sp.Cells(), sp.Config(), sp.Factory(), sp.BaseSeed)
 		var rounds, moves, diameter []float64
 		converged := 0
 		for _, r := range results {
@@ -59,5 +51,5 @@ func DialectComparison(p Params) *table.Table {
 			fmt.Sprintf("%.0f%%", 100*float64(converged)/float64(len(results))),
 			stats.Summarize(rounds), stats.Summarize(moves), stats.Summarize(diameter))
 	}
-	return t
+	return t, nil
 }

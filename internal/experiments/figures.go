@@ -5,8 +5,8 @@ import (
 
 	"repro/internal/bounds"
 	"repro/internal/dynamics"
-	"repro/internal/game"
 	"repro/internal/stats"
+	"repro/internal/sweepd"
 	"repro/internal/table"
 )
 
@@ -26,18 +26,20 @@ func aggregate(results []dynamics.CellResult, metric func(dynamics.CellResult) f
 	return out
 }
 
-// sweepTrees runs the standard tree sweep at the α×k grid of p.
-func sweepTrees(p Params, variant game.Variant) []dynamics.CellResult {
-	cells := dynamics.Grid(p.Alphas(), p.Ks(), p.Seeds())
-	label := fmt.Sprintf("trees-%s-n%d", variant, p.DynamicsTreeSize())
-	return runSweep(p, label, cells, baseConfig(variant), treeFactory(p.DynamicsTreeSize()), p.Seed)
+// sweepTrees runs the standard MAXNCG tree sweep (§5.1) at the α×k grid
+// of p: one job, however many drivers read it.
+func sweepTrees(p Params) ([]dynamics.CellResult, error) {
+	return p.sweep(sweepd.Spec{N: p.DynamicsTreeSize(), BaseSeed: p.Seed})
 }
 
 // Figure5 reproduces Figure 5: minimum and average number of vertices in
 // the players' views on stable networks, as a function of α for each k
 // (random trees, n = DynamicsTreeSize()).
-func Figure5(p Params) *table.Table {
-	results := sweepTrees(p, game.Max)
+func Figure5(p Params) (*table.Table, error) {
+	results, err := sweepTrees(p)
+	if err != nil {
+		return nil, err
+	}
 	minAgg := aggregate(results, func(r dynamics.CellResult) float64 {
 		return float64(r.Result.FinalStats.MinViewSize)
 	})
@@ -52,20 +54,22 @@ func Figure5(p Params) *table.Table {
 			t.AddRowf(a, k, stats.Summarize(minAgg[key]), stats.Summarize(avgAgg[key]))
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Figure6 reproduces Figure 6: quality of the stable networks (social
 // cost / social optimum) as a function of n, for α = 1 (left panel) and
 // α = 10 (right panel), on random trees.
-func Figure6(p Params) *table.Table {
+func Figure6(p Params) (*table.Table, error) {
 	sizes := p.TreeSizes()
 	t := table.New("Figure 6 — equilibrium quality vs n (random trees; α ∈ {1,10})",
 		"alpha", "n", "k", "quality")
 	for _, alpha := range []float64{1, 10} {
 		for _, n := range sizes {
-			cells := dynamics.Grid([]float64{alpha}, p.Ks(), p.Seeds())
-			results := runSweep(p, fmt.Sprintf("fig6-trees-n%d-a%g", n, alpha), cells, baseConfig(game.Max), treeFactory(n), p.Seed+int64(n))
+			results, err := p.sweep(sweepd.Spec{N: n, Alphas: []float64{alpha}, BaseSeed: p.Seed + int64(n)})
+			if err != nil {
+				return nil, err
+			}
 			agg := aggregate(results, func(r dynamics.CellResult) float64 {
 				return r.Result.FinalStats.Quality
 			})
@@ -74,21 +78,23 @@ func Figure6(p Params) *table.Table {
 			}
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Figure7 reproduces Figure 7: quality of the stable networks as a
 // function of k at α = 2, on random trees (per n) and on Erdős–Rényi
 // graphs, against the theoretical trend f(k) = k/2^{log² k} (bold red
 // line in the paper).
-func Figure7(p Params) *table.Table {
+func Figure7(p Params) (*table.Table, error) {
 	const alpha = 2
 	t := table.New("Figure 7 — equilibrium quality vs k (α = 2)",
 		"class", "n", "k", "quality", "f(k) benchmark")
 	ks := p.Ks()
 	for _, n := range p.TreeSizes() {
-		cells := dynamics.Grid([]float64{alpha}, ks, p.Seeds())
-		results := runSweep(p, fmt.Sprintf("fig7-trees-n%d", n), cells, baseConfig(game.Max), treeFactory(n), p.Seed+int64(7*n))
+		results, err := p.sweep(sweepd.Spec{N: n, Alphas: []float64{alpha}, BaseSeed: p.Seed + int64(7*n)})
+		if err != nil {
+			return nil, err
+		}
 		agg := aggregate(results, func(r dynamics.CellResult) float64 {
 			return r.Result.FinalStats.Quality
 		})
@@ -103,8 +109,10 @@ func Figure7(p Params) *table.Table {
 	if p.Scale == ScalePaper {
 		nER, pER = 100, 0.2
 	}
-	cells := dynamics.Grid([]float64{alpha}, ks, p.Seeds())
-	results := runSweep(p, fmt.Sprintf("fig7-er-n%d-p%g", nER, pER), cells, baseConfig(game.Max), erFactory(nER, pER), p.Seed+777)
+	results, err := p.sweep(sweepd.Spec{Graph: "gnp", N: nER, P: pER, Alphas: []float64{alpha}, BaseSeed: p.Seed + 777})
+	if err != nil {
+		return nil, err
+	}
 	agg := aggregate(results, func(r dynamics.CellResult) float64 {
 		return r.Result.FinalStats.Quality
 	})
@@ -113,16 +121,18 @@ func Figure7(p Params) *table.Table {
 			stats.Summarize(agg[aggKey{Alpha: alpha, K: k}]),
 			bounds.Figure7Benchmark(k))
 	}
-	return t
+	return t, nil
 }
 
 // Figure8 reproduces Figure 8: maximum degree and maximum number of
 // bought edges of stable networks as a function of α, for each k, on
 // Erdős–Rényi graphs.
-func Figure8(p Params) *table.Table {
+func Figure8(p Params) (*table.Table, error) {
 	n, prob := p.DynamicsERConfig()
-	cells := dynamics.Grid(p.Alphas(), p.Ks(), p.Seeds())
-	results := runSweep(p, fmt.Sprintf("fig8-er-n%d-p%g", n, prob), cells, baseConfig(game.Max), erFactory(n, prob), p.Seed+8)
+	results, err := p.sweep(sweepd.Spec{Graph: "gnp", N: n, P: prob, BaseSeed: p.Seed + 8})
+	if err != nil {
+		return nil, err
+	}
 	degAgg := aggregate(results, func(r dynamics.CellResult) float64 {
 		return float64(r.Result.FinalStats.MaxDegree)
 	})
@@ -137,17 +147,19 @@ func Figure8(p Params) *table.Table {
 			t.AddRowf(a, k, stats.Summarize(degAgg[key]), stats.Summarize(boughtAgg[key]))
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Figure9 reproduces Figure 9: the unfairness ratio (highest / lowest
 // player cost) of stable networks as a function of α for each k, on
 // Erdős–Rényi graphs. The paper's headline: smaller k yields fairer
 // equilibria.
-func Figure9(p Params) *table.Table {
+func Figure9(p Params) (*table.Table, error) {
 	n, prob := p.DynamicsERConfig()
-	cells := dynamics.Grid(p.Alphas(), p.Ks(), p.Seeds())
-	results := runSweep(p, fmt.Sprintf("fig9-er-n%d-p%g", n, prob), cells, baseConfig(game.Max), erFactory(n, prob), p.Seed+9)
+	results, err := p.sweep(sweepd.Spec{Graph: "gnp", N: n, P: prob, BaseSeed: p.Seed + 9})
+	if err != nil {
+		return nil, err
+	}
 	agg := aggregate(results, func(r dynamics.CellResult) float64 {
 		return r.Result.FinalStats.Unfairness
 	})
@@ -158,16 +170,19 @@ func Figure9(p Params) *table.Table {
 			t.AddRowf(a, k, stats.Summarize(agg[aggKey{Alpha: a, K: k}]))
 		}
 	}
-	return t
+	return t, nil
 }
 
 // Figure10 reproduces Figure 10: rounds to convergence as a function of α
 // (left panel, fixed n) and as a function of n at α = 2 (right panel), on
 // random trees.
-func Figure10(p Params) (*table.Table, *table.Table) {
+func Figure10(p Params) (*table.Table, *table.Table, error) {
 	left := table.New(fmt.Sprintf("Figure 10 (left) — rounds vs α (trees n=%d)", p.DynamicsTreeSize()),
 		"alpha", "k", "rounds", "converged fraction")
-	results := sweepTrees(p, game.Max)
+	results, err := sweepTrees(p)
+	if err != nil {
+		return nil, nil, err
+	}
 	roundsAgg := aggregate(results, func(r dynamics.CellResult) float64 {
 		return float64(r.Result.Rounds)
 	})
@@ -187,8 +202,10 @@ func Figure10(p Params) (*table.Table, *table.Table) {
 	right := table.New("Figure 10 (right) — rounds vs n (trees, α = 2)",
 		"n", "k", "rounds")
 	for _, n := range p.TreeSizes() {
-		cells := dynamics.Grid([]float64{2}, p.Ks(), p.Seeds())
-		res := runSweep(p, fmt.Sprintf("fig10-trees-n%d", n), cells, baseConfig(game.Max), treeFactory(n), p.Seed+int64(10*n))
+		res, err := p.sweep(sweepd.Spec{N: n, Alphas: []float64{2}, BaseSeed: p.Seed + int64(10*n)})
+		if err != nil {
+			return nil, nil, err
+		}
 		agg := aggregate(res, func(r dynamics.CellResult) float64 {
 			return float64(r.Result.Rounds)
 		})
@@ -196,14 +213,17 @@ func Figure10(p Params) (*table.Table, *table.Table) {
 			right.AddRowf(n, k, stats.Summarize(agg[aggKey{Alpha: 2, K: k}]))
 		}
 	}
-	return left, right
+	return left, right, nil
 }
 
 // CycleCensus reproduces the §5.4 convergence claim ("we simulated about
 // 36 000 best-response dynamics, and only encountered best-response cycles
 // in 5 of them"): it counts run outcomes over the sweep grid.
-func CycleCensus(p Params) *table.Table {
-	results := sweepTrees(p, game.Max)
+func CycleCensus(p Params) (*table.Table, error) {
+	results, err := sweepTrees(p)
+	if err != nil {
+		return nil, err
+	}
 	var converged, cycled, limited int
 	for _, r := range results {
 		switch r.Result.Status {
@@ -227,5 +247,5 @@ func CycleCensus(p Params) *table.Table {
 	t.AddRowf("converged", converged, frac(converged))
 	t.AddRowf("cycled", cycled, frac(cycled))
 	t.AddRowf("round-limit", limited, frac(limited))
-	return t
+	return t, nil
 }

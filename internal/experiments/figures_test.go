@@ -6,9 +6,12 @@ import (
 	"testing"
 )
 
-// micro returns a very small grid so figure sweeps stay fast in CI.
-func micro() Params {
+// micro returns a very small grid so figure sweeps stay fast in CI, on a
+// runner of the test's own.
+func micro(t *testing.T) Params {
+	t.Helper()
 	return Params{
+		Runner:        open(t, t.TempDir()),
 		Scale:         ScaleCI,
 		Seed:          3,
 		AlphaGrid:     []float64{0.5, 2},
@@ -19,9 +22,23 @@ func micro() Params {
 	}
 }
 
+// open starts a runner over dir that the test's cleanup closes.
+func open(t *testing.T, dir string) *Runner {
+	t.Helper()
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.Close)
+	return r
+}
+
 func TestFigure5(t *testing.T) {
-	p := micro()
-	tab := Figure5(p)
+	p := micro(t)
+	tab, err := Figure5(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != len(p.Alphas())*len(p.Ks()) {
 		t.Fatalf("rows=%d", len(tab.Rows))
 	}
@@ -43,8 +60,11 @@ func TestFigure5(t *testing.T) {
 }
 
 func TestFigure6(t *testing.T) {
-	p := micro()
-	tab := Figure6(p)
+	p := micro(t)
+	tab, err := Figure6(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := 2 * len(p.TreeSizes()) * len(p.Ks())
 	if len(tab.Rows) != want {
 		t.Fatalf("rows=%d, want %d", len(tab.Rows), want)
@@ -58,8 +78,11 @@ func TestFigure6(t *testing.T) {
 }
 
 func TestFigure7(t *testing.T) {
-	p := micro()
-	tab := Figure7(p)
+	p := micro(t)
+	tab, err := Figure7(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -78,12 +101,18 @@ func TestFigure7(t *testing.T) {
 }
 
 func TestFigure8And9(t *testing.T) {
-	p := micro()
-	f8 := Figure8(p)
+	p := micro(t)
+	f8, err := Figure8(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(f8.Rows) != len(p.Alphas())*len(p.Ks()) {
 		t.Fatalf("figure 8 rows=%d", len(f8.Rows))
 	}
-	f9 := Figure9(p)
+	f9, err := Figure9(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, row := range f9.Rows {
 		// Unfairness is a ratio >= 1.
 		if strings.HasPrefix(row[2], "0.") {
@@ -93,8 +122,11 @@ func TestFigure8And9(t *testing.T) {
 }
 
 func TestFigure10(t *testing.T) {
-	p := micro()
-	left, right := Figure10(p)
+	p := micro(t)
+	left, right, err := Figure10(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(left.Rows) != len(p.Alphas())*len(p.Ks()) {
 		t.Fatalf("left rows=%d", len(left.Rows))
 	}
@@ -107,9 +139,12 @@ func TestFigure5ViewGrowsWithK(t *testing.T) {
 	// The paper's Figure 5 headline: the view "rapidly grows as k becomes
 	// larger". Check monotonicity of the average view size in k at fixed
 	// α on the micro grid.
-	p := micro()
+	p := micro(t)
 	p.KGrid = []int{2, 4, 1000}
-	tab := Figure5(p)
+	tab, err := Figure5(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Rows are (α-major, k-minor); compare successive k means per α.
 	for i := 0; i+2 < len(tab.Rows); i += 3 {
 		var means [3]float64
@@ -125,8 +160,11 @@ func TestFigure5ViewGrowsWithK(t *testing.T) {
 }
 
 func TestCycleCensus(t *testing.T) {
-	p := micro()
-	tab := CycleCensus(p)
+	p := micro(t)
+	tab, err := CycleCensus(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows=%d, want 3", len(tab.Rows))
 	}

@@ -3,13 +3,11 @@
 // dynamics studies, Figures 1–2 construction renders, Figures 3–4 bound
 // region maps, plus the §5.4 cycle census and the lower-bound audits.
 // Every driver returns rendered tables so cmd/ tools and the benchmark
-// harness share one code path.
+// harness share one code path, and every dynamics sweep is a sweepd.Spec
+// submitted to the Runner that Params carries (runner.go): the figure
+// drivers and the sweep daemon run, checkpoint, resume and cache a grid
+// with the same code.
 package experiments
-
-import (
-	"repro/internal/dynamics"
-	"repro/internal/game"
-)
 
 // Scale selects experiment sizing.
 type Scale int
@@ -37,13 +35,9 @@ type Params struct {
 	TreeSizeGrid  []int
 	DynTreeSize   int
 
-	// CheckpointDir, when set, makes every dynamics sweep stream its
-	// results to a JSONL checkpoint in that directory and resume from it
-	// on the next invocation — so a paper-scale figure run killed halfway
-	// picks up where it stopped instead of starting over (and figures
-	// sharing a sweep reuse each other's files). Results are identical
-	// with or without checkpointing.
-	CheckpointDir string
+	// Runner runs every dynamics sweep (Open); required by the drivers
+	// that sweep, unused by the rest.
+	Runner *Runner
 }
 
 // Alphas returns the α grid (§5.1 lists the paper's 15 values).
@@ -121,21 +115,4 @@ func (p Params) DynamicsERConfig() (int, float64) {
 		return 100, 0.1
 	}
 	return 50, 0.14
-}
-
-// treeFactory and erFactory are the shared starting-state factories
-// (dynamics.TreeFactory / dynamics.ERFactory) — one definition serves
-// both the figure drivers and the sweep daemon, so their checkpointed
-// results stay interchangeable.
-var (
-	treeFactory = dynamics.TreeFactory
-	erFactory   = dynamics.ERFactory
-)
-
-// baseConfig returns the dynamics configuration used by every figure.
-func baseConfig(variant game.Variant) dynamics.Config {
-	cfg := dynamics.DefaultConfig(variant, 0, 0) // α, k filled per cell
-	cfg.MaxRounds = 100
-	cfg.CycleCheckAfter = 25
-	return cfg
 }

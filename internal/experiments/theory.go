@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/bounds"
 	"repro/internal/dynamics"
 	"repro/internal/game"
+	"repro/internal/stats"
+	"repro/internal/sweepd"
 	"repro/internal/table"
 	"repro/internal/view"
 )
@@ -33,9 +33,12 @@ func fullViewFraction(s *game.State, k int) float64 {
 // covers a connected graph); the classifier's asymptotic prediction
 // (whose hidden constant c the paper leaves unspecified, so it can
 // misfire at experiment-scale n) is reported as an informational column.
-func Corollary314Check(p Params) (*table.Table, bool) {
+func Corollary314Check(p Params) (*table.Table, bool, error) {
 	n := p.DynamicsTreeSize()
-	results := sweepTrees(p, game.Max)
+	results, err := sweepTrees(p)
+	if err != nil {
+		return nil, false, err
+	}
 	agg := aggregate(results, func(r dynamics.CellResult) float64 {
 		return fullViewFraction(r.Result.Final, r.Cell.K)
 	})
@@ -44,31 +47,25 @@ func Corollary314Check(p Params) (*table.Table, bool) {
 	holds := true
 	for _, a := range p.Alphas() {
 		for _, k := range p.Ks() {
-			vals := agg[aggKey{Alpha: a, K: k}]
-			mean := 0.0
-			for _, v := range vals {
-				mean += v
-			}
-			if len(vals) > 0 {
-				mean /= float64(len(vals))
-			}
+			mean := stats.Mean(agg[aggKey{Alpha: a, K: k}])
 			if k >= n && mean < 1 {
 				holds = false
 			}
 			t.AddRowf(a, k, bounds.FullKnowledgeMax(n, k, a), mean)
 		}
 	}
-	return t, holds
+	return t, holds, nil
 }
 
 // Theorem44Check empirically validates Theorem 4.4 for SUMNCG: when
 // k > 1 + 2√α, every equilibrium player sees the whole network. SUMNCG
 // dynamics use the exact responder on small instances.
-func Theorem44Check(p Params) (*table.Table, bool) {
+func Theorem44Check(p Params) (*table.Table, bool, error) {
 	n := 14 // small enough for the exact SUMNCG responder
-	cells := dynamics.Grid(p.Alphas(), p.Ks(), p.Seeds())
-	cfg := baseConfig(game.Sum)
-	results := runSweep(p, fmt.Sprintf("thm44-trees-n%d", n), cells, cfg, treeFactory(n), p.Seed+44)
+	results, err := p.sweep(sweepd.Spec{Variant: "sum", N: n, BaseSeed: p.Seed + 44})
+	if err != nil {
+		return nil, false, err
+	}
 	agg := aggregate(results, func(r dynamics.CellResult) float64 {
 		return fullViewFraction(r.Result.Final, r.Cell.K)
 	})
@@ -77,14 +74,7 @@ func Theorem44Check(p Params) (*table.Table, bool) {
 	holds := true
 	for _, a := range p.Alphas() {
 		for _, k := range p.Ks() {
-			vals := agg[aggKey{Alpha: a, K: k}]
-			mean := 0.0
-			for _, v := range vals {
-				mean += v
-			}
-			if len(vals) > 0 {
-				mean /= float64(len(vals))
-			}
+			mean := stats.Mean(agg[aggKey{Alpha: a, K: k}])
 			applies := bounds.FullKnowledgeSum(k, a)
 			if applies && mean < 1 {
 				holds = false
@@ -92,5 +82,5 @@ func Theorem44Check(p Params) (*table.Table, bool) {
 			t.AddRowf(a, k, applies, mean)
 		}
 	}
-	return t, holds
+	return t, holds, nil
 }

@@ -3,8 +3,11 @@ package experiments
 import "testing"
 
 func TestCorollary314Check(t *testing.T) {
-	p := micro()
-	tab, holds := Corollary314Check(p)
+	p := micro(t)
+	tab, holds, err := Corollary314Check(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !holds {
 		t.Fatalf("Corollary 3.14 violated empirically:\n%s", tab)
 	}
@@ -14,8 +17,11 @@ func TestCorollary314Check(t *testing.T) {
 }
 
 func TestTheorem44Check(t *testing.T) {
-	p := micro()
-	tab, holds := Theorem44Check(p)
+	p := micro(t)
+	tab, holds, err := Theorem44Check(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !holds {
 		t.Fatalf("Theorem 4.4 violated empirically:\n%s", tab)
 	}

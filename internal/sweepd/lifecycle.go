@@ -293,8 +293,8 @@ func (m *Manager) Close() {
 	m.gcWG.Wait()
 }
 
-// Wait blocks until every currently admitted job's runner has returned
-// (test helper; production callers poll Get/List instead).
+// Wait blocks until every currently admitted job's runner has returned:
+// how an in-process caller (internal/experiments) awaits its job.
 func (m *Manager) Wait() { m.wg.Wait() }
 
 // ResultsPath exposes the job's checkpoint path for streaming reads.

@@ -110,10 +110,10 @@ type ReplicatorOptions struct {
 // alive members, so results survive the leader's disk and reads fan out
 // across the mesh. Register JobFinished as a Manager.OnFinish hook;
 // pushes run asynchronously and Close waits for in-flight ones. The
-// deficit-based target choice makes re-fires idempotent: a job already
-// held by Fanout alive members pushes nothing, so Resume re-announcing
-// finished jobs after a restart heals under-replication without
-// duplicating bytes.
+// deficit-based target choice makes re-fires idempotent and cheap: a job
+// already held by Fanout alive members (or with no member to push to)
+// pushes nothing and reads nothing, so Resume re-announcing finished jobs
+// after a restart heals under-replication without duplicating bytes.
 type Replicator struct {
 	opts ReplicatorOptions
 
@@ -172,11 +172,6 @@ func (rp *Replicator) Replicate(job Job) error {
 		return nil
 	}
 	id := job.ID
-	body, n, err := rp.buildBody(job)
-	if err != nil {
-		return err
-	}
-
 	holders := map[string]bool{}
 	if rp.opts.Holders != nil {
 		for _, u := range rp.opts.Holders(id) {
@@ -204,6 +199,13 @@ func (rp *Replicator) Replicate(job Job) error {
 		}
 		return cands[i].URL < cands[j].URL
 	})
+	var body []byte
+	if len(cands) > 0 {
+		var err error
+		if body, err = rp.buildBody(job); err != nil {
+			return err
+		}
+	}
 
 	var firstErr error
 	for _, ml := range cands {
@@ -226,7 +228,7 @@ func (rp *Replicator) Replicate(job Job) error {
 		return firstErr
 	}
 	if need > 0 {
-		rp.logf("sweepd: job %s under-replicated: %d of %d copies placed (%d cells)", id, rp.opts.Fanout-need, rp.opts.Fanout, n)
+		rp.logf("sweepd: job %s under-replicated: %d of %d copies placed (%d cells)", id, rp.opts.Fanout-need, rp.opts.Fanout, job.Spec.NumCells())
 	}
 	return nil
 }
@@ -252,23 +254,21 @@ func readGrid(path string, total int) ([]byte, error) {
 
 // buildBody assembles the wire body of POST /peer/replicas/{id}: one
 // manifest line, then the full checkpoint, then the full sidecar.
-func (rp *Replicator) buildBody(job Job) ([]byte, int, error) {
+func (rp *Replicator) buildBody(job Job) ([]byte, error) {
 	id, sp := job.ID, job.Spec
 	total, trajLines := sp.NumCells(), 0
 	checkpoint, err := readGrid(rp.opts.Store.ResultsPath(id), total)
-	if err != nil {
-		return nil, 0, fmt.Errorf("sweepd: replicating job %s: %w", id, err)
-	}
 	var trajectory []byte
-	if sp.Trajectories {
-		if trajectory, err = readGrid(rp.opts.Store.TrajectoryPath(id), total); err != nil {
-			return nil, 0, fmt.Errorf("sweepd: replicating job %s: %w", id, err)
-		}
+	if err == nil && sp.Trajectories {
+		trajectory, err = readGrid(rp.opts.Store.TrajectoryPath(id), total)
 		trajLines = total
+	}
+	if err != nil {
+		return nil, fmt.Errorf("sweepd: replicating job %s: %w", id, err)
 	}
 	specJSON, err := json.Marshal(sp)
 	if err != nil {
-		return nil, 0, fmt.Errorf("sweepd: %w", err)
+		return nil, fmt.Errorf("sweepd: %w", err)
 	}
 	gen := uint64(1)
 	if rp.opts.Generation != nil {
@@ -289,14 +289,14 @@ func (rp *Replicator) buildBody(job Job) ([]byte, int, error) {
 	}
 	head, err := json.Marshal(manifest)
 	if err != nil {
-		return nil, 0, fmt.Errorf("sweepd: %w", err)
+		return nil, fmt.Errorf("sweepd: %w", err)
 	}
 	body := make([]byte, 0, len(head)+1+len(checkpoint)+len(trajectory))
 	body = append(body, head...)
 	body = append(body, '\n')
 	body = append(body, checkpoint...)
 	body = append(body, trajectory...)
-	return body, total, nil
+	return body, nil
 }
 
 // push POSTs one replica body to a member; any non-2xx answer is a

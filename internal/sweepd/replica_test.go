@@ -169,6 +169,39 @@ func TestReplicationPushAndReplicaServedReads(t *testing.T) {
 	}
 }
 
+// TestReplicateReadsNothingWithoutADeficitOrACandidate: a done job that is
+// already at fan-out (every finished job re-fired after a restart, once
+// ads have gossiped) or has no member to go to costs no read of its
+// checkpoint — shown by an absent results file being no error.
+func TestReplicateReadsNothingWithoutADeficitOrACandidate(t *testing.T) {
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
+	sp.Normalize()
+	job := Job{ID: sp.ID(), Spec: sp, Status: StatusDone} // no results.jsonl anywhere
+	for name, opts := range map[string]ReplicatorOptions{
+		"at fan-out": {
+			Targets: func() []MemberLoad { return []MemberLoad{{URL: "http://a"}, {URL: "http://b"}} },
+			Holders: func(string) []string { return []string{"http://a"} },
+		},
+		"no candidate": {
+			Self:    func() string { return "http://self" },
+			Targets: func() []MemberLoad { return []MemberLoad{{URL: "http://self"}} },
+		},
+	} {
+		opts.Store, opts.Fanout = st, 1
+		rp := NewReplicator(opts)
+		if err := rp.Replicate(job); err != nil {
+			t.Errorf("%s: Replicate = %v, want nil", name, err)
+		}
+		if got := rp.Stats(); got != (ReplicaStats{}) {
+			t.Errorf("%s: stats = %+v, want no push attempted", name, got)
+		}
+	}
+}
+
 // TestReplicaPushWaitsOutReplicaRate: the receiver's -replica-rate class
 // sheds the second of two back-to-back pushes with a 429. That is load
 // shedding, not a failed target: the push waits out Retry-After and
@@ -222,7 +255,7 @@ func TestReceiveReplicaVerification(t *testing.T) {
 	job := runDoneJob(t, leaderMgr, sp)
 
 	rp := NewReplicator(ReplicatorOptions{Store: leaderMgr.store, Generation: func(string) uint64 { return 5 }})
-	body, _, err := rp.buildBody(job)
+	body, err := rp.buildBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +374,7 @@ func TestReceiveReplicaRejectsNonCanonicalFraming(t *testing.T) {
 
 	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2, Trajectories: true}
 	job := runDoneJob(t, leaderMgr, sp)
-	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +477,7 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	mgr.now = clk.Now
 
 	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
-	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}
