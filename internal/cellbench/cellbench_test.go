@@ -47,6 +47,15 @@ type cellBench struct {
 	Cells int `json:"cells,omitempty"`
 }
 
+// measured is the row of a benchmark that reports nothing but its cost.
+func measured(r testing.BenchmarkResult) cellBench {
+	return cellBench{
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		AllocsPerOp: r.AllocsPerOp(),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+	}
+}
+
 // benchState mirrors the fixture of the per-package benchmarks: a random
 // tree with randomly assigned edge owners, seed 1.
 func benchState(n int) *game.State {
@@ -100,11 +109,7 @@ func TestBenchCell(t *testing.T) {
 				c.fn(i)
 			}
 		})
-		results[c.name] = cellBench{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
+		results[c.name] = measured(r)
 		t.Logf("%s: %.0f ns/op, %d allocs/op, %d B/op",
 			c.name, results[c.name].NsPerOp, results[c.name].AllocsPerOp, results[c.name].BytesPerOp)
 	}
@@ -116,6 +121,9 @@ func TestBenchCell(t *testing.T) {
 		results[name] = row
 	}
 	results["SweepJobMaxLocal"] = sweepJobRow(t)
+	for name, row := range cellLineRows(t) {
+		results[name] = row
+	}
 
 	payload := struct {
 		Benchmarks  map[string]cellBench `json:"benchmarks"`
@@ -239,11 +247,52 @@ func statsPassRows() map[string]cellBench {
 			if variant == game.Sum {
 				name = "CollectSum" + shape
 			}
-			rows[name] = cellBench{
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			}
+			rows[name] = measured(r)
+		}
+	}
+	return rows
+}
+
+// cellLineRows measures ncgio's line codec on the two line shapes the
+// front-door benchmark's daemons handle, one row per shape and direction
+// rather than one aggregate: the converged cell (α = 2, k = 3, seed 1) of
+// the solo-local and cluster3 jobs' G(100, 0.06) family, which ends near a
+// tree (some 100 arcs, a 1.2 kB line), and of serve-small's 16-player
+// trees (15 arcs, 450 bytes). Encode is what a computed
+// cell pays once; Decode (rebuilding the game.State) what a lease receiver
+// and a summary pay; Validate what resume, adoption, a replica holder and a
+// disk-cache hit pay for every line they keep as bytes — it allocates
+// nothing, and CI holds it to ≤ 2.
+func cellLineRows(t *testing.T) map[string]cellBench {
+	t.Helper()
+	cell := []dynamics.Cell{{Alpha: 2, K: 3, Seed: 1}}
+	cfg := dynamics.DefaultConfig(game.Max, 0, 0)
+	rows := map[string]cellBench{}
+	for shape, factory := range map[string]dynamics.Factory{
+		"Gnp100": dynamics.ERFactory(100, 0.06),
+		"Tree16": dynamics.TreeFactory(16),
+	} {
+		r := dynamics.Sweep(cell, cfg, factory, 1)[0]
+		line, err := ncgio.MarshalCellResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for op, fn := range map[string]func() error{
+			"Encode":   func() error { _, err := ncgio.MarshalCellResult(r); return err },
+			"Decode":   func() error { _, err := ncgio.UnmarshalCellResult(line); return err },
+			"Validate": func() error { _, err := ncgio.UnmarshalCell(line); return err },
+		} {
+			br := testing.Benchmark(func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := fn(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			row := measured(br)
+			rows["CellLine"+op+shape] = row
+			t.Logf("CellLine%s%s: %d-byte line, %.0f ns/op, %d allocs/op", op, shape, len(line), row.NsPerOp, row.AllocsPerOp)
 		}
 	}
 	return rows

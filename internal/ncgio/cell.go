@@ -1,98 +1,56 @@
 package ncgio
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
 	"repro/internal/dynamics"
 )
 
-// cellResultJSON is the wire form of one sweep cell outcome: the cell
-// coordinates, the run summary, the full final-round statistics, and the
-// final strategy profile. Per-round trajectories are intentionally not
-// serialized — sweeps do not collect them, and checkpoint lines must stay
-// small. Field order is fixed, so encoding the same result always yields
-// the same bytes (the property the resumable checkpoint format relies on).
-type cellResultJSON struct {
-	Alpha      float64             `json:"alpha"`
-	K          int                 `json:"k"`
-	Seed       int64               `json:"seed"`
-	Status     string              `json:"status"`
-	Rounds     int                 `json:"rounds"`
-	TotalMoves int                 `json:"total_moves"`
-	FinalStats dynamics.RoundStats `json:"final_stats"`
-	State      json.RawMessage     `json:"state,omitempty"`
-}
-
 // MarshalCellResult returns the canonical one-line JSON encoding of r
-// (without a trailing newline). Encoding is deterministic: the same
-// result always marshals to the same bytes.
+// (without a trailing newline): the cell coordinates, the run summary, the
+// full final-round statistics, and the final strategy profile. Per-round
+// trajectories are intentionally not serialized — sweeps do not collect
+// them, and checkpoint lines must stay small. Field order is fixed, so
+// encoding the same result always yields the same bytes (the property the
+// resumable checkpoint format relies on), and only those bytes decode.
 func MarshalCellResult(r dynamics.CellResult) ([]byte, error) {
-	out := cellResultJSON{
-		Alpha:      r.Cell.Alpha,
-		K:          r.Cell.K,
-		Seed:       r.Cell.Seed,
-		Status:     r.Result.Status.String(),
-		Rounds:     r.Result.Rounds,
-		TotalMoves: r.Result.TotalMoves,
-		FinalStats: r.Result.FinalStats,
-	}
-	if r.Result.Final != nil {
-		state, err := MarshalState(r.Result.Final)
-		if err != nil {
-			return nil, fmt.Errorf("ncgio: %w", err)
+	size := 128 + roundStatsSize
+	if f := r.Result.Final; f != nil {
+		arc := len(`[,],`)
+		for n := f.N(); n > 0; n /= 10 {
+			arc += 2 // one more digit in each of buyer and target
 		}
-		out.State = state
+		size += f.TotalBought() * arc
 	}
-	return json.Marshal(out)
+	a := appender{b: make([]byte, 0, size)}
+	a.cellResult(&r)
+	return a.done()
 }
 
-// UnmarshalCellResult inverts MarshalCellResult. The embedded state (when
-// present) is fully decoded and validated; PerRound is always nil.
+// UnmarshalCellResult inverts MarshalCellResult, and accepts nothing else:
+// when it succeeds, MarshalCellResult of the result is line. The embedded
+// state (when present) is rebuilt; PerRound is always nil.
 func UnmarshalCellResult(line []byte) (dynamics.CellResult, error) {
-	var in cellResultJSON
-	if err := json.Unmarshal(line, &in); err != nil {
-		return dynamics.CellResult{}, fmt.Errorf("ncgio: %w", err)
-	}
-	status, ok := dynamics.ParseStatus(in.Status)
-	if !ok {
-		return dynamics.CellResult{}, fmt.Errorf("ncgio: unknown status %q", in.Status)
-	}
-	r := dynamics.CellResult{
-		Cell: dynamics.Cell{Alpha: in.Alpha, K: in.K, Seed: in.Seed},
-		Result: dynamics.Result{
-			Status:     status,
-			Rounds:     in.Rounds,
-			TotalMoves: in.TotalMoves,
-			FinalStats: in.FinalStats,
-		},
-	}
-	if len(in.State) > 0 {
-		s, err := DecodeState(bytes.NewReader(in.State))
-		if err != nil {
-			return dynamics.CellResult{}, err
-		}
-		r.Result.Final = s
+	s := scanner{b: line}
+	r := s.cellResult(true)
+	if err := s.end(); err != nil {
+		return dynamics.CellResult{}, err
 	}
 	return r, nil
 }
 
-// UnmarshalCell decodes only the coordinates of a cell-result line,
-// skipping the statistics and the embedded state: what an index over
-// many lines needs to key them. A line it accepts may still fail
-// UnmarshalCellResult; decode in full before trusting the record.
+// UnmarshalCell validates a cell-result line and returns the cell it
+// records: every check UnmarshalCellResult makes, without building the
+// state and without allocating. It is what a reader that keeps the line
+// as bytes — an index, a resume prefix, a replica holder — needs of it.
 func UnmarshalCell(line []byte) (dynamics.Cell, error) {
-	var in struct {
-		Alpha float64 `json:"alpha"`
-		K     int     `json:"k"`
-		Seed  int64   `json:"seed"`
+	s := scanner{b: line}
+	r := s.cellResult(false)
+	if err := s.end(); err != nil {
+		return dynamics.Cell{}, err
 	}
-	if err := json.Unmarshal(line, &in); err != nil {
-		return dynamics.Cell{}, fmt.Errorf("ncgio: %w", err)
-	}
-	return dynamics.Cell{Alpha: in.Alpha, K: in.K, Seed: in.Seed}, nil
+	return r.Cell, nil
 }
 
 // ReadCheckpoint loads a CellResult JSONL checkpoint file, tolerating a

@@ -2,7 +2,11 @@ package ncgio
 
 import (
 	"bytes"
+	"maps"
+	"slices"
 	"testing"
+
+	"repro/internal/dynamics"
 )
 
 // sampleCheckpoint is n honest checkpoint records, each line plus '\n'.
@@ -76,8 +80,11 @@ func FuzzLines(f *testing.F) {
 }
 
 // FuzzDecodePrefix: whatever the bytes, DecodePrefix does not panic, its
-// clean offset stays inside them, and data[:clean] is a fixed point —
-// decoding it again gives the same records and consumes all of it.
+// clean offset stays inside them, data[:clean] is a fixed point — decoding
+// it again gives the same records and consumes all of it — and every
+// record it accepts re-encodes to the very line it was decoded from, which
+// the encoding/json oracle reads as the same record and the validate door
+// as the same cell.
 func FuzzDecodePrefix(f *testing.F) {
 	honest := sampleCheckpoint(f, 3)
 	f.Add(honest)
@@ -86,7 +93,13 @@ func FuzzDecodePrefix(f *testing.F) {
 	f.Add(bytes.ReplaceAll(honest, []byte("\n"), []byte(" \n\n")))
 	f.Add(append(bytes.Clone(honest), "not json\n"...))
 	f.Add([]byte(`{"alpha":1,"k":2,"seed":0,"status":"converged","state":{"n":4000000000,"arcs":[]}}` + "\n"))
-	f.Add([]byte(`{"alpha":1,"k":2,"seed":0,"status":"converged","state":{"n":2,"arcs":[[0,1],[0,1]]}}` + "\n"))
+	// Added after the first seven so their seed#N names stay put: the
+	// strict codec's table of respellings, each between two honest lines.
+	_, fixture := strictFixture(f)
+	variants, _ := nonCanonical(f, fixture)
+	for _, name := range slices.Sorted(maps.Keys(variants)) {
+		f.Add(slices.Concat(fixture, []byte("\n"), variants[name], []byte("\n"), fixture, []byte("\n")))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, clean := DecodePrefix(data)
 		if clean < 0 || clean > len(data) {
@@ -96,18 +109,30 @@ func FuzzDecodePrefix(f *testing.F) {
 		if clean2 != clean || len(again) != len(recs) {
 			t.Fatalf("re-decoding the clean prefix: %d records up to %d, first pass %d up to %d", len(again), clean2, len(recs), clean)
 		}
-		for i := range recs {
-			a, err := MarshalCellResult(recs[i])
-			if err != nil {
-				t.Fatal(err)
+		i := 0
+		for line := range Lines(data[:clean]) {
+			for _, rec := range []dynamics.CellResult{recs[i], again[i]} {
+				if enc, err := MarshalCellResult(rec); err != nil || !bytes.Equal(enc, line) {
+					t.Fatalf("record %d was accepted as\n%s\nand re-encodes to\n%s (%v)", i, line, enc, err)
+				}
 			}
-			b, err := MarshalCellResult(again[i])
-			if err != nil {
-				t.Fatal(err)
+			if want, err := oracleUnmarshalCellResult(line); err != nil || !sameResult(recs[i], want) {
+				t.Fatalf("record %d: the encoding/json oracle reads %+v, %v; the scanner %+v", i, want, err, recs[i])
 			}
-			if !bytes.Equal(a, b) {
-				t.Fatalf("record %d differs between the two passes:\n%s\n%s", i, a, b)
+			if cell, err := UnmarshalCell(line); err != nil || cell != recs[i].Cell {
+				t.Fatalf("record %d: UnmarshalCell = %+v, %v; the full decode read %+v", i, cell, err, recs[i].Cell)
 			}
+			i++
+		}
+		if i != len(recs) {
+			t.Fatalf("the clean prefix frames %d lines, DecodePrefix returned %d records", i, len(recs))
+		}
+		// The two doors agree on the line that ended the prefix, too.
+		for line := range Lines(data[clean:]) {
+			if _, err := UnmarshalCell(line); err == nil {
+				t.Fatalf("UnmarshalCell accepts the line DecodePrefix stopped at: %s", line)
+			}
+			break
 		}
 	})
 }

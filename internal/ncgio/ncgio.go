@@ -22,38 +22,26 @@ import (
 	"repro/internal/game"
 )
 
-// stateJSON is the wire form of a strategy profile.
-type stateJSON struct {
-	// N is the number of players.
-	N int `json:"n"`
-	// Arcs lists bought edges as [buyer, target] pairs in canonical
-	// (buyer-major, target-minor) order.
-	Arcs [][2]int `json:"arcs"`
-}
-
-// EncodeState writes s to w as JSON.
+// EncodeState writes s to w as one line of JSON.
 func EncodeState(w io.Writer, s *game.State) error {
-	out := stateJSON{N: s.N()}
-	for u := 0; u < s.N(); u++ {
-		for _, v := range s.Strategy(u) {
-			out.Arcs = append(out.Arcs, [2]int{u, v})
-		}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	var a appender
+	a.state(s)
+	_, err := w.Write(append(a.b, '\n'))
+	return err
 }
 
-// maxStatePlayers caps a decoded state's player count: a state costs
-// memory in proportion to n however few bytes spell it, peers send the
-// bytes, and the runtime treats the 32 GB a line naming n = 4e9 asks for
-// as fatal. 100× the largest n a sweep spec may name.
-const maxStatePlayers = 1 << 20
-
-// DecodeState reads a state previously written by EncodeState. The
+// DecodeState reads a state previously written by EncodeState. The file
+// is one people edit, so unlike the line codec this reader is lenient
+// about layout: any JSON spelling of the shape, arcs in any order. The
 // decoded state passes game.Validate by construction; malformed arcs
 // (out-of-range ids, self-buys, duplicates) are rejected.
 func DecodeState(r io.Reader) (*game.State, error) {
-	var in stateJSON
+	var in struct {
+		// N is the number of players.
+		N int `json:"n"`
+		// Arcs lists bought edges as [buyer, target] pairs.
+		Arcs [][2]int `json:"arcs"`
+	}
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&in); err != nil {
 		return nil, fmt.Errorf("ncgio: %w", err)
@@ -76,16 +64,4 @@ func DecodeState(r io.Reader) (*game.State, error) {
 		s.Buy(u, v)
 	}
 	return s, nil
-}
-
-// MarshalState returns the JSON bytes of a state (the cell-result codec
-// embeds them in every line).
-func MarshalState(s *game.State) (json.RawMessage, error) {
-	out := stateJSON{N: s.N()}
-	for u := 0; u < s.N(); u++ {
-		for _, v := range s.Strategy(u) {
-			out.Arcs = append(out.Arcs, [2]int{u, v})
-		}
-	}
-	return json.Marshal(out)
 }

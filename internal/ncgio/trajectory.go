@@ -1,11 +1,6 @@
 package ncgio
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"repro/internal/dynamics"
-)
+import "repro/internal/dynamics"
 
 // TrajectoryRecord is the wire form of one cell's per-round trajectory:
 // the cell coordinates plus the full RoundStats sequence the dynamics
@@ -14,10 +9,10 @@ import (
 // convergence studies that need full trajectories read the sidecar, and
 // everyone else never pays for it.
 type TrajectoryRecord struct {
-	Alpha    float64               `json:"alpha"`
-	K        int                   `json:"k"`
-	Seed     int64                 `json:"seed"`
-	PerRound []dynamics.RoundStats `json:"per_round"`
+	Alpha    float64
+	K        int
+	Seed     int64
+	PerRound []dynamics.RoundStats
 }
 
 // Cell reassembles the record's cell coordinates.
@@ -29,60 +24,65 @@ func (tr TrajectoryRecord) Cell() dynamics.Cell {
 // cell's trajectory (without a trailing newline). Encoding is
 // deterministic, same contract as MarshalCellResult.
 func MarshalTrajectory(c dynamics.Cell, perRound []dynamics.RoundStats) ([]byte, error) {
-	line, err := json.Marshal(TrajectoryRecord{Alpha: c.Alpha, K: c.K, Seed: c.Seed, PerRound: perRound})
-	if err != nil {
-		return nil, fmt.Errorf("ncgio: %w", err)
-	}
-	return line, nil
+	a := appender{b: make([]byte, 0, 64+roundStatsSize*len(perRound))}
+	a.cell(c)
+	a.str(`,"per_round":`)
+	a.perRound(perRound)
+	a.str(`}`)
+	return a.done()
 }
 
-// UnmarshalTrajectory inverts MarshalTrajectory.
+// UnmarshalTrajectory inverts MarshalTrajectory, and accepts nothing else.
 func UnmarshalTrajectory(line []byte) (TrajectoryRecord, error) {
-	var tr TrajectoryRecord
-	if err := json.Unmarshal(line, &tr); err != nil {
-		return TrajectoryRecord{}, fmt.Errorf("ncgio: %w", err)
+	s := scanner{b: line}
+	c := s.cell()
+	s.lit(`,"per_round":`)
+	perRound := s.perRound()
+	s.lit(`}`)
+	if err := s.end(); err != nil {
+		return TrajectoryRecord{}, err
 	}
-	return tr, nil
-}
-
-// leaseRecordJSON is the wire form of one cell on a peer-lease stream when
-// the spec collects trajectories: the canonical CellResult line — exactly
-// the bytes the leader will checkpoint — plus the per-round stats the
-// checkpoint codec intentionally drops. Plain leases stream bare CellResult
-// lines; this envelope exists so trajectory sweeps can shard without
-// per_round ever entering checkpoint bytes.
-type leaseRecordJSON struct {
-	Result   json.RawMessage       `json:"result"`
-	PerRound []dynamics.RoundStats `json:"per_round,omitempty"`
+	return TrajectoryRecord{Alpha: c.Alpha, K: c.K, Seed: c.Seed, PerRound: perRound}, nil
 }
 
 // MarshalLeaseRecord wraps a canonical CellResult line (as produced by
 // MarshalCellResult) together with its per-round trajectory into one lease
-// stream record (without a trailing newline). Encoding is deterministic,
-// same contract as MarshalCellResult.
+// stream record (without a trailing newline): the wire form of one cell on
+// a peer-lease stream when the spec collects trajectories. The line —
+// exactly the bytes the leader will checkpoint — goes under "result", the
+// per-round stats the checkpoint codec intentionally drops under
+// "per_round", left out when there are none. Plain leases stream bare
+// CellResult lines; this envelope exists so trajectory sweeps can shard
+// without per_round ever entering checkpoint bytes. Encoding is
+// deterministic, same contract as MarshalCellResult.
 func MarshalLeaseRecord(resultLine []byte, perRound []dynamics.RoundStats) ([]byte, error) {
-	line, err := json.Marshal(leaseRecordJSON{Result: json.RawMessage(resultLine), PerRound: perRound})
-	if err != nil {
-		return nil, fmt.Errorf("ncgio: %w", err)
+	a := appender{b: make([]byte, 0, 64+len(resultLine)+roundStatsSize*len(perRound))}
+	a.str(`{"result":`)
+	a.b = append(a.b, resultLine...)
+	if len(perRound) > 0 {
+		a.str(`,"per_round":`)
+		a.perRound(perRound)
 	}
-	return line, nil
+	a.str(`}`)
+	return a.done()
 }
 
 // UnmarshalLeaseRecord inverts MarshalLeaseRecord: the embedded result is
 // fully decoded and the trajectory is reattached to Result.PerRound, so
 // the leader sees exactly what an in-process worker would have delivered.
 func UnmarshalLeaseRecord(line []byte) (dynamics.CellResult, error) {
-	var lr leaseRecordJSON
-	if err := json.Unmarshal(line, &lr); err != nil {
-		return dynamics.CellResult{}, fmt.Errorf("ncgio: %w", err)
+	s := scanner{b: line}
+	s.lit(`{"result":`)
+	r := s.cellResult(true)
+	if s.peek(',') {
+		s.lit(`,"per_round":`)
+		if r.Result.PerRound = s.perRound(); len(r.Result.PerRound) == 0 {
+			s.fail("empty per_round is written by leaving it out")
+		}
 	}
-	if len(lr.Result) == 0 {
-		return dynamics.CellResult{}, fmt.Errorf("ncgio: lease record has no result")
-	}
-	r, err := UnmarshalCellResult(lr.Result)
-	if err != nil {
+	s.lit(`}`)
+	if err := s.end(); err != nil {
 		return dynamics.CellResult{}, err
 	}
-	r.Result.PerRound = lr.PerRound
 	return r, nil
 }

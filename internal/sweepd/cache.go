@@ -39,12 +39,13 @@ type CacheStats struct {
 // Values are cell-result lines, and a hit is appended to a checkpoint or
 // streamed to a lease as it is, without a codec (Manager.sweepLines). The
 // rule that makes that safe: every line in the cache was produced by this
-// process's encoder or decoded in full by it on the way in. A line enters
-// three ways — a computed cell, encoded once by sweepLines (Put,
-// PutMemory); a line of a job's own checkpoint, decoded by
+// process's encoder or validated by its decoder (ncgio.UnmarshalCell: every
+// check of a full decode, and only canonical bytes pass) on the way in. A
+// line enters three ways — a computed cell, encoded once by sweepLines
+// (Put, PutMemory); a line of a job's own checkpoint, validated by
 // Spec.canonicalPrefix when the job resumes (Put); a line an earlier
-// process spilled, decoded by loadSpill when Get promotes it. Eviction is
-// LRU.
+// process spilled, validated by loadSpill when Get promotes it. Eviction
+// is LRU.
 //
 // A cache built with NewDiskCache additionally spills every entry by
 // appending it to its kernel's segment (<dir>/<kernel>/segment.jsonl, a
@@ -489,7 +490,7 @@ func (c *Cache) loadSpill(kernel string, cell dynamics.Cell) ([]byte, bool) {
 	s.mu.Unlock()
 	evicted.release()
 	if read {
-		if rec, err := ncgio.UnmarshalCellResult(line); err == nil && rec.Cell == cell {
+		if got, err := ncgio.UnmarshalCell(line); err == nil && got == cell {
 			return line, true
 		}
 	}

@@ -16,9 +16,14 @@ import (
 // cacheLine builds a valid canonical cell-result line for cell (spill
 // loads validate their content, so synthetic test lines must parse).
 func cacheLine(cell dynamics.Cell) []byte {
-	return []byte(fmt.Sprintf(
-		`{"alpha":%g,"k":%d,"seed":%d,"status":"converged","rounds":1,"total_moves":1}`,
-		cell.Alpha, cell.K, cell.Seed))
+	line, err := ncgio.MarshalCellResult(dynamics.CellResult{
+		Cell:   cell,
+		Result: dynamics.Result{Status: dynamics.Converged, Rounds: 1, TotalMoves: 1},
+	})
+	if err != nil {
+		panic(err)
+	}
+	return line
 }
 
 // TestCacheConcurrent hammers Put/Get/Stats from many goroutines over a

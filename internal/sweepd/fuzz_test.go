@@ -3,6 +3,8 @@ package sweepd
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
+	"slices"
 	"testing"
 
 	"repro/internal/dynamics"
@@ -47,7 +49,8 @@ func honestReplica(t testing.TB, sp Spec) (m store.ReplicaManifest, checkpoint, 
 // fixed 4-cell spec (with and without a sidecar). It must not panic, and
 // whatever it accepts is stored byte for byte, so an accepted body is
 // exactly the grid's records, each followed by one '\n', cut where the
-// checkpoint ends — the two halves concatenate back to the input.
+// checkpoint ends — the two halves concatenate back to the input — and
+// each record is the canonical encoding of what it decodes to.
 func FuzzVerifyReplica(f *testing.F) {
 	sp := Spec{N: 8, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2}
 	plain, ck, _ := honestReplica(f, sp)
@@ -79,7 +82,13 @@ func FuzzVerifyReplica(f *testing.F) {
 	f.Add(join(ck, tside), false)                                                          // sidecar for a spec without one
 	f.Add(append(bytes.Clone(honest), `{"alpha":1`...), true)                              // torn tail
 	f.Add(join(tck, tside, tside[3:]), true)                                               // a whole line too many
-	f.Add(bytes.Replace(join(ck), []byte(`{"alpha"`), []byte(`{"x":1,"alpha"`), 1), false) // extra field: accepted (deferred re-encode check)
+	f.Add(bytes.Replace(join(ck), []byte(`{"alpha"`), []byte(`{"x":1,"alpha"`), 1), false) // extra field
+	// The first record (α = 1) under every respelling of strict_test.go's table.
+	variants := nonCanonical(f, bytes.TrimSuffix(ck[0], []byte("\n")))
+	for _, name := range slices.Sorted(maps.Keys(variants)) {
+		f.Add(join([][]byte{variants[name], []byte("\n")}, ck[1:]), false)
+		f.Add(join([][]byte{variants[name], []byte("\n")}, tck[1:], tside), true)
+	}
 	f.Fuzz(func(t *testing.T, body []byte, trajectories bool) {
 		m, wantTraj := plain, 0
 		if trajectories {
@@ -105,8 +114,26 @@ func FuzzVerifyReplica(f *testing.F) {
 				t.Fatalf("accepted %s has %d lines, want %d", name, len(lines), half.want)
 			}
 			for i, line := range lines {
-				if rec := line[:len(line)-1]; len(rec) == 0 || !bytes.Equal(rec, bytes.TrimSpace(rec)) {
+				rec := line[:len(line)-1]
+				if len(rec) == 0 || !bytes.Equal(rec, bytes.TrimSpace(rec)) {
 					t.Fatalf("accepted %s line %d is blank or padded: %q", name, i, line)
+				}
+				// What lands is the encoding of what it decodes to.
+				var enc []byte
+				var err error
+				if name == "checkpoint" {
+					var r dynamics.CellResult
+					if r, err = ncgio.UnmarshalCellResult(rec); err == nil {
+						enc, err = ncgio.MarshalCellResult(r)
+					}
+				} else {
+					var tr ncgio.TrajectoryRecord
+					if tr, err = ncgio.UnmarshalTrajectory(rec); err == nil {
+						enc, err = ncgio.MarshalTrajectory(tr.Cell(), tr.PerRound)
+					}
+				}
+				if err != nil || !bytes.Equal(enc, rec) {
+					t.Fatalf("accepted %s line %d\n%s\nre-encodes to\n%s (%v)", name, i, rec, enc, err)
 				}
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
 )
 
@@ -324,14 +325,14 @@ func (m *Manager) Adopt(sp Spec, checkpoint []byte) (Job, bool, error) {
 // its own beside the job's checkpoint and returns its path, "" when there
 // is nothing to seed. The first line canonicalPrefix refuses — torn,
 // alien, out of order, padded, after a blank line — ends the import and
-// the runner recomputes from there, so what lands is framed as this
-// daemon's own writer frames (a record's encoding is not checked:
-// VerifyReplica). It must not take m.mu: every line is decoded in full,
-// 0.7 s for a paper grid, and /healthz, the peers' probes and every running
-// job's counters wait on that lock. Best-effort: any failure just means
+// the runner recomputes from there, so what lands is byte for byte what
+// this daemon's own writer would have appended. It must not take m.mu:
+// every line is validated (3.5 µs at n = 100, 13 ms for a 3600-cell grid),
+// and /healthz, the peers' probes and every running job's counters wait
+// on that lock. Best-effort: any failure just means
 // adoption starts from less.
 func (m *Manager) stageCheckpoint(sp Spec, raw []byte) string {
-	keep, _ := sp.canonicalPrefix(raw, resultCell) // a refusal is where recomputing starts, not an error
+	keep, _ := sp.canonicalPrefix(raw, ncgio.UnmarshalCell) // a refusal is where recomputing starts, not an error
 	if keep == 0 {
 		return ""
 	}

@@ -204,10 +204,11 @@ func TestPeerLeaseRejections(t *testing.T) {
 
 // TestPeerLeaseHeartbeats: while a lease computes, the stream carries
 // blank keep-alive lines so the leader's watchdog can tell slow from
-// dead — verifiable with a heartbeat interval far below the compute
-// time of the whole range.
+// dead. The test holds the pool's one worker token, so the lease cannot
+// finish a cell before the first heartbeat is due however fast a cell
+// is, and hands it back once it has read one.
 func TestPeerLeaseHeartbeats(t *testing.T) {
-	sp := Spec{N: 40, Alphas: []float64{0.5, 1, 2, 5}, Ks: []int{2, 3, 1000}, Seeds: 3}
+	sp := Spec{N: 12, Alphas: []float64{0.5, 2}, Ks: []int{2, 3}, Seeds: 2}
 	sp.Normalize()
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -218,20 +219,17 @@ func TestPeerLeaseHeartbeats(t *testing.T) {
 	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: time.Millisecond, HeartbeatInterval: time.Millisecond}))
 	defer srv.Close()
 
-	resp := postLease(t, srv.URL, LeaseRequest{Spec: sp, Start: 0, End: len(sp.Cells())})
+	token := <-mgr.gate
+	resp := postLease(t, srv.URL, LeaseRequest{Spec: sp, Start: 0, End: sp.NumCells()})
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	stream := bufio.NewReader(resp.Body)
+	first, err := stream.ReadBytes('\n')
+	if err != nil || len(bytes.TrimSpace(first)) != 0 {
+		t.Fatalf("a lease with no worker to run it opened with %q, %v; want a blank heartbeat line", first, err)
 	}
-	blanks := 0
-	for _, line := range bytes.Split(raw, []byte("\n")) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			blanks++
-		}
-	}
-	if blanks < 2 { // the final newline accounts for one empty split
-		t.Fatalf("stream carried %d blank segments; expected heartbeats", blanks)
+	mgr.gate <- token
+	if got := len(readLeaseLines(t, stream)); got != sp.NumCells() {
+		t.Fatalf("after the heartbeat the stream carried %d result lines, want %d", got, sp.NumCells())
 	}
 }
 

@@ -23,15 +23,10 @@ import (
 // and nothing else: no padding, no blank line, no torn tail. One pass
 // finds where the checkpoint ends (after NumCells canonical records; the
 // manifest's line counts are only cross-checked) and judges both halves,
-// decoding each line once. What passes is stored byte for byte, so a
+// validating each line once. What passes is stored byte for byte, so a
 // replica is served, and adoption seeded from it, with the trust of a
-// locally computed checkpoint.
-//
-// Not closed: a line with an extra JSON field or re-ordered keys decodes
-// to the right cell and lands. Refusing it means re-encoding every line to
-// compare bytes — MarshalCellResult, 84 µs, on top of UnmarshalCellResult's
-// 196 µs (UnmarshalCell alone: 38 µs; gnp, n = 100) — and waits (ROADMAP)
-// for a validator that builds no game.State per line.
+// locally computed checkpoint: the line codec decodes canonical bytes
+// only, so every stored line is the encoding of the cell it records.
 func VerifyReplica(id string, m store.ReplicaManifest, body []byte) (checkpoint, trajectory []byte, err error) {
 	fail := func(format string, args ...any) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("sweepd: replica of job %s: "+format, append([]any{id}, args...)...)
@@ -64,7 +59,7 @@ func VerifyReplica(id string, m store.ReplicaManifest, body []byte) (checkpoint,
 		return fail("manifest frames %d checkpoint and %d trajectory lines, grid wants %d and %d",
 			m.CheckpointLines, m.TrajectoryLines, total, wantTraj)
 	}
-	end, err := sp.canonicalPrefix(body, resultCell)
+	end, err := sp.canonicalPrefix(body, ncgio.UnmarshalCell)
 	if err != nil {
 		return fail("checkpoint: %w", err)
 	}

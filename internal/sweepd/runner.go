@@ -123,7 +123,7 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 		fail(err)
 		return
 	}
-	keep, _ := sp.canonicalPrefix(data, resultCell) // a refusal is where recomputing starts, not an error
+	keep, _ := sp.canonicalPrefix(data, ncgio.UnmarshalCell) // a refusal is where recomputing starts, not an error
 	if keep < len(data) {
 		err = os.Truncate(path, int64(keep))
 		if err == nil && sp.Trajectories {

@@ -262,8 +262,8 @@ func (sp Spec) CellsRange(start, end int) []dynamics.Cell {
 // plus one newline — no padding, no blank line before them — and stops
 // after NumCells of them. data[:end] is that prefix, a checkpoint a runner
 // can resume from; err, nil exactly when the prefix is the whole grid,
-// says why the next record was refused. That a record is the canonical
-// encoding of what it decodes to is not checked: see VerifyReplica.
+// says why the next record was refused. cellOf is a decoder of ncgio's
+// line codec, which refuses any spelling of a record but the canonical one.
 func (sp Spec) canonicalPrefix(data []byte, cellOf func(line []byte) (dynamics.Cell, error)) (end int, err error) {
 	n, total := 0, sp.NumCells()
 	for line, next := range ncgio.Lines(data) {
@@ -288,12 +288,8 @@ func (sp Spec) canonicalPrefix(data []byte, cellOf func(line []byte) (dynamics.C
 	return end, nil
 }
 
-// resultCell and trajectoryCell decode one checkpoint or sidecar line in
-// full and return the cell it records.
-func resultCell(line []byte) (dynamics.Cell, error) {
-	rec, err := ncgio.UnmarshalCellResult(line)
-	return rec.Cell, err
-}
+// trajectoryCell decodes one sidecar line and returns the cell it records;
+// its checkpoint counterpart is ncgio.UnmarshalCell.
 
 func trajectoryCell(line []byte) (dynamics.Cell, error) {
 	tr, err := ncgio.UnmarshalTrajectory(line)

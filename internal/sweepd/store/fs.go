@@ -113,12 +113,12 @@ func (fs *FS) ReconcileTrajectories(id string) error {
 		if !ok {
 			break
 		}
-		rec, err := ncgio.UnmarshalCellResult(ckLine)
+		cell, err := ncgio.UnmarshalCell(ckLine)
 		if err != nil {
 			break // corrupt checkpoint record; drop it and the rest
 		}
 		trec, err := ncgio.UnmarshalTrajectory(trLine)
-		if err != nil || trec.Cell() != rec.Cell {
+		if err != nil || trec.Cell() != cell {
 			break
 		}
 		agreed = [2]int{ckEnd, trEnd}
