@@ -101,9 +101,12 @@ type member struct {
 	// backoff is the current down-state probe delay (0 until down).
 	backoff time.Duration
 	// next is the earliest time the probe loop will dial this member
-	// again. It gates DOWN members only (their backoff deadline); alive
-	// and suspect members are probed every cycle, so a cycle that runs
-	// long can never silently halve the probing cadence.
+	// again. A tick cycle reads it for DOWN members only (their backoff
+	// deadline): alive and suspect members are probed on every tick, so
+	// a cycle that runs long can never silently halve the probing
+	// cadence. A woken cycle dials exactly the members whose next has
+	// passed — a member just discovered (hello, gossip) or revived has
+	// next = "now"; every probe result pushes it a ProbeInterval ahead.
 	next time.Time
 	// lastSeen is the last successful contact (probe or hello).
 	lastSeen time.Time
@@ -180,6 +183,15 @@ type Registry struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	done   chan struct{}
+	// wake asks the probe loop for a cycle now instead of at the next
+	// tick: discovery (Hello, mergeGossipLocked) signals it after leaving
+	// a member due. One slot and a non-blocking send, so a burst of
+	// discoveries coalesces into one cycle and a signal that lands while
+	// a cycle is running is served by the cycle after it.
+	wake chan struct{}
+	// cycleDone, when set, is called by the probe loop after each cycle
+	// it runs (woken or tick), outside r.mu; tests synchronise on it.
+	cycleDone func(woken bool)
 	// started/closed guard double Start/Close.
 	started bool
 	closed  bool
@@ -224,7 +236,7 @@ type leaseRec struct {
 }
 
 // New builds a registry over the options; call Start to launch the probe
-// loop (tests drive probeOnce directly instead).
+// loop (tests drive cycle directly instead).
 func New(opts Options) *Registry {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 5 * time.Second
@@ -246,6 +258,7 @@ func New(opts Options) *Registry {
 		now:        time.Now,
 		randf:      jitterRand,
 		done:       make(chan struct{}),
+		wake:       make(chan struct{}, 1),
 		instanceID: newInstanceID(),
 		self:       sweepd.NormalizePeerURL(opts.Self),
 		members:    make(map[string]*member),
@@ -302,7 +315,10 @@ func (r *Registry) SetSelf(url string) {
 
 // Start launches the background probe loop: an immediate cycle (so seeds
 // are confirmed, Self announced, and member lists pulled right away),
-// then one cycle per ProbeInterval until Close.
+// then one tick cycle per ProbeInterval and, in between, one woken cycle
+// whenever discovery leaves a member due (see wake), until Close. The
+// ticks pace health checking, load refresh and backoff; the wakes make
+// joining a matter of round trips instead of ProbeIntervals.
 func (r *Registry) Start() {
 	r.mu.Lock()
 	if r.started {
@@ -315,16 +331,31 @@ func (r *Registry) Start() {
 		defer close(r.done)
 		ticker := time.NewTicker(r.opts.ProbeInterval)
 		defer ticker.Stop()
-		r.probeOnce()
-		for {
+		for woken := false; ; {
+			r.cycle(woken)
+			if r.cycleDone != nil {
+				r.cycleDone(woken)
+			}
 			select {
 			case <-r.ctx.Done():
 				return
 			case <-ticker.C:
-				r.probeOnce()
+				woken = false
+			case <-r.wake:
+				woken = true
 			}
 		}
 	}()
+}
+
+// wakeLocked asks the probe loop for a cycle now. Never blocks: a signal
+// already pending covers this one. Caller holds r.mu (so the member it
+// left due is visible to the cycle the signal starts).
+func (r *Registry) wakeLocked() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
 }
 
 // Close stops the probe loop and waits for the in-flight cycle to
@@ -345,8 +376,11 @@ func (r *Registry) Close() {
 }
 
 // Hello implements sweepd.Cluster: a peer announced itself, so it is
-// demonstrably reachable — register it alive (reviving a down member)
-// and let the probe loop take it from there.
+// demonstrably reachable — register it alive (reviving a down member).
+// A member that is new or was down is left due and the probe loop is
+// woken, so its load, identity and member table arrive a round trip
+// later rather than at the next tick; a hello from a member a probe has
+// already confirmed changes nothing the loop needs to act on.
 func (r *Registry) Hello(advertiseURL string) {
 	url := sweepd.NormalizePeerURL(advertiseURL)
 	r.mu.Lock()
@@ -362,20 +396,29 @@ func (r *Registry) Hello(advertiseURL string) {
 	}
 	m := r.members[url]
 	if m == nil {
-		m = &member{url: url}
+		m = &member{url: url, next: now}
 		r.members[url] = m
 		r.logf("cluster: peer %s joined via hello", url)
 	}
 	if m.state == StateDown {
 		r.readmissions.Add(1)
 		r.logf("cluster: peer %s down -> alive (re-hello)", url)
+		// The load is the dead process's; placement must not rank the
+		// new one by it. The woken probe refills it.
+		m.hasLoad = false
+		m.next = now
 	}
 	m.state = StateAlive
 	m.fails = 0
 	m.backoff = 0
 	m.lastSeen = now
-	m.next = now.Add(r.opts.ProbeInterval)
 	m.gen++
+	if !m.next.After(now) {
+		// New, revived, or a seed or gossip-learned member no probe has
+		// confirmed yet — and the gen bump above has just voided the one
+		// that may be in flight.
+		r.wakeLocked()
+	}
 }
 
 // Members implements sweepd.Cluster: the known cluster, self first,
@@ -570,8 +613,8 @@ func (r *Registry) ReplicaHolders(jobID string) []string {
 }
 
 // ReportLeaseFailure implements the shard pool's failure feedback: a
-// lease against an alive peer failed, so demote it to suspect and probe
-// it promptly — subsequent jobs skip it until a probe revives it,
+// lease against an alive peer failed, so demote it to suspect until the
+// next tick's probe — subsequent jobs skip it until a probe revives it,
 // instead of each job rediscovering the corpse at lease-TTL cost.
 func (r *Registry) ReportLeaseFailure(url string) {
 	url = sweepd.NormalizePeerURL(url)
@@ -582,22 +625,30 @@ func (r *Registry) ReportLeaseFailure(url string) {
 		return
 	}
 	m.state = StateSuspect
-	m.next = r.now() // due on the next cycle
+	// next stays where the last probe left it, about one tick away: the
+	// demotion is a damper, and a woken cycle re-probing a peer whose
+	// /healthz is fine would cancel it.
 	m.helloed = false
 	m.gen++
 	r.logf("cluster: peer %s alive -> suspect (lease failed)", url)
 }
 
-// probeOnce runs one probe cycle: dial every due member's /healthz
+// cycle runs one probe cycle: dial every due member's /healthz
 // concurrently, apply the state transitions, announce Self to newly
-// confirmed peers, and merge their member lists (one-hop gossip).
-func (r *Registry) probeOnce() {
+// confirmed peers, and merge their member lists (one-hop gossip). A
+// woken cycle is the same pipeline over a narrower due set.
+func (r *Registry) cycle(woken bool) {
 	now := r.now()
 	r.mu.Lock()
 	self := r.self
 	due := make([]*member, 0, len(r.members))
 	for _, m := range r.members {
-		// Alive and suspect members are probed every cycle; only down
+		// A woken cycle is for the members discovery left due, not for
+		// the whole table.
+		if woken && m.next.After(now) {
+			continue
+		}
+		// Alive and suspect members are probed every tick; only down
 		// members wait out their backoff deadline. Gating the healthy
 		// ones on a timestamp set mid-cycle would silently skip every
 		// other tick.
@@ -782,15 +833,18 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 			continue
 		}
 		// Gossip-learned members start suspect: secondhand news is
-		// verified by a probe (due immediately) before any lease rides
-		// on it. Their gossiped load rides along so the first placement
-		// after promotion does not wait another probe cycle.
-		m := &member{url: u, state: StateSuspect}
+		// verified by a probe before any lease rides on it — due now, and
+		// the loop is woken for it, so "immediately" is a round trip and
+		// not the rest of a ProbeInterval. Their gossiped load rides along
+		// so the first placement after promotion does not wait for a
+		// second probe.
+		m := &member{url: u, state: StateSuspect, next: now}
 		if mi.Load != nil {
 			m.load = *mi.Load
 			m.hasLoad = true
 		}
 		r.members[u] = m
+		r.wakeLocked()
 	}
 
 	// The pulled peer is authoritative for its own leases: merge what it

@@ -669,20 +669,20 @@ func TestStartStopLifecycle(t *testing.T) {
 	tr := newFakeTransport(peerA)
 	r := New(Options{Seeds: []string{peerA}, ProbeInterval: 10 * time.Millisecond})
 	r.probe = tr
+	booted := make(chan struct{})
+	var once sync.Once
+	r.cycleDone = func(bool) { once.Do(func() { close(booted) }) }
 	r.Start()
 	r.Start() // double Start must be a no-op, not a second loop
-	deadline := time.Now().Add(5 * time.Second)
-	for tr.probeCount(peerA) == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	<-booted
 	if tr.probeCount(peerA) == 0 {
-		t.Fatal("probe loop never dialed the seed")
+		t.Fatal("the loop's first cycle never dialed the seed")
 	}
 	r.Close()
 	r.Close() // double Close must be a no-op, not a panic
-	n := tr.probeCount(peerA)
-	time.Sleep(30 * time.Millisecond)
-	if tr.probeCount(peerA) != n {
+	select {
+	case <-r.done:
+	default:
 		t.Fatal("probe loop survived Close")
 	}
 }

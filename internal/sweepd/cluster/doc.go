@@ -23,6 +23,17 @@
 // joiner to everyone who polls it, and the joiner's own pulls teach it
 // the members the seed already knew.
 //
+// Discovery does not wait for the probe cadence. A hello from a URL that
+// is new or was down, and a member added by gossip, leave that member
+// due and wake the probe loop (a one-slot channel beside its ticker, so
+// bursts coalesce); the woken cycle dials exactly the members whose
+// deadline has passed — the newcomer, not the whole table. A join
+// therefore costs each existing member one probe and one hello of the
+// joiner, the hello back lands on a member already known and wakes
+// nothing, and the mesh — loads included — is complete a few round trips
+// after the joiner's first hello, whatever ProbeInterval is. Ticks still
+// pace everything periodic: health checks, load refresh, backoff.
+//
 // Every registry also mints a random per-process instance ID, served in
 // /healthz's cluster section, which probes use for two checks a URL
 // alone cannot make: a member whose probe answers with our own ID is
@@ -47,7 +58,8 @@
 // re-probe in lockstep. A lease failure against an alive peer demotes it
 // to suspect at once (shard.Pool reports it via ReportLeaseFailure), so
 // a peer that dies mid-sweep is skipped by subsequent jobs without each
-// one paying the lease TTL to rediscover the corpse.
+// one paying the lease TTL to rediscover the corpse. That demotion does
+// not wake the loop: it is a damper, lifted by the next tick's probe.
 //
 // The lease pool consumes AlivePeers() — a per-job snapshot of the
 // alive members only — so membership changes never touch a job in
