@@ -29,10 +29,6 @@ type CacheStats struct {
 	// DiskHits counts the subset of Hits served by promoting a spilled
 	// record into the memory tier (always 0 for a memory-only cache).
 	DiskHits uint64 `json:"disk_hits"`
-	// Coalesced counts computations avoided by in-flight dedup: a sweep
-	// that found another sweep already computing the same (kernel, cell)
-	// joined that flight instead of recomputing.
-	Coalesced uint64 `json:"coalesced"`
 }
 
 // Cache is a bounded, concurrency-safe, content-addressed result cache.
@@ -69,22 +65,6 @@ type Cache struct {
 	misses    uint64
 	evictions uint64
 	diskHits  uint64
-	coalesced uint64
-	// flights tracks in-progress computations for singleflight-style
-	// coalescing across concurrent sweeps (see dedupExecutor): the first
-	// sweep to reach a (kernel, cell) leads its flight, later arrivals
-	// wait on it instead of recomputing.
-	flights map[cacheKey]*flight
-}
-
-// flight is one in-progress (kernel, cell) computation. The leader fills
-// res/ok and closes done exactly once (land); waiters read res only after
-// done is closed. ok=false means the leader was canceled before finishing
-// — joiners must compute the cell themselves.
-type flight struct {
-	done chan struct{}
-	res  dynamics.Result
-	ok   bool
 }
 
 type cacheEntry struct {
@@ -199,42 +179,6 @@ func (c *Cache) put(key cacheKey, line []byte, spill bool) {
 	}
 }
 
-// enabled reports whether the cache participates at all (a nil cache or
-// max ≤ 0 disables both tiers and in-flight dedup).
-func (c *Cache) enabled() bool { return c != nil && c.max > 0 }
-
-// lead registers the caller as the computer of key if nobody else is
-// in flight. leader=true: the caller owns the flight and must land it
-// (with a result, or abandoned) exactly once. leader=false: the caller
-// may wait on the returned flight's done channel instead of computing.
-func (c *Cache) lead(key cacheKey) (*flight, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if fl, ok := c.flights[key]; ok {
-		c.coalesced++
-		return fl, false
-	}
-	fl := &flight{done: make(chan struct{})}
-	if c.flights == nil {
-		c.flights = make(map[cacheKey]*flight)
-	}
-	c.flights[key] = fl
-	return fl, true
-}
-
-// land completes a flight the caller leads: ok=true publishes res to all
-// waiters, ok=false abandons it (waiters recompute). The registry slot is
-// freed either way, so a later sweep starts a fresh flight.
-func (c *Cache) land(key cacheKey, fl *flight, res dynamics.Result, ok bool) {
-	c.mu.Lock()
-	if c.flights[key] == fl {
-		delete(c.flights, key)
-	}
-	c.mu.Unlock()
-	fl.res, fl.ok = res, ok
-	close(fl.done)
-}
-
 // RemoveKernel drops every entry for kernel from both tiers and deletes
 // the kernel's spill directory — its segment, and whatever per-cell files
 // an older daemon left there — returning the number of bytes reclaimed
@@ -304,7 +248,6 @@ func (c *Cache) Stats() CacheStats {
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		DiskHits:  c.diskHits,
-		Coalesced: c.coalesced,
 	}
 }
 

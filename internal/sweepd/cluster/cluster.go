@@ -178,7 +178,7 @@ type Registry struct {
 	randf func() float64
 
 	// ctx is the registry's lifetime: Close cancels it, which stops the
-	// probe loop and ends the production transport's in-flight calls, so
+	// probe loop and ends the production transport's pending calls, so
 	// Close never waits on a black-holed member.
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -358,7 +358,7 @@ func (r *Registry) wakeLocked() {
 	}
 }
 
-// Close stops the probe loop and waits for the in-flight cycle to
+// Close stops the probe loop and waits for the running cycle to
 // drain. Safe to call more than once.
 func (r *Registry) Close() {
 	r.mu.Lock()
@@ -416,7 +416,7 @@ func (r *Registry) Hello(advertiseURL string) {
 	if !m.next.After(now) {
 		// New, revived, or a seed or gossip-learned member no probe has
 		// confirmed yet — and the gen bump above has just voided the one
-		// that may be in flight.
+		// that may be pending.
 		r.wakeLocked()
 	}
 }
@@ -716,7 +716,7 @@ func (r *Registry) cycle(woken bool) {
 	defer r.mu.Unlock()
 	for i, m := range due {
 		if m.gen != gens[i] {
-			// The member's state moved while this probe was in flight (a
+			// The member's state moved while this probe was pending (a
 			// hello revived it, or a lease failure demoted it); the probe
 			// observed the old world, so its verdict is stale — drop it
 			// and let the next cycle re-decide.

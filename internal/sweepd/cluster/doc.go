@@ -62,7 +62,7 @@
 // not wake the loop: it is a damper, lifted by the next tick's probe.
 //
 // The lease pool consumes AlivePeers() — a per-job snapshot of the
-// alive members only — so membership changes never touch a job in
-// flight, and checkpoint byte-identity across join/leave holds exactly
+// alive members only — so membership changes never touch a running
+// job, and checkpoint byte-identity across join/leave holds exactly
 // as it does for the static peer list.
 package cluster

@@ -46,13 +46,12 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	series("sweepd_busy_workers", "gauge", "Worker-pool tokens currently checked out.", ms.BusyWorkers)
 	series("sweepd_throttled_requests_total", "counter", "Requests shed with 429 by the rate limiter.", h.throttled.Load())
 	series("sweepd_quota_rejections_total", "counter", "Submissions refused by the -max-jobs cap.", h.quotaRejections.Load())
-	series("sweepd_cache_coalesced_total", "counter", "Computations avoided by in-flight (kernel, cell) dedup.", cs.Coalesced)
 	series("sweepd_peer_leases_served_total", "counter", "Leases this daemon completed for remote leaders.", h.leasesServed.Load())
 	series("sweepd_peer_cells_served_total", "counter", "Cell result lines streamed to remote leaders.", h.leaseCellsServed.Load())
 	series("sweepd_remote_cells_total", "counter", "Cells of this daemon's jobs computed by peers.", ms.RemoteCells)
 	if h.peerStats != nil {
 		ps := h.peerStats()
-		series("sweepd_peers", "gauge", "Peer daemons configured for sharding.", ps.Peers)
+		series("sweepd_peers", "gauge", "Alive cluster members this daemon would lease cells to.", ps.Peers)
 		series("sweepd_peer_leases_issued_total", "counter", "Lease attempts sent to peers.", ps.LeasesIssued)
 		series("sweepd_peer_lease_failures_total", "counter", "Leases that failed and were reclaimed locally.", ps.LeaseFailures)
 	}

@@ -33,8 +33,7 @@ type LeaseRequest struct {
 // served to remote leaders — is counted by the HTTP handler itself.
 type PeerStats struct {
 	// Peers is the number of peers the pool would lease to right now:
-	// the alive members of the cluster registry when one is installed,
-	// or the full configured list for a static pool.
+	// the cluster registry's alive members, self excluded.
 	Peers int `json:"peers"`
 	// LeasesIssued counts lease attempts sent to peers; LeaseFailures
 	// counts the subset that failed (rejection, disconnect, heartbeat

@@ -104,7 +104,7 @@ type ReplicatorOptions struct {
 // lifecycle record, checkpoint, trajectory sidecar) to the least-loaded
 // alive members, so results survive the leader's disk and reads fan out
 // across the mesh. Register JobFinished as a Manager.OnFinish hook;
-// pushes run asynchronously and Close waits for in-flight ones. The
+// pushes run asynchronously and Close cancels the running ones. The
 // deficit-based target choice makes re-fires idempotent and cheap: a job
 // already held by Fanout alive members (or with no member to push to)
 // pushes nothing and reads nothing, so Resume re-announcing finished jobs
@@ -116,6 +116,11 @@ type Replicator struct {
 	pushFailures atomic.Uint64
 	bytesPushed  atomic.Uint64
 
+	// ctx is the replicator's lifetime: Close cancels it, which ends every
+	// running push, so Close never waits on a black-holed member.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu     sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
@@ -126,7 +131,9 @@ func NewReplicator(opts ReplicatorOptions) *Replicator {
 	if opts.Fanout <= 0 {
 		opts.Fanout = 2
 	}
-	return &Replicator{opts: opts}
+	rp := &Replicator{opts: opts}
+	rp.ctx, rp.cancel = context.WithCancel(context.Background())
+	return rp
 }
 
 func (rp *Replicator) logf(format string, args ...any) {
@@ -300,7 +307,7 @@ func (rp *Replicator) buildBody(job Job) ([]byte, error) {
 // out rather than counted: the deficit would otherwise stay until the
 // next restart re-fires the finish hook.
 func (rp *Replicator) push(base, id string, body []byte) error {
-	ctx, cancel := context.WithTimeout(context.Background(), PeerCallTimeout)
+	ctx, cancel := context.WithTimeout(rp.ctx, PeerCallTimeout)
 	defer cancel()
 	resp, err := Peer.Do(ctx, http.MethodPost, base+"/peer/replicas/"+id, "application/x-ndjson", body, PeerCallTimeout, nil)
 	if err != nil {
@@ -319,8 +326,11 @@ func (rp *Replicator) Stats() ReplicaStats {
 	}
 }
 
-// Close stops accepting new pushes and waits for in-flight ones.
+// Close cancels the running pushes, stops accepting new ones and waits
+// for their goroutines to return. A cancelled push's deficit heals on the
+// next finish re-fire (Manager.Resume after a restart).
 func (rp *Replicator) Close() {
+	rp.cancel()
 	rp.mu.Lock()
 	rp.closed = true
 	rp.mu.Unlock()

@@ -233,6 +233,39 @@ func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
 	}
 }
 
+// TestReplicatorCloseDoesNotWaitOnBlackHoledPeer: a push stuck on a member
+// that accepts the request and never answers must not hold Close — it
+// cancels the replicator's lifetime context, which every push carries.
+func TestReplicatorCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
+	entered, release := make(chan struct{}, 1), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		select {
+		case entered <- struct{}{}:
+		default:
+		}
+		<-release
+	}))
+	defer srv.Close()
+	defer close(release) // only after Close has returned
+
+	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
+	rp := NewReplicator(ReplicatorOptions{
+		Store:   leaderMgr.store,
+		Fanout:  1,
+		Targets: func() []MemberLoad { return []MemberLoad{{URL: srv.URL}} },
+		Logf:    t.Logf,
+	})
+	rp.JobFinished(job)
+	<-entered
+
+	start := time.Now()
+	rp.Close()
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("Close waited %v on a peer that never answers", elapsed)
+	}
+}
+
 // postReplica pushes one replica body and returns the status it drew.
 func postReplica(t *testing.T, base, id, body string) int {
 	t.Helper()

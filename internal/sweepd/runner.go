@@ -40,23 +40,21 @@ func (m *Manager) executorFor(js *jobState, sp Spec) dynamics.Executor {
 // and hands emit every cell from position skip on, in canonical order, as
 // its canonical line. A cell the result cache holds is emitted as the
 // cached bytes, hit set and Result zero: nothing is decoded (Cache says
-// why the bytes can be trusted). Any other cell is computed on exec and
-// encoded once. Cells before skip, the caller's checkpointed prefix, are
-// not looked up, computed or emitted.
+// why the bytes can be trusted). Any other cell is computed on exec — the
+// executor executorFor chose, or the local pool for a lease — and encoded
+// once. Cells before skip, the caller's checkpointed prefix, are not
+// looked up, computed or emitted.
 //
 // Trajectory specs bypass the cache in both directions: its codec drops
 // PerRound, so a cache-served cell would leave a silent hole in the
-// sidecar or the lease record. In-flight dedup applies to them too
-// (flights carry the full in-memory Result); it is layered over exec
-// whenever the cache is enabled, so concurrent sweeps sharing a kernel
-// never compute the same cell twice.
+// sidecar or the lease record. Two sweeps of one kernel running at once
+// may both compute a cell neither found cached; per-cell seeding makes
+// the two lines the same bytes, and the cache keeps one entry and spills
+// it once.
 func (m *Manager) sweepLines(ctx context.Context, sp Spec, cells []dynamics.Cell, skip int, exec dynamics.Executor,
 	observe func(i int, d time.Duration), emit func(r dynamics.CellResult, line []byte, hit bool) error) error {
 	kernel := sp.KernelHash()
 	useCache := !sp.Trajectories
-	if m.cache.enabled() {
-		exec = &dedupExecutor{cache: m.cache, kernel: kernel, inner: exec}
-	}
 	// hits holds a cache-served cell's line from the look-up until its turn
 	// in the sequencer.
 	hits := make([][]byte, len(cells))
@@ -234,9 +232,8 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 // from the same worker gate as local jobs, so a daemon serving peers
 // never exceeds its configured CPU-bound concurrency, and it shares the
 // result cache both ways: cached cells are answered with the cache's
-// bytes, computed cells warm the cache (and coalesce with any local job
-// computing the same kernel). The spec must be normalized and validated
-// by the caller.
+// bytes, computed cells warm its memory tier. The spec must be normalized
+// and validated by the caller.
 //
 // Trajectory specs change the framing, not the protocol: each cell is
 // emitted as one ncgio lease record wrapping the canonical result line

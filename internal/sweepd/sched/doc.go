@@ -14,7 +14,7 @@
 // (queue depth, then busy workers, then running jobs — sweepd.LoadInfo)
 // is strictly below the local manager's live load; then the spec is
 // forwarded to the least-loaded peer over POST /peer/jobs, the shared
-// sweepd.PeerClient waiting out 429s up to ForwardBudget. A failed forward falls
+// sweepd.PeerClient waiting out 429s for up to 5s. A failed forward falls
 // back to local admission, and only if the local quota also refuses
 // does the client get a 307 with the chosen peer in Location. Ties
 // prefer local execution, so an idle cluster behaves exactly like a

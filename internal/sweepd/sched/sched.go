@@ -67,11 +67,6 @@ type Options struct {
 	// scan. Must be well under AdoptAfter. Default 2s.
 	Heartbeat time.Duration
 
-	// ForwardBudget caps the cumulative Retry-After wait spent
-	// re-trying a 429 from the forward target before giving up on
-	// it. Default 5s.
-	ForwardBudget time.Duration
-
 	// Logf receives scheduler events. Defaults to log.Printf-shaped
 	// no-op when nil.
 	Logf func(format string, args ...any)
@@ -86,7 +81,7 @@ type Scheduler struct {
 	now  func() time.Time // injected in tests
 
 	// ctx is the scheduler's lifetime: Close cancels it, which stops the
-	// loop and ends the peer calls of a tick in flight, so Close never
+	// loop and ends the peer calls of a running tick, so Close never
 	// waits on a black-holed peer.
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -117,9 +112,6 @@ func New(opts Options) (*Scheduler, error) {
 	if opts.Heartbeat <= 0 {
 		opts.Heartbeat = 2 * time.Second
 	}
-	if opts.ForwardBudget <= 0 {
-		opts.ForwardBudget = 5 * time.Second
-	}
 	s := &Scheduler{
 		opts:  opts,
 		logf:  opts.Logf,
@@ -147,7 +139,7 @@ func (s *Scheduler) Start() {
 	go s.loop()
 }
 
-// Close stops the loop and waits for the in-flight tick to finish.
+// Close stops the loop and waits for the running tick to finish.
 // Leases we own stay in the registry and expire (or get adopted) like
 // any dead leader's; a clean shutdown does not orphan bookkeeping
 // because finished jobs already dropped theirs.
@@ -242,13 +234,17 @@ func (s *Scheduler) pickTarget() string {
 	return target
 }
 
+// forwardBudget caps the cumulative Retry-After wait spent re-trying a
+// 429 from the forward target before giving up on it.
+const forwardBudget = 5 * time.Second
+
 // forward POSTs the spec to target's /peer/jobs, waiting out 429s per
-// their Retry-After up to ForwardBudget.
+// their Retry-After up to forwardBudget.
 func (s *Scheduler) forward(ctx context.Context, target string, sp sweepd.Spec) (sweepd.Job, bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, sweepd.PeerCallTimeout)
 	defer cancel()
 	var job sweepd.Job
-	status, err := sweepd.Peer.JSON(ctx, http.MethodPost, target+"/peer/jobs", sp, &job, 1<<20, s.opts.ForwardBudget)
+	status, err := sweepd.Peer.JSON(ctx, http.MethodPost, target+"/peer/jobs", sp, &job, 1<<20, forwardBudget)
 	return job, status == http.StatusAccepted, err
 }
 

@@ -14,13 +14,12 @@
 //
 // The flow for one job:
 //
-//	Manager.runJob
-//	  └─ dynamics.SweepContext          (sequencing: Have, hold-back, OnResult)
-//	       └─ sweepd.dedupExecutor      (in-flight (kernel, cell) coalescing)
-//	            └─ shard executor       (this package)
-//	                 ├─ local consumer  → dynamics.LocalExecutor
-//	                 └─ one goroutine per peer → POST /peer/leases
-//	                                             (sweepd.PeerClient)
+//	Manager.runJob → Manager.sweepLines
+//	  └─ dynamics.SweepContext     (sequencing: Have, hold-back, OnResult)
+//	       └─ shard executor       (this package)
+//	            ├─ local consumer  → dynamics.LocalExecutor
+//	            └─ one goroutine per peer → POST /peer/leases
+//	                                        (sweepd.PeerClient)
 //
 // The executor splits the job's todo indices into maximal consecutive
 // runs capped at the configured lease size, then lets the local pool and
@@ -30,7 +29,7 @@
 // # Peer sources
 //
 // Which peers a job leases to comes from a PeerSource, snapshotted once
-// per job so membership changes never touch a job in flight.
+// per job so membership changes never touch a running job.
 // NewFromSource takes the source — in production the cluster.Registry
 // (a -peers list seeds it), whose AlivePeers() excludes suspect and down
 // members; the tests' fixed list lives in shard_unit_test.go. Every failed

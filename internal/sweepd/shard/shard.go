@@ -32,7 +32,7 @@ type Options struct {
 // of them failed a lease, so a registry demotes the peer at once instead of
 // every subsequent job rediscovering the failure at lease-TTL cost. The
 // pool snapshots AlivePeers once per job, so membership changes never
-// touch a job in flight. cluster.Registry implements it (alive members
+// touch a running job. cluster.Registry implements it (alive members
 // only).
 type PeerSource interface {
 	AlivePeers() []string

@@ -210,7 +210,7 @@ func (fs *FS) DeleteJob(id string) error {
 // CreateJob's MkdirAll and the spec rename leaves the dir, and possibly
 // a spec.json.tmp, behind — Jobs() skips them but nothing else ever
 // deleted them). Only dirs whose modtime is before cutoff are touched,
-// so a CreateJob racing the sweep keeps its in-flight directory.
+// so a CreateJob racing the sweep keeps its half-made directory.
 func (fs *FS) SweepOrphans(cutoff time.Time) (removed int, err error) {
 	entries, rerr := os.ReadDir(fs.root)
 	if rerr != nil {
