@@ -1,0 +1,605 @@
+package ncg_test
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestArch holds the repository's one-path rules: where a kind of code
+// may live, checked on the syntax of the files each rule guards. Every
+// rule runs on the tree, which must satisfy it, and on its planted
+// violation under testdata/arch/<rule>/, where it must report exactly the
+// lines marked "// want". The log carries the sizes CHANGES.md entries
+// quote as before/after: go test -run TestArch -v .
+func TestArch(t *testing.T) {
+	tree := loadTree(t, ".")
+	logSizes(t, tree)
+	for _, r := range archRules {
+		t.Run(r.name, func(t *testing.T) {
+			for _, f := range r.check(tree) {
+				t.Errorf("%s", f)
+			}
+			plant := loadTree(t, filepath.Join("testdata", "arch", r.name))
+			want := plant.wants()
+			if len(want) == 0 {
+				t.Fatal("the plant marks no line // want")
+			}
+			got := map[string]bool{}
+			for _, f := range r.check(plant) {
+				got[f.at()] = true
+			}
+			for _, at := range sortedKeys(want) {
+				if !got[at] {
+					t.Errorf("planted violation at %s not reported", at)
+				}
+			}
+			for _, at := range sortedKeys(got) {
+				if !want[at] {
+					t.Errorf("%s reported but not planted", at)
+				}
+			}
+		})
+	}
+}
+
+var archRules = []struct {
+	name  string // testdata/arch/<name> holds the planted violation
+	check func(*tree) []finding
+}{
+	{"peer-client", onePeerClient},
+	{"traversal", oneTraversalKernel},
+	{"graph-goroutines", noGraphGoroutines},
+	{"spill", spillByAppend},
+	{"framer", oneFramer},
+	{"line-codec", oneLineCodec},
+	{"sweep-call-site", oneSweepCallSite},
+	{"capability-checks", noCapabilityChecks},
+	{"resumable-runner", oneResumableRunner},
+	{"executor-stack", oneExecutorStack},
+}
+
+// onePeerClient: one peer client, with no second HTTP client, transport
+// or Retry-After loop. Every daemon-to-daemon call goes through
+// internal/sweepd/peerclient.go; a client or transport literal, or a
+// retryAfter anywhere else, is a second path.
+func onePeerClient(tr *tree) (out []finding) {
+	scope := nonTest(in("internal/sweepd", "cmd/ncg-server"), "internal/sweepd/peerclient.go")
+	tr.inspect(scope, func(f *goFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if name := f.qualified(n.Type, "net/http"); name == "Client" || name == "Transport" {
+				out = append(out, tr.find(n, "http.%s literal outside peerclient.go", name))
+			}
+		case *ast.Ident:
+			if n.Name == "retryAfter" {
+				out = append(out, tr.find(n, "retryAfter outside peerclient.go"))
+			}
+		}
+	})
+	return out
+}
+
+// oneTraversalKernel: one traversal kernel, with no second BFS loop in
+// internal/graph. Scratch.visit is the private step of Scratch.bfs
+// (scratch.go), the one breadth-first loop every traversal wraps;
+// Girth's parent-tracking search is the only other loop on a queue head
+// the package may hold.
+func oneTraversalKernel(tr *tree) (out []finding) {
+	var loops []finding
+	tr.inspect(nonTest(in("internal/graph")), func(f *goFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if n.Sel.Name == "visit" && f.path != "internal/graph/scratch.go" {
+				out = append(out, tr.find(n.Sel, ".visit outside scratch.go"))
+			}
+		case *ast.ForStmt:
+			if mentions(n.Init, "head") || mentions(n.Cond, "head") || mentions(n.Post, "head") {
+				loops = append(loops, tr.find(n, "for loop on a queue head"))
+			}
+		}
+	})
+	return append(out, atMost(2, loops)...)
+}
+
+// noGraphGoroutines: no goroutines in internal/graph; the all-pairs
+// fan-out does not come back. PowerStep (powers.go) is the package's one
+// all-pairs kernel and runs on the calling goroutine, like every
+// traversal: a sweep worker holds one gate token and one core.
+// Parallelism is the caller's decision.
+func noGraphGoroutines(tr *tree) (out []finding) {
+	tr.inspect(nonTest(in("internal/graph")), func(f *goFile, n ast.Node) {
+		if g, ok := n.(*ast.GoStmt); ok {
+			out = append(out, tr.find(g, "go statement in internal/graph"))
+		}
+	})
+	return out
+}
+
+// spillByAppend: spill by append; no per-cell file is created on the
+// emit path. The cache's disk tier is one segment per kernel, appended to
+// in place; a temp file or a rename in cache.go is a second layout.
+func spillByAppend(tr *tree) (out []finding) {
+	tr.inspect(nonTest(in("internal/sweepd/cache.go")), func(f *goFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if n.Name == "CreateTemp" {
+				out = append(out, tr.find(n, "CreateTemp in cache.go"))
+			}
+		case *ast.SelectorExpr:
+			if f.qualified(n, "os") == "Rename" {
+				out = append(out, tr.find(n, "os.Rename in cache.go"))
+			}
+		}
+	})
+	return out
+}
+
+// oneFramer: one framer, with no second newline scan over checkpoint
+// bytes. ncgio.Lines is the framing rule of checkpoint-format bytes (what
+// a record is, what a torn tail is); the peer-lease stream in shard.go
+// reads line by line because a blank line there is a heartbeat. A
+// newline scan anywhere else is a second framer.
+func oneFramer(tr *tree) (out []finding) {
+	scope := nonTest(in("internal", "cmd"), "internal/ncgio", "internal/sweepd/shard/shard.go")
+	tr.inspect(scope, func(f *goFile, n ast.Node) {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return
+		}
+		switch name := callee(call); name {
+		case "IndexByte", "LastIndexByte", "ReadBytes", "ReadSlice", "ReadString":
+			for _, arg := range call.Args {
+				if isNewline(arg) {
+					out = append(out, tr.find(call, "%s on a newline outside internal/ncgio", name))
+				}
+			}
+		}
+	})
+	return out
+}
+
+// oneLineCodec: one line codec; encoding/json reads the hand-editable
+// state file and nothing else. Cell-result, trajectory and lease lines
+// are written and scanned by the pair in internal/ncgio/codec.go, which
+// decodes canonical bytes only. The reflection codec survives as the
+// test oracle (oracle_test.go) and as DecodeState's lenient reader in
+// ncgio.go; an encoding/json import in another non-test file of the
+// package is a second codec.
+func oneLineCodec(tr *tree) (out []finding) {
+	scope := nonTest(in("internal/ncgio"), "internal/ncgio/ncgio.go")
+	tr.inspect(scope, func(f *goFile, n ast.Node) {
+		if imp, ok := n.(*ast.ImportSpec); ok && importPath(imp) == "encoding/json" {
+			out = append(out, tr.find(imp, "encoding/json imported outside ncgio.go"))
+		}
+	})
+	return out
+}
+
+// oneSweepCallSite: one sweep call site, one way from a cell to a
+// checkpoint or lease line. Manager.sweepLines (runner.go) is the only
+// caller of dynamics.SweepContext under internal/sweepd: runJob and
+// ServeLease are that call with two emitters. A cache hit is appended as
+// the cached bytes and a resumed cell is skipped by index, so the runner
+// decodes no result line itself (Spec.canonicalPrefix validates what
+// resume keeps).
+func oneSweepCallSite(tr *tree) (out []finding) {
+	var sites []finding
+	tr.inspect(nonTest(in("internal/sweepd")), func(f *goFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if f.qualified(n, dynamicsPath) == "SweepContext" {
+				sites = append(sites, tr.find(n, "dynamics.SweepContext"))
+			}
+		case *ast.Ident:
+			if n.Name == "UnmarshalCellResult" && f.path == "internal/sweepd/runner.go" {
+				out = append(out, tr.find(n, "runner.go decodes a result line"))
+			}
+		}
+	})
+	return append(out, exactly(1, sites, "dynamics.SweepContext")...)
+}
+
+// noCapabilityChecks: no capability checks on the cluster; one
+// consumer-side interface per consumer. Every daemon wires a
+// cluster.Registry, which is all of sweepd.Cluster, sched.Cluster and
+// shard.PeerSource; asking a cluster value at run time whether it is
+// also something else is a branch no daemon takes. Test files are held to
+// it too.
+func noCapabilityChecks(tr *tree) (out []finding) {
+	capability := func(typ ast.Expr) {
+		if name := typeName(typ); name != "" {
+			out = append(out, tr.find(typ, "run-time check for %s", name))
+		}
+	}
+	tr.inspect(in("internal", "cmd"), func(f *goFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.TypeAssertExpr:
+			if n.Type != nil {
+				capability(n.Type)
+			}
+		case *ast.TypeSwitchStmt:
+			for _, c := range n.Body.List {
+				for _, typ := range c.(*ast.CaseClause).List {
+					capability(typ)
+				}
+			}
+		}
+	})
+	return out
+}
+
+// typeName names typ when it is one of the cluster's capability
+// interfaces, or an anonymous interface asking for Self.
+func typeName(typ ast.Expr) string {
+	switch typ := typ.(type) {
+	case *ast.SelectorExpr:
+		return typeName(typ.Sel)
+	case *ast.Ident:
+		switch typ.Name {
+		case "LeaseTable", "ReplicaTable", "Membership", "FailureReporter", "failureReporter":
+			return typ.Name
+		}
+	case *ast.InterfaceType:
+		for _, m := range typ.Methods.List {
+			for _, name := range m.Names {
+				if name.Name == "Self" {
+					return "interface{ Self }"
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// oneResumableRunner: one resumable runner; the figure drivers run,
+// checkpoint and resume nothing themselves. A driver's sweep is a
+// sweepd.Spec submitted to the in-process Manager that experiments.Open
+// wires (runner.go): naming, resume, sharing and caching are the
+// daemon's. A direct engine sweep, a checkpoint writer or a hashed file
+// name here is a second runner.
+func oneResumableRunner(tr *tree) (out []finding) {
+	tr.inspect(nonTest(in("internal/experiments", "cmd/ncg-experiments")), func(f *goFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.ImportSpec:
+			if importPath(n) == "hash/fnv" {
+				out = append(out, tr.find(n, "hash/fnv in a figure driver"))
+			}
+		case *ast.Ident:
+			if n.Name == "NewCheckpointWriter" {
+				out = append(out, tr.find(n, "checkpoint writer in a figure driver"))
+			}
+		case *ast.SelectorExpr:
+			if name := f.qualified(n, dynamicsPath); strings.HasPrefix(name, "Sweep") {
+				out = append(out, tr.find(n, "dynamics.%s in a figure driver", name))
+			}
+		}
+	})
+	return out
+}
+
+// oneExecutorStack: one executor stack, the local pool and the lease
+// pool, with nothing wrapped around them. Manager.sweepLines hands
+// dynamics.SweepContext the executor executorFor chose:
+// dynamics.LocalExecutor or shard's executor. The in-flight dedup wrapper
+// was a third, deleted when no listed workload ever coalesced a cell; a
+// new wrapper needs a workload that uses it.
+func oneExecutorStack(tr *tree) []finding {
+	var impls []finding
+	tr.inspect(nonTest(in("internal", "cmd")), func(f *goFile, n ast.Node) {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Recv == nil || fn.Name.Name != "Execute" {
+			return
+		}
+		var params []ast.Expr
+		for _, p := range fn.Type.Params.List {
+			for range max(1, len(p.Names)) {
+				params = append(params, p.Type)
+			}
+		}
+		if len(params) != 2 || f.qualified(params[0], "context") != "Context" {
+			return
+		}
+		if id, ok := params[1].(*ast.Ident); (ok && id.Name == "ExecRequest") || f.qualified(params[1], dynamicsPath) == "ExecRequest" {
+			impls = append(impls, tr.find(fn.Name, "Execute(context.Context, ExecRequest) method"))
+		}
+	})
+	return exactly(2, impls, "Execute(context.Context, ExecRequest) method")
+}
+
+const dynamicsPath = "repro/internal/dynamics"
+
+// A tree is the Go files under a root, parsed: the repository, or one
+// rule's plant.
+type tree struct {
+	fset  *token.FileSet
+	files []*goFile
+}
+
+type goFile struct {
+	path    string // slash-separated, relative to the root
+	test    bool
+	lines   int
+	syntax  *ast.File
+	imports map[string]string // local name → import path
+}
+
+// loadTree parses every file of every package under root, skipping what
+// the go tool skips: testdata and directories named with a leading dot or
+// underscore. A file a build constraint excludes is still read.
+func loadTree(t *testing.T, root string) *tree {
+	t.Helper()
+	tr := &tree{fset: token.NewFileSet()}
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		pkg, err := build.ImportDir(dir, 0)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		for _, names := range [][]string{pkg.GoFiles, pkg.CgoFiles, pkg.IgnoredGoFiles, pkg.TestGoFiles, pkg.XTestGoFiles} {
+			for _, name := range names {
+				if err := tr.parse(root, filepath.Join(dir, name)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func (tr *tree) parse(root, name string) error {
+	src, err := os.ReadFile(name)
+	if err != nil {
+		return err
+	}
+	rel, err := filepath.Rel(root, name)
+	if err != nil {
+		return err
+	}
+	rel = filepath.ToSlash(rel)
+	syntax, err := parser.ParseFile(tr.fset, rel, src, parser.ParseComments|parser.SkipObjectResolution)
+	if err != nil {
+		return err
+	}
+	f := &goFile{
+		path:    rel,
+		test:    strings.HasSuffix(rel, "_test.go"),
+		lines:   strings.Count(string(src), "\n"),
+		syntax:  syntax,
+		imports: map[string]string{},
+	}
+	for _, imp := range syntax.Imports {
+		name := path.Base(importPath(imp))
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		f.imports[name] = importPath(imp)
+	}
+	tr.files = append(tr.files, f)
+	return nil
+}
+
+// inspect calls visit on every node of every file in scope.
+func (tr *tree) inspect(scope func(*goFile) bool, visit func(*goFile, ast.Node)) {
+	for _, f := range tr.files {
+		if scope(f) {
+			ast.Inspect(f.syntax, func(n ast.Node) bool {
+				if n != nil {
+					visit(f, n)
+				}
+				return true
+			})
+		}
+	}
+}
+
+// wants is the set of file:line positions a plant marks "// want".
+func (tr *tree) wants() map[string]bool {
+	want := map[string]bool{}
+	for _, f := range tr.files {
+		for _, g := range f.syntax.Comments {
+			for _, c := range g.List {
+				if strings.HasPrefix(c.Text, "// want") {
+					want[finding{pos: tr.fset.Position(c.Pos())}.at()] = true
+				}
+			}
+		}
+	}
+	return want
+}
+
+// A finding is one violation of a rule. A rule that counts sites reports
+// a missing site with no position.
+type finding struct {
+	pos token.Position
+	msg string
+}
+
+func (tr *tree) find(n ast.Node, format string, args ...any) finding {
+	return finding{pos: tr.fset.Position(n.Pos()), msg: fmt.Sprintf(format, args...)}
+}
+
+func (f finding) at() string { return fmt.Sprintf("%s:%d", f.pos.Filename, f.pos.Line) }
+
+func (f finding) String() string { return f.at() + ": " + f.msg }
+
+// exactly reports every site unless there are n of them.
+func exactly(n int, sites []finding, what string) []finding {
+	if len(sites) == n {
+		return nil
+	}
+	if len(sites) == 0 {
+		return []finding{{msg: fmt.Sprintf("no %s, want %d", what, n)}}
+	}
+	return recount(sites, fmt.Sprintf("want %d", n))
+}
+
+// atMost reports every site when there are more than n of them.
+func atMost(n int, sites []finding) []finding {
+	if len(sites) <= n {
+		return nil
+	}
+	return recount(sites, fmt.Sprintf("want at most %d", n))
+}
+
+func recount(sites []finding, want string) []finding {
+	out := make([]finding, len(sites))
+	for i, s := range sites {
+		out[i] = finding{pos: s.pos, msg: fmt.Sprintf("%s: one of %d, %s", s.msg, len(sites), want)}
+	}
+	return out
+}
+
+// in is the scope of the files at or under any of paths.
+func in(paths ...string) func(*goFile) bool {
+	return func(f *goFile) bool {
+		for _, p := range paths {
+			if f.path == p || strings.HasPrefix(f.path, p+"/") {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// nonTest narrows scope to its non-test files outside the exempt paths.
+func nonTest(scope func(*goFile) bool, exempt ...string) func(*goFile) bool {
+	return func(f *goFile) bool { return !f.test && scope(f) && !in(exempt...)(f) }
+}
+
+// qualified names the member x.Name refers to when e is x.Name and x is
+// the file's import of pkg, whatever the import calls it.
+func (f *goFile) qualified(e ast.Expr, pkg string) string {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	if x, ok := sel.X.(*ast.Ident); ok && f.imports[x.Name] == pkg {
+		return sel.Sel.Name
+	}
+	return ""
+}
+
+func importPath(imp *ast.ImportSpec) string {
+	p, _ := strconv.Unquote(imp.Path.Value)
+	return p
+}
+
+// callee names the function or method a call invokes.
+func callee(call *ast.CallExpr) string {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
+	}
+	return ""
+}
+
+func isNewline(e ast.Expr) bool {
+	lit, ok := e.(*ast.BasicLit)
+	if !ok || (lit.Kind != token.CHAR && lit.Kind != token.STRING) {
+		return false
+	}
+	s, err := strconv.Unquote(lit.Value)
+	return err == nil && s == "\n"
+}
+
+// mentions reports whether name appears in n, which may be nil.
+func mentions(n ast.Node, name string) bool {
+	if n == nil {
+		return false
+	}
+	found := false
+	ast.Inspect(n, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == name {
+			found = true
+		}
+		return !found
+	})
+	return found
+}
+
+// logSizes logs the sizes the round's "fewer lines, fewer seams" aim is
+// held against:
+//   - non-test Go lines outside bench/, and the share under internal/sweepd;
+//   - exported funcs, methods and types declared under internal/sweepd,
+//     and under the rest of internal/;
+//   - non-test lines in *reference*.go files. Executable specifications
+//     belong behind the test boundary, so this reads 0.
+func logSizes(t *testing.T, tr *tree) {
+	var lines, sweepdLines, sweepdExported, otherExported, referenceLines int
+	for _, f := range tr.files {
+		if f.test || in("bench")(f) {
+			continue
+		}
+		lines += f.lines
+		if strings.Contains(path.Base(f.path), "reference") {
+			referenceLines += f.lines
+		}
+		switch {
+		case in("internal/sweepd")(f):
+			sweepdLines += f.lines
+			sweepdExported += exported(f.syntax)
+		case in("internal")(f):
+			otherExported += exported(f.syntax)
+		}
+	}
+	t.Logf("non-test non-bench Go lines: %d", lines)
+	t.Logf("  of which internal/sweepd:  %d", sweepdLines)
+	t.Logf("exported funcs/methods/types under internal/sweepd: %d", sweepdExported)
+	t.Logf("exported funcs/methods/types under internal/ outside sweepd: %d", otherExported)
+	t.Logf("non-test lines in *reference*.go: %d", referenceLines)
+}
+
+// exported counts a file's exported funcs, methods and types.
+func exported(f *ast.File) int {
+	n := 0
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() {
+				n++
+			}
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				if ts, ok := s.(*ast.TypeSpec); ok && ts.Name.IsExported() {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}

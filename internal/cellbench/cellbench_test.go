@@ -2,8 +2,8 @@
 // BENCH_OUT set, TestBenchCell runs the best-response and swap
 // neighborhood benchmarks programmatically and writes their ns/op and
 // allocs/op as JSON (committed as BENCH_cell.json at the repo root), so
-// the hot path's allocation trajectory is tracked — and gated — across
-// PRs alongside the scheduler artifact (BENCH_sched.json).
+// the hot path's allocation trajectory is tracked — and gated — from
+// commit to commit.
 package cellbench
 
 import (
