@@ -68,6 +68,7 @@ var archRules = []struct {
 	{"capability-checks", noCapabilityChecks},
 	{"resumable-runner", oneResumableRunner},
 	{"executor-stack", oneExecutorStack},
+	{"one-logger", oneLogger},
 }
 
 // onePeerClient: one peer client, with no second HTTP client, transport
@@ -302,20 +303,58 @@ func oneExecutorStack(tr *tree) []finding {
 		if !ok || fn.Recv == nil || fn.Name.Name != "Execute" {
 			return
 		}
-		var params []ast.Expr
-		for _, p := range fn.Type.Params.List {
-			for range max(1, len(p.Names)) {
-				params = append(params, p.Type)
-			}
-		}
+		params := paramTypes(fn.Type)
 		if len(params) != 2 || f.qualified(params[0], "context") != "Context" {
 			return
 		}
-		if id, ok := params[1].(*ast.Ident); (ok && id.Name == "ExecRequest") || f.qualified(params[1], dynamicsPath) == "ExecRequest" {
+		if isIdent(params[1], "ExecRequest") || f.qualified(params[1], dynamicsPath) == "ExecRequest" {
 			impls = append(impls, tr.find(fn.Name, "Execute(context.Context, ExecRequest) method"))
 		}
 	})
 	return exactly(2, impls, "Execute(context.Context, ExecRequest) method")
+}
+
+// oneLogger: one logger, log/slog's default. A daemon diagnostic is a
+// record with a constant message and the attributes an operator filters
+// by (member, job, generation, owner, err), and cmd/ncg-server installs
+// the one JSON handler its records go through. A log import is a second,
+// free-text sink; a func(string, ...any) field is a Logf option, a sink
+// per component that each binary has to wire by hand.
+func oneLogger(tr *tree) (out []finding) {
+	tr.inspect(nonTest(in("internal/sweepd", "cmd/ncg-server")), func(f *goFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.ImportSpec:
+			if importPath(n) == "log" {
+				out = append(out, tr.find(n, "log imported; log through log/slog"))
+			}
+		case *ast.StructType:
+			for _, field := range n.Fields.List {
+				if isLogfType(field.Type) {
+					out = append(out, tr.find(field, "func(string, ...any) field; log through log/slog"))
+				}
+			}
+		}
+	})
+	return out
+}
+
+// isLogfType reports whether typ is func(string, ...any) or
+// func(string, ...interface{}), parameter names aside.
+func isLogfType(typ ast.Expr) bool {
+	fn, ok := typ.(*ast.FuncType)
+	if !ok || fn.Results != nil {
+		return false
+	}
+	params := paramTypes(fn)
+	if len(params) != 2 || !isIdent(params[0], "string") {
+		return false
+	}
+	rest, ok := params[1].(*ast.Ellipsis)
+	if !ok {
+		return false
+	}
+	empty, ok := rest.Elt.(*ast.InterfaceType)
+	return isIdent(rest.Elt, "any") || ok && len(empty.Methods.List) == 0
 }
 
 const dynamicsPath = "repro/internal/dynamics"
@@ -517,6 +556,23 @@ func callee(call *ast.CallExpr) string {
 		return fn.Sel.Name
 	}
 	return ""
+}
+
+// paramTypes lists a function type's parameter types, one per parameter:
+// func(a, b int) is [int int].
+func paramTypes(fn *ast.FuncType) []ast.Expr {
+	var types []ast.Expr
+	for _, p := range fn.Params.List {
+		for range max(1, len(p.Names)) {
+			types = append(types, p.Type)
+		}
+	}
+	return types
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
 }
 
 func isNewline(e ast.Expr) bool {

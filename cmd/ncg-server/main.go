@@ -128,7 +128,7 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	netpprof "net/http/pprof"
@@ -153,7 +153,16 @@ func splitPeers(s string) []string {
 	return sweepd.NormalizePeerURLs(strings.Split(s, ","))
 }
 
+// fatal records msg at level ERROR and ends the process with status 1.
+func fatal(msg string, args ...any) {
+	slog.Error(msg, args...)
+	os.Exit(1)
+}
+
 func main() {
+	// One JSON record per line on stderr. SetDefault also routes the log
+	// package through this handler, so http.Server's error log is JSON too.
+	slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	var (
 		addr       = flag.String("addr", ":8080", "HTTP listen address")
 		data       = flag.String("data", "sweepd-data", "job store directory")
@@ -182,7 +191,7 @@ func main() {
 
 	jobStore, err := sweepd.OpenStore(*data)
 	if err != nil {
-		log.Fatal(err)
+		fatal("opening the job store", "err", err)
 	}
 	var cache *sweepd.Cache
 	if *cacheDir == "none" {
@@ -193,7 +202,7 @@ func main() {
 			dir = filepath.Join(*data, "cache")
 		}
 		if cache, err = sweepd.NewDiskCache(*cacheSz, dir); err != nil {
-			log.Fatal(err)
+			fatal("opening the result cache", "err", err)
 		}
 	}
 	mgr := sweepd.NewManager(jobStore, cache, *workers)
@@ -203,7 +212,7 @@ func main() {
 	// of its OWN finished jobs.
 	replicaSet, err := store.OpenReplicaSet(filepath.Join(*data, "replicas"))
 	if err != nil {
-		log.Fatal(err)
+		fatal("opening the replica store", "err", err)
 	}
 	mgr.SetReplicas(replicaSet)
 	cfg := sweepd.Config{ReadRate: *rate, MutateRate: *rate, PeerRate: *peerRate, ReplicaRate: *replRate}
@@ -218,11 +227,11 @@ func main() {
 	// join), and a typo'd seed would be probed at the backoff cap for
 	// the life of the process.
 	if *advertise != "" && !sweepd.ValidPeerURL(sweepd.NormalizePeerURL(*advertise)) {
-		log.Fatalf("-advertise %q is not an absolute http(s) base URL (e.g. http://10.0.0.3:8080)", *advertise)
+		fatal("-advertise is not an absolute http(s) base URL (e.g. http://10.0.0.3:8080)", "member", *advertise)
 	}
 	for _, s := range seeds {
 		if !sweepd.ValidPeerURL(s) {
-			log.Fatalf("-peers entry %q is not an absolute http(s) base URL", s)
+			fatal("-peers entry is not an absolute http(s) base URL", "member", s)
 		}
 	}
 	registry := cluster.New(cluster.Options{
@@ -232,7 +241,6 @@ func main() {
 		BackoffMax:     *backoffMax,
 		TombstoneAfter: *tombAfter,
 		SelfLoad:       mgr.Load,
-		Logf:           log.Printf,
 	})
 	pool := shard.NewFromSource(registry, shard.Options{LeaseCells: *peerLease, LeaseTTL: *peerTTL})
 	mgr.SetExecutorProvider(pool)
@@ -256,7 +264,6 @@ func main() {
 				}
 				return 1
 			},
-			Logf: log.Printf,
 		})
 		mgr.OnFinish(replicator.JobFinished)
 		cfg.ReplicaStats = replicator.Stats
@@ -267,17 +274,15 @@ func main() {
 			Cluster:    registry,
 			Manager:    mgr,
 			AdoptAfter: *adoptAfter,
-			Logf:       log.Printf,
 		})
 		if err != nil {
-			log.Fatal(err)
+			fatal("starting the scheduler", "err", err)
 		}
 		cfg.Sched = scheduler
 		cfg.SchedStats = scheduler.Stats
 	}
 	if len(seeds) > 0 || *advertise != "" {
-		log.Printf("cluster membership: advertise=%q, %d seed peer(s): %s",
-			*advertise, len(seeds), strings.Join(seeds, ", "))
+		slog.Info("cluster membership", "member", *advertise, "seeds", seeds)
 	}
 	var handler http.Handler = sweepd.NewHandlerConfig(mgr, cfg)
 	if *pprofOn {
@@ -294,22 +299,22 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
 		mux.Handle("/", handler)
 		handler = mux
-		log.Print("pprof enabled at /debug/pprof/")
+		slog.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	if err := mgr.Resume(); err != nil {
-		log.Fatalf("resuming jobs: %v", err)
+		fatal("resuming jobs", "err", err)
 	}
 	mgr.StartGC(*jobTTL, *gcInterval)
 
 	srv := &http.Server{Addr: *addr, Handler: handler}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		fatal("listening", "addr", *addr, "err", err)
 	}
 	go func() {
-		log.Printf("ncg-server listening on %s (store %s)", *addr, *data)
+		slog.Info("ncg-server listening", "addr", *addr, "data", *data)
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
+			fatal("serving", "err", err)
 		}
 	}()
 	// Announce only after the listener is accepting: a seed that learns
@@ -324,7 +329,7 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	<-stop
-	log.Print("shutting down: canceling sweeps, flushing checkpoints")
+	slog.Info("shutting down: canceling sweeps, flushing checkpoints")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx) //nolint:errcheck

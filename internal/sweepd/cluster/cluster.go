@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"log/slog"
 	mrand "math/rand/v2"
 	"net/http"
 	"sort"
@@ -69,11 +70,6 @@ type Options struct {
 	// jitter in [backoff/2, backoff] so a cluster restarted in unison
 	// does not re-probe in lockstep.
 	BackoffMax time.Duration
-	// Logf, when set, receives membership diagnostics (state
-	// transitions, rejected URLs, hello failures) — wire it to
-	// log.Printf so a daemon that silently fails to join leaves a
-	// trail. Nil means silent.
-	Logf func(format string, args ...any)
 	// SelfLoad, when set, supplies this daemon's own capacity snapshot
 	// for Members() (gossip readers see the serving daemon's load without
 	// probing it); cmd/ncg-server wires it to Manager.Load.
@@ -283,7 +279,7 @@ func New(opts Options) *Registry {
 			// The same admission rule POST /peer/hello enforces: a typo'd
 			// seed must not enter the member table and spread cluster-wide
 			// by gossip with no pruning path.
-			r.logf("cluster: dropping invalid seed peer URL %q", s)
+			slog.Warn("cluster: dropping invalid seed URL", "member", s)
 			continue
 		}
 		// Seeds start alive and due immediately: the first probe cycle
@@ -292,13 +288,6 @@ func New(opts Options) *Registry {
 		r.members[s] = &member{url: s, state: StateAlive}
 	}
 	return r
-}
-
-// logf forwards diagnostics to the configured sink, if any.
-func (r *Registry) logf(format string, args ...any) {
-	if r.opts.Logf != nil {
-		r.opts.Logf(format, args...)
-	}
 }
 
 // SetSelf installs (or replaces) the advertise URL after construction —
@@ -392,17 +381,17 @@ func (r *Registry) Hello(advertiseURL string) {
 	if _, dead := r.tombs[url]; dead {
 		// The URL just proved reachability; its decommission is void.
 		delete(r.tombs, url)
-		r.logf("cluster: tombstone on %s lifted by hello", url)
+		slog.Info("cluster: tombstone lifted by hello", "member", url)
 	}
 	m := r.members[url]
 	if m == nil {
 		m = &member{url: url, next: now}
 		r.members[url] = m
-		r.logf("cluster: peer %s joined via hello", url)
+		slog.Info("cluster: member joined by hello", "member", url)
 	}
 	if m.state == StateDown {
 		r.readmissions.Add(1)
-		r.logf("cluster: peer %s down -> alive (re-hello)", url)
+		slog.Info("cluster: member alive again by hello", "member", url, "was", StateDown)
 		// The load is the dead process's; placement must not rank the
 		// new one by it. The woken probe refills it.
 		m.hasLoad = false
@@ -500,7 +489,7 @@ func (r *Registry) updateLeaseLocked(l sweepd.JobLease) bool {
 	case l.Generation > cur.lease.Generation:
 	case l.Generation == cur.lease.Generation && l.Owner == cur.lease.Owner:
 	case l.Generation == cur.lease.Generation && l.Owner < cur.lease.Owner:
-		r.logf("cluster: job %s generation %d tie broken %s -> %s", l.JobID, l.Generation, cur.lease.Owner, l.Owner)
+		slog.Info("cluster: lease tie broken", "job", l.JobID, "generation", l.Generation, "owner", l.Owner, "was", cur.lease.Owner)
 	default:
 		return false
 	}
@@ -630,7 +619,7 @@ func (r *Registry) ReportLeaseFailure(url string) {
 	// /healthz is fine would cancel it.
 	m.helloed = false
 	m.gen++
-	r.logf("cluster: peer %s alive -> suspect (lease failed)", url)
+	slog.Warn("cluster: member suspect after a failed lease", "member", url, "was", StateAlive)
 }
 
 // cycle runs one probe cycle: dial every due member's /healthz
@@ -730,7 +719,7 @@ func (r *Registry) cycle(woken bool) {
 				// non-advertising daemon's URL travels back via gossip from
 				// the peers it seeds). Never lease to yourself — blacklist
 				// the URL and drop the member.
-				r.logf("cluster: %s is this daemon itself (instance %s); dropping", m.url, r.instanceID)
+				slog.Warn("cluster: member is this daemon itself; dropped", "member", m.url, "instance", r.instanceID)
 				r.selfURLs[m.url] = true
 				delete(r.members, m.url)
 				continue
@@ -750,7 +739,7 @@ func (r *Registry) cycle(woken bool) {
 				r.readmissions.Add(1)
 			}
 			if m.state != StateAlive {
-				r.logf("cluster: peer %s %s -> alive", m.url, m.state)
+				slog.Info("cluster: member alive", "member", m.url, "was", m.state)
 			}
 			m.state = StateAlive
 			m.fails = 0
@@ -765,7 +754,7 @@ func (r *Registry) cycle(woken bool) {
 				// A refused announcement means this daemon may never join
 				// that peer's cluster (typically a bad -advertise URL);
 				// say so once per distinct error, not once per cycle.
-				r.logf("cluster: hello to %s rejected: %s", m.url, res.helloErr)
+				slog.Warn("cluster: hello rejected", "member", m.url, "err", res.helloErr)
 				m.lastHelloErr = res.helloErr
 			}
 			if res.learned != nil {
@@ -779,14 +768,14 @@ func (r *Registry) cycle(woken bool) {
 		m.helloed = false
 		if m.fails < r.opts.DownAfter {
 			if m.state != StateSuspect {
-				r.logf("cluster: peer %s %s -> suspect (probe failed)", m.url, m.state)
+				slog.Warn("cluster: member suspect after a failed probe", "member", m.url, "was", m.state)
 			}
 			m.state = StateSuspect
 			m.next = now.Add(r.opts.ProbeInterval)
 			continue
 		}
 		if m.state != StateDown {
-			r.logf("cluster: peer %s %s -> down after %d consecutive probe failures", m.url, m.state, m.fails)
+			slog.Warn("cluster: member down", "member", m.url, "was", m.state, "fails", m.fails)
 			m.downSince = now
 		}
 		m.state = StateDown
@@ -829,7 +818,7 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 			continue
 		}
 		if !sweepd.ValidPeerURL(u) {
-			r.logf("cluster: ignoring invalid gossiped peer URL %q from %s", u, from)
+			slog.Warn("cluster: ignoring invalid gossiped URL", "member", u, "via", from)
 			continue
 		}
 		// Gossip-learned members start suspect: secondhand news is
@@ -909,7 +898,7 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 		}
 		if cur, ok := r.tombs[u]; !ok || ts.Until.After(cur) {
 			if !ok {
-				r.logf("cluster: peer %s decommissioned by gossiped tombstone", u)
+				slog.Info("cluster: member decommissioned by gossiped tombstone", "member", u)
 			}
 			r.tombs[u] = ts.Until
 		}
@@ -934,7 +923,7 @@ func (r *Registry) maintainLocked(now time.Time) {
 				delete(r.members, u)
 				r.tombs[u] = now.Add(ta)
 				r.tombstoned.Add(1)
-				r.logf("cluster: peer %s down for %v; decommissioned (tombstone until %v)", u, now.Sub(m.downSince), now.Add(ta))
+				slog.Warn("cluster: member decommissioned", "member", u, "until", now.Add(ta))
 			}
 		}
 	}
@@ -959,7 +948,7 @@ func (r *Registry) maintainLocked(now time.Time) {
 		// refreshing are garbage.
 		if ownerPresent && now.Sub(rec.seen) >= r.opts.LeaseExpiry {
 			delete(r.leases, id)
-			r.logf("cluster: lease on job %s by %s expired unrefreshed", id, owner)
+			slog.Info("cluster: lease expired unrefreshed", "job", id, "owner", owner)
 		}
 	}
 }

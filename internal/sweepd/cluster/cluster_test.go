@@ -7,10 +7,13 @@ package cluster
 // socket.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,6 +270,60 @@ func TestFlappingPeerBackoffAndReadmission(t *testing.T) {
 			t.Fatalf("cycle %d: readmissions = %d, want %d", cycle, got, flaps)
 		}
 	}
+}
+
+// TestMemberDownIsAWarnWithItsURL: the transition an operator filters for
+// when a member dies is one WARN record keyed by the member's URL.
+func TestMemberDownIsAWarnWithItsURL(t *testing.T) {
+	logs := captureLog(t)
+	tr := newFakeTransport(peerA)
+	r, now := testRegistry(Options{Seeds: []string{peerA}, ProbeInterval: time.Second, DownAfter: 2}, tr)
+	r.probeOnce()
+	tr.setUp(peerA, false)
+	for stateOf(t, r, peerA) != StateDown {
+		*now = now.Add(time.Second)
+		r.probeOnce()
+	}
+	var downs []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "cluster: member down") {
+			downs = append(downs, line)
+		}
+	}
+	if len(downs) != 1 || !strings.Contains(downs[0], "WARN") || !strings.Contains(downs[0], "member="+peerA) {
+		t.Fatalf("member-down records = %q, want one WARN with member=%s", downs, peerA)
+	}
+}
+
+// captureLog sends what the default slog logger writes to a buffer until
+// the test ends. No test installs a handler, so slog's default one writes
+// through the log package, whose output is what is swapped here.
+func captureLog(t *testing.T) *lockedBuffer {
+	t.Helper()
+	b := new(lockedBuffer)
+	prev := log.Writer()
+	log.SetOutput(b)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return b
+}
+
+// lockedBuffer is a bytes.Buffer that goroutines outliving the call under
+// test may still write to while the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // TestJitterBounds pins the backoff jitter window: with randf spanning

@@ -309,15 +309,15 @@ func (h *handler) trajectories(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	path := h.m.TrajectoryPath(id)
-	if replica {
-		path = h.m.Replicas().TrajectoryPath(id)
-		h.replicaReads.Add(1)
-	}
 	if !job.Spec.Trajectories {
 		writeError(w, http.StatusNotFound,
 			`sweep did not opt into trajectories (set "trajectories": true in the spec)`)
 		return
+	}
+	path := h.m.TrajectoryPath(id)
+	if replica {
+		path = h.m.Replicas().TrajectoryPath(id)
+		h.replicaReads.Add(1)
 	}
 	h.serveLinePrefix(w, r, id, path, job)
 }

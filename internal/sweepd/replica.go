@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"sort"
@@ -96,8 +97,6 @@ type ReplicatorOptions struct {
 	// Generation returns the job's current lease generation for the
 	// manifest's zombie guard; nil or 0 defaults to 1 (never-adopted).
 	Generation func(jobID string) uint64
-	// Logf receives replication diagnostics; nil silences them.
-	Logf func(format string, args ...any)
 }
 
 // Replicator pushes each finished job's immutable artifacts (spec,
@@ -136,12 +135,6 @@ func NewReplicator(opts ReplicatorOptions) *Replicator {
 	return rp
 }
 
-func (rp *Replicator) logf(format string, args ...any) {
-	if rp.opts.Logf != nil {
-		rp.opts.Logf(format, args...)
-	}
-}
-
 // JobFinished is the Manager.OnFinish hook: push the job's artifacts in
 // the background (terminal-but-not-done jobs are skipped — canceled and
 // failed checkpoints are partial, hence still mutable under resume).
@@ -159,7 +152,7 @@ func (rp *Replicator) JobFinished(job Job) {
 	go func() {
 		defer rp.wg.Done()
 		if err := rp.Replicate(job); err != nil {
-			rp.logf("sweepd: replicating job %s: %v", job.ID, err)
+			slog.Warn("sweepd: replication failed", "job", job.ID, "err", err)
 		}
 	}()
 }
@@ -169,6 +162,8 @@ func (rp *Replicator) JobFinished(job Job) {
 // members that already hold a replica. Failed targets are skipped in
 // favor of the next candidate; the residual deficit (if any) heals on
 // the next finish re-fire (daemon restart) rather than blocking here.
+// With no member to push to — a lone daemon — it does nothing and says
+// nothing: that deficit is the deployment's, not the job's.
 func (rp *Replicator) Replicate(job Job) error {
 	if job.Status != StatusDone {
 		return nil
@@ -195,18 +190,18 @@ func (rp *Replicator) Replicate(job Job) error {
 		}
 		cands = append(cands, ml)
 	}
+	if len(cands) == 0 {
+		return nil
+	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].Load != cands[j].Load {
 			return cands[i].Load.Less(cands[j].Load)
 		}
 		return cands[i].URL < cands[j].URL
 	})
-	var body []byte
-	if len(cands) > 0 {
-		var err error
-		if body, err = rp.buildBody(job); err != nil {
-			return err
-		}
+	body, err := rp.buildBody(job)
+	if err != nil {
+		return err
 	}
 
 	var firstErr error
@@ -216,7 +211,7 @@ func (rp *Replicator) Replicate(job Job) error {
 		}
 		if err := rp.push(ml.URL, id, body); err != nil {
 			rp.pushFailures.Add(1)
-			rp.logf("sweepd: replica push of job %s to %s failed: %v", id, ml.URL, err)
+			slog.Warn("sweepd: replica push failed", "job", id, "member", ml.URL, "err", err)
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -230,7 +225,7 @@ func (rp *Replicator) Replicate(job Job) error {
 		return firstErr
 	}
 	if need > 0 {
-		rp.logf("sweepd: job %s under-replicated: %d of %d copies placed (%d cells)", id, rp.opts.Fanout-need, rp.opts.Fanout, job.Spec.NumCells())
+		slog.Warn("sweepd: job under-replicated", "job", id, "placed", rp.opts.Fanout-need, "fanout", rp.opts.Fanout)
 	}
 	return nil
 }

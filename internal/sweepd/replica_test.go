@@ -1,13 +1,16 @@
 package sweepd
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,7 +85,6 @@ func TestReplicationPushAndReplicaServedReads(t *testing.T) {
 		Targets: func() []MemberLoad {
 			return []MemberLoad{{URL: followerSrv.URL}}
 		},
-		Logf: t.Logf,
 	})
 	if err := rp.Replicate(job); err != nil {
 		t.Fatal(err)
@@ -202,6 +204,112 @@ func TestReplicateReadsNothingWithoutADeficitOrACandidate(t *testing.T) {
 	}
 }
 
+// captureLog sends what the default slog logger writes to a buffer until
+// the test ends. No test installs a handler, so slog's default one writes
+// through the log package, whose output is what is swapped here.
+func captureLog(t *testing.T) *lockedBuffer {
+	t.Helper()
+	b := new(lockedBuffer)
+	prev := log.Writer()
+	log.SetOutput(b)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return b
+}
+
+// lockedBuffer is a bytes.Buffer that goroutines outliving the call under
+// test may still write to while the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestReplicateWarnsOnlyWithACandidate: a lone daemon — no member to push
+// to — finishes every job short of its fan-out, and says nothing about it
+// (it used to log one under-replication line per job). A push that fails
+// while a candidate exists is still a WARN record naming the job and the
+// member.
+func TestReplicateWarnsOnlyWithACandidate(t *testing.T) {
+	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
+	logs := captureLog(t)
+
+	lone := NewReplicator(ReplicatorOptions{
+		Store:   leaderMgr.store,
+		Self:    func() string { return "http://self" },
+		Targets: func() []MemberLoad { return []MemberLoad{{URL: "http://self"}} },
+	})
+	if err := lone.Replicate(job); err != nil {
+		t.Fatalf("lone Replicate = %v", err)
+	}
+	if got := logs.String(); strings.Contains(got, job.ID) {
+		t.Fatalf("a lone daemon logged about job %s:\n%s", job.ID, got)
+	}
+
+	refusing := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer refusing.Close()
+	short := NewReplicator(ReplicatorOptions{
+		Store:   leaderMgr.store,
+		Fanout:  1,
+		Targets: func() []MemberLoad { return []MemberLoad{{URL: refusing.URL}} },
+	})
+	if err := short.Replicate(job); err == nil {
+		t.Fatal("a push to a refusing member succeeded")
+	}
+	var warned bool
+	for _, line := range strings.Split(logs.String(), "\n") {
+		warned = warned || strings.Contains(line, "WARN") &&
+			strings.Contains(line, "job="+job.ID) && strings.Contains(line, "member="+refusing.URL)
+	}
+	if !warned {
+		t.Fatalf("no WARN record with job=%s member=%s:\n%s", job.ID, refusing.URL, logs.String())
+	}
+}
+
+// TestReplicaTrajectories404CountsNoRead: a replica of a job that did not
+// opt into trajectories answers /trajectories with 404, and a 404 is not a
+// replica-served read.
+func TestReplicaTrajectories404CountsNoRead(t *testing.T) {
+	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	_, fh, followerSrv, _ := newReplicaRig(t, Config{})
+	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postReplica(t, followerSrv.URL, job.ID, string(body)); code != http.StatusOK {
+		t.Fatalf("replica push = %d", code)
+	}
+
+	resp, _ := getRaw(t, followerSrv.URL+"/sweeps/"+job.ID+"/trajectories", nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("replica /trajectories of a job without them = %d, want 404", resp.StatusCode)
+	}
+	if got := fh.replicaReads.Load(); got != 0 {
+		t.Fatalf("the 404 counted %d replica reads, want 0", got)
+	}
+	// The job is replica-served: /results is, and counts.
+	if resp, _ := getRaw(t, followerSrv.URL+"/sweeps/"+job.ID+"/results", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("replica /results = %d", resp.StatusCode)
+	}
+	if got := fh.replicaReads.Load(); got != 1 {
+		t.Fatalf("replica reads after /results = %d, want 1", got)
+	}
+}
+
 // TestReplicaPushWaitsOutReplicaRate: the receiver's -replica-rate class
 // sheds the second of two back-to-back pushes with a 429. That is load
 // shedding, not a failed target: the push waits out Retry-After and
@@ -214,7 +322,6 @@ func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
 		Fanout:  1,
 		Self:    func() string { return leaderSrv.URL },
 		Targets: func() []MemberLoad { return []MemberLoad{{URL: followerSrv.URL}} },
-		Logf:    t.Logf,
 	})
 	for _, seeds := range []int{1, 2} {
 		job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: seeds})
@@ -254,7 +361,6 @@ func TestReplicatorCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
 		Store:   leaderMgr.store,
 		Fanout:  1,
 		Targets: func() []MemberLoad { return []MemberLoad{{URL: srv.URL}} },
-		Logf:    t.Logf,
 	})
 	rp.JobFinished(job)
 	<-entered

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -66,10 +67,6 @@ type Options struct {
 	// Heartbeat is the scheduler tick: lease refresh and adoption
 	// scan. Must be well under AdoptAfter. Default 2s.
 	Heartbeat time.Duration
-
-	// Logf receives scheduler events. Defaults to log.Printf-shaped
-	// no-op when nil.
-	Logf func(format string, args ...any)
 }
 
 // Scheduler implements sweepd.Submitter over a cluster: capacity-aware
@@ -77,7 +74,6 @@ type Options struct {
 // adoption of orphaned jobs. See the package comment for the protocol.
 type Scheduler struct {
 	opts Options
-	logf func(string, ...any)
 	now  func() time.Time // injected in tests
 
 	// ctx is the scheduler's lifetime: Close cancels it, which stops the
@@ -114,16 +110,12 @@ func New(opts Options) (*Scheduler, error) {
 	}
 	s := &Scheduler{
 		opts:  opts,
-		logf:  opts.Logf,
 		now:   time.Now,
 		gens:  make(map[string]uint64),
 		ceded: make(map[string]bool),
 		done:  make(chan struct{}),
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
-	if s.logf == nil {
-		s.logf = func(string, ...any) {}
-	}
 	return s, nil
 }
 
@@ -201,7 +193,7 @@ func (s *Scheduler) SubmitSweep(ctx context.Context, sp sweepd.Spec) (sweepd.Pla
 		return sweepd.PlacedJob{Job: job, Created: created, PlacedOn: target}, nil
 	}
 	s.forwardFailures.Add(1)
-	s.logf("sched: forward to %s failed: %v; admitting locally", target, err)
+	slog.Warn("sched: forward failed; admitting locally", "member", target, "err", err)
 	s.opts.Cluster.ReportLeaseFailure(target)
 	job, created, lerr := s.opts.Manager.Submit(sp)
 	if errors.Is(lerr, sweepd.ErrJobQuota) {
@@ -301,7 +293,7 @@ func (s *Scheduler) heartbeat(self string) {
 				} else {
 					s.ceded[job.ID] = true
 					s.leadershipLost.Add(1)
-					s.logf("sched: job %s led by %s at generation %d; running as non-leader", job.ID, l.Owner, l.Generation)
+					slog.Info("sched: job led elsewhere; running as non-leader", "job", job.ID, "owner", l.Owner, "generation", l.Generation)
 					continue
 				}
 			}
@@ -318,7 +310,7 @@ func (s *Scheduler) heartbeat(self string) {
 		if !ok {
 			s.ceded[job.ID] = true
 			s.leadershipLost.Add(1)
-			s.logf("sched: job %s leadership lost to a newer generation; running as non-leader", job.ID)
+			slog.Warn("sched: leadership lost to a newer generation; running as non-leader", "job", job.ID, "generation", gen)
 		}
 	}
 
@@ -407,19 +399,19 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	sp := l.Spec
 	sp.Normalize()
 	if sp.ID() != l.JobID {
-		s.logf("sched: skipping lease from %s: job id %q is not its spec's (%s)", l.Owner, l.JobID, sp.ID())
+		slog.Warn("sched: skipping a lease whose job id is not its spec's", "job", l.JobID, "owner", l.Owner, "spec_id", sp.ID())
 		return
 	}
 	checkpoint := s.opts.Manager.ReplicaCheckpoint(l.JobID)
 	if checkpoint != nil {
 		s.replicaSeeds.Add(1)
-		s.logf("sched: seeding adoption of job %s from local replica (%d bytes)", l.JobID, len(checkpoint))
+		slog.Info("sched: seeding adoption from the local replica", "job", l.JobID, "bytes", len(checkpoint))
 	} else {
 		checkpoint = s.fetchCheckpoint(l.JobID)
 	}
 	job, _, err := s.opts.Manager.Adopt(l.Spec, checkpoint)
 	if err != nil {
-		s.logf("sched: adopting job %s from %s failed: %v", l.JobID, l.Owner, err)
+		slog.Warn("sched: adoption failed", "job", l.JobID, "owner", l.Owner, "err", err)
 		return
 	}
 	newGen := l.Generation + 1
@@ -442,12 +434,12 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 		s.ceded[l.JobID] = true
 		s.mu.Unlock()
 		s.leadershipLost.Add(1)
-		s.logf("sched: adoption race on job %s lost; running as non-leader", l.JobID)
+		slog.Info("sched: adoption race lost; running as non-leader", "job", l.JobID, "generation", newGen)
 		return
 	}
 	s.adoptions.Add(1)
-	s.logf("sched: adopted job %s from %s at generation %d (%d/%d cells checkpointed)",
-		l.JobID, l.Owner, newGen, job.Completed, job.Total)
+	slog.Info("sched: adopted job", "job", l.JobID, "owner", self, "generation", newGen, "was", l.Owner,
+		"completed", job.Completed, "total", job.Total)
 	s.broadcastClaim(lease)
 }
 
@@ -469,7 +461,7 @@ func (s *Scheduler) fetchCheckpoint(jobID string) []byte {
 		}
 		cancel()
 		if err == nil && len(b) > 0 {
-			s.logf("sched: recovered %d checkpoint bytes for job %s from %s", len(b), jobID, m.URL)
+			slog.Info("sched: recovered checkpoint bytes", "job", jobID, "member", m.URL, "bytes", len(b))
 			return b
 		}
 	}

@@ -7,10 +7,13 @@ package sched
 // recovery). Cluster e2e lives in internal/sweepd's test suite.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -175,7 +178,6 @@ func newTestScheduler(t *testing.T, c *fakeCluster, m *fakeManager) *Scheduler {
 		Cluster:    c,
 		Manager:    m,
 		AdoptAfter: 10 * time.Second,
-		Logf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -548,6 +550,69 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 	}
 }
 
+// TestAdoptionRecordCarriesJobOwnerGeneration: the record of an adoption
+// names the job, its new owner and the generation it leads at, the
+// attributes an operator filters a job's history by.
+func TestAdoptionRecordCarriesJobOwnerGeneration(t *testing.T) {
+	logs := captureLog(t)
+	sp := testSpec()
+	c := newFakeCluster("http://self:1")
+	m := &fakeManager{replicaCheckpoints: map[string][]byte{sp.ID(): []byte("replica-bytes\n")}}
+	s := newTestScheduler(t, c, m)
+	c.leases[sp.ID()] = sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 4, Updated: time.Now().Add(-time.Minute)}
+	c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}}
+
+	s.tick()
+	if st := s.Stats(); st.Adoptions != 1 {
+		t.Fatalf("stats = %+v, want one adoption", st)
+	}
+	var adopted []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "sched: adopted job") {
+			adopted = append(adopted, line)
+		}
+	}
+	if len(adopted) != 1 {
+		t.Fatalf("adoption records = %q, want one", adopted)
+	}
+	for _, attr := range []string{"job=" + sp.ID(), "owner=http://self:1", "generation=5"} {
+		if !strings.Contains(adopted[0], attr) {
+			t.Fatalf("adoption record %q lacks %s", adopted[0], attr)
+		}
+	}
+}
+
+// captureLog sends what the default slog logger writes to a buffer until
+// the test ends. No test installs a handler, so slog's default one writes
+// through the log package, whose output is what is swapped here.
+func captureLog(t *testing.T) *lockedBuffer {
+	t.Helper()
+	b := new(lockedBuffer)
+	prev := log.Writer()
+	log.SetOutput(b)
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return b
+}
+
+// lockedBuffer is a bytes.Buffer that goroutines outliving the call under
+// test may still write to while the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
 // TestAdoptionSkipsLeaseWithForeignJobID: a lease's JobID comes from a
 // peer and is about to name a replica directory and a URL path. One that
 // is not the content address of the spec it carries is left alone: no
@@ -605,7 +670,7 @@ func TestCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
 	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 1, Updated: time.Now().Add(-time.Minute)}
 	c.leases[sp.ID()] = orphan
 	c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: srv.URL, State: "alive"}}
-	s, err := New(Options{Cluster: c, Manager: &fakeManager{}, Heartbeat: time.Millisecond, Logf: t.Logf})
+	s, err := New(Options{Cluster: c, Manager: &fakeManager{}, Heartbeat: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

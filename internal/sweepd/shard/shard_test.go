@@ -7,14 +7,17 @@ package shard_test
 
 import (
 	"bytes"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dynamics"
 	"repro/internal/sweepd"
 	"repro/internal/sweepd/cluster"
 	"repro/internal/sweepd/shard"
@@ -36,8 +39,23 @@ type daemon struct {
 	store *sweepd.Store
 	mgr   *sweepd.Manager
 	srv   *httptest.Server
-	// leases counts POST /peer/leases requests that reached this daemon.
-	leases atomic.Uint64
+	// leases counts POST /peer/leases requests that reached this daemon;
+	// onLease, when set, runs on each of them before it is served.
+	leases  atomic.Uint64
+	onLease atomic.Pointer[func()]
+}
+
+// serve starts the daemon's test server over h.
+func (d *daemon) serve(h http.Handler) {
+	d.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/peer/leases" {
+			d.leases.Add(1)
+			if f := d.onLease.Load(); f != nil {
+				(*f)()
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
 }
 
 func newDaemon(t *testing.T, workers int) *daemon {
@@ -52,12 +70,7 @@ func newDaemon(t *testing.T, workers int) *daemon {
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	d := &daemon{store: store, mgr: mgr}
-	d.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/peer/leases" {
-			d.leases.Add(1)
-		}
-		h.ServeHTTP(w, r)
-	}))
+	d.serve(h)
 	t.Cleanup(func() {
 		d.srv.Close()
 		d.mgr.Close()
@@ -87,12 +100,7 @@ func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, se
 		Cluster:           reg,
 	})
 	d := &daemon{store: store, mgr: mgr}
-	d.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/peer/leases" {
-			d.leases.Add(1)
-		}
-		h.ServeHTTP(w, r)
-	}))
+	d.serve(h)
 	reg.SetSelf(d.srv.URL)
 	reg.Start()
 	t.Cleanup(func() {
@@ -470,7 +478,26 @@ func TestDaemonJoinsLiveCluster(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 
-	// Phase 3: the next job leases to the joiner.
+	// Phase 3: the next job leases to the joiner. Until the joiner has
+	// been asked for a range, the leader's local pool has no worker token
+	// and f1 holds the range it took, so neither can empty the job's
+	// queue first, however the three are scheduled.
+	gate := make(chan struct{}, 4) // the leader's worker tokens, held back
+	joined := make(chan struct{})
+	var once sync.Once
+	signal := func() {
+		once.Do(func() {
+			close(joined)
+			for range cap(gate) {
+				gate <- struct{}{}
+			}
+		})
+	}
+	hold := func() { <-joined }
+	joiner.onLease.Store(&signal)
+	f1.onLease.Store(&hold)
+	t.Cleanup(signal) // runs before the servers close: a held f1 is let go
+	leader.mgr.SetExecutorProvider(gatedLocal{pool, gate})
 	job2, _, err := leader.mgr.Submit(sp2)
 	if err != nil {
 		t.Fatal(err)
@@ -486,6 +513,31 @@ func TestDaemonJoinsLiveCluster(t *testing.T) {
 	if joiner.leases.Load() == 0 {
 		t.Fatal("joiner served no leases after joining the live cluster")
 	}
+}
+
+// gatedLocal is a pool whose executors draw local worker tokens from gate
+// instead of the manager's: the local consumer computes nothing while the
+// gate is empty, and peers lease as usual.
+type gatedLocal struct {
+	pool *shard.Pool
+	gate chan struct{}
+}
+
+func (g gatedLocal) ExecutorFor(sp sweepd.Spec, onRemote func(cells int)) dynamics.Executor {
+	if exec := g.pool.ExecutorFor(sp, onRemote); exec != nil {
+		return gatedExecutor{exec, g.gate}
+	}
+	return nil
+}
+
+type gatedExecutor struct {
+	dynamics.Executor
+	gate chan struct{}
+}
+
+func (e gatedExecutor) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan dynamics.IndexedResult {
+	req.Gate = e.gate
+	return e.Executor.Execute(ctx, req)
 }
 
 // TestDeadPeerSkippedBySubsequentJobs: a peer that dies mid-sweep is
