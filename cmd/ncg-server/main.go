@@ -19,16 +19,16 @@
 // lease reclaimed and recomputed locally. Deterministic per-cell seeding
 // keeps results byte-identical with 0, 1, or N peers and across peer
 // loss. -peer-rate rate-limits the /peer/* class separately from
-// interactive traffic.
+// interactive traffic; GET /peer/members, the liveness probe, is exempt.
 //
 // Membership is live: -peers is only the seed list. A background loop
-// probes every known peer's GET /healthz each -probe-interval, demotes
-// failing peers (alive → suspect → down) so jobs lease to alive peers
-// only, and backs off down peers exponentially (capped at
+// pulls every known peer's member table from GET /peer/members each
+// -probe-interval — one call that is both the health probe and one-hop
+// gossip — demotes failing peers (alive → suspect → down) so jobs lease
+// to alive peers only, and backs off down peers exponentially (capped at
 // -peer-backoff-max, with jitter) so a flapping machine stops eating
 // lease attempts until a probe readmits it. A daemon booted with
-// -advertise announces its own URL to its seeds via POST /peer/hello and
-// pulls their member tables from GET /peer/members (one-hop gossip), so
+// -advertise announces its own URL to its seeds via POST /peer/hello, so
 // it joins a running cluster — and starts receiving leases — without any
 // restart of the existing daemons. A member down for -tombstone-after is
 // decommissioned: removed from the table under a gossiped tombstone so
@@ -113,7 +113,8 @@
 //	                            (the follower half of -peers sharding)
 //	POST   /peer/hello          a booting daemon announces its -advertise URL
 //	GET    /peer/members        this daemon's member table (url + state),
-//	                            plus job leases and tombstones
+//	                            plus job leases and tombstones; the peers'
+//	                            health probe (exempt from -peer-rate)
 //	POST   /peer/jobs           run a forwarded sweep locally (the receiving
 //	                            half of -schedule placement)
 //	POST   /peer/jobs/claim     an adopter announces a job's new lease
@@ -215,7 +216,7 @@ func main() {
 		fatal("opening the replica store", "err", err)
 	}
 	mgr.SetReplicas(replicaSet)
-	cfg := sweepd.Config{ReadRate: *rate, MutateRate: *rate, PeerRate: *peerRate, ReplicaRate: *replRate}
+	cfg := sweepd.Config{Rate: *rate, PeerRate: *peerRate, ReplicaRate: *replRate}
 	// Every daemon runs a membership registry, even a bare one: it must
 	// accept POST /peer/hello so late-booting daemons can join a cluster
 	// this daemon anchors. Seeds (-peers) start alive; the probe loop

@@ -39,11 +39,15 @@ const (
 	// has not yet crossed the down threshold; it is probed every cycle
 	// and excluded from new leases until a probe revives it.
 	StateSuspect State = "suspect"
-	// StateDown: DownAfter consecutive probes failed; the peer is probed
+	// StateDown: downAfter consecutive probes failed; the peer is probed
 	// on an exponential backoff with jitter so a flapping or dead machine
 	// stops eating probe (and lease) attempts.
 	StateDown State = "down"
 )
+
+// downAfter is how many consecutive probe failures turn a suspect member
+// down.
+const downAfter = 3
 
 // Options tunes a Registry. The zero value is production-ready for a
 // passive daemon (no self URL, no seeds).
@@ -62,9 +66,6 @@ type Options struct {
 	// suspect members are probed every interval; down members wait out
 	// their backoff first.
 	ProbeInterval time.Duration
-	// DownAfter is how many consecutive probe failures turn a suspect
-	// member down (default 3).
-	DownAfter int
 	// BackoffMax caps the down-member probe backoff (default 2m). The
 	// backoff starts at ProbeInterval and doubles per failed probe, with
 	// jitter in [backoff/2, backoff] so a cluster restarted in unison
@@ -80,12 +81,6 @@ type Options struct {
 	// (and the scheduler can never place a job on it). 0 disables
 	// tombstoning — down members are probed at the backoff cap forever.
 	TombstoneAfter time.Duration
-	// LeaseExpiry drops job leases that an alive owner stopped
-	// refreshing (job finished elsewhere and the DropLease never
-	// reached us, or the owner's scheduler died). Leases whose owner is
-	// down or gone are deliberately kept — they are what adoption feeds
-	// on. Default 6× ProbeInterval.
-	LeaseExpiry time.Duration
 }
 
 // member is the registry's record of one peer.
@@ -115,7 +110,8 @@ type member struct {
 	// rejection (bad advertise URL) is logged once, not every cycle.
 	lastHelloErr string
 	// instanceID is the peer's per-process identity as last observed by
-	// a successful probe ("" until then, or for non-sweepd endpoints).
+	// a successful probe ("" until then, or when its payload did not
+	// decode).
 	instanceID string
 	// gen counts externally driven state changes (hello, lease-failure
 	// report). A probe cycle snapshots it before dialing and discards
@@ -133,34 +129,24 @@ type member struct {
 	downSince time.Time
 }
 
-// probeReply is what a successful health probe learns about a peer: its
-// per-process identity and (when the endpoint serves one) its capacity
-// snapshot.
-type probeReply struct {
-	instanceID string
-	load       *sweepd.LoadInfo
-}
-
-// transport abstracts the three peer RPCs so the state-machine tests can
+// transport abstracts the two peer RPCs so the state-machine tests can
 // drive transitions without real HTTP.
 type transport interface {
-	// probe checks liveness (GET /healthz); err == nil means alive. The
-	// reply's instance ID ("" if the endpoint serves none) identifies
-	// the process behind the URL; its load is the peer's capacity
-	// snapshot (nil if the endpoint serves none).
-	probe(url string) (probeReply, error)
-	// hello announces self to url (POST /peer/hello); the response
-	// carries the receiver's full gossip payload (members, leases,
-	// tombstones), so a hello doubles as a gossip pull.
-	hello(url, self string) (*sweepd.MembersResponse, error)
-	// members pulls url's gossip payload (GET /peer/members).
+	// members pulls url's gossip payload (GET /peer/members), which is
+	// also the health probe: err == nil means alive. The payload is nil
+	// when a 2xx answer did not decode; otherwise its instance ID
+	// identifies the process behind the URL and its load is the peer's
+	// capacity snapshot.
 	members(url string) (*sweepd.MembersResponse, error)
+	// hello announces self to url (POST /peer/hello); the response
+	// carries the receiver's gossip payload, nil when it did not decode.
+	hello(url, self string) (*sweepd.MembersResponse, error)
 }
 
-// Registry tracks live cluster membership: it probes every known peer's
-// /healthz on a background loop, applies exponential backoff to down
-// peers, learns new members from hellos and one-hop gossip (pulling
-// /peer/members from each alive peer), and announces Self to peers it
+// Registry tracks live cluster membership: it pulls every known peer's
+// /peer/members on a background loop — the pull is both the health probe
+// and one-hop gossip — applies exponential backoff to down peers, learns
+// new members from hellos and gossip, and announces Self to peers it
 // probes. It implements sweepd.Cluster for the HTTP layer, sched.Cluster
 // for the scheduler and shard.PeerSource for the lease pool.
 // A Registry is safe for concurrent use.
@@ -209,6 +195,8 @@ type Registry struct {
 	// leases is the job-leadership table, keyed by job ID, merged from
 	// local heartbeats, claim posts, and gossip under the generation
 	// guard. seen (not the lease's own Updated stamp) feeds staleness.
+	// A lease leaves only when its owner withdraws it: DropLease for our
+	// own, the owner's next gossip payload for a peer's.
 	leases map[string]*leaseRec
 	// tombs maps decommissioned URLs to their tombstone expiry.
 	tombs map[string]time.Time
@@ -237,17 +225,11 @@ func New(opts Options) *Registry {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 5 * time.Second
 	}
-	if opts.DownAfter <= 0 {
-		opts.DownAfter = 3
-	}
 	if opts.BackoffMax <= 0 {
 		opts.BackoffMax = 2 * time.Minute
 	}
 	if opts.BackoffMax < opts.ProbeInterval {
 		opts.BackoffMax = opts.ProbeInterval
-	}
-	if opts.LeaseExpiry <= 0 {
-		opts.LeaseExpiry = 6 * opts.ProbeInterval
 	}
 	r := &Registry{
 		opts:       opts,
@@ -267,9 +249,9 @@ func New(opts Options) *Registry {
 		r.selfURLs[r.self] = true
 	}
 	r.ctx, r.cancel = context.WithCancel(context.Background())
-	// Each probe, hello, and member pull gets ProbeInterval — floored at
-	// 3s so an aggressive cadence never makes healthy loopback round-trips
-	// look dead — so one black-holed peer cannot stall a probe cycle.
+	// Each member pull and hello gets ProbeInterval — floored at 3s so an
+	// aggressive cadence never makes healthy loopback round-trips look
+	// dead — so one black-holed peer cannot stall a probe cycle.
 	r.probe = &httpTransport{ctx: r.ctx, timeout: max(opts.ProbeInterval, 3*time.Second)}
 	for _, s := range sweepd.NormalizePeerURLs(opts.Seeds) {
 		if r.selfURLs[s] {
@@ -615,17 +597,18 @@ func (r *Registry) ReportLeaseFailure(url string) {
 	}
 	m.state = StateSuspect
 	// next stays where the last probe left it, about one tick away: the
-	// demotion is a damper, and a woken cycle re-probing a peer whose
-	// /healthz is fine would cancel it.
+	// demotion is a damper, and a woken cycle re-probing a peer that
+	// still answers its member pull would cancel it.
 	m.helloed = false
 	m.gen++
 	slog.Warn("cluster: member suspect after a failed lease", "member", url, "was", StateAlive)
 }
 
-// cycle runs one probe cycle: dial every due member's /healthz
-// concurrently, apply the state transitions, announce Self to newly
-// confirmed peers, and merge their member lists (one-hop gossip). A
-// woken cycle is the same pipeline over a narrower due set.
+// cycle runs one probe cycle: pull every due member's gossip payload
+// concurrently — the pull is the health probe — announce Self to newly
+// confirmed peers, apply the state transitions, and merge the payloads
+// (one-hop gossip). A woken cycle is the same pipeline over a narrower
+// due set.
 func (r *Registry) cycle(woken bool) {
 	now := r.now()
 	r.mu.Lock()
@@ -657,8 +640,6 @@ func (r *Registry) cycle(woken bool) {
 
 	type outcome struct {
 		ok       bool
-		id       string
-		load     *sweepd.LoadInfo
 		helloed  bool
 		helloErr string
 		learned  *sweepd.MembersResponse
@@ -671,28 +652,22 @@ func (r *Registry) cycle(woken bool) {
 			defer wg.Done()
 			url := urls[i]
 			r.probes.Add(1)
-			reply, err := r.probe.probe(url)
+			mr, err := r.probe.members(url)
 			if err != nil {
 				r.probeFailures.Add(1)
 				return
 			}
-			res := outcome{ok: true, id: reply.instanceID, load: reply.load}
-			gossiped := false
+			res := outcome{ok: true, learned: mr}
 			if needHello[i] {
-				if mr, herr := r.probe.hello(url, self); herr == nil {
-					// The hello response carries the gossip payload, so a
-					// successful announcement doubles as this cycle's
-					// gossip pull.
+				if hr, herr := r.probe.hello(url, self); herr == nil {
 					res.helloed = true
-					res.learned = mr
-					gossiped = true
+					if hr != nil {
+						// The hello's reply is the same payload, newer: it
+						// already lists us.
+						res.learned = hr
+					}
 				} else {
 					res.helloErr = herr.Error()
-				}
-			}
-			if !gossiped {
-				if mr, merr := r.probe.members(url); merr == nil {
-					res.learned = mr
 				}
 			}
 			results[i] = res
@@ -713,7 +688,11 @@ func (r *Registry) cycle(woken bool) {
 		}
 		res := results[i]
 		if res.ok {
-			if res.id != "" && res.id == r.instanceID {
+			var id string
+			if res.learned != nil {
+				id = res.learned.InstanceID
+			}
+			if id != "" && id == r.instanceID {
 				// The member answered with our own instance ID: it is this
 				// very daemon behind a URL we did not know was ours (a
 				// non-advertising daemon's URL travels back via gossip from
@@ -724,15 +703,15 @@ func (r *Registry) cycle(woken bool) {
 				delete(r.members, m.url)
 				continue
 			}
-			if m.instanceID != "" && res.id != m.instanceID {
+			if m.instanceID != "" && id != m.instanceID {
 				// Same URL, new process: the peer restarted without
 				// missing a probe, so its member table (and our hello) is
 				// gone — re-announce next cycle.
 				m.helloed = false
 			}
-			m.instanceID = res.id
-			if res.load != nil {
-				m.load = *res.load
+			m.instanceID = id
+			if res.learned != nil && res.learned.Load != nil {
+				m.load = *res.learned.Load
 				m.hasLoad = true
 			}
 			if m.state == StateDown {
@@ -766,7 +745,7 @@ func (r *Registry) cycle(woken bool) {
 		// Any failure invalidates our standing announcement: if the peer
 		// is restarting right now, the new process will not know us.
 		m.helloed = false
-		if m.fails < r.opts.DownAfter {
+		if m.fails < downAfter {
 			if m.state != StateSuspect {
 				slog.Warn("cluster: member suspect after a failed probe", "member", m.url, "was", m.state)
 			}
@@ -907,8 +886,8 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 }
 
 // maintainLocked runs the per-cycle housekeeping: decommission members
-// that have been down past TombstoneAfter, expire tombstones, and drop
-// leases an alive owner stopped refreshing. Caller holds r.mu.
+// that have been down past TombstoneAfter, expire tombstones, and forget
+// the replica ads of members that left. Caller holds r.mu.
 func (r *Registry) maintainLocked(now time.Time) {
 	if ta := r.opts.TombstoneAfter; ta > 0 {
 		for u, m := range r.members {
@@ -937,20 +916,6 @@ func (r *Registry) maintainLocked(now time.Time) {
 			delete(r.replicas, u)
 		}
 	}
-	for id, rec := range r.leases {
-		owner := rec.lease.Owner
-		ownerPresent := owner == r.self
-		if m := r.members[owner]; m != nil && m.state != StateDown {
-			ownerPresent = true
-		}
-		// A lease whose owner is down or gone is exactly what adoption
-		// feeds on — only leases an apparently healthy owner stopped
-		// refreshing are garbage.
-		if ownerPresent && now.Sub(rec.seen) >= r.opts.LeaseExpiry {
-			delete(r.leases, id)
-			slog.Info("cluster: lease expired unrefreshed", "job", id, "owner", owner)
-		}
-	}
 }
 
 // httpTransport is the production transport: the shared peer client, each
@@ -960,48 +925,27 @@ type httpTransport struct {
 	timeout time.Duration
 }
 
-func (t *httpTransport) probe(url string) (probeReply, error) {
-	ctx, cancel := context.WithTimeout(t.ctx, t.timeout)
-	defer cancel()
-	// The instance ID and load snapshot ride in the healthz payload; a
-	// daemon without them (or a non-sweepd endpoint) just probes as
-	// alive with no identity and unknown capacity.
-	var payload struct {
-		Cluster struct {
-			InstanceID string `json:"instance_id"`
-		} `json:"cluster"`
-		Load *sweepd.LoadInfo `json:"load"`
-	}
-	status, err := sweepd.Peer.JSON(ctx, http.MethodGet, url+"/healthz", nil, &payload, 1<<20, 0)
-	if status == 0 {
-		return probeReply{}, err
-	}
-	if err != nil {
-		return probeReply{}, nil //nolint:nilerr // a 2xx with an odd body is still alive
-	}
-	return probeReply{instanceID: payload.Cluster.InstanceID, load: payload.Load}, nil
+func (t *httpTransport) members(url string) (*sweepd.MembersResponse, error) {
+	return t.call(http.MethodGet, url+"/peer/members", nil)
 }
 
 func (t *httpTransport) hello(url, self string) (*sweepd.MembersResponse, error) {
+	return t.call(http.MethodPost, url+"/peer/hello", sweepd.HelloRequest{AdvertiseURL: self})
+}
+
+// call sends one gossip call and decodes the payload it answers with. Any
+// 2xx is success; a payload that did not decode comes back nil, so only
+// a decoded one is ever merged.
+func (t *httpTransport) call(method, url string, in any) (*sweepd.MembersResponse, error) {
 	ctx, cancel := context.WithTimeout(t.ctx, t.timeout)
 	defer cancel()
-	// The response is the receiver's gossip payload — the announcer's
-	// first gossip pull.
-	var mr sweepd.MembersResponse
-	status, err := sweepd.Peer.JSON(ctx, http.MethodPost, url+"/peer/hello", sweepd.HelloRequest{AdvertiseURL: self}, &mr, 4<<20, 0)
+	mr := new(sweepd.MembersResponse)
+	status, err := sweepd.Peer.JSON(ctx, method, url, in, mr, 4<<20, 0)
 	if status == 0 {
 		return nil, err
 	}
 	if err != nil {
-		return nil, nil //nolint:nilerr // announced fine; just no table to merge
+		return nil, nil //nolint:nilerr // a 2xx with an odd body is still alive
 	}
-	return &mr, nil
-}
-
-func (t *httpTransport) members(url string) (*sweepd.MembersResponse, error) {
-	ctx, cancel := context.WithTimeout(t.ctx, t.timeout)
-	defer cancel()
-	mr := new(sweepd.MembersResponse)
-	_, err := sweepd.Peer.JSON(ctx, http.MethodGet, url+"/peer/members", nil, mr, 4<<20, 0)
-	return mr, err
+	return mr, nil
 }

@@ -71,20 +71,12 @@ func (t *fakeTransport) setLoad(url string, l sweepd.LoadInfo) {
 	t.loads[url] = &l
 }
 
-func (t *fakeTransport) probe(url string) (probeReply, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.probed[url]++
-	if t.up[url] {
-		return probeReply{instanceID: t.ids[url], load: t.loads[url]}, nil
-	}
-	return probeReply{}, errors.New("unreachable")
-}
-
 // payload assembles url's gossip payload the way the real endpoint
 // would. Caller holds t.mu.
 func (t *fakeTransport) payload(url string) *sweepd.MembersResponse {
 	mr := &sweepd.MembersResponse{
+		InstanceID: t.ids[url],
+		Load:       t.loads[url],
 		Leases:     t.leases[url],
 		Tombstones: t.tombs[url],
 	}
@@ -105,9 +97,14 @@ func (t *fakeTransport) hello(url, self string) (*sweepd.MembersResponse, error)
 	return t.payload(url), nil
 }
 
+// members is the pull, and so the probe: an unreachable URL fails it.
 func (t *fakeTransport) members(url string) (*sweepd.MembersResponse, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.probed[url]++
+	if !t.up[url] {
+		return nil, errors.New("unreachable")
+	}
 	return t.payload(url), nil
 }
 
@@ -143,8 +140,16 @@ func stateOf(t *testing.T, r *Registry, url string) State {
 
 const peerA = "http://a:1"
 
+// failUntilDown runs the downAfter tick cycles, all at the current fake
+// instant, that take an unreachable alive member down.
+func failUntilDown(r *Registry) {
+	for range downAfter {
+		r.probeOnce()
+	}
+}
+
 // TestSeedLifecycle walks one seed through the full state machine:
-// optimistically alive, suspect on first failure, down after DownAfter
+// optimistically alive, suspect on first failure, down after three
 // consecutive failures, probe attempts spaced by a doubling capped
 // backoff, and readmission the moment a probe succeeds.
 func TestSeedLifecycle(t *testing.T) {
@@ -152,7 +157,6 @@ func TestSeedLifecycle(t *testing.T) {
 	r, now := testRegistry(Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     3,
 		BackoffMax:    40 * time.Second,
 	}, tr)
 
@@ -243,13 +247,12 @@ func TestFlappingPeerBackoffAndReadmission(t *testing.T) {
 	r, now := testRegistry(Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: time.Second,
-		DownAfter:     2,
 		BackoffMax:    8 * time.Second,
 	}, tr)
 
 	flaps := 0
 	for cycle := 0; cycle < 3; cycle++ {
-		// Kill: two failed probes take it down.
+		// Kill: three failed probes take it down.
 		tr.setUp(peerA, false)
 		for stateOf(t, r, peerA) != StateDown {
 			*now = now.Add(9 * time.Second)
@@ -277,7 +280,7 @@ func TestFlappingPeerBackoffAndReadmission(t *testing.T) {
 func TestMemberDownIsAWarnWithItsURL(t *testing.T) {
 	logs := captureLog(t)
 	tr := newFakeTransport(peerA)
-	r, now := testRegistry(Options{Seeds: []string{peerA}, ProbeInterval: time.Second, DownAfter: 2}, tr)
+	r, now := testRegistry(Options{Seeds: []string{peerA}, ProbeInterval: time.Second}, tr)
 	r.probeOnce()
 	tr.setUp(peerA, false)
 	for stateOf(t, r, peerA) != StateDown {
@@ -334,11 +337,10 @@ func TestJitterBounds(t *testing.T) {
 		r, now := testRegistry(Options{
 			Seeds:         []string{peerA},
 			ProbeInterval: 10 * time.Second,
-			DownAfter:     1,
 			BackoffMax:    time.Hour,
 		}, tr)
 		r.randf = func() float64 { return frac }
-		r.probeOnce() // peer down, backoff = interval
+		failUntilDown(r) // backoff = interval
 		r.mu.Lock()
 		delay := r.members[peerA].next.Sub(*now)
 		r.mu.Unlock()
@@ -357,7 +359,6 @@ func TestHelloRegistersAlive(t *testing.T) {
 	r, now := testRegistry(Options{
 		Self:          "http://self:1",
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     1,
 	}, tr)
 
 	r.Hello("http://b:2/")
@@ -367,7 +368,7 @@ func TestHelloRegistersAlive(t *testing.T) {
 
 	// Unreachable until it re-announces: down, then hello revives it.
 	*now = now.Add(10 * time.Second)
-	r.probeOnce()
+	failUntilDown(r)
 	if st := stateOf(t, r, "http://b:2"); st != StateDown {
 		t.Fatalf("state after failed probe = %s", st)
 	}
@@ -427,7 +428,6 @@ func TestHelloAnnouncedOncePerEpoch(t *testing.T) {
 		Self:          "http://self:1",
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     1,
 	}, tr)
 
 	r.probeOnce()
@@ -438,7 +438,7 @@ func TestHelloAnnouncedOncePerEpoch(t *testing.T) {
 	}
 	tr.setUp(peerA, false)
 	*now = now.Add(10 * time.Second)
-	r.probeOnce() // down; helloed flag cleared
+	failUntilDown(r) // helloed flag cleared
 	tr.setUp(peerA, true)
 	*now = now.Add(11 * time.Second)
 	r.probeOnce() // readmitted; re-announced
@@ -580,17 +580,17 @@ func TestStaleProbeResultDropped(t *testing.T) {
 	}
 }
 
-// probeHook runs a callback after each probe dial, before the cycle can
-// apply the result.
+// probeHook runs a callback after each probe dial (the member pull),
+// before the cycle can apply the result.
 type probeHook struct {
 	transport
 	after func()
 }
 
-func (p probeHook) probe(url string) (probeReply, error) {
-	reply, err := p.transport.probe(url)
+func (p probeHook) members(url string) (*sweepd.MembersResponse, error) {
+	mr, err := p.transport.members(url)
 	p.after()
-	return reply, err
+	return mr, err
 }
 
 // TestSelfLearnedByGossipIsDropped: a non-advertising daemon's own URL
@@ -668,7 +668,6 @@ func TestSuspectClearsHello(t *testing.T) {
 		Self:          "http://self:1",
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     3,
 	}, tr)
 
 	r.probeOnce() // announce #1
@@ -861,10 +860,35 @@ func TestGossipSpreadsAndWithdrawsLeases(t *testing.T) {
 	}
 }
 
+// TestSelfOwnedLeaseOutlivesProbeCycles: the registry has no lease clock
+// of its own. A lease this daemon owns stays through any number of probe
+// cycles without a heartbeat — its scheduler refreshes it at its own
+// cadence — and leaves when the scheduler drops it.
+func TestSelfOwnedLeaseOutlivesProbeCycles(t *testing.T) {
+	self := "http://self:9"
+	tr := newFakeTransport(peerA)
+	r, now := testRegistry(Options{
+		Self:          self,
+		Seeds:         []string{peerA},
+		ProbeInterval: 100 * time.Millisecond,
+	}, tr)
+	r.UpdateLease(sweepd.JobLease{JobID: "j", Owner: self, Generation: 1})
+	for range 1000 {
+		*now = now.Add(100 * time.Millisecond)
+		r.probeOnce()
+	}
+	if ls := r.Leases(); len(ls) != 1 || ls[0].JobID != "j" {
+		t.Fatalf("self-owned lease after 1000 cycles without a heartbeat: %+v", ls)
+	}
+	r.DropLease("j", 1)
+	if ls := r.Leases(); len(ls) != 0 {
+		t.Fatalf("leases after DropLease = %+v, want none", ls)
+	}
+}
+
 // TestGossipEchoCannotRefreshSelfOwnedLease: our own leases are
-// heartbeat firsthand by the scheduler; when the scheduler stops (the
-// job died with it), an echo of the old lease arriving via gossip must
-// not keep it alive past LeaseExpiry.
+// heartbeat firsthand by the scheduler. A peer echoing one back neither
+// refreshes it nor, once the scheduler dropped it, brings it back.
 func TestGossipEchoCannotRefreshSelfOwnedLease(t *testing.T) {
 	seed := "http://seed:1"
 	self := "http://self:9"
@@ -875,48 +899,41 @@ func TestGossipEchoCannotRefreshSelfOwnedLease(t *testing.T) {
 		Self:          self,
 		Seeds:         []string{seed},
 		ProbeInterval: 10 * time.Second,
-		LeaseExpiry:   30 * time.Second,
 	}, tr)
 	r.UpdateLease(sweepd.JobLease{JobID: "j", Owner: self, Generation: 1})
-	*now = now.Add(31 * time.Second)
-	r.probeOnce() // pulls the echo, then expires the lease
+	t0 := *now
+	*now = now.Add(10 * time.Second)
+	r.probeOnce() // pulls the echo
+	if ls := r.Leases(); len(ls) != 1 || !ls[0].Updated.Equal(t0) {
+		t.Fatalf("echo refreshed the self-owned lease: %+v, want Updated %v", ls, t0)
+	}
+	r.DropLease("j", 1)
+	*now = now.Add(10 * time.Second)
+	r.probeOnce() // the seed still echoes it
 	if ls := r.Leases(); len(ls) != 0 {
-		t.Fatalf("echoed self-owned lease survived expiry: %+v", ls)
+		t.Fatalf("echo brought back a dropped self-owned lease: %+v", ls)
 	}
 }
 
-// TestLeaseExpiryOnlyForHealthyOwners: a lease whose owner looks
-// healthy but stopped refreshing is garbage-collected; a lease whose
-// owner is down is adoption fuel and must be kept indefinitely.
+// TestLeaseExpiryOnlyForHealthyOwners: a lease whose owner is down is
+// adoption fuel, so no number of cycles without a refresh removes it.
 func TestLeaseExpiryOnlyForHealthyOwners(t *testing.T) {
 	tr := newFakeTransport() // peerA never reachable
 	r, now := testRegistry(Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     3,
-		LeaseExpiry:   30 * time.Second,
 	}, tr)
-	r.UpdateLease(sweepd.JobLease{JobID: "j1", Owner: peerA, Generation: 1})
-	r.probeOnce() // failure 1: suspect — still "apparently healthy"
-	*now = now.Add(31 * time.Second)
-	r.probeOnce() // failure 2: still suspect; lease is 31s unrefreshed
-	if st := stateOf(t, r, peerA); st != StateSuspect {
-		t.Fatalf("state = %s, want suspect", st)
-	}
-	if ls := r.Leases(); len(ls) != 0 {
-		t.Fatalf("suspect-owner lease survived expiry: %+v", ls)
-	}
-
-	*now = now.Add(10 * time.Second)
-	r.probeOnce() // failure 3: down
+	r.UpdateLease(sweepd.JobLease{JobID: "j", Owner: peerA, Generation: 1})
+	failUntilDown(r)
 	if st := stateOf(t, r, peerA); st != StateDown {
 		t.Fatalf("state = %s, want down", st)
 	}
-	r.UpdateLease(sweepd.JobLease{JobID: "j2", Owner: peerA, Generation: 1})
-	*now = now.Add(10 * time.Minute)
-	r.probeOnce()
-	if ls := r.Leases(); len(ls) != 1 || ls[0].JobID != "j2" {
-		t.Fatalf("down-owner lease was expired (adoption starved): %+v", ls)
+	for range 10 {
+		*now = now.Add(10 * time.Minute)
+		r.probeOnce()
+	}
+	if ls := r.Leases(); len(ls) != 1 || ls[0].JobID != "j" {
+		t.Fatalf("down-owner lease was dropped (adoption starved): %+v", ls)
 	}
 }
 
@@ -932,14 +949,13 @@ func TestTombstoneLifecycle(t *testing.T) {
 		Self:           "http://self:9",
 		Seeds:          []string{seed, peerA},
 		ProbeInterval:  10 * time.Second,
-		DownAfter:      1,
 		BackoffMax:     10 * time.Second,
 		TombstoneAfter: 30 * time.Second,
 	}, tr)
 	r.probeOnce() // both alive
 	tr.setUp(peerA, false)
 	*now = now.Add(10 * time.Second)
-	r.probeOnce() // down immediately (DownAfter 1)
+	failUntilDown(r)
 	if st := stateOf(t, r, peerA); st != StateDown {
 		t.Fatalf("state = %s, want down", st)
 	}
@@ -978,7 +994,7 @@ func TestTombstoneLifecycle(t *testing.T) {
 
 	// Decommission again; this time let the tombstone expire unlifted.
 	*now = now.Add(10 * time.Second)
-	r.probeOnce() // still unreachable: down again
+	failUntilDown(r) // still unreachable: down again
 	*now = now.Add(30 * time.Second)
 	r.probeOnce() // tombstoned again
 	if len(r.Tombstones()) != 1 {
@@ -1015,7 +1031,6 @@ func TestGossipedTombstoneDecommissions(t *testing.T) {
 	r, now := testRegistry(Options{
 		Seeds:         []string{seed, b},
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     1,
 	}, tr)
 	r.probeOnce()
 	if st := stateOf(t, r, b); st != StateAlive {
@@ -1027,9 +1042,9 @@ func TestGossipedTombstoneDecommissions(t *testing.T) {
 
 	tr.setUp(b, false)
 	*now = now.Add(10 * time.Second)
-	r.probeOnce() // b down
+	r.probeOnce() // b suspect: no longer vouched for firsthand
 	*now = now.Add(10 * time.Second)
-	r.probeOnce() // next gossip pull: tombstone adopted, member deleted
+	r.probeOnce() // next gossip pull at the latest: tombstone adopted, member deleted
 	for _, m := range r.Members() {
 		if m.URL == b {
 			t.Fatalf("down member survived a gossiped tombstone: %+v", m)

@@ -30,7 +30,7 @@ type meshNet struct {
 	urls  []string          // creation order; settle's fixed schedule
 	loads map[string]int    // what each member's SelfLoad reports
 	cut   map[string]bool   // partitioned members: no call in or out
-	dials map[[2]string]int // {from, to} → health probes dialed
+	dials map[[3]string]int // {from, to, call} → calls dialed
 	clock time.Time         // shared fake clock of hand-played nets
 	// changed has one slot: a finished cycle leaves a token, so a waiter
 	// that checks its condition and then blocks cannot miss the cycle
@@ -43,7 +43,7 @@ func newMeshNet() *meshNet {
 		regs:    make(map[string]*Registry),
 		loads:   make(map[string]int),
 		cut:     make(map[string]bool),
-		dials:   make(map[[2]string]int),
+		dials:   make(map[[3]string]int),
 		clock:   time.Date(2026, 7, 28, 0, 0, 0, 0, time.UTC),
 		changed: make(chan struct{}, 1),
 	}
@@ -110,31 +110,35 @@ func (n *meshNet) setLoad(url string, depth int) {
 	n.loads[url] = depth
 }
 
-// takeDials returns the probes dialed since the last call, per
-// {from, to}, and starts a new count.
-func (n *meshNet) takeDials() map[[2]string]int {
+// The two calls a member dials, as dial-count keys.
+const (
+	pull  = "GET /peer/members"
+	hello = "POST /peer/hello"
+)
+
+// takeDials returns every call dialed since the last take, per
+// {from, to, call}, and starts a new count.
+func (n *meshNet) takeDials() map[[3]string]int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	out := n.dials
-	n.dials = make(map[[2]string]int)
+	n.dials = make(map[[3]string]int)
 	return out
 }
 
-// peer resolves a call from → to; nil when either end is partitioned or
-// nobody listens at to.
-func (n *meshNet) peer(from, to string, probe bool) *Registry {
+// peer counts and resolves a call from → to; nil when either end is
+// partitioned or nobody listens at to.
+func (n *meshNet) peer(from, to, call string) *Registry {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if probe {
-		n.dials[[2]string{from, to}]++
-	}
+	n.dials[[3]string{from, to, call}]++
 	if n.cut[from] || n.cut[to] {
 		return nil
 	}
 	return n.regs[to]
 }
 
-// meshTransport is one member's view of the net: the three peer RPCs
+// meshTransport is one member's view of the net: the two peer RPCs
 // answered by the target Registry itself, the way its HTTP handlers do.
 type meshTransport struct {
 	net  *meshNet
@@ -143,17 +147,16 @@ type meshTransport struct {
 
 var errUnreachable = errors.New("unreachable")
 
-func (t meshTransport) probe(url string) (probeReply, error) {
-	p := t.net.peer(t.from, url, true)
+func (t meshTransport) members(url string) (*sweepd.MembersResponse, error) {
+	p := t.net.peer(t.from, url, pull)
 	if p == nil {
-		return probeReply{}, errUnreachable
+		return nil, errUnreachable
 	}
-	l := p.opts.SelfLoad()
-	return probeReply{instanceID: p.instanceID, load: &l}, nil
+	return gossipOf(p), nil
 }
 
 func (t meshTransport) hello(url, self string) (*sweepd.MembersResponse, error) {
-	p := t.net.peer(t.from, url, false)
+	p := t.net.peer(t.from, url, hello)
 	if p == nil {
 		return nil, errUnreachable
 	}
@@ -161,16 +164,15 @@ func (t meshTransport) hello(url, self string) (*sweepd.MembersResponse, error) 
 	return gossipOf(p), nil
 }
 
-func (t meshTransport) members(url string) (*sweepd.MembersResponse, error) {
-	p := t.net.peer(t.from, url, false)
-	if p == nil {
-		return nil, errUnreachable
-	}
-	return gossipOf(p), nil
-}
-
 func gossipOf(p *Registry) *sweepd.MembersResponse {
-	return &sweepd.MembersResponse{Members: p.Members(), Leases: p.Leases(), Tombstones: p.Tombstones()}
+	l := p.opts.SelfLoad()
+	return &sweepd.MembersResponse{
+		InstanceID: p.instanceID,
+		Load:       &l,
+		Members:    p.Members(),
+		Leases:     p.Leases(),
+		Tombstones: p.Tombstones(),
+	}
 }
 
 // waitFor blocks until cond holds, re-checking after every finished
@@ -303,9 +305,9 @@ func playedMesh(t *testing.T, size int, opts Options) *meshNet {
 }
 
 // TestMeshJoinDialsOnlyTheJoiner is the cost bound of a join: each
-// existing member runs one woken cycle that dials the joiner once and
-// nobody else, the joiner dials each member once, and the hello back
-// from each member wakes nothing.
+// existing member runs one woken cycle that pulls and greets the joiner
+// once each and calls nobody else, the joiner does the same to each
+// member, and the hello back from each member wakes nothing.
 func TestMeshJoinDialsOnlyTheJoiner(t *testing.T) {
 	for _, size := range []int{3, 8} {
 		t.Run(fmt.Sprintf("n=%d", size), func(t *testing.T) {
@@ -322,11 +324,11 @@ func TestMeshJoinDialsOnlyTheJoiner(t *testing.T) {
 				if from, to := k[0], k[1]; from != joiner && to != joiner {
 					t.Errorf("%s dialed %s %d times during a join of %s", from, to, d, joiner)
 				} else if d != 1 {
-					t.Errorf("%s dialed %s %d times during the join, want 1", from, to, d)
+					t.Errorf("%s sent %s to %s %d times during the join, want 1", from, k[2], to, d)
 				}
 			}
-			if len(dials) != 2*size {
-				t.Errorf("%d pairs dialed during the join, want the joiner and each of %d members both ways", len(dials), size)
+			if len(dials) != 4*size {
+				t.Errorf("%d calls dialed during the join, want a pull and a hello between the joiner and each of %d members, both ways", len(dials), size)
 			}
 			for i := 0; i < size; i++ {
 				if got := ran[meshURL(i)]; got != 1 {
@@ -342,15 +344,57 @@ func TestMeshJoinDialsOnlyTheJoiner(t *testing.T) {
 	}
 }
 
+// TestMeshTickIsOneCallPerPair is the steady-state cost of membership: a
+// formed three-member mesh makes one call per ordered member pair per
+// tick — the member pull, which is the health probe — and no hello, since
+// each member greeted each other exactly once when their aliveness epoch
+// began.
+func TestMeshTickIsOneCallPerPair(t *testing.T) {
+	const size, ticks = 3, 5
+	net := playedMesh(t, size, Options{ProbeInterval: time.Hour})
+	hellos := 0
+	for k, d := range net.takeDials() {
+		if k[2] != hello {
+			continue
+		}
+		hellos++
+		if d != 1 {
+			t.Errorf("%s greeted %s %d times while the mesh formed, want 1", k[0], k[1], d)
+		}
+	}
+	if hellos != size*(size-1) {
+		t.Errorf("%d ordered pairs greeted while the mesh formed, want %d", hellos, size*(size-1))
+	}
+
+	for range ticks {
+		net.advance(time.Hour)
+		for _, u := range net.urls {
+			net.regs[u].probeOnce()
+		}
+		if ran := net.settle(); len(ran) != 0 {
+			t.Fatalf("a tick in a formed mesh woke %v", ran)
+		}
+	}
+	dials := net.takeDials()
+	for k, d := range dials {
+		if k[2] != pull || d != ticks {
+			t.Errorf("%s sent %s to %s %d times over %d ticks, want only the pull, once a tick", k[0], k[2], k[1], d, ticks)
+		}
+	}
+	if len(dials) != size*(size-1) {
+		t.Errorf("%d calls dialed over %d ticks, want the pull for each of %d ordered pairs", len(dials), ticks, size*(size-1))
+	}
+}
+
 // TestMeshPartitionAndHeal is generate / disconnect / assert / reconnect
-// on a played mesh: a partitioned member goes down on the others' next
-// tick, a join meanwhile dials neither it (inside its backoff) nor any
-// alive member (next ahead), and when the partition heals the member's
-// re-hello revives it everywhere with one probe each — its load unknown
-// in between, never the stale one.
+// on a played mesh: a partitioned member goes down after the others'
+// next three ticks, a join meanwhile dials neither it (inside its
+// backoff) nor any alive member (next ahead), and when the partition
+// heals the member's re-hello revives it everywhere with one pull and one
+// hello each — its load unknown in between, never the stale one.
 func TestMeshPartitionAndHeal(t *testing.T) {
 	const size = 5
-	opts := Options{ProbeInterval: time.Hour, DownAfter: 1, BackoffMax: 8 * time.Hour}
+	opts := Options{ProbeInterval: time.Hour, BackoffMax: 8 * time.Hour}
 	net := playedMesh(t, size, opts)
 	lost := meshURL(2)
 	// The lost member's own backoff runs out first (no jitter against the
@@ -359,12 +403,14 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 	net.regs[lost].randf = func() float64 { return 0 }
 
 	net.setCut(lost, true)
-	net.advance(time.Hour)
-	for _, u := range net.urls {
-		net.regs[u].probeOnce() // the tick: the survivors mark it down, it marks them
-	}
-	if ran := net.settle(); len(ran) != 0 {
-		t.Fatalf("a tick with nobody new woke %v", ran)
+	for range downAfter {
+		net.advance(time.Hour)
+		for _, u := range net.urls {
+			net.regs[u].probeOnce() // the ticks: the survivors mark it down, it marks them
+		}
+		if ran := net.settle(); len(ran) != 0 {
+			t.Fatalf("a tick with nobody new woke %v", ran)
+		}
 	}
 	if miss := net.missing(); len(miss) != 0 {
 		t.Fatalf("survivors are not a mesh: %v", miss)
@@ -388,6 +434,15 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 	if miss := net.missing(); len(miss) != 0 {
 		t.Fatalf("after a join beside a down member: %v", miss)
 	}
+	// The joiner's one dial of the partitioned member failed; its own
+	// ticks take it down, as everyone else's did.
+	for range downAfter - 1 {
+		net.regs[joiner].probeOnce()
+	}
+	if st := stateOf(t, net.regs[joiner], lost); st != StateDown {
+		t.Fatalf("the joiner holds the partitioned member %s, want down", st)
+	}
+	net.takeDials()
 
 	// Heal. The member comes back busier than it left; its next tick
 	// finds everyone again and re-announces (a failed probe voided its
@@ -413,7 +468,7 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 	if miss := net.missing(); len(miss) != 0 {
 		t.Fatalf("after the heal: %v", miss)
 	}
-	revivers := 0
+	revivers := make(map[string]bool)
 	for k, d := range net.takeDials() {
 		from, to := k[0], k[1]
 		switch {
@@ -421,13 +476,13 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 		case to != lost:
 			t.Errorf("%s dialed %s %d times while reviving %s", from, to, d, lost)
 		case d != 1:
-			t.Errorf("%s dialed the revived member %d times, want 1", from, d)
+			t.Errorf("%s sent the revived member %s %d times, want 1", from, k[2], d)
 		default:
-			revivers++
+			revivers[from] = true
 		}
 	}
-	if revivers != size {
-		t.Errorf("%d members probed the revived one, want all %d", revivers, size)
+	if len(revivers) != size {
+		t.Errorf("%d members probed the revived one, want all %d", len(revivers), size)
 	}
 }
 
@@ -442,9 +497,9 @@ func TestWakeDialsOnlyDueMembers(t *testing.T) {
 	r, now := testRegistry(Options{
 		Seeds:         []string{alive, damped, dead},
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     1,
 	}, tr)
-	r.probeOnce() // alive, damped: alive; dead: down, backoff 10s
+	const boot = downAfter
+	failUntilDown(r) // alive, damped: alive; dead: down, backoff 10s
 	r.ReportLeaseFailure(damped)
 	*now = now.Add(5 * time.Second)
 	r.Hello(fresh)
@@ -453,7 +508,7 @@ func TestWakeDialsOnlyDueMembers(t *testing.T) {
 	}
 	<-r.wake
 	r.cycle(true)
-	for url, want := range map[string]int{alive: 1, damped: 1, dead: 1, fresh: 1} {
+	for url, want := range map[string]int{alive: boot, damped: boot, dead: boot, fresh: 1} {
 		if got := tr.probeCount(url); got != want {
 			t.Errorf("after the woken cycle %s was probed %d times, want %d", url, got, want)
 		}
@@ -463,7 +518,7 @@ func TestWakeDialsOnlyDueMembers(t *testing.T) {
 	}
 	// The same instant, a tick: today's rule, untouched.
 	r.probeOnce()
-	for url, want := range map[string]int{alive: 2, damped: 2, dead: 1, fresh: 2} {
+	for url, want := range map[string]int{alive: boot + 1, damped: boot + 1, dead: boot, fresh: 2} {
 		if got := tr.probeCount(url); got != want {
 			t.Errorf("after the tick %s was probed %d times, want %d", url, got, want)
 		}
@@ -471,11 +526,11 @@ func TestWakeDialsOnlyDueMembers(t *testing.T) {
 	// A wake once the backoff has run out takes the down member too.
 	*now = now.Add(5 * time.Second)
 	r.cycle(true)
-	if got := tr.probeCount(dead); got != 2 {
-		t.Errorf("down member past its backoff probed %d times, want 2", got)
+	if got := tr.probeCount(dead); got != boot+1 {
+		t.Errorf("down member past its backoff probed %d times, want %d", got, boot+1)
 	}
-	if got := tr.probeCount(alive); got != 2 {
-		t.Errorf("alive member with next ahead probed %d times, want 2", got)
+	if got := tr.probeCount(alive); got != boot+1 {
+		t.Errorf("alive member with next ahead probed %d times, want %d", got, boot+1)
 	}
 }
 
@@ -537,7 +592,6 @@ func TestWakeRefillsRevivedMembersLoad(t *testing.T) {
 		Self:          "http://self:1",
 		Seeds:         []string{b},
 		ProbeInterval: 10 * time.Second,
-		DownAfter:     1,
 	}, tr)
 	r.probeOnce()
 	if l := r.AliveLoads(); len(l) != 1 || l[0].Load.QueueDepth != 7 {
@@ -545,7 +599,7 @@ func TestWakeRefillsRevivedMembersLoad(t *testing.T) {
 	}
 	tr.setUp(b, false)
 	*now = now.Add(10 * time.Second)
-	r.probeOnce()
+	failUntilDown(r)
 	if st := stateOf(t, r, b); st != StateDown {
 		t.Fatalf("state = %s, want down", st)
 	}

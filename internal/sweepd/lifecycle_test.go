@@ -254,7 +254,7 @@ func TestRateLimit429RetryAfter(t *testing.T) {
 	mgr := NewManager(store, nil, 1)
 	mgr.now = clk.Now
 	t.Cleanup(mgr.Close)
-	_, root := buildHandler(mgr, Config{ReadRate: 1, MutateRate: 1, now: clk.Now})
+	_, root := buildHandler(mgr, Config{Rate: 1, now: clk.Now})
 	srv := httptest.NewServer(root)
 	t.Cleanup(srv.Close)
 

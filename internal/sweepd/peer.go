@@ -83,9 +83,10 @@ func ValidPeerURL(s string) bool {
 	return err == nil && (u.Scheme == "http" || u.Scheme == "https") && u.Host != ""
 }
 
-// LoadInfo is one daemon's capacity snapshot, advertised in /healthz and
-// gossiped with the member table so every member can rank placement
-// targets without extra RPCs. All three fields come from ManagerStats.
+// LoadInfo is one daemon's capacity snapshot, served at the head of its
+// GET /peer/members payload (and in /healthz) and gossiped with the
+// member table, so every member can rank placement targets without extra
+// RPCs. All three fields come from ManagerStats.
 type LoadInfo struct {
 	// QueueDepth is the number of running jobs contending for the worker
 	// gate — the primary placement signal (a daemon with fewer whole jobs
@@ -242,8 +243,13 @@ type ReplicaStats struct {
 // MembersResponse is the GET /peer/members (and POST /peer/hello
 // response) payload. Leases, Tombstones, and Replicas ride along so one
 // gossip pull per cycle carries membership, capacity, job leadership,
-// decommissions, and replica placement at once.
+// decommissions, and replica placement at once — and since that pull is
+// also the health probe, the serving daemon's identity and load head it.
 type MembersResponse struct {
+	// InstanceID is the serving daemon's ClusterStats.InstanceID; Load is
+	// its live capacity snapshot.
+	InstanceID string       `json:"instance_id,omitempty"`
+	Load       *LoadInfo    `json:"load,omitempty"`
 	Members    []MemberInfo `json:"members"`
 	Leases     []JobLease   `json:"leases,omitempty"`
 	Tombstones []Tombstone  `json:"tombstones,omitempty"`
@@ -255,7 +261,8 @@ type MembersResponse struct {
 // ClusterStats snapshots the membership layer for /healthz and /metrics.
 type ClusterStats struct {
 	// InstanceID is this daemon's random per-process identity. Probes
-	// read it from /healthz to detect two situations a URL alone cannot:
+	// read it from the GET /peer/members payload to detect two situations
+	// a URL alone cannot:
 	// a member that is actually this daemon under an unadvertised URL
 	// (never lease to yourself), and a peer that restarted without
 	// missing a probe (its member table is gone; re-announce to it).

@@ -49,11 +49,15 @@ func (h *handler) peerHello(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.gossipPayload())
 }
 
-// gossipPayload builds the hello/members reply: the member table, job
+// gossipPayload builds the hello/members reply: this daemon's identity
+// and load (what a peer's probe reads), then the member table, job
 // leases and tombstones — the vehicle that spreads leadership state and
 // decommissions cluster-wide.
 func (h *handler) gossipPayload() MembersResponse {
+	load := h.m.Load()
 	mr := MembersResponse{
+		InstanceID: h.cluster.ClusterStats().InstanceID,
+		Load:       &load,
 		Members:    h.cluster.Members(),
 		Leases:     h.cluster.Leases(),
 		Tombstones: h.cluster.Tombstones(),
@@ -72,7 +76,8 @@ func (h *handler) gossipPayload() MembersResponse {
 }
 
 // peerMembers serves GET /peer/members: the member table, self first —
-// the relay half of one-hop gossip (peers poll it each probe cycle).
+// the relay half of one-hop gossip, and the call peers probe this
+// daemon's liveness with each cycle.
 func (h *handler) peerMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.gossipPayload())
 }

@@ -255,6 +255,7 @@ func (f *fakeMembership) Members() []MemberInfo {
 
 func (f *fakeMembership) ClusterStats() ClusterStats {
 	return ClusterStats{
+		InstanceID:     "fake-instance",
 		MembersByState: map[string]int{"alive": len(f.members), "suspect": 0, "down": 0},
 		Probes:         7,
 	}
@@ -340,6 +341,11 @@ func TestPeerHelloAndMembers(t *testing.T) {
 	if len(mr2.Members) != 2 || mr2.Members[1].URL != "http://a:1" {
 		t.Fatalf("members = %+v", mr2.Members)
 	}
+	// The pull is the peers' health probe: it names the serving process
+	// and its capacity.
+	if mr2.InstanceID != "fake-instance" || mr2.Load == nil {
+		t.Fatalf("members payload identity = %q, load = %+v", mr2.InstanceID, mr2.Load)
+	}
 
 	// The cluster section must surface in /healthz and /metrics.
 	resp, err = http.Get(srv.URL + "/healthz")
@@ -420,7 +426,8 @@ func TestNormalizePeerURLs(t *testing.T) {
 
 // TestPeerRateLimitClass: the /peer/* endpoints draw from their own
 // bucket — a peer-rate limit must not throttle interactive reads, and
-// vice versa.
+// vice versa — except GET /peer/members, the liveness probe, which no
+// limit may ever answer with 429.
 func TestPeerRateLimitClass(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -429,10 +436,23 @@ func TestPeerRateLimitClass(t *testing.T) {
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
 	now := time.Now()
-	h, handler := buildHandler(mgr, Config{PeerRate: 1, now: func() time.Time { return now }})
+	_, handler := buildHandler(mgr, Config{PeerRate: 1, Cluster: &fakeMembership{}, now: func() time.Time { return now }})
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
-	_ = h
+	pullMembers := func(when string) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			resp, err := http.Get(srv.URL + "/peer/members")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /peer/members %s, pull %d: status = %d, want 200", when, i+1, resp.StatusCode)
+			}
+		}
+	}
+	pullMembers("before any peer call")
 
 	// First peer request takes the only token (and fails validation —
 	// irrelevant, the limiter runs first); the second must be 429.
@@ -456,6 +476,7 @@ func TestPeerRateLimitClass(t *testing.T) {
 	if r2.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
+	pullMembers("with the peer bucket dry")
 	// Interactive reads are untouched by the drained peer bucket.
 	r3, err := http.Get(srv.URL + "/sweeps")
 	if err != nil {

@@ -51,11 +51,13 @@ func (tb *tokenBucket) allow() (bool, time.Duration) {
 }
 
 // rateLimit classifies each request into an endpoint-class bucket and
-// sheds load with 429 + Retry-After when the bucket is dry. /healthz
-// and /metrics bypass the limiter entirely.
+// sheds load with 429 + Retry-After when the bucket is dry. /healthz,
+// /metrics and /peer/members bypass the limiter entirely: the last is
+// the peers' liveness probe, and a throttled probe would demote a live
+// member.
 func (h *handler) rateLimit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" || r.URL.Path == "/metrics" {
+		if r.URL.Path == "/healthz" || r.URL.Path == "/metrics" || r.URL.Path == "/peer/members" {
 			next.ServeHTTP(w, r)
 			return
 		}

@@ -24,8 +24,12 @@
 // per locally running job into the registry: job ID, the full spec
 // (so any member can restart the job from gossip state alone), owner
 // URL, generation, and checkpoint progress. Leases ride the existing
-// gossip cycle (GET /peer/members), so within about one probe interval
-// every member knows every running job and who leads it.
+// gossip cycle (GET /peer/members, which is also the health probe), so
+// within about one probe interval every member knows every running job
+// and who leads it. The registry never expires a lease: it stays until
+// the job ends and the next heartbeat drops it (DropLease), whatever
+// the probe interval and heartbeat are, and peers drop their copies on
+// their next pull from the leader.
 //
 // Adoption. When a lease's owner is down (or tombstoned away) and the
 // lease has not been refreshed for AdoptAfter, every member runs the

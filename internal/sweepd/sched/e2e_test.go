@@ -10,6 +10,7 @@ package sched_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -19,17 +20,22 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dynamics"
 	"repro/internal/sweepd"
 	"repro/internal/sweepd/cluster"
 	"repro/internal/sweepd/sched"
 	storepkg "repro/internal/sweepd/store"
 )
 
-const (
-	probeIvl   = 20 * time.Millisecond
-	schedBeat  = 25 * time.Millisecond
-	adoptAfter = 300 * time.Millisecond
-)
+const adoptAfter = 300 * time.Millisecond
+
+// timing is a daemon's probe interval and scheduler heartbeat (0 = the
+// scheduler's default).
+type timing struct{ probe, beat time.Duration }
+
+// fast is the cadence of the failover tests: every round trip of the
+// protocol well inside adoptAfter.
+var fast = timing{probe: 20 * time.Millisecond, beat: 25 * time.Millisecond}
 
 // daemon is one in-process ncg-server: store, manager, registry,
 // scheduler, and HTTP surface, all wired the way main() wires them.
@@ -47,7 +53,7 @@ type daemon struct {
 
 func newSchedDaemon(t *testing.T, workers int, seeds ...string) *daemon {
 	t.Helper()
-	d, err := buildDaemon(t.TempDir(), workers, time.Hour, seeds...)
+	d, err := buildDaemon(t.TempDir(), workers, fast, seeds...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +61,8 @@ func newSchedDaemon(t *testing.T, workers int, seeds ...string) *daemon {
 	return d
 }
 
-// buildDaemon assembles a daemon over dir. leaseExpiry bounds how long
-// the registry keeps an unrefreshed lease whose owner looks healthy
-// (kept long here: tests drive staleness through AdoptAfter instead).
-func buildDaemon(dir string, workers int, leaseExpiry time.Duration, seeds ...string) (*daemon, error) {
+// buildDaemon assembles a daemon over dir at the given cadence.
+func buildDaemon(dir string, workers int, tm timing, seeds ...string) (*daemon, error) {
 	store, err := sweepd.OpenStore(dir)
 	if err != nil {
 		return nil, err
@@ -66,16 +70,14 @@ func buildDaemon(dir string, workers int, leaseExpiry time.Duration, seeds ...st
 	mgr := sweepd.NewManager(store, sweepd.NewCache(4096), workers)
 	reg := cluster.New(cluster.Options{
 		Seeds:         seeds,
-		ProbeInterval: probeIvl,
-		DownAfter:     2,
-		LeaseExpiry:   leaseExpiry,
+		ProbeInterval: tm.probe,
 		SelfLoad:      mgr.Load,
 	})
 	sch, err := sched.New(sched.Options{
 		Cluster:    reg,
 		Manager:    mgr,
 		AdoptAfter: adoptAfter,
-		Heartbeat:  schedBeat,
+		Heartbeat:  tm.beat,
 	})
 	if err != nil {
 		mgr.Close()
@@ -351,7 +353,7 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	if j, _ := adopter.mgr.Get(job.ID); j.Status != sweepd.StatusRunning {
 		t.Fatalf("adopted run already finished (%s); spec too small to test the cede", j.Status)
 	}
-	zombie, err := buildDaemon(a.dir, 1, time.Hour, b.srv.URL)
+	zombie, err := buildDaemon(a.dir, 1, fast, b.srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,5 +385,99 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 		if l.JobID == job.ID && l.Owner == zombie.srv.URL {
 			t.Fatalf("zombie reclaimed the lease: %+v", l)
 		}
+	}
+}
+
+// heldExecutor runs a job's cells only on tokens from gate, so the job
+// stays running, computing nothing, until the test puts one in.
+type heldExecutor struct{ gate chan struct{} }
+
+func (h heldExecutor) ExecutorFor(sweepd.Spec, func(int)) dynamics.Executor { return h }
+
+func (h heldExecutor) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan dynamics.IndexedResult {
+	req.Gate = h.gate
+	return dynamics.LocalExecutor{}.Execute(ctx, req)
+}
+
+// TestLeaseHeldBetweenHeartbeats runs at bench/daemon.go's cadence, a
+// 100 ms probe under the scheduler's default 2 s heartbeat. Once the
+// first heartbeat's lease has reached every member, the leader and both
+// peers must hold it at every sample until the job ends — a leader
+// killed at any instant is adoptable — and once the job has ended the
+// lease must leave all three.
+func TestLeaseHeldBetweenHeartbeats(t *testing.T) {
+	bench := timing{probe: 100 * time.Millisecond}
+	var ds []*daemon
+	for i := 0; i < 3; i++ {
+		var seeds []string
+		if i > 0 {
+			seeds = []string{ds[0].srv.URL}
+		}
+		d, err := buildDaemon(t.TempDir(), 1, bench, seeds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(d.kill)
+		ds = append(ds, d)
+	}
+	leader := ds[0]
+	waitMesh(t, ds...)
+
+	gate := make(chan struct{}, 1)
+	leader.mgr.SetExecutorProvider(heldExecutor{gate})
+	sp := sweepd.Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
+	sp.Normalize()
+	job, _, err := leader.mgr.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := func(d *daemon) bool {
+		for _, l := range d.reg.Leases() {
+			if l.JobID == job.ID && l.Owner == leader.srv.URL {
+				return true
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for !held(ds[0]) || !held(ds[1]) || !held(ds[2]) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first heartbeat's lease never reached every member")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Two heartbeat periods and then some: every gap between refreshes.
+	const window = 4200 * time.Millisecond
+	samples, orphaned, holds := 0, 0, make([]int, len(ds))
+	for end := time.Now().Add(window); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		samples++
+		for i, d := range ds {
+			if held(d) {
+				holds[i]++
+			}
+		}
+		if !held(ds[1]) && !held(ds[2]) {
+			orphaned++ // a leader killed now would never be adopted
+		}
+	}
+	t.Logf("%d samples over %v of a running job: the lease was held by the leader in %d, by the peers in %d and %d, by neither peer in %d",
+		samples, window, holds[0], holds[1], holds[2], orphaned)
+	for i, n := range holds {
+		if n != samples {
+			t.Errorf("%s held the running job's lease in %d of %d samples", ds[i].srv.URL, n, samples)
+		}
+	}
+
+	// The job ends: its leader drops the lease at the next heartbeat, and
+	// each peer on its next pull from the leader.
+	gate <- struct{}{}
+	waitDone(t, leader.mgr, job.ID)
+	deadline = time.Now().Add(30 * time.Second)
+	for held(ds[0]) || held(ds[1]) || held(ds[2]) {
+		if time.Now().After(deadline) {
+			t.Fatal("the finished job's lease never left every member")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

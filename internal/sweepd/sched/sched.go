@@ -132,9 +132,10 @@ func (s *Scheduler) Start() {
 }
 
 // Close stops the loop and waits for the running tick to finish.
-// Leases we own stay in the registry and expire (or get adopted) like
-// any dead leader's; a clean shutdown does not orphan bookkeeping
-// because finished jobs already dropped theirs.
+// Leases we own stay in the registry; once the daemon stops answering,
+// peers see a dead leader and adopt them like any other. A clean
+// shutdown does not orphan bookkeeping because finished jobs already
+// dropped theirs.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
 	if s.closed {

@@ -20,18 +20,17 @@ type Config struct {
 	// stream may stay silent before a blank keep-alive line goes out.
 	PollInterval      time.Duration
 	HeartbeatInterval time.Duration
-	// ReadRate and MutateRate are per-endpoint-class token-bucket limits
-	// in requests/second (burst = one second's worth, minimum 1). Read
-	// covers the GET /sweeps endpoints; Mutate covers POST /sweeps and
-	// DELETE /sweeps/{id}; Peer covers the /peer/* sharding endpoints (a
-	// class of its own, so a chatty leader can neither starve nor be
-	// starved by interactive clients). Separate buckets mean heavy
-	// readers cannot starve submissions. /healthz and /metrics are exempt
-	// so liveness probes and scrapers never see 429. <= 0 disables that
-	// class's limit.
-	ReadRate   float64
-	MutateRate float64
-	PeerRate   float64
+	// Rate and PeerRate are token-bucket limits in requests/second
+	// (burst = one second's worth, minimum 1) per endpoint class. Rate
+	// caps each client class on its own bucket: reads (the GET /sweeps
+	// endpoints) and mutations (POST /sweeps, DELETE /sweeps/{id}), so
+	// heavy readers cannot starve submissions. PeerRate covers the
+	// /peer/* sharding endpoints (a class of its own, so a chatty leader
+	// can neither starve nor be starved by interactive clients).
+	// /healthz, /metrics and GET /peer/members are exempt so liveness
+	// probes and scrapers never see 429. <= 0 disables that class's limit.
+	Rate     float64
+	PeerRate float64
 	// ReplicaRate is its own class for POST /peer/replicas/{id}: replica
 	// pushes carry whole checkpoints, so they must not drain the peer
 	// bucket that gossip pulls and lease streams depend on.
@@ -187,9 +186,11 @@ func (h *handler) forwardedTo(id string) string {
 //	                            sharding protocol)
 //	POST   /peer/hello          a booting daemon announces its advertise URL
 //	                            and is registered as an alive member
-//	GET    /peer/members        this daemon's member table (self first), the
-//	                            relay half of one-hop gossip; carries job
-//	                            leases and tombstones when scheduling is on
+//	GET    /peer/members        this daemon's identity, load and member table
+//	                            (self first): the relay half of one-hop
+//	                            gossip and the peers' health probe, exempt
+//	                            from rate limits; carries job leases and
+//	                            tombstones when scheduling is on
 //	POST   /peer/jobs           submit a Spec for local execution, bypassing
 //	                            the scheduler (the receiving half of a
 //	                            cluster forward)
@@ -228,8 +229,8 @@ func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
 		m:                 m,
 		pollInterval:      cfg.PollInterval,
 		heartbeatInterval: cfg.HeartbeatInterval,
-		readBucket:        newTokenBucket(cfg.ReadRate, cfg.now),
-		mutateBucket:      newTokenBucket(cfg.MutateRate, cfg.now),
+		readBucket:        newTokenBucket(cfg.Rate, cfg.now),
+		mutateBucket:      newTokenBucket(cfg.Rate, cfg.now),
 		peerBucket:        newTokenBucket(cfg.PeerRate, cfg.now),
 		replicaBucket:     newTokenBucket(cfg.ReplicaRate, cfg.now),
 		peerStats:         cfg.PeerStats,

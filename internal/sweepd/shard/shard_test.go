@@ -92,7 +92,6 @@ func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, se
 	reg := cluster.New(cluster.Options{
 		Seeds:         seeds,
 		ProbeInterval: probeInterval,
-		DownAfter:     2,
 	})
 	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{
 		PollInterval:      5 * time.Millisecond,
@@ -566,7 +565,6 @@ func TestDeadPeerSkippedBySubsequentJobs(t *testing.T) {
 	reg := cluster.New(cluster.Options{
 		Seeds:         []string{peer.srv.URL},
 		ProbeInterval: time.Hour,
-		DownAfter:     2,
 	})
 	pool := shard.NewFromSource(reg, opts)
 	leader.mgr.SetExecutorProvider(pool)
