@@ -11,18 +11,20 @@ import (
 // her changed since: her responder input is unchanged, so re-evaluating
 // would reproduce the same non-improving answer.
 //
-// apply marks the over-approximated affected set of a move: a bounded
-// multi-source BFS from the mover and every changed arc target, in BOTH
-// the pre- and post-move graph (an arc removal shrinks balls — players
-// who saw the old arc are reachable in the pre-graph; an addition grows
-// them — reachable in the post-graph). Everything starts dirty, so the
-// first round evaluates everyone.
+// apply marks the over-approximated affected set of a move: one bounded
+// multi-source BFS from the mover and every changed arc target, in the
+// pre-move graph. That one search covers the post-move graph too. Every
+// changed arc is (u, x) with x in the diff, so both of its endpoints are
+// sources. A player within k of a source after the move has a post-move
+// shortest path to it; the part of that path up to its first changed
+// edge existed before the move and ends at a source, so she was within k
+// of a source before it. Everything starts dirty, so the first round
+// evaluates everyone.
 type dirtySet struct {
 	k       int
 	dirty   []bool
 	scratch *graph.Scratch
 	srcs    []int32
-	diff    []int32
 }
 
 // newDirtySet builds the activation tracker for a run of n players at
@@ -44,19 +46,11 @@ func (d *dirtySet) settle(u int) { d.dirty[u] = false }
 
 // apply performs u's move and dirties every possibly-affected player.
 func (d *dirtySet) apply(s *game.State, u int, strategy []int) {
-	d.diff = s.StrategyDiff(u, strategy, d.diff[:0])
-	d.srcs = append(d.srcs[:0], int32(u))
-	d.srcs = append(d.srcs, d.diff...)
-	d.mark(s.Graph())
-	s.SetStrategy(u, strategy)
-	d.mark(s.Graph())
-}
-
-// mark dirties everyone within distance k of the staged sources.
-func (d *dirtySet) mark(g *graph.Graph) {
-	for _, v := range g.MultiBFSWithinScratch(d.srcs, d.k, d.scratch) {
+	d.srcs = s.StrategyDiff(u, strategy, append(d.srcs[:0], int32(u)))
+	for _, v := range s.Graph().MultiBFSWithinScratch(d.srcs, d.k, d.scratch) {
 		d.dirty[v] = true
 	}
+	s.SetStrategy(u, strategy)
 }
 
 // release returns the pooled scratch.

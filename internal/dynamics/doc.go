@@ -32,13 +32,18 @@
 // everyone.
 //
 // On each applied move the engine diffs the old and new strategy
-// (game.State.StrategyDiff), then marks dirty every player within a
-// bounded-depth multi-source BFS of the changed arcs' endpoints
-// (graph.MultiBFSWithinScratch on pooled scratch), in BOTH the pre- and
-// post-move graph — a conservative over-approximation whose correctness
-// never depends on the tightness of the radius. Full-knowledge
-// responders (k beyond the diameter) degrade gracefully: the bounded BFS
-// covers the whole component, reproducing dirty-everyone behavior.
+// (game.State.StrategyDiff), then, before applying it, marks dirty every
+// player within one bounded-depth multi-source BFS of the changed arcs'
+// endpoints (graph.MultiBFSWithinScratch on pooled scratch) — a
+// conservative over-approximation whose correctness never depends on the
+// tightness of the radius. The pre-move graph is the only one searched:
+// both endpoints of every changed arc are sources, so a post-move path of
+// length ≤ k from a player to a source reaches, at or before its first
+// added edge, a source along edges that were already there. The post-move
+// search would mark a subset of what the pre-move one marked.
+// Full-knowledge responders (k beyond the diameter) degrade gracefully:
+// the bounded BFS covers the whole component, reproducing dirty-everyone
+// behavior.
 //
 // That locality contract is a requirement on every Responder, not an
 // option: there is no evaluate-everyone mode to fall back to. A custom

@@ -6,11 +6,17 @@
 // The induced network G(σ) contains edge (u,v) iff v ∈ σ_u or u ∈ σ_v
 // (unilateral link formation, Fabrikant et al. model). Both endpoints may
 // redundantly buy the same link; each buyer pays α for her copy.
+//
+// A State holds σ_u as one ascending slice per player: membership is a
+// binary search, the profile is already in canonical order (Strategy copies
+// it without sorting; Fingerprint and StrategyDiff walk it without
+// allocating), and a start state is built by appending owners in edge
+// order.
 package game
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -40,17 +46,14 @@ func (v Variant) String() string {
 // State is a mutable strategy profile together with its induced network.
 // The network is maintained incrementally as strategies change.
 type State struct {
-	g    *graph.Graph
-	buys []map[int]bool
+	g *graph.Graph
+	// buys[u] is σ_u, strictly ascending.
+	buys [][]int
 }
 
 // NewState returns the empty profile on n players (no edges bought).
 func NewState(n int) *State {
-	buys := make([]map[int]bool, n)
-	for i := range buys {
-		buys[i] = make(map[int]bool)
-	}
-	return &State{g: graph.New(n), buys: buys}
+	return &State{g: graph.New(n), buys: make([][]int, n)}
 }
 
 // N returns the number of players.
@@ -60,39 +63,38 @@ func (s *State) N() int { return s.g.N() }
 func (s *State) Graph() *graph.Graph { return s.g }
 
 // Buys reports whether u currently buys the edge towards v.
-func (s *State) Buys(u, v int) bool { return s.buys[u][v] }
+func (s *State) Buys(u, v int) bool { return sortedContains(s.buys[u], v) }
 
 // BoughtCount returns |σ_u|.
 func (s *State) BoughtCount(u int) int { return len(s.buys[u]) }
 
 // Strategy returns σ_u as a sorted slice.
 func (s *State) Strategy(u int) []int {
-	out := make([]int, 0, len(s.buys[u]))
-	for v := range s.buys[u] {
-		out = append(out, v)
-	}
-	sort.Ints(out)
-	return out
+	return append(make([]int, 0, len(s.buys[u])), s.buys[u]...)
 }
 
 // Buy adds v to σ_u. It returns false when v was already in σ_u or u == v.
 func (s *State) Buy(u, v int) bool {
-	if u == v || s.buys[u][v] {
+	i, found := slices.BinarySearch(s.buys[u], v)
+	if u == v || found {
 		return false
 	}
-	s.buys[u][v] = true
-	s.g.AddEdge(u, v) // no-op when v already bought (u,v)
+	// A no-op when v already bought (u,v); an out-of-range v panics here,
+	// before σ_u changes.
+	s.g.AddEdge(u, v)
+	s.buys[u] = slices.Insert(s.buys[u], i, v)
 	return true
 }
 
 // Unbuy removes v from σ_u. The edge (u,v) disappears from the network only
 // when v does not buy it either. It returns false when v was not in σ_u.
 func (s *State) Unbuy(u, v int) bool {
-	if !s.buys[u][v] {
+	i, found := slices.BinarySearch(s.buys[u], v)
+	if !found {
 		return false
 	}
-	delete(s.buys[u], v)
-	if !s.buys[v][u] {
+	s.buys[u] = slices.Delete(s.buys[u], i, i+1)
+	if !s.Buys(v, u) {
 		s.g.RemoveEdge(u, v)
 	}
 	return true
@@ -100,8 +102,6 @@ func (s *State) Unbuy(u, v int) bool {
 
 // SetStrategy replaces σ_u wholesale, updating the network incrementally.
 func (s *State) SetStrategy(u int, strategy []int) {
-	old := s.Strategy(u)
-	want := make(map[int]bool, len(strategy))
 	for _, v := range strategy {
 		if v == u {
 			panic("game: strategy contains the player herself")
@@ -109,17 +109,22 @@ func (s *State) SetStrategy(u int, strategy []int) {
 		if v < 0 || v >= s.N() {
 			panic(fmt.Sprintf("game: strategy target %d out of range", v))
 		}
-		want[v] = true
 	}
-	for _, v := range old {
-		if !want[v] {
-			s.Unbuy(u, v)
+	// Drop, in ascending order, the targets strategy omits. RemoveEdge
+	// moves a list's last entry into the hole, so the order of removals is
+	// part of the adjacency order every later BFS reads.
+	kept := s.buys[u][:0]
+	for _, v := range s.buys[u] {
+		if slices.Contains(strategy, v) {
+			kept = append(kept, v)
+		} else if !s.Buys(v, u) {
+			s.g.RemoveEdge(u, v)
 		}
 	}
-	// Buy in the caller's order, not map order: the graph's adjacency
-	// lists record insertion order, so iterating the want map here would
-	// make BFS orders — and every downstream tie-break — depend on map
-	// iteration, breaking run-to-run determinism.
+	s.buys[u] = kept
+	// Buy in the caller's order: the graph's adjacency lists record
+	// insertion order, so BFS orders — and every downstream tie-break —
+	// follow it.
 	for _, v := range strategy {
 		s.Buy(u, v)
 	}
@@ -137,13 +142,13 @@ func (s *State) SetStrategy(u int, strategy []int) {
 // redundant buys that leave the network unchanged but alter ownership —
 // ownership towards a player is part of her best-response input).
 func (s *State) StrategyDiff(u int, strategy []int, buf []int32) []int32 {
-	for v := range s.buys[u] {
+	for _, v := range s.buys[u] {
 		if !sortedContains(strategy, v) {
 			buf = append(buf, int32(v))
 		}
 	}
 	for _, v := range strategy {
-		if !s.buys[u][v] {
+		if !sortedContains(s.buys[u], v) {
 			buf = append(buf, int32(v))
 		}
 	}
@@ -152,8 +157,8 @@ func (s *State) StrategyDiff(u int, strategy []int, buf []int32) []int32 {
 
 // sortedContains reports whether sorted xs contains v.
 func sortedContains(xs []int, v int) bool {
-	i := sort.SearchInts(xs, v)
-	return i < len(xs) && xs[i] == v
+	_, found := slices.BinarySearch(xs, v)
+	return found
 }
 
 // TotalBought returns Σ_u |σ_u| (the total building multiplicity, which can
@@ -193,24 +198,25 @@ func (s *State) MinBought() int {
 
 // Clone returns a deep copy of the state.
 func (s *State) Clone() *State {
-	c := &State{g: s.g.Clone(), buys: make([]map[int]bool, len(s.buys))}
+	c := &State{g: s.g.Clone(), buys: make([][]int, len(s.buys))}
 	for u, b := range s.buys {
-		c.buys[u] = make(map[int]bool, len(b))
-		for v := range b {
-			c.buys[u][v] = true
-		}
+		c.buys[u] = slices.Clone(b)
 	}
 	return c
 }
 
-// Validate checks internal consistency: the network edge set must equal the
-// union of bought arcs, with no self-buys. It returns the first violation.
+// Validate checks internal consistency: every strategy must be strictly
+// ascending and free of self-buys, and the network edge set must equal the
+// union of bought arcs. It returns the first violation.
 func (s *State) Validate() error {
 	n := s.N()
 	for u := 0; u < n; u++ {
-		for v := range s.buys[u] {
+		for i, v := range s.buys[u] {
 			if v == u {
 				return fmt.Errorf("game: player %d buys a self-loop", u)
+			}
+			if i > 0 && v <= s.buys[u][i-1] {
+				return fmt.Errorf("game: player %d's strategy is not strictly ascending at %d", u, v)
 			}
 			if !s.g.HasEdge(u, v) {
 				return fmt.Errorf("game: bought edge (%d,%d) missing from network", u, v)
@@ -218,7 +224,7 @@ func (s *State) Validate() error {
 		}
 	}
 	for _, e := range s.g.Edges() {
-		if !s.buys[e.U][e.V] && !s.buys[e.V][e.U] {
+		if !s.Buys(e.U, e.V) && !s.Buys(e.V, e.U) {
 			return fmt.Errorf("game: network edge (%d,%d) bought by neither endpoint", e.U, e.V)
 		}
 	}
@@ -241,8 +247,8 @@ func (s *State) Fingerprint() uint64 {
 			x >>= 8
 		}
 	}
-	for u := 0; u < s.N(); u++ {
-		for _, v := range s.Strategy(u) {
+	for u, b := range s.buys {
+		for _, v := range b {
 			mix(uint64(u)<<32 | uint64(v))
 		}
 		mix(^uint64(0)) // player separator

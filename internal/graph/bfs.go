@@ -34,9 +34,9 @@ func (g *Graph) BFSWithinScratch(src, k int, s *Scratch) []int32 {
 // This is the dirty set of the event-driven dynamics engine: after a
 // strategy change touches a set of arc endpoints, every player whose
 // k-ball could have seen the change is within distance k of one of those
-// endpoints (in the pre- or post-move graph), so one bounded traversal
-// per side over-approximates the affected players without ever scanning
-// the whole network.
+// endpoints in the pre-move graph, so one bounded traversal
+// over-approximates the affected players without ever scanning the whole
+// network.
 func (g *Graph) MultiBFSWithinScratch(srcs []int32, k int, s *Scratch) []int32 {
 	for _, v := range srcs {
 		g.check(int(v))

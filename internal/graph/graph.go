@@ -35,8 +35,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is an undirected simple graph on vertices 0..n-1, stored as
@@ -53,6 +54,41 @@ func New(n int) *Graph {
 		panic("graph: negative vertex count")
 	}
 	return &Graph{n: n, adj: make([][]int32, n)}
+}
+
+// FromEdges returns the graph on n vertices whose adjacency lists are
+// exactly those New(n) followed by AddEdge over edges, in order, would
+// build. edges must be shaped as Edges returns them — U < V, strictly
+// ascending by (U, V) — which makes them distinct without AddEdge's
+// HasEdge scans; anything else panics. The lists share one slab, each
+// capped at its vertex's degree, so a later AddEdge reallocates the one
+// list it grows instead of writing into the next.
+func FromEdges(n int, edges []Edge) *Graph {
+	g := New(n)
+	deg := make([]int32, n)
+	prev := Edge{-1, -1}
+	for _, e := range edges {
+		checkVertex(e.U, n)
+		checkVertex(e.V, n)
+		if e.U >= e.V || e.U < prev.U || e.U == prev.U && e.V <= prev.V {
+			panic(fmt.Sprintf("graph: FromEdges edge (%d,%d) after (%d,%d) breaks U < V, ascending", e.U, e.V, prev.U, prev.V))
+		}
+		deg[e.U]++
+		deg[e.V]++
+		prev = e
+	}
+	slab := make([]int32, 2*len(edges))
+	off := int32(0)
+	for v, d := range deg {
+		g.adj[v] = slab[off : off : off+d]
+		off += d
+	}
+	for _, e := range edges {
+		g.adj[e.U] = append(g.adj[e.U], int32(e.V))
+		g.adj[e.V] = append(g.adj[e.V], int32(e.U))
+	}
+	g.m = len(edges)
+	return g
 }
 
 // N returns the number of vertices.
@@ -184,7 +220,7 @@ func (g *Graph) Edges() []Edge {
 			}
 		}
 		span := out[start:]
-		sort.Slice(span, func(i, j int) bool { return span[i].V < span[j].V })
+		slices.SortFunc(span, func(a, b Edge) int { return cmp.Compare(a.V, b.V) })
 	}
 	return out
 }
