@@ -63,8 +63,9 @@
 //
 // The daemon bounds its own growth: done/failed jobs are garbage-
 // collected -job-ttl after they finish (directory, cache spill segment,
-// and summary state all reclaimed; 0 disables GC), at most -max-jobs
-// jobs are retained (submissions beyond the cap get 429), and -rate
+// and summary state all reclaimed; 0 disables GC), so -job-ttl bounds
+// how many jobs are kept; at most -max-jobs jobs run at once (a new spec
+// submitted at the cap gets 429; finished jobs do not count), and -rate
 // caps requests/second per endpoint class (read vs mutate; 429 +
 // Retry-After beyond it, 0 = unlimited). Canceled jobs keep their
 // checkpoints — they are resumable — and are never GC'd; purge them
@@ -172,7 +173,7 @@ func main() {
 		cacheDir   = flag.String("cache-dir", "", `result-cache spill directory ("" = <data>/cache, "none" = memory-only)`)
 		jobTTL     = flag.Duration("job-ttl", 24*time.Hour, "GC done/failed jobs this long after they finish (0 disables GC)")
 		gcInterval = flag.Duration("gc-interval", time.Minute, "how often the GC pass runs")
-		maxJobs    = flag.Int("max-jobs", 4096, "retained-job cap; submissions beyond it get 429 (0 = unlimited)")
+		maxJobs    = flag.Int("max-jobs", 4096, "running-job cap; a new spec submitted at the cap gets 429, finished jobs do not count (0 = unlimited)")
 		rate       = flag.Float64("rate", 0, "per-endpoint-class request limit in req/s; beyond it 429 + Retry-After (0 = unlimited)")
 		peers      = flag.String("peers", "", "comma-separated seed peer base URLs to shard sweeps across (e.g. http://10.0.0.2:8080)")
 		peerLease  = flag.Int("peer-lease", 64, "cells per peer lease (smaller = finer balancing, larger = less HTTP overhead)")

@@ -62,6 +62,18 @@ type jobState struct {
 	// hist accumulates the wall time of this job's locally computed cells
 	// (under Manager.mu); nil for spec-load-failed placeholders.
 	hist *latencyHist
+	// changed is closed (under Manager.mu) at the job's next status change
+	// or eviction, waking every follower; Manager.Watch creates it lazily.
+	changed chan struct{}
+}
+
+// notify wakes the job's followers and arms a fresh channel for the next
+// Watch. Caller holds Manager.mu.
+func (js *jobState) notify() {
+	if js.changed != nil {
+		close(js.changed)
+		js.changed = nil
+	}
 }
 
 // restartable reports whether the job is terminal (or about to be) and

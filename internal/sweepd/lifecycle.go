@@ -41,6 +41,22 @@ func (m *Manager) Get(id string) (Job, bool) {
 	return js.job, true
 }
 
+// Watch snapshots one job together with a channel that is closed at its
+// next status change or eviction. Both come from one lock hold, so no
+// change can fall between the snapshot and the wait.
+func (m *Manager) Watch(id string) (Job, <-chan struct{}, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	js, ok := m.jobs[id]
+	if !ok {
+		return Job{}, nil, false
+	}
+	if js.changed == nil {
+		js.changed = make(chan struct{})
+	}
+	return js.job, js.changed, true
+}
+
 // List snapshots all jobs, sorted by ID.
 func (m *Manager) List() []Job {
 	m.mu.Lock()
@@ -143,6 +159,7 @@ func (m *Manager) Evict(id string) (Job, bool, error) {
 
 		m.mu.Lock()
 		delete(m.jobs, id)
+		js.notify()
 		m.jobsEvicted++
 		m.spillBytesReclaimed += uint64(reclaimed)
 		m.mu.Unlock()
@@ -214,21 +231,16 @@ func (m *Manager) gcOnce(ttl time.Duration) {
 }
 
 // Load snapshots this daemon's capacity for placement decisions and the
-// /healthz load section — the same numbers ManagerStats reports, minus
-// the O(n) walk over terminal jobs' statuses.
+// /healthz load section — the same numbers ManagerStats reports, read
+// off the running-job counter: placement calls it on every submission,
+// so it must not walk the retained jobs.
 func (m *Manager) Load() LoadInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	running := 0
-	for _, js := range m.jobs {
-		if js.job.Status == StatusRunning {
-			running++
-		}
-	}
 	return LoadInfo{
-		QueueDepth:  running,
+		QueueDepth:  m.running,
 		BusyWorkers: m.workers - len(m.gate),
-		RunningJobs: running,
+		RunningJobs: m.running,
 	}
 }
 
@@ -257,7 +269,7 @@ type ManagerStats struct {
 	// checked out right now.
 	QueueDepth  int
 	BusyWorkers int
-	// MaxJobs echoes the retention cap (0 = unlimited).
+	// MaxJobs echoes the running-job cap (0 = unlimited).
 	MaxJobs int
 }
 

@@ -53,9 +53,6 @@ func newLifecycleRig(t *testing.T, cfg Config) (*Manager, *fakeClock, *handler, 
 	mgr := NewManager(store, cache, 4)
 	clk := newFakeClock()
 	mgr.now = clk.Now
-	if cfg.PollInterval == 0 {
-		cfg.PollInterval = 5 * time.Millisecond
-	}
 	h, root := buildHandler(mgr, cfg)
 	srv := httptest.NewServer(root)
 	t.Cleanup(func() {
@@ -188,38 +185,64 @@ func TestGCSparesRunningAndCanceled(t *testing.T) {
 	}
 }
 
-// TestJobQuota: beyond -max-jobs, new specs are rejected with
-// ErrJobQuota (HTTP 429) and leave no half-admitted state behind, while
-// resubmits of retained jobs still land; eviction frees the slot.
+// holdWorkers takes every worker token of m, so an admitted job with
+// cells to compute stays running until the returned release puts them
+// back.
+func holdWorkers(m *Manager) (release func()) {
+	for range m.workers {
+		<-m.gate
+	}
+	return func() {
+		for range m.workers {
+			m.gate <- struct{}{}
+		}
+	}
+}
+
+// TestJobQuota: -max-jobs caps running jobs. A done job holds no slot; a
+// running one does, so a new spec is rejected with ErrJobQuota (HTTP 429)
+// and leaves nothing on disk, while resubmitting the running job still
+// lands. Load().RunningJobs is the counter the quota reads, and it tracks
+// admit, finish, cancel, restart and Resume.
 func TestJobQuota(t *testing.T) {
 	mgr, _, _, srv, dir := newLifecycleRig(t, Config{})
 	mgr.SetMaxJobs(1)
+	running := func(m *Manager, want int) {
+		t.Helper()
+		if got := m.Load().RunningJobs; got != want {
+			t.Fatalf("Load().RunningJobs = %d, want %d", got, want)
+		}
+	}
+	spec := func(n int) Spec {
+		sp := Spec{N: n, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
+		sp.Normalize()
+		return sp
+	}
+	a, b, c, d := spec(10), spec(11), spec(12), spec(13)
 
-	a := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
-	a.Normalize()
+	running(mgr, 0)
 	jobA, _, err := mgr.Submit(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStatus(t, mgr, jobA.ID, StatusDone)
+	running(mgr, 0)
 
-	b := Spec{N: 11, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
-	b.Normalize()
-	if _, _, err := mgr.Submit(b); !errors.Is(err, ErrJobQuota) {
+	// The done job does not block b; with the pool held, b keeps running.
+	release := holdWorkers(mgr)
+	if _, created, err := mgr.Submit(b); err != nil || !created {
+		t.Fatalf("submit beside a done job: created=%v err=%v", created, err)
+	}
+	running(mgr, 1)
+
+	// The running job blocks c, in memory and over HTTP (a structured
+	// 429), and the rejected spec must not linger on disk to resurrect at
+	// restart.
+	if _, _, err := mgr.Submit(c); !errors.Is(err, ErrJobQuota) {
 		t.Fatalf("over-quota submit err = %v, want ErrJobQuota", err)
 	}
-	// The rejected spec must not linger on disk to resurrect at restart.
-	if _, err := os.Stat(filepath.Join(dir, b.ID())); !os.IsNotExist(err) {
-		t.Fatal("over-quota spec left on disk")
-	}
-	// Resubmitting the retained job is exempt.
-	if _, _, err := mgr.Submit(a); err != nil {
-		t.Fatalf("resubmit of retained job rejected: %v", err)
-	}
-
-	// Over HTTP the rejection is a structured 429.
 	resp, err := http.Post(srv.URL+"/sweeps", "application/json",
-		strings.NewReader(`{"n": 11, "alphas": [1], "ks": [2], "seeds": 2}`))
+		strings.NewReader(`{"n": 12, "alphas": [1], "ks": [2], "seeds": 2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,18 +251,67 @@ func TestJobQuota(t *testing.T) {
 	}
 	json.NewDecoder(resp.Body).Decode(&body) //nolint:errcheck
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(body.Error, "quota") {
-		t.Fatalf("over-quota POST = %d %q, want 429 quota error", resp.StatusCode, body.Error)
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(body.Error, "quota") ||
+		!strings.Contains(body.Error, "1 jobs running") {
+		t.Fatalf("over-quota POST = %d %q, want 429 quota error naming the running jobs", resp.StatusCode, body.Error)
 	}
+	if _, err := os.Stat(filepath.Join(dir, c.ID())); !os.IsNotExist(err) {
+		t.Fatal("over-quota spec left on disk")
+	}
+	// Resubmitting the running job (or the done one) is exempt.
+	if j, created, err := mgr.Submit(b); err != nil || created || j.Status != StatusRunning {
+		t.Fatalf("resubmit of running job: %+v created=%v err=%v", j, created, err)
+	}
+	if _, _, err := mgr.Submit(a); err != nil {
+		t.Fatalf("resubmit of done job rejected: %v", err)
+	}
+	running(mgr, 1)
 
-	// Purging the retained job frees the slot.
-	if _, ok, err := mgr.Evict(jobA.ID); !ok || err != nil {
-		t.Fatalf("evict: ok=%v err=%v", ok, err)
-	}
+	// Cancel frees the slot; resubmitting the canceled job restarts it and
+	// takes the slot again; finishing frees it for c.
+	mgr.Cancel(b.ID())
+	waitStatus(t, mgr, b.ID(), StatusCanceled)
+	running(mgr, 0)
 	if _, _, err := mgr.Submit(b); err != nil {
-		t.Fatalf("submit after evict: %v", err)
+		t.Fatalf("restart of canceled job: %v", err)
 	}
+	running(mgr, 1)
+	release()
 	waitStatus(t, mgr, b.ID(), StatusDone)
+	running(mgr, 0)
+	if _, _, err := mgr.Submit(c); err != nil {
+		t.Fatalf("submit after the running job finished: %v", err)
+	}
+	waitStatus(t, mgr, c.ID(), StatusDone)
+	running(mgr, 0)
+
+	// Close cancels d before it computes a cell. A new manager over the
+	// store resumes every job (quota-exempt): the three complete ones
+	// finish at once, d runs until the pool is released.
+	holdWorkers(mgr)
+	if _, _, err := mgr.Submit(d); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close()
+	running(mgr, 0)
+	store, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr2 := NewManager(store, nil, 2)
+	t.Cleanup(mgr2.Close)
+	mgr2.SetMaxJobs(1)
+	release = holdWorkers(mgr2)
+	if err := mgr2.Resume(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []Spec{a, b, c} {
+		waitStatus(t, mgr2, sp.ID(), StatusDone)
+	}
+	running(mgr2, 1)
+	release()
+	waitStatus(t, mgr2, d.ID(), StatusDone)
+	running(mgr2, 0)
 }
 
 // TestRateLimit429RetryAfter: beyond the per-class budget requests get

@@ -57,7 +57,10 @@ type Manager struct {
 
 	mu   sync.Mutex
 	jobs map[string]*jobState
-	// maxJobs caps retained jobs (every status counts); 0 = unlimited.
+	// running counts the jobs whose status is StatusRunning: admit adds
+	// one, finish takes it away. The quota and Load read it.
+	running int
+	// maxJobs caps running jobs; 0 = unlimited. Retention is -job-ttl's.
 	maxJobs int
 	// evictHooks run (outside mu) after each eviction or replica expiry;
 	// the HTTP layer registers one to drop its per-job summary state.
@@ -106,9 +109,10 @@ func NewManager(store *Store, cache *Cache, workers int) *Manager {
 	}
 }
 
-// SetMaxJobs caps the number of retained jobs (0 = unlimited). Beyond
-// the cap, Submit of a new spec fails with ErrJobQuota; resubmits of
-// retained jobs and restart-time Resume are exempt. Call before serving
+// SetMaxJobs caps the number of running jobs (0 = unlimited). At the
+// cap, Submit of a new spec fails with ErrJobQuota; resubmits of
+// retained jobs and restart-time Resume are exempt, and finished jobs
+// do not count (TTL GC bounds how many are kept). Call before serving
 // traffic.
 func (m *Manager) SetMaxJobs(n int) {
 	m.mu.Lock()
@@ -405,10 +409,10 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 		}
 		// cur == nil means the job was evicted while we waited; fall
 		// through and re-admit it as new.
-	} else if enforceQuota && m.maxJobs > 0 && len(m.jobs) >= m.maxJobs {
-		n := len(m.jobs)
+	} else if enforceQuota && m.maxJobs > 0 && m.running >= m.maxJobs {
+		n := m.running
 		m.mu.Unlock()
-		return Job{}, false, fmt.Errorf("%w: %d jobs retained (max %d); purge jobs or wait for GC",
+		return Job{}, false, fmt.Errorf("%w: %d jobs running (max %d); retry once one finishes",
 			ErrJobQuota, n, m.maxJobs)
 	}
 	ctx, cancel := context.WithCancel(m.ctx)
@@ -426,6 +430,7 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 	}
 	created := m.jobs[id] == nil
 	m.jobs[id] = js
+	m.running++
 	job := js.job
 	m.mu.Unlock()
 
@@ -442,13 +447,16 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 	return job, created, nil
 }
 
-// finish flips the job to a terminal status, stamps Finished, and
-// persists the lifecycle record so TTL GC survives restarts.
+// finish flips the job to a terminal status, stamps Finished, wakes the
+// job's followers, and persists the lifecycle record so TTL GC survives
+// restarts.
 func (m *Manager) finish(js *jobState, status JobStatus, errMsg string) {
 	m.mu.Lock()
 	js.job.Status = status
 	js.job.Error = errMsg
 	js.job.Finished = m.now()
+	m.running--
+	js.notify()
 	meta := store.Meta{Created: js.job.Created, Finished: js.job.Finished}
 	id := js.job.ID
 	job := js.job

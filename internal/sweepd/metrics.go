@@ -106,7 +106,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	series("sweepd_not_modified_total", "counter", "Conditional reads answered 304 via ETag.", h.notModified.Load())
 	// Per-job cell wall-time histograms (locally computed cells only).
 	// Jobs with no observations are skipped, and evicted jobs drop their
-	// series, so cardinality tracks the -max-jobs retention cap.
+	// series, so cardinality tracks the jobs kept within -job-ttl.
 	if lats := h.m.JobLatencies(); len(lats) > 0 {
 		series("sweepd_job_cell_seconds", "histogram", "Wall time of locally computed cells, per job.", nil)
 		for _, jl := range lats {

@@ -78,7 +78,7 @@ func TestPeerLeaseStreamsCanonicalLines(t *testing.T) {
 	}
 	mgr := NewManager(store, NewCache(1024), 2)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: 5 * time.Millisecond, HeartbeatInterval: 10 * time.Millisecond}))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{HeartbeatInterval: 10 * time.Millisecond}))
 	defer srv.Close()
 
 	start, end := 3, 7
@@ -216,7 +216,7 @@ func TestPeerLeaseHeartbeats(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: time.Millisecond, HeartbeatInterval: time.Millisecond}))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{HeartbeatInterval: time.Millisecond}))
 	defer srv.Close()
 
 	token := <-mgr.gate

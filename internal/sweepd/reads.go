@@ -208,6 +208,11 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
+// followTick paces how often a follower drains a running job's new
+// lines. The end of a job does not wait for it: the status change wakes
+// the follower at once.
+const followTick = 150 * time.Millisecond
+
 // followResults tails a job's checkpoint until the job reaches a terminal
 // status, streaming each newly appended whole line as it lands. The
 // terminal status cannot be known when headers go out, so it travels as
@@ -231,13 +236,18 @@ func (h *handler) followResults(w http.ResponseWriter, r *http.Request, id strin
 		}
 	}()
 
+	// A heartbeat shorter than the tick (tests use milliseconds) paces the
+	// loop itself, so keep-alives are not rounded up to whole ticks.
+	tick := time.NewTicker(min(followTick, h.heartbeatInterval))
+	defer tick.Stop()
 	lastByte := time.Now()
 	for {
 		// Status before drain: when this snapshot is terminal, every byte
 		// the finished runner synced is already on disk, so the drain
 		// below yields the complete grid — the stream can never end on a
-		// terminal status with bytes missing.
-		job, ok := h.m.Get(id)
+		// terminal status with bytes missing. changed comes from the same
+		// snapshot, so a finish after it still wakes the wait below.
+		job, changed, ok := h.m.Watch(id)
 		if !ok {
 			return
 		}
@@ -294,7 +304,8 @@ func (h *handler) followResults(w http.ResponseWriter, r *http.Request, id strin
 		select {
 		case <-r.Context().Done():
 			return
-		case <-time.After(h.pollInterval):
+		case <-changed:
+		case <-tick.C:
 		}
 	}
 }

@@ -106,7 +106,6 @@ func buildDaemon(dir string, workers int, tm timing, seeds ...string) (*daemon, 
 	})
 	mgr.OnFinish(rep.JobFinished)
 	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{
-		PollInterval:      5 * time.Millisecond,
 		HeartbeatInterval: 20 * time.Millisecond,
 		Cluster:           reg,
 		Sched:             sch,

@@ -396,7 +396,7 @@ func TestForwardedSubmitRedirectsReadsAtOnce(t *testing.T) {
 		t.Cleanup(srv.Close)
 		return mgr, h, srv
 	}
-	targetMgr, _, target := newDaemon(Config{PollInterval: 2 * time.Millisecond})
+	targetMgr, _, target := newDaemon(Config{})
 	var clock atomic.Int64 // seconds
 	_, h, front := newDaemon(Config{
 		Sched:   forwardingSubmitter{peer: target.URL},

@@ -13,12 +13,10 @@ import (
 )
 
 // Config tunes the HTTP layer. The zero value serves with production
-// defaults: 150ms follow-mode polling, 15s heartbeats, no rate limits.
+// defaults: 15s heartbeats, no rate limits.
 type Config struct {
-	// PollInterval is how often follow mode re-checks a running job's
-	// checkpoint for growth; HeartbeatInterval is how long a follow
-	// stream may stay silent before a blank keep-alive line goes out.
-	PollInterval      time.Duration
+	// HeartbeatInterval is how long a follow stream may stay silent
+	// before a blank keep-alive line goes out.
 	HeartbeatInterval time.Duration
 	// Rate and PeerRate are token-bucket limits in requests/second
 	// (burst = one second's worth, minimum 1) per endpoint class. Rate
@@ -62,10 +60,9 @@ type Config struct {
 }
 
 // handler carries the serving knobs alongside the manager; tests shrink
-// the intervals to drive follow mode fast.
+// the heartbeat to drive follow mode fast.
 type handler struct {
 	m                 *Manager
-	pollInterval      time.Duration
 	heartbeatInterval time.Duration
 
 	readBucket    *tokenBucket
@@ -161,7 +158,7 @@ func (h *handler) forwardedTo(id string) string {
 }
 
 // NewHandlerConfig builds the sweepd HTTP JSON API over a manager, with
-// the serving knobs (rate limits, follow-mode intervals) of cfg — the
+// the serving knobs (rate limits, follow-mode heartbeat) of cfg — the
 // zero Config serves with production defaults:
 //
 //	POST   /sweeps              submit a Spec; idempotent (same spec ⇒ same job)
@@ -216,9 +213,6 @@ func NewHandlerConfig(m *Manager, cfg Config) http.Handler {
 // buildHandler wires the handler, its routes, and the rate-limiting
 // middleware; tests use the *handler to reach internal state.
 func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 150 * time.Millisecond
-	}
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 15 * time.Second
 	}
@@ -227,7 +221,6 @@ func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
 	}
 	h := &handler{
 		m:                 m,
-		pollInterval:      cfg.PollInterval,
 		heartbeatInterval: cfg.HeartbeatInterval,
 		readBucket:        newTokenBucket(cfg.Rate, cfg.now),
 		mutateBucket:      newTokenBucket(cfg.Rate, cfg.now),

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -20,19 +21,19 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *Manager) {
 	t.Helper()
-	return newTestServerTuned(t, 150*time.Millisecond, 15*time.Second)
+	return newTestServerTuned(t, 15*time.Second)
 }
 
-// newTestServerTuned shrinks the follow-mode poll and heartbeat intervals
-// so streaming tests run fast.
-func newTestServerTuned(t *testing.T, poll, heartbeat time.Duration) (*httptest.Server, *Manager) {
+// newTestServerTuned shrinks the follow-mode heartbeat so streaming tests
+// see keep-alive lines.
+func newTestServerTuned(t *testing.T, heartbeat time.Duration) (*httptest.Server, *Manager) {
 	t.Helper()
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := NewManager(store, NewCache(1024), 4)
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: poll, HeartbeatInterval: heartbeat}))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{HeartbeatInterval: heartbeat}))
 	t.Cleanup(func() {
 		srv.Close()
 		mgr.Close()
@@ -268,7 +269,7 @@ func decodeStream(t *testing.T, body []byte) []dynamics.CellResult {
 // blanks while idle, a clean EOF when the job finishes, and the terminal
 // status in the X-Sweep-Status trailer.
 func TestServerFollowStreamsLiveJob(t *testing.T) {
-	srv, mgr := newTestServerTuned(t, 5*time.Millisecond, time.Millisecond)
+	srv, mgr := newTestServerTuned(t, time.Millisecond)
 	sp := bigSpec()
 	job, _, err := mgr.Submit(sp)
 	if err != nil {
@@ -335,28 +336,20 @@ func TestServerFollowStreamsLiveJob(t *testing.T) {
 	}
 }
 
-// TestServerFollowHeartbeatsAndTornTail drives follow mode against a
-// hand-fed job, deterministically: the client must receive blank
-// heartbeat lines while the checkpoint idles, never see a torn fragment,
-// pick up the line once its newline lands, and get the terminal trailer
-// when the status flips.
-func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
-	store, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := NewManager(store, nil, 1)
-	t.Cleanup(mgr.Close)
-
-	// Register a synthetic running job whose checkpoint this test writes.
+// feedJob registers a synthetic running job on mgr, counted the way admit
+// counts one, and returns it with its checkpoint opened for the test to
+// append to by hand; mgr.finish ends it the way a runner does.
+func feedJob(t *testing.T, mgr *Manager, id string) (*jobState, *os.File) {
+	t.Helper()
 	closed := make(chan struct{})
 	close(closed)
-	js := &jobState{job: Job{ID: "feedjob", Status: StatusRunning, Total: 2}, cancel: func() {}, done: closed}
+	js := &jobState{job: Job{ID: id, Status: StatusRunning, Total: 2}, cancel: func() {}, done: closed}
 	mgr.mu.Lock()
-	mgr.jobs["feedjob"] = js
+	mgr.jobs[id] = js
+	mgr.running++
 	mgr.mu.Unlock()
 
-	path := mgr.ResultsPath("feedjob")
+	path := mgr.ResultsPath(id)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -364,13 +357,22 @@ func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	t.Cleanup(func() { f.Close() })
+	return js, f
+}
+
+// TestServerFollowHeartbeatsAndTornTail drives follow mode against a
+// hand-fed job, deterministically: the client must receive blank
+// heartbeat lines while the checkpoint idles, never see a torn fragment,
+// pick up the line once its newline lands, and get the terminal trailer
+// when the job finishes.
+func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
+	srv, mgr := newTestServerTuned(t, 2*time.Millisecond)
+	js, f := feedJob(t, mgr, "feedjob")
 	cell1 := dynamics.Cell{Alpha: 1, K: 2, Seed: 0}
 	cell2 := dynamics.Cell{Alpha: 1, K: 2, Seed: 1}
 	f.Write(append(cacheLine(cell1), '\n')) //nolint:errcheck
 
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{PollInterval: time.Millisecond, HeartbeatInterval: 2 * time.Millisecond}))
-	t.Cleanup(srv.Close)
 	res, err := http.Get(srv.URL + "/sweeps/feedjob/results?follow=1")
 	if err != nil {
 		t.Fatal(err)
@@ -388,9 +390,7 @@ func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	f.Write(append(cacheLine(cell2)[10:], '\n')) //nolint:errcheck
 	time.Sleep(20 * time.Millisecond)
-	mgr.mu.Lock()
-	js.job.Status = StatusDone
-	mgr.mu.Unlock()
+	mgr.finish(js, StatusDone, "")
 
 	body := <-bodyCh
 	if st := res.Trailer.Get("X-Sweep-Status"); st != string(StatusDone) {
@@ -403,6 +403,44 @@ func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
 	if len(results) != 2 || results[0].Cell != cell1 || results[1].Cell != cell2 {
 		t.Fatalf("followed cells = %+v", results)
 	}
+}
+
+// TestServerFollowWakesOnFinish: a follower of a running job returns with
+// the done trailer as soon as the job finishes, not at its next drain
+// tick. A lost wake costs a whole tick, so twenty follows of jobs
+// finished mid-follow must end in well under twenty ticks.
+func TestServerFollowWakesOnFinish(t *testing.T) {
+	srv, mgr := newTestServer(t)
+	const jobs = 20
+	var waited time.Duration
+	for i := range jobs {
+		id := fmt.Sprintf("wake%012d", i)
+		js, f := feedJob(t, mgr, id)
+		line := append(cacheLine(dynamics.Cell{Alpha: 1, K: 2, Seed: int64(i)}), '\n')
+		f.Write(line) //nolint:errcheck
+		res, err := http.Get(srv.URL + "/sweeps/" + id + "/results?follow=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first line arrives once the follower holds its wake channel.
+		br := bufio.NewReader(res.Body)
+		if first, err := br.ReadBytes('\n'); err != nil || !bytes.Equal(first, line) {
+			t.Fatalf("job %d: first line %q, %v", i, first, err)
+		}
+		start := time.Now()
+		mgr.finish(js, StatusDone, "")
+		rest, err := io.ReadAll(br)
+		waited += time.Since(start)
+		res.Body.Close()
+		if st := res.Trailer.Get("X-Sweep-Status"); err != nil || len(rest) != 0 || st != string(StatusDone) {
+			t.Fatalf("job %d: after finish read %q, %v, trailer %q", i, rest, err, st)
+		}
+	}
+	if waited >= jobs*followTick/4 {
+		t.Fatalf("%d follows took %v from finish to trailer; a woken follow takes milliseconds, a tick %v",
+			jobs, waited, followTick)
+	}
+	t.Logf("%d follows: %v from finish to trailer in total", jobs, waited)
 }
 
 // TestServerSummaryMatchesClientSide is the aggregates contract: the

@@ -66,7 +66,6 @@ func newDaemon(t *testing.T, workers int) *daemon {
 	}
 	mgr := sweepd.NewManager(store, sweepd.NewCache(4096), workers)
 	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{
-		PollInterval:      5 * time.Millisecond,
 		HeartbeatInterval: 20 * time.Millisecond,
 	})
 	d := &daemon{store: store, mgr: mgr}
@@ -94,7 +93,6 @@ func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, se
 		ProbeInterval: probeInterval,
 	})
 	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{
-		PollInterval:      5 * time.Millisecond,
 		HeartbeatInterval: 20 * time.Millisecond,
 		Cluster:           reg,
 	})
