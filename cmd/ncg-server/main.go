@@ -8,7 +8,7 @@
 //	           [-job-ttl 24h] [-gc-interval 1m] [-max-jobs 4096] [-rate 0]
 //	           [-peers URL,URL,...] [-peer-lease 64] [-peer-ttl 45s] [-peer-rate 0]
 //	           [-advertise URL] [-probe-interval 5s] [-peer-backoff-max 2m]
-//	           [-schedule] [-adopt-after 30s] [-tombstone-after 30m]
+//	           [-adopt-after 30s] [-tombstone-after 30m]
 //	           [-replicas 2] [-replica-rate 0] [-pprof]
 //
 // Clustering: every daemon serves POST /peer/leases, computing contiguous
@@ -34,11 +34,9 @@
 // decommissioned: removed from the table under a gossiped tombstone so
 // hearsay cannot resurrect the URL (a fresh hello can; 0 disables).
 //
-// Scheduling (-schedule, on by default when clustered): the daemons form
-// one logical service. POST /sweeps to any member places the job on the
-// least-loaded alive member (queue depth, then busy workers, then
-// running jobs; ties stay local) by forwarding the spec over POST
-// /peer/jobs. Each leader heartbeats a per-job lease — spec, owner,
+// Scheduling: the daemons form one logical service. The member a sweep
+// is POSTed to leads it, and its cells are leased across every alive
+// member. Each leader heartbeats a per-job lease — spec, owner,
 // generation, progress — into the gossiped member state; when a leader
 // dies, the least-loaded survivor adopts its jobs after -adopt-after,
 // recovers what it can of the checkpoint from surviving members, and
@@ -116,8 +114,6 @@
 //	GET    /peer/members        this daemon's member table (url + state),
 //	                            plus job leases and tombstones; the peers'
 //	                            health probe (exempt from -peer-rate)
-//	POST   /peer/jobs           run a forwarded sweep locally (the receiving
-//	                            half of -schedule placement)
 //	POST   /peer/jobs/claim     an adopter announces a job's new lease
 //	POST   /peer/replicas/{id}  receive a finished job's verified replica
 //	GET    /healthz             liveness + cache + cluster + replica stats
@@ -182,7 +178,6 @@ func main() {
 		advertise  = flag.String("advertise", "", "this daemon's own base URL, announced to seed peers so it joins their clusters live (e.g. http://10.0.0.3:8080)")
 		probeIvl   = flag.Duration("probe-interval", 5*time.Second, "peer health-probe cadence")
 		backoffMax = flag.Duration("peer-backoff-max", 2*time.Minute, "cap on the probe backoff for down peers")
-		schedule   = flag.Bool("schedule", true, "place submitted sweeps on the least-loaded alive member and adopt jobs whose leader dies")
 		adoptAfter = flag.Duration("adopt-after", 30*time.Second, "adopt a job whose leader's lease has gone stale for this long")
 		tombAfter  = flag.Duration("tombstone-after", 30*time.Minute, "decommission a member down this long: drop it under a gossiped tombstone (0 disables)")
 		replicas   = flag.Int("replicas", 2, "push each finished job's artifacts to this many least-loaded alive members (0 disables pushing; receiving stays on)")
@@ -270,19 +265,16 @@ func main() {
 		mgr.OnFinish(replicator.JobFinished)
 		cfg.ReplicaStats = replicator.Stats
 	}
-	var scheduler *sched.Scheduler
-	if *schedule {
-		scheduler, err = sched.New(sched.Options{
-			Cluster:    registry,
-			Manager:    mgr,
-			AdoptAfter: *adoptAfter,
-		})
-		if err != nil {
-			fatal("starting the scheduler", "err", err)
-		}
-		cfg.Sched = scheduler
-		cfg.SchedStats = scheduler.Stats
+	scheduler, err := sched.New(sched.Options{
+		Cluster:    registry,
+		Manager:    mgr,
+		AdoptAfter: *adoptAfter,
+	})
+	if err != nil {
+		fatal("starting the scheduler", "err", err)
 	}
+	cfg.Sched = scheduler
+	cfg.SchedStats = scheduler.Stats
 	if len(seeds) > 0 || *advertise != "" {
 		slog.Info("cluster membership", "member", *advertise, "seeds", seeds)
 	}
@@ -313,8 +305,8 @@ func main() {
 	if err != nil {
 		fatal("listening", "addr", *addr, "err", err)
 	}
+	slog.Info("ncg-server listening", "addr", ln.Addr().String(), "data", *data)
 	go func() {
-		slog.Info("ncg-server listening", "addr", *addr, "data", *data)
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal("serving", "err", err)
 		}
@@ -324,9 +316,7 @@ func main() {
 	// connection-refused there would demote the brand-new joiner before
 	// it ever served a cell.
 	registry.Start()
-	if scheduler != nil {
-		scheduler.Start()
-	}
+	scheduler.Start()
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -335,9 +325,7 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	srv.Shutdown(ctx) //nolint:errcheck
-	if scheduler != nil {
-		scheduler.Close()
-	}
+	scheduler.Close()
 	registry.Close()
 	mgr.Close()
 	if replicator != nil {

@@ -374,7 +374,7 @@ func (r *Registry) Hello(advertiseURL string) {
 	if m.state == StateDown {
 		r.readmissions.Add(1)
 		slog.Info("cluster: member alive again by hello", "member", url, "was", StateDown)
-		// The load is the dead process's; placement must not rank the
+		// The load is the dead process's; an election must not rank the
 		// new one by it. The woken probe refills it.
 		m.hasLoad = false
 		m.next = now
@@ -433,7 +433,7 @@ func (r *Registry) Self() string {
 }
 
 // AliveLoads snapshots the alive members whose capacity is known,
-// sorted by URL — the scheduler's placement candidates. Members no
+// sorted by URL — the adoption and replica candidates. Members no
 // probe has load-sampled yet are excluded rather than treated as idle.
 func (r *Registry) AliveLoads() []sweepd.MemberLoad {
 	r.mu.Lock()
@@ -804,7 +804,7 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 		// verified by a probe before any lease rides on it — due now, and
 		// the loop is woken for it, so "immediately" is a round trip and
 		// not the rest of a ProbeInterval. Their gossiped load rides along
-		// so the first placement after promotion does not wait for a
+		// so the first election after promotion does not wait for a
 		// second probe.
 		m := &member{url: u, state: StateSuspect, next: now}
 		if mi.Load != nil {

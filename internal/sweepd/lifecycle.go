@@ -230,9 +230,9 @@ func (m *Manager) gcOnce(ttl time.Duration) {
 	}
 }
 
-// Load snapshots this daemon's capacity for placement decisions and the
-// /healthz load section — the same numbers ManagerStats reports, read
-// off the running-job counter: placement calls it on every submission,
+// Load snapshots this daemon's capacity for adoption elections, replica
+// targets and the /healthz load section — the same numbers ManagerStats
+// reports, read off the running-job counter: every gossip pull calls it,
 // so it must not walk the retained jobs.
 func (m *Manager) Load() LoadInfo {
 	m.mu.Lock()

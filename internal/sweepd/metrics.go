@@ -84,8 +84,6 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if h.schedStats != nil {
 		ss := h.schedStats()
-		series("sweepd_sched_forwards_total", "counter", "Submissions forwarded to a less-loaded member.", ss.Forwards)
-		series("sweepd_sched_forward_failures_total", "counter", "Forwards that failed and fell back to local admission.", ss.ForwardFailures)
 		series("sweepd_sched_adoptions_total", "counter", "Orphaned jobs this member adopted from dead leaders.", ss.Adoptions)
 		series("sweepd_sched_leadership_lost_total", "counter", "Local jobs ceded to a peer holding a newer lease generation.", ss.LeadershipLost)
 		series("sweepd_sched_replica_seeds_total", "counter", "Adoptions seeded from a local replica instead of an HTTP tail-fetch.", ss.ReplicaSeeds)

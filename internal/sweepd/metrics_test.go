@@ -46,7 +46,7 @@ func TestMetricsGolden(t *testing.T) {
 		PeerStats:    func() PeerStats { return PeerStats{Peers: 2, LeasesIssued: 11, LeaseFailures: 12, RemoteCells: 13} },
 		Cluster:      fm,
 		Sched:        &fakeSubmitter{},
-		SchedStats:   func() SchedStats { return SchedStats{21, 22, 23, 24, 25} },
+		SchedStats:   func() SchedStats { return SchedStats{23, 24, 25} },
 		ReplicaStats: func() ReplicaStats { return ReplicaStats{Pushed: 31, PushFailures: 32, BytesPushed: 33} },
 	})
 	runDoneJob(t, mgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})

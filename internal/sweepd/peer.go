@@ -2,7 +2,6 @@ package sweepd
 
 import (
 	"context"
-	"fmt"
 	"net/url"
 	"strings"
 	"time"
@@ -85,11 +84,11 @@ func ValidPeerURL(s string) bool {
 
 // LoadInfo is one daemon's capacity snapshot, served at the head of its
 // GET /peer/members payload (and in /healthz) and gossiped with the
-// member table, so every member can rank placement targets without extra
-// RPCs. All three fields come from ManagerStats.
+// member table, so every member can rank adopters and replica targets
+// without extra RPCs. All three fields come from ManagerStats.
 type LoadInfo struct {
 	// QueueDepth is the number of running jobs contending for the worker
-	// gate — the primary placement signal (a daemon with fewer whole jobs
+	// gate — the primary ranking signal (a daemon with fewer whole jobs
 	// finishes a new one sooner regardless of instantaneous CPU use).
 	QueueDepth int `json:"queue_depth"`
 	// BusyWorkers is how many worker-pool tokens are checked out right
@@ -100,7 +99,8 @@ type LoadInfo struct {
 }
 
 // Less orders loads lexicographically (queue depth, then busy workers,
-// then running jobs): strictly less means "schedule there instead".
+// then running jobs): strictly less means "adopt or replicate there
+// instead".
 func (l LoadInfo) Less(o LoadInfo) bool {
 	if l.QueueDepth != o.QueueDepth {
 		return l.QueueDepth < o.QueueDepth
@@ -153,42 +153,15 @@ type Tombstone struct {
 	Until time.Time `json:"until"`
 }
 
-// PlacedJob is the result of a scheduled submission: the job snapshot
-// plus where it landed ("" = this daemon; otherwise the peer base URL
-// the spec was forwarded to).
-type PlacedJob struct {
-	Job      Job
-	Created  bool
-	PlacedOn string
-}
-
 // Submitter is the scheduling seam for POST /sweeps: when a Config
-// installs one, submissions are placed cluster-wide instead of admitted
-// locally. Implemented by sched.Scheduler.
+// installs one, submissions are admitted through it instead of the
+// manager directly. Implemented by sched.Scheduler.
 type Submitter interface {
-	SubmitSweep(ctx context.Context, sp Spec) (PlacedJob, error)
-}
-
-// RedirectError tells the HTTP layer to answer 307 with a Location: the
-// scheduler chose a peer but could neither forward the spec nor admit
-// it locally (quota), so the client should retry against the target
-// directly.
-type RedirectError struct {
-	// URL is the chosen peer's base URL.
-	URL string
-}
-
-func (e *RedirectError) Error() string {
-	return fmt.Sprintf("sweepd: submit here failed; retry against %s", e.URL)
+	SubmitSweep(ctx context.Context, sp Spec) (Job, bool, error)
 }
 
 // SchedStats snapshots the scheduler for /healthz and /metrics.
 type SchedStats struct {
-	// Forwards counts submissions placed on a peer; ForwardFailures
-	// counts forward attempts that failed and fell back (next peer or
-	// local).
-	Forwards        uint64 `json:"forwards"`
-	ForwardFailures uint64 `json:"forward_failures"`
 	// Adoptions counts orphaned jobs this daemon claimed from dead
 	// leaders; LeadershipLost counts local jobs whose lease lost the
 	// generation comparison (this daemon kept computing as a non-leader).
@@ -216,7 +189,7 @@ type MemberInfo struct {
 	Self     bool      `json:"self,omitempty"`
 	LastSeen time.Time `json:"last_seen,omitzero"`
 	// Load is the member's last-probed capacity snapshot (nil until a
-	// probe has seen one; the scheduler never places on a member whose
+	// probe has seen one; the scheduler never elects a member whose
 	// capacity is unknown).
 	Load *LoadInfo `json:"load,omitempty"`
 }

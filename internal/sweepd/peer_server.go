@@ -82,18 +82,6 @@ func (h *handler) peerMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.gossipPayload())
 }
 
-// peerSubmit serves POST /peer/jobs: the receiving half of a scheduler
-// forward. It always admits locally — never re-forwards — so a spec
-// cannot ping-pong between two members whose load views disagree.
-func (h *handler) peerSubmit(w http.ResponseWriter, r *http.Request) {
-	var sp Spec
-	if !decodeJSON(w, r, 1<<20, "spec", &sp) {
-		return
-	}
-	job, created, err := h.m.Submit(sp)
-	h.writeSubmitResult(w, job, created, err)
-}
-
 // peerClaim serves POST /peer/jobs/claim: an adopter pushes its new
 // lease so this member learns the leadership change (and a zombie
 // ex-leader cedes) before the next gossip cycle. The generation guard

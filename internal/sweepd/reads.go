@@ -43,30 +43,24 @@ func (h *handler) replicaJob(id string) (Job, bool) {
 }
 
 // redirectRead answers a read for a job this daemon holds neither a
-// primary nor a replica of: one 307 hop to the member this daemon's own
-// submit handler placed it on a moment ago, else to an alive member the
-// replica table (or, failing that, the lease table) says has it. The
-// forwarded URL carries hop=1 so a stale table cannot bounce a client
-// around the mesh — the second daemon either serves or 404s. Returns
-// false when there is nowhere to point (caller 404s).
+// primary nor a replica of: one 307 hop to an alive member the replica
+// table (or, failing that, the lease table) says has it. The redirected
+// URL carries hop=1 so a stale table cannot bounce a client around the
+// mesh — the second daemon either serves or 404s. Returns false when
+// there is nowhere to point (caller 404s).
 func (h *handler) redirectRead(w http.ResponseWriter, r *http.Request, id string) bool {
-	if r.URL.Query().Get("hop") != "" {
+	if r.URL.Query().Get("hop") != "" || h.cluster == nil {
 		return false
 	}
-	self, target := "", h.forwardedTo(id)
-	if h.cluster != nil {
-		self = h.cluster.Self()
-		if target == "" {
-			if holders := h.cluster.ReplicaHolders(id); len(holders) > 0 {
-				target = holders[0]
-			}
-		}
-		if target == "" {
-			for _, l := range h.cluster.Leases() {
-				if l.JobID == id && l.Owner != self {
-					target = l.Owner
-					break
-				}
+	self, target := h.cluster.Self(), ""
+	if holders := h.cluster.ReplicaHolders(id); len(holders) > 0 {
+		target = holders[0]
+	}
+	if target == "" {
+		for _, l := range h.cluster.Leases() {
+			if l.JobID == id && l.Owner != self {
+				target = l.Owner
+				break
 			}
 		}
 	}

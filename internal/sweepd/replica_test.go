@@ -453,11 +453,12 @@ func TestReceiveReplicaVerification(t *testing.T) {
 	}
 }
 
-// fakeReplicaMesh is a Cluster stub for the redirect path: a self URL and
-// a replica table, nothing else.
+// fakeReplicaMesh is a Cluster stub for the redirect path: a self URL, a
+// replica table and a lease table, nothing else.
 type fakeReplicaMesh struct {
 	self    string
 	holders map[string][]string
+	leases  []JobLease
 }
 
 func (f *fakeReplicaMesh) Hello(string)                      {}
@@ -466,17 +467,21 @@ func (f *fakeReplicaMesh) ClusterStats() ClusterStats        { return ClusterSta
 func (f *fakeReplicaMesh) Self() string                      { return f.self }
 func (f *fakeReplicaMesh) ReplicaHolders(id string) []string { return f.holders[id] }
 func (f *fakeReplicaMesh) UpdateLease(JobLease) bool         { return false }
-func (f *fakeReplicaMesh) Leases() []JobLease                { return nil }
+func (f *fakeReplicaMesh) Leases() []JobLease                { return f.leases }
 func (f *fakeReplicaMesh) Tombstones() []Tombstone           { return nil }
 
 // TestReadRedirectOneHop: a daemon holding neither primary nor replica
-// answers 307 toward a holder, and the forwarded hop marker prevents a
-// second bounce.
+// answers 307 toward a holder, else toward the job's lease owner, and the
+// hop marker prevents a second bounce.
 func TestReadRedirectOneHop(t *testing.T) {
 	id := "00000000000000ab"
 	mesh := &fakeReplicaMesh{
 		self:    "http://self.invalid",
 		holders: map[string][]string{id: {"http://holder.invalid"}},
+		leases: []JobLease{
+			{JobID: "00000000000000ef", Owner: "http://owner.invalid", Generation: 2},
+			{JobID: "00000000000000cd", Owner: "http://self.invalid", Generation: 1},
+		},
 	}
 	_, _, _, srv, _ := newLifecycleRig(t, Config{Cluster: mesh})
 
@@ -495,7 +500,13 @@ func TestReadRedirectOneHop(t *testing.T) {
 		t.Fatalf("hop=1 read = %d, want 404", resp.StatusCode)
 	}
 
-	// No holder and no lease: nothing to point at, plain 404.
+	// No holder: the lease owner (an adopter, say) gets the hop.
+	resp, _ = getRaw(t, srv.URL+"/sweeps/00000000000000ef", nil)
+	if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || loc != "http://owner.invalid/sweeps/00000000000000ef?hop=1" {
+		t.Fatalf("leased-job read = %d → %q, want 307 to the lease owner", resp.StatusCode, loc)
+	}
+
+	// No holder and only our own lease: nothing to point at, plain 404.
 	resp, _ = getRaw(t, srv.URL+"/sweeps/00000000000000cd/results", nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("holderless read = %d, want 404", resp.StatusCode)

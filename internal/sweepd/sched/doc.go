@@ -1,6 +1,6 @@
 // Package sched makes a sweepd cluster a single logical service: any
-// member accepts a sweep, the least-loaded member runs it, and a dead
-// leader's jobs are adopted by the survivors.
+// member accepts a sweep and leads it, and a dead leader's jobs are
+// adopted by the survivors.
 //
 // # Architecture
 //
@@ -9,16 +9,11 @@
 // internal/sweepd/cluster) and the job manager (admission and execution
 // — sweepd.Manager). It adds three behaviors:
 //
-// Placement. POST /sweeps routes through Scheduler.SubmitSweep. The
-// submission runs locally unless some alive peer's last-probed load
-// (queue depth, then busy workers, then running jobs — sweepd.LoadInfo)
-// is strictly below the local manager's live load; then the spec is
-// forwarded to the least-loaded peer over POST /peer/jobs, the shared
-// sweepd.PeerClient waiting out 429s for up to 5s. A failed forward falls
-// back to local admission, and only if the local quota also refuses
-// does the client get a 307 with the chosen peer in Location. Ties
-// prefer local execution, so an idle cluster behaves exactly like a
-// set of independent daemons.
+// Placement. The member a sweep is POSTed to admits it and leads it;
+// Scheduler.SubmitSweep is Manager.Submit. The work is spread below
+// that, per cell range: the shard pool leases the job's cells to every
+// alive member. A member already running its -max-jobs jobs answers
+// 429.
 //
 // Leadership. Every heartbeat tick the scheduler writes one JobLease
 // per locally running job into the registry: job ID, the full spec

@@ -3,15 +3,16 @@ package sched_test
 // End-to-end tests for the cluster scheduler: real daemons wired over
 // httptest — manager, membership registry, scheduler, and HTTP surface
 // assembled exactly as cmd/ncg-server does — proving the acceptance
-// criteria: a sweep POSTed to a busy member is placed on the
-// least-loaded peer, a killed leader's job is adopted and finishes with
-// a byte-identical checkpoint, and a revived ex-leader cedes to the
+// criteria: a sweep POSTed to a busy member is led by that member, a
+// killed leader's job is adopted and finishes with a byte-identical
+// checkpoint, and a revived ex-leader cedes to the
 // adopter's higher lease generation instead of split-braining.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -191,12 +192,12 @@ func runReference(t *testing.T, sp sweepd.Spec) []byte {
 	return data
 }
 
-// TestSubmitViaBusyMemberForwardsToIdlePeer: POST /sweeps to the one
-// busy daemon of a three-member cluster must land the job on an idle
-// peer — 202 with X-Sweep-Placement naming it, the job running there
-// and never admitted on the receiving member — with the checkpoint
+// TestSubmitLeadsWhereReceived: POST /sweeps to the one busy daemon of
+// a three-member cluster, whose two peers advertise idle loads, must be
+// led by that daemon — 202 with no X-Sweep-Placement, the job on its
+// manager and on neither peer's — and the checkpoint must be
 // byte-identical to a lone-daemon run.
-func TestSubmitViaBusyMemberForwardsToIdlePeer(t *testing.T) {
+func TestSubmitLeadsWhereReceived(t *testing.T) {
 	sp := sweepd.Spec{
 		N:      16,
 		Alphas: []float64{0.5, 1, 2},
@@ -206,28 +207,21 @@ func TestSubmitViaBusyMemberForwardsToIdlePeer(t *testing.T) {
 	sp.Normalize()
 	ref := runReference(t, sp)
 
-	busy := sweepd.Spec{
-		N:      60, // ~25ms/cell
-		Alphas: []float64{0.3, 0.5, 1, 2, 5},
-		Ks:     []int{2, 3, 1000},
-		Seeds:  4, // 60 cells on one worker: stays running throughout
-	}
-	busy.Normalize()
-
 	a := newSchedDaemon(t, 1)
 	b := newSchedDaemon(t, 2, a.srv.URL)
 	c := newSchedDaemon(t, 2, a.srv.URL)
 	waitMesh(t, a, b, c)
 
+	// A job whose cells wait on a gate nobody feeds keeps a busy until the
+	// test ends; every other job runs on a's own worker.
+	busy := sweepd.Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
+	busy.Normalize()
+	a.mgr.SetExecutorProvider(holdOne{id: busy.ID(), gate: make(chan struct{})})
 	if _, _, err := a.mgr.Submit(busy); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for a.mgr.Load().QueueDepth == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("busy job never started")
-		}
-		time.Sleep(time.Millisecond)
+	if a.mgr.Load().QueueDepth == 0 {
+		t.Fatal("the held job does not count as load")
 	}
 
 	body, err := json.Marshal(sp)
@@ -238,42 +232,55 @@ func TestSubmitViaBusyMemberForwardsToIdlePeer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit via busy member = %s, want 202", resp.Status)
-	}
-	placedOn := resp.Header.Get("X-Sweep-Placement")
-	var target *daemon
-	switch placedOn {
-	case b.srv.URL:
-		target = b
-	case c.srv.URL:
-		target = c
-	default:
-		t.Fatalf("X-Sweep-Placement = %q, want one of the idle peers (%s, %s)", placedOn, b.srv.URL, c.srv.URL)
-	}
 	var job sweepd.Job
-	if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
+	err = json.NewDecoder(resp.Body).Decode(&job)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if job.ID != sp.ID() {
-		t.Fatalf("placed job ID = %q, want %q", job.ID, sp.ID())
+	if resp.StatusCode != http.StatusAccepted || job.ID != sp.ID() {
+		t.Fatalf("submit via busy member = %s, job %q; want 202, job %q", resp.Status, job.ID, sp.ID())
 	}
-	if st := a.sch.Stats(); st.Forwards == 0 {
-		t.Fatalf("busy member recorded no forward: %+v", st)
-	}
-	if _, ok := a.mgr.Get(job.ID); ok {
-		t.Fatal("forwarded job was also admitted on the busy member")
+	if placed := resp.Header.Get("X-Sweep-Placement"); placed != "" {
+		t.Fatalf("X-Sweep-Placement = %q, want none", placed)
 	}
 
-	waitDone(t, target.mgr, job.ID)
-	data, err := os.ReadFile(target.store.ResultsPath(job.ID))
+	// Following the job blocks until it is terminal.
+	resp, err = http.Get(a.srv.URL + "/sweeps/" + job.ID + "/results?follow=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	if st := resp.Trailer.Get("X-Sweep-Status"); st != string(sweepd.StatusDone) {
+		t.Fatalf("follow on the receiving member ended with status %q", st)
+	}
+	for _, peer := range []*daemon{b, c} {
+		if _, ok := peer.mgr.Get(job.ID); ok {
+			t.Fatalf("job admitted on peer %s too", peer.srv.URL)
+		}
+	}
+	data, err := os.ReadFile(a.store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(data, ref) {
-		t.Fatalf("placed checkpoint differs from lone-daemon run (%d vs %d bytes)", len(data), len(ref))
+		t.Fatalf("checkpoint differs from lone-daemon run (%d vs %d bytes)", len(data), len(ref))
 	}
+}
+
+// holdOne holds the cells of one job on gate and runs every other job on
+// the local pool.
+type holdOne struct {
+	id   string
+	gate chan struct{}
+}
+
+func (h holdOne) ExecutorFor(sp sweepd.Spec, _ func(int)) dynamics.Executor {
+	if sp.ID() == h.id {
+		return heldExecutor{h.gate}
+	}
+	return nil
 }
 
 // TestLeaderDeathAdoptionAndZombieCede is the failover acceptance

@@ -35,9 +35,6 @@ type Cluster interface {
 	UpdateLease(l sweepd.JobLease) bool
 	DropLease(jobID string, gen uint64)
 	Leases() []sweepd.JobLease
-	// ReportLeaseFailure says a peer failed a forward, so the next probe
-	// cycle rechecks it sooner (shared with the shard backend).
-	ReportLeaseFailure(url string)
 }
 
 // Manager is the job-manager surface the scheduler drives.
@@ -69,9 +66,9 @@ type Options struct {
 	Heartbeat time.Duration
 }
 
-// Scheduler implements sweepd.Submitter over a cluster: capacity-aware
-// placement on submit, per-job leadership leases while running, and
-// adoption of orphaned jobs. See the package comment for the protocol.
+// Scheduler implements sweepd.Submitter over a cluster: local admission
+// on submit, per-job leadership leases while running, and adoption of
+// orphaned jobs. See the package comment for the protocol.
 type Scheduler struct {
 	opts Options
 	now  func() time.Time // injected in tests
@@ -90,11 +87,9 @@ type Scheduler struct {
 	closed  bool
 	done    chan struct{}
 
-	forwards        atomic.Uint64
-	forwardFailures atomic.Uint64
-	adoptions       atomic.Uint64
-	leadershipLost  atomic.Uint64
-	replicaSeeds    atomic.Uint64
+	adoptions      atomic.Uint64
+	leadershipLost atomic.Uint64
+	replicaSeeds   atomic.Uint64
 }
 
 // New builds a Scheduler; call Start to begin ticking.
@@ -168,77 +163,16 @@ func (s *Scheduler) loop() {
 // Stats snapshots the scheduler counters.
 func (s *Scheduler) Stats() sweepd.SchedStats {
 	return sweepd.SchedStats{
-		Forwards:        s.forwards.Load(),
-		ForwardFailures: s.forwardFailures.Load(),
-		Adoptions:       s.adoptions.Load(),
-		LeadershipLost:  s.leadershipLost.Load(),
-		ReplicaSeeds:    s.replicaSeeds.Load(),
+		Adoptions:      s.adoptions.Load(),
+		LeadershipLost: s.leadershipLost.Load(),
+		ReplicaSeeds:   s.replicaSeeds.Load(),
 	}
 }
 
-// SubmitSweep implements sweepd.Submitter: admit locally when we are
-// the least-loaded member, otherwise forward to the member that is.
-func (s *Scheduler) SubmitSweep(ctx context.Context, sp sweepd.Spec) (sweepd.PlacedJob, error) {
-	sp.Normalize()
-	if err := sp.Validate(); err != nil {
-		return sweepd.PlacedJob{}, err
-	}
-	target := s.pickTarget()
-	if target == "" {
-		job, created, err := s.opts.Manager.Submit(sp)
-		return sweepd.PlacedJob{Job: job, Created: created}, err
-	}
-	job, created, err := s.forward(ctx, target, sp)
-	if err == nil {
-		s.forwards.Add(1)
-		return sweepd.PlacedJob{Job: job, Created: created, PlacedOn: target}, nil
-	}
-	s.forwardFailures.Add(1)
-	slog.Warn("sched: forward failed; admitting locally", "member", target, "err", err)
-	s.opts.Cluster.ReportLeaseFailure(target)
-	job, created, lerr := s.opts.Manager.Submit(sp)
-	if errors.Is(lerr, sweepd.ErrJobQuota) {
-		// Full here too: hand the client the member we picked so it
-		// can retry there directly (307 + Location at the HTTP layer).
-		return sweepd.PlacedJob{}, &sweepd.RedirectError{URL: target}
-	}
-	return sweepd.PlacedJob{Job: job, Created: created}, lerr
-}
-
-// pickTarget returns the URL of an alive peer whose load is strictly
-// below ours, or "" to run locally. Ties keep the job local: moving a
-// job is only worth it when the peer is actually less loaded, and the
-// strict comparison keeps an idle cluster from ping-ponging specs.
-func (s *Scheduler) pickTarget() string {
-	peers := s.opts.Cluster.AliveLoads()
-	if len(peers) == 0 {
-		return ""
-	}
-	self := s.opts.Cluster.Self()
-	target, best := "", s.opts.Manager.Load()
-	for _, ml := range peers {
-		if ml.URL == self {
-			continue
-		}
-		if ml.Load.Less(best) {
-			target, best = ml.URL, ml.Load
-		}
-	}
-	return target
-}
-
-// forwardBudget caps the cumulative Retry-After wait spent re-trying a
-// 429 from the forward target before giving up on it.
-const forwardBudget = 5 * time.Second
-
-// forward POSTs the spec to target's /peer/jobs, waiting out 429s per
-// their Retry-After up to forwardBudget.
-func (s *Scheduler) forward(ctx context.Context, target string, sp sweepd.Spec) (sweepd.Job, bool, error) {
-	ctx, cancel := context.WithTimeout(ctx, sweepd.PeerCallTimeout)
-	defer cancel()
-	var job sweepd.Job
-	status, err := sweepd.Peer.JSON(ctx, http.MethodPost, target+"/peer/jobs", sp, &job, 1<<20, forwardBudget)
-	return job, status == http.StatusAccepted, err
+// SubmitSweep implements sweepd.Submitter: the member a sweep is
+// submitted to leads it, and sharding spreads its cells.
+func (s *Scheduler) SubmitSweep(_ context.Context, sp sweepd.Spec) (sweepd.Job, bool, error) {
+	return s.opts.Manager.Submit(sp)
 }
 
 // tick is one scheduler round: refresh leases for jobs we lead, then

@@ -1,14 +1,13 @@
 package sched
 
-// Unit tests for the scheduler's three behaviors — placement,
-// leadership heartbeating, adoption — against scripted fakes of the
-// registry and the manager, with httptest daemons standing in for
-// peers where real HTTP matters (forwards, claims, checkpoint
-// recovery). Cluster e2e lives in internal/sweepd's test suite.
+// Unit tests for the scheduler's two behaviors — leadership
+// heartbeating and adoption — against scripted fakes of the registry
+// and the manager, with httptest daemons standing in for peers where
+// real HTTP matters (claims, checkpoint recovery). Cluster e2e lives in
+// e2e_test.go and replica_e2e_test.go.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"log"
 	"net/http"
@@ -30,12 +29,11 @@ func testSpec() sweepd.Spec {
 // fakeCluster scripts the registry surface: member table, cached
 // loads, and a lease table with the real generation guard.
 type fakeCluster struct {
-	mu       sync.Mutex
-	self     string
-	members  []sweepd.MemberInfo
-	loads    []sweepd.MemberLoad
-	leases   map[string]sweepd.JobLease
-	failures []string
+	mu      sync.Mutex
+	self    string
+	members []sweepd.MemberInfo
+	loads   []sweepd.MemberLoad
+	leases  map[string]sweepd.JobLease
 }
 
 func newFakeCluster(self string) *fakeCluster {
@@ -94,12 +92,6 @@ func (c *fakeCluster) Leases() []sweepd.JobLease {
 
 func (c *fakeCluster) Tombstones() []sweepd.Tombstone { return nil }
 
-func (c *fakeCluster) ReportLeaseFailure(url string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.failures = append(c.failures, url)
-}
-
 func (c *fakeCluster) lease(jobID string) (sweepd.JobLease, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -114,14 +106,12 @@ type adoptCall struct {
 }
 
 // fakeManager scripts the manager surface: a fixed load, a job list,
-// and recorded Submit/Adopt calls.
+// and recorded Adopt calls.
 type fakeManager struct {
-	mu        sync.Mutex
-	load      sweepd.LoadInfo
-	jobs      []sweepd.Job
-	submitted []sweepd.Spec
-	adopted   []adoptCall
-	submitErr error
+	mu      sync.Mutex
+	load    sweepd.LoadInfo
+	jobs    []sweepd.Job
+	adopted []adoptCall
 	// replicaCheckpoints scripts ReplicaCheckpoint by job ID (nil map =
 	// no replicas held); replicaAsked records the IDs it was asked for.
 	replicaCheckpoints map[string][]byte
@@ -129,12 +119,6 @@ type fakeManager struct {
 }
 
 func (m *fakeManager) Submit(sp sweepd.Spec) (sweepd.Job, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.submitted = append(m.submitted, sp)
-	if m.submitErr != nil {
-		return sweepd.Job{}, false, m.submitErr
-	}
 	return sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning}, true, nil
 }
 
@@ -185,16 +169,13 @@ func newTestScheduler(t *testing.T, c *fakeCluster, m *fakeManager) *Scheduler {
 	return s
 }
 
-// peerDaemon is a minimal fake peer: it accepts /peer/jobs (202 + job
-// JSON), records /peer/jobs/claim, and serves a canned checkpoint for
-// /sweeps/{id}/results (404 when empty).
+// peerDaemon is a minimal fake peer: it records /peer/jobs/claim and
+// serves a canned checkpoint for /sweeps/{id}/results (404 when empty).
 type peerDaemon struct {
 	mu         sync.Mutex
-	submits    int
 	claims     []sweepd.JobLease
 	checkpoint []byte
 	fetches    int // GET /sweeps/{id}/results requests seen
-	rejections int // initial 429s to serve on /peer/jobs, with Retry-After: 0
 	srv        *httptest.Server
 }
 
@@ -202,25 +183,6 @@ func newPeerDaemon(t *testing.T) *peerDaemon {
 	t.Helper()
 	p := &peerDaemon{}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /peer/jobs", func(w http.ResponseWriter, r *http.Request) {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.rejections > 0 {
-			p.rejections--
-			w.Header().Set("Retry-After", "0")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		var sp sweepd.Spec
-		if err := json.NewDecoder(r.Body).Decode(&sp); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		sp.Normalize()
-		p.submits++
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning}) //nolint:errcheck
-	})
 	mux.HandleFunc("POST /peer/jobs/claim", func(w http.ResponseWriter, r *http.Request) {
 		var l sweepd.JobLease
 		if err := json.NewDecoder(r.Body).Decode(&l); err != nil {
@@ -246,118 +208,6 @@ func newPeerDaemon(t *testing.T) *peerDaemon {
 	p.srv = httptest.NewServer(mux)
 	t.Cleanup(p.srv.Close)
 	return p
-}
-
-// TestPickTargetStrictlyLess: ties and heavier peers keep the job
-// local; only a strictly less-loaded peer attracts it, and among
-// peers the least-loaded wins.
-func TestPickTargetStrictlyLess(t *testing.T) {
-	c := newFakeCluster("http://self:1")
-	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 2}}
-	s := newTestScheduler(t, c, m)
-
-	if got := s.pickTarget(); got != "" {
-		t.Fatalf("no peers: target = %q, want local", got)
-	}
-	c.loads = []sweepd.MemberLoad{
-		{URL: "http://a:1", Load: sweepd.LoadInfo{QueueDepth: 2}}, // tie: stays local
-		{URL: "http://self:1", Load: sweepd.LoadInfo{QueueDepth: 0}},
-	}
-	if got := s.pickTarget(); got != "" {
-		t.Fatalf("tied peer: target = %q, want local", got)
-	}
-	c.loads = []sweepd.MemberLoad{
-		{URL: "http://a:1", Load: sweepd.LoadInfo{QueueDepth: 1}},
-		{URL: "http://b:1", Load: sweepd.LoadInfo{QueueDepth: 0, BusyWorkers: 3}},
-	}
-	if got := s.pickTarget(); got != "http://b:1" {
-		t.Fatalf("target = %q, want the least-loaded peer", got)
-	}
-}
-
-// TestSubmitForwardsAndHonorsRetryAfter: a submission lands on the
-// less-loaded peer even when the peer sheds the first attempts with
-// 429 + Retry-After, and the forward counts in Stats.
-func TestSubmitForwardsAndHonorsRetryAfter(t *testing.T) {
-	peer := newPeerDaemon(t)
-	peer.rejections = 2
-	c := newFakeCluster("http://self:1")
-	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 3}}
-	c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{}}}
-	s := newTestScheduler(t, c, m)
-
-	sp := testSpec()
-	placed, err := s.SubmitSweep(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if placed.PlacedOn != peer.srv.URL || !placed.Created || placed.Job.ID != sp.ID() {
-		t.Fatalf("placed = %+v", placed)
-	}
-	if peer.submits != 1 {
-		t.Fatalf("peer admitted %d submissions, want 1", peer.submits)
-	}
-	if len(m.submitted) != 0 {
-		t.Fatal("forwarded submission also ran locally")
-	}
-	if st := s.Stats(); st.Forwards != 1 || st.ForwardFailures != 0 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestSubmitFallsBackLocalOnForwardFailure: an unreachable target
-// costs a failure counter and a registry report, not the submission.
-func TestSubmitFallsBackLocalOnForwardFailure(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close() // connection refused from here on
-	c := newFakeCluster("http://self:1")
-	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 3}}
-	c.loads = []sweepd.MemberLoad{{URL: dead.URL, Load: sweepd.LoadInfo{}}}
-	s := newTestScheduler(t, c, m)
-
-	sp := testSpec()
-	placed, err := s.SubmitSweep(context.Background(), sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if placed.PlacedOn != "" || placed.Job.ID != sp.ID() {
-		t.Fatalf("placed = %+v, want local fallback", placed)
-	}
-	if len(m.submitted) != 1 {
-		t.Fatalf("local manager saw %d submissions, want 1", len(m.submitted))
-	}
-	if len(c.failures) != 1 || c.failures[0] != dead.URL {
-		t.Fatalf("registry failure reports = %v", c.failures)
-	}
-	if st := s.Stats(); st.ForwardFailures != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestSubmitRedirectsWhenFullEverywhere: forward failed and the local
-// quota is exhausted — the caller gets a RedirectError naming the
-// chosen peer so the HTTP layer can answer 307.
-func TestSubmitRedirectsWhenFullEverywhere(t *testing.T) {
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	c := newFakeCluster("http://self:1")
-	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 3}, submitErr: sweepd.ErrJobQuota}
-	c.loads = []sweepd.MemberLoad{{URL: dead.URL, Load: sweepd.LoadInfo{}}}
-	s := newTestScheduler(t, c, m)
-
-	_, err := s.SubmitSweep(context.Background(), testSpec())
-	var redir *sweepd.RedirectError
-	if !asRedirect(err, &redir) || redir.URL != dead.URL {
-		t.Fatalf("err = %v, want RedirectError to %s", err, dead.URL)
-	}
-}
-
-func asRedirect(err error, target **sweepd.RedirectError) bool {
-	re, ok := err.(*sweepd.RedirectError)
-	if ok {
-		*target = re
-	}
-	return ok
 }
 
 // TestHeartbeatLeasesRunningJobsAndDropsFinished: one tick publishes a

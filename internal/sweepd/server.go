@@ -46,16 +46,14 @@ type Config struct {
 	// per-peer state gauges and read redirects; cmd/ncg-server wires it
 	// to the cluster.Registry. Nil means those endpoints answer 503.
 	Cluster Cluster
-	// Sched, when set, routes POST /sweeps through the cluster
-	// scheduler (capacity-aware placement, forwarding); cmd/ncg-server
-	// wires it to the sched.Scheduler. Nil means submissions always
-	// run locally.
+	// Sched, when set, admits POST /sweeps through the cluster
+	// scheduler; cmd/ncg-server wires it to the sched.Scheduler. Either
+	// way the job runs on this daemon.
 	Sched Submitter
-	// SchedStats, when set, feeds the scheduler counters (forwards,
-	// adoptions, leadership losses) into /metrics and /healthz.
+	// SchedStats, when set, feeds the scheduler counters (adoptions,
+	// leadership losses, replica seeds) into /metrics and /healthz.
 	SchedStats func() SchedStats
-	// now is the clock of the rate limiter and of the remembered
-	// forwards; tests inject a fake.
+	// now is the rate limiter's clock; tests inject a fake.
 	now func() time.Time
 }
 
@@ -82,8 +80,8 @@ type handler struct {
 	peerStats        func() PeerStats
 	// cluster serves the membership endpoints (nil = not clustered).
 	cluster Cluster
-	// sched places submissions cluster-wide (nil = always local);
-	// schedStats snapshots its counters for /metrics and /healthz.
+	// sched admits submissions (nil = the manager directly); schedStats
+	// snapshots its counters for /metrics and /healthz.
 	sched      Submitter
 	schedStats func() SchedStats
 	// replicaStats snapshots the replicator's push counters; the receive
@@ -102,59 +100,6 @@ type handler struct {
 
 	mu        sync.Mutex
 	summaries map[string]*summaryState
-	// forwards remembers where this daemon's own submit handler placed
-	// jobs on peers, so a read arriving before the placement has gossiped
-	// is redirected instead of 404ed (see redirectRead).
-	forwards map[string]forward
-	now      func() time.Time
-}
-
-// forward is one remembered placement: the member a forwarded job was
-// accepted by, and when.
-type forward struct {
-	target string
-	at     time.Time
-}
-
-const (
-	// forwardTTL is how long a remembered placement answers reads. The
-	// lease table takes over within a gossip round; past the default
-	// -adopt-after the job may have moved off a dead target, so the
-	// memory must not outlive it.
-	forwardTTL = 30 * time.Second
-	// maxForwards bounds the memory; a daemon forwarding faster than this
-	// per forwardTTL falls back to the lease table for the overflow.
-	maxForwards = 4096
-)
-
-// rememberForward records that job id was placed on target.
-func (h *handler) rememberForward(id, target string) {
-	now := h.now()
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.forwards) >= maxForwards {
-		for id, f := range h.forwards {
-			if now.Sub(f.at) >= forwardTTL {
-				delete(h.forwards, id)
-			}
-		}
-		if len(h.forwards) >= maxForwards {
-			return
-		}
-	}
-	h.forwards[id] = forward{target: target, at: now}
-}
-
-// forwardedTo returns the member job id was placed on by a submission
-// this daemon forwarded within the last forwardTTL, else "".
-func (h *handler) forwardedTo(id string) string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	f, ok := h.forwards[id]
-	if !ok || h.now().Sub(f.at) >= forwardTTL {
-		return "" // an expired entry is swept when the memory fills
-	}
-	return f.target
 }
 
 // NewHandlerConfig builds the sweepd HTTP JSON API over a manager, with
@@ -188,9 +133,6 @@ func (h *handler) forwardedTo(id string) string {
 //	                            gossip and the peers' health probe, exempt
 //	                            from rate limits; carries job leases and
 //	                            tombstones when scheduling is on
-//	POST   /peer/jobs           submit a Spec for local execution, bypassing
-//	                            the scheduler (the receiving half of a
-//	                            cluster forward)
 //	POST   /peer/jobs/claim     an adopter announces its new job lease so
 //	                            peers converge before the next gossip cycle
 //	POST   /peer/replicas/{id}  receive one finished job's immutable
@@ -232,8 +174,6 @@ func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
 		schedStats:        cfg.SchedStats,
 		replicaStats:      cfg.ReplicaStats,
 		summaries:         make(map[string]*summaryState),
-		forwards:          make(map[string]forward),
-		now:               cfg.now,
 	}
 	// Job GC must release the per-job summary state too, or the daemon
 	// leaks one summaryState per job forever.
@@ -255,7 +195,6 @@ func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
 	mux.HandleFunc("POST /peer/leases", h.peerLease)
 	mux.HandleFunc("POST /peer/hello", h.clustered(h.peerHello))
 	mux.HandleFunc("GET /peer/members", h.clustered(h.peerMembers))
-	mux.HandleFunc("POST /peer/jobs", h.peerSubmit)
 	mux.HandleFunc("POST /peer/jobs/claim", h.clustered(h.peerClaim))
 	mux.HandleFunc("POST /peer/replicas/{id}", h.receiveReplica)
 	return h, h.rateLimit(mux)
@@ -276,7 +215,7 @@ func (h *handler) healthz(w http.ResponseWriter, r *http.Request) {
 		"jobs_by_status": ms.Jobs,
 		"cache":          h.m.CacheStats(),
 		// The capacity advertisement: peers cache this per-member from
-		// their probe replies and place submissions on the least loaded.
+		// their probe replies and rank adopters and replica targets by it.
 		"load": h.m.Load(),
 	}
 	if h.peerStats != nil {
@@ -323,10 +262,22 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, limit int64, what string
 	return true
 }
 
-// writeSubmitResult maps a submission outcome onto the wire: 429 for
-// the -max-jobs quota, 500 for store failures (the server's disk, not
-// the client's request), 400 for bad specs, 202 created / 200 existing.
-func (h *handler) writeSubmitResult(w http.ResponseWriter, job Job, created bool, err error) {
+// submit admits a spec and maps the outcome onto the wire: 429 for the
+// -max-jobs quota, 500 for store failures (the server's disk, not the
+// client's request), 400 for bad specs, 202 created / 200 existing.
+func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
+	var sp Spec
+	if !decodeJSON(w, r, 1<<20, "spec", &sp) {
+		return
+	}
+	var job Job
+	var created bool
+	var err error
+	if h.sched == nil {
+		job, created, err = h.m.Submit(sp)
+	} else {
+		job, created, err = h.sched.SubmitSweep(r.Context(), sp)
+	}
 	switch {
 	case errors.Is(err, ErrJobQuota):
 		h.quotaRejections.Add(1)
@@ -344,37 +295,6 @@ func (h *handler) writeSubmitResult(w http.ResponseWriter, job Job, created bool
 		code = http.StatusAccepted
 	}
 	writeJSON(w, code, job)
-}
-
-func (h *handler) submit(w http.ResponseWriter, r *http.Request) {
-	var sp Spec
-	if !decodeJSON(w, r, 1<<20, "spec", &sp) {
-		return
-	}
-	if h.sched == nil {
-		job, created, err := h.m.Submit(sp)
-		h.writeSubmitResult(w, job, created, err)
-		return
-	}
-	placed, err := h.sched.SubmitSweep(r.Context(), sp)
-	var redir *RedirectError
-	if errors.As(err, &redir) {
-		// Placement chose a peer but neither the forward nor local
-		// admission could land the job; hand the client the peer's
-		// submit endpoint to retry directly.
-		w.Header().Set("Location", redir.URL+"/sweeps")
-		writeError(w, http.StatusTemporaryRedirect,
-			"sweep could not be placed here; resubmit to "+redir.URL)
-		return
-	}
-	if err == nil && placed.PlacedOn != "" {
-		// The job runs on a peer: point clients at the authoritative
-		// copy and expose the placement decision for tooling.
-		w.Header().Set("X-Sweep-Placement", placed.PlacedOn)
-		w.Header().Set("Location", placed.PlacedOn+"/sweeps/"+placed.Job.ID)
-		h.rememberForward(placed.Job.ID, placed.PlacedOn)
-	}
-	h.writeSubmitResult(w, placed.Job, placed.Created, err)
 }
 
 func (h *handler) list(w http.ResponseWriter, r *http.Request) {
