@@ -69,6 +69,7 @@ var archRules = []struct {
 	{"resumable-runner", oneResumableRunner},
 	{"executor-stack", oneExecutorStack},
 	{"one-logger", oneLogger},
+	{"one-assembly", oneAssembly},
 }
 
 // onePeerClient: one peer client, with no second HTTP client, transport
@@ -332,6 +333,35 @@ func oneLogger(tr *tree) (out []finding) {
 				if isLogfType(field.Type) {
 					out = append(out, tr.find(field, "func(string, ...any) field; log through log/slog"))
 				}
+			}
+		}
+	})
+	return out
+}
+
+// oneAssembly: one daemon assembly. internal/sweepd/node wires the
+// membership registry, lease pool, replicator and scheduler, for
+// cmd/ncg-server and the end-to-end tests alike; a second non-test call
+// to one of their constructors is a second assembly, free to drift from
+// the first. bench/ keeps its own copy until ROADMAP direction 1(b) moves
+// the benchmark onto node.New. Test rigs that wire part of a daemon on
+// purpose (shard's passive registry) are test files.
+func oneAssembly(tr *tree) (out []finding) {
+	constructors := map[string]string{
+		"repro/internal/sweepd/cluster": "New",
+		"repro/internal/sweepd/sched":   "New",
+		"repro/internal/sweepd/shard":   "NewFromSource",
+		"repro/internal/sweepd":         "NewReplicator",
+	}
+	everywhere := func(*goFile) bool { return true }
+	tr.inspect(nonTest(everywhere, "internal/sweepd/node", "bench"), func(f *goFile, n ast.Node) {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		for pkg, name := range constructors {
+			if f.qualified(sel, pkg) == name {
+				out = append(out, tr.find(sel, "%s.%s outside internal/sweepd/node", path.Base(pkg), name))
 			}
 		}
 	})

@@ -73,7 +73,7 @@ type Options struct {
 	BackoffMax time.Duration
 	// SelfLoad, when set, supplies this daemon's own capacity snapshot
 	// for Members() (gossip readers see the serving daemon's load without
-	// probing it); cmd/ncg-server wires it to Manager.Load.
+	// probing it); node.New wires it to Manager.Load.
 	SelfLoad func() sweepd.LoadInfo
 	// TombstoneAfter decommissions members that stay down continuously
 	// for this long: the member is dropped and a tombstone with the same
@@ -270,18 +270,6 @@ func New(opts Options) *Registry {
 		r.members[s] = &member{url: s, state: StateAlive}
 	}
 	return r
-}
-
-// SetSelf installs (or replaces) the advertise URL after construction —
-// test servers learn their URL only once listening. Call before Start.
-func (r *Registry) SetSelf(url string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.self = sweepd.NormalizePeerURL(url)
-	if r.self != "" {
-		r.selfURLs[r.self] = true
-	}
-	delete(r.members, r.self)
 }
 
 // Start launches the background probe loop: an immediate cycle (so seeds

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -410,16 +411,15 @@ func TestPeerMembershipDisabled(t *testing.T) {
 }
 
 // TestNormalizePeerURLs pins the shared URL hygiene all three layers
-// (-peers, shard.New, the registry) rely on.
+// (-peers, shard.New, the registry) rely on: blanks go, spellings of one
+// URL collapse, and the first spelling keeps its place.
 func TestNormalizePeerURLs(t *testing.T) {
-	got := NormalizePeerURLs([]string{" http://a:1/ ", "http://a:1", "", "http://b:2//", "http://a:1/"})
-	want := []string{"http://a:1", "http://b:2"}
-	if len(got) != len(want) {
-		t.Fatalf("NormalizePeerURLs = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("NormalizePeerURLs = %v, want %v", got, want)
+	for _, tc := range []struct{ in, want []string }{
+		{[]string{" http://a:1/ ", "http://a:1", "", "http://b:2//", "http://a:1/"}, []string{"http://a:1", "http://b:2"}},
+		{[]string{"http://b:2", "http://a:1", "http://b:2/"}, []string{"http://b:2", "http://a:1"}},
+	} {
+		if got := NormalizePeerURLs(tc.in); !slices.Equal(got, tc.want) {
+			t.Fatalf("NormalizePeerURLs(%q) = %v, want %v", tc.in, got, tc.want)
 		}
 	}
 }

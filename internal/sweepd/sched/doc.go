@@ -15,7 +15,9 @@
 // alive member. A member already running its -max-jobs jobs answers
 // 429.
 //
-// Leadership. Every heartbeat tick the scheduler writes one JobLease
+// Leadership. Every heartbeat tick (a fifteenth of AdoptAfter, at most
+// 2s, so a job's first lease goes out well inside the window in which
+// its leader's death would be noticed) the scheduler writes one JobLease
 // per locally running job into the registry: job ID, the full spec
 // (so any member can restart the job from gossip state alone), owner
 // URL, generation, and checkpoint progress. Leases ride the existing

@@ -1,11 +1,11 @@
 package sched_test
 
-// End-to-end tests for the cluster scheduler: real daemons wired over
-// httptest — manager, membership registry, scheduler, and HTTP surface
-// assembled exactly as cmd/ncg-server does — proving the acceptance
-// criteria: a sweep POSTed to a busy member is led by that member, a
-// killed leader's job is adopted and finishes with a byte-identical
-// checkpoint, and a revived ex-leader cedes to the
+// End-to-end tests for the cluster scheduler: real daemons assembled by
+// internal/sweepd/node, the assembly cmd/ncg-server runs (sharding, disk
+// cache and replication included), each on its own loopback listener —
+// proving the acceptance criteria: a sweep POSTed to a busy member is led
+// by that member, a killed leader's job is adopted and finishes with a
+// byte-identical checkpoint, and a revived ex-leader cedes to the
 // adopter's higher lease generation instead of split-braining.
 
 import (
@@ -13,43 +13,33 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dynamics"
 	"repro/internal/sweepd"
-	"repro/internal/sweepd/cluster"
-	"repro/internal/sweepd/sched"
-	storepkg "repro/internal/sweepd/store"
+	"repro/internal/sweepd/node"
 )
 
-const adoptAfter = 300 * time.Millisecond
+// timing is a daemon's -probe-interval and -adopt-after; the scheduler
+// heartbeats every fifteenth of the latter.
+type timing struct{ probe, adoptAfter time.Duration }
 
-// timing is a daemon's probe interval and scheduler heartbeat (0 = the
-// scheduler's default).
-type timing struct{ probe, beat time.Duration }
+// fast is the cadence of the failover tests: a 20ms heartbeat, so every
+// round trip of the protocol lands well inside the adoption window.
+var fast = timing{probe: 20 * time.Millisecond, adoptAfter: 300 * time.Millisecond}
 
-// fast is the cadence of the failover tests: every round trip of the
-// protocol well inside adoptAfter.
-var fast = timing{probe: 20 * time.Millisecond, beat: 25 * time.Millisecond}
-
-// daemon is one in-process ncg-server: store, manager, registry,
-// scheduler, and HTTP surface, all wired the way main() wires them.
+// daemon is one in-process ncg-server over dir, serving at url.
 type daemon struct {
-	dir   string
-	store *sweepd.Store
-	mgr   *sweepd.Manager
-	reg   *cluster.Registry
-	sch   *sched.Scheduler
-	rs    *storepkg.ReplicaSet
-	rep   *sweepd.Replicator
-	srv   *httptest.Server
-	dead  sync.Once
+	*node.Node
+	dir  string
+	url  string
+	dead sync.Once
 }
 
 func newSchedDaemon(t *testing.T, workers int, seeds ...string) *daemon {
@@ -62,62 +52,26 @@ func newSchedDaemon(t *testing.T, workers int, seeds ...string) *daemon {
 	return d
 }
 
-// buildDaemon assembles a daemon over dir at the given cadence.
+// buildDaemon boots ncg-server's defaults over dir at the given cadence,
+// advertising its loopback address.
 func buildDaemon(dir string, workers int, tm timing, seeds ...string) (*daemon, error) {
-	store, err := sweepd.OpenStore(dir)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	mgr := sweepd.NewManager(store, sweepd.NewCache(4096), workers)
-	reg := cluster.New(cluster.Options{
-		Seeds:         seeds,
-		ProbeInterval: tm.probe,
-		SelfLoad:      mgr.Load,
-	})
-	sch, err := sched.New(sched.Options{
-		Cluster:    reg,
-		Manager:    mgr,
-		AdoptAfter: adoptAfter,
-		Heartbeat:  tm.beat,
-	})
-	if err != nil {
-		mgr.Close()
+	d := &daemon{dir: dir, url: "http://" + ln.Addr().String()}
+	cfg := node.DefaultConfig()
+	cfg.Data = dir
+	cfg.Workers = workers
+	cfg.Peers = strings.Join(seeds, ",")
+	cfg.Advertise = d.url
+	cfg.ProbeInterval = tm.probe
+	cfg.AdoptAfter = tm.adoptAfter
+	if d.Node, err = node.New(cfg); err != nil {
+		ln.Close()
 		return nil, err
 	}
-	rs, err := storepkg.OpenReplicaSet(filepath.Join(dir, "replicas"))
-	if err != nil {
-		mgr.Close()
-		return nil, err
-	}
-	mgr.SetReplicas(rs)
-	rep := sweepd.NewReplicator(sweepd.ReplicatorOptions{
-		Store:   store,
-		Fanout:  2,
-		Self:    reg.Self,
-		Targets: reg.AliveLoads,
-		Holders: reg.ReplicaHolders,
-		Generation: func(id string) uint64 {
-			for _, l := range reg.Leases() {
-				if l.JobID == id {
-					return l.Generation
-				}
-			}
-			return 1
-		},
-	})
-	mgr.OnFinish(rep.JobFinished)
-	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{
-		HeartbeatInterval: 20 * time.Millisecond,
-		Cluster:           reg,
-		Sched:             sch,
-		SchedStats:        sch.Stats,
-		ReplicaStats:      rep.Stats,
-	})
-	d := &daemon{dir: dir, store: store, mgr: mgr, reg: reg, sch: sch, rs: rs, rep: rep}
-	d.srv = httptest.NewServer(h)
-	reg.SetSelf(d.srv.URL)
-	reg.Start()
-	sch.Start()
+	d.Serve(ln)
 	return d, nil
 }
 
@@ -127,12 +81,9 @@ func buildDaemon(dir string, workers int, tm timing, seeds ...string) (*daemon, 
 // test gets to kill -9. The checkpoint stays on disk, resumable.
 func (d *daemon) kill() {
 	d.dead.Do(func() {
-		d.srv.CloseClientConnections()
-		d.srv.Close()
-		d.sch.Close()
-		d.reg.Close()
-		d.mgr.Close()
-		d.rep.Close()
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		d.Close(ctx)
 	})
 }
 
@@ -163,9 +114,9 @@ func waitMesh(t *testing.T, ds ...*daemon) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for _, d := range ds {
-		for len(d.reg.AliveLoads()) < len(ds)-1 {
+		for len(d.Registry.AliveLoads()) < len(ds)-1 {
 			if time.Now().After(deadline) {
-				t.Fatalf("mesh never formed: %s sees loads %+v", d.srv.URL, d.reg.AliveLoads())
+				t.Fatalf("mesh never formed: %s sees loads %+v", d.url, d.Registry.AliveLoads())
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -177,12 +128,12 @@ func waitMesh(t *testing.T, ds ...*daemon) {
 func runReference(t *testing.T, sp sweepd.Spec) []byte {
 	t.Helper()
 	ref := newSchedDaemon(t, 4)
-	job, _, err := ref.mgr.Submit(sp)
+	job, _, err := ref.Manager.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, ref.mgr, job.ID)
-	data, err := os.ReadFile(ref.store.ResultsPath(job.ID))
+	waitDone(t, ref.Manager, job.ID)
+	data, err := os.ReadFile(ref.Store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,19 +159,19 @@ func TestSubmitLeadsWhereReceived(t *testing.T) {
 	ref := runReference(t, sp)
 
 	a := newSchedDaemon(t, 1)
-	b := newSchedDaemon(t, 2, a.srv.URL)
-	c := newSchedDaemon(t, 2, a.srv.URL)
+	b := newSchedDaemon(t, 2, a.url)
+	c := newSchedDaemon(t, 2, a.url)
 	waitMesh(t, a, b, c)
 
 	// A job whose cells wait on a gate nobody feeds keeps a busy until the
 	// test ends; every other job runs on a's own worker.
 	busy := sweepd.Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
 	busy.Normalize()
-	a.mgr.SetExecutorProvider(holdOne{id: busy.ID(), gate: make(chan struct{})})
-	if _, _, err := a.mgr.Submit(busy); err != nil {
+	a.Manager.SetExecutorProvider(holdOne{id: busy.ID(), gate: make(chan struct{})})
+	if _, _, err := a.Manager.Submit(busy); err != nil {
 		t.Fatal(err)
 	}
-	if a.mgr.Load().QueueDepth == 0 {
+	if a.Manager.Load().QueueDepth == 0 {
 		t.Fatal("the held job does not count as load")
 	}
 
@@ -228,7 +179,7 @@ func TestSubmitLeadsWhereReceived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(a.srv.URL+"/sweeps", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(a.url+"/sweeps", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +197,7 @@ func TestSubmitLeadsWhereReceived(t *testing.T) {
 	}
 
 	// Following the job blocks until it is terminal.
-	resp, err = http.Get(a.srv.URL + "/sweeps/" + job.ID + "/results?follow=1")
+	resp, err = http.Get(a.url + "/sweeps/" + job.ID + "/results?follow=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +207,11 @@ func TestSubmitLeadsWhereReceived(t *testing.T) {
 		t.Fatalf("follow on the receiving member ended with status %q", st)
 	}
 	for _, peer := range []*daemon{b, c} {
-		if _, ok := peer.mgr.Get(job.ID); ok {
-			t.Fatalf("job admitted on peer %s too", peer.srv.URL)
+		if _, ok := peer.Manager.Get(job.ID); ok {
+			t.Fatalf("job admitted on peer %s too", peer.url)
 		}
 	}
-	data, err := os.ReadFile(a.store.ResultsPath(job.ID))
+	data, err := os.ReadFile(a.Store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +243,10 @@ func (h holdOne) ExecutorFor(sp sweepd.Spec, _ func(int)) dynamics.Executor {
 func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	sp := sweepd.Spec{
 		// Sized by exact-MAX cell cost: the sweep must outlive the kill,
-		// adoption and zombie windows, so it is ~3.5ms/cell × 300 cells —
-		// over a second on the leader's one worker, half that on the
-		// adopter's two. A faster kernel shrinks those windows; the two
-		// "spec too small" guards below say so when it has.
+		// adoption and zombie windows, so it is ~3.5ms/cell × 300 cells,
+		// leased over every alive member's workers (five before the kill,
+		// four after it). A faster kernel or a wider cluster shrinks those
+		// windows; the two "spec too small" guards below say so when it has.
 		N:      100,
 		Alphas: []float64{0.3, 0.5, 1, 2, 5},
 		Ks:     []int{2, 3, 1000},
@@ -305,11 +256,11 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	ref := runReference(t, sp)
 
 	a := newSchedDaemon(t, 1) // slow leader: one worker stretches the sweep
-	b := newSchedDaemon(t, 2, a.srv.URL)
-	c := newSchedDaemon(t, 2, a.srv.URL)
+	b := newSchedDaemon(t, 2, a.url)
+	c := newSchedDaemon(t, 2, a.url)
 	waitMesh(t, a, b, c)
 
-	job, _, err := a.mgr.Submit(sp)
+	job, _, err := a.Manager.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,8 +270,8 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	for _, survivor := range []*daemon{b, c} {
 		for {
 			leased := false
-			for _, l := range survivor.reg.Leases() {
-				if l.JobID == job.ID && l.Owner == a.srv.URL {
+			for _, l := range survivor.Registry.Leases() {
+				if l.JobID == job.ID && l.Owner == a.url {
 					leased = true
 				}
 			}
@@ -328,12 +279,12 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("lease never reached %s", survivor.srv.URL)
+				t.Fatalf("lease never reached %s", survivor.url)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	if j, _ := a.mgr.Get(job.ID); j.Status != sweepd.StatusRunning {
+	if j, _ := a.Manager.Get(job.ID); j.Status != sweepd.StatusRunning {
 		t.Fatalf("leader job is %s before the kill; spec too small to test failover", j.Status)
 	}
 	a.kill()
@@ -341,43 +292,40 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	// One survivor must adopt within the adoption window (plus probe and
 	// heartbeat slack) and re-lease the job at a higher generation.
 	adoptDeadline := time.Now().Add(30 * time.Second)
-	for b.sch.Stats().Adoptions+c.sch.Stats().Adoptions == 0 {
+	for b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions == 0 {
 		if time.Now().After(adoptDeadline) {
-			t.Fatalf("no adoption: b=%+v c=%+v leases=%+v", b.sch.Stats(), c.sch.Stats(), b.reg.Leases())
+			t.Fatalf("no adoption: b=%+v c=%+v leases=%+v", b.Scheduler.Stats(), c.Scheduler.Stats(), b.Registry.Leases())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	adopter := c
-	if b.sch.Stats().Adoptions > 0 {
+	if b.Scheduler.Stats().Adoptions > 0 {
 		adopter = b
 	}
 
 	// Revive the dead leader over its old store while the adopted run is
 	// still going: it resumes the job, heartbeats its stale generation,
 	// loses the comparison, and cedes.
-	if j, _ := adopter.mgr.Get(job.ID); j.Status != sweepd.StatusRunning {
+	if j, _ := adopter.Manager.Get(job.ID); j.Status != sweepd.StatusRunning {
 		t.Fatalf("adopted run already finished (%s); spec too small to test the cede", j.Status)
 	}
-	zombie, err := buildDaemon(a.dir, 1, fast, b.srv.URL)
+	zombie, err := buildDaemon(a.dir, 1, fast, b.url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(zombie.kill)
-	if err := zombie.mgr.Resume(); err != nil {
-		t.Fatal(err)
-	}
 	zombieDeadline := time.Now().Add(30 * time.Second)
-	for zombie.sch.Stats().LeadershipLost == 0 {
+	for zombie.Scheduler.Stats().LeadershipLost == 0 {
 		if time.Now().After(zombieDeadline) {
-			t.Fatalf("zombie never ceded: %+v leases=%+v", zombie.sch.Stats(), zombie.reg.Leases())
+			t.Fatalf("zombie never ceded: %+v leases=%+v", zombie.Scheduler.Stats(), zombie.Registry.Leases())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 
 	// The adopter finishes the job byte-identically to the reference.
-	waitDone(t, adopter.mgr, job.ID)
-	data, err := os.ReadFile(adopter.store.ResultsPath(job.ID))
+	waitDone(t, adopter.Manager, job.ID)
+	data, err := os.ReadFile(adopter.Store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +335,8 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 
 	// No split-brain: any lease still standing for the job names the
 	// adopter's generation, never the zombie's stale one.
-	for _, l := range adopter.reg.Leases() {
-		if l.JobID == job.ID && l.Owner == zombie.srv.URL {
+	for _, l := range adopter.Registry.Leases() {
+		if l.JobID == job.ID && l.Owner == zombie.url {
 			t.Fatalf("zombie reclaimed the lease: %+v", l)
 		}
 	}
@@ -412,12 +360,12 @@ func (h heldExecutor) Execute(ctx context.Context, req dynamics.ExecRequest) <-c
 // killed at any instant is adoptable — and once the job has ended the
 // lease must leave all three.
 func TestLeaseHeldBetweenHeartbeats(t *testing.T) {
-	bench := timing{probe: 100 * time.Millisecond}
+	bench := timing{probe: 100 * time.Millisecond, adoptAfter: node.DefaultConfig().AdoptAfter}
 	var ds []*daemon
 	for i := 0; i < 3; i++ {
 		var seeds []string
 		if i > 0 {
-			seeds = []string{ds[0].srv.URL}
+			seeds = []string{ds[0].url}
 		}
 		d, err := buildDaemon(t.TempDir(), 1, bench, seeds...)
 		if err != nil {
@@ -430,16 +378,16 @@ func TestLeaseHeldBetweenHeartbeats(t *testing.T) {
 	waitMesh(t, ds...)
 
 	gate := make(chan struct{}, 1)
-	leader.mgr.SetExecutorProvider(heldExecutor{gate})
+	leader.Manager.SetExecutorProvider(heldExecutor{gate})
 	sp := sweepd.Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2}
 	sp.Normalize()
-	job, _, err := leader.mgr.Submit(sp)
+	job, _, err := leader.Manager.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	held := func(d *daemon) bool {
-		for _, l := range d.reg.Leases() {
-			if l.JobID == job.ID && l.Owner == leader.srv.URL {
+		for _, l := range d.Registry.Leases() {
+			if l.JobID == job.ID && l.Owner == leader.url {
 				return true
 			}
 		}
@@ -471,14 +419,14 @@ func TestLeaseHeldBetweenHeartbeats(t *testing.T) {
 		samples, window, holds[0], holds[1], holds[2], orphaned)
 	for i, n := range holds {
 		if n != samples {
-			t.Errorf("%s held the running job's lease in %d of %d samples", ds[i].srv.URL, n, samples)
+			t.Errorf("%s held the running job's lease in %d of %d samples", ds[i].url, n, samples)
 		}
 	}
 
 	// The job ends: its leader drops the lease at the next heartbeat, and
 	// each peer on its next pull from the leader.
 	gate <- struct{}{}
-	waitDone(t, leader.mgr, job.ID)
+	waitDone(t, leader.Manager, job.ID)
 	deadline = time.Now().Add(30 * time.Second)
 	for held(ds[0]) || held(ds[1]) || held(ds[2]) {
 		if time.Now().After(deadline) {

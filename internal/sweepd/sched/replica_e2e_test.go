@@ -25,12 +25,12 @@ func waitReplica(t *testing.T, id string, ds ...*daemon) {
 	deadline := time.Now().Add(30 * time.Second)
 	for _, d := range ds {
 		for {
-			ids := d.rs.List()
+			ids := d.Replicas.List()
 			if slices.Contains(ids, id) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("replica of %s never reached %s (holds %v)", id, d.srv.URL, ids)
+				t.Fatalf("replica of %s never reached %s (holds %v)", id, d.url, ids)
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -102,18 +102,18 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 	sp.Normalize()
 
 	a := newSchedDaemon(t, 4)
-	b := newSchedDaemon(t, 2, a.srv.URL)
-	c := newSchedDaemon(t, 2, a.srv.URL)
+	b := newSchedDaemon(t, 2, a.url)
+	c := newSchedDaemon(t, 2, a.url)
 	waitMesh(t, a, b, c)
 
-	job, _, err := a.mgr.Submit(sp)
+	job, _, err := a.Manager.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, a.mgr, job.ID)
+	waitDone(t, a.Manager, job.ID)
 	waitReplica(t, job.ID, b, c)
 
-	resp, leaderBody := getResults(t, a.srv.URL, job.ID, nil)
+	resp, leaderBody := getResults(t, a.url, job.ID, nil)
 	if resp.StatusCode != http.StatusOK || len(leaderBody) == 0 {
 		t.Fatalf("leader results = %d with %d bytes", resp.StatusCode, len(leaderBody))
 	}
@@ -121,7 +121,7 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 	if etag == "" {
 		t.Fatal("leader served done results without an ETag")
 	}
-	raw, err := os.ReadFile(a.store.ResultsPath(job.ID))
+	raw, err := os.ReadFile(a.Store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,13 +129,13 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 	a.kill()
 
 	for _, survivor := range []*daemon{b, c} {
-		resp, body := getResults(t, survivor.srv.URL, job.ID, nil)
+		resp, body := getResults(t, survivor.url, job.ID, nil)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("survivor %s results = %d", survivor.srv.URL, resp.StatusCode)
+			t.Fatalf("survivor %s results = %d", survivor.url, resp.StatusCode)
 		}
 		if !bytes.Equal(body, leaderBody) || !bytes.Equal(body, raw) {
 			t.Fatalf("survivor %s serves %d bytes, leader served %d (checkpoint %d)",
-				survivor.srv.URL, len(body), len(leaderBody), len(raw))
+				survivor.url, len(body), len(leaderBody), len(raw))
 		}
 		if got := resp.Header.Get("X-Sweep-Status"); got != string(sweepd.StatusDone) {
 			t.Fatalf("survivor X-Sweep-Status = %q", got)
@@ -145,12 +145,12 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 		}
 		// The validator a client cached from the leader revalidates
 		// against the replica.
-		resp, body = getResults(t, survivor.srv.URL, job.ID, map[string]string{"If-None-Match": etag})
+		resp, body = getResults(t, survivor.url, job.ID, map[string]string{"If-None-Match": etag})
 		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
 			t.Fatalf("survivor If-None-Match = %d with %d bytes, want 304 empty", resp.StatusCode, len(body))
 		}
-		if v := metricValue(t, survivor.srv.URL, "sweepd_replica_reads_total"); v < 1 {
-			t.Fatalf("survivor %s sweepd_replica_reads_total = %v, want ≥ 1", survivor.srv.URL, v)
+		if v := metricValue(t, survivor.url, "sweepd_replica_reads_total"); v < 1 {
+			t.Fatalf("survivor %s sweepd_replica_reads_total = %v, want ≥ 1", survivor.url, v)
 		}
 	}
 }
@@ -169,25 +169,25 @@ func TestAdoptionSeedsFromLocalReplicaEndToEnd(t *testing.T) {
 	sp.Normalize()
 
 	a := newSchedDaemon(t, 4)
-	b := newSchedDaemon(t, 2, a.srv.URL)
-	c := newSchedDaemon(t, 2, a.srv.URL)
+	b := newSchedDaemon(t, 2, a.url)
+	c := newSchedDaemon(t, 2, a.url)
 	waitMesh(t, a, b, c)
 
-	job, _, err := a.mgr.Submit(sp)
+	job, _, err := a.Manager.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitDone(t, a.mgr, job.ID)
+	waitDone(t, a.Manager, job.ID)
 	waitReplica(t, job.ID, b, c)
 	a.kill()
 
 	// Resurrect the lease as if the leader died mid-run: owner dead,
 	// generation 1. Both survivors hold a verified replica, so whichever
 	// wins the adoption election can seed without touching the network.
-	lease := sweepd.JobLease{JobID: job.ID, Spec: sp, Owner: a.srv.URL, Generation: 1}
+	lease := sweepd.JobLease{JobID: job.ID, Spec: sp, Owner: a.url, Generation: 1}
 	for _, survivor := range []*daemon{b, c} {
-		if !survivor.reg.UpdateLease(lease) {
-			t.Fatalf("lease injection rejected by %s", survivor.srv.URL)
+		if !survivor.Registry.UpdateLease(lease) {
+			t.Fatalf("lease injection rejected by %s", survivor.url)
 		}
 	}
 
@@ -195,27 +195,27 @@ func TestAdoptionSeedsFromLocalReplicaEndToEnd(t *testing.T) {
 	var adopter *daemon
 	for adopter == nil {
 		for _, d := range []*daemon{b, c} {
-			if d.sch.Stats().Adoptions > 0 {
+			if d.Scheduler.Stats().Adoptions > 0 {
 				adopter = d
 			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no adoption: b=%+v c=%+v", b.sch.Stats(), c.sch.Stats())
+			t.Fatalf("no adoption: b=%+v c=%+v", b.Scheduler.Stats(), c.Scheduler.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if st := adopter.sch.Stats(); st.ReplicaSeeds != 1 {
+	if st := adopter.Scheduler.Stats(); st.ReplicaSeeds != 1 {
 		t.Fatalf("adopter stats = %+v, want ReplicaSeeds=1 (adoption must not tail-fetch)", st)
 	}
 
 	// Seeded from a complete replica, the adopted job finishes without
 	// recomputing — and its primary checkpoint matches the replica bytes.
-	waitDone(t, adopter.mgr, job.ID)
-	adopted, err := os.ReadFile(adopter.store.ResultsPath(job.ID))
+	waitDone(t, adopter.Manager, job.ID)
+	adopted, err := os.ReadFile(adopter.Store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	replica, err := os.ReadFile(adopter.rs.ResultsPath(job.ID))
+	replica, err := os.ReadFile(adopter.Replicas.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}

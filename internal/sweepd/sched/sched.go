@@ -58,12 +58,18 @@ type Options struct {
 	// AdoptAfter is how long a lease may go unrefreshed after its
 	// owner stops answering before a peer adopts the job. Longer
 	// values ride out restarts; shorter values resume work faster.
-	// Default 30s.
+	// Default 30s. It also sets the heartbeat (see heartbeatFor).
 	AdoptAfter time.Duration
+}
 
-	// Heartbeat is the scheduler tick: lease refresh and adoption
-	// scan. Must be well under AdoptAfter. Default 2s.
-	Heartbeat time.Duration
+// heartbeatFor is the scheduler tick — lease refresh and adoption scan —
+// for an adoption window: a fifteenth of it, capped at 2s. A job's first
+// lease goes out up to one tick after the job starts, and a leader that
+// dies before then leaves a job no member knows about, so that window
+// shrinks with the adoption window: 30s (the default) ticks every 2s, 2s
+// every 133ms, 300ms every 20ms.
+func heartbeatFor(adoptAfter time.Duration) time.Duration {
+	return min(2*time.Second, adoptAfter/15)
 }
 
 // Scheduler implements sweepd.Submitter over a cluster: local admission
@@ -71,6 +77,7 @@ type Options struct {
 // orphaned jobs. See the package comment for the protocol.
 type Scheduler struct {
 	opts Options
+	beat time.Duration    // heartbeatFor(opts.AdoptAfter)
 	now  func() time.Time // injected in tests
 
 	// ctx is the scheduler's lifetime: Close cancels it, which stops the
@@ -100,11 +107,9 @@ func New(opts Options) (*Scheduler, error) {
 	if opts.AdoptAfter <= 0 {
 		opts.AdoptAfter = 30 * time.Second
 	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = 2 * time.Second
-	}
 	s := &Scheduler{
 		opts:  opts,
+		beat:  heartbeatFor(opts.AdoptAfter),
 		now:   time.Now,
 		gens:  make(map[string]uint64),
 		ceded: make(map[string]bool),
@@ -148,7 +153,7 @@ func (s *Scheduler) Close() {
 
 func (s *Scheduler) loop() {
 	defer close(s.done)
-	t := time.NewTicker(s.opts.Heartbeat)
+	t := time.NewTicker(s.beat)
 	defer t.Stop()
 	for {
 		select {

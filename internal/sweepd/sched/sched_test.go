@@ -520,7 +520,7 @@ func TestCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
 	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 1, Updated: time.Now().Add(-time.Minute)}
 	c.leases[sp.ID()] = orphan
 	c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: srv.URL, State: "alive"}}
-	s, err := New(Options{Cluster: c, Manager: &fakeManager{}, Heartbeat: time.Millisecond})
+	s, err := New(Options{Cluster: c, Manager: &fakeManager{}, AdoptAfter: 15 * time.Millisecond}) // 1ms ticks
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,5 +531,26 @@ func TestCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
 	s.Close()
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("Close waited %v on a peer that never answers", elapsed)
+	}
+}
+
+// TestHeartbeatFollowsAdoptAfter pins the tick New derives from the
+// adoption window: the default 30s keeps ncg-server's 2s, and shorter
+// windows shrink the first-lease gap with them.
+func TestHeartbeatFollowsAdoptAfter(t *testing.T) {
+	for _, tc := range []struct{ adoptAfter, want time.Duration }{
+		{0, 2 * time.Second}, // the 30s default
+		{30 * time.Second, 2 * time.Second},
+		{time.Hour, 2 * time.Second},
+		{2 * time.Second, 133 * time.Millisecond},
+		{300 * time.Millisecond, 20 * time.Millisecond},
+	} {
+		s, err := New(Options{Cluster: newFakeCluster("http://self:1"), Manager: &fakeManager{}, AdoptAfter: tc.adoptAfter})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.beat.Truncate(time.Millisecond); got != tc.want {
+			t.Errorf("AdoptAfter %v: heartbeat %v, want %v", tc.adoptAfter, s.beat, tc.want)
+		}
 	}
 }

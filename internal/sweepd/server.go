@@ -35,20 +35,21 @@ type Config struct {
 	ReplicaRate float64
 	// ReplicaStats, when set, feeds the replicator's push counters
 	// (pushed, failures, bytes) into /metrics and /healthz;
-	// cmd/ncg-server wires it to the sweepd.Replicator.
+	// node.New wires it to the sweepd.Replicator.
 	ReplicaStats func() ReplicaStats
 	// PeerStats, when set, feeds the leader-side sharding counters
 	// (leases issued, remote cells, failures) into /metrics and /healthz;
-	// cmd/ncg-server wires it to the shard.Pool.
+	// node.New wires it to the shard.Pool.
 	PeerStats func() PeerStats
 	// Cluster, when set, enables the membership endpoints (POST
 	// /peer/hello, GET /peer/members, POST /peer/jobs/claim), the
-	// per-peer state gauges and read redirects; cmd/ncg-server wires it
+	// per-peer state gauges and read redirects; node.New wires it
 	// to the cluster.Registry. Nil means those endpoints answer 503.
 	Cluster Cluster
 	// Sched, when set, admits POST /sweeps through the cluster
-	// scheduler; cmd/ncg-server wires it to the sched.Scheduler. Either
-	// way the job runs on this daemon.
+	// scheduler; only bench/ sets it, and node.New leaves it nil because
+	// Scheduler.SubmitSweep is Manager.Submit. Either way the job runs
+	// on this daemon.
 	Sched Submitter
 	// SchedStats, when set, feeds the scheduler counters (adoptions,
 	// leadership losses, replica seeds) into /metrics and /healthz.

@@ -45,9 +45,13 @@ type daemon struct {
 	onLease atomic.Pointer[func()]
 }
 
-// serve starts the daemon's test server over h.
+// serve starts the daemon's test server over h, creating it unless the
+// caller already has (to learn its address first).
 func (d *daemon) serve(h http.Handler) {
-	d.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	if d.srv == nil {
+		d.srv = httptest.NewUnstartedServer(nil)
+	}
+	d.srv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/peer/leases" {
 			d.leases.Add(1)
 			if f := d.onLease.Load(); f != nil {
@@ -55,7 +59,8 @@ func (d *daemon) serve(h http.Handler) {
 			}
 		}
 		h.ServeHTTP(w, r)
-	}))
+	})
+	d.srv.Start()
 }
 
 func newDaemon(t *testing.T, workers int) *daemon {
@@ -88,17 +93,16 @@ func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, se
 		t.Fatal(err)
 	}
 	mgr := sweepd.NewManager(store, sweepd.NewCache(4096), workers)
+	d := &daemon{store: store, mgr: mgr, srv: httptest.NewUnstartedServer(nil)}
 	reg := cluster.New(cluster.Options{
+		Self:          "http://" + d.srv.Listener.Addr().String(),
 		Seeds:         seeds,
 		ProbeInterval: probeInterval,
 	})
-	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{
+	d.serve(sweepd.NewHandlerConfig(mgr, sweepd.Config{
 		HeartbeatInterval: 20 * time.Millisecond,
 		Cluster:           reg,
-	})
-	d := &daemon{store: store, mgr: mgr}
-	d.serve(h)
-	reg.SetSelf(d.srv.URL)
+	}))
 	reg.Start()
 	t.Cleanup(func() {
 		reg.Close()
