@@ -25,23 +25,35 @@ func bigSpec() Spec {
 
 func waitStatus(t *testing.T, m *Manager, id string, want JobStatus) Job {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		job, ok := m.Get(id)
-		if !ok {
+	return waitJob(t, m, id, func(j Job) bool { return j.Status == want })
+}
+
+// stopped reports whether a canceled job's runner has ended it: canceled,
+// or done when the cancel came too late.
+func stopped(j Job) bool { return j.Status == StatusCanceled || j.Status == StatusDone }
+
+// waitJob blocks on Manager.Watch until the job satisfies ok; a job that
+// fails or vanishes first ends the test.
+func waitJob(t *testing.T, m *Manager, id string, ok func(Job) bool) Job {
+	t.Helper()
+	timeout := time.After(60 * time.Second)
+	for {
+		job, changed, found := m.Watch(id)
+		switch {
+		case !found:
 			t.Fatalf("job %s vanished", id)
-		}
-		if job.Status == want {
+		case ok(job):
 			return job
-		}
-		if job.Status == StatusFailed {
+		case job.Status == StatusFailed:
 			t.Fatalf("job failed: %s", job.Error)
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-changed:
+		case <-timeout:
+			job, _ = m.Get(id)
+			t.Fatalf("timed out; job = %+v", job)
+		}
 	}
-	job, _ := m.Get(id)
-	t.Fatalf("timed out waiting for %s; job = %+v", want, job)
-	return Job{}
 }
 
 // TestKilledJobResumesByteIdentical is the subsystem's core guarantee: a
@@ -349,17 +361,7 @@ func TestCancelJob(t *testing.T) {
 	if snap.Status != StatusRunning {
 		t.Fatalf("cancel snapshot status = %s, want running", snap.Status)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, _ := mgr.Get(job.ID)
-		if j.Status == StatusCanceled || j.Status == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s after cancel", j.Status)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitJob(t, mgr, job.ID, stopped)
 	if _, ok := mgr.Cancel("没有这个"); ok {
 		t.Fatal("cancel invented a job")
 	}

@@ -149,17 +149,7 @@ func TestGCSparesRunningAndCanceled(t *testing.T) {
 	if _, ok := mgr.Cancel(job.ID); !ok {
 		t.Fatal("cancel failed")
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, _ := mgr.Get(job.ID)
-		if j.Status == StatusCanceled || j.Status == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s", j.Status)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitJob(t, mgr, job.ID, stopped)
 	clk.Advance(48 * time.Hour)
 	mgr.gcOnce(time.Hour)
 	if _, ok := mgr.Get(job.ID); !ok {
@@ -661,6 +651,9 @@ func TestServerPurgeEndpoint(t *testing.T) {
 	}
 	if code := getJSON(t, srv.URL+"/sweeps/"+job.ID, nil); code != http.StatusNotFound {
 		t.Fatalf("GET purged job = %d, want 404", code)
+	}
+	if _, metrics := getRaw(t, srv.URL+"/metrics", nil); !strings.Contains(string(metrics), "\nsweepd_jobs_evicted_total 1\n") {
+		t.Fatalf("the purge is not counted in /metrics:\n%s", metrics)
 	}
 	if resp, _ := doDelete(srv.URL + "/sweeps/" + job.ID + "?purge=1"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("double purge = %d, want 404", resp.StatusCode)

@@ -89,22 +89,24 @@ func (d *daemon) kill() {
 
 func waitDone(t *testing.T, m *sweepd.Manager, id string) sweepd.Job {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		job, ok := m.Get(id)
-		if !ok {
+	timeout := time.After(120 * time.Second)
+	for {
+		job, changed, ok := m.Watch(id)
+		switch {
+		case !ok:
 			t.Fatalf("job %s vanished", id)
-		}
-		switch job.Status {
-		case sweepd.StatusDone:
+		case job.Status == sweepd.StatusDone:
 			return job
-		case sweepd.StatusFailed:
+		case job.Status == sweepd.StatusFailed:
 			t.Fatalf("job failed: %s", job.Error)
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-changed:
+		case <-timeout:
+			job, _ = m.Get(id)
+			t.Fatalf("timed out waiting for job; job = %+v", job)
+		}
 	}
-	t.Fatal("timed out waiting for job")
-	return sweepd.Job{}
 }
 
 // waitMesh blocks until every daemon has sampled a load for every other

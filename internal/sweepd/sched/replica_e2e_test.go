@@ -88,69 +88,80 @@ func metricValue(t *testing.T, base, name string) float64 {
 }
 
 // TestReplicaServesResultsAfterLeaderDeath is the kill-the-leader
-// acceptance criterion: a job finishes on its leader, its artifacts
+// acceptance criterion: jobs finish on their leader, their artifacts
 // replicate to both survivors, the leader dies — and a survivor serves
 // the results byte-identically from its replica, with the same strong
-// ETag the leader minted.
+// ETag the leader minted. Dialect sweeps ride the same replication
+// unmodified.
 func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
-	sp := sweepd.Spec{
-		N:      16,
-		Alphas: []float64{0.5, 1, 2},
-		Ks:     []int{2, 1000},
-		Seeds:  4, // 24 cells
+	specs := []sweepd.Spec{
+		{N: 16, Alphas: []float64{0.5, 1, 2}, Ks: []int{2, 1000}, Seeds: 4}, // 24 cells
+		{Dialect: "swap", N: 14, Alphas: []float64{1}, Ks: []int{2, 3}, Seeds: 3, MaxRounds: 60, CycleCheckAfter: 60},
+		{Graph: "grid-delete", N: 16, P: 0.2, Alphas: []float64{0.5, 1}, Ks: []int{2}, Seeds: 3},
 	}
-	sp.Normalize()
 
 	a := newSchedDaemon(t, 4)
 	b := newSchedDaemon(t, 2, a.url)
 	c := newSchedDaemon(t, 2, a.url)
 	waitMesh(t, a, b, c)
 
-	job, _, err := a.Manager.Submit(sp)
-	if err != nil {
-		t.Fatal(err)
+	type led struct {
+		id              string
+		leaderBody, raw []byte
+		etag            string
 	}
-	waitDone(t, a.Manager, job.ID)
-	waitReplica(t, job.ID, b, c)
+	var jobs []led
+	for _, sp := range specs {
+		sp.Normalize()
+		job, _, err := a.Manager.Submit(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, a.Manager, job.ID)
+		waitReplica(t, job.ID, b, c)
 
-	resp, leaderBody := getResults(t, a.url, job.ID, nil)
-	if resp.StatusCode != http.StatusOK || len(leaderBody) == 0 {
-		t.Fatalf("leader results = %d with %d bytes", resp.StatusCode, len(leaderBody))
-	}
-	etag := resp.Header.Get("ETag")
-	if etag == "" {
-		t.Fatal("leader served done results without an ETag")
-	}
-	raw, err := os.ReadFile(a.Store.ResultsPath(job.ID))
-	if err != nil {
-		t.Fatal(err)
+		resp, leaderBody := getResults(t, a.url, job.ID, nil)
+		if resp.StatusCode != http.StatusOK || len(leaderBody) == 0 {
+			t.Fatalf("leader results = %d with %d bytes", resp.StatusCode, len(leaderBody))
+		}
+		etag := resp.Header.Get("ETag")
+		if etag == "" {
+			t.Fatal("leader served done results without an ETag")
+		}
+		raw, err := os.ReadFile(a.Store.ResultsPath(job.ID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, led{job.ID, leaderBody, raw, etag})
 	}
 
 	a.kill()
 
-	for _, survivor := range []*daemon{b, c} {
-		resp, body := getResults(t, survivor.url, job.ID, nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("survivor %s results = %d", survivor.url, resp.StatusCode)
-		}
-		if !bytes.Equal(body, leaderBody) || !bytes.Equal(body, raw) {
-			t.Fatalf("survivor %s serves %d bytes, leader served %d (checkpoint %d)",
-				survivor.url, len(body), len(leaderBody), len(raw))
-		}
-		if got := resp.Header.Get("X-Sweep-Status"); got != string(sweepd.StatusDone) {
-			t.Fatalf("survivor X-Sweep-Status = %q", got)
-		}
-		if got := resp.Header.Get("ETag"); got != etag {
-			t.Fatalf("survivor ETag = %q, leader minted %q", got, etag)
-		}
-		// The validator a client cached from the leader revalidates
-		// against the replica.
-		resp, body = getResults(t, survivor.url, job.ID, map[string]string{"If-None-Match": etag})
-		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
-			t.Fatalf("survivor If-None-Match = %d with %d bytes, want 304 empty", resp.StatusCode, len(body))
-		}
-		if v := metricValue(t, survivor.url, "sweepd_replica_reads_total"); v < 1 {
-			t.Fatalf("survivor %s sweepd_replica_reads_total = %v, want ≥ 1", survivor.url, v)
+	for _, j := range jobs {
+		for _, survivor := range []*daemon{b, c} {
+			resp, body := getResults(t, survivor.url, j.id, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("survivor %s results = %d", survivor.url, resp.StatusCode)
+			}
+			if !bytes.Equal(body, j.leaderBody) || !bytes.Equal(body, j.raw) {
+				t.Fatalf("survivor %s serves %d bytes, leader served %d (checkpoint %d)",
+					survivor.url, len(body), len(j.leaderBody), len(j.raw))
+			}
+			if got := resp.Header.Get("X-Sweep-Status"); got != string(sweepd.StatusDone) {
+				t.Fatalf("survivor X-Sweep-Status = %q", got)
+			}
+			if got := resp.Header.Get("ETag"); got != j.etag {
+				t.Fatalf("survivor ETag = %q, leader minted %q", got, j.etag)
+			}
+			// The validator a client cached from the leader revalidates
+			// against the replica.
+			resp, body = getResults(t, survivor.url, j.id, map[string]string{"If-None-Match": j.etag})
+			if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+				t.Fatalf("survivor If-None-Match = %d with %d bytes, want 304 empty", resp.StatusCode, len(body))
+			}
+			if v := metricValue(t, survivor.url, "sweepd_replica_reads_total"); v < 1 {
+				t.Fatalf("survivor %s sweepd_replica_reads_total = %v, want ≥ 1", survivor.url, v)
+			}
 		}
 	}
 }

@@ -593,17 +593,7 @@ func TestServerDeleteTerminalConflict(t *testing.T) {
 		t.Fatalf("DELETE running job = %d, want 200", resp.StatusCode)
 	}
 	// … and once it lands in canceled, a second DELETE conflicts too.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		j, _ := mgr.Get(running.ID)
-		if j.Status == StatusCanceled || j.Status == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %s after cancel", j.Status)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitJob(t, mgr, running.ID, stopped)
 	req, _ = http.NewRequest(http.MethodDelete, srv.URL+"/sweeps/"+running.ID, nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {

@@ -8,9 +8,11 @@ package shard_test
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -114,22 +116,24 @@ func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, se
 
 func waitDone(t *testing.T, m *sweepd.Manager, id string) sweepd.Job {
 	t.Helper()
-	deadline := time.Now().Add(120 * time.Second)
-	for time.Now().Before(deadline) {
-		job, ok := m.Get(id)
-		if !ok {
+	timeout := time.After(120 * time.Second)
+	for {
+		job, changed, ok := m.Watch(id)
+		switch {
+		case !ok:
 			t.Fatalf("job %s vanished", id)
-		}
-		switch job.Status {
-		case sweepd.StatusDone:
+		case job.Status == sweepd.StatusDone:
 			return job
-		case sweepd.StatusFailed:
+		case job.Status == sweepd.StatusFailed:
 			t.Fatalf("job failed: %s", job.Error)
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-changed:
+		case <-timeout:
+			job, _ = m.Get(id)
+			t.Fatalf("timed out waiting for job; job = %+v", job)
+		}
 	}
-	t.Fatal("timed out waiting for job")
-	return sweepd.Job{}
 }
 
 // runSharded runs the spec on a fresh leader sharded across the given
@@ -513,6 +517,19 @@ func TestDaemonJoinsLiveCluster(t *testing.T) {
 	}
 	if joiner.leases.Load() == 0 {
 		t.Fatal("joiner served no leases after joining the live cluster")
+	}
+	// The joiner's range came back as remote cells, and /metrics says so.
+	resp, err := http.Get(leader.srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^sweepd_remote_cells_total [1-9]`).Match(metrics) {
+		t.Fatalf("leader reports no remote cells:\n%s", metrics)
 	}
 }
 
