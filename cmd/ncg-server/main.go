@@ -32,33 +32,38 @@ func fatal(msg string, args ...any) {
 	os.Exit(1)
 }
 
+// newFlagSet defines ncg-server's flags over cfg and returns them with
+// -addr's value; the README's flag table lists the same names and
+// defaults.
+func newFlagSet(cfg *node.Config) (*flag.FlagSet, *string) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	addr := fs.String("addr", ":8080", "HTTP listen address")
+	fs.StringVar(&cfg.Data, "data", cfg.Data, "job store directory")
+	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "sweep worker pool size (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.Cache, "cache", cfg.Cache, "result cache entries in memory (0 disables caching entirely)")
+	fs.StringVar(&cfg.CacheDir, "cache-dir", cfg.CacheDir, `result-cache spill directory ("" = <data>/cache, "none" = memory-only)`)
+	fs.DurationVar(&cfg.JobTTL, "job-ttl", cfg.JobTTL, "GC done/failed jobs this long after they finish (0 disables GC)")
+	fs.IntVar(&cfg.MaxJobs, "max-jobs", cfg.MaxJobs, "running-job cap; a new spec submitted at the cap gets 429, finished jobs do not count (0 = unlimited)")
+	fs.Float64Var(&cfg.Rate, "rate", cfg.Rate, "per-endpoint-class request limit in req/s; beyond it 429 + Retry-After (0 = unlimited)")
+	fs.StringVar(&cfg.Peers, "peers", cfg.Peers, "comma-separated seed peer base URLs to shard sweeps across (e.g. http://10.0.0.2:8080)")
+	fs.IntVar(&cfg.PeerLease, "peer-lease", cfg.PeerLease, "cells per peer lease (smaller = finer balancing, larger = less HTTP overhead)")
+	fs.Float64Var(&cfg.PeerRate, "peer-rate", cfg.PeerRate, "request limit for the /peer/* endpoint class in req/s (0 = unlimited)")
+	fs.StringVar(&cfg.Advertise, "advertise", cfg.Advertise, "this daemon's own base URL, announced to seed peers so it joins their clusters live (e.g. http://10.0.0.3:8080)")
+	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health-probe cadence")
+	fs.DurationVar(&cfg.AdoptAfter, "adopt-after", cfg.AdoptAfter, "adopt a job whose leader's lease has gone stale for this long")
+	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "push each finished job's artifacts to this many least-loaded alive members (0 disables pushing; receiving stays on)")
+	fs.Float64Var(&cfg.ReplicaRate, "replica-rate", cfg.ReplicaRate, "request limit for POST /peer/replicas/{id} in req/s (0 = unlimited)")
+	fs.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "expose net/http/pprof under /debug/pprof/ (off by default; exempt from -rate like /healthz)")
+	return fs, addr
+}
+
 func main() {
 	// One JSON record per line on stderr. SetDefault also routes the log
 	// package through this handler, so http.Server's error log is JSON too.
 	slog.SetDefault(slog.New(slog.NewJSONHandler(os.Stderr, nil)))
 	cfg := node.DefaultConfig()
-	addr := flag.String("addr", ":8080", "HTTP listen address")
-	flag.StringVar(&cfg.Data, "data", cfg.Data, "job store directory")
-	flag.IntVar(&cfg.Workers, "workers", cfg.Workers, "sweep worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.Cache, "cache", cfg.Cache, "result cache entries in memory (0 disables caching entirely)")
-	flag.StringVar(&cfg.CacheDir, "cache-dir", cfg.CacheDir, `result-cache spill directory ("" = <data>/cache, "none" = memory-only)`)
-	flag.DurationVar(&cfg.JobTTL, "job-ttl", cfg.JobTTL, "GC done/failed jobs this long after they finish (0 disables GC)")
-	flag.DurationVar(&cfg.GCInterval, "gc-interval", cfg.GCInterval, "how often the GC pass runs")
-	flag.IntVar(&cfg.MaxJobs, "max-jobs", cfg.MaxJobs, "running-job cap; a new spec submitted at the cap gets 429, finished jobs do not count (0 = unlimited)")
-	flag.Float64Var(&cfg.Rate, "rate", cfg.Rate, "per-endpoint-class request limit in req/s; beyond it 429 + Retry-After (0 = unlimited)")
-	flag.StringVar(&cfg.Peers, "peers", cfg.Peers, "comma-separated seed peer base URLs to shard sweeps across (e.g. http://10.0.0.2:8080)")
-	flag.IntVar(&cfg.PeerLease, "peer-lease", cfg.PeerLease, "cells per peer lease (smaller = finer balancing, larger = less HTTP overhead)")
-	flag.DurationVar(&cfg.PeerTTL, "peer-ttl", cfg.PeerTTL, "reclaim a lease whose stream goes silent for this long")
-	flag.Float64Var(&cfg.PeerRate, "peer-rate", cfg.PeerRate, "request limit for the /peer/* endpoint class in req/s (0 = unlimited)")
-	flag.StringVar(&cfg.Advertise, "advertise", cfg.Advertise, "this daemon's own base URL, announced to seed peers so it joins their clusters live (e.g. http://10.0.0.3:8080)")
-	flag.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health-probe cadence")
-	flag.DurationVar(&cfg.PeerBackoffMax, "peer-backoff-max", cfg.PeerBackoffMax, "cap on the probe backoff for down peers")
-	flag.DurationVar(&cfg.AdoptAfter, "adopt-after", cfg.AdoptAfter, "adopt a job whose leader's lease has gone stale for this long")
-	flag.DurationVar(&cfg.TombstoneAfter, "tombstone-after", cfg.TombstoneAfter, "decommission a member down this long: drop it under a gossiped tombstone (0 disables)")
-	flag.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "push each finished job's artifacts to this many least-loaded alive members (0 disables pushing; receiving stays on)")
-	flag.Float64Var(&cfg.ReplicaRate, "replica-rate", cfg.ReplicaRate, "request limit for POST /peer/replicas/{id} in req/s (0 = unlimited)")
-	flag.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "expose net/http/pprof under /debug/pprof/ (off by default; exempt from -rate like /healthz)")
-	flag.Parse()
+	fs, addr := newFlagSet(&cfg)
+	fs.Parse(os.Args[1:]) //nolint:errcheck // ExitOnError: a bad flag exits 2
 
 	n, err := node.New(cfg)
 	if err != nil {

@@ -66,11 +66,6 @@ type Options struct {
 	// suspect members are probed every interval; down members wait out
 	// their backoff first.
 	ProbeInterval time.Duration
-	// BackoffMax caps the down-member probe backoff (default 2m). The
-	// backoff starts at ProbeInterval and doubles per failed probe, with
-	// jitter in [backoff/2, backoff] so a cluster restarted in unison
-	// does not re-probe in lockstep.
-	BackoffMax time.Duration
 	// SelfLoad, when set, supplies this daemon's own capacity snapshot
 	// for Members() (gossip readers see the serving daemon's load without
 	// probing it); node.New wires it to Manager.Load.
@@ -158,6 +153,12 @@ type Registry struct {
 	// to drive transitions deterministically (the gcOnce pattern).
 	now   func() time.Time
 	randf func() float64
+	// backoffMax caps the down-member probe backoff: 2m, or ProbeInterval
+	// if that is longer; tests shrink or stretch it. The backoff starts
+	// at ProbeInterval and doubles per failed probe, with jitter in
+	// [backoff/2, backoff] so a cluster restarted in unison does not
+	// re-probe in lockstep.
+	backoffMax time.Duration
 
 	// ctx is the registry's lifetime: Close cancels it, which stops the
 	// probe loop and ends the production transport's pending calls, so
@@ -225,16 +226,11 @@ func New(opts Options) *Registry {
 	if opts.ProbeInterval <= 0 {
 		opts.ProbeInterval = 5 * time.Second
 	}
-	if opts.BackoffMax <= 0 {
-		opts.BackoffMax = 2 * time.Minute
-	}
-	if opts.BackoffMax < opts.ProbeInterval {
-		opts.BackoffMax = opts.ProbeInterval
-	}
 	r := &Registry{
 		opts:       opts,
 		now:        time.Now,
 		randf:      jitterRand,
+		backoffMax: max(2*time.Minute, opts.ProbeInterval),
 		done:       make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		instanceID: newInstanceID(),
@@ -752,9 +748,7 @@ func (r *Registry) cycle(woken bool) {
 		} else {
 			m.backoff *= 2
 		}
-		if m.backoff > r.opts.BackoffMax {
-			m.backoff = r.opts.BackoffMax
-		}
+		m.backoff = min(m.backoff, r.backoffMax)
 		if m.backoff > prev {
 			// Count actual raises only: a permanently dead peer parked at
 			// the cap must not read as "flapping" on the backoff counter.

@@ -157,8 +157,8 @@ func TestSeedLifecycle(t *testing.T) {
 	r, now := testRegistry(Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
-		BackoffMax:    40 * time.Second,
 	}, tr)
+	r.backoffMax = 40 * time.Second
 
 	// Seeds are alive before any probe — a job submitted at boot leases
 	// to them exactly as the static list did.
@@ -247,8 +247,8 @@ func TestFlappingPeerBackoffAndReadmission(t *testing.T) {
 	r, now := testRegistry(Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: time.Second,
-		BackoffMax:    8 * time.Second,
 	}, tr)
+	r.backoffMax = 8 * time.Second
 
 	flaps := 0
 	for cycle := 0; cycle < 3; cycle++ {
@@ -329,6 +329,22 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
+// TestBackoffCapIsFixed: the down-peer backoff cap is 2m, raised to the
+// probe interval when that is longer.
+func TestBackoffCapIsFixed(t *testing.T) {
+	for probe, want := range map[time.Duration]time.Duration{
+		0:                2 * time.Minute, // the 5s default interval
+		10 * time.Second: 2 * time.Minute,
+		time.Hour:        time.Hour,
+	} {
+		r := New(Options{ProbeInterval: probe})
+		r.Close()
+		if r.backoffMax != want {
+			t.Errorf("probe interval %v: backoff cap %v, want %v", probe, r.backoffMax, want)
+		}
+	}
+}
+
 // TestJitterBounds pins the backoff jitter window: with randf spanning
 // its range, the scheduled delay stays within [backoff/2, backoff].
 func TestJitterBounds(t *testing.T) {
@@ -337,8 +353,8 @@ func TestJitterBounds(t *testing.T) {
 		r, now := testRegistry(Options{
 			Seeds:         []string{peerA},
 			ProbeInterval: 10 * time.Second,
-			BackoffMax:    time.Hour,
 		}, tr)
+		r.backoffMax = time.Hour
 		r.randf = func() float64 { return frac }
 		failUntilDown(r) // backoff = interval
 		r.mu.Lock()
@@ -949,9 +965,9 @@ func TestTombstoneLifecycle(t *testing.T) {
 		Self:           "http://self:9",
 		Seeds:          []string{seed, peerA},
 		ProbeInterval:  10 * time.Second,
-		BackoffMax:     10 * time.Second,
 		TombstoneAfter: 30 * time.Second,
 	}, tr)
+	r.backoffMax = 10 * time.Second
 	r.probeOnce() // both alive
 	tr.setUp(peerA, false)
 	*now = now.Add(10 * time.Second)

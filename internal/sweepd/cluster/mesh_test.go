@@ -394,8 +394,11 @@ func TestMeshTickIsOneCallPerPair(t *testing.T) {
 // hello each — its load unknown in between, never the stale one.
 func TestMeshPartitionAndHeal(t *testing.T) {
 	const size = 5
-	opts := Options{ProbeInterval: time.Hour, BackoffMax: 8 * time.Hour}
+	opts := Options{ProbeInterval: time.Hour}
 	net := playedMesh(t, size, opts)
+	for _, r := range net.regs {
+		r.backoffMax = 8 * time.Hour
+	}
 	lost := meshURL(2)
 	// The lost member's own backoff runs out first (no jitter against the
 	// survivors' full one), so the heal below is its tick and nobody
@@ -424,7 +427,9 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 	// A join while it is down: woken cycles dial the joiner only.
 	net.takeDials()
 	joiner := meshURL(size)
-	net.addPlayed(size, opts, meshURL(0)).probeOnce()
+	jr := net.addPlayed(size, opts, meshURL(0))
+	jr.backoffMax = 8 * time.Hour
+	jr.probeOnce()
 	net.settle()
 	for k, d := range net.takeDials() {
 		if k[0] != joiner && k[1] != joiner {

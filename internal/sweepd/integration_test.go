@@ -379,3 +379,32 @@ func TestCancelJob(t *testing.T) {
 		t.Fatalf("restarted job completed %d of %d", done.Completed, done.Total)
 	}
 }
+
+// TestRestartWakesWatchers: a Watch taken on a canceled job fires when a
+// resubmit of its spec replaces the job's state with a running one.
+func TestRestartWakesWatchers(t *testing.T) {
+	store, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := NewManager(store, nil, 1)
+	defer mgr.Close()
+
+	job, _, err := mgr.Submit(bigSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr.Cancel(job.ID)
+	if got := waitJob(t, mgr, job.ID, stopped); got.Status != StatusCanceled {
+		t.Fatalf("job ended %s before the cancel landed", got.Status)
+	}
+	_, changed, _ := mgr.Watch(job.ID)
+	if _, _, err := mgr.Submit(bigSpec()); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-changed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the restart left the canceled job's watcher waiting")
+	}
+}

@@ -172,13 +172,10 @@ func (m *Manager) Evict(id string) (Job, bool, error) {
 // sweeps orphan job dirs and evicts done/failed jobs whose terminal
 // timestamp is at least ttl old. Canceled jobs keep their checkpoints
 // (they are resumable), and running jobs are never touched. ttl <= 0
-// disables GC entirely. Close stops the loop.
+// disables GC entirely; interval must be positive. Close stops the loop.
 func (m *Manager) StartGC(ttl, interval time.Duration) {
 	if ttl <= 0 {
 		return
-	}
-	if interval <= 0 {
-		interval = time.Minute
 	}
 	m.gcWG.Add(1)
 	go func() {

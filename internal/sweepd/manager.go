@@ -428,7 +428,11 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 		done:   make(chan struct{}),
 		hist:   &latencyHist{},
 	}
-	created := m.jobs[id] == nil
+	old := m.jobs[id]
+	if old != nil {
+		old.notify() // its watchers hold a state the restart replaces
+	}
+	created := old == nil
 	m.jobs[id] = js
 	m.running++
 	job := js.job

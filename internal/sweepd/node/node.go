@@ -27,43 +27,43 @@ import (
 // Config holds one field per ncg-server flag except -addr; the flag
 // named in each comment documents the field.
 type Config struct {
-	Data           string        // -data
-	Workers        int           // -workers
-	Cache          int           // -cache
-	CacheDir       string        // -cache-dir
-	JobTTL         time.Duration // -job-ttl
-	GCInterval     time.Duration // -gc-interval
-	MaxJobs        int           // -max-jobs
-	Rate           float64       // -rate
-	Peers          string        // -peers: comma-separated seed URLs
-	PeerLease      int           // -peer-lease
-	PeerTTL        time.Duration // -peer-ttl
-	PeerRate       float64       // -peer-rate
-	Advertise      string        // -advertise
-	ProbeInterval  time.Duration // -probe-interval
-	PeerBackoffMax time.Duration // -peer-backoff-max
-	AdoptAfter     time.Duration // -adopt-after
-	TombstoneAfter time.Duration // -tombstone-after
-	Replicas       int           // -replicas
-	ReplicaRate    float64       // -replica-rate
-	Pprof          bool          // -pprof
+	Data          string        // -data
+	Workers       int           // -workers
+	Cache         int           // -cache
+	CacheDir      string        // -cache-dir
+	JobTTL        time.Duration // -job-ttl
+	MaxJobs       int           // -max-jobs
+	Rate          float64       // -rate
+	Peers         string        // -peers: comma-separated seed URLs
+	PeerLease     int           // -peer-lease
+	PeerRate      float64       // -peer-rate
+	Advertise     string        // -advertise
+	ProbeInterval time.Duration // -probe-interval
+	AdoptAfter    time.Duration // -adopt-after
+	Replicas      int           // -replicas
+	ReplicaRate   float64       // -replica-rate
+	Pprof         bool          // -pprof
 }
+
+// Fixed, not flags: the GC pass cadence and how long a member stays down
+// before it is tombstoned. The lease TTL and the down-peer backoff cap
+// are the defaults of shard.NewFromSource and cluster.New.
+const (
+	gcInterval     = time.Minute
+	tombstoneAfter = 30 * time.Minute
+)
 
 // DefaultConfig returns ncg-server's flag defaults.
 func DefaultConfig() Config {
 	return Config{
-		Data:           "sweepd-data",
-		Cache:          65536,
-		JobTTL:         24 * time.Hour,
-		GCInterval:     time.Minute,
-		MaxJobs:        4096,
-		PeerLease:      64,
-		PeerTTL:        45 * time.Second,
-		ProbeInterval:  5 * time.Second,
-		PeerBackoffMax: 2 * time.Minute,
-		AdoptAfter:     30 * time.Second,
-		TombstoneAfter: 30 * time.Minute,
-		Replicas:       2,
+		Data:          "sweepd-data",
+		Cache:         65536,
+		JobTTL:        24 * time.Hour,
+		MaxJobs:       4096,
+		PeerLease:     64,
+		ProbeInterval: 5 * time.Second,
+		AdoptAfter:    30 * time.Second,
+		Replicas:      2,
 	}
 }
 
@@ -142,11 +142,10 @@ func New(cfg Config) (_ *Node, err error) {
 		Self:           cfg.Advertise,
 		Seeds:          seeds,
 		ProbeInterval:  cfg.ProbeInterval,
-		BackoffMax:     cfg.PeerBackoffMax,
-		TombstoneAfter: cfg.TombstoneAfter,
+		TombstoneAfter: tombstoneAfter,
 		SelfLoad:       n.Manager.Load,
 	})
-	pool := shard.NewFromSource(n.Registry, shard.Options{LeaseCells: cfg.PeerLease, LeaseTTL: cfg.PeerTTL})
+	pool := shard.NewFromSource(n.Registry, shard.Options{LeaseCells: cfg.PeerLease})
 	n.Manager.SetExecutorProvider(pool)
 	hc.PeerStats = pool.Stats
 	hc.Cluster = n.Registry
@@ -206,7 +205,7 @@ func New(cfg Config) (_ *Node, err error) {
 	if err = n.Manager.Resume(); err != nil {
 		return nil, fmt.Errorf("resuming jobs: %w", err)
 	}
-	n.Manager.StartGC(cfg.JobTTL, cfg.GCInterval)
+	n.Manager.StartGC(cfg.JobTTL, gcInterval)
 	return n, nil
 }
 

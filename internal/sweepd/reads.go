@@ -191,10 +191,11 @@ func resultsETag(job Job) string {
 	return `"` + job.ID + "-" + kh + "-" + string(job.Status) + `"`
 }
 
-// etagMatch implements If-None-Match against one strong ETag.
+// etagMatch implements If-None-Match against one strong ETag. The
+// comparison is weak (RFC 9110 §13.1.2): W/"x" matches "x".
 func etagMatch(header, etag string) bool {
 	for _, c := range strings.Split(header, ",") {
-		c = strings.TrimSpace(c)
+		c = strings.TrimPrefix(strings.TrimSpace(c), "W/")
 		if c == etag || c == "*" {
 			return true
 		}

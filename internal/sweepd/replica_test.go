@@ -134,14 +134,17 @@ func TestReplicationPushAndReplicaServedReads(t *testing.T) {
 
 	// Conditional poll: the immutable validator answers 304, no body —
 	// and the leader mints the same ETag (determinism), so a client can
-	// revalidate against any holder.
-	resp, body = getRaw(t, followerSrv.URL+"/sweeps/"+job.ID+"/results", map[string]string{"If-None-Match": etag})
-	if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
-		t.Fatalf("If-None-Match = %d with %d body bytes, want 304 empty", resp.StatusCode, len(body))
-	}
-	resp, _ = getRaw(t, leaderSrv.URL+"/sweeps/"+job.ID+"/results", map[string]string{"If-None-Match": etag})
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("leader If-None-Match with replica ETag = %d, want 304", resp.StatusCode)
+	// revalidate against any holder. If-None-Match compares weakly, so
+	// the W/ spelling a proxy may send revalidates too.
+	for _, inm := range []string{etag, "W/" + etag} {
+		resp, body = getRaw(t, followerSrv.URL+"/sweeps/"+job.ID+"/results", map[string]string{"If-None-Match": inm})
+		if resp.StatusCode != http.StatusNotModified || len(body) != 0 {
+			t.Fatalf("If-None-Match %s = %d with %d body bytes, want 304 empty", inm, resp.StatusCode, len(body))
+		}
+		resp, _ = getRaw(t, leaderSrv.URL+"/sweeps/"+job.ID+"/results", map[string]string{"If-None-Match": inm})
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("leader If-None-Match %s with replica ETag = %d, want 304", inm, resp.StatusCode)
+		}
 	}
 	if fh.notModified.Load() == 0 {
 		t.Fatal("not-modified counter never moved")

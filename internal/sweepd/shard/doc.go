@@ -53,7 +53,7 @@
 //
 // A lease is presumed dead when its stream yields no bytes (results or
 // blank heartbeat lines, which followers interleave while long cells
-// compute) for Options.LeaseTTL. The leader then cancels the request,
+// compute) for the pool's lease TTL. The leader then cancels the request,
 // counts a lease failure, recomputes the undelivered remainder of that
 // range locally, and stops leasing to that peer for the rest of the
 // Execute call (the next job probes it afresh). Cells already streamed

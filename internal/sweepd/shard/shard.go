@@ -22,10 +22,6 @@ type Options struct {
 	// Smaller leases balance better and lose less to a dead peer;
 	// larger leases amortize HTTP overhead.
 	LeaseCells int
-	// LeaseTTL is the heartbeat watchdog: a lease whose stream delivers
-	// no bytes for this long is canceled and its remainder reclaimed
-	// locally (default 45s; followers heartbeat every ~15s).
-	LeaseTTL time.Duration
 }
 
 // PeerSource supplies the peers a job may lease to, and hears back which
@@ -45,6 +41,10 @@ type PeerSource interface {
 type Pool struct {
 	source PeerSource
 	opts   Options
+	// leaseTTL is the heartbeat watchdog: a lease whose stream delivers
+	// no bytes for this long is canceled and its remainder reclaimed
+	// locally (45s; followers heartbeat every ~15s). Tests shorten it.
+	leaseTTL time.Duration
 
 	leasesIssued  atomic.Uint64
 	leaseFailures atomic.Uint64
@@ -57,10 +57,7 @@ func NewFromSource(source PeerSource, opts Options) *Pool {
 	if opts.LeaseCells <= 0 {
 		opts.LeaseCells = 64
 	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 45 * time.Second
-	}
-	return &Pool{source: source, opts: opts}
+	return &Pool{source: source, opts: opts, leaseTTL: 45 * time.Second}
 }
 
 // Stats snapshots the leader-side sharding counters. Peers is the
@@ -225,7 +222,7 @@ func (e *executor) lease(ctx context.Context, peer string, cr cellRange, cells [
 	}
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ttl := e.pool.opts.LeaseTTL
+	ttl := e.pool.leaseTTL
 	watchdog := time.AfterFunc(ttl, cancel)
 	defer watchdog.Stop()
 

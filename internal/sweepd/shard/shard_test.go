@@ -146,7 +146,7 @@ func runSharded(t *testing.T, sp sweepd.Spec, opts shard.Options, peers ...*daem
 	for _, p := range peers {
 		urls = append(urls, p.srv.URL)
 	}
-	pool := shard.New(urls, opts)
+	pool := shard.New(urls, opts, 0)
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
@@ -166,7 +166,7 @@ func runSharded(t *testing.T, sp sweepd.Spec, opts shard.Options, peers ...*daem
 // demonstrably served leases.
 func TestShardedSweepByteIdentical(t *testing.T) {
 	sp := e2eSpec()
-	opts := shard.Options{LeaseCells: 3, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 3}
 
 	ref, refJob, _ := runSharded(t, sp, opts) // zero peers
 	if refJob.RemoteCells != 0 {
@@ -214,7 +214,7 @@ func TestShardedTrajectorySweep(t *testing.T) {
 		Trajectories: true,
 	}
 	sp.Normalize()
-	opts := shard.Options{LeaseCells: 2, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 2}
 
 	run := func(peers ...*daemon) ([]byte, []byte, sweepd.Job) {
 		t.Helper()
@@ -223,7 +223,7 @@ func TestShardedTrajectorySweep(t *testing.T) {
 		for _, p := range peers {
 			urls = append(urls, p.srv.URL)
 		}
-		leader.mgr.SetExecutorProvider(shard.New(urls, opts))
+		leader.mgr.SetExecutorProvider(shard.New(urls, opts, 0))
 		job, _, err := leader.mgr.Submit(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -275,13 +275,13 @@ func TestPeerKilledMidSweepReclaims(t *testing.T) {
 		Seeds:  4, // 60 cells: long enough to kill mid-flight
 	}
 	sp.Normalize()
-	opts := shard.Options{LeaseCells: 2, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 2}
 
 	ref, _, _ := runSharded(t, sp, opts)
 
 	peer := newDaemon(t, 1) // slow follower: leases outlive the kill window
 	leader := newDaemon(t, 4)
-	pool := shard.New([]string{peer.srv.URL}, opts)
+	pool := shard.New([]string{peer.srv.URL}, opts, 0)
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
@@ -313,11 +313,11 @@ func TestPeerKilledMidSweepReclaims(t *testing.T) {
 
 // TestHangingPeerLeaseExpires covers the heartbeat watchdog: a peer that
 // accepts a lease and then never sends a byte must have its range
-// reclaimed after LeaseTTL, the job must still finish, and the results
+// reclaimed after the lease TTL, the job must still finish, and the results
 // must stay byte-identical.
 func TestHangingPeerLeaseExpires(t *testing.T) {
 	sp := e2eSpec()
-	opts := shard.Options{LeaseCells: 4, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 4}
 	ref, _, _ := runSharded(t, sp, opts)
 
 	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -331,7 +331,7 @@ func TestHangingPeerLeaseExpires(t *testing.T) {
 	defer hang.Close()
 
 	leader := newDaemon(t, 4)
-	pool := shard.New([]string{hang.URL}, shard.Options{LeaseCells: 4, LeaseTTL: 150 * time.Millisecond})
+	pool := shard.New([]string{hang.URL}, shard.Options{LeaseCells: 4}, 150*time.Millisecond)
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
@@ -356,7 +356,7 @@ func TestHangingPeerLeaseExpires(t *testing.T) {
 // peer, and results stay byte-identical.
 func TestThrottledPeerIsRetriedNotRetired(t *testing.T) {
 	sp := e2eSpec()
-	opts := shard.Options{LeaseCells: 3, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 3}
 	ref, _, _ := runSharded(t, sp, opts)
 
 	peer := newDaemon(t, 2)
@@ -400,7 +400,7 @@ func TestThrottledPeerIsRetriedNotRetired(t *testing.T) {
 	defer proxy.Close()
 
 	leader := newDaemon(t, 4)
-	pool := shard.New([]string{proxy.URL}, shard.Options{LeaseCells: 3, LeaseTTL: 30 * time.Second})
+	pool := shard.New([]string{proxy.URL}, shard.Options{LeaseCells: 3}, 0)
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
@@ -437,7 +437,7 @@ func TestDaemonJoinsLiveCluster(t *testing.T) {
 	sp2 := e2eSpec()
 	sp2.N = 18 // a second, distinct job for the post-join phase
 	sp2.Normalize()
-	opts := shard.Options{LeaseCells: 1, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 1}
 	ref1, _, _ := runSharded(t, sp1, opts)
 	ref2, _, _ := runSharded(t, sp2, opts)
 
@@ -572,7 +572,7 @@ func TestDeadPeerSkippedBySubsequentJobs(t *testing.T) {
 	}
 	sp1.Normalize()
 	sp2 := e2eSpec()
-	opts := shard.Options{LeaseCells: 2, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 2}
 	ref1, _, _ := runSharded(t, sp1, opts)
 	ref2, _, _ := runSharded(t, sp2, opts)
 
@@ -642,7 +642,7 @@ func TestDeadPeerSkippedBySubsequentJobs(t *testing.T) {
 // store (still sharded) finishes byte-identical to the lone-daemon run.
 func TestShardedResumeAfterLeaderRestart(t *testing.T) {
 	sp := e2eSpec()
-	opts := shard.Options{LeaseCells: 3, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 3}
 	ref, _, _ := runSharded(t, sp, opts)
 
 	peer := newDaemon(t, 2)
@@ -652,7 +652,7 @@ func TestShardedResumeAfterLeaderRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr1 := sweepd.NewManager(store1, sweepd.NewCache(4096), 2)
-	mgr1.SetExecutorProvider(shard.New([]string{peer.srv.URL}, opts))
+	mgr1.SetExecutorProvider(shard.New([]string{peer.srv.URL}, opts, 0))
 	job, _, err := mgr1.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -674,7 +674,7 @@ func TestShardedResumeAfterLeaderRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr2 := sweepd.NewManager(store2, sweepd.NewCache(4096), 4)
-	mgr2.SetExecutorProvider(shard.New([]string{peer.srv.URL}, opts))
+	mgr2.SetExecutorProvider(shard.New([]string{peer.srv.URL}, opts, 0))
 	defer mgr2.Close()
 	if err := mgr2.Resume(); err != nil {
 		t.Fatal(err)
@@ -715,7 +715,7 @@ func TestDialectSweepsShardByteIdentical(t *testing.T) {
 			Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 3,
 		}},
 	}
-	opts := shard.Options{LeaseCells: 3, LeaseTTL: 30 * time.Second}
+	opts := shard.Options{LeaseCells: 3}
 	for _, c := range specs {
 		t.Run(c.name, func(t *testing.T) {
 			sp := c.sp

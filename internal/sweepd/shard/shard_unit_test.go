@@ -7,6 +7,7 @@ package shard
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sweepd"
 )
@@ -28,9 +29,14 @@ func (s staticPeers) ReportLeaseFailure(string) {}
 // stripped) and deduplicated, so programmatic callers get the same
 // hygiene as the -peers flag — "http://a:1" and "http://a:1/" never
 // spawn two lease goroutines against one peer. An empty peer list is
-// valid: every job then runs locally.
-func New(peers []string, opts Options) *Pool {
-	return NewFromSource(staticPeers(sweepd.NormalizePeerURLs(peers)), opts)
+// valid: every job then runs locally. A positive leaseTTL replaces the
+// production lease TTL, so a test reclaims a hung peer's range quickly.
+func New(peers []string, opts Options, leaseTTL time.Duration) *Pool {
+	p := NewFromSource(staticPeers(sweepd.NormalizePeerURLs(peers)), opts)
+	if leaseTTL > 0 {
+		p.leaseTTL = leaseTTL
+	}
+	return p
 }
 
 // TestNewNormalizesAndDedupes: programmatic construction gets the same
@@ -53,7 +59,7 @@ func TestNewNormalizesAndDedupes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := New(tc.in, Options{})
+			p := New(tc.in, Options{}, 0)
 			got := p.source.AlivePeers()
 			if len(got) != len(tc.want) {
 				t.Fatalf("peers = %v, want %v", got, tc.want)
@@ -71,12 +77,19 @@ func TestNewNormalizesAndDedupes(t *testing.T) {
 // from normalized URLs (no "//peer/leases"), which a strict router would
 // 404.
 func TestLeasePathWellFormed(t *testing.T) {
-	p := New([]string{"http://a:1/"}, Options{})
+	p := New([]string{"http://a:1/"}, Options{}, 0)
 	peers := p.source.AlivePeers()
 	if len(peers) != 1 || strings.HasSuffix(peers[0], "/") {
 		t.Fatalf("normalized peers = %v", peers)
 	}
 	if got := peers[0] + "/peer/leases"; got != "http://a:1/peer/leases" {
 		t.Fatalf("lease URL = %q", got)
+	}
+}
+
+// TestLeaseTTLIsFixed: a pool's lease watchdog is 45s.
+func TestLeaseTTLIsFixed(t *testing.T) {
+	if got := NewFromSource(staticPeers(nil), Options{}).leaseTTL; got != 45*time.Second {
+		t.Errorf("lease TTL %v, want 45s", got)
 	}
 }
