@@ -121,15 +121,6 @@ func NewCheckpointWriter(path string) (*CheckpointWriter, error) {
 	return &CheckpointWriter{f: f, fsync: f.Sync, SyncEvery: 32}, nil
 }
 
-// Append writes one result as a JSONL line.
-func (w *CheckpointWriter) Append(r dynamics.CellResult) error {
-	line, err := MarshalCellResult(r)
-	if err != nil {
-		return err
-	}
-	return w.AppendLine(line)
-}
-
 // AppendLine writes one pre-marshaled line (as produced by
 // MarshalCellResult, without the newline).
 func (w *CheckpointWriter) AppendLine(line []byte) error {

@@ -105,7 +105,11 @@ func TestReadCheckpointRepairsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		if err := w.Append(r); err != nil {
+		line, err := MarshalCellResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.AppendLine(line); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -194,11 +194,11 @@ type Registry struct {
 	// lease sweep work to itself over loopback HTTP.
 	selfURLs map[string]bool
 	// leases is the job-leadership table, keyed by job ID, merged from
-	// local heartbeats, claim posts, and gossip under the generation
-	// guard. seen (not the lease's own Updated stamp) feeds staleness.
+	// local heartbeats and gossip under the generation guard. Each
+	// lease's Updated is its local receipt time, which feeds staleness.
 	// A lease leaves only when its owner withdraws it: DropLease for our
 	// own, the owner's next gossip payload for a peer's.
-	leases map[string]*leaseRec
+	leases map[string]sweepd.JobLease
 	// tombs maps decommissioned URLs to their tombstone expiry.
 	tombs map[string]time.Time
 	// replicas maps member URL → the finished-job IDs it advertises
@@ -212,12 +212,6 @@ type Registry struct {
 	backoffs      atomic.Uint64
 	readmissions  atomic.Uint64
 	tombstoned    atomic.Uint64
-}
-
-// leaseRec wraps a stored lease with its local receipt time.
-type leaseRec struct {
-	lease sweepd.JobLease
-	seen  time.Time
 }
 
 // New builds a registry over the options; call Start to launch the probe
@@ -237,7 +231,7 @@ func New(opts Options) *Registry {
 		self:       sweepd.NormalizePeerURL(opts.Self),
 		members:    make(map[string]*member),
 		selfURLs:   make(map[string]bool),
-		leases:     make(map[string]*leaseRec),
+		leases:     make(map[string]sweepd.JobLease),
 		tombs:      make(map[string]time.Time),
 		replicas:   make(map[string][]string),
 	}
@@ -432,36 +426,38 @@ func (r *Registry) AliveLoads() []sweepd.MemberLoad {
 	return out
 }
 
-// UpdateLease implements sweepd.Cluster: record or refresh a job
-// lease under the generation guard. The update wins when the job is
-// unknown, the generation is strictly higher, or — at equal generation
-// — the owner is unchanged (a heartbeat refresh) or lexicographically
-// smaller (the deterministic tie-break two concurrent adopters
-// converge on). Everything else is a stale claim and is rejected.
+// UpdateLease implements sched.Cluster: record or refresh one of our
+// job leases under the generation guard (see updateLeaseLocked).
 func (r *Registry) UpdateLease(l sweepd.JobLease) bool {
-	if l.JobID == "" || l.Owner == "" || l.Generation == 0 {
-		return false
-	}
 	l.Owner = sweepd.NormalizePeerURL(l.Owner)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.updateLeaseLocked(l)
 }
 
+// updateLeaseLocked stores a lease, local or gossiped, stamped with the
+// receipt time. A lease without a job ID, an owner or a generation is
+// refused. Otherwise the update wins when the job is unknown, the
+// generation is strictly higher, or — at equal generation — the owner is
+// unchanged (a heartbeat refresh) or lexicographically smaller (the
+// deterministic tie-break two concurrent adopters converge on).
+// Everything else is a stale claim and is rejected. Caller holds r.mu.
 func (r *Registry) updateLeaseLocked(l sweepd.JobLease) bool {
-	cur := r.leases[l.JobID]
+	if l.JobID == "" || l.Owner == "" || l.Generation == 0 {
+		return false
+	}
+	cur, ok := r.leases[l.JobID]
 	switch {
-	case cur == nil:
-	case l.Generation > cur.lease.Generation:
-	case l.Generation == cur.lease.Generation && l.Owner == cur.lease.Owner:
-	case l.Generation == cur.lease.Generation && l.Owner < cur.lease.Owner:
-		slog.Info("cluster: lease tie broken", "job", l.JobID, "generation", l.Generation, "owner", l.Owner, "was", cur.lease.Owner)
+	case !ok:
+	case l.Generation > cur.Generation:
+	case l.Generation == cur.Generation && l.Owner == cur.Owner:
+	case l.Generation == cur.Generation && l.Owner < cur.Owner:
+		slog.Info("cluster: lease tie broken", "job", l.JobID, "generation", l.Generation, "owner", l.Owner, "was", cur.Owner)
 	default:
 		return false
 	}
-	now := r.now()
-	l.Updated = now
-	r.leases[l.JobID] = &leaseRec{lease: l, seen: now}
+	l.Updated = r.now()
+	r.leases[l.JobID] = l
 	return true
 }
 
@@ -471,21 +467,19 @@ func (r *Registry) updateLeaseLocked(l sweepd.JobLease) bool {
 func (r *Registry) DropLease(jobID string, gen uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cur := r.leases[jobID]; cur != nil && cur.lease.Generation <= gen {
+	if cur, ok := r.leases[jobID]; ok && cur.Generation <= gen {
 		delete(r.leases, jobID)
 	}
 }
 
-// Leases implements sweepd.Cluster: the lease table sorted by job
-// ID, each lease's Updated stamp being this registry's local receipt
-// time (never a remote clock).
+// Leases implements sweepd.Cluster and sched.Cluster: the lease table
+// sorted by job ID, each lease's Updated stamp being this registry's
+// local receipt time (never a remote clock).
 func (r *Registry) Leases() []sweepd.JobLease {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]sweepd.JobLease, 0, len(r.leases))
-	for _, rec := range r.leases {
-		l := rec.lease
-		l.Updated = rec.seen
+	for _, l := range r.leases {
 		out = append(out, l)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
@@ -803,9 +797,6 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 	fromOwns := make(map[string]bool)
 	for _, l := range mr.Leases {
 		l.Owner = sweepd.NormalizePeerURL(l.Owner)
-		if l.JobID == "" || l.Owner == "" || l.Generation == 0 {
-			continue
-		}
 		if l.Owner == r.self {
 			// Our own leases are heartbeat firsthand by the scheduler; a
 			// gossip echo must not refresh a lease whose local owner died.
@@ -813,19 +804,19 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 		}
 		if l.Owner == from {
 			fromOwns[l.JobID] = true
-		} else if cur := r.leases[l.JobID]; cur != nil &&
-			cur.lease.Generation == l.Generation && cur.lease.Owner == l.Owner {
+		} else if cur, ok := r.leases[l.JobID]; ok &&
+			cur.Generation == l.Generation && cur.Owner == l.Owner {
 			// Hearsay must not refresh a lease we already hold: only the
-			// owner itself vouches for its leader being alive (a pull from
-			// the owner, or its claim broadcast). Otherwise two survivors
-			// echoing a dead leader's lease at each other would keep it
-			// forever fresh and no one would ever adopt the job.
+			// owner itself, on a pull from it, vouches for its leader being
+			// alive. Otherwise two survivors echoing a dead leader's lease
+			// at each other would keep it forever fresh and no one would
+			// ever adopt the job.
 			continue
 		}
 		r.updateLeaseLocked(l)
 	}
-	for id, rec := range r.leases {
-		if rec.lease.Owner == from && !fromOwns[id] {
+	for id, l := range r.leases {
+		if l.Owner == from && !fromOwns[id] {
 			delete(r.leases, id)
 		}
 	}

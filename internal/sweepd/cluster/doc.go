@@ -73,8 +73,11 @@
 //
 // # Job leases
 //
-// The registry keeps no lease clock of its own: a lease lives as long as
-// its owner lists it. Its own leases leave only through the scheduler's
+// The lease table is the cluster's only record of who leads what. The
+// scheduler writes our own leases (UpdateLease); a peer's arrive only on
+// the gossip pull, so an adopter's new lease reaches every member within
+// one probe interval. The registry keeps no lease clock of its own: a
+// lease lives as long as its owner lists it. Its own leases leave only through the scheduler's
 // DropLease; a peer's leave on the next pull from that peer, whose
 // payload is authoritative for the leases it owns. A lease whose owner
 // is down or gone stays, however stale — it is what adoption feeds on.

@@ -237,7 +237,6 @@ func (m *Manager) Load() LoadInfo {
 	return LoadInfo{
 		QueueDepth:  m.running,
 		BusyWorkers: m.workers - len(m.gate),
-		RunningJobs: m.running,
 	}
 }
 

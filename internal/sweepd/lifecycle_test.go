@@ -192,15 +192,16 @@ func holdWorkers(m *Manager) (release func()) {
 // TestJobQuota: -max-jobs caps running jobs. A done job holds no slot; a
 // running one does, so a new spec is rejected with ErrJobQuota (HTTP 429)
 // and leaves nothing on disk, while resubmitting the running job still
-// lands. Load().RunningJobs is the counter the quota reads, and it tracks
+// lands. Load().QueueDepth is the running-job counter the quota reads, and
+// it tracks
 // admit, finish, cancel, restart and Resume.
 func TestJobQuota(t *testing.T) {
 	mgr, _, _, srv, dir := newLifecycleRig(t, Config{})
 	mgr.SetMaxJobs(1)
 	running := func(m *Manager, want int) {
 		t.Helper()
-		if got := m.Load().RunningJobs; got != want {
-			t.Fatalf("Load().RunningJobs = %d, want %d", got, want)
+		if got := m.Load().QueueDepth; got != want {
+			t.Fatalf("Load().QueueDepth = %d, want %d", got, want)
 		}
 	}
 	spec := func(n int) Spec {

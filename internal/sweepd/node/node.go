@@ -15,6 +15,7 @@ import (
 	netpprof "net/http/pprof"
 	"path/filepath"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/sweepd"
@@ -78,6 +79,8 @@ type Node struct {
 
 	replicator *sweepd.Replicator // nil when Config.Replicas is 0
 	srv        *http.Server
+	// serving is read-held by every running handler (see track).
+	serving sync.RWMutex
 }
 
 // New opens cfg.Data's job store, result cache and replica set, wires the
@@ -200,7 +203,7 @@ func New(cfg Config) (_ *Node, err error) {
 		handler = mux
 		slog.Info("pprof enabled", "path", "/debug/pprof/")
 	}
-	n.srv = &http.Server{Handler: handler}
+	n.srv = &http.Server{Handler: n.track(handler)}
 
 	if err = n.Manager.Resume(); err != nil {
 		return nil, fmt.Errorf("resuming jobs: %w", err)
@@ -225,15 +228,31 @@ func (n *Node) Serve(ln net.Listener) <-chan error {
 	return errc
 }
 
+// track holds serving for each of h's calls, so Close can wait them out:
+// a stopped http.Server accepts nothing new, but the handlers it started
+// run on, and a replica push could land on disk after Close returned.
+func (n *Node) track(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !n.serving.TryRLock() { // Close has begun
+			http.Error(w, "shutting down", http.StatusServiceUnavailable)
+			return
+		}
+		defer n.serving.RUnlock()
+		h.ServeHTTP(w, r)
+	})
+}
+
 // Close stops the daemon: the server (draining requests until ctx ends,
-// then cutting the streams still open), the scheduler, the registry, the
-// manager and the replicator, in that order. Checkpoints stay on disk and
-// resume on the next New over the same directory; an already canceled ctx
-// is the abrupt stop of a killed process.
+// then cutting the streams still open, and waiting for every handler to
+// return), the scheduler, the registry, the manager and the replicator,
+// in that order. Checkpoints stay on disk and resume on the next New over
+// the same directory; an already canceled ctx is the abrupt stop of a
+// killed process. Call it once.
 func (n *Node) Close(ctx context.Context) {
 	if err := n.srv.Shutdown(ctx); err != nil {
 		n.srv.Close() //nolint:errcheck // ends the streams Shutdown waited on
 	}
+	n.serving.Lock() // a cut stream's handler returns once its request context ends
 	n.Scheduler.Close()
 	n.Registry.Close()
 	n.Manager.Close()

@@ -5,7 +5,9 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestNewRejectsMalformedURLs: a malformed -advertise or -peers entry is
@@ -76,5 +78,54 @@ func TestServePprofOnlyWhenSet(t *testing.T) {
 			}
 		}
 		n.Close(context.Background())
+	}
+}
+
+// TestCloseWaitsForRunningHandlers: Close returns only once every handler
+// the server started has returned, even when an already canceled context
+// cuts the server off at once; a handler that ignores its request's end
+// holds Close until it is released.
+func TestCloseWaitsForRunningHandlers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Data = t.TempDir()
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	var returned atomic.Bool
+	n.srv.Handler = n.track(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		close(entered)
+		<-release
+		returned.Store(true)
+	}))
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Serve(ln)
+	go func() {
+		if resp, err := http.Get("http://" + ln.Addr().String() + "/healthz"); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	closed := make(chan struct{})
+	go func() {
+		n.Close(ctx)
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a handler was still running")
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	<-closed
+	if !returned.Load() {
+		t.Fatal("Close returned before the handler did")
 	}
 }

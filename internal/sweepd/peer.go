@@ -85,30 +85,25 @@ func ValidPeerURL(s string) bool {
 // LoadInfo is one daemon's capacity snapshot, served at the head of its
 // GET /peer/members payload (and in /healthz) and gossiped with the
 // member table, so every member can rank adopters and replica targets
-// without extra RPCs. All three fields come from ManagerStats.
+// without extra RPCs. Both fields come from ManagerStats.
 type LoadInfo struct {
 	// QueueDepth is the number of running jobs contending for the worker
-	// gate — the primary ranking signal (a daemon with fewer whole jobs
-	// finishes a new one sooner regardless of instantaneous CPU use).
+	// gate (the jobs_by_status "running" gauge) — the primary ranking
+	// signal (a daemon with fewer whole jobs finishes a new one sooner
+	// regardless of instantaneous CPU use).
 	QueueDepth int `json:"queue_depth"`
 	// BusyWorkers is how many worker-pool tokens are checked out right
 	// now (local cells and lease serving both draw tokens).
 	BusyWorkers int `json:"busy_workers"`
-	// RunningJobs mirrors the jobs_by_status "running" gauge.
-	RunningJobs int `json:"running_jobs"`
 }
 
-// Less orders loads lexicographically (queue depth, then busy workers,
-// then running jobs): strictly less means "adopt or replicate there
-// instead".
+// Less orders loads lexicographically (queue depth, then busy workers):
+// strictly less means "adopt or replicate there instead".
 func (l LoadInfo) Less(o LoadInfo) bool {
 	if l.QueueDepth != o.QueueDepth {
 		return l.QueueDepth < o.QueueDepth
 	}
-	if l.BusyWorkers != o.BusyWorkers {
-		return l.BusyWorkers < o.BusyWorkers
-	}
-	return l.RunningJobs < o.RunningJobs
+	return l.BusyWorkers < o.BusyWorkers
 }
 
 // MemberLoad pairs an alive member with its last-probed load snapshot.
@@ -261,9 +256,11 @@ type ClusterStats struct {
 
 // Cluster is the cluster.Registry as the HTTP layer drives it: membership
 // (POST /peer/hello, GET /peer/members, /healthz, /metrics), the lease
-// table behind the gossip payload and POST /peer/jobs/claim, and the
-// replica table behind one-hop read redirects. The interface lives here
-// so sweepd does not import its own subpackage, and so tests can fake it.
+// table behind the gossip payload (the one way a lease travels: an
+// adopter's new lease reaches every member on its next pull, within one
+// probe interval), and the replica table behind one-hop read redirects.
+// The interface lives here so sweepd does not import its own subpackage,
+// and so tests can fake it.
 type Cluster interface {
 	// Self returns this daemon's advertise URL ("" until known).
 	Self() string
@@ -273,9 +270,6 @@ type Cluster interface {
 	Members() []MemberInfo
 	// ClusterStats snapshots the probe/backoff counters.
 	ClusterStats() ClusterStats
-	// UpdateLease records (or refreshes) a job lease, reporting whether it
-	// won the generation comparison (if not, someone else leads the job).
-	UpdateLease(l JobLease) bool
 	// Leases snapshots the lease table, sorted by job ID; Tombstones the
 	// active tombstones, sorted by URL.
 	Leases() []JobLease

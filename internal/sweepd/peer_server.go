@@ -18,7 +18,7 @@ const maxReplicaBody = 64 << 20
 
 // clustered guards the endpoints that drive the cluster registry: a daemon
 // wired without one refuses with 503 — never a silent empty table or a
-// dropped claim.
+// dropped hello.
 func (h *handler) clustered(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if h.cluster == nil {
@@ -80,22 +80,6 @@ func (h *handler) gossipPayload() MembersResponse {
 // daemon's liveness with each cycle.
 func (h *handler) peerMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.gossipPayload())
-}
-
-// peerClaim serves POST /peer/jobs/claim: an adopter pushes its new
-// lease so this member learns the leadership change (and a zombie
-// ex-leader cedes) before the next gossip cycle. The generation guard
-// in the lease table decides acceptance.
-func (h *handler) peerClaim(w http.ResponseWriter, r *http.Request) {
-	var lease JobLease
-	if !decodeJSON(w, r, 1<<20, "lease", &lease) {
-		return
-	}
-	if lease.JobID == "" || lease.Owner == "" || lease.Generation == 0 {
-		writeError(w, http.StatusBadRequest, "lease needs job_id, owner, and a nonzero generation")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"accepted": h.cluster.UpdateLease(lease)})
 }
 
 // receiveReplica serves POST /peer/replicas/{id}: a leader pushing one

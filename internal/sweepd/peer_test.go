@@ -265,7 +265,6 @@ func (f *fakeMembership) ClusterStats() ClusterStats {
 // The rest of Cluster, for tests that only exercise membership: no
 // advertise URL, no lease table, no replica table.
 func (f *fakeMembership) Self() string                   { return "" }
-func (f *fakeMembership) UpdateLease(JobLease) bool      { return false }
 func (f *fakeMembership) Leases() []JobLease             { return nil }
 func (f *fakeMembership) Tombstones() []Tombstone        { return nil }
 func (f *fakeMembership) ReplicaHolders(string) []string { return nil }

@@ -15,10 +15,10 @@ import (
 
 // PeerClient is the one HTTP call path between daemons: gossip (the
 // /peer/members pull, which is also the health probe, and /peer/hello),
-// adoption claims, checkpoint fetches, lease streams and
-// replica pushes all go through it. It owns what those calls must agree
-// on — a bounded dial, the wait on a 429's Retry-After, and draining,
-// bounding and closing every body the caller does not get back. It sets
+// checkpoint fetches, lease streams and replica pushes all go through
+// it. It owns what those calls must agree on — a bounded dial, the wait
+// on a 429's Retry-After, and draining, bounding and closing every body
+// the caller does not get back. It sets
 // no overall timeout: each call's deadline is its context's, and a lease
 // stream has none (the lease TTL watchdog owns its liveness).
 type PeerClient struct {
@@ -31,15 +31,15 @@ var Peer = &PeerClient{hc: &http.Client{Transport: &http.Transport{
 	Proxy: http.ProxyFromEnvironment,
 	// Without a dial bound a black-holed peer — dropped SYNs, no RST —
 	// would hold a lease attempt until the lease TTL, and a probe or
-	// claim until its whole call deadline.
+	// checkpoint fetch until its whole call deadline.
 	DialContext:         (&net.Dialer{Timeout: 3 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
 	TLSHandshakeTimeout: 3 * time.Second,
 	MaxIdleConns:        64,
 	IdleConnTimeout:     90 * time.Second,
 }}}
 
-// PeerCallTimeout is the deadline callers put on a claim, checkpoint
-// fetch or replica push, 429 waits included.
+// PeerCallTimeout is the deadline callers put on a checkpoint fetch or
+// replica push, 429 waits included.
 const PeerCallTimeout = 30 * time.Second
 
 // Do sends one request and returns the open response of a 2xx answer; the

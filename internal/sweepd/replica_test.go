@@ -469,7 +469,6 @@ func (f *fakeReplicaMesh) Members() []MemberInfo             { return nil }
 func (f *fakeReplicaMesh) ClusterStats() ClusterStats        { return ClusterStats{} }
 func (f *fakeReplicaMesh) Self() string                      { return f.self }
 func (f *fakeReplicaMesh) ReplicaHolders(id string) []string { return f.holders[id] }
-func (f *fakeReplicaMesh) UpdateLease(JobLease) bool         { return false }
 func (f *fakeReplicaMesh) Leases() []JobLease                { return f.leases }
 func (f *fakeReplicaMesh) Tombstones() []Tombstone           { return nil }
 

@@ -34,11 +34,12 @@
 // tie-break) adopts. The adopter fetches the checkpoint tail from any
 // alive member that still has bytes (usually none — the dead leader
 // had the file), seeds its local checkpoint with the maximal canonical
-// prefix via Manager.Adopt, resumes the job as generation+1 leader,
-// and broadcasts the claim over POST /peer/jobs/claim so peers (and
-// any racing adopter) learn before the next gossip cycle. Per-cell
-// determinism makes the recovered checkpoint byte-identical to an
-// uninterrupted run no matter how much of the tail was recovered.
+// prefix via Manager.Adopt, and resumes the job as generation+1 leader
+// by writing that lease into its own registry. Gossip carries it from
+// there: every member (a racing adopter, and a zombie ex-leader that
+// answers probes again, included) pulls it within one probe interval.
+// Per-cell determinism makes the recovered checkpoint byte-identical to
+// an uninterrupted run no matter how much of the tail was recovered.
 //
 // # Split-brain guard
 //

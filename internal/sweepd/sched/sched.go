@@ -86,9 +86,11 @@ type Scheduler struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
+	// ceded holds the jobs we run but no longer lead, so a lost
+	// leadership is counted once; who leads each job is the registry's
+	// lease table alone.
 	mu    sync.Mutex
-	gens  map[string]uint64 // job id -> generation we lead at
-	ceded map[string]bool   // jobs we run but no longer lead
+	ceded map[string]bool
 
 	started bool
 	closed  bool
@@ -111,7 +113,6 @@ func New(opts Options) (*Scheduler, error) {
 		opts:  opts,
 		beat:  heartbeatFor(opts.AdoptAfter),
 		now:   time.Now,
-		gens:  make(map[string]uint64),
 		ceded: make(map[string]bool),
 		done:  make(chan struct{}),
 	}
@@ -191,26 +192,20 @@ func (s *Scheduler) tick() {
 	s.adoptPass(self)
 }
 
-// heartbeat writes a lease for every locally running job we lead and
-// drops leases for jobs that finished. A rejected update means a peer
-// holds a newer generation: we cede leadership but let the local run
-// finish — determinism makes the duplicate compute harmless.
+// heartbeat reads leadership off one snapshot of the registry's lease
+// table: a running job with no lease is ours at generation 1, one whose
+// lease names us keeps its generation, and one whose lease names a peer
+// (or whose refresh a newer peer lease rejects) is ceded — its local run
+// still finishes; determinism makes the duplicate compute harmless. Our
+// leases of jobs that stopped running are dropped.
 func (s *Scheduler) heartbeat(self string) {
 	jobs := s.opts.Manager.List()
+	table := make(map[string]sweepd.JobLease)
+	for _, l := range s.opts.Cluster.Leases() {
+		table[l.JobID] = l
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-
-	var table map[string]sweepd.JobLease // lazy; only newly seen jobs need it
-	leaseFor := func(id string) (sweepd.JobLease, bool) {
-		if table == nil {
-			table = make(map[string]sweepd.JobLease)
-			for _, l := range s.opts.Cluster.Leases() {
-				table[l.JobID] = l
-			}
-		}
-		l, ok := table[id]
-		return l, ok
-	}
 
 	live := make(map[string]bool, len(jobs))
 	for _, job := range jobs {
@@ -221,47 +216,34 @@ func (s *Scheduler) heartbeat(self string) {
 		if s.ceded[job.ID] {
 			continue
 		}
-		gen, tracked := s.gens[job.ID]
-		if !tracked {
-			gen = 1
-			// A job can predate us (daemon restart resumed it, or the
-			// registry gossiped a lease before our first tick). Inherit
-			// our own lease's generation; cede to anyone else's.
-			if l, ok := leaseFor(job.ID); ok {
-				if l.Owner == self {
-					gen = l.Generation
-				} else {
-					s.ceded[job.ID] = true
-					s.leadershipLost.Add(1)
-					slog.Info("sched: job led elsewhere; running as non-leader", "job", job.ID, "owner", l.Owner, "generation", l.Generation)
-					continue
-				}
+		gen := uint64(1)
+		if l, ok := table[job.ID]; ok {
+			if l.Owner != self {
+				s.ceded[job.ID] = true
+				s.leadershipLost.Add(1)
+				slog.Info("sched: job led elsewhere; running as non-leader", "job", job.ID, "owner", l.Owner, "generation", l.Generation)
+				continue
 			}
-			s.gens[job.ID] = gen
+			gen = l.Generation
 		}
-		ok := s.opts.Cluster.UpdateLease(sweepd.JobLease{
+		if !s.opts.Cluster.UpdateLease(sweepd.JobLease{
 			JobID:      job.ID,
 			Spec:       job.Spec,
 			Owner:      self,
 			Generation: gen,
 			Completed:  job.Completed,
 			Total:      job.Total,
-		})
-		if !ok {
+		}) {
 			s.ceded[job.ID] = true
 			s.leadershipLost.Add(1)
 			slog.Warn("sched: leadership lost to a newer generation; running as non-leader", "job", job.ID, "generation", gen)
 		}
 	}
 
-	for id, gen := range s.gens {
-		if live[id] {
-			continue
+	for id, l := range table {
+		if l.Owner == self && !live[id] {
+			s.opts.Cluster.DropLease(id, l.Generation)
 		}
-		if !s.ceded[id] {
-			s.opts.Cluster.DropLease(id, gen)
-		}
-		delete(s.gens, id)
 	}
 	for id := range s.ceded {
 		if !live[id] {
@@ -356,18 +338,16 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	}
 	newGen := l.Generation + 1
 	s.mu.Lock()
-	s.gens[l.JobID] = newGen
 	delete(s.ceded, l.JobID)
 	s.mu.Unlock()
-	lease := sweepd.JobLease{
+	if !s.opts.Cluster.UpdateLease(sweepd.JobLease{
 		JobID:      l.JobID,
 		Spec:       l.Spec,
 		Owner:      self,
 		Generation: newGen,
 		Completed:  job.Completed,
 		Total:      job.Total,
-	}
-	if !s.opts.Cluster.UpdateLease(lease) {
+	}) {
 		// A racing adopter claimed a newer (or tie-winning) lease
 		// between our scan and now. Keep computing, stop leading.
 		s.mu.Lock()
@@ -380,7 +360,6 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	s.adoptions.Add(1)
 	slog.Info("sched: adopted job", "job", l.JobID, "owner", self, "generation", newGen, "was", l.Owner,
 		"completed", job.Completed, "total", job.Total)
-	s.broadcastClaim(lease)
 }
 
 // fetchCheckpoint asks each alive peer for the orphan's results file
@@ -406,18 +385,4 @@ func (s *Scheduler) fetchCheckpoint(jobID string) []byte {
 		}
 	}
 	return nil
-}
-
-// broadcastClaim pushes an adopted lease to every alive peer so the
-// cluster converges before the next gossip cycle (and so a racing
-// adopter cedes immediately). Best effort: gossip is the backstop.
-func (s *Scheduler) broadcastClaim(l sweepd.JobLease) {
-	for _, m := range s.opts.Cluster.Members() {
-		if m.Self || m.State != "alive" {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(s.ctx, sweepd.PeerCallTimeout)
-		sweepd.Peer.JSON(ctx, http.MethodPost, m.URL+"/peer/jobs/claim", l, nil, 0, 0) //nolint:errcheck // best effort
-		cancel()
-	}
 }

@@ -3,12 +3,11 @@ package sched
 // Unit tests for the scheduler's two behaviors — leadership
 // heartbeating and adoption — against scripted fakes of the registry
 // and the manager, with httptest daemons standing in for peers where
-// real HTTP matters (claims, checkpoint recovery). Cluster e2e lives in
+// real HTTP matters (checkpoint recovery). Cluster e2e lives in
 // e2e_test.go and replica_e2e_test.go.
 
 import (
 	"bytes"
-	"encoding/json"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -169,11 +168,10 @@ func newTestScheduler(t *testing.T, c *fakeCluster, m *fakeManager) *Scheduler {
 	return s
 }
 
-// peerDaemon is a minimal fake peer: it records /peer/jobs/claim and
-// serves a canned checkpoint for /sweeps/{id}/results (404 when empty).
+// peerDaemon is a minimal fake peer: it serves a canned checkpoint for
+// /sweeps/{id}/results (404 when empty).
 type peerDaemon struct {
 	mu         sync.Mutex
-	claims     []sweepd.JobLease
 	checkpoint []byte
 	fetches    int // GET /sweeps/{id}/results requests seen
 	srv        *httptest.Server
@@ -183,17 +181,6 @@ func newPeerDaemon(t *testing.T) *peerDaemon {
 	t.Helper()
 	p := &peerDaemon{}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /peer/jobs/claim", func(w http.ResponseWriter, r *http.Request) {
-		var l sweepd.JobLease
-		if err := json.NewDecoder(r.Body).Decode(&l); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		p.mu.Lock()
-		p.claims = append(p.claims, l)
-		p.mu.Unlock()
-		json.NewEncoder(w).Encode(map[string]bool{"accepted": true}) //nolint:errcheck
-	})
 	mux.HandleFunc("GET /sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
 		p.mu.Lock()
 		p.fetches++
@@ -290,8 +277,9 @@ func TestHeartbeatCedesToPreexistingLease(t *testing.T) {
 
 // TestAdoptionElectionAndClaim: an orphaned stale lease is adopted by
 // the least-loaded member only; the adopter recovers the checkpoint
-// tail from an alive peer, bumps the generation, and broadcasts the
-// claim. A member that loses the election leaves the lease alone.
+// tail from an alive peer and claims the job at the next generation in
+// its own lease table (gossip carries it from there). A member that
+// loses the election leaves the lease alone.
 func TestAdoptionElectionAndClaim(t *testing.T) {
 	sp := testSpec()
 	peer := newPeerDaemon(t)
@@ -329,12 +317,6 @@ func TestAdoptionElectionAndClaim(t *testing.T) {
 	}
 	if st := s.Stats(); st.Adoptions != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	peer.mu.Lock()
-	claims := len(peer.claims)
-	peer.mu.Unlock()
-	if claims != 1 {
-		t.Fatalf("peer saw %d claims, want 1", claims)
 	}
 
 	// The adopted job now heartbeats at generation 2.
@@ -486,10 +468,10 @@ func TestAdoptionSkipsLeaseWithForeignJobID(t *testing.T) {
 		t.Fatalf("manager saw ReplicaCheckpoint%q and %d Adopt calls, want none", m.replicaAsked, len(m.adopted))
 	}
 	peer.mu.Lock()
-	fetches, claims := peer.fetches, len(peer.claims)
+	fetches := peer.fetches
 	peer.mu.Unlock()
-	if fetches != 0 || claims != 0 {
-		t.Fatalf("peer saw %d checkpoint fetches and %d claims, want none", fetches, claims)
+	if fetches != 0 {
+		t.Fatalf("peer saw %d checkpoint fetches, want none", fetches)
 	}
 	if l, _ := c.lease(orphan.JobID); l.Owner != orphan.Owner || l.Generation != 1 {
 		t.Fatalf("lease = %+v, want untouched", l)

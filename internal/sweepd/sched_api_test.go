@@ -1,8 +1,8 @@
 package sweepd
 
-// Tests for the scheduler-facing HTTP surface: the /peer/jobs/claim
-// endpoint, the lease/tombstone gossip payload, and POST /sweeps routed
-// through a Submitter.
+// Tests for the scheduler-facing HTTP surface: no /peer/jobs route, the
+// lease/tombstone gossip payload, and POST /sweeps routed through a
+// Submitter.
 
 import (
 	"context"
@@ -11,63 +11,25 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-// fakeLeaseMembership is fakeMembership plus a generation-guarded
-// lease table — the HTTP layer's view of a scheduling-enabled
+// fakeLeaseMembership is fakeMembership plus a lease table and
+// tombstones — the HTTP layer's view of a scheduling-enabled
 // cluster.Registry.
 type fakeLeaseMembership struct {
 	fakeMembership
-	lmu    sync.Mutex
-	leases map[string]JobLease
+	leases []JobLease
 	tombs  []Tombstone
 }
 
-func (f *fakeLeaseMembership) UpdateLease(l JobLease) bool {
-	f.lmu.Lock()
-	defer f.lmu.Unlock()
-	if f.leases == nil {
-		f.leases = make(map[string]JobLease)
-	}
-	if cur, ok := f.leases[l.JobID]; ok && l.Generation < cur.Generation {
-		return false
-	}
-	f.leases[l.JobID] = l
-	return true
-}
+func (f *fakeLeaseMembership) Leases() []JobLease      { return f.leases }
+func (f *fakeLeaseMembership) Tombstones() []Tombstone { return f.tombs }
 
-func (f *fakeLeaseMembership) DropLease(jobID string, gen uint64) {
-	f.lmu.Lock()
-	defer f.lmu.Unlock()
-	if cur, ok := f.leases[jobID]; ok && cur.Generation <= gen {
-		delete(f.leases, jobID)
-	}
-}
-
-func (f *fakeLeaseMembership) Leases() []JobLease {
-	f.lmu.Lock()
-	defer f.lmu.Unlock()
-	out := make([]JobLease, 0, len(f.leases))
-	for _, l := range f.leases {
-		out = append(out, l)
-	}
-	return out
-}
-
-func (f *fakeLeaseMembership) Tombstones() []Tombstone {
-	f.lmu.Lock()
-	defer f.lmu.Unlock()
-	return append([]Tombstone(nil), f.tombs...)
-}
-
-// TestPeerClaim: a claim lands in the lease table via the generation
-// guard (stale generations refused), malformed claims are 400s, a daemon
-// without a lease table answers 503, and the claim is the only
-// /peer/jobs route (the member a sweep is posted to leads it, so no
-// peer accepts a forwarded spec).
+// TestPeerClaim: a lease travels only on the gossip pull, so no
+// /peer/jobs route exists — neither a claim push nor a forwarded spec
+// (the member a sweep is posted to leads it).
 func TestPeerClaim(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -75,69 +37,24 @@ func TestPeerClaim(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	fm := &fakeLeaseMembership{}
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{Cluster: fm}))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{Cluster: &fakeLeaseMembership{}}))
 	defer srv.Close()
-
-	claim := func(body string) (int, bool) {
-		t.Helper()
-		resp, err := http.Post(srv.URL+"/peer/jobs/claim", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out struct {
-			Accepted bool `json:"accepted"`
-		}
-		json.NewDecoder(resp.Body).Decode(&out) //nolint:errcheck
-		return resp.StatusCode, out.Accepted
-	}
 
 	sp := Spec{N: 8, Alphas: []float64{1}, Ks: []int{2}, Seeds: 1}
 	sp.Normalize()
-	lease := JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://b:1", Generation: 2}
-	lb, _ := json.Marshal(lease)
-	if code, accepted := claim(string(lb)); code != http.StatusOK || !accepted {
-		t.Fatalf("fresh claim: code %d accepted %v", code, accepted)
-	}
-	// A stale generation loses against the table.
-	lease.Generation = 1
-	lb, _ = json.Marshal(lease)
-	if code, accepted := claim(string(lb)); code != http.StatusOK || accepted {
-		t.Fatalf("stale claim: code %d accepted %v, want refused", code, accepted)
-	}
-	if code, _ := claim(`{"job_id":"","owner":"","generation":0}`); code != http.StatusBadRequest {
-		t.Fatalf("empty claim code = %d, want 400", code)
-	}
-	if code, _ := claim(`{not json`); code != http.StatusBadRequest {
-		t.Fatalf("garbage claim code = %d, want 400", code)
-	}
-	lease.Generation = 3
-	lb, _ = json.Marshal(lease)
-	if code, _ := claim(string(lb) + `{"x":1}`); code != http.StatusBadRequest {
-		t.Fatalf("claim with trailing data code = %d, want 400", code)
-	}
-
-	// Without a cluster the endpoint refuses rather than silently
-	// dropping claims.
-	bare := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
-	defer bare.Close()
-	resp, err := http.Post(bare.URL+"/peer/jobs/claim", "application/json", strings.NewReader(string(lb)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("claim without a cluster = %d, want 503", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srv.URL+"/peer/jobs", "application/json", strings.NewReader(`{"n":8,"alphas":[1],"ks":[2],"seeds":1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("POST /peer/jobs = %d, want 404", resp.StatusCode)
+	lb, _ := json.Marshal(JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://b:1", Generation: 2})
+	for path, body := range map[string]string{
+		"/peer/jobs/claim": string(lb),
+		"/peer/jobs":       `{"n":8,"alphas":[1],"ks":[2],"seeds":1}`,
+	} {
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("POST %s = %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -154,9 +71,9 @@ func TestGossipCarriesLeasesAndTombstones(t *testing.T) {
 	sp := Spec{N: 8, Alphas: []float64{1}, Ks: []int{2}, Seeds: 1}
 	sp.Normalize()
 	fm := &fakeLeaseMembership{
-		tombs: []Tombstone{{URL: "http://dead:1", Until: time.Now().Add(time.Hour)}},
+		leases: []JobLease{{JobID: sp.ID(), Spec: sp, Owner: "http://a:1", Generation: 1}},
+		tombs:  []Tombstone{{URL: "http://dead:1", Until: time.Now().Add(time.Hour)}},
 	}
-	fm.UpdateLease(JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://a:1", Generation: 1})
 	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{Cluster: fm}))
 	defer srv.Close()
 
@@ -269,7 +186,7 @@ func TestHealthzAdvertisesLoad(t *testing.T) {
 	if payload.Load == nil {
 		t.Fatal("healthz has no load section")
 	}
-	if payload.Load.QueueDepth != 0 || payload.Load.RunningJobs != 0 {
+	if payload.Load.QueueDepth != 0 {
 		t.Fatalf("idle daemon advertises load %+v", payload.Load)
 	}
 	if payload.Sched.Adoptions != 4 {

@@ -42,9 +42,10 @@ type Config struct {
 	// node.New wires it to the shard.Pool.
 	PeerStats func() PeerStats
 	// Cluster, when set, enables the membership endpoints (POST
-	// /peer/hello, GET /peer/members, POST /peer/jobs/claim), the
-	// per-peer state gauges and read redirects; node.New wires it
-	// to the cluster.Registry. Nil means those endpoints answer 503.
+	// /peer/hello, and GET /peer/members, whose payload carries the job
+	// leases), the per-peer state gauges and read redirects; node.New
+	// wires it to the cluster.Registry. Nil means those endpoints answer
+	// 503.
 	Cluster Cluster
 	// Sched, when set, admits POST /sweeps through the cluster
 	// scheduler; only bench/ sets it, and node.New leaves it nil because
@@ -132,10 +133,9 @@ type handler struct {
 //	GET    /peer/members        this daemon's identity, load and member table
 //	                            (self first): the relay half of one-hop
 //	                            gossip and the peers' health probe, exempt
-//	                            from rate limits; carries job leases and
-//	                            tombstones when scheduling is on
-//	POST   /peer/jobs/claim     an adopter announces its new job lease so
-//	                            peers converge before the next gossip cycle
+//	                            from rate limits; carries job leases (an
+//	                            adopter's new one reaches every member
+//	                            within one probe interval) and tombstones
 //	POST   /peer/replicas/{id}  receive one finished job's immutable
 //	                            artifacts (manifest line + checkpoint +
 //	                            sidecar), verified against the job's
@@ -196,7 +196,6 @@ func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
 	mux.HandleFunc("POST /peer/leases", h.peerLease)
 	mux.HandleFunc("POST /peer/hello", h.clustered(h.peerHello))
 	mux.HandleFunc("GET /peer/members", h.clustered(h.peerMembers))
-	mux.HandleFunc("POST /peer/jobs/claim", h.clustered(h.peerClaim))
 	mux.HandleFunc("POST /peer/replicas/{id}", h.receiveReplica)
 	return h, h.rateLimit(mux)
 }

@@ -94,8 +94,8 @@ func OpenReplicaSet(dir string) (*ReplicaSet, error) {
 
 func (rs *ReplicaSet) dir(id string) string { return filepath.Join(rs.root, id) }
 
-// ManifestPath returns the replica's manifest path.
-func (rs *ReplicaSet) ManifestPath(id string) string {
+// manifestPath returns the replica's manifest path.
+func (rs *ReplicaSet) manifestPath(id string) string {
 	return filepath.Join(rs.dir(id), "manifest.json")
 }
 
@@ -163,7 +163,7 @@ func (rs *ReplicaSet) Manifest(id string) (ReplicaManifest, error) {
 	if !jobIDPattern.MatchString(id) {
 		return ReplicaManifest{}, fmt.Errorf("store: invalid replica job id %q", id)
 	}
-	data, err := os.ReadFile(rs.ManifestPath(id))
+	data, err := os.ReadFile(rs.manifestPath(id))
 	if err != nil {
 		return ReplicaManifest{}, err
 	}
@@ -181,7 +181,7 @@ func (rs *ReplicaSet) List() []string { return *rs.held.Load() }
 // hasManifest reports whether a complete replica of id is on disk: its
 // directory is renamed into place with the manifest inside.
 func (rs *ReplicaSet) hasManifest(id string) bool {
-	_, err := os.Stat(rs.ManifestPath(id))
+	_, err := os.Stat(rs.manifestPath(id))
 	return err == nil
 }
 
