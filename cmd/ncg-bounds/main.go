@@ -9,7 +9,6 @@ package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 
@@ -25,24 +24,10 @@ func main() {
 	)
 	flag.Parse()
 
-	emit := func(t *table.Table) {
-		if *csv {
-			fmt.Printf("# %s\n", t.Title)
-			t.RenderCSV(os.Stdout)
-		} else {
-			t.Render(os.Stdout)
-		}
-		fmt.Println()
-	}
-	switch *game {
-	case "max":
-		emit(experiments.Figure3(*n))
-	case "sum":
-		emit(experiments.Figure4(*n))
-	case "both":
-		emit(experiments.Figure3(*n))
-		emit(experiments.Figure4(*n))
-	default:
+	f3, f4 := experiments.Figure3(*n), experiments.Figure4(*n)
+	tables, ok := map[string][]*table.Table{"max": {f3}, "sum": {f4}, "both": {f3, f4}}[*game]
+	if !ok {
 		log.Fatalf("unknown game %q", *game)
 	}
+	experiments.Report{Tables: tables}.Write(os.Stdout, *csv)
 }

@@ -6,7 +6,7 @@
 //
 //	ncg-construct -fig 1|2                 # the Figure 1 / Figure 2 torus
 //	ncg-construct -d 2 -l 2 -delta 3,4     # a custom torus
-//	ncg-construct -audit                   # run the lower-bound audits
+//	ncg-construct -audit                   # run the lower-bound audits (= ncg-experiments -run audit)
 //	ncg-construct -dot                     # also print Graphviz DOT
 package main
 
@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,10 +39,12 @@ func main() {
 	flag.Parse()
 
 	if *audit {
-		p := experiments.Params{Scale: experiments.ScaleCI, Seed: *seed}
-		experiments.LowerBoundAudit(p).Render(os.Stdout)
-		fmt.Println()
-		experiments.SumLowerBoundAudit(p).Render(os.Stdout)
+		i := slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == "audit" })
+		r, err := experiments.All[i].Run(experiments.Params{Scale: experiments.ScaleCI, Seed: *seed})
+		if err != nil {
+			log.Fatal(err)
+		}
+		r.Write(os.Stdout, false)
 		return
 	}
 

@@ -1,8 +1,6 @@
-// Command ncg-experiments regenerates the paper's tables and figures
-// (Table I–II, Figures 5–10, the §5.4 cycle census, and the lower-bound
-// audits) as ASCII tables or CSV, plus a dialect-comparison table that
-// runs the same grid under every registered move rule (best-response,
-// swap, large-neighborhood) on two graph families.
+// Command ncg-experiments regenerates the paper's tables, figures and
+// checks — the entries of experiments.All, in its order — as ASCII tables
+// or CSV.
 //
 // Usage:
 //
@@ -19,12 +17,12 @@
 // -data DIR` serves the jobs afterwards. A store failure ends the run with
 // its error, the checkpoints written so far kept. Unknown -run or -scale
 // values exit non-zero with the list of valid ids, as do -seed < 1 (base
-// seed 0 means "default" in a sweep spec) and a grid the daemon refuses.
+// seed 0 means "default" in a sweep spec), a negative -seeds or -dyn-n,
+// and a grid the daemon refuses.
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"slices"
@@ -32,7 +30,6 @@ import (
 	"strings"
 
 	"repro/internal/experiments"
-	"repro/internal/table"
 )
 
 func main() {
@@ -51,6 +48,12 @@ func main() {
 
 	if *seed < 1 {
 		log.Fatalf("bad -seed %d: need seed ≥ 1", *seed)
+	}
+	if *seeds < 0 {
+		log.Fatalf("bad -seeds %d: need seeds ≥ 0 (0 = scale default)", *seeds)
+	}
+	if *dynN < 0 {
+		log.Fatalf("bad -dyn-n %d: need n ≥ 0 (0 = scale default)", *dynN)
 	}
 	p := experiments.Params{Scale: experiments.ScaleCI, Seed: *seed}
 	switch *scale {
@@ -81,76 +84,9 @@ func main() {
 		}
 	}
 
-	emit := func(t *table.Table) {
-		if *csv {
-			fmt.Printf("# %s\n", t.Title)
-			t.RenderCSV(os.Stdout)
-		} else {
-			t.Render(os.Stdout)
-		}
-		fmt.Println()
-	}
-	// one emits the table of a driver that can fail, or passes its error on.
-	one := func(t *table.Table, err error) error {
-		if err == nil {
-			emit(t)
-		}
-		return err
-	}
-
-	// One dispatch table drives validation, the error text, and
-	// execution, so a new experiment cannot be wired up but unlisted (or
-	// listed but unwired).
-	drivers := []struct {
-		id  string
-		run func() error
-	}{
-		{"tableI", func() error { return one(experiments.TableI(p), nil) }},
-		{"tableII", func() error { return one(experiments.TableII(p), nil) }},
-		{"fig1", func() error { return one(experiments.Figure1(p)) }},
-		{"fig2", func() error { return one(experiments.Figure2(p)) }},
-		{"fig3", func() error { return one(experiments.Figure3(100000), nil) }},
-		{"fig4", func() error { return one(experiments.Figure4(100000), nil) }},
-		{"fig5", func() error { return one(experiments.Figure5(p)) }},
-		{"fig6", func() error { return one(experiments.Figure6(p)) }},
-		{"fig7", func() error { return one(experiments.Figure7(p)) }},
-		{"fig8", func() error { return one(experiments.Figure8(p)) }},
-		{"fig9", func() error { return one(experiments.Figure9(p)) }},
-		{"fig10", func() error {
-			left, right, err := experiments.Figure10(p)
-			if err != nil {
-				return err
-			}
-			emit(left)
-			emit(right)
-			return nil
-		}},
-		{"census", func() error { return one(experiments.CycleCensus(p)) }},
-		{"dialects", func() error { return one(experiments.DialectComparison(p)) }},
-		{"audit", func() error {
-			emit(experiments.LowerBoundAudit(p))
-			emit(experiments.SumLowerBoundAudit(p))
-			return nil
-		}},
-		{"theory", func() error {
-			t1, ok1, err := experiments.Corollary314Check(p)
-			if err != nil {
-				return err
-			}
-			emit(t1)
-			t2, ok2, err := experiments.Theorem44Check(p)
-			if err != nil {
-				return err
-			}
-			emit(t2)
-			fmt.Printf("Corollary 3.14 holds: %v; Theorem 4.4 holds: %v\n", ok1, ok2)
-			return nil
-		}},
-	}
-
 	valid := []string{"all"}
-	for _, d := range drivers {
-		valid = append(valid, d.id)
+	for _, e := range experiments.All {
+		valid = append(valid, e.ID)
 	}
 	if !slices.Contains(valid, *run) {
 		log.Fatalf("unknown experiment %q; valid: %s", *run, strings.Join(valid, " "))
@@ -162,13 +98,16 @@ func main() {
 		log.Fatal(err)
 	}
 	p.Runner = runner
-	for _, d := range drivers {
-		if *run == "all" || *run == d.id {
-			if err := d.run(); err != nil {
-				runner.Close()
-				log.Fatal(err)
-			}
+	for _, e := range experiments.All {
+		if *run != "all" && *run != e.ID {
+			continue
 		}
+		r, err := e.Run(p)
+		if err != nil {
+			runner.Close()
+			log.Fatal(err)
+		}
+		r.Write(os.Stdout, *csv)
 	}
 	runner.Close()
 }

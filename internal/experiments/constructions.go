@@ -16,10 +16,10 @@ import (
 // torusReport summarizes a built §3.1 torus: the quantities Figures 1–2
 // illustrate (vertex classes, degrees, view of the marked vertex) plus the
 // distance invariants of Lemma 3.3 / Corollary 3.4.
-func torusReport(title string, p construction.TorusParams, k int) (*table.Table, error) {
+func torusReport(title string, p construction.TorusParams, k int) (Report, error) {
 	tor, err := construction.BuildTorus(p)
 	if err != nil {
-		return nil, err
+		return Report{}, err
 	}
 	g := tor.State.Graph()
 	inter := 0
@@ -49,18 +49,18 @@ func torusReport(title string, p construction.TorusParams, k int) (*table.Table,
 		t.AddRowf(fmt.Sprintf("view size of (k*,…,k*) at k=%d", k), v.Size())
 		t.AddRowf("frontier size", len(v.Frontier()))
 	}
-	return t, nil
+	return tables(t), nil
 }
 
-// Figure1 reproduces Figure 1's construction: d = 2, δ = (15, 5), ℓ = 2,
+// figure1 reproduces Figure 1's construction: d = 2, δ = (15, 5), ℓ = 2,
 // with the view of the intersection vertex (k*, k*) at k = 4.
-func Figure1(Params) (*table.Table, error) {
+func figure1(Params) (Report, error) {
 	return torusReport("Figure 1 — torus d=2, δ=(15,5), ℓ=2",
 		construction.TorusParams{D: 2, L: 2, Delta: []int{15, 5}}, 4)
 }
 
-// Figure2 reproduces Figure 2's construction: d = 2, δ = (3, 4), ℓ = 2.
-func Figure2(Params) (*table.Table, error) {
+// figure2 reproduces Figure 2's construction: d = 2, δ = (3, 4), ℓ = 2.
+func figure2(Params) (Report, error) {
 	return torusReport("Figure 2 — torus d=2, δ=(3,4), ℓ=2",
 		construction.TorusParams{D: 2, L: 2, Delta: []int{3, 4}}, 4)
 }
@@ -88,65 +88,72 @@ func TorusDOT(p construction.TorusParams) (string, error) {
 	return b.String(), nil
 }
 
-// LowerBoundAudit verifies that the paper's lower-bound configurations are
+// lowerBoundAudit verifies that the paper's lower-bound configurations are
 // LKE-stable under the exact MAXNCG responder and reports their social
 // cost ratio against the optimum — the experimental counterpart of
-// Lemma 3.1, Lemma 3.2, and Theorem 3.12.
-func LowerBoundAudit(p Params) *table.Table {
+// Lemma 3.1, Lemma 3.2, and Theorem 3.12. A construction whose builder
+// fails (the randomized girth-8 search can, for some seeds) keeps its row,
+// with the build error in place of its values.
+func lowerBoundAudit(p Params) (Report, error) {
 	t := table.New("Lower-bound audit — constructions vs exact LKE check",
 		"construction", "n", "alpha", "k", "is LKE", "PoA ratio", "theory lower bound")
 	rng := rand.New(rand.NewSource(p.Seed + 42))
 
-	audit := func(name string, s *game.State, alpha float64, k int) {
+	audit := func(name string, s *game.State, err error, alpha float64, k int) {
+		if err != nil {
+			t.AddRowf(name, "-", alpha, k, "build error: "+err.Error(), "-", "-")
+			return
+		}
 		cfg := dynamics.DefaultConfig(game.Max, alpha, k)
 		stable := dynamics.IsLKE(s, cfg)
 		ratio := game.Quality(s, game.Max, alpha)
 		t.AddRowf(name, s.N(), alpha, k, stable, ratio,
 			bounds.MaxLowerBound(s.N(), k, alpha))
 	}
+	torus := func(delta ...int) (*game.State, error) {
+		tor, err := construction.BuildTorus(construction.TorusParams{D: 2, L: 2, Delta: delta})
+		if err != nil {
+			return nil, err
+		}
+		return tor.State, nil
+	}
 
 	// Lemma 3.1: cycle, α >= k−1.
-	if s, err := construction.CycleState(30); err == nil {
-		audit("Lemma 3.1 cycle", s, 3, 3)
-	}
+	s, err := construction.CycleState(30)
+	audit("Lemma 3.1 cycle", s, err, 3, 3)
 	// Lemma 3.2 at k=2 via the exact projective-plane incidence graph.
-	if s, err := construction.ProjectivePlaneState(3, rng); err == nil {
-		audit("Lemma 3.2 PG(2,3)", s, 1.5, 2)
-	}
+	s, err = construction.ProjectivePlaneState(3, rng)
+	audit("Lemma 3.2 PG(2,3)", s, err, 1.5, 2)
 	// Lemma 3.2 at k=3 via the randomized high-girth generator (girth 8).
-	if s, err := construction.HighGirthState(60, 3, 3, rng); err == nil {
-		audit("Lemma 3.2 girth-8", s, 1.5, 3)
-	}
+	s, err = construction.HighGirthState(60, 3, 3, rng)
+	audit("Lemma 3.2 girth-8", s, err, 1.5, 3)
 	// Theorem 3.12 torus at α=2, k=4 (Figure 2's graph).
-	if tor, err := construction.BuildTorus(construction.TorusParams{D: 2, L: 2, Delta: []int{3, 4}}); err == nil {
-		audit("Theorem 3.12 torus", tor.State, 2, 4)
-	}
+	s, err = torus(3, 4)
+	audit("Theorem 3.12 torus", s, err, 2, 4)
 	// A longer torus (larger δ₂) — diameter, and hence the ratio, grows.
-	if tor, err := construction.BuildTorus(construction.TorusParams{D: 2, L: 2, Delta: []int{3, 10}}); err == nil {
-		audit("Theorem 3.12 torus (long)", tor.State, 2, 4)
-	}
-	return t
+	s, err = torus(3, 10)
+	audit("Theorem 3.12 torus (long)", s, err, 2, 4)
+	return tables(t), nil
 }
 
-// SumLowerBoundAudit verifies Lemma 4.1's SUMNCG equilibrium claim on the
+// sumLowerBoundAudit verifies Lemma 4.1's SUMNCG equilibrium claim on the
 // d=2, ℓ=2 torus: for α >= 4k³ the construction is stable under the exact
 // (exhaustive) SUMNCG responder — feasible because each view is small.
-func SumLowerBoundAudit(p Params) *table.Table {
-	t := table.New("SUMNCG lower-bound audit (Lemma 4.1 / Theorem 4.2)",
-		"construction", "n", "alpha", "k", "stable (local audit)", "PoA ratio", "theory lower bound")
+func sumLowerBoundAudit(Params) (Report, error) {
 	k := 2
 	alpha := float64(4 * k * k * k) // α = 4k³
 	tor, err := construction.BuildTorus(construction.TorusParams{
 		D: 2, L: 2, Delta: []int{k/2 + 1, 6},
 	})
 	if err != nil {
-		t.AddRowf("Lemma 4.1 torus", 0, alpha, k, false, 0.0, 0.0)
-		return t
+		return Report{}, err
 	}
+	t := table.New("SUMNCG lower-bound audit (Lemma 4.1 / Theorem 4.2)",
+		"construction", "n", "alpha", "k", "stable (local audit)", "PoA ratio", "theory lower bound")
 	cfg := dynamics.DefaultConfig(game.Sum, alpha, k)
 	stable := dynamics.IsLKE(tor.State, cfg)
 	t.AddRowf("Lemma 4.1 torus", tor.State.N(), alpha, k, stable,
 		game.Quality(tor.State, game.Sum, alpha),
 		bounds.SumLowerBound(tor.State.N(), k, alpha))
-	return t
+	return tables(t), nil
 }

@@ -9,14 +9,14 @@ import (
 	"repro/internal/table"
 )
 
-// DialectComparison runs one α×k grid under every registered game
+// dialectComparison runs one α×k grid under every registered game
 // dialect on two graph families, side by side — each row is a daemon job
 // with the printed spec fields (the best-response tree row is the §5.1
 // tree sweep's job). Swap dynamics keep the network's edge count
 // invariant and large-neighborhood descent explores compound deviations,
 // so the three move rules reach visibly different equilibria from
 // identical starts.
-func DialectComparison(p Params) (*table.Table, error) {
+func dialectComparison(p Params) (Report, error) {
 	n := p.DynamicsTreeSize()
 	configs := []struct {
 		dialect string
@@ -35,7 +35,7 @@ func DialectComparison(p Params) (*table.Table, error) {
 	for _, c := range configs {
 		results, err := p.sweep(sweepd.Spec{Dialect: c.dialect, Graph: c.graph, N: n, P: c.prob, BaseSeed: p.Seed})
 		if err != nil {
-			return nil, err
+			return Report{}, err
 		}
 		var rounds, moves, diameter []float64
 		converged := 0
@@ -51,5 +51,5 @@ func DialectComparison(p Params) (*table.Table, error) {
 			fmt.Sprintf("%.0f%%", 100*float64(converged)/float64(len(results))),
 			stats.Summarize(rounds), stats.Summarize(moves), stats.Summarize(diameter))
 	}
-	return t, nil
+	return tables(t), nil
 }

@@ -5,13 +5,27 @@ import (
 	"testing"
 
 	"repro/internal/construction"
+	"repro/internal/table"
 )
 
 func tiny() Params { return Params{Scale: ScaleCI, Seed: 7} }
 
+// only runs a driver that reports one table and returns that table.
+func only(t *testing.T, run func(Params) (Report, error), p Params) *table.Table {
+	t.Helper()
+	r, err := run(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Tables) != 1 {
+		t.Fatalf("report holds %d tables, want 1", len(r.Tables))
+	}
+	return r.Tables[0]
+}
+
 func TestTableI(t *testing.T) {
 	p := tiny()
-	tab := TableI(p)
+	tab := only(t, tableI, p)
 	if len(tab.Rows) != len(p.TreeSizes()) {
 		t.Fatalf("rows=%d, want %d", len(tab.Rows), len(p.TreeSizes()))
 	}
@@ -23,24 +37,18 @@ func TestTableI(t *testing.T) {
 
 func TestTableII(t *testing.T) {
 	p := tiny()
-	tab := TableII(p)
+	tab := only(t, tableII, p)
 	if len(tab.Rows) != len(p.ERConfigs()) {
 		t.Fatalf("rows=%d, want %d", len(tab.Rows), len(p.ERConfigs()))
 	}
 }
 
 func TestFigure1And2(t *testing.T) {
-	f1, err := Figure1(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f1 := only(t, figure1, tiny())
 	if !strings.Contains(f1.String(), "450") {
 		t.Fatalf("Figure 1 should report n=450:\n%s", f1)
 	}
-	f2, err := Figure2(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f2 := only(t, figure2, tiny())
 	if !strings.Contains(f2.String(), "72") {
 		t.Fatalf("Figure 2 should report n=72:\n%s", f2)
 	}
@@ -70,19 +78,28 @@ func TestFigure3And4(t *testing.T) {
 	}
 }
 
+// Every construction keeps its row. At seeds 7 and 254 the randomized
+// girth-8 search fails, and its row carries the build error; at seed 1,
+// the CLI default, it builds.
 func TestLowerBoundAudit(t *testing.T) {
-	tab := LowerBoundAudit(tiny())
-	out := tab.String()
-	if strings.Contains(out, "false") {
-		t.Fatalf("a lower-bound construction failed its LKE audit:\n%s", out)
-	}
-	if len(tab.Rows) < 4 {
-		t.Fatalf("audit covered only %d constructions:\n%s", len(tab.Rows), out)
+	for seed, buildFails := range map[int64]bool{1: false, 7: true, 254: true} {
+		tab := only(t, lowerBoundAudit, Params{Scale: ScaleCI, Seed: seed})
+		out := tab.String()
+		if strings.Contains(out, "false") {
+			t.Fatalf("seed %d: a lower-bound construction failed its LKE audit:\n%s", seed, out)
+		}
+		if len(tab.Rows) != 5 {
+			t.Fatalf("seed %d: audit has %d rows, want one per construction (5):\n%s", seed, len(tab.Rows), out)
+		}
+		failed := strings.Contains(tab.Rows[2][4], "build error: gen: no 3-regular girth-8 graph")
+		if tab.Rows[2][0] != "Lemma 3.2 girth-8" || failed != buildFails {
+			t.Fatalf("seed %d: girth-8 row %q, build error wanted: %v", seed, tab.Rows[2], buildFails)
+		}
 	}
 }
 
 func TestSumLowerBoundAudit(t *testing.T) {
-	tab := SumLowerBoundAudit(tiny())
+	tab := only(t, sumLowerBoundAudit, tiny())
 	out := tab.String()
 	if strings.Contains(out, "false") {
 		t.Fatalf("SUM lower-bound construction failed its audit:\n%s", out)

@@ -35,10 +35,7 @@ func open(t *testing.T, dir string) *Runner {
 
 func TestFigure5(t *testing.T) {
 	p := micro(t)
-	tab, err := Figure5(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := only(t, figure5, p)
 	if len(tab.Rows) != len(p.Alphas())*len(p.Ks()) {
 		t.Fatalf("rows=%d", len(tab.Rows))
 	}
@@ -61,10 +58,7 @@ func TestFigure5(t *testing.T) {
 
 func TestFigure6(t *testing.T) {
 	p := micro(t)
-	tab, err := Figure6(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := only(t, figure6, p)
 	want := 2 * len(p.TreeSizes()) * len(p.Ks())
 	if len(tab.Rows) != want {
 		t.Fatalf("rows=%d, want %d", len(tab.Rows), want)
@@ -79,10 +73,7 @@ func TestFigure6(t *testing.T) {
 
 func TestFigure7(t *testing.T) {
 	p := micro(t)
-	tab, err := Figure7(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := only(t, figure7, p)
 	if len(tab.Rows) == 0 {
 		t.Fatal("empty table")
 	}
@@ -102,17 +93,11 @@ func TestFigure7(t *testing.T) {
 
 func TestFigure8And9(t *testing.T) {
 	p := micro(t)
-	f8, err := Figure8(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f8 := only(t, figure8, p)
 	if len(f8.Rows) != len(p.Alphas())*len(p.Ks()) {
 		t.Fatalf("figure 8 rows=%d", len(f8.Rows))
 	}
-	f9, err := Figure9(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f9 := only(t, figure9, p)
 	for _, row := range f9.Rows {
 		// Unfairness is a ratio >= 1.
 		if strings.HasPrefix(row[2], "0.") {
@@ -123,10 +108,11 @@ func TestFigure8And9(t *testing.T) {
 
 func TestFigure10(t *testing.T) {
 	p := micro(t)
-	left, right, err := Figure10(p)
+	r, err := figure10(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	left, right := r.Tables[0], r.Tables[1]
 	if len(left.Rows) != len(p.Alphas())*len(p.Ks()) {
 		t.Fatalf("left rows=%d", len(left.Rows))
 	}
@@ -141,10 +127,7 @@ func TestFigure5ViewGrowsWithK(t *testing.T) {
 	// α on the micro grid.
 	p := micro(t)
 	p.KGrid = []int{2, 4, 1000}
-	tab, err := Figure5(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := only(t, figure5, p)
 	// Rows are (α-major, k-minor); compare successive k means per α.
 	for i := 0; i+2 < len(tab.Rows); i += 3 {
 		var means [3]float64
@@ -161,10 +144,7 @@ func TestFigure5ViewGrowsWithK(t *testing.T) {
 
 func TestCycleCensus(t *testing.T) {
 	p := micro(t)
-	tab, err := CycleCensus(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := only(t, cycleCensus, p)
 	if len(tab.Rows) != 3 {
 		t.Fatalf("rows=%d, want 3", len(tab.Rows))
 	}

@@ -1,12 +1,13 @@
-// Package experiments contains one driver per table and figure of the
-// paper's evaluation (§5): Table I–II input statistics, Figures 5–10
-// dynamics studies, Figures 1–2 construction renders, Figures 3–4 bound
-// region maps, plus the §5.4 cycle census and the lower-bound audits.
-// Every driver returns rendered tables so cmd/ tools and the benchmark
-// harness share one code path, and every dynamics sweep is a sweepd.Spec
-// submitted to the Runner that Params carries (runner.go): the figure
-// drivers and the sweep daemon run, checkpoint, resume and cache a grid
-// with the same code.
+// Package experiments reproduces the paper's evaluation (§5): Table I–II
+// input statistics, Figures 5–10 dynamics studies, Figures 1–2
+// construction renders, Figures 3–4 bound region maps, the §5.4 cycle
+// census, the lower-bound audits, and the Corollary 3.14 and Theorem 4.4
+// checks. All (registry.go) is the one list of them: each entry's driver
+// returns a Report of rendered tables and checked verdicts, which
+// ncg-experiments prints and the root benchmarks time. Every dynamics sweep
+// is a sweepd.Spec submitted to the Runner that Params carries (runner.go):
+// the drivers and the sweep daemon run, checkpoint, resume and cache a
+// grid with the same code.
 package experiments
 
 // Scale selects experiment sizing.

@@ -6,53 +6,43 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/table"
 )
 
-// render concatenates the tables of drivers that return (table, error).
-func render(t *testing.T, p Params, drivers ...func(Params) (*table.Table, error)) string {
+// render concatenates the tables of the drivers' reports.
+func render(t *testing.T, p Params, drivers ...func(Params) (Report, error)) string {
 	t.Helper()
 	var b strings.Builder
 	for _, d := range drivers {
-		tab, err := d(p)
+		r, err := d(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.WriteString(tab.String())
+		for _, tab := range r.Tables {
+			b.WriteString(tab.String())
+		}
 	}
 	return b.String()
 }
 
-func figure10(t *testing.T, p Params) string {
-	t.Helper()
-	left, right, err := Figure10(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return left.String() + right.String()
-}
-
-func corollary314(p Params) (*table.Table, error) {
-	tab, _, err := Corollary314Check(p)
-	return tab, err
-}
-
-func theorem44(p Params) (*table.Table, error) {
-	tab, _, err := Theorem44Check(p)
-	return tab, err
-}
-
-// TestDriversGoldenHash pins what every sweep-backed driver prints at the
-// micro grid. The hash was taken with the drivers calling dynamics.Sweep
-// directly (before they became daemon jobs); a change that moves it has
-// changed a cell's result, a base seed, or a table's arithmetic.
+// TestDriversGoldenHash pins the tables every entry of All prints at the
+// micro grid, but for the seven that sweep nothing (cmd/ncg-experiments'
+// test pins those at -scale ci). The hash was taken with the drivers
+// calling dynamics.Sweep directly (before they became daemon jobs); a
+// change that moves it has changed a cell's result, a base seed, or a
+// table's arithmetic.
 func TestDriversGoldenHash(t *testing.T) {
 	p := micro(t)
-	out := render(t, p, Figure5, Figure6, Figure7, Figure8, Figure9) + figure10(t, p) +
-		render(t, p, CycleCensus, DialectComparison, corollary314, theorem44)
+	sweepless := []string{"tableI", "tableII", "fig1", "fig2", "fig3", "fig4", "audit"}
+	var runs []func(Params) (Report, error)
+	for _, e := range All {
+		if !slices.Contains(sweepless, e.ID) {
+			runs = append(runs, e.Run)
+		}
+	}
+	out := render(t, p, runs...)
 	const want = "53f4be612ebecff05f0621fcbcf2bcb4df6d92180258f08d56601845e2ef59b9"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
 		t.Fatalf("driver tables hash to %s, want %s:\n%s", got, want, out)
@@ -64,8 +54,7 @@ func TestDriversGoldenHash(t *testing.T) {
 func TestTreeSweepReadersShareOneJob(t *testing.T) {
 	p := micro(t)
 	p.TreeSizeGrid = []int{} // Figure 10's right panel sweeps other grids
-	figure10(t, p)
-	render(t, p, Figure5, CycleCensus, corollary314)
+	render(t, p, figure10, figure5, cycleCensus, corollary314)
 	grid := len(p.Alphas()) * len(p.Ks()) * p.Seeds()
 	if got := p.Runner.Stats().CellsAppended; got != uint64(grid) {
 		t.Fatalf("four readers appended %d cells, want one grid of %d", got, grid)
@@ -80,7 +69,7 @@ func TestTreeSweepReadersShareOneJob(t *testing.T) {
 // cells appended.
 func TestReopenResumesFromTornCheckpoint(t *testing.T) {
 	p := micro(t)
-	want := render(t, p, Figure5, CycleCensus)
+	want := render(t, p, figure5, cycleCensus)
 	path := p.Runner.ResultsPath(p.Runner.List()[0].ID)
 	dir := filepath.Dir(filepath.Dir(path))
 	p.Runner.Close()
@@ -97,7 +86,7 @@ func TestReopenResumesFromTornCheckpoint(t *testing.T) {
 	}
 
 	p.Runner = open(t, dir)
-	if got := render(t, p, Figure5, CycleCensus); got != want {
+	if got := render(t, p, figure5, cycleCensus); got != want {
 		t.Fatalf("tables differ after resume:\n%s\nwant:\n%s", got, want)
 	}
 	missing := len(p.Alphas())*len(p.Ks())*p.Seeds() - kept
@@ -110,9 +99,9 @@ func TestReopenResumesFromTornCheckpoint(t *testing.T) {
 // cell is a cache hit.
 func TestSubGridIsServedFromCache(t *testing.T) {
 	p := micro(t)
-	render(t, p, Figure5)
+	render(t, p, figure5)
 	p.AlphaGrid = p.AlphaGrid[1:]
-	render(t, p, Figure5)
+	render(t, p, figure5)
 	for _, job := range p.Runner.List() {
 		if len(job.Spec.Alphas) == 1 {
 			if job.Total != len(p.Ks())*p.Seeds() || job.CacheHits != job.Total {
@@ -141,7 +130,7 @@ func TestOpenRefusesFileForDirectory(t *testing.T) {
 func TestRefusedSpecIsAnError(t *testing.T) {
 	p := micro(t)
 	p.DynTreeSize = 1
-	if _, err := Figure5(p); err == nil || !strings.Contains(err.Error(), "n ≥ 2") {
-		t.Fatalf("Figure5 at n=1: err = %v, want Validate's refusal", err)
+	if _, err := figure5(p); err == nil || !strings.Contains(err.Error(), "n ≥ 2") {
+		t.Fatalf("figure5 at n=1: err = %v, want Validate's refusal", err)
 	}
 }

@@ -10,11 +10,11 @@ import (
 	"repro/internal/table"
 )
 
-// TableI reproduces Table I: statistics of the random trees used as
+// tableI reproduces Table I: statistics of the random trees used as
 // starting networks — diameter, maximum degree, and maximum number of
 // bought edges (under fair-coin ownership), averaged over Seeds() trees
 // per size with 95% confidence intervals.
-func TableI(p Params) *table.Table {
+func tableI(p Params) (Report, error) {
 	t := table.New("Table I — random tree statistics",
 		"n", "Diameter", "Max. degree", "Max. Bought Edges")
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -29,13 +29,13 @@ func TableI(p Params) *table.Table {
 		}
 		t.AddRowf(n, stats.Summarize(diam), stats.Summarize(deg), stats.Summarize(bought))
 	}
-	return t
+	return tables(t), nil
 }
 
-// TableII reproduces Table II: statistics of the Erdős–Rényi starting
+// tableII reproduces Table II: statistics of the Erdős–Rényi starting
 // networks — edge count, diameter, maximum degree, and maximum bought
 // edges, averaged over Seeds() connected samples per (n, p).
-func TableII(p Params) *table.Table {
+func tableII(p Params) (Report, error) {
 	t := table.New("Table II — Erdős–Rényi random graph statistics",
 		"n", "p", "Edges", "Diameter", "Max. degree", "Max. Bought Edges")
 	rng := rand.New(rand.NewSource(p.Seed + 1))
@@ -57,5 +57,5 @@ func TableII(p Params) *table.Table {
 			stats.Summarize(edges), stats.Summarize(diam),
 			stats.Summarize(deg), stats.Summarize(bought))
 	}
-	return t
+	return tables(t), nil
 }
