@@ -70,6 +70,7 @@ var archRules = []struct {
 	{"executor-stack", oneExecutorStack},
 	{"one-logger", oneLogger},
 	{"one-assembly", oneAssembly},
+	{"one-clock", oneClock},
 }
 
 // onePeerClient: one peer client, with no second HTTP client, transport
@@ -363,6 +364,28 @@ func oneAssembly(tr *tree) (out []finding) {
 			if f.qualified(sel, pkg) == name {
 				out = append(out, tr.find(sel, "%s.%s outside internal/sweepd/node", path.Base(pkg), name))
 			}
+		}
+	})
+	return out
+}
+
+// oneClock: one clock in package sweepd. The Manager's clock (clock.go)
+// stamps jobs and replicas and paces TTL GC, the rate limiter, the
+// follow drain and both streams' keep-alives, so a test that moves it
+// moves them all. A wall-clock read or timer elsewhere in the package is
+// a second clock; PeerClient's retry wait (peerclient.go) stays on the
+// wall until ROADMAP direction 6 moves it.
+func oneClock(tr *tree) (out []finding) {
+	pkg := func(f *goFile) bool { return path.Dir(f.path) == "internal/sweepd" }
+	scope := nonTest(pkg, "internal/sweepd/clock.go", "internal/sweepd/peerclient.go")
+	tr.inspect(scope, func(f *goFile, n ast.Node) {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		switch name := f.qualified(sel, "time"); name {
+		case "Now", "Since", "Until", "NewTicker", "NewTimer", "After", "AfterFunc", "Tick":
+			out = append(out, tr.find(sel, "time.%s outside clock.go", name))
 		}
 	})
 	return out

@@ -180,13 +180,13 @@ func (m *Manager) StartGC(ttl, interval time.Duration) {
 	m.gcWG.Add(1)
 	go func() {
 		defer m.gcWG.Done()
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
+		tick, stop := m.clock.NewTicker(interval)
+		defer stop()
 		for {
 			select {
 			case <-m.ctx.Done():
 				return
-			case <-ticker.C:
+			case <-tick:
 				m.gcOnce(ttl)
 			}
 		}
@@ -200,7 +200,7 @@ func (m *Manager) StartGC(ttl, interval time.Duration) {
 // too), then evict every done/failed job whose terminal timestamp (or,
 // lacking one, its creation time) is at least ttl old.
 func (m *Manager) gcOnce(ttl time.Duration) {
-	cutoff := m.now().Add(-ttl)
+	cutoff := m.clock.Now().Add(-ttl)
 	m.store.SweepOrphans(cutoff) //nolint:errcheck // best-effort
 	if rs := m.Replicas(); rs != nil {
 		expired, _ := rs.SweepExpired(cutoff) // best-effort
@@ -281,7 +281,7 @@ func (m *Manager) Stats() ManagerStats {
 	}
 	return ManagerStats{
 		CellsAppended:       m.cellsAppended,
-		Uptime:              time.Since(m.started),
+		Uptime:              m.clock.Now().Sub(m.started),
 		Jobs:                jobs,
 		JobsEvicted:         m.jobsEvicted,
 		SpillBytesReclaimed: m.spillBytesReclaimed,

@@ -15,14 +15,34 @@ import (
 	"time"
 )
 
-// fakeClock is the injectable time source for TTL-GC and rate-limit
-// tests: Advance moves it forward, nothing else does.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
+// useClock installs c as m's clock and restarts m's uptime on it, so
+// Stats never mixes two clocks. Call it before any job is admitted or
+// request served.
+func (m *Manager) useClock(c clock) {
+	m.clock = c
+	m.started = c.Now()
 }
 
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Now()} }
+// fakeClock is the manager's clock in tests: Advance moves it, nothing
+// else does, and a ticker fires on the Advance that reaches its next
+// tick. Like a time.Ticker, one that is not read drops ticks.
+type fakeClock struct {
+	mu      sync.Mutex
+	t       time.Time
+	tickers map[*fakeTicker]bool
+	// changed is closed and replaced whenever a ticker starts or stops.
+	changed chan struct{}
+}
+
+type fakeTicker struct {
+	c      chan time.Time
+	period time.Duration
+	next   time.Time
+}
+
+func newFakeClock() *fakeClock {
+	return &fakeClock{t: time.Now(), tickers: map[*fakeTicker]bool{}, changed: make(chan struct{})}
+}
 
 func (c *fakeClock) Now() time.Time {
 	c.mu.Lock()
@@ -30,10 +50,59 @@ func (c *fakeClock) Now() time.Time {
 	return c.t
 }
 
+func (c *fakeClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tk := &fakeTicker{c: make(chan time.Time, 1), period: d, next: c.t.Add(d)}
+	c.tickers[tk] = true
+	c.signal()
+	return tk.c, func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		delete(c.tickers, tk)
+		c.signal()
+	}
+}
+
+func (c *fakeClock) signal() {
+	close(c.changed)
+	c.changed = make(chan struct{})
+}
+
 func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.t = c.t.Add(d)
-	c.mu.Unlock()
+	for tk := range c.tickers {
+		if tk.next.After(c.t) {
+			continue
+		}
+		select {
+		case tk.c <- c.t:
+		default:
+		}
+		for !tk.next.After(c.t) {
+			tk.next = tk.next.Add(tk.period)
+		}
+	}
+}
+
+// awaitTickers blocks until exactly n tickers are running.
+func (c *fakeClock) awaitTickers(t *testing.T, n int) {
+	t.Helper()
+	for {
+		c.mu.Lock()
+		live, changed := len(c.tickers), c.changed
+		c.mu.Unlock()
+		if live == n {
+			return
+		}
+		select {
+		case <-changed:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d tickers running after 30s, want %d", live, n)
+		}
+	}
 }
 
 // newLifecycleRig builds a manager over a disk-backed cache with a fake
@@ -52,7 +121,7 @@ func newLifecycleRig(t *testing.T, cfg Config) (*Manager, *fakeClock, *handler, 
 	}
 	mgr := NewManager(store, cache, 4)
 	clk := newFakeClock()
-	mgr.now = clk.Now
+	mgr.useClock(clk)
 	h, root := buildHandler(mgr, cfg)
 	srv := httptest.NewServer(root)
 	t.Cleanup(func() {
@@ -127,6 +196,35 @@ func TestGCReapsTerminalJobEndToEnd(t *testing.T) {
 	if st.JobsEvicted != 1 || st.SpillBytesReclaimed == 0 {
 		t.Fatalf("GC counters = evicted %d, spill bytes %d", st.JobsEvicted, st.SpillBytesReclaimed)
 	}
+}
+
+// TestStartGCEvictsOnTick: the background collector runs on the
+// manager's clock. A done job past its TTL stays until the loop's ticker
+// fires, one interval's Advance evicts it, and Close stops the loop and
+// its ticker.
+func TestStartGCEvictsOnTick(t *testing.T) {
+	mgr, clk, _, _, _ := newLifecycleRig(t, Config{})
+	evicted := make(chan string, 1)
+	mgr.OnEvict(func(id string) { evicted <- id })
+	job := runDoneJob(t, mgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
+	clk.Advance(2 * time.Hour) // past the TTL before the loop starts
+
+	mgr.StartGC(time.Hour, time.Minute)
+	clk.awaitTickers(t, 1)
+	if _, ok := mgr.Get(job.ID); !ok {
+		t.Fatal("job evicted before the GC ticker fired")
+	}
+	clk.Advance(time.Minute)
+	select {
+	case id := <-evicted:
+		if id != job.ID {
+			t.Fatalf("GC evicted %s, want %s", id, job.ID)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("a GC interval passed and the expired job is still registered")
+	}
+	mgr.Close()
+	clk.awaitTickers(t, 0)
 }
 
 // TestGCSparesRunningAndCanceled: resumable jobs must survive GC — a
@@ -315,9 +413,9 @@ func TestRateLimit429RetryAfter(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr := NewManager(store, nil, 1)
-	mgr.now = clk.Now
+	mgr.useClock(clk)
 	t.Cleanup(mgr.Close)
-	_, root := buildHandler(mgr, Config{Rate: 1, now: clk.Now})
+	_, root := buildHandler(mgr, Config{Rate: 1})
 	srv := httptest.NewServer(root)
 	t.Cleanup(srv.Close)
 
@@ -546,7 +644,7 @@ func TestResumePlaceholderSurfacesSpecError(t *testing.T) {
 
 	mgr := NewManager(store, nil, 1)
 	clk := newFakeClock()
-	mgr.now = clk.Now
+	mgr.useClock(clk)
 	t.Cleanup(mgr.Close)
 	if err := mgr.Resume(); err != nil {
 		t.Fatal(err)
@@ -575,7 +673,7 @@ func TestResumePlaceholderSurfacesSpecError(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr2 := NewManager(store, nil, 1)
-	mgr2.now = clk.Now
+	mgr2.useClock(clk)
 	t.Cleanup(mgr2.Close)
 	if err := mgr2.Resume(); err != nil {
 		t.Fatal(err)
@@ -596,7 +694,7 @@ func TestResumePlaceholderSurfacesSpecError(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr3 := NewManager(store, nil, 1)
-	mgr3.now = clk.Now
+	mgr3.useClock(clk)
 	t.Cleanup(mgr3.Close)
 	if err := mgr3.Resume(); err != nil {
 		t.Fatal(err)

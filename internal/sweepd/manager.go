@@ -50,10 +50,10 @@ type Manager struct {
 	// runners, so Manager.Wait (jobs drained) keeps its meaning.
 	gcWG sync.WaitGroup
 
+	// clock is the package's one time source (clock.go), started is read
+	// from it; tests install a fake with useClock, which re-stamps started.
+	clock   clock
 	started time.Time
-	// now is the manager's clock; tests inject a fake to drive TTL GC
-	// deterministically. Set before any job is admitted.
-	now func() time.Time
 
 	mu   sync.Mutex
 	jobs map[string]*jobState
@@ -103,8 +103,8 @@ func NewManager(store *Store, cache *Cache, workers int) *Manager {
 		gate:    gate,
 		ctx:     ctx,
 		cancel:  cancel,
-		started: time.Now(),
-		now:     time.Now,
+		clock:   wallClock{},
+		started: wallClock{}.Now(),
 		jobs:    make(map[string]*jobState),
 	}
 }
@@ -232,7 +232,7 @@ func (m *Manager) Resume() error {
 				if fi, serr := os.Stat(m.store.SpecPath(id)); serr == nil {
 					created = fi.ModTime()
 				} else {
-					created = m.now()
+					created = m.clock.Now()
 				}
 			}
 			done := make(chan struct{})
@@ -378,7 +378,7 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 	meta, merr := m.store.LoadMeta(id)
 	writeMeta := false
 	if merr != nil || meta.Created.IsZero() {
-		meta = store.Meta{Created: m.now()}
+		meta = store.Meta{Created: m.clock.Now()}
 		writeMeta = true
 	}
 	if !meta.Finished.IsZero() {
@@ -458,7 +458,7 @@ func (m *Manager) finish(js *jobState, status JobStatus, errMsg string) {
 	m.mu.Lock()
 	js.job.Status = status
 	js.job.Error = errMsg
-	js.job.Finished = m.now()
+	js.job.Finished = m.clock.Now()
 	m.running--
 	js.notify()
 	meta := store.Meta{Created: js.job.Created, Finished: js.job.Finished}

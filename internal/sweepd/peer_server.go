@@ -4,9 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
-	"sync"
-	"time"
 
 	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
@@ -138,7 +137,7 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	m.StoredAt = time.Now()
+	m.StoredAt = h.m.clock.Now()
 	if err := rs.Put(m, checkpoint, trajectory); err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -176,62 +175,32 @@ func (h *handler) peerLease(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
 
-	// The emitter and the heartbeat ticker share the connection; wmu also
-	// guards lastByte so heartbeats only fill genuine silence. The
-	// handler must not return while the ticker goroutine can still touch
-	// the ResponseWriter, so it is joined (not just signaled) on the way
-	// out.
-	var wmu sync.Mutex
-	lastByte := time.Now()
-	stop := make(chan struct{})
-	hbDone := make(chan struct{})
-	defer func() {
-		close(stop)
-		<-hbDone
-	}()
+	// The lease computes on its own goroutine while this one keeps the
+	// stream alive; the handler returns only after the lease does, so
+	// nothing touches the ResponseWriter once it has.
+	ka := &keepAlive{w: w, clock: h.m.clock, lastByte: h.m.clock.Now()}
+	served := make(chan error, 1)
 	go func() {
-		defer close(hbDone)
-		ticker := time.NewTicker(h.heartbeatInterval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-r.Context().Done():
-				return
-			case <-ticker.C:
-				wmu.Lock()
-				if time.Since(lastByte) >= h.heartbeatInterval {
-					if _, err := io.WriteString(w, "\n"); err == nil {
-						if flusher != nil {
-							flusher.Flush()
-						}
-						lastByte = time.Now()
-					}
-				}
-				wmu.Unlock()
+		served <- h.m.ServeLease(r.Context(), sp, req.Start, req.End, func(line []byte) error {
+			err := ka.send(&net.Buffers{line, []byte("\n")})
+			if err == nil {
+				h.leaseCellsServed.Add(1)
 			}
-		}
+			return err
+		})
 	}()
-	emit := func(line []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if _, err := w.Write(line); err != nil {
-			return err
+	tick, stop := h.m.clock.NewTicker(keepAliveInterval)
+	defer stop()
+	for {
+		select {
+		case err := <-served:
+			if err == nil {
+				h.leasesServed.Add(1)
+			}
+			return
+		case <-tick:
+			ka.beat() //nolint:errcheck // a gone client fails the lease's next send
 		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		lastByte = time.Now()
-		h.leaseCellsServed.Add(1)
-		return nil
-	}
-	if err := h.m.ServeLease(r.Context(), sp, req.Start, req.End, emit); err == nil {
-		h.leasesServed.Add(1)
 	}
 }

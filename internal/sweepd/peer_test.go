@@ -79,7 +79,7 @@ func TestPeerLeaseStreamsCanonicalLines(t *testing.T) {
 	}
 	mgr := NewManager(store, NewCache(1024), 2)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{HeartbeatInterval: 10 * time.Millisecond}))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	start, end := 3, 7
@@ -206,8 +206,9 @@ func TestPeerLeaseRejections(t *testing.T) {
 // TestPeerLeaseHeartbeats: while a lease computes, the stream carries
 // blank keep-alive lines so the leader's watchdog can tell slow from
 // dead. The test holds the pool's one worker token, so the lease cannot
-// finish a cell before the first heartbeat is due however fast a cell
-// is, and hands it back once it has read one.
+// finish a cell, and moves the manager's clock one keep-alive interval
+// once the stream's ticker runs; it hands the token back once it has
+// read the blank line.
 func TestPeerLeaseHeartbeats(t *testing.T) {
 	sp := Spec{N: 12, Alphas: []float64{0.5, 2}, Ks: []int{2, 3}, Seeds: 2}
 	sp.Normalize()
@@ -217,11 +218,34 @@ func TestPeerLeaseHeartbeats(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{HeartbeatInterval: time.Millisecond}))
+	clk := newFakeClock()
+	mgr.useClock(clk)
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	token := <-mgr.gate
-	resp := postLease(t, srv.URL, LeaseRequest{Spec: sp, Start: 0, End: sp.NumCells()})
+	// The response headers go out with the first byte, the blank line.
+	body, err := json.Marshal(LeaseRequest{Spec: sp, Start: 0, End: sp.NumCells()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type posted struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan posted, 1)
+	client := &http.Client{Timeout: 30 * time.Second} // a missing blank line fails, not hangs
+	go func() {
+		resp, err := client.Post(srv.URL+"/peer/leases", "application/json", bytes.NewReader(body))
+		done <- posted{resp, err}
+	}()
+	clk.awaitTickers(t, 1)
+	clk.Advance(keepAliveInterval)
+	p := <-done
+	if p.err != nil {
+		t.Fatal(p.err)
+	}
+	resp := p.resp
 	defer resp.Body.Close()
 	stream := bufio.NewReader(resp.Body)
 	first, err := stream.ReadBytes('\n')
@@ -434,8 +458,8 @@ func TestPeerRateLimitClass(t *testing.T) {
 	}
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	now := time.Now()
-	_, handler := buildHandler(mgr, Config{PeerRate: 1, Cluster: &fakeMembership{}, now: func() time.Time { return now }})
+	mgr.useClock(newFakeClock()) // no token accrues between requests
+	_, handler := buildHandler(mgr, Config{PeerRate: 1, Cluster: &fakeMembership{}})
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 	pullMembers := func(when string) {

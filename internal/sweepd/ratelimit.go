@@ -10,35 +10,32 @@ import (
 	"time"
 )
 
-// tokenBucket is a minimal clock-injectable token bucket: rate tokens
-// per second, burst capacity, one token per request. A nil bucket is
-// unlimited.
+// tokenBucket is a minimal token bucket: rate tokens per second, burst
+// capacity, one token per request. A nil bucket is unlimited.
 type tokenBucket struct {
 	mu     sync.Mutex
 	rate   float64
 	burst  float64
 	tokens float64
 	last   time.Time
-	now    func() time.Time
 }
 
-func newTokenBucket(rate float64, now func() time.Time) *tokenBucket {
+func newTokenBucket(rate float64) *tokenBucket {
 	if rate <= 0 {
 		return nil
 	}
 	burst := math.Max(rate, 1)
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, now: now}
+	return &tokenBucket{rate: rate, burst: burst, tokens: burst}
 }
 
-// allow takes one token if available; otherwise it reports how long
-// until the next token accrues (the Retry-After hint).
-func (tb *tokenBucket) allow() (bool, time.Duration) {
+// allow takes one token if one has accrued by now; otherwise it reports
+// how long until the next token accrues (the Retry-After hint).
+func (tb *tokenBucket) allow(now time.Time) (bool, time.Duration) {
 	if tb == nil {
 		return true, 0
 	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
-	now := tb.now()
 	if !tb.last.IsZero() {
 		tb.tokens = math.Min(tb.burst, tb.tokens+now.Sub(tb.last).Seconds()*tb.rate)
 	}
@@ -70,7 +67,7 @@ func (h *handler) rateLimit(next http.Handler) http.Handler {
 		case r.Method != http.MethodGet && r.Method != http.MethodHead:
 			bucket, class = h.mutateBucket, "mutate"
 		}
-		ok, wait := bucket.allow()
+		ok, wait := bucket.allow(h.m.clock.Now())
 		if !ok {
 			secs := int(math.Ceil(wait.Seconds()))
 			if secs < 1 {

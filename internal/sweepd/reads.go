@@ -216,12 +216,6 @@ func (h *handler) followResults(w http.ResponseWriter, r *http.Request, id strin
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Trailer", "X-Sweep-Status")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 
 	var f *os.File
 	var tail *ncgio.Tailer
@@ -231,11 +225,9 @@ func (h *handler) followResults(w http.ResponseWriter, r *http.Request, id strin
 		}
 	}()
 
-	// A heartbeat shorter than the tick (tests use milliseconds) paces the
-	// loop itself, so keep-alives are not rounded up to whole ticks.
-	tick := time.NewTicker(min(followTick, h.heartbeatInterval))
-	defer tick.Stop()
-	lastByte := time.Now()
+	ka := &keepAlive{w: w, clock: h.m.clock, lastByte: h.m.clock.Now()}
+	tick, stop := h.m.clock.NewTicker(followTick)
+	defer stop()
 	for {
 		// Status before drain: when this snapshot is terminal, every byte
 		// the finished runner synced is already on disk, so the drain
@@ -262,45 +254,33 @@ func (h *handler) followResults(w http.ResponseWriter, r *http.Request, id strin
 				return
 			}
 		}
-		wrote := false
-		if tail != nil {
-			for {
-				sec, n, err := tail.Next()
-				if err != nil {
-					// The stream can no longer be proven complete; end it
-					// WITHOUT the terminal trailer so clients treat it as
-					// truncated rather than trusting a final status.
-					return
-				}
-				if n == 0 {
-					break
-				}
-				if _, err := io.Copy(w, sec); err != nil {
-					return // client gone
-				}
-				wrote = true
+		for tail != nil {
+			sec, n, err := tail.Next()
+			if err != nil {
+				// The stream can no longer be proven complete; end it
+				// WITHOUT the terminal trailer so clients treat it as
+				// truncated rather than trusting a final status.
+				return
 			}
-		}
-		if wrote {
-			flush()
-			lastByte = time.Now()
+			if n == 0 {
+				break
+			}
+			if err := ka.send(sec); err != nil {
+				return // client gone
+			}
 		}
 		if terminal {
 			w.Header().Set("X-Sweep-Status", string(job.Status))
 			return
 		}
-		if time.Since(lastByte) >= h.heartbeatInterval {
-			if _, err := io.WriteString(w, "\n"); err != nil {
-				return
-			}
-			flush()
-			lastByte = time.Now()
+		if err := ka.beat(); err != nil {
+			return
 		}
 		select {
 		case <-r.Context().Done():
 			return
 		case <-changed:
-		case <-tick.C:
+		case <-tick:
 		}
 	}
 }

@@ -319,7 +319,10 @@ func TestReplicaTrajectories404CountsNoRead(t *testing.T) {
 // lands, instead of leaving the job under-replicated until a restart.
 func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
 	leaderMgr, _, _, leaderSrv, _ := newLifecycleRig(t, Config{})
-	_, fh, followerSrv, _ := newReplicaRig(t, Config{ReplicaRate: 1})
+	followerMgr, fh, followerSrv, _ := newReplicaRig(t, Config{ReplicaRate: 1})
+	// The pusher waits out Retry-After on the wall clock, so the
+	// receiver's bucket must refill on it too.
+	followerMgr.useClock(wallClock{})
 	rp := NewReplicator(ReplicatorOptions{
 		Store:   leaderMgr.store,
 		Fanout:  1,
@@ -625,8 +628,12 @@ func TestReadRejectsMalformedJobID(t *testing.T) {
 func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
 	mgr, h, srv, _ := newReplicaRig(t, Config{})
+	// The receiver stamps StoredAt and expires replicas on one clock: on
+	// a clock two days behind the wall, a wall-clock stamp would never
+	// expire.
 	clk := newFakeClock()
-	mgr.now = clk.Now
+	clk.Advance(-48 * time.Hour)
+	mgr.useClock(clk)
 
 	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
 	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
@@ -648,6 +655,10 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	if held() != 1 {
 		t.Fatalf("handler holds %d summaries after a replica-served read, want 1", held())
 	}
+	mgr.gcOnce(time.Hour)
+	if ids := mgr.Replicas().List(); len(ids) != 1 {
+		t.Fatalf("replica expired inside its TTL: held %v", ids)
+	}
 	clk.Advance(2 * time.Hour)
 	mgr.gcOnce(time.Hour)
 	if ids := mgr.Replicas().List(); len(ids) != 0 {
@@ -655,6 +666,9 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	}
 	if held() != 0 {
 		t.Fatalf("handler still holds %d summaries after the replica expired", held())
+	}
+	if up := mgr.Stats().Uptime; up != 2*time.Hour {
+		t.Fatalf("uptime = %v on the manager's clock, want 2h", up)
 	}
 }
 

@@ -77,8 +77,7 @@ func heartbeatFor(adoptAfter time.Duration) time.Duration {
 // orphaned jobs. See the package comment for the protocol.
 type Scheduler struct {
 	opts Options
-	beat time.Duration    // heartbeatFor(opts.AdoptAfter)
-	now  func() time.Time // injected in tests
+	beat time.Duration // heartbeatFor(opts.AdoptAfter)
 
 	// ctx is the scheduler's lifetime: Close cancels it, which stops the
 	// loop and ends the peer calls of a running tick, so Close never
@@ -112,7 +111,6 @@ func New(opts Options) (*Scheduler, error) {
 	s := &Scheduler{
 		opts:  opts,
 		beat:  heartbeatFor(opts.AdoptAfter),
-		now:   time.Now,
 		ceded: make(map[string]bool),
 		done:  make(chan struct{}),
 	}
@@ -266,7 +264,6 @@ func (s *Scheduler) adoptPass(self string) {
 			state[m.URL] = m.State
 		}
 	}
-	now := s.now()
 	elected := false
 	var winner string
 	for _, l := range leases {
@@ -278,7 +275,8 @@ func (s *Scheduler) adoptPass(self string) {
 		if st, known := state[l.Owner]; known && st != "down" {
 			continue
 		}
-		if now.Sub(l.Updated) < s.opts.AdoptAfter {
+		// Updated is the registry's wall-clock stamp.
+		if time.Since(l.Updated) < s.opts.AdoptAfter {
 			continue
 		}
 		if !elected {

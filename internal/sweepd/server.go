@@ -9,15 +9,12 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Config tunes the HTTP layer. The zero value serves with production
-// defaults: 15s heartbeats, no rate limits.
+// Config tunes the HTTP layer. The zero value serves with no rate
+// limits and without the cluster endpoints; time, the streams' 15s
+// keep-alive included, is the Manager's clock.
 type Config struct {
-	// HeartbeatInterval is how long a follow stream may stay silent
-	// before a blank keep-alive line goes out.
-	HeartbeatInterval time.Duration
 	// Rate and PeerRate are token-bucket limits in requests/second
 	// (burst = one second's worth, minimum 1) per endpoint class. Rate
 	// caps each client class on its own bucket: reads (the GET /sweeps
@@ -55,15 +52,11 @@ type Config struct {
 	// SchedStats, when set, feeds the scheduler counters (adoptions,
 	// leadership losses, replica seeds) into /metrics and /healthz.
 	SchedStats func() SchedStats
-	// now is the rate limiter's clock; tests inject a fake.
-	now func() time.Time
 }
 
-// handler carries the serving knobs alongside the manager; tests shrink
-// the heartbeat to drive follow mode fast.
+// handler carries the serving knobs alongside the manager.
 type handler struct {
-	m                 *Manager
-	heartbeatInterval time.Duration
+	m *Manager
 
 	readBucket    *tokenBucket
 	mutateBucket  *tokenBucket
@@ -105,8 +98,8 @@ type handler struct {
 }
 
 // NewHandlerConfig builds the sweepd HTTP JSON API over a manager, with
-// the serving knobs (rate limits, follow-mode heartbeat) of cfg — the
-// zero Config serves with production defaults:
+// the serving knobs (rate limits, cluster wiring) of cfg — the zero
+// Config serves with production defaults:
 //
 //	POST   /sweeps              submit a Spec; idempotent (same spec ⇒ same job)
 //	GET    /sweeps              list job snapshots
@@ -156,25 +149,18 @@ func NewHandlerConfig(m *Manager, cfg Config) http.Handler {
 // buildHandler wires the handler, its routes, and the rate-limiting
 // middleware; tests use the *handler to reach internal state.
 func buildHandler(m *Manager, cfg Config) (*handler, http.Handler) {
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 15 * time.Second
-	}
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
 	h := &handler{
-		m:                 m,
-		heartbeatInterval: cfg.HeartbeatInterval,
-		readBucket:        newTokenBucket(cfg.Rate, cfg.now),
-		mutateBucket:      newTokenBucket(cfg.Rate, cfg.now),
-		peerBucket:        newTokenBucket(cfg.PeerRate, cfg.now),
-		replicaBucket:     newTokenBucket(cfg.ReplicaRate, cfg.now),
-		peerStats:         cfg.PeerStats,
-		cluster:           cfg.Cluster,
-		sched:             cfg.Sched,
-		schedStats:        cfg.SchedStats,
-		replicaStats:      cfg.ReplicaStats,
-		summaries:         make(map[string]*summaryState),
+		m:             m,
+		readBucket:    newTokenBucket(cfg.Rate),
+		mutateBucket:  newTokenBucket(cfg.Rate),
+		peerBucket:    newTokenBucket(cfg.PeerRate),
+		replicaBucket: newTokenBucket(cfg.ReplicaRate),
+		peerStats:     cfg.PeerStats,
+		cluster:       cfg.Cluster,
+		sched:         cfg.Sched,
+		schedStats:    cfg.SchedStats,
+		replicaStats:  cfg.ReplicaStats,
+		summaries:     make(map[string]*summaryState),
 	}
 	// Job GC must release the per-job summary state too, or the daemon
 	// leaks one summaryState per job forever.

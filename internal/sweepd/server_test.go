@@ -21,19 +21,12 @@ import (
 
 func newTestServer(t *testing.T) (*httptest.Server, *Manager) {
 	t.Helper()
-	return newTestServerTuned(t, 15*time.Second)
-}
-
-// newTestServerTuned shrinks the follow-mode heartbeat so streaming tests
-// see keep-alive lines.
-func newTestServerTuned(t *testing.T, heartbeat time.Duration) (*httptest.Server, *Manager) {
-	t.Helper()
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := NewManager(store, NewCache(1024), 4)
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{HeartbeatInterval: heartbeat}))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	t.Cleanup(func() {
 		srv.Close()
 		mgr.Close()
@@ -265,11 +258,12 @@ func decodeStream(t *testing.T, body []byte) []dynamics.CellResult {
 }
 
 // TestServerFollowStreamsLiveJob attaches a ?follow=1 client to a running
-// job and checks it receives every cell of the canonical grid, heartbeat
-// blanks while idle, a clean EOF when the job finishes, and the terminal
-// status in the X-Sweep-Status trailer.
+// job and checks it receives every cell of the canonical grid, a clean
+// EOF when the job finishes, and the terminal status in the
+// X-Sweep-Status trailer. Keep-alive lines are
+// TestServerFollowHeartbeatsAndTornTail's.
 func TestServerFollowStreamsLiveJob(t *testing.T) {
-	srv, mgr := newTestServerTuned(t, time.Millisecond)
+	srv, mgr := newTestServer(t)
 	sp := bigSpec()
 	job, _, err := mgr.Submit(sp)
 	if err != nil {
@@ -362,46 +356,56 @@ func feedJob(t *testing.T, mgr *Manager, id string) (*jobState, *os.File) {
 }
 
 // TestServerFollowHeartbeatsAndTornTail drives follow mode against a
-// hand-fed job, deterministically: the client must receive blank
-// heartbeat lines while the checkpoint idles, never see a torn fragment,
-// pick up the line once its newline lands, and get the terminal trailer
-// when the job finishes.
+// hand-fed job on the manager's fake clock: the client must receive a
+// blank line after each quiet keep-alive interval, never see a torn
+// fragment, pick up the line once its newline lands, and get the
+// terminal trailer when the job finishes.
 func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
-	srv, mgr := newTestServerTuned(t, 2*time.Millisecond)
+	srv, mgr := newTestServer(t)
+	clk := newFakeClock()
+	mgr.useClock(clk)
 	js, f := feedJob(t, mgr, "feedjob")
-	cell1 := dynamics.Cell{Alpha: 1, K: 2, Seed: 0}
-	cell2 := dynamics.Cell{Alpha: 1, K: 2, Seed: 1}
-	f.Write(append(cacheLine(cell1), '\n')) //nolint:errcheck
+	line1 := append(cacheLine(dynamics.Cell{Alpha: 1, K: 2, Seed: 0}), '\n')
+	line2 := append(cacheLine(dynamics.Cell{Alpha: 1, K: 2, Seed: 1}), '\n')
+	f.Write(line1) //nolint:errcheck
 
-	res, err := http.Get(srv.URL + "/sweeps/feedjob/results?follow=1")
+	// A missing keep-alive fails the read at the timeout, not the run's.
+	client := &http.Client{Timeout: 30 * time.Second}
+	res, err := client.Get(srv.URL + "/sweeps/feedjob/results?follow=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res.Body.Close()
+	stream := bufio.NewReader(res.Body)
+	next := func(want []byte, what string) {
+		t.Helper()
+		if got, err := stream.ReadBytes('\n'); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s: read %q, %v; want %q", what, got, err, want)
+		}
+	}
+	// The follower started its drain ticker before it sent line 1.
+	next(line1, "first line")
+	clk.Advance(keepAliveInterval)
+	next([]byte("\n"), "keep-alive after a quiet interval")
 
-	bodyCh := make(chan []byte, 1)
-	go func() {
-		b, _ := io.ReadAll(res.Body)
-		bodyCh <- b
-	}()
+	// A torn fragment stays unsent. The second keep-alive below comes
+	// after a drain that saw the fragment, which would have sent it
+	// ahead of the blank line.
+	f.Write(line2[:10]) //nolint:errcheck
+	for range 2 {
+		clk.Advance(keepAliveInterval)
+		next([]byte("\n"), "keep-alive after a torn fragment")
+	}
+	f.Write(line2[10:]) //nolint:errcheck
+	clk.Advance(followTick)
+	next(line2, "completed line")
 
-	time.Sleep(30 * time.Millisecond) // idle: heartbeats must flow
-	f.Write(cacheLine(cell2)[:10])    //nolint:errcheck // torn fragment
-	time.Sleep(20 * time.Millisecond)
-	f.Write(append(cacheLine(cell2)[10:], '\n')) //nolint:errcheck
-	time.Sleep(20 * time.Millisecond)
 	mgr.finish(js, StatusDone, "")
-
-	body := <-bodyCh
+	if rest, err := io.ReadAll(stream); err != nil || len(rest) != 0 {
+		t.Fatalf("after finish read %q, %v", rest, err)
+	}
 	if st := res.Trailer.Get("X-Sweep-Status"); st != string(StatusDone) {
 		t.Fatalf("trailer = %q, want done", st)
-	}
-	if !bytes.Contains(body, []byte("\n\n")) {
-		t.Fatal("no heartbeat blank lines while the checkpoint idled")
-	}
-	results := decodeStream(t, body)
-	if len(results) != 2 || results[0].Cell != cell1 || results[1].Cell != cell2 {
-		t.Fatalf("followed cells = %+v", results)
 	}
 }
 

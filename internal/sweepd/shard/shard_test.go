@@ -72,9 +72,7 @@ func newDaemon(t *testing.T, workers int) *daemon {
 		t.Fatal(err)
 	}
 	mgr := sweepd.NewManager(store, sweepd.NewCache(4096), workers)
-	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{
-		HeartbeatInterval: 20 * time.Millisecond,
-	})
+	h := sweepd.NewHandlerConfig(mgr, sweepd.Config{})
 	d := &daemon{store: store, mgr: mgr}
 	d.serve(h)
 	t.Cleanup(func() {
@@ -101,10 +99,7 @@ func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, se
 		Seeds:         seeds,
 		ProbeInterval: probeInterval,
 	})
-	d.serve(sweepd.NewHandlerConfig(mgr, sweepd.Config{
-		HeartbeatInterval: 20 * time.Millisecond,
-		Cluster:           reg,
-	}))
+	d.serve(sweepd.NewHandlerConfig(mgr, sweepd.Config{Cluster: reg}))
 	reg.Start()
 	t.Cleanup(func() {
 		reg.Close()
@@ -353,7 +348,8 @@ func TestHangingPeerLeaseExpires(t *testing.T) {
 // TestThrottledPeerIsRetriedNotRetired: a follower shedding load with
 // 429 + Retry-After is healthy, not dead — the leader must back off and
 // retry the lease rather than counting a failure and abandoning the
-// peer, and results stay byte-identical.
+// peer, and results stay byte-identical. The served stream opens with a
+// keep-alive line, which the leader skips.
 func TestThrottledPeerIsRetriedNotRetired(t *testing.T) {
 	sp := e2eSpec()
 	opts := shard.Options{LeaseCells: 3}
@@ -380,6 +376,9 @@ func TestThrottledPeerIsRetriedNotRetired(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		w.WriteHeader(resp.StatusCode)
+		// A keep-alive line ahead of the results, as a follower sends
+		// after a quiet interval: the leader must skip it.
+		io.WriteString(w, "\n") //nolint:errcheck
 		buf := make([]byte, 4096)
 		flusher, _ := w.(http.Flusher)
 		for {

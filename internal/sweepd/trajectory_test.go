@@ -52,7 +52,7 @@ func TestTrajectorySidecar(t *testing.T) {
 	}
 	mgr := NewManager(store, NewCache(1024), 4)
 	defer mgr.Close()
-	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{HeartbeatInterval: time.Second}))
+	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
 	sp := trajSpec()
