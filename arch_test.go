@@ -658,7 +658,8 @@ func mentions(n ast.Node, name string) bool {
 //   - exported funcs, methods and types declared under internal/sweepd,
 //     and under the rest of internal/;
 //   - non-test lines in *reference*.go files. Executable specifications
-//     belong behind the test boundary, so this reads 0.
+//     belong behind the test boundary, so this reads 0;
+//   - README.md's lines.
 func logSizes(t *testing.T, tr *tree) {
 	var lines, sweepdLines, sweepdExported, otherExported, referenceLines int
 	for _, f := range tr.files {
@@ -682,6 +683,11 @@ func logSizes(t *testing.T, tr *tree) {
 	t.Logf("exported funcs/methods/types under internal/sweepd: %d", sweepdExported)
 	t.Logf("exported funcs/methods/types under internal/ outside sweepd: %d", otherExported)
 	t.Logf("non-test lines in *reference*.go: %d", referenceLines)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("README.md lines: %d", strings.Count(string(readme), "\n"))
 }
 
 // exported counts a file's exported funcs, methods and types.

@@ -5,6 +5,8 @@
 // Usage:
 //
 //	ncg-bounds -game max|sum|both [-n 100000] [-csv]
+//
+// An -n below 2 or an unknown -game exits 1 with one line on stderr.
 package main
 
 import (
@@ -24,10 +26,13 @@ func main() {
 	)
 	flag.Parse()
 
+	if *n < 2 {
+		log.Fatalf("bad -n %d: need n ≥ 2", *n)
+	}
 	f3, f4 := experiments.Figure3(*n), experiments.Figure4(*n)
 	tables, ok := map[string][]*table.Table{"max": {f3}, "sum": {f4}, "both": {f3, f4}}[*game]
 	if !ok {
-		log.Fatalf("unknown game %q", *game)
+		log.Fatalf("unknown -game %q; valid: max sum both", *game)
 	}
 	experiments.Report{Tables: tables}.Write(os.Stdout, *csv)
 }

@@ -1,12 +1,13 @@
-// Command ncg-construct builds the paper's lower-bound graphs (§3.1
-// torus, Lemma 3.1 cycle, Lemma 3.2 high-girth graphs), verifies the
-// claimed equilibrium and distance properties, and optionally emits DOT.
+// Command ncg-construct builds the paper's §3.1 lower-bound torus,
+// verifies its diameter and ownership properties, and optionally draws it
+// as ASCII art or emits DOT. The audits of every lower-bound construction
+// (the torus, the Lemma 3.1 cycle, the Lemma 3.2 high-girth graphs) are
+// `ncg-experiments -run audit`.
 //
 // Usage:
 //
 //	ncg-construct -fig 1|2                 # the Figure 1 / Figure 2 torus
 //	ncg-construct -d 2 -l 2 -delta 3,4     # a custom torus
-//	ncg-construct -audit                   # run the lower-bound audits (= ncg-experiments -run audit)
 //	ncg-construct -dot                     # also print Graphviz DOT
 package main
 
@@ -14,8 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -31,22 +30,10 @@ func main() {
 		l      = flag.Int("l", 2, "stretch ℓ")
 		deltas = flag.String("delta", "3,4", "comma-separated dimension lengths δ")
 		k      = flag.Int("k", 4, "view radius for the report")
-		audit  = flag.Bool("audit", false, "run the LKE lower-bound audits")
 		dot    = flag.Bool("dot", false, "emit Graphviz DOT of the torus")
 		ascii  = flag.Bool("ascii", false, "draw the torus as ASCII art (d=2 only), with the (k*,k*) view overlay")
-		seed   = flag.Int64("seed", 1, "RNG seed for the audits")
 	)
 	flag.Parse()
-
-	if *audit {
-		i := slices.IndexFunc(experiments.All, func(e experiments.Experiment) bool { return e.ID == "audit" })
-		r, err := experiments.All[i].Run(experiments.Params{Scale: experiments.ScaleCI, Seed: *seed})
-		if err != nil {
-			log.Fatal(err)
-		}
-		r.Write(os.Stdout, false)
-		return
-	}
 
 	var params construction.TorusParams
 	switch *fig {

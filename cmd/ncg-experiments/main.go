@@ -4,8 +4,10 @@
 //
 // Usage:
 //
-//	ncg-experiments -run all|tableI|tableII|fig1..fig10|census|dialects|audit|theory
-//	               [-scale ci|paper] [-seed 1] [-csv] [-checkpoint DIR]
+//	ncg-experiments -run all|<id> [-scale ci|paper] [-seed 1] [-csv] [-checkpoint DIR]
+//
+// The ids are experiments.All's, in its order; ncg-experiments -h lists
+// them.
 //
 // -scale paper reproduces the full §5.1 grids (15 α × 12 k × 20 seeds) —
 // expect a long run; -scale ci runs the representative sub-grid used by
@@ -33,8 +35,12 @@ import (
 )
 
 func main() {
+	valid := []string{"all"}
+	for _, e := range experiments.All {
+		valid = append(valid, e.ID)
+	}
 	var (
-		run        = flag.String("run", "all", "experiment id (all, tableI, tableII, fig1..fig10, census, dialects, audit, theory)")
+		run        = flag.String("run", "all", "experiment id: "+strings.Join(valid, " | "))
 		scale      = flag.String("scale", "ci", "grid scale: ci | paper")
 		seed       = flag.Int64("seed", 1, "base RNG seed")
 		csv        = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
@@ -84,10 +90,6 @@ func main() {
 		}
 	}
 
-	valid := []string{"all"}
-	for _, e := range experiments.All {
-		valid = append(valid, e.ID)
-	}
 	if !slices.Contains(valid, *run) {
 		log.Fatalf("unknown experiment %q; valid: %s", *run, strings.Join(valid, " "))
 	}

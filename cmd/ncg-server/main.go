@@ -9,8 +9,8 @@
 // The command parses its flags (ncg-server -h lists them) into a
 // node.Config, listens on -addr and stops the node on SIGINT or SIGTERM;
 // internal/sweepd/node assembles the daemon, and sweepd.NewHandlerConfig
-// documents its routes. The README's daemon, Clustering, Scheduling and
-// Storage & replication sections describe what each flag governs.
+// documents its routes. The README's daemon quickstart says what each
+// flag governs.
 package main
 
 import (
@@ -33,8 +33,8 @@ func fatal(msg string, args ...any) {
 }
 
 // newFlagSet defines ncg-server's flags over cfg and returns them with
-// -addr's value; the README's flag table lists the same names and
-// defaults.
+// -addr's value. The README's ncg-server flag table lists the same names
+// and defaults; readme_test.go holds it to ncg-server -h.
 func newFlagSet(cfg *node.Config) (*flag.FlagSet, *string) {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "HTTP listen address")

@@ -5,6 +5,9 @@
 // Usage:
 //
 //	ncg-sim -n 100 -alpha 2 -k 5 -graph tree -seed 1 [-variant max|sum]
+//
+// An out-of-range -n, -k, -alpha or -p, or an unknown -graph or -variant,
+// exits 1 with one line on stderr before any work.
 package main
 
 import (
@@ -38,6 +41,27 @@ func main() {
 	)
 	flag.Parse()
 
+	// Below the bounds sweepd.Spec.Validate sets a sweep there is no game
+	// to play, and a cycle needs three vertices.
+	switch {
+	case *n < 2:
+		log.Fatalf("bad -n %d: need n ≥ 2", *n)
+	case *graphF == "cycle" && *n < 3:
+		log.Fatalf("bad -n %d: -graph cycle needs n ≥ 3", *n)
+	case *k < 1:
+		log.Fatalf("bad -k %d: need k ≥ 1", *k)
+	case !(*alpha > 0):
+		log.Fatalf("bad -alpha %g: need α > 0", *alpha)
+	case *graphF == "gnp" && !(*p > 0 && *p <= 1):
+		log.Fatalf("bad -p %g: -graph gnp needs 0 < p ≤ 1", *p)
+	}
+	v := game.Max
+	if *variant == "sum" {
+		v = game.Sum
+	} else if *variant != "max" {
+		log.Fatalf("unknown -variant %q; valid: max sum", *variant)
+	}
+
 	rng := rand.New(rand.NewSource(*seed))
 	var s *game.State
 	switch *graphF {
@@ -56,14 +80,7 @@ func main() {
 	case "star":
 		s = game.FromGraphRandomOwners(gen.Star(*n), rng)
 	default:
-		log.Fatalf("unknown graph class %q; valid: tree gnp path cycle star", *graphF)
-	}
-
-	v := game.Max
-	if *variant == "sum" {
-		v = game.Sum
-	} else if *variant != "max" {
-		log.Fatalf("unknown variant %q; valid: max sum", *variant)
+		log.Fatalf("unknown -graph %q; valid: tree gnp path cycle star", *graphF)
 	}
 
 	cfg := dynamics.DefaultConfig(v, *alpha, *k)

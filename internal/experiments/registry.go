@@ -31,8 +31,8 @@ type Verdict struct {
 // regionN is the network size at which Figures 3–4 are evaluated.
 const regionN = 100000
 
-// All is the paper's evaluation in print order: ncg-experiments -run,
-// ncg-construct -audit and the root benchmarks iterate it.
+// All is the paper's evaluation in print order: ncg-experiments (its -run
+// ids and their -h list) and the root benchmarks iterate it.
 var All = []Experiment{
 	{"tableI", tableI},
 	{"tableII", tableII},
