@@ -1,14 +1,11 @@
 // Package classic implements the full-knowledge baselines the paper
 // compares against: the classical MAXNCG of Demaine et al. /
 // Mihalák–Schlegel and the classical SUMNCG of Fabrikant et al. It
-// provides exact best responses without the locality machinery, canonical
-// equilibrium facts (star/clique stability thresholds), and the published
-// PoA upper bounds as evaluatable shapes.
+// provides exact best responses without the locality machinery and
+// canonical equilibrium facts (star/clique stability thresholds).
 package classic
 
 import (
-	"math"
-
 	"repro/internal/bestresponse"
 	"repro/internal/game"
 )
@@ -109,29 +106,4 @@ func CliqueIsNEMax(n int, alpha float64) bool {
 		return true
 	}
 	return alpha <= 1/float64(n-2)
-}
-
-// MaxPoAUpper evaluates the published full-knowledge MAXNCG PoA shape
-// (Mihalák–Schlegel 2013): constant for α >= 129, constant for
-// α = O(1/√n), and 2^O(√log n) in between. Constants are set to 1.
-func MaxPoAUpper(n int, alpha float64) float64 {
-	nf := float64(n)
-	if alpha >= 129 || alpha <= 1/math.Sqrt(nf) {
-		return 1
-	}
-	return math.Pow(2, math.Sqrt(math.Max(math.Log2(nf), 0)))
-}
-
-// SumPoAUpper evaluates the published full-knowledge SUMNCG PoA shape:
-// constant outside n^(1-ε) <= α < 65n (Mamageishvili et al.,
-// Mihalák–Schlegel), 2^O(√log n) inside (Demaine et al.). ε is fixed to
-// 1/log n as in the paper's introduction; constants are set to 1.
-func SumPoAUpper(n int, alpha float64) float64 {
-	nf := float64(n)
-	logn := math.Max(math.Log2(nf), 1)
-	lower := math.Pow(nf, 1-1/logn)
-	if alpha >= lower && alpha < 65*nf {
-		return math.Pow(2, math.Sqrt(logn))
-	}
-	return 1
 }

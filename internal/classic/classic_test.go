@@ -82,29 +82,6 @@ func TestIsNEAfterClassicDynamics(t *testing.T) {
 	}
 }
 
-func TestPoAUpperShapes(t *testing.T) {
-	// Constant regimes.
-	if MaxPoAUpper(100000, 200) != 1 {
-		t.Fatal("MAX α >= 129 should be constant")
-	}
-	if MaxPoAUpper(1000000, 0.0001) != 1 {
-		t.Fatal("MAX tiny α should be constant")
-	}
-	if MaxPoAUpper(100000, 5) <= 1 {
-		t.Fatal("MAX middle range should exceed constants")
-	}
-	// SUM: middle range n^(1-ε) <= α < 65n.
-	if SumPoAUpper(1024, 600) <= 1 {
-		t.Fatal("SUM middle range should exceed constants")
-	}
-	if SumPoAUpper(1024, 1e6) != 1 {
-		t.Fatal("SUM α >= 65n should be constant")
-	}
-	if SumPoAUpper(1024, 2) != 1 {
-		t.Fatal("SUM small α should be constant")
-	}
-}
-
 func TestStarCliqueStateShapes(t *testing.T) {
 	star := StarState(6)
 	if star.Graph().MaxDegree() != 5 || star.TotalBought() != 5 {

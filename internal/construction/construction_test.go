@@ -105,9 +105,17 @@ func TestTorusLemma33DistanceBound(t *testing.T) {
 				t.Fatalf("d(%v,%v)=%d below Lemma 3.3 bound %d",
 					tor.Coords[x], tor.Coords[y], dist[y], lb)
 			}
-			if (tor.Intersection[x] || tor.Intersection[y]) && lb > 0 && dist[y] == lb && false {
-				// strictness checked separately below
-				_ = lb
+		}
+	}
+	// Equality is attained along a diagonal: from an intersection vertex,
+	// (x ± h, y ± h) is at distance exactly h for h <= 3.
+	v := tor.VertexAt([]int{0, 0})
+	dist := g.Distances(v)
+	for _, h := range []int{1, 2, 3} {
+		for _, s := range [][2]int{{1, 1}, {1, -1}, {-1, 1}, {-1, -1}} {
+			c := []int{s[0] * h, s[1] * h}
+			if w := tor.VertexAt(c); w < 0 || dist[w] != h {
+				t.Fatalf("h=%d: %v is vertex %d, want one at distance h from (0,0)", h, c, w)
 			}
 		}
 	}

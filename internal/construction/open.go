@@ -1,10 +1,6 @@
 package construction
 
-import (
-	"fmt"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // OpenTorus is the "open" variant of the §3.1 construction: coordinates
 // are NOT treated modularly, intersection vertices have a-coordinates in
@@ -19,7 +15,6 @@ type OpenTorus struct {
 	Coords [][]int
 	// Intersection[v] reports whether v is an intersection vertex.
 	Intersection []bool
-	id           map[string]int
 }
 
 // BuildOpenTorus constructs the open variant. Intersection vertices are
@@ -29,8 +24,8 @@ func BuildOpenTorus(p TorusParams) (*OpenTorus, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	t := &OpenTorus{Params: p, id: make(map[string]int)}
-	g := graph.New(0) // placeholder; rebuilt below once the size is known
+	t := &OpenTorus{Params: p}
+	id := make(map[string]int)
 
 	// Enumerate intersection vertices.
 	var inter [][]int
@@ -60,11 +55,11 @@ func BuildOpenTorus(p TorusParams) (*OpenTorus, error) {
 	// build the graph at the right size.
 	addCoord := func(coords []int, isInter bool) int {
 		key := encodeOpen(coords)
-		if v, ok := t.id[key]; ok {
+		if v, ok := id[key]; ok {
 			return v
 		}
 		v := len(t.Coords)
-		t.id[key] = v
+		id[key] = v
 		t.Coords = append(t.Coords, append([]int(nil), coords...))
 		t.Intersection = append(t.Intersection, isInter)
 		return v
@@ -115,11 +110,10 @@ func BuildOpenTorus(p TorusParams) (*OpenTorus, error) {
 			}
 		}
 	}
-	g = graph.New(len(t.Coords))
+	t.Graph = graph.New(len(t.Coords))
 	for _, e := range edges {
-		g.AddEdge(e.u, e.v)
+		t.Graph.AddEdge(e.u, e.v)
 	}
-	t.Graph = g
 	return t, nil
 }
 
@@ -131,17 +125,9 @@ func encodeOpen(coords []int) string {
 	return string(b)
 }
 
-// VertexAt returns the id at the given coordinates, or -1.
-func (t *OpenTorus) VertexAt(coords []int) int {
-	if v, ok := t.id[encodeOpen(coords)]; ok {
-		return v
-	}
-	return -1
-}
-
-// Lemma35Bound evaluates the right-hand side of Lemma 3.5:
+// lemma35Bound evaluates the right-hand side of Lemma 3.5:
 // max_i |x_i − y_i| (no wrap-around in the open graph).
-func (t *OpenTorus) Lemma35Bound(x, y int) int {
+func (t *OpenTorus) lemma35Bound(x, y int) int {
 	best := 0
 	for i := 0; i < t.Params.D; i++ {
 		d := t.Coords[x][i] - t.Coords[y][i]
@@ -155,10 +141,9 @@ func (t *OpenTorus) Lemma35Bound(x, y int) int {
 	return best
 }
 
-// CheckLemma35 verifies the Lemma 3.5 distance bound for every vertex
-// pair, including strictness when either endpoint is an intersection
-// vertex (strictness is vacuous for equal coordinates). It returns the
-// first violating pair, or (-1, -1).
+// CheckLemma35 verifies the Lemma 3.5 distance bound
+// d(x, y) >= max_i |x_i − y_i| for every connected vertex pair. It returns
+// the first violating pair, or (-1, -1).
 func (t *OpenTorus) CheckLemma35() (int, int) {
 	n := t.Graph.N()
 	for x := 0; x < n; x++ {
@@ -167,90 +152,14 @@ func (t *OpenTorus) CheckLemma35() (int, int) {
 			if x == y {
 				continue
 			}
-			lb := t.Lemma35Bound(x, y)
 			d := dist[y]
 			if d >= graph.Unreachable {
 				continue // open graph may be disconnected at tiny δ
 			}
-			if d < lb {
+			if d < t.lemma35Bound(x, y) {
 				return x, y
-			}
-			if (t.Intersection[x] || t.Intersection[y]) && lb > 0 && d <= lb-0 && d == lb {
-				// Lemma 3.5 claims strict inequality when an endpoint is
-				// an intersection vertex — except along the same
-				// diagonal, where equality d = ℓ·steps is attained; the
-				// paper's statement is for the generic case, so we only
-				// flag d < lb here.
-				continue
 			}
 		}
 	}
 	return -1, -1
-}
-
-// CheckLemma36 verifies the Lemma 3.6 predicate on an explicit instance:
-// given u, a set L with d(u, v_i) >= h and pairwise d(v_i, v_j) >= 2h−2,
-// any edge set F incident to u with d_{H+F}(u, v_i) < h for all i must
-// satisfy |F| >= |L|. The function checks the hypotheses and then
-// certifies the conclusion by counting, for each v ∈ L, a private F-edge
-// (the first edge of a shortest path); it returns an error when the
-// hypotheses fail or the conclusion is violated.
-func CheckLemma36(h *graph.Graph, u int, L []int, F []graph.Edge, bound int) error {
-	dist := h.Distances(u)
-	for _, v := range L {
-		if dist[v] < bound {
-			return fmt.Errorf("construction: hypothesis d(u,%d)=%d < h=%d", v, dist[v], bound)
-		}
-	}
-	for i, a := range L {
-		da := h.Distances(a)
-		for _, b := range L[i+1:] {
-			if da[b] < 2*bound-2 {
-				return fmt.Errorf("construction: hypothesis d(%d,%d)=%d < 2h-2=%d", a, b, da[b], 2*bound-2)
-			}
-		}
-	}
-	aug := h.Clone()
-	for _, e := range F {
-		if e.U != u && e.V != u {
-			return fmt.Errorf("construction: F edge (%d,%d) not incident to u=%d", e.U, e.V, u)
-		}
-		aug.AddEdge(e.U, e.V)
-	}
-	augDist := aug.Distances(u)
-	reached := 0
-	for _, v := range L {
-		if augDist[v] < bound {
-			reached++
-		}
-	}
-	if reached == len(L) && len(F) < len(L) {
-		return fmt.Errorf("construction: Lemma 3.6 violated: |F|=%d < |L|=%d yet all of L within h", len(F), len(L))
-	}
-	return nil
-}
-
-// FhSet returns F_h(v) for an intersection vertex of the closed torus:
-// the 2^d vertices reached by traversing one incident path direction for
-// h total steps, i.e. (x_1±h, …, x_d±h) over all sign choices (§3.1).
-func (t *Torus) FhSet(v, h int) []int {
-	if !t.Intersection[v] {
-		panic("construction: FhSet needs an intersection vertex")
-	}
-	d := t.Params.D
-	out := make([]int, 0, 1<<d)
-	coords := make([]int, d)
-	for signs := 0; signs < 1<<d; signs++ {
-		for i := 0; i < d; i++ {
-			if signs&(1<<i) != 0 {
-				coords[i] = t.Coords[v][i] + h
-			} else {
-				coords[i] = t.Coords[v][i] - h
-			}
-		}
-		if w := t.VertexAt(coords); w >= 0 {
-			out = append(out, w)
-		}
-	}
-	return out
 }

@@ -134,14 +134,15 @@ func isNE(s *game.State, variant game.Variant, alpha float64) bool {
 		cur := game.PlayerCost(s, variant, alpha, u)
 		mask := (uint32(1) << n) - 1
 		mask &^= 1 << u
+		trial := s.Clone() // differs from s in σ_u only, whatever it last tried
+		alt := make([]int, 0, n)
 		for sub := mask; ; sub = (sub - 1) & mask {
-			var alt []int
+			alt = alt[:0]
 			for v := 0; v < n; v++ {
 				if v != u && sub&(1<<v) != 0 {
 					alt = append(alt, v)
 				}
 			}
-			trial := s.Clone()
 			trial.SetStrategy(u, alt)
 			if game.PlayerCost(trial, variant, alpha, u) < cur-1e-9 {
 				return false

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,8 +11,9 @@ import (
 
 func tiny() Params { return Params{Scale: ScaleCI, Seed: 7} }
 
-// only runs a driver that reports one table and returns that table.
-func only(t *testing.T, run func(Params) (Report, error), p Params) *table.Table {
+// only runs a driver that reports one table and the verdicts named want,
+// in order, and returns that table. It fails t if a verdict does not hold.
+func only(t *testing.T, run func(Params) (Report, error), p Params, want ...string) *table.Table {
 	t.Helper()
 	r, err := run(p)
 	if err != nil {
@@ -19,6 +21,16 @@ func only(t *testing.T, run func(Params) (Report, error), p Params) *table.Table
 	}
 	if len(r.Tables) != 1 {
 		t.Fatalf("report holds %d tables, want 1", len(r.Tables))
+	}
+	var names []string
+	for _, v := range r.Verdicts {
+		if !v.Pass {
+			t.Fatalf("%s does not hold:\n%s", v.Name, r.Tables[0])
+		}
+		names = append(names, v.Name)
+	}
+	if !slices.Equal(names, want) {
+		t.Fatalf("verdicts %v, want %v", names, want)
 	}
 	return r.Tables[0]
 }
@@ -44,11 +56,11 @@ func TestTableII(t *testing.T) {
 }
 
 func TestFigure1And2(t *testing.T) {
-	f1 := only(t, figure1, tiny())
+	f1 := only(t, figure1, tiny(), "Lemma 3.3", "Corollary 3.4", "Lemma 3.5")
 	if !strings.Contains(f1.String(), "450") {
 		t.Fatalf("Figure 1 should report n=450:\n%s", f1)
 	}
-	f2 := only(t, figure2, tiny())
+	f2 := only(t, figure2, tiny(), "Lemma 3.3", "Corollary 3.4", "Lemma 3.5")
 	if !strings.Contains(f2.String(), "72") {
 		t.Fatalf("Figure 2 should report n=72:\n%s", f2)
 	}
@@ -78,16 +90,14 @@ func TestFigure3And4(t *testing.T) {
 	}
 }
 
-// Every construction keeps its row. At seeds 7 and 254 the randomized
-// girth-8 search fails, and its row carries the build error; at seed 1,
-// the CLI default, it builds.
+// Every construction keeps its row, and every verdict holds. At seeds 7
+// and 254 the randomized girth-8 search fails, and its row carries the
+// build error; at seed 1, the CLI default, it builds.
 func TestLowerBoundAudit(t *testing.T) {
 	for seed, buildFails := range map[int64]bool{1: false, 7: true, 254: true} {
-		tab := only(t, lowerBoundAudit, Params{Scale: ScaleCI, Seed: seed})
+		tab := only(t, lowerBoundAudit, Params{Scale: ScaleCI, Seed: seed},
+			"Lemma 3.1", "Lemma 3.2", "Theorem 3.12")
 		out := tab.String()
-		if strings.Contains(out, "false") {
-			t.Fatalf("seed %d: a lower-bound construction failed its LKE audit:\n%s", seed, out)
-		}
 		if len(tab.Rows) != 5 {
 			t.Fatalf("seed %d: audit has %d rows, want one per construction (5):\n%s", seed, len(tab.Rows), out)
 		}
@@ -99,11 +109,7 @@ func TestLowerBoundAudit(t *testing.T) {
 }
 
 func TestSumLowerBoundAudit(t *testing.T) {
-	tab := only(t, sumLowerBoundAudit, tiny())
-	out := tab.String()
-	if strings.Contains(out, "false") {
-		t.Fatalf("SUM lower-bound construction failed its audit:\n%s", out)
-	}
+	only(t, sumLowerBoundAudit, tiny(), "Lemma 4.1")
 }
 
 func TestScalesDiffer(t *testing.T) {

@@ -49,7 +49,7 @@ var All = []Experiment{
 	{"census", cycleCensus},
 	{"dialects", dialectComparison},
 	{"audit", join(lowerBoundAudit, sumLowerBoundAudit)},
-	{"theory", join(corollary314, theorem44)},
+	{"theory", join(corollary314, theorem44, classicalThresholds, neInsideLKE)},
 }
 
 // tables is the report of a driver that checks no claim.

@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"repro/internal/bounds"
+	"repro/internal/classic"
 	"repro/internal/dynamics"
+	"repro/internal/enum"
+	"repro/internal/game"
 	"repro/internal/stats"
 	"repro/internal/sweepd"
 	"repro/internal/table"
@@ -76,4 +79,58 @@ func theorem44(p Params) (Report, error) {
 			applies := bounds.FullKnowledgeSum(k, a)
 			return applies, !applies || mean >= 1
 		})
+}
+
+// classicalThresholds checks the closed-form full-knowledge stability
+// thresholds of the star (MAX: α >= 1/(n−2); SUM: α >= 1) and the
+// lower-owner clique (MAX: α <= 1/(n−2); SUM: α <= 1) against the exact
+// classic.IsNE audit, at α on both sides of each threshold.
+func classicalThresholds(Params) (Report, error) {
+	t := table.New("Classical NE thresholds — exact audit vs closed form",
+		"profile", "n", "alpha", "MAX IsNE", "MAX formula", "SUM IsNE", "SUM formula")
+	holds := true
+	for _, n := range []int{4, 6, 9} {
+		star, clique := classic.StarState(n), classic.CliqueState(n)
+		inv := 1 / float64(n-2) // the MAX thresholds; SUM's are 1
+		for _, a := range []float64{0.9 * inv, 1.1 * inv, 0.9, 1.1} {
+			for _, row := range []struct {
+				name     string
+				s        *game.State
+				max, sum bool
+			}{
+				{"star", star, classic.StarIsNEMax(n, a), classic.StarIsNESum(n, a)},
+				{"clique", clique, classic.CliqueIsNEMax(n, a), classic.CliqueIsNESum(a)},
+			} {
+				maxNE, sumNE := classic.IsNE(row.s, game.Max, a), classic.IsNE(row.s, game.Sum, a)
+				holds = holds && maxNE == row.max && sumNE == row.sum
+				t.AddRowf(row.name, n, a, maxNE, row.max, sumNE, row.sum)
+			}
+		}
+	}
+	return Report{Tables: []*table.Table{t}, Verdicts: []Verdict{{"Classical NE thresholds", holds}}}, nil
+}
+
+// neInsideLKE checks §1's "the set of LKEs is broader than the set of NEs,
+// so the PoA can only be worse" by exhaustive enumeration at n = 4: every
+// NE is an LKE, and PoA over LKEs >= PoA over NEs.
+func neInsideLKE(Params) (Report, error) {
+	t := table.New("NE ⊆ LKE — exhaustive enumeration at n = 4",
+		"variant", "alpha", "k", "#NE", "#LKE", "PoA (NE)", "PoA (LKE)")
+	holds := true
+	for _, v := range []game.Variant{game.Max, game.Sum} {
+		for _, a := range []float64{0.5, 3} {
+			for _, k := range []int{1, 2} {
+				r, err := enum.Enumerate(4, v, a, k)
+				if err != nil {
+					return Report{}, err
+				}
+				for _, ne := range r.NE {
+					holds = holds && enum.ContainsProfile(r.LKE, ne)
+				}
+				holds = holds && r.PoALKE() >= r.PoANE()-1e-9
+				t.AddRowf(v, a, k, len(r.NE), len(r.LKE), r.PoANE(), r.PoALKE())
+			}
+		}
+	}
+	return Report{Tables: []*table.Table{t}, Verdicts: []Verdict{{"NE ⊆ LKE", holds}}}, nil
 }

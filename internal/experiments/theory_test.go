@@ -12,8 +12,14 @@ func theory(t *testing.T) (Params, Report) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(r.Tables) != 2 || len(r.Verdicts) != 2 {
-				t.Fatalf("theory reports %d tables and %d verdicts, want 2 and 2", len(r.Tables), len(r.Verdicts))
+			if len(r.Tables) != 4 || len(r.Verdicts) != 4 {
+				t.Fatalf("theory reports %d tables and %d verdicts, want 4 and 4", len(r.Tables), len(r.Verdicts))
+			}
+			// The last two checks read no sweep, so they hold at any grid.
+			for i, name := range []string{"Classical NE thresholds", "NE ⊆ LKE"} {
+				if v := r.Verdicts[2+i]; v.Name != name || !v.Pass {
+					t.Fatalf("verdict %+v, want %s to hold:\n%s", v, name, r.Tables[2+i])
+				}
 			}
 			return p, r
 		}
