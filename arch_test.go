@@ -71,6 +71,7 @@ var archRules = []struct {
 	{"one-logger", oneLogger},
 	{"one-assembly", oneAssembly},
 	{"one-clock", oneClock},
+	{"one-fake-clock", oneFakeClock},
 }
 
 // onePeerClient: one peer client, with no second HTTP client, transport
@@ -369,15 +370,15 @@ func oneAssembly(tr *tree) (out []finding) {
 	return out
 }
 
-// oneClock: one clock in package sweepd. The Manager's clock (clock.go)
-// stamps jobs and replicas and paces TTL GC, the rate limiter, the
-// follow drain and both streams' keep-alives, so a test that moves it
-// moves them all. A wall-clock read or timer elsewhere in the package is
-// a second clock; PeerClient's retry wait (peerclient.go) stays on the
-// wall until ROADMAP direction 6 moves it.
+// oneClock: one clock for the whole daemon. sweepd.Time (clock.go)
+// stamps jobs, replicas, members and leases and paces TTL GC, the rate
+// limiter, the follow drain, both streams' keep-alives, PeerClient's
+// retry wait, the registry's probe loop, the lease watchdog and the
+// scheduler, so a test that moves it moves them all. A wall-clock read or
+// timer in any other non-test file under internal/sweepd is a second
+// clock. The store is out of scope.
 func oneClock(tr *tree) (out []finding) {
-	pkg := func(f *goFile) bool { return path.Dir(f.path) == "internal/sweepd" }
-	scope := nonTest(pkg, "internal/sweepd/clock.go", "internal/sweepd/peerclient.go")
+	scope := nonTest(in("internal/sweepd"), "internal/sweepd/clock.go", "internal/sweepd/store")
 	tr.inspect(scope, func(f *goFile, n ast.Node) {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
@@ -388,6 +389,42 @@ func oneClock(tr *tree) (out []finding) {
 			out = append(out, tr.find(sel, "time.%s outside clock.go", name))
 		}
 	})
+	return out
+}
+
+// oneFakeClock: one fake clock for the daemon's tests. Every
+// clock_test.go under internal/sweepd is internal/sweepd's below its
+// package clause: the copies cannot share a package (the file's doc says
+// why), so they are kept equal instead. The first line where a copy
+// drifts is reported.
+func oneFakeClock(tr *tree) (out []finding) {
+	var ref *goFile
+	var copies []*goFile
+	for _, f := range tr.files {
+		switch {
+		case f.path == "internal/sweepd/clock_test.go":
+			ref = f
+		case in("internal/sweepd")(f) && path.Base(f.path) == "clock_test.go":
+			copies = append(copies, f)
+		}
+	}
+	if ref == nil {
+		return []finding{{msg: "no internal/sweepd/clock_test.go"}}
+	}
+	body := func(f *goFile) []string {
+		return strings.Split(string(f.src[tr.fset.Position(f.syntax.Name.End()).Offset:]), "\n")
+	}
+	want := body(ref)
+	for _, f := range copies {
+		got := body(f)
+		for i := 0; i < len(got) || i < len(want); i++ {
+			if i >= len(got) || i >= len(want) || got[i] != want[i] {
+				at := token.Position{Filename: f.path, Line: tr.fset.Position(f.syntax.Name.End()).Line + i}
+				out = append(out, finding{pos: at, msg: "clock_test.go drifts from internal/sweepd's copy here"})
+				break
+			}
+		}
+	}
 	return out
 }
 
@@ -423,6 +460,7 @@ type goFile struct {
 	path    string // slash-separated, relative to the root
 	test    bool
 	lines   int
+	src     []byte
 	syntax  *ast.File
 	imports map[string]string // local name → import path
 }
@@ -480,6 +518,7 @@ func (tr *tree) parse(root, name string) error {
 		path:    rel,
 		test:    strings.HasSuffix(rel, "_test.go"),
 		lines:   strings.Count(string(src), "\n"),
+		src:     src,
 		syntax:  syntax,
 		imports: map[string]string{},
 	}
@@ -659,9 +698,16 @@ func mentions(n ast.Node, name string) bool {
 //     and under the rest of internal/;
 //   - non-test lines in *reference*.go files. Executable specifications
 //     belong behind the test boundary, so this reads 0;
-//   - README.md's lines.
+//   - README.md's lines;
+//   - time.Sleep calls in the tests under internal/sweepd and cmd, the
+//     daemon's and the binaries' waits on the wall clock.
 func logSizes(t *testing.T, tr *tree) {
-	var lines, sweepdLines, sweepdExported, otherExported, referenceLines int
+	var lines, sweepdLines, sweepdExported, otherExported, referenceLines, sleeps int
+	tr.inspect(in("internal/sweepd", "cmd"), func(f *goFile, n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok && f.test && f.qualified(call.Fun, "time") == "Sleep" {
+			sleeps++
+		}
+	})
 	for _, f := range tr.files {
 		if f.test || in("bench")(f) {
 			continue
@@ -688,6 +734,7 @@ func logSizes(t *testing.T, tr *tree) {
 		t.Fatal(err)
 	}
 	t.Logf("README.md lines: %d", strings.Count(string(readme), "\n"))
+	t.Logf("time.Sleep calls in tests under internal/sweepd and cmd: %d", sleeps)
 }
 
 // exported counts a file's exported funcs, methods and types.

@@ -5,25 +5,51 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// clock is the package's one time source. The Manager holds it; job and
-// replica stamps, uptime, TTL GC, rate limits, the follow drain and both
-// streams' keep-alives read it there. wallClock is the only
-// implementation outside tests.
-type clock interface {
-	Now() time.Time
-	NewTicker(d time.Duration) (<-chan time.Time, func()) // C and Stop
+// Clock is the daemon's one time source: every wall-clock read, ticker,
+// timer and wait under internal/sweepd but the store goes through Time().
+// It stamps jobs, replicas, members and leases, and paces the Manager's
+// uptime and TTL GC, the rate limiter, the follow drain, both streams'
+// keep-alives, PeerClient's Retry-After wait, cluster.Registry's probe
+// loop and backoff, the shard lease watchdog and the sched heartbeat and
+// lease staleness. A test swaps in a fake with UseClock, moving them all.
+type Clock struct {
+	Now func() time.Time
+	// NewTicker returns a ticker's channel and its Stop.
+	NewTicker func(d time.Duration) (c <-chan time.Time, stop func())
+	// AfterFunc calls f once d has passed; reset restarts the wait at a
+	// new duration, and stop cancels it.
+	AfterFunc func(d time.Duration, f func()) (reset func(time.Duration) bool, stop func() bool)
 }
 
-type wallClock struct{}
+var wallClock = &Clock{
+	Now: time.Now,
+	NewTicker: func(d time.Duration) (<-chan time.Time, func()) {
+		t := time.NewTicker(d)
+		return t.C, t.Stop
+	},
+	AfterFunc: func(d time.Duration, f func()) (func(time.Duration) bool, func() bool) {
+		t := time.AfterFunc(d, f)
+		return t.Reset, t.Stop
+	},
+}
 
-func (wallClock) Now() time.Time { return time.Now() }
+var clock atomic.Pointer[Clock]
 
-func (wallClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
-	t := time.NewTicker(d)
-	return t.C, t.Stop
+func init() { clock.Store(wallClock) }
+
+// Time returns the daemon's clock: the wall clock unless a test installed
+// another with UseClock.
+func Time() *Clock { return clock.Load() }
+
+// UseClock makes c the daemon's clock until restore is called. A Manager
+// stamps its start when built, so a test installs its clock first.
+func UseClock(c *Clock) (restore func()) {
+	prev := clock.Swap(c)
+	return func() { clock.Store(prev) }
 }
 
 // keepAliveInterval is how long a follow or lease stream may stay silent
@@ -32,12 +58,11 @@ func (wallClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
 const keepAliveInterval = 15 * time.Second
 
 // keepAlive is a stream's "blank line after a quiet interval" rule; a
-// stream starts its quiet interval with lastByte = clock.Now(). The mutex
-// lets a ticker goroutine beat while another goroutine sends.
+// stream starts its quiet interval with lastByte = Time().Now(). The
+// mutex lets a ticker goroutine beat while another goroutine sends.
 type keepAlive struct {
 	mu       sync.Mutex
 	w        http.ResponseWriter
-	clock    clock
 	lastByte time.Time
 }
 
@@ -52,7 +77,7 @@ func (k *keepAlive) send(r io.Reader) error {
 func (k *keepAlive) beat() error {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	if k.clock.Now().Sub(k.lastByte) < keepAliveInterval {
+	if Time().Now().Sub(k.lastByte) < keepAliveInterval {
 		return nil
 	}
 	return k.sendLocked(strings.NewReader("\n"))
@@ -64,6 +89,6 @@ func (k *keepAlive) sendLocked(r io.Reader) error {
 	if _, err := io.Copy(k.w, r); err != nil {
 		return err
 	}
-	k.lastByte = k.clock.Now()
+	k.lastByte = Time().Now()
 	return http.NewResponseController(k.w).Flush()
 }

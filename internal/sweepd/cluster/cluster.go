@@ -49,6 +49,12 @@ const (
 // down.
 const downAfter = 3
 
+// backoffCap caps the down-member probe backoff, raised to ProbeInterval
+// when that is longer. The backoff starts at ProbeInterval and doubles per
+// failed probe, with jitter in [backoff/2, backoff] so a cluster restarted
+// in unison does not re-probe in lockstep.
+const backoffCap = 2 * time.Minute
+
 // Options tunes a Registry. The zero value is production-ready for a
 // passive daemon (no self URL, no seeds).
 type Options struct {
@@ -149,16 +155,8 @@ type Registry struct {
 	opts  Options
 	probe transport
 
-	// now and randf are the clock and jitter source; tests inject fakes
-	// to drive transitions deterministically (the gcOnce pattern).
-	now   func() time.Time
+	// randf is the jitter source; tests inject a fixed one.
 	randf func() float64
-	// backoffMax caps the down-member probe backoff: 2m, or ProbeInterval
-	// if that is longer; tests shrink or stretch it. The backoff starts
-	// at ProbeInterval and doubles per failed probe, with jitter in
-	// [backoff/2, backoff] so a cluster restarted in unison does not
-	// re-probe in lockstep.
-	backoffMax time.Duration
 
 	// ctx is the registry's lifetime: Close cancels it, which stops the
 	// probe loop and ends the production transport's pending calls, so
@@ -222,9 +220,7 @@ func New(opts Options) *Registry {
 	}
 	r := &Registry{
 		opts:       opts,
-		now:        time.Now,
 		randf:      jitterRand,
-		backoffMax: max(2*time.Minute, opts.ProbeInterval),
 		done:       make(chan struct{}),
 		wake:       make(chan struct{}, 1),
 		instanceID: newInstanceID(),
@@ -267,7 +263,8 @@ func New(opts Options) *Registry {
 // then one tick cycle per ProbeInterval and, in between, one woken cycle
 // whenever discovery leaves a member due (see wake), until Close. The
 // ticks pace health checking, load refresh and backoff; the wakes make
-// joining a matter of round trips instead of ProbeIntervals.
+// joining a matter of round trips instead of ProbeIntervals. The ticker
+// starts before Start returns, so the next clock step reaches the loop.
 func (r *Registry) Start() {
 	r.mu.Lock()
 	if r.started {
@@ -276,10 +273,10 @@ func (r *Registry) Start() {
 	}
 	r.started = true
 	r.mu.Unlock()
+	tick, stop := sweepd.Time().NewTicker(r.opts.ProbeInterval)
 	go func() {
 		defer close(r.done)
-		ticker := time.NewTicker(r.opts.ProbeInterval)
-		defer ticker.Stop()
+		defer stop()
 		for woken := false; ; {
 			r.cycle(woken)
 			if r.cycleDone != nil {
@@ -288,7 +285,7 @@ func (r *Registry) Start() {
 			select {
 			case <-r.ctx.Done():
 				return
-			case <-ticker.C:
+			case <-tick:
 				woken = false
 			case <-r.wake:
 				woken = true
@@ -337,7 +334,7 @@ func (r *Registry) Hello(advertiseURL string) {
 	if url == "" || r.selfURLs[url] {
 		return
 	}
-	now := r.now()
+	now := sweepd.Time().Now()
 	if _, dead := r.tombs[url]; dead {
 		// The URL just proved reachability; its decommission is void.
 		delete(r.tombs, url)
@@ -456,7 +453,7 @@ func (r *Registry) updateLeaseLocked(l sweepd.JobLease) bool {
 	default:
 		return false
 	}
-	l.Updated = r.now()
+	l.Updated = sweepd.Time().Now()
 	r.leases[l.JobID] = l
 	return true
 }
@@ -588,7 +585,7 @@ func (r *Registry) ReportLeaseFailure(url string) {
 // (one-hop gossip). A woken cycle is the same pipeline over a narrower
 // due set.
 func (r *Registry) cycle(woken bool) {
-	now := r.now()
+	now := sweepd.Time().Now()
 	r.mu.Lock()
 	self := r.self
 	due := make([]*member, 0, len(r.members))
@@ -653,7 +650,7 @@ func (r *Registry) cycle(woken bool) {
 	}
 	wg.Wait()
 
-	now = r.now()
+	now = sweepd.Time().Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for i, m := range due {
@@ -742,7 +739,7 @@ func (r *Registry) cycle(woken bool) {
 		} else {
 			m.backoff *= 2
 		}
-		m.backoff = min(m.backoff, r.backoffMax)
+		m.backoff = min(m.backoff, max(backoffCap, r.opts.ProbeInterval))
 		if m.backoff > prev {
 			// Count actual raises only: a permanently dead peer parked at
 			// the cap must not read as "flapping" on the backoff counter.

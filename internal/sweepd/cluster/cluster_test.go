@@ -114,14 +114,22 @@ func (t *fakeTransport) probeCount(url string) int {
 	return t.probed[url]
 }
 
-// testRegistry builds a registry with a controllable clock (start time
+// useNow makes now the daemon's clock reading until the test ends; its
+// tickers stay the wall's.
+func useNow(t *testing.T, now func() time.Time) {
+	c := *sweepd.Time()
+	c.Now = now
+	t.Cleanup(sweepd.UseClock(&c))
+}
+
+// testRegistry builds a registry on a clock the test moves (start time
 // t0), full jitter (randf = 1 so backoff delays are exact), and the
 // given fake transport.
-func testRegistry(opts Options, tr *fakeTransport) (*Registry, *time.Time) {
-	r := New(opts)
+func testRegistry(t *testing.T, opts Options, tr *fakeTransport) (*Registry, *time.Time) {
 	t0 := time.Date(2026, 7, 28, 0, 0, 0, 0, time.UTC)
 	now := &t0
-	r.now = func() time.Time { return *now }
+	useNow(t, func() time.Time { return *now })
+	r := New(opts)
 	r.randf = func() float64 { return 1 }
 	r.probe = tr
 	return r, now
@@ -154,11 +162,10 @@ func failUntilDown(r *Registry) {
 // backoff, and readmission the moment a probe succeeds.
 func TestSeedLifecycle(t *testing.T) {
 	tr := newFakeTransport(peerA)
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
-	r.backoffMax = 40 * time.Second
 
 	// Seeds are alive before any probe — a job submitted at boot leases
 	// to them exactly as the static list did.
@@ -191,7 +198,7 @@ func TestSeedLifecycle(t *testing.T) {
 		t.Fatalf("entering down should raise the backoff once: %+v", st)
 	}
 
-	// Backoff doubles 10s → 20s → 40s and caps there (randf=1 makes the
+	// Backoff doubles 10s → 20s → … and caps at 2m (randf=1 makes the
 	// jittered delay exactly the backoff). A cycle before the deadline
 	// must not dial the peer at all.
 	probes := tr.probeCount(peerA)
@@ -200,8 +207,8 @@ func TestSeedLifecycle(t *testing.T) {
 	if tr.probeCount(peerA) != probes {
 		t.Fatal("down peer probed before its backoff expired")
 	}
-	for _, wantBackoff := range []time.Duration{20 * time.Second, 40 * time.Second, 40 * time.Second} {
-		*now = now.Add(41 * time.Second) // past any current backoff
+	for _, wantBackoff := range []time.Duration{20 * time.Second, 40 * time.Second, 80 * time.Second, backoffCap, backoffCap} {
+		*now = now.Add(backoffCap) // past any current backoff
 		r.probeOnce()
 		r.mu.Lock()
 		got := r.members[peerA].backoff
@@ -210,15 +217,16 @@ func TestSeedLifecycle(t *testing.T) {
 			t.Fatalf("backoff = %v, want %v", got, wantBackoff)
 		}
 	}
-	// Three actual raises (10s on entering down, →20s, →40s); the probe
-	// at the 40s cap must NOT count — a parked corpse is not flapping.
-	if got := r.ClusterStats().Backoffs; got != 3 {
-		t.Fatalf("backoffs = %d, want 3 (raises only, not probes at the cap)", got)
+	// Five actual raises (10s on entering down, →20s, →40s, →80s, →2m);
+	// the probe at the cap must NOT count — a parked corpse is not
+	// flapping.
+	if got := r.ClusterStats().Backoffs; got != 5 {
+		t.Fatalf("backoffs = %d, want 5 (raises only, not probes at the cap)", got)
 	}
 
 	// Readmission: the peer comes back, the next due probe revives it.
 	tr.setUp(peerA, true)
-	*now = now.Add(41 * time.Second)
+	*now = now.Add(backoffCap)
 	r.probeOnce()
 	if st := stateOf(t, r, peerA); st != StateAlive {
 		t.Fatalf("after recovery probe: state = %s", st)
@@ -244,11 +252,10 @@ func TestSeedLifecycle(t *testing.T) {
 // readmitted by the probe loop once it returns.
 func TestFlappingPeerBackoffAndReadmission(t *testing.T) {
 	tr := newFakeTransport(peerA)
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: time.Second,
 	}, tr)
-	r.backoffMax = 8 * time.Second
 
 	flaps := 0
 	for cycle := 0; cycle < 3; cycle++ {
@@ -280,7 +287,7 @@ func TestFlappingPeerBackoffAndReadmission(t *testing.T) {
 func TestMemberDownIsAWarnWithItsURL(t *testing.T) {
 	logs := captureLog(t)
 	tr := newFakeTransport(peerA)
-	r, now := testRegistry(Options{Seeds: []string{peerA}, ProbeInterval: time.Second}, tr)
+	r, now := testRegistry(t, Options{Seeds: []string{peerA}, ProbeInterval: time.Second}, tr)
 	r.probeOnce()
 	tr.setUp(peerA, false)
 	for stateOf(t, r, peerA) != StateDown {
@@ -329,18 +336,25 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// TestBackoffCapIsFixed: the down-peer backoff cap is 2m, raised to the
-// probe interval when that is longer.
+// TestBackoffCapIsFixed: the down-peer backoff stops doubling at 2m,
+// raised to the probe interval when that is longer.
 func TestBackoffCapIsFixed(t *testing.T) {
 	for probe, want := range map[time.Duration]time.Duration{
-		0:                2 * time.Minute, // the 5s default interval
-		10 * time.Second: 2 * time.Minute,
+		0:                backoffCap, // the 5s default interval
+		10 * time.Second: backoffCap,
 		time.Hour:        time.Hour,
 	} {
-		r := New(Options{ProbeInterval: probe})
-		r.Close()
-		if r.backoffMax != want {
-			t.Errorf("probe interval %v: backoff cap %v, want %v", probe, r.backoffMax, want)
+		r, now := testRegistry(t, Options{Seeds: []string{peerA}, ProbeInterval: probe}, newFakeTransport())
+		failUntilDown(r)
+		for range 8 { // 5s doubles past 2m in five
+			*now = now.Add(want)
+			r.probeOnce()
+		}
+		r.mu.Lock()
+		got := r.members[peerA].backoff
+		r.mu.Unlock()
+		if got != want {
+			t.Errorf("probe interval %v: backoff parked at %v, want %v", probe, got, want)
 		}
 	}
 }
@@ -350,11 +364,10 @@ func TestBackoffCapIsFixed(t *testing.T) {
 func TestJitterBounds(t *testing.T) {
 	for _, frac := range []float64{0, 0.5, 1} {
 		tr := newFakeTransport()
-		r, now := testRegistry(Options{
+		r, now := testRegistry(t, Options{
 			Seeds:         []string{peerA},
 			ProbeInterval: 10 * time.Second,
 		}, tr)
-		r.backoffMax = time.Hour
 		r.randf = func() float64 { return frac }
 		failUntilDown(r) // backoff = interval
 		r.mu.Lock()
@@ -372,7 +385,7 @@ func TestJitterBounds(t *testing.T) {
 // readmission, and self/garbage are ignored.
 func TestHelloRegistersAlive(t *testing.T) {
 	tr := newFakeTransport()
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:1",
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -411,7 +424,7 @@ func TestGossipLearnsNewMembers(t *testing.T) {
 	newbie := "http://new:2"
 	tr := newFakeTransport(seed, newbie)
 	tr.lists[seed] = []string{seed, newbie + "/", "http://self:9"}
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:9",
 		Seeds:         []string{seed},
 		ProbeInterval: 10 * time.Second,
@@ -440,7 +453,7 @@ func TestGossipLearnsNewMembers(t *testing.T) {
 // re-announced after it went down and came back (it lost its table).
 func TestHelloAnnouncedOncePerEpoch(t *testing.T) {
 	tr := newFakeTransport(peerA)
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:1",
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
@@ -468,7 +481,7 @@ func TestHelloAnnouncedOncePerEpoch(t *testing.T) {
 // probe revives it.
 func TestReportLeaseFailureDemotes(t *testing.T) {
 	tr := newFakeTransport(peerA)
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -499,7 +512,7 @@ func TestReportLeaseFailureDemotes(t *testing.T) {
 // detection and gossip speed).
 func TestAliveProbedEveryCycle(t *testing.T) {
 	tr := newFakeTransport(peerA)
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -524,7 +537,7 @@ func TestHelloResponseMergedAsGossip(t *testing.T) {
 	other := "http://other:2"
 	tr := newFakeTransport(seed)
 	tr.lists[seed] = []string{seed, other}
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Self:          "http://self:9",
 		Seeds:         []string{seed},
 		ProbeInterval: 10 * time.Second,
@@ -542,7 +555,7 @@ func TestInvalidURLsRejected(t *testing.T) {
 	seed := "http://seed:1"
 	tr := newFakeTransport(seed)
 	tr.lists[seed] = []string{seed, "htp://typo:2", "not a url", "http://good:3"}
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Seeds:         []string{seed, "htp://badseed:9"},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -575,7 +588,7 @@ func TestStaleProbeResultDropped(t *testing.T) {
 	demote := make(chan struct{})
 	proceed := make(chan struct{})
 	tr := newFakeTransport(peerA)
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -619,7 +632,7 @@ func TestSelfLearnedByGossipIsDropped(t *testing.T) {
 	myURL := "http://me:9" // this daemon's unadvertised URL
 	tr := newFakeTransport(seed, myURL)
 	tr.lists[seed] = []string{seed, myURL}
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Seeds:         []string{seed},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -655,7 +668,7 @@ func TestSelfLearnedByGossipIsDropped(t *testing.T) {
 func TestRestartedPeerIsReannounced(t *testing.T) {
 	tr := newFakeTransport(peerA)
 	tr.setID(peerA, "epoch-1")
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:1",
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
@@ -680,7 +693,7 @@ func TestRestartedPeerIsReannounced(t *testing.T) {
 // through suspect — short of down — still re-announces.
 func TestSuspectClearsHello(t *testing.T) {
 	tr := newFakeTransport(peerA)
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:1",
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
@@ -704,7 +717,7 @@ func TestSuspectClearsHello(t *testing.T) {
 // self-filtered at construction.
 func TestSeedNormalizationAndDedup(t *testing.T) {
 	tr := newFakeTransport()
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Self:  "http://self:1",
 		Seeds: []string{"http://a:1/", " http://a:1 ", "", "http://self:1/", "http://b:2"},
 	}, tr)
@@ -724,7 +737,7 @@ func TestSeedNormalizationAndDedup(t *testing.T) {
 // leads the list and carries the Self marker.
 func TestMembersSelfFirst(t *testing.T) {
 	tr := newFakeTransport()
-	r, _ := testRegistry(Options{Self: "http://self:1", Seeds: []string{peerA}}, tr)
+	r, _ := testRegistry(t, Options{Self: "http://self:1", Seeds: []string{peerA}}, tr)
 	ms := r.Members()
 	if len(ms) != 2 || !ms[0].Self || ms[0].URL != "http://self:1" {
 		t.Fatalf("members = %+v", ms)
@@ -768,7 +781,7 @@ func TestProbeCachesLoadForPlacement(t *testing.T) {
 	b := "http://b:2"
 	tr := newFakeTransport(peerA, b)
 	tr.setLoad(peerA, sweepd.LoadInfo{QueueDepth: 2, BusyWorkers: 1})
-	r, _ := testRegistry(Options{
+	r, _ := testRegistry(t, Options{
 		Self:          "http://self:1",
 		Seeds:         []string{peerA, b},
 		ProbeInterval: 10 * time.Second,
@@ -802,7 +815,7 @@ func TestProbeCachesLoadForPlacement(t *testing.T) {
 // owner or tie-breaks to the smaller URL, everything else is stale.
 func TestUpdateLeaseGenerationGuard(t *testing.T) {
 	tr := newFakeTransport()
-	r, now := testRegistry(Options{ProbeInterval: 10 * time.Second}, tr)
+	r, now := testRegistry(t, Options{ProbeInterval: 10 * time.Second}, tr)
 	put := func(id, owner string, gen uint64) bool {
 		return r.UpdateLease(sweepd.JobLease{JobID: id, Owner: owner, Generation: gen})
 	}
@@ -856,7 +869,7 @@ func TestGossipSpreadsAndWithdrawsLeases(t *testing.T) {
 		{JobID: "j-own", Owner: seed, Generation: 1},
 		{JobID: "j-third", Owner: third, Generation: 1},
 	}
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:9",
 		Seeds:         []string{seed},
 		ProbeInterval: 10 * time.Second,
@@ -883,7 +896,7 @@ func TestGossipSpreadsAndWithdrawsLeases(t *testing.T) {
 func TestSelfOwnedLeaseOutlivesProbeCycles(t *testing.T) {
 	self := "http://self:9"
 	tr := newFakeTransport(peerA)
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          self,
 		Seeds:         []string{peerA},
 		ProbeInterval: 100 * time.Millisecond,
@@ -911,7 +924,7 @@ func TestGossipEchoCannotRefreshSelfOwnedLease(t *testing.T) {
 	tr := newFakeTransport(seed)
 	tr.lists[seed] = []string{seed}
 	tr.leases[seed] = []sweepd.JobLease{{JobID: "j", Owner: self, Generation: 1}}
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          self,
 		Seeds:         []string{seed},
 		ProbeInterval: 10 * time.Second,
@@ -935,7 +948,7 @@ func TestGossipEchoCannotRefreshSelfOwnedLease(t *testing.T) {
 // adoption fuel, so no number of cycles without a refresh removes it.
 func TestLeaseExpiryOnlyForHealthyOwners(t *testing.T) {
 	tr := newFakeTransport() // peerA never reachable
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Seeds:         []string{peerA},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -961,13 +974,12 @@ func TestTombstoneLifecycle(t *testing.T) {
 	seed := "http://seed:1"
 	tr := newFakeTransport(seed, peerA)
 	tr.lists[seed] = []string{seed, peerA}
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:           "http://self:9",
 		Seeds:          []string{seed, peerA},
 		ProbeInterval:  10 * time.Second,
 		TombstoneAfter: 30 * time.Second,
 	}, tr)
-	r.backoffMax = 10 * time.Second
 	r.probeOnce() // both alive
 	tr.setUp(peerA, false)
 	*now = now.Add(10 * time.Second)
@@ -1044,7 +1056,7 @@ func TestGossipedTombstoneDecommissions(t *testing.T) {
 	tr := newFakeTransport(seed, b)
 	tr.lists[seed] = []string{seed}
 	tr.tombs[seed] = []sweepd.Tombstone{{URL: b, Until: t0.Add(time.Hour)}}
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Seeds:         []string{seed, b},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -1082,7 +1094,7 @@ func TestGossipHearsayCannotRefreshThirdPartyLease(t *testing.T) {
 	tr := newFakeTransport(echo)
 	tr.lists[echo] = []string{echo}
 	tr.leases[echo] = []sweepd.JobLease{{JobID: "j", Owner: owner, Generation: 1}}
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:9",
 		Seeds:         []string{echo, owner},
 		ProbeInterval: 10 * time.Second,

@@ -58,9 +58,9 @@
 //
 // Alive and suspect members are probed every cycle. Down members wait
 // out an exponential backoff first — starting at ProbeInterval, doubling
-// per failed probe, capped at the registry's backoffMax, with jitter in [b/2, b] so a
-// flapping machine (or a whole cluster restarting in unison) does not
-// re-probe in lockstep. A lease failure against an alive peer demotes it
+// per failed probe, capped at 2 min (ProbeInterval if that is longer),
+// with jitter in [b/2, b] so a flapping machine (or a whole cluster
+// restarting in unison) does not re-probe in lockstep. A lease failure against an alive peer demotes it
 // to suspect at once (shard.Pool reports it via ReportLeaseFailure), so
 // a peer that dies mid-sweep is skipped by subsequent jobs without each
 // one paying the lease TTL to rediscover the corpse. That demotion does

@@ -80,18 +80,6 @@ func (n *meshNet) add(i int, opts Options, seeds ...string) *Registry {
 	return r
 }
 
-// addPlayed is add for a registry whose loop the test plays by hand: it
-// reads the net's fake clock.
-func (n *meshNet) addPlayed(i int, opts Options, seeds ...string) *Registry {
-	r := n.add(i, opts, seeds...)
-	r.now = func() time.Time {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		return n.clock
-	}
-	return r
-}
-
 func (n *meshNet) advance(d time.Duration) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -290,12 +278,17 @@ func TestMeshConvergesOnWakesAlone(t *testing.T) {
 func playedMesh(t *testing.T, size int, opts Options) *meshNet {
 	t.Helper()
 	net := newMeshNet()
+	useNow(t, func() time.Time {
+		net.mu.Lock()
+		defer net.mu.Unlock()
+		return net.clock
+	})
 	for i := 0; i < size; i++ {
 		var seeds []string
 		if i > 0 {
 			seeds = []string{meshURL(0)}
 		}
-		net.addPlayed(i, opts, seeds...).probeOnce()
+		net.add(i, opts, seeds...).probeOnce()
 		net.settle()
 	}
 	if miss := net.missing(); len(miss) != 0 {
@@ -314,7 +307,7 @@ func TestMeshJoinDialsOnlyTheJoiner(t *testing.T) {
 			net := playedMesh(t, size, Options{ProbeInterval: time.Hour})
 			net.takeDials()
 			joiner := meshURL(size)
-			net.addPlayed(size, Options{ProbeInterval: time.Hour}, meshURL(0)).probeOnce()
+			net.add(size, Options{ProbeInterval: time.Hour}, meshURL(0)).probeOnce()
 			ran := net.settle()
 			if miss := net.missing(); len(miss) != 0 {
 				t.Fatalf("after the join: %v", miss)
@@ -396,9 +389,6 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 	const size = 5
 	opts := Options{ProbeInterval: time.Hour}
 	net := playedMesh(t, size, opts)
-	for _, r := range net.regs {
-		r.backoffMax = 8 * time.Hour
-	}
 	lost := meshURL(2)
 	// The lost member's own backoff runs out first (no jitter against the
 	// survivors' full one), so the heal below is its tick and nobody
@@ -427,9 +417,7 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 	// A join while it is down: woken cycles dial the joiner only.
 	net.takeDials()
 	joiner := meshURL(size)
-	jr := net.addPlayed(size, opts, meshURL(0))
-	jr.backoffMax = 8 * time.Hour
-	jr.probeOnce()
+	net.add(size, opts, meshURL(0)).probeOnce()
 	net.settle()
 	for k, d := range net.takeDials() {
 		if k[0] != joiner && k[1] != joiner {
@@ -499,7 +487,7 @@ func TestMeshPartitionAndHeal(t *testing.T) {
 func TestWakeDialsOnlyDueMembers(t *testing.T) {
 	const alive, damped, dead, fresh = "http://alive:1", "http://damped:1", "http://dead:1", "http://fresh:1"
 	tr := newFakeTransport(alive, damped, fresh)
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Seeds:         []string{alive, damped, dead},
 		ProbeInterval: 10 * time.Second,
 	}, tr)
@@ -560,7 +548,7 @@ func TestWakeIgnoresGossipItRejects(t *testing.T) {
 	const seed, buried = "http://seed:1", "http://buried:2"
 	tr := newFakeTransport(seed)
 	tr.lists[seed] = []string{seed}
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:9",
 		Seeds:         []string{seed},
 		ProbeInterval: 10 * time.Second,
@@ -593,7 +581,7 @@ func TestWakeRefillsRevivedMembersLoad(t *testing.T) {
 	const b = "http://b:2"
 	tr := newFakeTransport(b)
 	tr.setLoad(b, sweepd.LoadInfo{QueueDepth: 7})
-	r, now := testRegistry(Options{
+	r, now := testRegistry(t, Options{
 		Self:          "http://self:1",
 		Seeds:         []string{b},
 		ProbeInterval: 10 * time.Second,
@@ -684,7 +672,7 @@ func TestWakeMidCycleIsNotLost(t *testing.T) {
 func TestWakeHelloVoidingAProbeAsksForAnother(t *testing.T) {
 	tr := newFakeTransport(peerA)
 	tr.setLoad(peerA, sweepd.LoadInfo{QueueDepth: 3})
-	r, _ := testRegistry(Options{Seeds: []string{peerA}, ProbeInterval: 10 * time.Second}, tr)
+	r, _ := testRegistry(t, Options{Seeds: []string{peerA}, ProbeInterval: 10 * time.Second}, tr)
 	r.probe = probeHook{transport: tr, after: func() { r.Hello(peerA) }}
 	r.probeOnce()
 	if l := r.AliveLoads(); len(l) != 0 {

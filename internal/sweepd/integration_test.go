@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -86,20 +87,13 @@ func TestKilledJobResumesByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr1 := NewManager(store1, NewCache(1024), 2)
+	taken := make(chan struct{})
+	mgr1.SetExecutorProvider(firstCells{k: 3, taken: taken})
 	job1, _, err := mgr1.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if job, _ := mgr1.Get(job1.ID); job.Completed >= 3 || job.Status == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never made progress")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-taken
 	mgr1.Close() // cancels the job and flushes the checkpoint
 
 	partial, err := os.ReadFile(store1.ResultsPath(job1.ID))
@@ -110,7 +104,7 @@ func TestKilledJobResumesByteIdentical(t *testing.T) {
 		t.Fatal("no checkpoint written before the kill")
 	}
 	if len(partial) >= len(refBytes) {
-		t.Log("job finished before the kill; resume path not exercised this run")
+		t.Fatal("the whole grid was checkpointed before the kill; the resume path is not exercised")
 	}
 	if !bytes.HasPrefix(refBytes, partial) {
 		t.Fatal("checkpoint is not a clean prefix of the canonical results")
@@ -183,20 +177,13 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr1 := NewManager(store1, c1, 2)
+	taken := make(chan struct{})
+	mgr1.SetExecutorProvider(firstCells{k: 5, taken: taken})
 	job1, _, err := mgr1.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if job, _ := mgr1.Get(job1.ID); job.Completed >= 5 || job.Status == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never made progress")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-taken
 	mgr1.Close()
 
 	segment, err := os.ReadFile(filepath.Join(cacheDir, sp.KernelHash(), segmentName))
@@ -407,4 +394,37 @@ func TestRestartWakesWatchers(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the restart left the canceled job's watcher waiting")
 	}
+}
+
+// firstCells is an executor provider for stopping a sweep part-way: it
+// computes the job's cells one at a time in canonical order on the local
+// pool, closes taken once the sweep has taken the (k+1)-th — the sweep
+// emits in order, so by then it has checkpointed the first k — and
+// computes nothing more until the sweep is canceled.
+type firstCells struct {
+	k     int
+	taken chan struct{}
+}
+
+func (f firstCells) ExecutorFor(Spec, func(int)) dynamics.Executor { return f }
+
+func (f firstCells) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan dynamics.IndexedResult {
+	out := make(chan dynamics.IndexedResult)
+	go func() {
+		defer close(out)
+		for _, idx := range req.Todo[:f.k+1] {
+			one := req
+			one.Todo = []int{idx}
+			for ir := range (dynamics.LocalExecutor{}).Execute(ctx, one) {
+				select {
+				case out <- ir:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}
+		close(f.taken)
+		<-ctx.Done()
+	}()
+	return out
 }

@@ -178,9 +178,9 @@ func (m *Manager) StartGC(ttl, interval time.Duration) {
 		return
 	}
 	m.gcWG.Add(1)
+	tick, stop := Time().NewTicker(interval) // before StartGC returns, so the next clock step reaches the loop
 	go func() {
 		defer m.gcWG.Done()
-		tick, stop := m.clock.NewTicker(interval)
 		defer stop()
 		for {
 			select {
@@ -200,7 +200,7 @@ func (m *Manager) StartGC(ttl, interval time.Duration) {
 // too), then evict every done/failed job whose terminal timestamp (or,
 // lacking one, its creation time) is at least ttl old.
 func (m *Manager) gcOnce(ttl time.Duration) {
-	cutoff := m.clock.Now().Add(-ttl)
+	cutoff := Time().Now().Add(-ttl)
 	m.store.SweepOrphans(cutoff) //nolint:errcheck // best-effort
 	if rs := m.Replicas(); rs != nil {
 		expired, _ := rs.SweepExpired(cutoff) // best-effort
@@ -281,7 +281,7 @@ func (m *Manager) Stats() ManagerStats {
 	}
 	return ManagerStats{
 		CellsAppended:       m.cellsAppended,
-		Uptime:              m.clock.Now().Sub(m.started),
+		Uptime:              Time().Now().Sub(m.started),
 		Jobs:                jobs,
 		JobsEvicted:         m.jobsEvicted,
 		SpillBytesReclaimed: m.spillBytesReclaimed,

@@ -10,100 +10,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-// useClock installs c as m's clock and restarts m's uptime on it, so
-// Stats never mixes two clocks. Call it before any job is admitted or
-// request served.
-func (m *Manager) useClock(c clock) {
-	m.clock = c
-	m.started = c.Now()
-}
+// daemonClock and installClock bind clock_test.go's fake to the daemon's
+// clock.
+type daemonClock = Clock
 
-// fakeClock is the manager's clock in tests: Advance moves it, nothing
-// else does, and a ticker fires on the Advance that reaches its next
-// tick. Like a time.Ticker, one that is not read drops ticks.
-type fakeClock struct {
-	mu      sync.Mutex
-	t       time.Time
-	tickers map[*fakeTicker]bool
-	// changed is closed and replaced whenever a ticker starts or stops.
-	changed chan struct{}
-}
-
-type fakeTicker struct {
-	c      chan time.Time
-	period time.Duration
-	next   time.Time
-}
-
-func newFakeClock() *fakeClock {
-	return &fakeClock{t: time.Now(), tickers: map[*fakeTicker]bool{}, changed: make(chan struct{})}
-}
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tk := &fakeTicker{c: make(chan time.Time, 1), period: d, next: c.t.Add(d)}
-	c.tickers[tk] = true
-	c.signal()
-	return tk.c, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		delete(c.tickers, tk)
-		c.signal()
-	}
-}
-
-func (c *fakeClock) signal() {
-	close(c.changed)
-	c.changed = make(chan struct{})
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-	for tk := range c.tickers {
-		if tk.next.After(c.t) {
-			continue
-		}
-		select {
-		case tk.c <- c.t:
-		default:
-		}
-		for !tk.next.After(c.t) {
-			tk.next = tk.next.Add(tk.period)
-		}
-	}
-}
-
-// awaitTickers blocks until exactly n tickers are running.
-func (c *fakeClock) awaitTickers(t *testing.T, n int) {
-	t.Helper()
-	for {
-		c.mu.Lock()
-		live, changed := len(c.tickers), c.changed
-		c.mu.Unlock()
-		if live == n {
-			return
-		}
-		select {
-		case <-changed:
-		case <-time.After(30 * time.Second):
-			t.Fatalf("%d tickers running after 30s, want %d", live, n)
-		}
-	}
-}
+var installClock = UseClock
 
 // newLifecycleRig builds a manager over a disk-backed cache with a fake
 // clock, plus the HTTP layer (handler internals exposed for summary-
@@ -119,9 +34,8 @@ func newLifecycleRig(t *testing.T, cfg Config) (*Manager, *fakeClock, *handler, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := useFakeClock(t)
 	mgr := NewManager(store, cache, 4)
-	clk := newFakeClock()
-	mgr.useClock(clk)
 	h, root := buildHandler(mgr, cfg)
 	srv := httptest.NewServer(root)
 	t.Cleanup(func() {
@@ -210,7 +124,7 @@ func TestStartGCEvictsOnTick(t *testing.T) {
 	clk.Advance(2 * time.Hour) // past the TTL before the loop starts
 
 	mgr.StartGC(time.Hour, time.Minute)
-	clk.awaitTickers(t, 1)
+	clk.awaitPending(t, 1)
 	if _, ok := mgr.Get(job.ID); !ok {
 		t.Fatal("job evicted before the GC ticker fired")
 	}
@@ -224,7 +138,7 @@ func TestStartGCEvictsOnTick(t *testing.T) {
 		t.Fatal("a GC interval passed and the expired job is still registered")
 	}
 	mgr.Close()
-	clk.awaitTickers(t, 0)
+	clk.awaitPending(t, 0)
 }
 
 // TestGCSparesRunningAndCanceled: resumable jobs must survive GC — a
@@ -407,13 +321,12 @@ func TestJobQuota(t *testing.T) {
 // 429 with a Retry-After hint, /healthz and /metrics stay exempt, the
 // throttle count lands in /metrics, and tokens refill with the clock.
 func TestRateLimit429RetryAfter(t *testing.T) {
-	clk := newFakeClock()
+	clk := useFakeClock(t)
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr := NewManager(store, nil, 1)
-	mgr.useClock(clk)
 	t.Cleanup(mgr.Close)
 	_, root := buildHandler(mgr, Config{Rate: 1})
 	srv := httptest.NewServer(root)
@@ -642,9 +555,8 @@ func TestResumePlaceholderSurfacesSpecError(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	clk := useFakeClock(t)
 	mgr := NewManager(store, nil, 1)
-	clk := newFakeClock()
-	mgr.useClock(clk)
 	t.Cleanup(mgr.Close)
 	if err := mgr.Resume(); err != nil {
 		t.Fatal(err)
@@ -673,7 +585,6 @@ func TestResumePlaceholderSurfacesSpecError(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr2 := NewManager(store, nil, 1)
-	mgr2.useClock(clk)
 	t.Cleanup(mgr2.Close)
 	if err := mgr2.Resume(); err != nil {
 		t.Fatal(err)
@@ -694,7 +605,6 @@ func TestResumePlaceholderSurfacesSpecError(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr3 := NewManager(store, nil, 1)
-	mgr3.useClock(clk)
 	t.Cleanup(mgr3.Close)
 	if err := mgr3.Resume(); err != nil {
 		t.Fatal(err)

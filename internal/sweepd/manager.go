@@ -50,10 +50,7 @@ type Manager struct {
 	// runners, so Manager.Wait (jobs drained) keeps its meaning.
 	gcWG sync.WaitGroup
 
-	// clock is the package's one time source (clock.go), started is read
-	// from it; tests install a fake with useClock, which re-stamps started.
-	clock   clock
-	started time.Time
+	started time.Time // on the daemon's clock (clock.go)
 
 	mu   sync.Mutex
 	jobs map[string]*jobState
@@ -103,8 +100,7 @@ func NewManager(store *Store, cache *Cache, workers int) *Manager {
 		gate:    gate,
 		ctx:     ctx,
 		cancel:  cancel,
-		clock:   wallClock{},
-		started: wallClock{}.Now(),
+		started: Time().Now(),
 		jobs:    make(map[string]*jobState),
 	}
 }
@@ -232,7 +228,7 @@ func (m *Manager) Resume() error {
 				if fi, serr := os.Stat(m.store.SpecPath(id)); serr == nil {
 					created = fi.ModTime()
 				} else {
-					created = m.clock.Now()
+					created = Time().Now()
 				}
 			}
 			done := make(chan struct{})
@@ -378,7 +374,7 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 	meta, merr := m.store.LoadMeta(id)
 	writeMeta := false
 	if merr != nil || meta.Created.IsZero() {
-		meta = store.Meta{Created: m.clock.Now()}
+		meta = store.Meta{Created: Time().Now()}
 		writeMeta = true
 	}
 	if !meta.Finished.IsZero() {
@@ -458,7 +454,7 @@ func (m *Manager) finish(js *jobState, status JobStatus, errMsg string) {
 	m.mu.Lock()
 	js.job.Status = status
 	js.job.Error = errMsg
-	js.job.Finished = m.clock.Now()
+	js.job.Finished = Time().Now()
 	m.running--
 	js.notify()
 	meta := store.Meta{Created: js.job.Created, Finished: js.job.Finished}

@@ -48,7 +48,7 @@ type Config struct {
 
 // Fixed, not flags: the GC pass cadence and how long a member stays down
 // before it is tombstoned. The lease TTL and the down-peer backoff cap
-// are the defaults of shard.NewFromSource and cluster.New.
+// are the constants shard.leaseTTL (45s) and cluster.backoffCap (2m).
 const (
 	gcInterval     = time.Minute
 	tombstoneAfter = 30 * time.Minute
@@ -79,13 +79,14 @@ type Node struct {
 
 	replicator *sweepd.Replicator // nil when Config.Replicas is 0
 	srv        *http.Server
+	jobTTL     time.Duration
 	// serving is read-held by every running handler (see track).
 	serving sync.RWMutex
 }
 
-// New opens cfg.Data's job store, result cache and replica set, wires the
-// daemon over them and resumes the store's unfinished jobs. Nothing is
-// announced or scheduled until Serve.
+// New opens cfg.Data's job store, result cache and replica set and wires
+// the daemon over them. No job runs or expires, and nothing is announced
+// or scheduled, until Serve.
 func New(cfg Config) (_ *Node, err error) {
 	// Fail fast on malformed URLs: a typo'd -advertise would be 400-
 	// rejected by every seed forever (the daemon would silently never
@@ -101,7 +102,7 @@ func New(cfg Config) (_ *Node, err error) {
 		}
 	}
 
-	n := &Node{}
+	n := &Node{jobTTL: cfg.JobTTL}
 	if n.Store, err = sweepd.OpenStore(cfg.Data); err != nil {
 		return nil, fmt.Errorf("opening the job store: %w", err)
 	}
@@ -204,20 +205,23 @@ func New(cfg Config) (_ *Node, err error) {
 		slog.Info("pprof enabled", "path", "/debug/pprof/")
 	}
 	n.srv = &http.Server{Handler: n.track(handler)}
-
-	if err = n.Manager.Resume(); err != nil {
-		return nil, fmt.Errorf("resuming jobs: %w", err)
-	}
-	n.Manager.StartGC(cfg.JobTTL, gcInterval)
 	return n, nil
 }
 
-// Serve serves the daemon's HTTP API on ln, then starts the registry and
-// the scheduler: a daemon announces itself only once it is listening, so a
-// seed that learns it from the hello may lease to it at once. The channel
-// receives the error that stops the server, unless Close stopped it.
+// Serve resumes the store's jobs, starts the TTL GC, serves the HTTP API
+// on ln, then starts the registry and the scheduler: a daemon announces
+// itself only once it is listening, so a seed that learns it from the
+// hello may lease to it at once. The channel receives the error that
+// stopped the server (unless Close did) or, with ln closed and nothing
+// started, the one that kept the jobs from resuming.
 func (n *Node) Serve(ln net.Listener) <-chan error {
 	errc := make(chan error, 1)
+	if err := n.Manager.Resume(); err != nil {
+		ln.Close()
+		errc <- fmt.Errorf("resuming jobs: %w", err)
+		return errc
+	}
+	n.Manager.StartGC(n.jobTTL, gcInterval)
 	go func() {
 		if err := n.srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
@@ -245,9 +249,9 @@ func (n *Node) track(h http.Handler) http.Handler {
 // Close stops the daemon: the server (draining requests until ctx ends,
 // then cutting the streams still open, and waiting for every handler to
 // return), the scheduler, the registry, the manager and the replicator,
-// in that order. Checkpoints stay on disk and resume on the next New over
-// the same directory; an already canceled ctx is the abrupt stop of a
-// killed process. Call it once.
+// in that order. Checkpoints stay on disk and resume when a node New
+// built over the same directory Serves; an already canceled ctx is the
+// abrupt stop of a killed process. Call it once.
 func (n *Node) Close(ctx context.Context) {
 	if err := n.srv.Shutdown(ctx); err != nil {
 		n.srv.Close() //nolint:errcheck // ends the streams Shutdown waited on

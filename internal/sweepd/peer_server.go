@@ -137,7 +137,7 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	m.StoredAt = h.m.clock.Now()
+	m.StoredAt = Time().Now()
 	if err := rs.Put(m, checkpoint, trajectory); err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -179,7 +179,7 @@ func (h *handler) peerLease(w http.ResponseWriter, r *http.Request) {
 	// The lease computes on its own goroutine while this one keeps the
 	// stream alive; the handler returns only after the lease does, so
 	// nothing touches the ResponseWriter once it has.
-	ka := &keepAlive{w: w, clock: h.m.clock, lastByte: h.m.clock.Now()}
+	ka := &keepAlive{w: w, lastByte: Time().Now()}
 	served := make(chan error, 1)
 	go func() {
 		served <- h.m.ServeLease(r.Context(), sp, req.Start, req.End, func(line []byte) error {
@@ -190,7 +190,7 @@ func (h *handler) peerLease(w http.ResponseWriter, r *http.Request) {
 			return err
 		})
 	}()
-	tick, stop := h.m.clock.NewTicker(keepAliveInterval)
+	tick, stop := Time().NewTicker(keepAliveInterval)
 	defer stop()
 	for {
 		select {

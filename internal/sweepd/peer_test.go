@@ -216,10 +216,9 @@ func TestPeerLeaseHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clk := useFakeClock(t)
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	clk := newFakeClock()
-	mgr.useClock(clk)
 	srv := httptest.NewServer(NewHandlerConfig(mgr, Config{}))
 	defer srv.Close()
 
@@ -239,7 +238,7 @@ func TestPeerLeaseHeartbeats(t *testing.T) {
 		resp, err := client.Post(srv.URL+"/peer/leases", "application/json", bytes.NewReader(body))
 		done <- posted{resp, err}
 	}()
-	clk.awaitTickers(t, 1)
+	clk.awaitPending(t, 1)
 	clk.Advance(keepAliveInterval)
 	p := <-done
 	if p.err != nil {
@@ -456,9 +455,9 @@ func TestPeerRateLimitClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	useFakeClock(t) // no token accrues between requests
 	mgr := NewManager(store, nil, 1)
 	defer mgr.Close()
-	mgr.useClock(newFakeClock()) // no token accrues between requests
 	_, handler := buildHandler(mgr, Config{PeerRate: 1, Cluster: &fakeMembership{}})
 	srv := httptest.NewServer(handler)
 	defer srv.Close()

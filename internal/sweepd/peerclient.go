@@ -70,13 +70,16 @@ func (c *PeerClient) Do(ctx context.Context, method, url, contentType string, bo
 		if resp.StatusCode != http.StatusTooManyRequests || waited >= retryBudget {
 			return nil, fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, msg)
 		}
-		wait := retryAfter(resp, time.Now(), retryBudget-waited)
+		wait := retryAfter(resp, Time().Now(), retryBudget-waited)
 		if onWait != nil {
 			onWait(wait)
 		}
+		over := make(chan struct{})
+		_, stop := Time().AfterFunc(wait, func() { close(over) })
 		select {
-		case <-time.After(wait):
+		case <-over:
 		case <-ctx.Done():
+			stop()
 			return nil, ctx.Err()
 		}
 		waited += wait

@@ -67,7 +67,7 @@ func (h *handler) rateLimit(next http.Handler) http.Handler {
 		case r.Method != http.MethodGet && r.Method != http.MethodHead:
 			bucket, class = h.mutateBucket, "mutate"
 		}
-		ok, wait := bucket.allow(h.m.clock.Now())
+		ok, wait := bucket.allow(Time().Now())
 		if !ok {
 			secs := int(math.Ceil(wait.Seconds()))
 			if secs < 1 {

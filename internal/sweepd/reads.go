@@ -225,8 +225,8 @@ func (h *handler) followResults(w http.ResponseWriter, r *http.Request, id strin
 		}
 	}()
 
-	ka := &keepAlive{w: w, clock: h.m.clock, lastByte: h.m.clock.Now()}
-	tick, stop := h.m.clock.NewTicker(followTick)
+	ka := &keepAlive{w: w, lastByte: Time().Now()}
+	tick, stop := Time().NewTicker(followTick)
 	defer stop()
 	for {
 		// Status before drain: when this snapshot is terminal, every byte

@@ -318,11 +318,8 @@ func TestReplicaTrajectories404CountsNoRead(t *testing.T) {
 // shedding, not a failed target: the push waits out Retry-After and
 // lands, instead of leaving the job under-replicated until a restart.
 func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
-	leaderMgr, _, _, leaderSrv, _ := newLifecycleRig(t, Config{})
-	followerMgr, fh, followerSrv, _ := newReplicaRig(t, Config{ReplicaRate: 1})
-	// The pusher waits out Retry-After on the wall clock, so the
-	// receiver's bucket must refill on it too.
-	followerMgr.useClock(wallClock{})
+	leaderMgr, clk, _, leaderSrv, _ := newLifecycleRig(t, Config{})
+	_, fh, followerSrv, _ := newReplicaRig(t, Config{ReplicaRate: 1})
 	rp := NewReplicator(ReplicatorOptions{
 		Store:   leaderMgr.store,
 		Fanout:  1,
@@ -331,7 +328,16 @@ func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
 	})
 	for _, seeds := range []int{1, 2} {
 		job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: seeds})
-		if err := rp.Replicate(job); err != nil {
+		pushed := make(chan error, 1)
+		go func() { pushed <- rp.Replicate(job) }()
+		if seeds == 2 {
+			// The clock has not moved since the first push took the
+			// receiver's token: the second waits out Retry-After, and
+			// the same step refills the bucket.
+			clk.awaitPending(t, 1)
+			clk.Advance(time.Second)
+		}
+		if err := <-pushed; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -626,14 +632,13 @@ func TestReadRejectsMalformedJobID(t *testing.T) {
 // pass that expires the replica must release it — the manager never ran
 // the job, so no eviction of its own ever would.
 func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
+	// The receiver stamps StoredAt and expires replicas on the daemon's
+	// one clock: on a clock two days behind the wall, a wall-clock stamp
+	// would never expire.
+	clk := useFakeClock(t)
+	clk.Advance(-48 * time.Hour)
 	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
 	mgr, h, srv, _ := newReplicaRig(t, Config{})
-	// The receiver stamps StoredAt and expires replicas on one clock: on
-	// a clock two days behind the wall, a wall-clock stamp would never
-	// expire.
-	clk := newFakeClock()
-	clk.Advance(-48 * time.Hour)
-	mgr.useClock(clk)
 
 	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
 	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)

@@ -29,7 +29,8 @@
 // their next pull from the leader.
 //
 // Adoption. When a lease's owner is down (or tombstoned away) and the
-// lease has not been refreshed for AdoptAfter, every member runs the
+// lease has not been refreshed for AdoptAfter on the daemon's clock
+// (sweepd.Time, which paces the heartbeat too), every member runs the
 // same deterministic election: the least-loaded alive member (URL as
 // tie-break) adopts. The adopter fetches the checkpoint tail from any
 // alive member that still has bytes (usually none — the dead leader

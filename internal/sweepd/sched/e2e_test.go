@@ -24,15 +24,20 @@ import (
 	"repro/internal/dynamics"
 	"repro/internal/sweepd"
 	"repro/internal/sweepd/node"
+	"repro/internal/sweepd/shard"
 )
 
-// timing is a daemon's -probe-interval and -adopt-after; the scheduler
-// heartbeats every fifteenth of the latter.
-type timing struct{ probe, adoptAfter time.Duration }
+// daemonClock and installClock bind clock_test.go's fake to the daemon's
+// clock.
+type daemonClock = sweepd.Clock
 
-// fast is the cadence of the failover tests: a 20ms heartbeat, so every
-// round trip of the protocol lands well inside the adoption window.
-var fast = timing{probe: 20 * time.Millisecond, adoptAfter: 300 * time.Millisecond}
+var installClock = sweepd.UseClock
+
+// The failover tests run every daemon of a test on one fake clock (see
+// clock_test.go) at ncg-server's default cadence, and step it one
+// scheduler heartbeat at a time: the 30s adoption window's 2s beat. A
+// step returns once every loop has finished its previous tick's work.
+const beat = 2 * time.Second
 
 // daemon is one in-process ncg-server over dir, serving at url.
 type daemon struct {
@@ -44,7 +49,7 @@ type daemon struct {
 
 func newSchedDaemon(t *testing.T, workers int, seeds ...string) *daemon {
 	t.Helper()
-	d, err := buildDaemon(t.TempDir(), workers, fast, seeds...)
+	d, err := buildDaemon(t.TempDir(), workers, 0, nil, seeds...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +57,10 @@ func newSchedDaemon(t *testing.T, workers int, seeds ...string) *daemon {
 	return d
 }
 
-// buildDaemon boots ncg-server's defaults over dir at the given cadence,
-// advertising its loopback address.
-func buildDaemon(dir string, workers int, tm timing, seeds ...string) (*daemon, error) {
+// buildDaemon boots ncg-server's defaults over dir, advertising its
+// loopback address. A non-zero probe replaces the probe interval, and a
+// non-nil exec the lease pool before the store's jobs resume.
+func buildDaemon(dir string, workers int, probe time.Duration, exec sweepd.ExecutorProvider, seeds ...string) (*daemon, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -65,11 +71,15 @@ func buildDaemon(dir string, workers int, tm timing, seeds ...string) (*daemon, 
 	cfg.Workers = workers
 	cfg.Peers = strings.Join(seeds, ",")
 	cfg.Advertise = d.url
-	cfg.ProbeInterval = tm.probe
-	cfg.AdoptAfter = tm.adoptAfter
+	if probe > 0 {
+		cfg.ProbeInterval = probe
+	}
 	if d.Node, err = node.New(cfg); err != nil {
 		ln.Close()
 		return nil, err
+	}
+	if exec != nil {
+		d.Manager.SetExecutorProvider(exec)
 	}
 	d.Serve(ln)
 	return d, nil
@@ -85,6 +95,26 @@ func (d *daemon) kill() {
 		cancel()
 		d.Close(ctx)
 	})
+}
+
+// leads reports whether d's lease table names owner as the job's leader.
+func (d *daemon) leads(jobID, owner string) bool {
+	for _, l := range d.Registry.Leases() {
+		if l.JobID == jobID && l.Owner == owner {
+			return true
+		}
+	}
+	return false
+}
+
+// finds reports whether d's registry holds member url in state.
+func (d *daemon) finds(url, state string) bool {
+	for _, m := range d.Registry.Members() {
+		if m.URL == url {
+			return m.State == state
+		}
+	}
+	return false
 }
 
 func waitDone(t *testing.T, m *sweepd.Manager, id string) sweepd.Job {
@@ -109,20 +139,19 @@ func waitDone(t *testing.T, m *sweepd.Manager, id string) sweepd.Job {
 	}
 }
 
-// waitMesh blocks until every daemon has sampled a load for every other
-// — the point after which placement and adoption elections see the full
-// cluster.
-func waitMesh(t *testing.T, ds ...*daemon) {
+// waitMesh steps the clock until every daemon has sampled a load for
+// every other — the point after which placement and adoption elections
+// see the full cluster.
+func waitMesh(t *testing.T, clk *fakeClock, step time.Duration, ds ...*daemon) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for _, d := range ds {
-		for len(d.Registry.AliveLoads()) < len(ds)-1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("mesh never formed: %s sees loads %+v", d.url, d.Registry.AliveLoads())
+	clk.stepUntil(t, step, 50, "the mesh", func() bool {
+		for _, d := range ds {
+			if len(d.Registry.AliveLoads()) < len(ds)-1 {
+				return false
 			}
-			time.Sleep(2 * time.Millisecond)
 		}
-	}
+		return true
+	})
 }
 
 // runReference computes the spec on a lone daemon and returns the
@@ -130,6 +159,7 @@ func waitMesh(t *testing.T, ds ...*daemon) {
 func runReference(t *testing.T, sp sweepd.Spec) []byte {
 	t.Helper()
 	ref := newSchedDaemon(t, 4)
+	defer ref.kill()
 	job, _, err := ref.Manager.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +188,13 @@ func TestSubmitLeadsWhereReceived(t *testing.T) {
 		Seeds:  4, // 24 cells
 	}
 	sp.Normalize()
+	clk := useFakeClock(t)
 	ref := runReference(t, sp)
 
 	a := newSchedDaemon(t, 1)
 	b := newSchedDaemon(t, 2, a.url)
 	c := newSchedDaemon(t, 2, a.url)
-	waitMesh(t, a, b, c)
+	waitMesh(t, clk, beat, a, b, c)
 
 	// A job whose cells wait on a gate nobody feeds keeps a busy until the
 	// test ends; every other job runs on a's own worker.
@@ -238,29 +269,37 @@ func (h holdOne) ExecutorFor(sp sweepd.Spec, _ func(int)) dynamics.Executor {
 
 // TestLeaderDeathAdoptionAndZombieCede is the failover acceptance
 // criterion end to end: kill the leader mid-sweep, a surviving peer
-// adopts the job within the adoption window and finishes it with a
-// byte-identical checkpoint, and the leader revived over its old store
-// cedes to the adopter's higher lease generation (LeadershipLost ticks,
-// the adopter keeps the job) instead of split-braining.
+// adopts the job once its lease is stale and re-leases it at a higher
+// generation, the leader revived over its old store cedes to that
+// generation (LeadershipLost ticks, the adopter keeps the job) instead of
+// split-braining, and the adopter finishes with a byte-identical
+// checkpoint. Every member holds the job on a gate, so it is running at
+// each step however fast the kernel is. Only the adopter's is let go,
+// and it runs on the production lease pool, which must lease cells to
+// the other survivor: the adopted run is a sharded one.
 func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	sp := sweepd.Spec{
-		// Sized by exact-MAX cell cost: the sweep must outlive the kill,
-		// adoption and zombie windows, so it is ~3.5ms/cell × 300 cells,
-		// leased over every alive member's workers (five before the kill,
-		// four after it). A faster kernel or a wider cluster shrinks those
-		// windows; the two "spec too small" guards below say so when it has.
-		N:      100,
-		Alphas: []float64{0.3, 0.5, 1, 2, 5},
-		Ks:     []int{2, 3, 1000},
-		Seeds:  20,
+		N:      16,
+		Alphas: []float64{0.5, 1, 2},
+		Ks:     []int{2, 1000},
+		Seeds:  4, // 24 cells
 	}
 	sp.Normalize()
+	clk := useFakeClock(t)
 	ref := runReference(t, sp)
 
-	a := newSchedDaemon(t, 1) // slow leader: one worker stretches the sweep
+	leader := heldExecutor{make(chan struct{})} // never fed
+	release := make(chan struct{}, 1)           // fed once the zombie has ceded
+	a := newSchedDaemon(t, 1)
+	a.Manager.SetExecutorProvider(leader)
 	b := newSchedDaemon(t, 2, a.url)
 	c := newSchedDaemon(t, 2, a.url)
-	waitMesh(t, a, b, c)
+	pools := map[*daemon]*shard.Pool{}
+	for _, d := range []*daemon{b, c} {
+		pools[d] = shard.NewFromSource(d.Registry, shard.Options{LeaseCells: 4})
+		d.Manager.SetExecutorProvider(leaseFirst{pools[d], release})
+	}
+	waitMesh(t, clk, beat, a, b, c)
 
 	job, _, err := a.Manager.Submit(sp)
 	if err != nil {
@@ -268,65 +307,42 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	}
 	// Kill only once both survivors hold the leader's lease — the spec
 	// travels inside it, so adoption needs nothing from A's disk.
-	deadline := time.Now().Add(30 * time.Second)
-	for _, survivor := range []*daemon{b, c} {
-		for {
-			leased := false
-			for _, l := range survivor.Registry.Leases() {
-				if l.JobID == job.ID && l.Owner == a.url {
-					leased = true
-				}
-			}
-			if leased {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("lease never reached %s", survivor.url)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	if j, _ := a.Manager.Get(job.ID); j.Status != sweepd.StatusRunning {
-		t.Fatalf("leader job is %s before the kill; spec too small to test failover", j.Status)
-	}
+	clk.stepUntil(t, beat, 30, "the leader's lease reaches both survivors", func() bool {
+		return b.leads(job.ID, a.url) && c.leads(job.ID, a.url)
+	})
 	a.kill()
 
-	// One survivor must adopt within the adoption window (plus probe and
-	// heartbeat slack) and re-lease the job at a higher generation.
-	adoptDeadline := time.Now().Add(30 * time.Second)
-	for b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions == 0 {
-		if time.Now().After(adoptDeadline) {
-			t.Fatalf("no adoption: b=%+v c=%+v leases=%+v", b.Scheduler.Stats(), c.Scheduler.Stats(), b.Registry.Leases())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
+	// Three failed probes take A down, and 30s without a refresh make its
+	// lease stale: one survivor adopts and re-leases at generation 2.
+	clk.stepUntil(t, beat, 60, "a survivor adopts", func() bool {
+		return b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions > 0
+	})
 	adopter := c
 	if b.Scheduler.Stats().Adoptions > 0 {
 		adopter = b
 	}
-
-	// Revive the dead leader over its old store while the adopted run is
-	// still going: it resumes the job, heartbeats its stale generation,
-	// loses the comparison, and cedes.
-	if j, _ := adopter.Manager.Get(job.ID); j.Status != sweepd.StatusRunning {
-		t.Fatalf("adopted run already finished (%s); spec too small to test the cede", j.Status)
+	if ls := adopter.Registry.Leases(); len(ls) != 1 || ls[0].JobID != job.ID || ls[0].Owner != adopter.url || ls[0].Generation != 2 {
+		t.Fatalf("adopter's lease table = %+v, want the job at generation 2 under %s", ls, adopter.url)
 	}
-	zombie, err := buildDaemon(a.dir, 1, fast, b.url)
+
+	// Revive the dead leader over its old store: it resumes the job,
+	// heartbeats its stale generation, loses the comparison, and cedes.
+	zombie, err := buildDaemon(a.dir, 1, 0, leader, b.url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(zombie.kill)
-	zombieDeadline := time.Now().Add(30 * time.Second)
-	for zombie.Scheduler.Stats().LeadershipLost == 0 {
-		if time.Now().After(zombieDeadline) {
-			t.Fatalf("zombie never ceded: %+v leases=%+v", zombie.Scheduler.Stats(), zombie.Registry.Leases())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	clk.stepUntil(t, beat, 30, "the zombie cedes", func() bool {
+		return zombie.Scheduler.Stats().LeadershipLost > 0
+	})
 
-	// The adopter finishes the job byte-identically to the reference.
+	// The adopter finishes the job, sharded, byte-identically to the
+	// reference.
+	release <- struct{}{}
 	waitDone(t, adopter.Manager, job.ID)
+	if st := pools[adopter].Stats(); st.RemoteCells == 0 {
+		t.Fatalf("the adopted run leased no cells: %+v", st)
+	}
 	data, err := os.ReadFile(adopter.Store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
@@ -337,10 +353,8 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 
 	// No split-brain: any lease still standing for the job names the
 	// adopter's generation, never the zombie's stale one.
-	for _, l := range adopter.Registry.Leases() {
-		if l.JobID == job.ID && l.Owner == zombie.url {
-			t.Fatalf("zombie reclaimed the lease: %+v", l)
-		}
+	if adopter.leads(job.ID, zombie.url) {
+		t.Fatalf("zombie reclaimed the lease: %+v", adopter.Registry.Leases())
 	}
 }
 
@@ -355,21 +369,70 @@ func (h heldExecutor) Execute(ctx context.Context, req dynamics.ExecRequest) <-c
 	return dynamics.LocalExecutor{}.Execute(ctx, req)
 }
 
+// leaseFirst holds a job until the test feeds gate, then runs it on a
+// lease pool whose local share waits for the first cells a peer
+// delivers, so the job is sharded however fast the local kernel is.
+type leaseFirst struct {
+	pool *shard.Pool
+	gate chan struct{}
+}
+
+func (l leaseFirst) ExecutorFor(sp sweepd.Spec, onRemote func(int)) dynamics.Executor {
+	local := make(chan struct{}, 1)
+	var once sync.Once
+	exec := l.pool.ExecutorFor(sp, func(cells int) {
+		onRemote(cells)
+		once.Do(func() { local <- struct{}{} })
+	})
+	if exec == nil {
+		return nil // no peer alive: the job runs locally and leases nothing
+	}
+	return leaseFirstExec{l.gate, local, exec}
+}
+
+type leaseFirstExec struct {
+	gate, local chan struct{}
+	exec        dynamics.Executor
+}
+
+func (e leaseFirstExec) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan dynamics.IndexedResult {
+	out := make(chan dynamics.IndexedResult)
+	go func() {
+		defer close(out)
+		select {
+		case <-e.gate:
+		case <-ctx.Done():
+			return
+		}
+		req.Gate = e.local
+		for ir := range e.exec.Execute(ctx, req) {
+			select {
+			case out <- ir:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return out
+}
+
 // TestLeaseHeldBetweenHeartbeats runs at bench/daemon.go's cadence, a
-// 100 ms probe under the scheduler's default 2 s heartbeat. Once the
-// first heartbeat's lease has reached every member, the leader and both
-// peers must hold it at every sample until the job ends — a leader
-// killed at any instant is adoptable — and once the job has ended the
-// lease must leave all three.
+// 100 ms probe under the scheduler's default 2 s heartbeat, stepping the
+// clock one probe at a time. Once the first heartbeat's lease has reached
+// every member, the leader and both peers must hold it at every step
+// across two heartbeat periods and then some — a leader killed at any
+// instant is adoptable — and once the job has ended the lease must leave
+// all three.
 func TestLeaseHeldBetweenHeartbeats(t *testing.T) {
-	bench := timing{probe: 100 * time.Millisecond, adoptAfter: node.DefaultConfig().AdoptAfter}
+	const probe = 100 * time.Millisecond
+	clk := useFakeClock(t)
 	var ds []*daemon
 	for i := 0; i < 3; i++ {
 		var seeds []string
 		if i > 0 {
 			seeds = []string{ds[0].url}
 		}
-		d, err := buildDaemon(t.TempDir(), 1, bench, seeds...)
+		d, err := buildDaemon(t.TempDir(), 1, probe, nil, seeds...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +440,7 @@ func TestLeaseHeldBetweenHeartbeats(t *testing.T) {
 		ds = append(ds, d)
 	}
 	leader := ds[0]
-	waitMesh(t, ds...)
+	waitMesh(t, clk, probe, ds...)
 
 	gate := make(chan struct{}, 1)
 	leader.Manager.SetExecutorProvider(heldExecutor{gate})
@@ -387,53 +450,31 @@ func TestLeaseHeldBetweenHeartbeats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := func(d *daemon) bool {
-		for _, l := range d.Registry.Leases() {
-			if l.JobID == job.ID && l.Owner == leader.url {
-				return true
+	heldBy := func() (n int) {
+		for _, d := range ds {
+			if d.leads(job.ID, leader.url) {
+				n++
 			}
 		}
-		return false
+		return n
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for !held(ds[0]) || !held(ds[1]) || !held(ds[2]) {
-		if time.Now().After(deadline) {
-			t.Fatal("the first heartbeat's lease never reached every member")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	clk.stepUntil(t, probe, 60, "the first heartbeat's lease reaches every member", func() bool { return heldBy() == len(ds) })
 
-	// Two heartbeat periods and then some: every gap between refreshes.
-	const window = 4200 * time.Millisecond
-	samples, orphaned, holds := 0, 0, make([]int, len(ds))
-	for end := time.Now().Add(window); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
-		samples++
-		for i, d := range ds {
-			if held(d) {
-				holds[i]++
+	const steps = 42 // 4.2 s: every gap between refreshes, twice
+	for i := 1; i <= steps; i++ {
+		clk.Advance(probe)
+		for _, d := range ds {
+			if !d.leads(job.ID, leader.url) {
+				t.Fatalf("%s dropped the running job's lease %v after it reached every member", d.url, time.Duration(i)*probe)
 			}
-		}
-		if !held(ds[1]) && !held(ds[2]) {
-			orphaned++ // a leader killed now would never be adopted
-		}
-	}
-	t.Logf("%d samples over %v of a running job: the lease was held by the leader in %d, by the peers in %d and %d, by neither peer in %d",
-		samples, window, holds[0], holds[1], holds[2], orphaned)
-	for i, n := range holds {
-		if n != samples {
-			t.Errorf("%s held the running job's lease in %d of %d samples", ds[i].url, n, samples)
 		}
 	}
 
 	// The job ends: its leader drops the lease at the next heartbeat, and
-	// each peer on its next pull from the leader.
+	// each peer on a pull from the leader. A peer that pulls the other
+	// before that one has dropped it takes the lease back as hearsay, so
+	// the last copy can take a few probes more.
 	gate <- struct{}{}
 	waitDone(t, leader.Manager, job.ID)
-	deadline = time.Now().Add(30 * time.Second)
-	for held(ds[0]) || held(ds[1]) || held(ds[2]) {
-		if time.Now().After(deadline) {
-			t.Fatal("the finished job's lease never left every member")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	clk.stepUntil(t, probe, 300, "the finished job's lease leaves every member", func() bool { return heldBy() == 0 })
 }

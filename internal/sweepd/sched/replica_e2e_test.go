@@ -14,27 +14,25 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/sweepd"
+	"repro/internal/sweepd/node"
 )
 
-// waitReplica blocks until each daemon's replica set holds job id.
-func waitReplica(t *testing.T, id string, ds ...*daemon) {
+// waitReplica steps the clock until each daemon's replica set holds job
+// id. The leader pushes on its own goroutine, not on a tick, so the steps
+// are probe intervals: each one waits for a probe round trip between
+// every pair of members.
+func waitReplica(t *testing.T, clk *fakeClock, id string, ds ...*daemon) {
 	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for _, d := range ds {
-		for {
-			ids := d.Replicas.List()
-			if slices.Contains(ids, id) {
-				break
+	clk.stepUntil(t, node.DefaultConfig().ProbeInterval, 400, "the replica of "+id+" reaches every survivor", func() bool {
+		for _, d := range ds {
+			if !slices.Contains(d.Replicas.List(), id) {
+				return false
 			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica of %s never reached %s (holds %v)", id, d.url, ids)
-			}
-			time.Sleep(2 * time.Millisecond)
 		}
-	}
+		return true
+	})
 }
 
 // getResults fetches /sweeps/{id}/results without following redirects,
@@ -100,10 +98,11 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 		{Graph: "grid-delete", N: 16, P: 0.2, Alphas: []float64{0.5, 1}, Ks: []int{2}, Seeds: 3},
 	}
 
+	clk := useFakeClock(t)
 	a := newSchedDaemon(t, 4)
 	b := newSchedDaemon(t, 2, a.url)
 	c := newSchedDaemon(t, 2, a.url)
-	waitMesh(t, a, b, c)
+	waitMesh(t, clk, beat, a, b, c)
 
 	type led struct {
 		id              string
@@ -118,7 +117,7 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitDone(t, a.Manager, job.ID)
-		waitReplica(t, job.ID, b, c)
+		waitReplica(t, clk, job.ID, b, c)
 
 		resp, leaderBody := getResults(t, a.url, job.ID, nil)
 		if resp.StatusCode != http.StatusOK || len(leaderBody) == 0 {
@@ -179,18 +178,25 @@ func TestAdoptionSeedsFromLocalReplicaEndToEnd(t *testing.T) {
 	}
 	sp.Normalize()
 
+	clk := useFakeClock(t)
 	a := newSchedDaemon(t, 4)
 	b := newSchedDaemon(t, 2, a.url)
 	c := newSchedDaemon(t, 2, a.url)
-	waitMesh(t, a, b, c)
+	waitMesh(t, clk, beat, a, b, c)
 
 	job, _, err := a.Manager.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, a.Manager, job.ID)
-	waitReplica(t, job.ID, b, c)
+	waitReplica(t, clk, job.ID, b, c)
 	a.kill()
+	// Inject only once both survivors have found A down. A pull from A
+	// still in flight would otherwise land after the injection and drop
+	// the lease, which its owner A no longer lists.
+	clk.stepUntil(t, beat, 30, "both survivors find the leader down", func() bool {
+		return b.finds(a.url, "down") && c.finds(a.url, "down")
+	})
 
 	// Resurrect the lease as if the leader died mid-run: owner dead,
 	// generation 1. Both survivors hold a verified replica, so whichever
@@ -202,18 +208,12 @@ func TestAdoptionSeedsFromLocalReplicaEndToEnd(t *testing.T) {
 		}
 	}
 
-	deadline := time.Now().Add(30 * time.Second)
-	var adopter *daemon
-	for adopter == nil {
-		for _, d := range []*daemon{b, c} {
-			if d.Scheduler.Stats().Adoptions > 0 {
-				adopter = d
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no adoption: b=%+v c=%+v", b.Scheduler.Stats(), c.Scheduler.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
+	clk.stepUntil(t, beat, 60, "a survivor adopts", func() bool {
+		return b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions > 0
+	})
+	adopter := c
+	if b.Scheduler.Stats().Adoptions > 0 {
+		adopter = b
 	}
 	if st := adopter.Scheduler.Stats(); st.ReplicaSeeds != 1 {
 		t.Fatalf("adopter stats = %+v, want ReplicaSeeds=1 (adoption must not tail-fetch)", st)

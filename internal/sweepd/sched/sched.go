@@ -127,7 +127,8 @@ func (s *Scheduler) Start() {
 	}
 	s.started = true
 	s.mu.Unlock()
-	go s.loop()
+	tick, stop := sweepd.Time().NewTicker(s.beat) // before Start returns, like the registry's
+	go s.loop(tick, stop)
 }
 
 // Close stops the loop and waits for the running tick to finish.
@@ -150,15 +151,14 @@ func (s *Scheduler) Close() {
 	}
 }
 
-func (s *Scheduler) loop() {
+func (s *Scheduler) loop(tick <-chan time.Time, stop func()) {
 	defer close(s.done)
-	t := time.NewTicker(s.beat)
-	defer t.Stop()
+	defer stop()
 	for {
 		select {
 		case <-s.ctx.Done():
 			return
-		case <-t.C:
+		case <-tick:
 			s.tick()
 		}
 	}
@@ -275,8 +275,8 @@ func (s *Scheduler) adoptPass(self string) {
 		if st, known := state[l.Owner]; known && st != "down" {
 			continue
 		}
-		// Updated is the registry's wall-clock stamp.
-		if time.Since(l.Updated) < s.opts.AdoptAfter {
+		// Updated is the registry's stamp on the daemon's clock.
+		if sweepd.Time().Now().Sub(l.Updated) < s.opts.AdoptAfter {
 			continue
 		}
 		if !elected {

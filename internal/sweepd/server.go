@@ -13,7 +13,7 @@ import (
 
 // Config tunes the HTTP layer. The zero value serves with no rate
 // limits and without the cluster endpoints; time, the streams' 15s
-// keep-alive included, is the Manager's clock.
+// keep-alive included, is the daemon's clock (Time).
 type Config struct {
 	// Rate and PeerRate are token-bucket limits in requests/second
 	// (burst = one second's worth, minimum 1) per endpoint class. Rate

@@ -53,7 +53,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // sweep, poll its status, stream the results, and check every line
 // decodes and covers the full grid in canonical order.
 func TestServerEndToEnd(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv, mgr := newTestServer(t)
 
 	spec := `{"n": 12, "alphas": [0.5, 2], "ks": [2, 1000], "seeds": 2}`
 	resp, err := http.Post(srv.URL+"/sweeps", "application/json", strings.NewReader(spec))
@@ -84,23 +84,11 @@ func TestServerEndToEnd(t *testing.T) {
 		t.Fatalf("resubmit = %d, job %s (want 200, %s)", resp.StatusCode, again.ID, job.ID)
 	}
 
-	// Poll until done.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		var cur Job
-		if code := getJSON(t, srv.URL+"/sweeps/"+job.ID, &cur); code != http.StatusOK {
-			t.Fatalf("GET /sweeps/{id} = %d", code)
-		}
-		if cur.Status == StatusDone {
-			break
-		}
-		if cur.Status == StatusFailed {
-			t.Fatalf("job failed: %s", cur.Error)
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never finished: %+v", cur)
-		}
-		time.Sleep(2 * time.Millisecond)
+	// Wait until done; the API then reports it.
+	waitStatus(t, mgr, job.ID, StatusDone)
+	var cur Job
+	if code := getJSON(t, srv.URL+"/sweeps/"+job.ID, &cur); code != http.StatusOK || cur.Status != StatusDone {
+		t.Fatalf("GET /sweeps/{id} = %d, %+v", code, cur)
 	}
 
 	// Stream the results and decode every NDJSON line.
@@ -361,9 +349,8 @@ func feedJob(t *testing.T, mgr *Manager, id string) (*jobState, *os.File) {
 // fragment, pick up the line once its newline lands, and get the
 // terminal trailer when the job finishes.
 func TestServerFollowHeartbeatsAndTornTail(t *testing.T) {
+	clk := useFakeClock(t)
 	srv, mgr := newTestServer(t)
-	clk := newFakeClock()
-	mgr.useClock(clk)
 	js, f := feedJob(t, mgr, "feedjob")
 	line1 := append(cacheLine(dynamics.Cell{Alpha: 1, K: 2, Seed: 0}), '\n')
 	line2 := append(cacheLine(dynamics.Cell{Alpha: 1, K: 2, Seed: 1}), '\n')

@@ -53,10 +53,10 @@
 //
 // A lease is presumed dead when its stream yields no bytes (results or
 // blank heartbeat lines, which followers interleave while long cells
-// compute) for the pool's lease TTL. The leader then cancels the request,
-// counts a lease failure, recomputes the undelivered remainder of that
-// range locally, and stops leasing to that peer for the rest of the
-// Execute call (the next job probes it afresh). Cells already streamed
+// compute) for 45 s on the daemon's clock (sweepd.Time). The leader then
+// cancels the request, counts a lease failure, recomputes the undelivered
+// remainder of that range locally, and stops leasing to that peer for the
+// rest of the Execute call (the next job probes it afresh). Cells streamed
 // back are kept — a half-served lease wastes only its tail. The same
 // reclaim path covers rejected leases (non-2xx), disconnects, short
 // streams, and malformed or misaligned lines. Followers never push work

@@ -35,16 +35,17 @@ type PeerSource interface {
 	ReportLeaseFailure(url string)
 }
 
+// leaseTTL is the heartbeat watchdog: a lease whose stream delivers no
+// bytes for this long is canceled and its remainder reclaimed locally
+// (followers heartbeat every 15s).
+const leaseTTL = 45 * time.Second
+
 // Pool fans sweep work out to peer daemons. It implements
 // sweepd.ExecutorProvider; install it with Manager.SetExecutorProvider.
 // A Pool is safe for concurrent use by many jobs.
 type Pool struct {
 	source PeerSource
 	opts   Options
-	// leaseTTL is the heartbeat watchdog: a lease whose stream delivers
-	// no bytes for this long is canceled and its remainder reclaimed
-	// locally (45s; followers heartbeat every ~15s). Tests shorten it.
-	leaseTTL time.Duration
 
 	leasesIssued  atomic.Uint64
 	leaseFailures atomic.Uint64
@@ -57,7 +58,7 @@ func NewFromSource(source PeerSource, opts Options) *Pool {
 	if opts.LeaseCells <= 0 {
 		opts.LeaseCells = 64
 	}
-	return &Pool{source: source, opts: opts, leaseTTL: 45 * time.Second}
+	return &Pool{source: source, opts: opts}
 }
 
 // Stats snapshots the leader-side sharding counters. Peers is the
@@ -222,17 +223,16 @@ func (e *executor) lease(ctx context.Context, peer string, cr cellRange, cells [
 	}
 	lctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ttl := e.pool.leaseTTL
-	watchdog := time.AfterFunc(ttl, cancel)
-	defer watchdog.Stop()
+	resetWatchdog, stopWatchdog := sweepd.Time().AfterFunc(leaseTTL, cancel)
+	defer stopWatchdog()
 
 	// A 429 is load shedding (-peer-rate on the follower), not death: the
 	// client waits out Retry-After (the watchdog is pushed past each wait)
 	// instead of retiring a healthy peer, bounding total backoff by the
 	// lease TTL so a peer that only ever throttles still falls back to
 	// local compute eventually.
-	resp, err := sweepd.Peer.Do(lctx, http.MethodPost, peer+"/peer/leases", "application/json", body, ttl,
-		func(wait time.Duration) { watchdog.Reset(wait + ttl) })
+	resp, err := sweepd.Peer.Do(lctx, http.MethodPost, peer+"/peer/leases", "application/json", body, leaseTTL,
+		func(wait time.Duration) { resetWatchdog(wait + leaseTTL) })
 	if err != nil {
 		return 0, fmt.Errorf("shard: peer %s: %w", peer, err)
 	}
@@ -247,7 +247,7 @@ func (e *executor) lease(ctx context.Context, peer string, cr cellRange, cells [
 		if rerr != nil {
 			return got, fmt.Errorf("shard: peer %s: lease stream ended after %d of %d cells: %w", peer, got, want, rerr)
 		}
-		watchdog.Reset(ttl)
+		resetWatchdog(leaseTTL)
 		line = bytes.TrimSpace(line)
 		if len(line) == 0 {
 			continue // heartbeat

@@ -25,6 +25,12 @@ import (
 	"repro/internal/sweepd/shard"
 )
 
+// daemonClock and installClock bind clock_test.go's fake to the daemon's
+// clock.
+type daemonClock = sweepd.Clock
+
+var installClock = sweepd.UseClock
+
 func e2eSpec() sweepd.Spec {
 	sp := sweepd.Spec{
 		N:      16,
@@ -45,6 +51,15 @@ type daemon struct {
 	// onLease, when set, runs on each of them before it is served.
 	leases  atomic.Uint64
 	onLease atomic.Pointer[func()]
+}
+
+// leased returns a channel closed when the first lease request reaches d.
+func (d *daemon) leased() <-chan struct{} {
+	c := make(chan struct{})
+	var once sync.Once
+	signal := func() { once.Do(func() { close(c) }) }
+	d.onLease.Store(&signal)
+	return c
 }
 
 // serve starts the daemon's test server over h, creating it unless the
@@ -85,8 +100,9 @@ func newDaemon(t *testing.T, workers int) *daemon {
 // newClusterDaemon is newDaemon plus a live membership registry wired
 // into the HTTP surface: the daemon accepts POST /peer/hello, serves
 // GET /peer/members, probes its peers, and (when seeded) announces
-// itself — a full in-process ncg-server as far as clustering goes.
-func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, seeds ...string) (*daemon, *cluster.Registry) {
+// itself — a full in-process ncg-server as far as clustering goes, probing
+// at the default cadence on the daemon's clock.
+func newClusterDaemon(t *testing.T, workers int, seeds ...string) (*daemon, *cluster.Registry) {
 	t.Helper()
 	store, err := sweepd.OpenStore(t.TempDir())
 	if err != nil {
@@ -95,9 +111,8 @@ func newClusterDaemon(t *testing.T, workers int, probeInterval time.Duration, se
 	mgr := sweepd.NewManager(store, sweepd.NewCache(4096), workers)
 	d := &daemon{store: store, mgr: mgr, srv: httptest.NewUnstartedServer(nil)}
 	reg := cluster.New(cluster.Options{
-		Self:          "http://" + d.srv.Listener.Addr().String(),
-		Seeds:         seeds,
-		ProbeInterval: probeInterval,
+		Self:  "http://" + d.srv.Listener.Addr().String(),
+		Seeds: seeds,
 	})
 	d.serve(sweepd.NewHandlerConfig(mgr, sweepd.Config{Cluster: reg}))
 	reg.Start()
@@ -141,7 +156,7 @@ func runSharded(t *testing.T, sp sweepd.Spec, opts shard.Options, peers ...*daem
 	for _, p := range peers {
 		urls = append(urls, p.srv.URL)
 	}
-	pool := shard.New(urls, opts, 0)
+	pool := shard.New(urls, opts)
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
@@ -218,7 +233,7 @@ func TestShardedTrajectorySweep(t *testing.T) {
 		for _, p := range peers {
 			urls = append(urls, p.srv.URL)
 		}
-		leader.mgr.SetExecutorProvider(shard.New(urls, opts, 0))
+		leader.mgr.SetExecutorProvider(shard.New(urls, opts))
 		job, _, err := leader.mgr.Submit(sp)
 		if err != nil {
 			t.Fatal(err)
@@ -275,24 +290,16 @@ func TestPeerKilledMidSweepReclaims(t *testing.T) {
 	ref, _, _ := runSharded(t, sp, opts)
 
 	peer := newDaemon(t, 1) // slow follower: leases outlive the kill window
+	leased := peer.leased()
 	leader := newDaemon(t, 4)
-	pool := shard.New([]string{peer.srv.URL}, opts, 0)
+	pool := shard.New([]string{peer.srv.URL}, opts)
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Kill the peer as soon as it has a lease in hand.
-	deadline := time.Now().Add(60 * time.Second)
-	for peer.leases.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never received a lease")
-		}
-		if j, _ := leader.mgr.Get(job.ID); j.Status == sweepd.StatusDone {
-			break // sweep outran the kill; byte-equality below still holds
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-leased
 	peer.srv.CloseClientConnections()
 	peer.srv.Close()
 
@@ -308,30 +315,38 @@ func TestPeerKilledMidSweepReclaims(t *testing.T) {
 
 // TestHangingPeerLeaseExpires covers the heartbeat watchdog: a peer that
 // accepts a lease and then never sends a byte must have its range
-// reclaimed after the lease TTL, the job must still finish, and the results
-// must stay byte-identical.
+// reclaimed once the lease TTL has passed on the daemon's clock, the job
+// must still finish, and the results must stay byte-identical.
 func TestHangingPeerLeaseExpires(t *testing.T) {
 	sp := e2eSpec()
 	opts := shard.Options{LeaseCells: 4}
 	ref, _, _ := runSharded(t, sp, opts)
 
+	clk := useFakeClock(t)
+	hung := make(chan struct{}, 1)
 	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		w.WriteHeader(http.StatusOK)
 		if f, ok := w.(http.Flusher); ok {
 			f.Flush()
 		}
+		select {
+		case hung <- struct{}{}:
+		default:
+		}
 		<-r.Context().Done() // never a byte, never a heartbeat
 	}))
 	defer hang.Close()
 
 	leader := newDaemon(t, 4)
-	pool := shard.New([]string{hang.URL}, shard.Options{LeaseCells: 4}, 150*time.Millisecond)
+	pool := shard.New([]string{hang.URL}, opts)
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-hung // the lease's watchdog is armed before its request goes out
+	clk.Advance(45 * time.Second)
 	waitDone(t, leader.mgr, job.ID)
 	data, err := os.ReadFile(leader.store.ResultsPath(job.ID))
 	if err != nil {
@@ -399,7 +414,7 @@ func TestThrottledPeerIsRetriedNotRetired(t *testing.T) {
 	defer proxy.Close()
 
 	leader := newDaemon(t, 4)
-	pool := shard.New([]string{proxy.URL}, shard.Options{LeaseCells: 3}, 0)
+	pool := shard.New([]string{proxy.URL}, shard.Options{LeaseCells: 3})
 	leader.mgr.SetExecutorProvider(pool)
 	job, _, err := leader.mgr.Submit(sp)
 	if err != nil {
@@ -440,9 +455,9 @@ func TestDaemonJoinsLiveCluster(t *testing.T) {
 	ref1, _, _ := runSharded(t, sp1, opts)
 	ref2, _, _ := runSharded(t, sp2, opts)
 
-	probe := 20 * time.Millisecond
-	f1, _ := newClusterDaemon(t, 2, probe)
-	leader, leaderReg := newClusterDaemon(t, 4, probe, f1.srv.URL)
+	clk := useFakeClock(t)
+	f1, _ := newClusterDaemon(t, 2)
+	leader, leaderReg := newClusterDaemon(t, 4, f1.srv.URL)
 	pool := shard.NewFromSource(leaderReg, opts)
 	leader.mgr.SetExecutorProvider(pool)
 
@@ -464,23 +479,17 @@ func TestDaemonJoinsLiveCluster(t *testing.T) {
 	}
 
 	// Phase 2: a third daemon boots with only the leader as its seed and
-	// announces itself — no existing daemon restarts.
-	joiner, joinerReg := newClusterDaemon(t, 2, probe, leader.srv.URL)
-	deadline := time.Now().Add(30 * time.Second)
-	for !slices.Contains(leaderReg.AlivePeers(), joiner.srv.URL) {
-		if time.Now().After(deadline) {
-			t.Fatalf("leader never registered the joiner; members = %+v", leaderReg.Members())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// announces itself — no existing daemon restarts. Each probe tick
+	// returns once every registry has finished its previous cycle.
+	joiner, joinerReg := newClusterDaemon(t, 2, leader.srv.URL)
+	clk.stepUntil(t, 5*time.Second, 10, "the leader registers the joiner", func() bool {
+		return slices.Contains(leaderReg.AlivePeers(), joiner.srv.URL)
+	})
 	// One-hop gossip: the joiner pulls the leader's table and learns the
 	// original follower without ever being told about it.
-	for !slices.Contains(joinerReg.AlivePeers(), f1.srv.URL) {
-		if time.Now().After(deadline) {
-			t.Fatalf("joiner never learned the follower by gossip; members = %+v", joinerReg.Members())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	clk.stepUntil(t, 5*time.Second, 10, "the joiner learns the follower by gossip", func() bool {
+		return slices.Contains(joinerReg.AlivePeers(), f1.srv.URL)
+	})
 
 	// Phase 3: the next job leases to the joiner. Until the joiner has
 	// been asked for a range, the leader's local pool has no worker token
@@ -576,6 +585,7 @@ func TestDeadPeerSkippedBySubsequentJobs(t *testing.T) {
 	ref2, _, _ := runSharded(t, sp2, opts)
 
 	peer := newDaemon(t, 1) // slow follower: leases outlive the kill window
+	leased := peer.leased()
 	leader := newDaemon(t, 4)
 	// The registry stays passive (Start is never called): seeds begin
 	// alive, so the only path that can demote the peer in this test is
@@ -591,16 +601,7 @@ func TestDeadPeerSkippedBySubsequentJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for peer.leases.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("peer never received a lease")
-		}
-		if j, _ := leader.mgr.Get(job1.ID); j.Status == sweepd.StatusDone {
-			t.Skip("sweep outran the kill window; nothing to verify")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-leased
 	peer.srv.CloseClientConnections()
 	peer.srv.Close()
 
@@ -651,21 +652,13 @@ func TestShardedResumeAfterLeaderRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr1 := sweepd.NewManager(store1, sweepd.NewCache(4096), 2)
-	mgr1.SetExecutorProvider(shard.New([]string{peer.srv.URL}, opts, 0))
+	taken := make(chan struct{})
+	mgr1.SetExecutorProvider(firstCells{shard.New([]string{peer.srv.URL}, opts), 3, taken})
 	job, _, err := mgr1.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if j, _ := mgr1.Get(job.ID); j.Completed >= 3 || j.Status == sweepd.StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never made progress")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-taken
 	mgr1.Close()
 
 	store2, err := sweepd.OpenStore(dir)
@@ -673,7 +666,7 @@ func TestShardedResumeAfterLeaderRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr2 := sweepd.NewManager(store2, sweepd.NewCache(4096), 4)
-	mgr2.SetExecutorProvider(shard.New([]string{peer.srv.URL}, opts, 0))
+	mgr2.SetExecutorProvider(shard.New([]string{peer.srv.URL}, opts))
 	defer mgr2.Close()
 	if err := mgr2.Resume(); err != nil {
 		t.Fatal(err)
@@ -739,4 +732,45 @@ func TestDialectSweepsShardByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// firstCells is a pool for stopping a sweep part-way: its executors
+// hand the pool's executor the job's cells one at a time in canonical
+// order, close taken once the sweep has taken the (k+1)-th — the sweep
+// emits in order, so by then it has checkpointed the first k — and
+// compute nothing more until the sweep is canceled.
+type firstCells struct {
+	pool  *shard.Pool
+	k     int
+	taken chan struct{}
+}
+
+func (f firstCells) ExecutorFor(sp sweepd.Spec, onRemote func(cells int)) dynamics.Executor {
+	return firstCellsExec{f, f.pool.ExecutorFor(sp, onRemote)}
+}
+
+type firstCellsExec struct {
+	firstCells
+	exec dynamics.Executor
+}
+
+func (e firstCellsExec) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan dynamics.IndexedResult {
+	out := make(chan dynamics.IndexedResult)
+	go func() {
+		defer close(out)
+		for _, idx := range req.Todo[:e.k+1] {
+			one := req
+			one.Todo = []int{idx}
+			for ir := range e.exec.Execute(ctx, one) {
+				select {
+				case out <- ir:
+				case <-ctx.Done():
+					return
+				}
+			}
+		}
+		close(e.taken)
+		<-ctx.Done()
+	}()
+	return out
 }

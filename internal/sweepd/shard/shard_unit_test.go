@@ -29,14 +29,9 @@ func (s staticPeers) ReportLeaseFailure(string) {}
 // stripped) and deduplicated, so programmatic callers get the same
 // hygiene as the -peers flag — "http://a:1" and "http://a:1/" never
 // spawn two lease goroutines against one peer. An empty peer list is
-// valid: every job then runs locally. A positive leaseTTL replaces the
-// production lease TTL, so a test reclaims a hung peer's range quickly.
-func New(peers []string, opts Options, leaseTTL time.Duration) *Pool {
-	p := NewFromSource(staticPeers(sweepd.NormalizePeerURLs(peers)), opts)
-	if leaseTTL > 0 {
-		p.leaseTTL = leaseTTL
-	}
-	return p
+// valid: every job then runs locally.
+func New(peers []string, opts Options) *Pool {
+	return NewFromSource(staticPeers(sweepd.NormalizePeerURLs(peers)), opts)
 }
 
 // TestNewNormalizesAndDedupes: programmatic construction gets the same
@@ -59,7 +54,7 @@ func TestNewNormalizesAndDedupes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			p := New(tc.in, Options{}, 0)
+			p := New(tc.in, Options{})
 			got := p.source.AlivePeers()
 			if len(got) != len(tc.want) {
 				t.Fatalf("peers = %v, want %v", got, tc.want)
@@ -77,7 +72,7 @@ func TestNewNormalizesAndDedupes(t *testing.T) {
 // from normalized URLs (no "//peer/leases"), which a strict router would
 // 404.
 func TestLeasePathWellFormed(t *testing.T) {
-	p := New([]string{"http://a:1/"}, Options{}, 0)
+	p := New([]string{"http://a:1/"}, Options{})
 	peers := p.source.AlivePeers()
 	if len(peers) != 1 || strings.HasSuffix(peers[0], "/") {
 		t.Fatalf("normalized peers = %v", peers)
@@ -87,9 +82,10 @@ func TestLeasePathWellFormed(t *testing.T) {
 	}
 }
 
-// TestLeaseTTLIsFixed: a pool's lease watchdog is 45s.
+// TestLeaseTTLIsFixed: a lease's watchdog is 45s on the daemon's clock
+// (TestHangingPeerLeaseExpires steps a fake one through it).
 func TestLeaseTTLIsFixed(t *testing.T) {
-	if got := NewFromSource(staticPeers(nil), Options{}).leaseTTL; got != 45*time.Second {
-		t.Errorf("lease TTL %v, want 45s", got)
+	if leaseTTL != 45*time.Second {
+		t.Errorf("lease TTL %v, want 45s", leaseTTL)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"testing"
-	"time"
 
 	"repro/internal/ncgio"
 )
@@ -148,20 +147,13 @@ func TestTrajectorySidecarResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	mgr1 := NewManager(store1, nil, 2)
+	taken := make(chan struct{})
+	mgr1.SetExecutorProvider(firstCells{k: 3, taken: taken})
 	job1, _, err := mgr1.Submit(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if j, _ := mgr1.Get(job1.ID); j.Completed >= 3 || j.Status == StatusDone {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never made progress")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	<-taken
 	mgr1.Close()
 
 	store2, err := OpenStore(dir)

@@ -3,11 +3,15 @@ package sweepd
 import "time"
 
 // The one clock may read the wall and start its tickers.
-type wallClock struct{}
+type Clock struct {
+	Now       func() time.Time
+	NewTicker func(d time.Duration) (<-chan time.Time, func())
+}
 
-func (wallClock) Now() time.Time { return time.Now() }
-
-func (wallClock) NewTicker(d time.Duration) (<-chan time.Time, func()) {
-	t := time.NewTicker(d)
-	return t.C, t.Stop
+var wallClock = &Clock{
+	Now: time.Now,
+	NewTicker: func(d time.Duration) (<-chan time.Time, func()) {
+		t := time.NewTicker(d)
+		return t.C, t.Stop
+	},
 }

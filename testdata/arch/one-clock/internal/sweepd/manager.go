@@ -3,7 +3,6 @@ package sweepd
 import wall "time"
 
 type manager struct {
-	clock   wallClock
 	started wall.Time
 	now     func() wall.Time
 }
@@ -16,5 +15,5 @@ func newManager() *manager {
 }
 
 func (m *manager) uptime() wall.Duration {
-	return m.clock.Now().Sub(m.started)
+	return wallClock.Now().Sub(m.started)
 }

@@ -2,5 +2,5 @@ package sweepd
 
 import "time"
 
-// The peer client's retry wait stays on the wall.
-func wait(d time.Duration) { <-time.After(d) }
+// The peer client's retry wait is on the daemon's clock too.
+func wait(d time.Duration) { <-time.After(d) } // want

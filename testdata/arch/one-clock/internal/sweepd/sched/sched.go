@@ -2,7 +2,7 @@ package sched
 
 import "time"
 
-// Another package keeps its own time until its own rule.
+// The scheduler's staleness is the daemon's clock's, not the wall's.
 func stale(updated time.Time, after time.Duration) bool {
-	return time.Since(updated) >= after
+	return time.Since(updated) >= after // want
 }

@@ -1,0 +1,7 @@
+package sched_test
+
+import "time"
+
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(2 * d) } // want

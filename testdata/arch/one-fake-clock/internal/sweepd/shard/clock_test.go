@@ -1,0 +1,7 @@
+package shard_test
+
+import "time"
+
+type fakeClock struct{ t time.Time }
+
+func (c *fakeClock) Advance(d time.Duration) { c.t = c.t.Add(d) }
