@@ -22,12 +22,12 @@ import (
 //
 // The power slab is the one buffer that is not linear in the ball: for a
 // center-less view of rB vertices it holds levels·rB·⌈rB/64⌉ words, where
-// levels <= min(hTop, diam+1), hTop is the largest eccentricity the scan
-// can still improve on (below the player's current cost, at most 2k+1)
-// and diam the largest diameter of a component of the view: a few levels
-// on every local view and every small-diameter graph, close to rB of them
-// on a long path under full knowledge. It is kept at its high-water mark,
-// like every other buffer here.
+// levels <= min(h, diam+1), h is the highest target eccentricity the scan
+// hands the solver under a cap of 2 or more (below the player's current
+// cost, at most 2k+1) and diam the largest diameter of a component of the
+// view: a few levels on every local view and every small-diameter graph,
+// close to rB of them on a long path under full knowledge. It is kept at
+// its high-water mark, like every other buffer here.
 //
 // An Evaluator also counts what its exact MAXNCG scans did (ScanStats):
 // most of that work is proving that no cheaper dominating set exists, and
@@ -54,11 +54,12 @@ type Evaluator struct {
 	// MAXNCG machinery: the closed-neighborhood powers of the center-less
 	// view (level-major, see buildPowers), the ball rows they are raised
 	// over, the rows of the level being solved, the forced-dominator list,
-	// the incumbent set and the solver.
+	// the BFS distances of their reach, the incumbent set and the solver.
 	powers  []uint64
 	rows    [][]int32
 	nbs     [][]uint64
 	forced  []int
+	dist    []int32
 	bestSet []int
 	solver  mds.Solver
 
@@ -387,8 +388,20 @@ func (e *Evaluator) levelRows(rB, t, levels int) [][]uint64 {
 	return e.nbs
 }
 
+// capOne is mds.Solver.Solve under cap 1 on level h-1, from the forced
+// set's reach (its eccentricity in the center-less view): the empty set
+// and no node when it covers N^{h-1}, else a root refusal, Proved 1.
+func capOne(reach, h int) (ok bool, nodes, proved int) {
+	if reach < h {
+		return true, 0, 0
+	}
+	return false, 1, 1
+}
+
 // MaxBestResponse is the Evaluator form of the package-level
-// MaxBestResponse.
+// MaxBestResponse. A level whose cap is 1 is decided by capOne from the
+// forced set's reach, one BFS per call; the powers are built once, at the
+// first level whose cap is 2 or more, up to that level.
 //
 // The scan over target eccentricities h runs downwards and carries lb, a
 // certified lower bound on the number of extra dominators: a refused solve
@@ -418,9 +431,8 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 		e.forced = append(e.forced, int(l)-1)
 	}
 
-	// Candidate eccentricities run from min(2k+1, rB) down (k is compared
-	// before doubling: 2k+1 wraps for huge k), but the scan skips every
-	// h >= cur-ε, so the powers are needed only below the first h it keeps.
+	// Candidate eccentricities run from min(2k+1, rB) down, skipping every
+	// h >= cur-ε (k is compared before doubling: 2k+1 wraps for huge k).
 	hTop := rB
 	if k < rB {
 		hTop = min(rB, 2*k+1)
@@ -428,7 +440,6 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 	for hTop >= 1 && float64(hTop) >= cur-epsilon {
 		hTop--
 	}
-	levels := e.buildPowers(rB, hTop)
 	e.stats.Levels += int64(hTop)
 
 	// Descending h with the incumbent cap, exactly like the reference:
@@ -436,6 +447,7 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 	bestCost := cur
 	improved := false
 	lb := 0
+	levels, reach := 0, -1 // neither built yet
 	for h := hTop; h >= 1; h-- {
 		if float64(h) >= bestCost-epsilon {
 			continue // cost >= h can no longer improve on the incumbent
@@ -455,17 +467,32 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 			}
 			continue
 		}
-		extra, ok := e.solver.Solve(rB, e.levelRows(rB, h-1, levels), e.forced, limit)
-		lb = max(lb, e.solver.Proved())
-		e.stats.Solves++
-		e.stats.Nodes += int64(e.solver.Nodes())
-		if e.solver.Exhausted() {
-			e.stats.BudgetExhausted++
+		var extra []int
+		var ok bool
+		var nodes, proved int
+		if limit == 1 {
+			if reach < 0 {
+				e.dist = slices.Grow(e.dist[:0], rB+1)[:rB+1]
+				reach = e.ws.BallEccFrom(e.fixed, e.dist)
+			}
+			ok, nodes, proved = capOne(reach, h)
+		} else {
+			if levels == 0 {
+				levels = e.buildPowers(rB, h)
+			}
+			extra, ok = e.solver.Solve(rB, e.levelRows(rB, h-1, levels), e.forced, limit)
+			nodes, proved = e.solver.Nodes(), e.solver.Proved()
+			if e.solver.Exhausted() {
+				e.stats.BudgetExhausted++
+			}
 		}
+		lb = max(lb, proved)
+		e.stats.Solves++
+		e.stats.Nodes += int64(nodes)
 		if !ok {
 			// A search that gets past its root expands a child too, so one
 			// node means the root bounds refused.
-			if e.solver.Nodes() == 1 {
+			if nodes == 1 {
 				e.stats.RootRefusals++
 			}
 			continue

@@ -10,6 +10,7 @@ import (
 	"repro/internal/game"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mds"
 )
 
 // TestPowersMatchBFS pins buildPowers to the BFS it replaced: for every
@@ -126,4 +127,75 @@ func TestMaxBestResponseHugeRadius(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("no player has an improving response; the instance pins nothing")
 	}
+}
+
+// bfsLevel builds level t of the center-less view's closed-neighborhood
+// powers for the view prepare left in e.ws from BallDistFrom, not from
+// buildPowers: row j is {i : d(j,i) <= t}.
+func bfsLevel(e *Evaluator, t int) [][]uint64 {
+	rB := e.ws.Size() - 1
+	dist := make([]int32, rB+1)
+	rows := make([][]uint64, rB)
+	for j := range rows {
+		rows[j] = make([]uint64, (rB+63)/64)
+		e.ws.BallDistFrom(int32(j+1), dist)
+		for i := 0; i < rB; i++ {
+			if int(dist[i+1]) <= t {
+				rows[j][i/64] |= 1 << (i % 64)
+			}
+		}
+	}
+	return rows
+}
+
+// TestCapOneMatchesSolver pins the scan's cap-1 shortcut to the solver it
+// stands in for: for every player and every level t of its center-less
+// view, capOne on the forced set's reach answers exactly what
+// mds.Solver.Solve does on the level-t rows under cap 1 — the same ok, an
+// empty set, the same Nodes and Proved. Low owners give player 0 no
+// forced dominator and a path's inner players a forced set on one side of
+// a cut, where the reach is never; random owners give the rest.
+func TestCapOneMatchesSolver(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	var e Evaluator
+	var solver mds.Solver
+	var dist []int32
+	empty, covering, never := 0, 0, 0
+	for gi, g := range diffGraphs(rng) {
+		for _, s := range []*game.State{game.FromGraphLowOwners(g), game.FromGraphRandomOwners(g, rng)} {
+			for _, k := range []int{1, 2, 3, 1000} {
+				for u := 0; u < s.N(); u++ {
+					e.prepare(s, u, k)
+					rB := e.ws.Size() - 1
+					var forced []int
+					for _, l := range e.fixed {
+						forced = append(forced, int(l)-1)
+					}
+					dist = slices.Grow(dist[:0], rB+1)[:rB+1]
+					reach := e.ws.BallEccFrom(e.fixed, dist)
+					switch {
+					case len(forced) == 0:
+						empty++
+					case reach == graph.Unreachable:
+						never++
+					case reach < rB:
+						covering++
+					}
+					for lv := 0; lv < rB; lv++ {
+						tag := fmt.Sprintf("g=%d u=%d k=%d forced=%v reach=%d t=%d", gi, u, k, forced, reach, lv)
+						ok, nodes, proved := capOne(reach, lv+1)
+						set, want := solver.Solve(rB, bfsLevel(&e, lv), forced, 1)
+						if ok != want || (ok && len(set) != 0) || nodes != solver.Nodes() || proved != solver.Proved() {
+							t.Fatalf("%s: capOne says ok=%v nodes=%d proved=%d, the solver %v %v nodes=%d proved=%d",
+								tag, ok, nodes, proved, set, want, solver.Nodes(), solver.Proved())
+						}
+					}
+				}
+			}
+		}
+	}
+	if empty == 0 || covering == 0 || never == 0 {
+		t.Fatalf("%d empty forced sets, %d covering ones, %d never reaching; want each", empty, covering, never)
+	}
+	t.Logf("%d empty forced sets, %d covering ones, %d never reaching", empty, covering, never)
 }

@@ -62,9 +62,9 @@ func TestScanSkipsOnlyFailingLevels(t *testing.T) {
 					tag := fmt.Sprintf("g=%d u=%d k=%d a=%g", gi, u, k, alpha)
 					e.onSkip = func(h, limit int) {
 						skips++
-						rB := e.ws.Size() - 1
-						levels := len(e.powers) / (rB * ((rB + 63) / 64))
-						if set, ok := mds.MinDominatingExtraAtMostBitsets(rB, e.levelRows(rB, h-1, levels), e.forced, limit); ok {
+						// The scan builds its powers lazily, so the slab may
+						// not hold level h-1 yet: build it from the BFS.
+						if set, ok := mds.MinDominatingExtraAtMostBitsets(e.ws.Size()-1, bfsLevel(&e, h-1), e.forced, limit); ok {
 							t.Fatalf("%s: skipped h=%d, but %v dominates under its cap %d", tag, h, set, limit)
 						}
 					}
@@ -104,6 +104,11 @@ func FuzzMaxBestResponse(f *testing.F) {
 	f.Add([]byte{9, 7, 3, 2, 0x41, 0x10, 0x04, 0x01, 0x40, 0x10, 0x04, 0x01, 0x40})
 	f.Add([]byte{10, 5, 4, 9, 0x01, 0x04, 0x10, 0x40, 0x01, 0x04, 0x10, 0x40, 0x01, 0x04, 0x10, 0x40})
 	f.Add([]byte{7, 2, 0, 6, 0x99, 0x66, 0x99, 0x66, 0x99, 0x66})
+	// Players with bought-in edges at α >= 1, whose scans meet cap-1 levels
+	// the forced set dominates alone and cap-1 levels it cannot.
+	f.Add([]byte{0x8, 0x4, 0x5, 0x7, 0x50, 0x0, 0x84, 0x30, 0x20, 0x24, 0x7, 0x53, 0xa1})
+	f.Add([]byte{0x7, 0x4, 0x2, 0x8, 0xe0, 0x8, 0x80, 0x53, 0x0, 0x4, 0x8})
+	f.Add([]byte{0xa, 0x1, 0x3, 0xc, 0x48, 0x80, 0xc0, 0x9c, 0xc1, 0x2c, 0x2, 0x48, 0x6, 0x1, 0xe0, 0xe0, 0xe1, 0x20})
 	ks := []int{0, 1, 2, 3, 1000, math.MaxInt}
 	alphas := []float64{0, math.SmallestNonzeroFloat64, 1e-30, 1e-19, 1e-9, 0.3, 0.5, 1, 2, 2.7, 5, 8, 1e6}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -37,7 +37,7 @@ func BenchmarkRunBetterResponse(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(i)))
 		s := game.FromGraphRandomOwners(gen.RandomTree(60, rng), rng)
 		cfg := DefaultConfig(game.Max, 2, 3)
-		cfg.Responder = NewMaxGreedyResponder()
+		cfg.Responder = newMaxGreedyResponder()
 		Run(s, cfg)
 	}
 }

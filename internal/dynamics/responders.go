@@ -47,13 +47,6 @@ func NewSumResponder() Responder {
 	}
 }
 
-// NewMaxGreedyResponder returns the single-move "better response" for
-// MAXNCG — the dynamics variant whose divergence the paper cites from
-// Kawald–Lenzner (§2).
-func NewMaxGreedyResponder() Responder {
-	return bestresponse.NewEvaluator().MaxGreedyResponse
-}
-
 // SwapResponder adapts swap.BestSwap to the engine: the player's only
 // move is to re-point one endpoint of an edge she owns (no purchases, no
 // deletions — Alon et al.'s basic game under the locality model; see

@@ -5,9 +5,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bestresponse"
 	"repro/internal/game"
 	"repro/internal/gen"
 )
+
+// newMaxGreedyResponder returns the single-move "better response" for
+// MAXNCG — the dynamics variant whose divergence the paper cites from
+// Kawald–Lenzner (§2).
+func newMaxGreedyResponder() Responder {
+	return bestresponse.NewEvaluator().MaxGreedyResponse
+}
 
 func TestScheduleStrings(t *testing.T) {
 	if RoundRobin.String() != "round-robin" ||
@@ -60,7 +68,7 @@ func TestBetterResponseDynamicsConverges(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	s := game.FromGraphRandomOwners(gen.RandomTree(20, rng), rng)
 	cfg := DefaultConfig(game.Max, 1, 3)
-	cfg.Responder = NewMaxGreedyResponder()
+	cfg.Responder = newMaxGreedyResponder()
 	res := Run(s, cfg)
 	if res.Status != Converged {
 		t.Fatalf("better-response dynamics status=%v", res.Status)
@@ -82,7 +90,7 @@ func TestBetterVsBestQuality(t *testing.T) {
 		t.Skip("no convergence at this seed")
 	}
 	greedyCfg := best
-	greedyCfg.Responder = NewMaxGreedyResponder()
+	greedyCfg.Responder = newMaxGreedyResponder()
 	if FirstDeviator(res.Final, greedyCfg) != -1 {
 		t.Fatal("best-response equilibrium fails the single-move audit")
 	}

@@ -66,7 +66,8 @@ func TestDominationNumberMatchesSolver(t *testing.T) {
 		g := gen.RandomTree(n, rng)
 		// Keep γ < n/2 so the reduction's cost calculus is strict: pad
 		// with a dominating-friendly star overlay when needed.
-		gamma := len(mds.MinDominatingExtra(g, nil))
+		dom, _ := mds.MinDominatingExtraAtMost(g, nil, g.N()+1)
+		gamma := len(dom)
 		if 2*gamma >= n {
 			continue
 		}

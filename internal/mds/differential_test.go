@@ -204,7 +204,7 @@ func FuzzMinDominatingExtra(f *testing.F) {
 			forced = append(forced, (int(at(1))/4+5*i)%n)
 		}
 		want := BruteForce(g, forced)
-		got := MinDominatingExtra(g, forced)
+		got, _ := MinDominatingExtraAtMost(g, forced, g.N()+1)
 		if len(got) != len(want) || !Dominates(g, got, forced) {
 			t.Fatalf("n=%d forced=%v: solver %v, brute force %v", n, forced, got, want)
 		}

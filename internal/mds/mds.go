@@ -113,20 +113,14 @@ type Solver struct {
 
 var solverPool = sync.Pool{New: func() any { return new(Solver) }}
 
-// MinDominatingExtra returns a minimum-cardinality set S of vertices such
-// that forced ∪ S dominates g. The result excludes forced vertices and is
-// exact. forced may be nil or empty, in which case the result is a true
-// minimum dominating set of g.
-func MinDominatingExtra(g *graph.Graph, forced []int) []int {
-	set, _ := MinDominatingExtraAtMost(g, forced, g.N()+1)
-	return set
-}
-
-// MinDominatingExtraAtMost behaves like MinDominatingExtra but only
-// searches for solutions of size strictly below cap, returning ok=false
-// when none exists. Callers that merely need "is there a dominating set
-// cheaper than my incumbent?" (the best-response loop) use the cap to
-// skip proving optimality of solutions they would discard anyway.
+// MinDominatingExtraAtMost returns a minimum-cardinality set S of vertices
+// such that forced ∪ S dominates g, when one of size strictly below limit
+// exists, and ok=false otherwise. The result excludes forced vertices and
+// is exact. forced may be nil or empty, making S a minimum dominating set
+// of g, and a limit of g.N()+1 always succeeds. Callers that merely need
+// "is there a dominating set cheaper than my incumbent?" (the
+// best-response loop) use the cap to skip proving optimality of solutions
+// they would discard anyway.
 func MinDominatingExtraAtMost(g *graph.Graph, forced []int, limit int) ([]int, bool) {
 	s := solverPool.Get().(*Solver)
 	defer solverPool.Put(s)

@@ -29,7 +29,7 @@ func BenchmarkExact(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := instances[i%len(instances)]
-		if set := MinDominatingExtra(g, nil); len(set) == 0 {
+		if set, _ := MinDominatingExtraAtMost(g, nil, g.N()+1); len(set) == 0 {
 			b.Fatal("empty MDS")
 		}
 	}
@@ -65,6 +65,6 @@ func BenchmarkExactWithForced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := instances[i%len(instances)]
-		MinDominatingExtra(g, []int{0, 1})
+		MinDominatingExtraAtMost(g, []int{0, 1}, g.N()+1)
 	}
 }

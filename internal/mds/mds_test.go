@@ -11,7 +11,7 @@ import (
 
 func TestMinDominatingStar(t *testing.T) {
 	g := gen.Star(8)
-	set := MinDominatingExtra(g, nil)
+	set, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 	if len(set) != 1 || set[0] != 0 {
 		t.Fatalf("star MDS=%v, want [0]", set)
 	}
@@ -20,7 +20,7 @@ func TestMinDominatingStar(t *testing.T) {
 func TestMinDominatingPath(t *testing.T) {
 	// Path on 6 vertices: domination number 2 (e.g. {1,4}).
 	g := gen.Path(6)
-	set := MinDominatingExtra(g, nil)
+	set, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 	if len(set) != 2 {
 		t.Fatalf("P6 MDS size=%d (%v), want 2", len(set), set)
 	}
@@ -32,7 +32,7 @@ func TestMinDominatingPath(t *testing.T) {
 func TestMinDominatingCycle(t *testing.T) {
 	// C_9 has domination number 3.
 	g := gen.Cycle(9)
-	set := MinDominatingExtra(g, nil)
+	set, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 	if len(set) != 3 || !Dominates(g, set, nil) {
 		t.Fatalf("C9 MDS=%v, want size 3", set)
 	}
@@ -40,19 +40,19 @@ func TestMinDominatingCycle(t *testing.T) {
 
 func TestMinDominatingComplete(t *testing.T) {
 	g := gen.Complete(7)
-	set := MinDominatingExtra(g, nil)
+	set, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 	if len(set) != 1 {
 		t.Fatalf("K7 MDS=%v, want single vertex", set)
 	}
 }
 
 func TestMinDominatingEmptyGraph(t *testing.T) {
-	if got := MinDominatingExtra(graph.New(0), nil); got != nil {
+	if got, _ := MinDominatingExtraAtMost(graph.New(0), nil, 1); got != nil {
 		t.Fatalf("empty graph MDS=%v, want nil", got)
 	}
 	// Edgeless graph: every vertex must dominate itself.
 	g := graph.New(4)
-	set := MinDominatingExtra(g, nil)
+	set, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 	if len(set) != 4 {
 		t.Fatalf("edgeless MDS=%v, want all 4 vertices", set)
 	}
@@ -60,7 +60,7 @@ func TestMinDominatingEmptyGraph(t *testing.T) {
 
 func TestForcedAlreadyDominates(t *testing.T) {
 	g := gen.Star(6)
-	set := MinDominatingExtra(g, []int{0})
+	set, _ := MinDominatingExtraAtMost(g, []int{0}, g.N()+1)
 	if len(set) != 0 {
 		t.Fatalf("forced star center should need no extras, got %v", set)
 	}
@@ -74,7 +74,7 @@ func TestForcedPartialCoverage(t *testing.T) {
 	// leaves 2 — single extra impossible; optimum 2 is wrong too — try
 	// {2,5}? no wait {2,4}: N[2]={1,2,3}, N[4]={3,4,5} → covers all. So 2.
 	g := gen.Path(6)
-	set := MinDominatingExtra(g, []int{0})
+	set, _ := MinDominatingExtraAtMost(g, []int{0}, g.N()+1)
 	if len(set) != 2 || !Dominates(g, set, []int{0}) {
 		t.Fatalf("forced-path extras=%v, want size 2", set)
 	}
@@ -142,7 +142,7 @@ func TestQuickSolverMatchesBruteForce(t *testing.T) {
 		for i := 0; i < n/3; i++ {
 			g.AddEdge(rng.Intn(n), rng.Intn(n))
 		}
-		exact := MinDominatingExtra(g, nil)
+		exact, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 		brute := BruteForce(g, nil)
 		return len(exact) == len(brute) && Dominates(g, exact, nil)
 	}
@@ -157,7 +157,7 @@ func TestQuickSolverMatchesBruteForceForced(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomTree(n, rng)
 		forced := []int{int(fRaw) % n}
-		exact := MinDominatingExtra(g, forced)
+		exact, _ := MinDominatingExtraAtMost(g, forced, g.N()+1)
 		brute := BruteForce(g, forced)
 		return len(exact) == len(brute) && Dominates(g, exact, forced)
 	}
@@ -172,7 +172,7 @@ func TestQuickGreedyAtLeastExact(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := gen.RandomTree(n, rng)
 		greedy := Greedy(g, nil)
-		exact := MinDominatingExtra(g, nil)
+		exact, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 		return len(greedy) >= len(exact) && Dominates(g, greedy, nil)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
@@ -187,7 +187,7 @@ func TestSolverModerateSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := MinDominatingExtra(g, nil)
+	set, _ := MinDominatingExtraAtMost(g, nil, g.N()+1)
 	if !Dominates(g, set, nil) {
 		t.Fatal("solver output does not dominate")
 	}

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -390,16 +391,26 @@ func (ws *Workspace) BallAdj(l int32) []int32 { return ws.tgt[ws.off[l]:ws.off[l
 // excluded) into out, which must have length Size(). Unreached vertices —
 // always including the center — get unreach32, larger than any real
 // distance. The maintained incremental state is untouched.
-func (ws *Workspace) BallDistFrom(src int32, out []int32) {
+func (ws *Workspace) BallDistFrom(src int32, out []int32) { ws.BallEccFrom([]int32{src}, out) }
+
+// BallEccFrom is BallDistFrom from all of srcs at once, locals other than
+// the center. It returns the eccentricity of the set in the center-less
+// ball: the largest distance from it to a local other than the center, or
+// graph.Unreachable when one is unreached (always, for an empty srcs and a
+// ball that holds more than the center).
+func (ws *Workspace) BallEccFrom(srcs, out []int32) int {
 	for i := range out {
 		out[i] = unreach32
 	}
-	out[src] = 0
-	q := ws.queue[:0]
-	q = append(q, src)
+	q := slices.Grow(ws.queue[:0], len(out))
+	for _, src := range srcs {
+		out[src] = 0
+		q = append(q, src)
+	}
+	d := int32(0) // the last dequeued local's distance, the largest
 	for head := 0; head < len(q); head++ {
 		v := q[head]
-		d := out[v]
+		d = out[v]
 		for _, w := range ws.tgt[ws.off[v]:ws.off[v+1]] {
 			if out[w] == unreach32 {
 				out[w] = d + 1
@@ -408,4 +419,8 @@ func (ws *Workspace) BallDistFrom(src int32, out []int32) {
 		}
 	}
 	ws.queue = q
+	if len(q) < len(out)-1 {
+		return graph.Unreachable
+	}
+	return int(d)
 }
