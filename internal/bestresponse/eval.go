@@ -26,8 +26,8 @@ import (
 // hands the solver under a cap of 2 or more (below the player's current
 // cost, at most 2k+1) and diam the largest diameter of a component of the
 // view: a few levels on every local view and every small-diameter graph,
-// close to rB of them on a long path under full knowledge. It is kept at
-// its high-water mark, like every other buffer here.
+// close to rB of them on a long path under full knowledge. The solver reads
+// a level in place, as its slab. The slab is kept at its high-water mark.
 //
 // An Evaluator also counts what its exact MAXNCG scans did (ScanStats):
 // most of that work is proving that no cheaper dominating set exists, and
@@ -53,11 +53,10 @@ type Evaluator struct {
 
 	// MAXNCG machinery: the closed-neighborhood powers of the center-less
 	// view (level-major, see buildPowers), the ball rows they are raised
-	// over, the rows of the level being solved, the forced-dominator list,
-	// the BFS distances of their reach, the incumbent set and the solver.
+	// over, the forced-dominator list, the BFS distances of their reach,
+	// the incumbent set and the solver.
 	powers  []uint64
 	rows    [][]int32
-	nbs     [][]uint64
 	forced  []int
 	dist    []int32
 	bestSet []int
@@ -375,19 +374,6 @@ func (e *Evaluator) buildPowers(rB, top int) int {
 	return top
 }
 
-// levelRows points e.nbs at the closed neighborhoods of the t-th power of
-// the center-less view, {i : d(j,i) <= t}, out of the levels buildPowers
-// stored.
-func (e *Evaluator) levelRows(rB, t, levels int) [][]uint64 {
-	words := (rB + 63) / 64
-	level := e.powers[min(t, levels-1)*rB*words:]
-	e.nbs = slices.Grow(e.nbs[:0], rB)[:rB]
-	for j := range e.nbs {
-		e.nbs[j] = level[j*words : (j+1)*words]
-	}
-	return e.nbs
-}
-
 // capOne is mds.Solver.Solve under cap 1 on level h-1, from the forced
 // set's reach (its eccentricity in the center-less view): the empty set
 // and no node when it covers N^{h-1}, else a root refusal, Proved 1.
@@ -480,7 +466,8 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 			if levels == 0 {
 				levels = e.buildPowers(rB, h)
 			}
-			extra, ok = e.solver.Solve(rB, e.levelRows(rB, h-1, levels), e.forced, limit)
+			stride := rB * ((rB + 63) / 64) // level h-1, row j N^{h-1}[j], is the slab
+			extra, ok = e.solver.Solve(rB, e.powers[min(h-1, levels-1)*stride:][:stride], e.forced, limit)
 			nodes, proved = e.solver.Nodes(), e.solver.Proved()
 			if e.solver.Exhausted() {
 				e.stats.BudgetExhausted++

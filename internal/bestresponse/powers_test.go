@@ -184,7 +184,7 @@ func TestCapOneMatchesSolver(t *testing.T) {
 					for lv := 0; lv < rB; lv++ {
 						tag := fmt.Sprintf("g=%d u=%d k=%d forced=%v reach=%d t=%d", gi, u, k, forced, reach, lv)
 						ok, nodes, proved := capOne(reach, lv+1)
-						set, want := solver.Solve(rB, bfsLevel(&e, lv), forced, 1)
+						set, want := solver.Solve(rB, slices.Concat(bfsLevel(&e, lv)...), forced, 1)
 						if ok != want || (ok && len(set) != 0) || nodes != solver.Nodes() || proved != solver.Proved() {
 							t.Fatalf("%s: capOne says ok=%v nodes=%d proved=%d, the solver %v %v nodes=%d proved=%d",
 								tag, ok, nodes, proved, set, want, solver.Nodes(), solver.Proved())

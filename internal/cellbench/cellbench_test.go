@@ -33,7 +33,8 @@ import (
 // bestresponse.Evaluator.ScanStats: dominating-set solves per call, and
 // the share of levels whose solve the carried lower bound made
 // unnecessary. Those are counts — they repeat exactly — so CI gates them
-// tightly.
+// tightly; the paper-tail row carries its scan's totals, which CI pins
+// exactly.
 type cellBench struct {
 	NsPerOp       float64 `json:"ns_per_op"`
 	AllocsPerOp   int64   `json:"allocs_per_op"`
@@ -45,6 +46,18 @@ type cellBench struct {
 	SkippedShare  float64 `json:"skipped_share,omitempty"`
 	// Cells is set on the sweep row, whose op is one cell of that many.
 	Cells int `json:"cells,omitempty"`
+	// Scan is set on the paper-tail row: what its run's scan did.
+	Scan *scanCounts `json:"scan,omitempty"`
+}
+
+// scanCounts is the part of bestresponse.ScanStats a row reports beside
+// its time: the quality of the run's answers (a budget-hit solve may cost
+// a response its certificate) next to the work that bought them.
+type scanCounts struct {
+	Calls           int64 `json:"calls"`
+	Solves          int64 `json:"solves"`
+	Nodes           int64 `json:"nodes"`
+	BudgetExhausted int64 `json:"budget_exhausted"`
 }
 
 // measured is the row of a benchmark that reports nothing but its cost.
@@ -121,6 +134,7 @@ func TestBenchCell(t *testing.T) {
 		results[name] = row
 	}
 	results["SweepJobMaxLocal"] = sweepJobRow(t)
+	results["PaperTailTree80"] = paperTailRow(t)
 	for name, row := range cellLineRows(t) {
 		results[name] = row
 	}
@@ -216,6 +230,43 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 			c.name, row.NsPerOp, row.AllocsPerOp, probe.Rounds, probe.Evaluations)
 	}
 	return rows
+}
+
+// paperTailRow runs one cell of the paper's tail to convergence under the
+// exact MAX responder: a random tree on 80 players with random owners,
+// seed 3 (as `ncg-sim -graph tree -n 80 -seed 3` builds it), α = 0.05,
+// k = 10. Of the timed cells of ROADMAP direction 3(a)'s class (trees and
+// ER(n, 0.1), n = 66–80, α ∈ {0.025, 0.05, 0.1}, k ∈ {10, 15, 30, 1000}),
+// it is the heaviest whose run takes at most 10 s on a 2-core box: 5.7 M
+// search nodes, none of its solves out of budget. One op is one run, on a
+// fresh Evaluator as NewMaxResponder gives every run; the row reports that
+// run's scan counts beside its time.
+func paperTailRow(t *testing.T) cellBench {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	proto := game.FromGraphRandomOwners(gen.RandomTree(80, rng), rng)
+	cfg := dynamics.DefaultConfig(game.Max, 0.05, 10)
+	var scan *bestresponse.Evaluator
+	var status dynamics.Status
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			s := proto.Clone()
+			scan = bestresponse.NewEvaluator()
+			cfg.Responder = scan.MaxBestResponse
+			b.StartTimer()
+			status = dynamics.Run(s, cfg).Status
+		}
+	})
+	if status != dynamics.Converged {
+		t.Fatalf("PaperTailTree80: dynamics did not converge (%v)", status)
+	}
+	st := scan.ScanStats()
+	row := measured(r)
+	row.Scan = &scanCounts{Calls: st.Calls, Solves: st.Solves, Nodes: st.Nodes, BudgetExhausted: st.BudgetExhausted}
+	t.Logf("PaperTailTree80: %.0f ns/op, %d allocs/op, %+v", row.NsPerOp, row.AllocsPerOp, st)
+	return row
 }
 
 // statsPassRows times the engine's statistics pass alone, through its

@@ -21,7 +21,8 @@ import (
 // the vertex with id base+i.
 func PowerStep(rows [][]int32, base int32, words int, prev, next []uint64) bool {
 	grew := false
-	if words == 1 {
+	switch words {
+	case 1:
 		// At most 64 vertices, as in most local views: a row is a register.
 		for j, nbrs := range rows {
 			w := prev[j]
@@ -32,6 +33,8 @@ func PowerStep(rows [][]int32, base int32, words int, prev, next []uint64) bool 
 			grew = grew || w != prev[j]
 		}
 		return grew
+	case 2:
+		return powerStep2(rows, base, prev, next)
 	}
 	copy(next, prev)
 	for j, nbrs := range rows {
@@ -42,6 +45,22 @@ func PowerStep(rows [][]int32, base int32, words int, prev, next []uint64) bool 
 			}
 		}
 		grew = grew || !slices.Equal(row, prev[j*words:(j+1)*words])
+	}
+	return grew
+}
+
+// powerStep2 is PowerStep on rows of two words (at most 128 vertices): a
+// row is a pair of registers. Inlined in PowerStep, it moved the general
+// loop's code onto a 64-byte-line crossing that ran 16% slower.
+func powerStep2(rows [][]int32, base int32, prev, next []uint64) bool {
+	grew := false
+	for j, nbrs := range rows {
+		w0, w1 := prev[2*j], prev[2*j+1]
+		for _, l := range nbrs {
+			w0, w1 = w0|prev[2*(l-base)], w1|prev[2*(l-base)+1]
+		}
+		next[2*j], next[2*j+1] = w0, w1
+		grew = grew || w0 != prev[2*j] || w1 != prev[2*j+1]
 	}
 	return grew
 }

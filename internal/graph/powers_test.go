@@ -98,11 +98,11 @@ func TestPowerStatsNegativeRadiusPanics(t *testing.T) {
 
 // TestPowerStepBase pins the id offset the best-response scan relies on: a
 // view without its center numbers its rows from 1, and must get the rows
-// the same graph numbered from 0 gets — on the one-word path and on the
-// general one.
+// the same graph numbered from 0 gets — on the one-word path, the
+// two-word path and the general one.
 func TestPowerStepBase(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{40, 70} {
+	for _, n := range []int{40, 70, 150} {
 		words := (n + 63) / 64
 		g := New(n)
 		for v := 1; v < n; v++ {

@@ -19,9 +19,11 @@ type instance struct {
 
 // rows returns the closed neighborhoods of g as freshly allocated bitsets.
 func rows(g *graph.Graph) [][]uint64 {
+	words := (g.N() + 63) / 64
+	slab := slices.Clone(new(Solver).closedNeighborhoods(g))
 	out := make([][]uint64, g.N())
-	for v, nb := range new(Solver).closedNeighborhoods(g) {
-		out[v] = slices.Clone(nb)
+	for v := range out {
+		out[v] = slab[v*words : (v+1)*words]
 	}
 	return out
 }
@@ -48,6 +50,9 @@ func randomInstance(n int, rng *rand.Rand) instance {
 	}
 	return in
 }
+
+// slab returns the instance's rows as one slab, the layout Solve takes.
+func (in instance) slab() []uint64 { return slices.Concat(in.nbs...) }
 
 // refSolve runs the retained core on a copy of the instance's rows.
 func refSolve(in instance, limit int) ([]int, bool, int) {
@@ -84,7 +89,7 @@ func TestSolverMatchesRetainedCore(t *testing.T) {
 			instances++
 			for _, limit := range []int{1, 2, (n + 3) / 4, n + 1} {
 				want, wantOK, wantNodes := refSolve(in, limit)
-				got, ok := s.Solve(in.n, in.nbs, in.forced, limit)
+				got, ok := s.Solve(in.n, in.slab(), in.forced, limit)
 				if !sameSet(got, want) || ok != wantOK {
 					t.Fatalf("n=%d forced=%v limit=%d: got %v %v, retained core %v %v",
 						n, in.forced, limit, got, ok, want, wantOK)
@@ -144,8 +149,8 @@ func TestSolverReuse(t *testing.T) {
 		in := randomInstance(n, rng)
 		for _, limit := range []int{n + 1, 2, 1} {
 			var fresh Solver
-			want, wantOK := fresh.Solve(in.n, in.nbs, in.forced, limit)
-			got, ok := reused.Solve(in.n, in.nbs, in.forced, limit)
+			want, wantOK := fresh.Solve(in.n, in.slab(), in.forced, limit)
+			got, ok := reused.Solve(in.n, in.slab(), in.forced, limit)
 			if !sameSet(got, want) || ok != wantOK || reused.nodes != fresh.nodes {
 				t.Fatalf("n=%d limit=%d: reused solver got %v %v after %d nodes, fresh %v %v after %d",
 					n, limit, got, ok, reused.nodes, want, wantOK, fresh.nodes)

@@ -20,6 +20,9 @@
 // warm start, then the branch-and-bound. What a solve proved is kept
 // (Solver.Proved), so the scan can carry it to levels where the
 // neighborhoods are smaller and the optimum can only be larger.
+// Most solves expand a node or two, so their time is passes over the rows,
+// which sit in one slab: a pass reads a row of one or two words as
+// registers, and a solve passes over its rows once at its root.
 package mds
 
 import (
@@ -41,16 +44,6 @@ func popcount(b []uint64) int {
 	c := 0
 	for _, w := range b {
 		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// gain counts the vertices of nb that are in uncov.
-func gain(nb, uncov []uint64) int {
-	uncov = uncov[:len(nb)]
-	c := 0
-	for i, w := range nb {
-		c += bits.OnesCount64(w & uncov[i])
 	}
 	return c
 }
@@ -86,7 +79,8 @@ var nodeBudget = 4 << 20
 // allocates nothing. The zero value is ready to use; instances of any size
 // may follow each other. A Solver is not safe for concurrent use.
 type Solver struct {
-	nbs [][]uint64 // the caller's closed neighborhoods; read, never written
+	slab  []uint64 // the caller's closed neighborhoods, row v at v*words; read, never written
+	words int
 
 	full    []uint64 // every vertex id below n
 	forced  []uint64
@@ -94,21 +88,20 @@ type Solver struct {
 	blocked []uint64 // packingBound's scratch
 	covered []uint64 // one row per search depth, grown on demand
 	size    []int    // |N[v]|, for pickBranchVertex
-	gains   []int    // gain of every vertex at the node being expanded
+	gains   []int    // gain of every vertex at the node being expanded (the root's until search leaves it)
+	picks   []int    // gains at greedy's later picks
 	cand    []int    // candidate lists of the nodes on the current path
 	chosen  []int    // the current path's selection; empty between solves, like cand
 
-	best     []int // incumbent; meaningful only while found
-	found    bool
-	bestSize int  // strict size bound for further solutions
-	nodes    int  // search nodes expanded
-	proved   int  // see Proved
-	cutOff   bool // see Exhausted
+	best      []int // incumbent; meaningful only while found
+	found     bool
+	bestSize  int  // strict size bound for further solutions
+	rootBound int  // the root's lowerBound; its pass left gains and size
+	nodes     int  // search nodes expanded
+	proved    int  // see Proved
+	cutOff    bool // see Exhausted
 
-	// Neighborhoods of the graph entry points, built here so that they
-	// too are reused.
-	graphSlab []uint64
-	graphRows [][]uint64
+	graphSlab []uint64 // the package-level entry points' rows, reused too
 }
 
 var solverPool = sync.Pool{New: func() any { return new(Solver) }}
@@ -133,44 +126,46 @@ func MinDominatingExtraAtMost(g *graph.Graph, forced []int, limit int) ([]int, b
 // bitsets: nbs[v] must contain bit v plus every vertex v dominates, packed
 // in (n+63)/64 uint64 words. The best-response hot path builds these
 // directly as neighborhood powers instead of materializing power graphs.
-// The slices are read, never written, and the search is the same
-// branch-and-bound as the graph entry point, so identical neighborhoods
-// yield identical solutions.
+// The rows are copied into one slab; the search is the graph entry point's,
+// so identical neighborhoods yield identical solutions.
 func MinDominatingExtraAtMostBitsets(n int, nbs [][]uint64, forced []int, limit int) ([]int, bool) {
 	s := solverPool.Get().(*Solver)
 	defer solverPool.Put(s)
-	set, ok := s.Solve(n, nbs, forced, limit)
+	s.graphSlab = s.graphSlab[:0]
+	for _, nb := range nbs[:n] {
+		s.graphSlab = append(s.graphSlab, nb[:(n+63)/64]...)
+	}
+	set, ok := s.Solve(n, s.graphSlab, forced, limit)
 	return slices.Clone(set), ok
 }
 
-// closedNeighborhoods returns N[v] = {v} ∪ N(v) as bitsets held by s.
-func (s *Solver) closedNeighborhoods(g *graph.Graph) [][]uint64 {
+// closedNeighborhoods returns the slab of N[v] = {v} ∪ N(v), held by s.
+func (s *Solver) closedNeighborhoods(g *graph.Graph) []uint64 {
 	n := g.N()
 	words := (n + 63) / 64
 	s.graphSlab = resize(s.graphSlab, n*words)
 	clear(s.graphSlab)
-	s.graphRows = resize(s.graphRows, n)
-	for v := range s.graphRows {
+	for v := range n {
 		nb := s.graphSlab[v*words : (v+1)*words]
 		setBit(nb, v)
 		for _, w := range g.Neighbors(v) {
 			setBit(nb, int(w))
 		}
-		s.graphRows[v] = nb
 	}
-	return s.graphRows
+	return s.graphSlab
 }
 
-// Solve is MinDominatingExtraAtMostBitsets on s's buffers. The returned
-// slice belongs to s and may be overwritten by its next solve — also by
-// one that fails — so a caller that keeps a result copies it.
+// Solve is MinDominatingExtraAtMostBitsets on s's buffers, with N[v] read
+// from slab[v·w : (v+1)·w], w = ⌈n/64⌉. The returned slice belongs to s
+// and is overwritten by its next solve, also one that fails.
 //
 // The root's two lower bounds are tried against limit itself before the
 // greedy warm start and the search. A root bound that already needs limit
 // picks is exactly the case where the warm start would give up and the
 // search would stop at its first node, so the early return changes neither
-// the answer nor the node count (it reports that one node).
-func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, bool) {
+// the answer nor the node count (it reports that one node). Greedy's first
+// pick and the search's root read the gains and bounds of that one pass.
+func (s *Solver) Solve(n int, slab []uint64, forced []int, limit int) ([]int, bool) {
 	s.nodes, s.proved, s.cutOff = 0, 0, false
 	if n == 0 {
 		return nil, limit > 0
@@ -178,11 +173,11 @@ func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, b
 	if limit <= 0 {
 		return nil, false
 	}
-	s.reset(n, nbs, forced)
+	s.reset(n, slab, forced)
 	if first(s.uncov) == -1 {
 		return []int{}, true
 	}
-	if s.rootNeeds(limit) {
+	if s.rootBound = s.lowerBound(s.size, limit); s.rootBound >= limit {
 		s.nodes, s.proved = 1, limit
 		return nil, false
 	}
@@ -203,20 +198,63 @@ func (s *Solver) Solve(n int, nbs [][]uint64, forced []int, limit int) ([]int, b
 	return s.best, true
 }
 
-// rootNeeds reports whether one of search's two lower bounds, evaluated at
-// the root (uncov as reset left it), already demands limit or more picks.
-func (s *Solver) rootNeeds(limit int) bool {
+// lowerBound fills gains (and size unless nil) at uncov and returns the
+// larger of two bounds on the picks still needed, or the first if it
+// reaches limit: a pick covers at most maxGain uncovered vertices, and
+// uncovered vertices with pairwise disjoint closed neighborhoods each need
+// their own (packingBound, much tighter on paths, cycles and tori).
+func (s *Solver) lowerBound(size []int, limit int) int {
+	maxGain := s.fillGains(s.gains, size)
+	need := (popcount(s.uncov) + maxGain - 1) / maxGain
+	if need >= limit {
+		return need
+	}
+	return max(need, s.packingBound())
+}
+
+// fillGains writes |N[v] ∩ uncov| to out[v], and |N[v]| to size[v] unless
+// size is nil, and returns the largest gain or 1. Rows of one or two words
+// are read into registers.
+func (s *Solver) fillGains(out, size []int) int {
 	maxGain := 1
-	for _, nb := range s.nbs {
-		if g := gain(nb, s.uncov); g > maxGain {
-			maxGain = g
+	switch s.words {
+	case 1:
+		u := s.uncov[0]
+		for v, w := range s.slab[:len(out)] {
+			out[v] = bits.OnesCount64(w & u)
+			maxGain = max(maxGain, out[v])
+			if size != nil {
+				size[v] = bits.OnesCount64(w)
+			}
+		}
+	case 2:
+		u0, u1 := s.uncov[0], s.uncov[1]
+		rows := s.slab[:2*len(out)]
+		for v := range out {
+			w0, w1 := rows[2*v], rows[2*v+1]
+			out[v] = bits.OnesCount64(w0&u0) + bits.OnesCount64(w1&u1)
+			maxGain = max(maxGain, out[v])
+			if size != nil {
+				size[v] = bits.OnesCount64(w0) + bits.OnesCount64(w1)
+			}
+		}
+	default:
+		for v := range out {
+			out[v] = 0
+			for i, w := range s.nb(v) {
+				out[v] += bits.OnesCount64(w & s.uncov[i])
+			}
+			maxGain = max(maxGain, out[v])
+			if size != nil {
+				size[v] = popcount(s.nb(v))
+			}
 		}
 	}
-	if (popcount(s.uncov)+maxGain-1)/maxGain >= limit {
-		return true
-	}
-	return s.packingBound() >= limit
+	return maxGain
 }
+
+// nb returns row v of the slab, N[v].
+func (s *Solver) nb(v int) []uint64 { return s.slab[v*s.words : (v+1)*s.words] }
 
 // Nodes returns the number of search nodes the last Solve expanded.
 func (s *Solver) Nodes() int { return s.nodes }
@@ -234,15 +272,16 @@ func (s *Solver) Exhausted() bool { return s.cutOff }
 
 // reset sizes the buffers for an n-vertex instance and leaves row 0 of
 // covered holding what forced dominates, uncov its complement.
-func (s *Solver) reset(n int, nbs [][]uint64, forced []int) {
+func (s *Solver) reset(n int, slab []uint64, forced []int) {
 	words := (n + 63) / 64
-	s.nbs = nbs[:n]
+	s.slab, s.words = slab[:n*words], words
 	s.full = resize(s.full, words)
 	s.forced = resize(s.forced, words)
 	s.uncov = resize(s.uncov, words)
 	s.blocked = resize(s.blocked, words)
 	s.size = resize(s.size, n)
 	s.gains = resize(s.gains, n)
+	s.picks = resize(s.picks, n)
 	for i := range s.full {
 		s.full[i] = ^uint64(0)
 	}
@@ -250,15 +289,12 @@ func (s *Solver) reset(n int, nbs [][]uint64, forced []int) {
 		s.full[words-1] = 1<<(n%64) - 1
 	}
 	clear(s.forced)
-	for v, nb := range s.nbs {
-		s.size[v] = popcount(nb)
-	}
 	s.covered = s.covered[:0]
 	covered := s.row(0)
 	clear(covered)
 	for _, f := range forced {
 		setBit(s.forced, f)
-		for i, w := range nbs[f] {
+		for i, w := range s.nb(f) {
 			covered[i] |= w
 		}
 	}
@@ -284,14 +320,15 @@ func (s *Solver) setUncovered(covered []uint64) {
 }
 
 // greedyExtra fills best by repeatedly picking the vertex that covers the
-// most uncovered vertices, starting from row 0. It gives up, reporting
-// false, as soon as the set can no longer stay below limit: such a warm
-// start would be discarded anyway.
+// most uncovered vertices, starting from row 0 and the root's gains. It
+// gives up, reporting false, as soon as the set can no longer stay below
+// limit: such a warm start would be discarded anyway.
 func (s *Solver) greedyExtra(limit int) bool {
 	// The search has not started, so depth 1's row is free to consume.
 	covered := s.row(1)
 	copy(covered, s.row(0))
 	s.best = s.best[:0]
+	gains := s.gains
 	for {
 		s.setUncovered(covered)
 		u := first(s.uncov)
@@ -301,17 +338,18 @@ func (s *Solver) greedyExtra(limit int) bool {
 		if len(s.best)+1 >= limit {
 			return false
 		}
+		if len(s.best) > 0 {
+			s.fillGains(s.picks, nil)
+			gains = s.picks
+		}
 		bestV, bestGain := u, 0 // isolated uncovered vertices cover only themselves
-		for v, nb := range s.nbs {
-			if hasBit(s.forced, v) {
-				continue
-			}
-			if g := gain(nb, s.uncov); g > bestGain {
+		for v, g := range gains {
+			if g > bestGain && !hasBit(s.forced, v) {
 				bestGain, bestV = g, v
 			}
 		}
 		s.best = append(s.best, bestV)
-		for i, w := range s.nbs[bestV] {
+		for i, w := range s.nb(bestV) {
 			covered[i] |= w
 		}
 	}
@@ -335,31 +373,17 @@ func (s *Solver) search(covered []uint64) {
 		s.bestSize = len(s.chosen)
 		return
 	}
-	// Lower bound 1: each new vertex covers at most maxGain uncovered
-	// vertices, so at least ceil(uncovered/maxGain) more picks are needed.
-	open := popcount(s.uncov)
-	maxGain := 1
-	for v, nb := range s.nbs {
-		g := gain(nb, s.uncov)
-		s.gains[v] = g
-		if g > maxGain {
-			maxGain = g
-		}
+	bound := s.rootBound // at the root, Solve's root pass left it and the gains
+	if len(s.chosen) > 0 {
+		bound = s.lowerBound(nil, s.bestSize-len(s.chosen))
 	}
-	need := (open + maxGain - 1) / maxGain
-	if len(s.chosen)+need >= s.bestSize {
-		return
-	}
-	// Lower bound 2 (packing): uncovered vertices whose closed
-	// neighborhoods are pairwise disjoint each require a distinct pick.
-	// Much tighter than LB1 on sparse graphs (paths, cycles, tori).
-	if len(s.chosen)+s.packingBound() >= s.bestSize {
+	if len(s.chosen)+bound >= s.bestSize {
 		return
 	}
 	// Branch over the candidates that can cover u, best gain first (ties
 	// by vertex id: the insertion sort is stable).
 	base := len(s.cand)
-	for i, w := range s.nbs[u] {
+	for i, w := range s.nb(u) {
 		for w &= s.full[i]; w != 0; w &= w - 1 {
 			s.cand = append(s.cand, i*64+bits.TrailingZeros64(w))
 		}
@@ -373,7 +397,7 @@ func (s *Solver) search(covered []uint64) {
 	next := s.row(len(s.chosen) + 1)
 	for i := base; i < top; i++ {
 		c := s.cand[i]
-		for x, w := range s.nbs[c] {
+		for x, w := range s.nb(c) {
 			next[x] = w | covered[x]
 		}
 		s.chosen = append(s.chosen, c)
@@ -394,7 +418,7 @@ func (s *Solver) packingBound() int {
 	for i, w := range s.uncov {
 	vertices:
 		for ; w != 0; w &= w - 1 {
-			nb := s.nbs[i*64+bits.TrailingZeros64(w)]
+			nb := s.nb(i*64 + bits.TrailingZeros64(w))
 			for x, b := range s.blocked[:len(nb)] {
 				if nb[x]&b != 0 {
 					continue vertices

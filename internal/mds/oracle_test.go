@@ -22,6 +22,7 @@ func Greedy(g *graph.Graph, forced []int) []int {
 	s := solverPool.Get().(*Solver)
 	defer solverPool.Put(s)
 	s.reset(n, s.closedNeighborhoods(g), forced)
+	s.lowerBound(s.size, math.MaxInt) // greedy's first pick reads the root's gains
 	s.greedyExtra(math.MaxInt)
 	return append([]int(nil), s.best...)
 }

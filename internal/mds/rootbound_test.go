@@ -19,13 +19,13 @@ func TestRootBoundExitMatchesRetainedCore(t *testing.T) {
 		in := randomInstance(n, rng)
 		for _, limit := range []int{1, 2, 3, (n + 3) / 4, n + 1} {
 			want, wantOK, wantNodes := refSolve(in, limit)
-			s.reset(in.n, in.nbs, in.forced)
-			fired := first(s.uncov) != -1 && s.rootNeeds(limit)
+			s.reset(in.n, in.slab(), in.forced)
+			fired := first(s.uncov) != -1 && s.lowerBound(s.size, limit) >= limit
 			if atRoot := !wantOK && wantNodes == 1; fired != atRoot {
 				t.Fatalf("n=%d forced=%v limit=%d: root bounds refuse: %v; retained core: ok=%v after %d nodes",
 					n, in.forced, limit, fired, wantOK, wantNodes)
 			}
-			got, ok := s.Solve(in.n, in.nbs, in.forced, limit)
+			got, ok := s.Solve(in.n, in.slab(), in.forced, limit)
 			if !sameSet(got, want) || ok != wantOK || s.Nodes() != wantNodes {
 				t.Fatalf("n=%d forced=%v limit=%d: got %v %v after %d nodes, retained core %v %v after %d",
 					n, in.forced, limit, got, ok, s.Nodes(), want, wantOK, wantNodes)
@@ -63,7 +63,7 @@ func TestExhaustedSolveProvesNothing(t *testing.T) {
 		in := randomInstance(n, rng)
 		for _, limit := range []int{3, (n + 3) / 4, n + 1} {
 			nodeBudget = room
-			opt, optOK := s.Solve(in.n, in.nbs, in.forced, limit)
+			opt, optOK := s.Solve(in.n, in.slab(), in.forced, limit)
 			if s.Nodes() < 8 {
 				continue // too easy to cut short
 			}
@@ -75,7 +75,7 @@ func TestExhaustedSolveProvesNothing(t *testing.T) {
 			}
 			nodeBudget = 4
 			want, wantOK, wantNodes := refSolve(in, limit)
-			got, ok := s.Solve(in.n, in.nbs, in.forced, limit)
+			got, ok := s.Solve(in.n, in.slab(), in.forced, limit)
 			if !sameSet(got, want) || ok != wantOK || s.Nodes() != wantNodes || wantNodes != nodeBudget {
 				t.Fatalf("n=%d limit=%d: cut short, got %v %v after %d nodes, retained core %v %v after %d",
 					n, limit, got, ok, s.Nodes(), want, wantOK, wantNodes)
