@@ -14,7 +14,7 @@ func benchParams() experiments.Params {
 	return experiments.Params{
 		Scale:         experiments.ScaleCI,
 		Seed:          1,
-		AlphaGrid:     []float64{0.5, 1, 2, 5},
+		AlphaGrid:     []float64{0.1, 0.5, 1, 2, 5},
 		KGrid:         []int{2, 3, 5, 1000},
 		SeedsOverride: 3,
 		TreeSizeGrid:  []int{20, 50},

@@ -125,11 +125,17 @@ func (e *Evaluator) SumDelta(s *game.State, u, k int, alpha float64, strategy []
 		e.edges = append(e.edges, int32(l))
 	}
 	e.ws.ResetBase(e.edges)
-	sum, ok := e.ws.InnerSum()
+	return e.sumDelta(alpha, len(strategy), s.BoughtCount(u))
+}
+
+// sumDelta is SUMNCG's Δ of the workspace's center edges, a candidate of
+// candLen bought edges against bought now (InfiniteCost if inadmissible).
+func (e *Evaluator) sumDelta(alpha float64, candLen, bought int) float64 {
+	sum, ok := e.ws.ViewSum()
 	if !ok {
 		return game.InfiniteCost
 	}
-	return alpha*float64(len(strategy)-s.BoughtCount(u)) + float64(sum-e.ws.InnerBase())
+	return alpha*float64(candLen-bought) + float64(sum-e.ws.ViewBase())
 }
 
 // growFlags sizes and zero-fills assumptions for the per-local filter.
@@ -309,10 +315,7 @@ func (e *Evaluator) SumBestResponseExhaustive(s *game.State, u, k int, alpha flo
 		}
 		mark := e.ws.Mark()
 		e.ws.AddEdgesRelax(e.edges)
-		d := game.InfiniteCost
-		if sum, ok := e.ws.InnerSum(); ok {
-			d = alpha*float64(len(e.edges)-bought) + float64(sum-e.ws.InnerBase())
-		}
+		d := e.sumDelta(alpha, len(e.edges), bought)
 		e.ws.Undo(mark)
 		if d < bestDelta-epsilon {
 			bestDelta = d

@@ -45,13 +45,7 @@ func (e *Evaluator) descend(s *game.State, u, k int, alpha float64, variant game
 	var cur float64
 	var eval func(candLen int) float64
 	if variant == game.Sum {
-		eval = func(candLen int) float64 {
-			sum, ok := e.ws.InnerSum()
-			if !ok {
-				return game.InfiniteCost
-			}
-			return alpha*float64(candLen-bought) + float64(sum-e.ws.InnerBase())
-		}
+		eval = func(candLen int) float64 { return e.sumDelta(alpha, candLen, bought) }
 	} else {
 		cur = alpha*float64(bought) + float64(e.ws.ViewEcc())
 		eval = func(candLen int) float64 {

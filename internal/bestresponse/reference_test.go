@@ -18,7 +18,9 @@ import (
 // differential_test.go pin the two against each other on randomized
 // instances. Nothing outside the tests calls them.
 
-// refSumDelta is the reference implementation of SumDelta.
+// refSumDelta is the reference implementation of SumDelta. It sums over
+// the whole view, frontier included, as the completion oracle
+// (completion_oracle_test.go) says the worst case does.
 func refSumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64 {
 	v := view.Extract(s.Graph(), u, k)
 	hPrime := v.H.Clone()
@@ -41,20 +43,14 @@ func refSumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64
 	newDist := make([]int, hPrime.N())
 	hPrime.BFS(v.Center, newDist)
 
-	// Frontier guard: d_H(u,f) = k must imply d_{H'}(u,f) <= k.
-	for i, d := range v.Dist {
-		if d == v.K && newDist[i] > v.K {
-			return game.InfiniteCost
-		}
-	}
+	// Frontier guard: d_H(u,f) = k must imply d_{H'}(u,f) <= k, and no
+	// view vertex may become unreachable.
 	delta := alpha * float64(len(strategy)-s.BoughtCount(u))
 	for i, d := range v.Dist {
-		if d < v.K {
-			if newDist[i] >= graph.Unreachable {
-				return game.InfiniteCost
-			}
-			delta += float64(newDist[i] - d)
+		if newDist[i] >= graph.Unreachable || (d == v.K && newDist[i] > v.K) {
+			return game.InfiniteCost
 		}
+		delta += float64(newDist[i] - d)
 	}
 	return delta
 }

@@ -8,12 +8,14 @@ import (
 // for SUMNCG (Prop. 2.2), relative to the current strategy:
 //
 //   - if the candidate strategy pushes any frontier vertex (distance
-//     exactly k in H) beyond distance k in the modified view H', the
-//     worst case is unbounded and the move can never improve → +Inf;
-//   - otherwise Δ = α(|σ'|-|σ|) + Σ_{v: d_H(u,v)<k} (d_{H'}(u,v) - d_H(u,v)),
-//     attained at G = H.
+//     exactly k in H) beyond distance k in the modified view H', or
+//     disconnects a view vertex, the worst case is unbounded and the move
+//     can never improve → +Inf;
+//   - otherwise Δ = α(|σ'|-|σ|) + Σ_{v: d_H(u,v)≤k} (d_{H'}(u,v) - d_H(u,v)),
+//     over the whole view, frontier included, attained at G = H.
 //
-// A strategy is improving exactly when SumDelta < 0.
+// A strategy is improving exactly when SumDelta < 0. completion_oracle_test.go
+// builds every network consistent with the view: it is the specification.
 func SumDelta(s *game.State, u, k int, alpha float64, strategy []int) float64 {
 	e := evalPool.Get().(*Evaluator)
 	d := e.SumDelta(s, u, k, alpha, strategy)

@@ -34,6 +34,10 @@ func render(t *testing.T, p Params, drivers ...func(Params) (Report, error)) str
 // tables (classical thresholds, NE ⊆ LKE) sweep nothing either; the
 // tables before them hash to 53f4be61…59b9, the hash taken with the
 // drivers calling dynamics.Sweep directly (before they became daemon jobs).
+// SUM's kernel 1 (the worst-case Δ summed over the whole view) moved two
+// rows from f13f6939…a7fa: Theorem 4.4's full-view fraction at α = 0.5,
+// k = 2 went 0 → 1, and NE ⊆ LKE's SUMNCG row at α = 0.5, k = 2 went from
+// 624 LKE and PoA_LKE 1.433 to 64 and 1.
 func TestDriversGoldenHash(t *testing.T) {
 	p := micro(t)
 	sweepless := []string{"tableI", "tableII", "fig1", "fig2", "fig3", "fig4", "audit"}
@@ -44,7 +48,7 @@ func TestDriversGoldenHash(t *testing.T) {
 		}
 	}
 	out := render(t, p, runs...)
-	const want = "f13f6939a6784f7480dd2a9ceac51f429517cce119ffdf9195041208a692a7fa"
+	const want = "79ba71020a3457e31395e8df08c2621edde6e053eaa0a359ae3223bc2b46c249"
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
 		t.Fatalf("driver tables hash to %s, want %s:\n%s", got, want, out)
 	}

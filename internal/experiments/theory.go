@@ -64,14 +64,6 @@ func corollary314(p Params) (Report, error) {
 // theorem44 checks Theorem 4.4 for SUMNCG: when k > 1 + 2√α, every
 // equilibrium player sees the whole network. SUMNCG dynamics use the exact
 // responder on small instances (n = 14).
-//
-// Known violation: at -scale ci the check fails at one cell, α = 0.1 and
-// k = 2, where the criterion holds (2 > 1 + 2√0.1 ≈ 1.63) but the measured
-// full-view fraction is 0. bestresponse.SumDelta sums only over
-// d_H(u,v) < k, at k = 2 u's neighbours, so no move ever improves and
-// every starting tree is stable for every α; the criterion appears to
-// credit the frontier vertex's own saving. Which side is wrong waits on the
-// text of Prop. 2.2 and Theorem 4.4 (ROADMAP direction 13(b)).
 func theorem44(p Params) (Report, error) {
 	return fullViewCheck(p, sweepd.Spec{Variant: "sum", N: 14, BaseSeed: p.Seed + 44}, "Theorem 4.4",
 		"Theorem 4.4 check — full views in SUMNCG equilibria (k > 1+2√α)", "theorem applies",

@@ -2,10 +2,12 @@ package experiments
 
 import "testing"
 
-// theory runs the registry's theory entry at the micro grid.
+// theory runs the registry's theory entry at the micro grid plus α = 0.1,
+// where k = 2 is the smallest radius Theorem 4.4 applies to.
 func theory(t *testing.T) (Params, Report) {
 	t.Helper()
 	p := micro(t)
+	p.AlphaGrid = append([]float64{0.1}, p.AlphaGrid...)
 	for _, e := range All {
 		if e.ID == "theory" {
 			r, err := e.Run(p)

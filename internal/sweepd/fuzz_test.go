@@ -142,7 +142,8 @@ func FuzzVerifyReplica(f *testing.F) {
 
 // FuzzSpecDecode: whatever JSON a client or peer sends as a spec,
 // Normalize is idempotent, Validate does not panic, and the two content
-// addresses do not move under a second Normalize.
+// addresses do not move under a second Normalize or when the normalized
+// spec is stored and read back.
 func FuzzSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"n":30,"alphas":[0.5,1,2],"ks":[2,1000],"seeds":4}`))
 	f.Add([]byte(`{"dialect":"best-response","variant":"sum","graph":"gnp","n":100,"p":0.1,"q":3,"alphas":[2,2,1],"ks":[3,3],"seeds":1,"trajectories":true}`))
@@ -172,6 +173,9 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if sp.ID() != id || sp.KernelHash() != kernel {
 			t.Fatalf("ID/KernelHash moved under a second Normalize: %s/%s → %s/%s", id, kernel, sp.ID(), sp.KernelHash())
+		}
+		if stored, err := decodeSpec(once); err != nil || stored.ID() != id || stored.KernelHash() != kernel {
+			t.Fatalf("ID/KernelHash moved when read back (%v): %s/%s → %s/%s", err, id, kernel, stored.ID(), stored.KernelHash())
 		}
 		if verr2 := sp.Validate(); (verr == nil) != (verr2 == nil) {
 			t.Fatalf("Validate changed its mind under a second Normalize: %v → %v", verr, verr2)

@@ -162,6 +162,10 @@ func (h *handler) peerLease(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := req.Spec
+	if err := sp.checkKernel(); err != nil { // before Normalize stamps a spec that names none
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	sp.Normalize()
 	if err := sp.Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())

@@ -1,7 +1,6 @@
 package sweepd
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -24,11 +23,10 @@ func (h *handler) replicaJob(id string) (Job, bool) {
 	if err != nil || m.JobID != id {
 		return Job{}, false
 	}
-	var sp Spec
-	if err := json.Unmarshal(m.Spec, &sp); err != nil {
+	sp, err := decodeSpec(m.Spec)
+	if err != nil {
 		return Job{}, false
 	}
-	sp.Normalize()
 	total := sp.NumCells()
 	return Job{
 		ID:        id,

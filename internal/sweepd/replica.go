@@ -38,11 +38,10 @@ func VerifyReplica(id string, m store.ReplicaManifest, body []byte) (checkpoint,
 	if m.Status != string(StatusDone) {
 		return fail("non-terminal status %q; only done jobs replicate", m.Status)
 	}
-	var sp Spec
-	if err := json.Unmarshal(m.Spec, &sp); err != nil {
+	sp, err := decodeSpec(m.Spec)
+	if err != nil {
 		return fail("invalid spec: %w", err)
 	}
-	sp.Normalize()
 	if err := sp.Validate(); err != nil {
 		return fail("invalid spec: %w", err)
 	}

@@ -145,6 +145,10 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	m.mu.Lock()
 	js.job.Completed = done
 	m.mu.Unlock()
+	if err := sp.checkKernel(); err != nil && done < sp.NumCells() {
+		fail(err) // a stored spec of an older kernel is served, never computed on
+		return
+	}
 
 	w, err := m.store.Appender(id)
 	if err != nil {

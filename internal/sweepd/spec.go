@@ -41,6 +41,10 @@ type Spec struct {
 	Dialect string `json:"dialect,omitempty"`
 	// Variant is "max" or "sum" (default "max").
 	Variant string `json:"variant,omitempty"`
+	// Kernel is the version of the variant's cell kernel, hashed like any
+	// field. Normalize stamps this build's (kernels); another is refused. A
+	// stored SUM spec without one is version 0: served, never computed on.
+	Kernel int `json:"kernel,omitempty"`
 	// Graph is the starting-network family: "tree" (random tree; the
 	// default), "gnp" (connected Erdős–Rényi, edge probability P),
 	// "grid-delete" (near-square grid, each edge deleted with
@@ -96,10 +100,39 @@ const maxPlayers = 10_000
 // two architectures would seed the same cell differently.
 const maxAlpha = 1e12
 
-// Normalize fills defaults in place and lets the spec's graph family
-// zero the parameters that do not apply to it (the hash discipline: a
-// spec's canonical JSON must not carry meaningless fields).
+// kernels maps a variant to the kernel version this build runs; MAX runs
+// 0. SUM's 1 sums SumDelta's worst case over the whole view (0: interior).
+var kernels = map[string]int{"sum": 1}
+
+// checkKernel refuses a spec whose kernel version this build does not run.
+func (sp Spec) checkKernel() error {
+	if want := kernels[sp.Variant]; sp.Kernel != want {
+		return fmt.Errorf("sweepd: %v kernel %d is not this build's; it runs kernel %d", sp.variant(), sp.Kernel, want)
+	}
+	return nil
+}
+
+// Normalize fills defaults in place, lets the spec's graph family zero the
+// parameters that do not apply to it (the hash discipline: a spec's
+// canonical JSON must not carry meaningless fields) and stamps a spec that
+// names no kernel with this build's.
 func (sp *Spec) Normalize() {
+	sp.fillDefaults()
+	if sp.Kernel == 0 {
+		sp.Kernel = kernels[sp.Variant]
+	}
+}
+
+// decodeSpec reads a stored or received spec, normalized but with the
+// kernel its bytes name: stamping a version-0 spec would move its ID.
+func decodeSpec(data []byte) (sp Spec, err error) {
+	err = json.Unmarshal(data, &sp)
+	sp.fillDefaults()
+	return sp, err
+}
+
+// fillDefaults is Normalize without the kernel stamp.
+func (sp *Spec) fillDefaults() {
 	if sp.Dialect == DialectBestResponse {
 		sp.Dialect = "" // canonical spelling of the default, hash-compatible with legacy specs
 	}
@@ -140,6 +173,9 @@ func (sp Spec) Validate() error {
 	case "max", "sum":
 	default:
 		return fmt.Errorf("sweepd: unknown variant %q (valid: max sum)", sp.Variant)
+	}
+	if err := sp.checkKernel(); err != nil && sp.Kernel != 0 { // 0: MAX's, or a stored SUM spec's
+		return err
 	}
 	if sp.N < 2 {
 		return fmt.Errorf("sweepd: need n ≥ 2, got %d", sp.N)

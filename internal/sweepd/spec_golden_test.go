@@ -1,13 +1,33 @@
 package sweepd
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
+
+// pinned fails unless sp's content addresses are id and kernel.
+func pinned(t *testing.T, sp Spec, id, kernel string) {
+	t.Helper()
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	if got := sp.ID(); got != id {
+		t.Errorf("ID() = %q, pinned value %q", got, id)
+	}
+	if got := sp.KernelHash(); got != kernel {
+		t.Errorf("KernelHash() = %q, pinned value %q", got, kernel)
+	}
+}
 
 // TestSpecGoldenHashes pins ID()/KernelHash() values computed before the
 // dialect refactor for a table of representative legacy specs. A job's ID
 // names its directory in the store and its KernelHash keys the result
 // cache, so any drift here silently orphans existing job stores and cache
 // spills. New spec fields must follow the omitempty discipline (zero value
-// for every legacy spec) so these hashes never move.
+// for every legacy spec) so these hashes never move. The legacy table is
+// kernel version 0, read as a store holds it (decodeSpec, LoadSpec's
+// path); under Normalize its MAX specs keep those values, and its SUM
+// specs move to the kernel-1 table's.
 func TestSpecGoldenHashes(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -48,18 +68,28 @@ func TestSpecGoldenHashes(t *testing.T) {
 			kernel: "42e59947a4966a5527484032553d53eaae2755321a6617a65479cf13428b2c34",
 		},
 	}
+	v1 := map[string][2]string{
+		"sum-gnp":              {"685c317020d81cca", "0595289ae36731465a3068ce6de6b338a15610de7167f2cacd4654f8ace856b2"},
+		"sum-tree-long-budget": {"6d65e1d3cce6e9ef", "cd87f8b465a88860a4efd7b4418728a5f0b0b8e5f936eb15ed7e3f9dee679440"},
+	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			data, err := json.Marshal(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := decodeSpec(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pinned(t, stored, c.id, c.kernel)
+
 			sp := c.spec
 			sp.Normalize()
-			if err := sp.Validate(); err != nil {
-				t.Fatalf("Validate: %v", err)
-			}
-			if got := sp.ID(); got != c.id {
-				t.Errorf("ID() = %q, pinned pre-refactor value %q", got, c.id)
-			}
-			if got := sp.KernelHash(); got != c.kernel {
-				t.Errorf("KernelHash() = %q, pinned pre-refactor value %q", got, c.kernel)
+			if want, ok := v1[c.name]; ok {
+				pinned(t, sp, want[0], want[1])
+			} else {
+				pinned(t, sp, c.id, c.kernel)
 			}
 		})
 	}

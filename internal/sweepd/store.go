@@ -47,16 +47,15 @@ func (st *Store) CreateJob(sp Spec) (id string, created bool, err error) {
 	return id, created, nil
 }
 
-// LoadSpec reads a job's spec back, normalized.
+// LoadSpec reads a job's spec back, normalized, with the kernel it names.
 func (st *Store) LoadSpec(id string) (Spec, error) {
 	data, err := st.ReadSpec(id)
 	if err != nil {
 		return Spec{}, fmt.Errorf("sweepd: %w", err)
 	}
-	var sp Spec
-	if err := json.Unmarshal(data, &sp); err != nil {
+	sp, err := decodeSpec(data)
+	if err != nil {
 		return Spec{}, fmt.Errorf("sweepd: job %s: invalid spec %s: %w", id, st.SpecPath(id), err)
 	}
-	sp.Normalize()
 	return sp, nil
 }

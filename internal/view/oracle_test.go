@@ -19,7 +19,8 @@ import (
 
 // refExtract is Workspace.Extract as it stood before the one-pass form:
 // ball BFS, a counting pass and a filling pass over every ball adjacency,
-// then the center's adjacency and the baselines. (The sizing of the
+// then the center's adjacency and the baselines, whose distance sum now
+// runs over the whole ball as SUMNCG's Δ does. (The sizing of the
 // incremental buffers that followed did not change and is left out; the
 // reference workspace is only ever read for what an extraction fills.)
 func (ws *Workspace) refExtract(g *graph.Graph, u, k int) {
@@ -96,13 +97,11 @@ func (ws *Workspace) refExtract(g *graph.Graph, u, k int) {
 	}
 
 	// Baselines of the unmodified view.
-	ws.innerBase = 0
+	ws.viewBase = 0
 	ws.viewEcc = 0
 	for l := 0; l < b; l++ {
 		d := ws.Dist[l]
-		if int(d) < k {
-			ws.innerBase += int64(d)
-		}
+		ws.viewBase += int64(d)
 		if d > ws.viewEcc {
 			ws.viewEcc = d
 		}
@@ -160,8 +159,8 @@ func checkExtract(t *testing.T, tag string, ws, ref *Workspace, o oracleGraph, n
 			t.Fatalf("%s: CenterAdj %v is not 1..deg", tag, ws.CenterAdj)
 		}
 	}
-	if ws.ViewEcc() != ref.ViewEcc() || ws.InnerBase() != ref.InnerBase() {
-		t.Fatalf("%s: ecc %d base %d, reference %d %d", tag, ws.ViewEcc(), ws.InnerBase(), ref.ViewEcc(), ref.InnerBase())
+	if ws.ViewEcc() != ref.ViewEcc() || ws.ViewBase() != ref.ViewBase() {
+		t.Fatalf("%s: ecc %d base %d, reference %d %d", tag, ws.ViewEcc(), ws.ViewBase(), ref.ViewEcc(), ref.ViewBase())
 	}
 	b := ws.Size()
 	for l := 0; l < b; l++ {
@@ -184,9 +183,7 @@ func checkExtract(t *testing.T, tag string, ws, ref *Workspace, o oracleGraph, n
 		}
 		local[int(gv)] = l
 		ecc = max(ecc, d)
-		if d < k {
-			base += int64(d)
-		}
+		base += int64(d)
 	}
 	inBall := 0
 	for _, d := range dist {
@@ -197,8 +194,8 @@ func checkExtract(t *testing.T, tag string, ws, ref *Workspace, o oracleGraph, n
 	if b != inBall || ws.Orig[0] != int32(u) {
 		t.Fatalf("%s: ball of %d vertices centered at %d, oracle %d at %d", tag, b, ws.Orig[0], inBall, u)
 	}
-	if ws.ViewEcc() != ecc || ws.InnerBase() != base {
-		t.Fatalf("%s: ecc %d base %d, oracle %d %d", tag, ws.ViewEcc(), ws.InnerBase(), ecc, base)
+	if ws.ViewEcc() != ecc || ws.ViewBase() != base {
+		t.Fatalf("%s: ecc %d base %d, oracle %d %d", tag, ws.ViewEcc(), ws.ViewBase(), ecc, base)
 	}
 	for gv := -1; gv <= n+200; gv++ { // past n: a reused lid is longer than this graph
 		want, ok := local[gv]
@@ -268,7 +265,7 @@ func checkMaintained(t *testing.T, tag string, ws *Workspace, o oracleGraph, edg
 	dist := h.distFrom(u)
 
 	sum, ecc := 0, 0
-	innerSum, admissible := int64(0), true
+	admissible := true
 	for l := 0; l < b; l++ {
 		d, ok := dist[int(ws.Orig[l])]
 		if !ok {
@@ -279,21 +276,19 @@ func checkMaintained(t *testing.T, tag string, ws *Workspace, o oracleGraph, edg
 		}
 		sum += d
 		ecc = max(ecc, d)
-		if int(ws.Dist[l]) < ws.K {
-			innerSum += int64(d)
-			admissible = admissible && ok
-		} else if d > ws.K {
-			admissible = false // Prop. 2.2: a frontier vertex left the radius
+		if !ok || (int(ws.Dist[l]) == ws.K && d > ws.K) {
+			admissible = false // Prop. 2.2: unreached, or a frontier vertex left the radius
 		}
-	}
-	if !admissible {
-		innerSum = 0
 	}
 	if ws.SumAll() != sum || ws.EccAll() != ecc {
 		t.Fatalf("%s: SumAll %d EccAll %d, oracle %d %d", tag, ws.SumAll(), ws.EccAll(), sum, ecc)
 	}
-	if got, ok := ws.InnerSum(); got != innerSum || ok != admissible {
-		t.Fatalf("%s: InnerSum %d %v, oracle %d %v", tag, got, ok, innerSum, admissible)
+	viewSum := int64(sum)
+	if !admissible {
+		viewSum = 0
+	}
+	if got, ok := ws.ViewSum(); got != viewSum || ok != admissible {
+		t.Fatalf("%s: ViewSum %d %v, oracle %d %v", tag, got, ok, viewSum, admissible)
 	}
 }
 

@@ -22,7 +22,7 @@ const unreach32 = int32(1) << 30
 //	ws.ResetBase(edges)   // full O(ball) recompute: center adjacent to edges
 //	mark := ws.Mark()
 //	ws.AddEdgeRelax(w)    // decrease-only re-relax from the new endpoint
-//	... read SumAll/EccAll/InnerSum ...
+//	... read SumAll/EccAll/ViewSum ...
 //	ws.Undo(mark)         // O(touched) rollback
 //
 // Because every candidate edge is incident to the center, a deviation can
@@ -33,9 +33,9 @@ const unreach32 = int32(1) << 30
 //
 // Alongside the distances the workspace maintains, incrementally and
 // undoably, the aggregate statistics every responder needs: the sum of
-// distances and unreached count over the whole ball (swap objectives), the
-// sum over the strict interior (SUMNCG's Δ), and the count of frontier or
-// interior vertices pushed beyond the radius (SUMNCG's guard).
+// distances and unreached count over the whole ball (SUMNCG's Δ and the
+// swap objectives) and the count of frontier vertices pushed beyond the
+// radius (SUMNCG's guard).
 //
 // A Workspace is not safe for concurrent use. Get one from the pool with
 // GetWorkspace and return it with PutWorkspace.
@@ -63,22 +63,20 @@ type Workspace struct {
 	// walking the previous Orig, so reuse costs O(previous ball), not O(n).
 	lid []int32
 
-	// innerBase is Σ Dist over the strict interior (Dist < K): the
-	// baseline SUMNCG's Δ subtracts.
-	innerBase int64
+	// viewBase is Σ Dist over the whole ball: the baseline SUMNCG's Δ
+	// subtracts.
+	viewBase int64
 	// viewEcc is the eccentricity of the center within the view.
 	viewEcc int32
 
 	// cur is the maintained distance-from-center under the active center
 	// edge set, plus the derived aggregates.
-	cur          []int32
-	histo        []int32
-	histoHi      int32
-	sumReach     int64
-	unreach      int32
-	innerSum     int64
-	innerUnreach int32
-	frontBad     int32
+	cur      []int32
+	histo    []int32
+	histoHi  int32
+	sumReach int64
+	unreach  int32
+	frontBad int32
 
 	// journal of (local, previous distance) pairs for Undo.
 	jv []int32
@@ -110,8 +108,8 @@ func (ws *Workspace) LocalOf(g int) int {
 // ViewEcc returns the eccentricity of the center within the view.
 func (ws *Workspace) ViewEcc() int { return int(ws.viewEcc) }
 
-// InnerBase returns Σ Dist over the strict interior (Dist < K).
-func (ws *Workspace) InnerBase() int64 { return ws.innerBase }
+// ViewBase returns Σ Dist over the whole ball.
+func (ws *Workspace) ViewBase() int64 { return ws.viewBase }
 
 // Extract fills the workspace with the radius-k ball of u in g, replacing
 // any previous contents. Local ids are assigned in ball BFS order — the
@@ -142,7 +140,7 @@ func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 	ws.CenterAdj = ws.CenterAdj[:0]
 	ws.off = append(ws.off[:0], 0, 0) // the center's row is empty
 	ws.tgt = ws.tgt[:0]
-	ws.innerBase = 0
+	ws.viewBase = 0
 
 	// Ball BFS over the global graph; lid doubles as the visited mark.
 	ws.lid[u] = 1
@@ -151,7 +149,7 @@ func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 	head := 0
 	for ; head < len(ws.Orig) && int(ws.Dist[head]) < k; head++ {
 		d := ws.Dist[head]
-		ws.innerBase += int64(d)
+		ws.viewBase += int64(d)
 		for _, w := range g.Neighbors(int(ws.Orig[head])) {
 			if ws.lid[w] == 0 {
 				ws.Orig = append(ws.Orig, w)
@@ -172,6 +170,7 @@ func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 		ws.off = append(ws.off, int32(len(ws.tgt)))
 	}
 	b := len(ws.Orig)
+	ws.viewBase += int64(k) * int64(b-head) // the frontier, all at distance k
 	// Frontier rows; max skips the center when k == 0 stopped the BFS there.
 	for l := max(head, 1); l < b; l++ {
 		for _, w := range g.Neighbors(int(ws.Orig[l])) {
@@ -209,14 +208,8 @@ func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 // account folds vertex l's distance d into the aggregates with the given
 // sign (+1 when d becomes live, -1 when it stops being live).
 func (ws *Workspace) account(l, d int32, sign int32) {
-	vd := ws.Dist[l]
 	if d == unreach32 {
 		ws.unreach += sign
-		if int(vd) < ws.K {
-			ws.innerUnreach += sign
-		} else {
-			ws.frontBad += sign
-		}
 		return
 	}
 	ws.sumReach += int64(sign) * int64(d)
@@ -224,9 +217,7 @@ func (ws *Workspace) account(l, d int32, sign int32) {
 	if sign > 0 && d > ws.histoHi {
 		ws.histoHi = d
 	}
-	if int(vd) < ws.K {
-		ws.innerSum += int64(sign) * int64(d)
-	} else if int(d) > ws.K {
+	if int(d) > ws.K && int(ws.Dist[l]) == ws.K {
 		ws.frontBad += sign
 	}
 }
@@ -240,8 +231,7 @@ func (ws *Workspace) ResetBase(edges []int32) {
 		ws.histo[d] = 0
 	}
 	ws.histoHi = 0
-	ws.sumReach, ws.innerSum = 0, 0
-	ws.unreach, ws.innerUnreach, ws.frontBad = 0, 0, 0
+	ws.sumReach, ws.unreach, ws.frontBad = 0, 0, 0
 	ws.jv = ws.jv[:0]
 	ws.jd = ws.jd[:0]
 
@@ -370,15 +360,14 @@ func (ws *Workspace) EccAll() int {
 	return 0
 }
 
-// InnerSum returns Σ cur over the strict interior (Dist < K) and whether
-// the candidate is admissible: false when an interior vertex became
-// unreachable or a frontier/interior vertex was pushed beyond the radius
-// (Prop. 2.2's guard).
-func (ws *Workspace) InnerSum() (sum int64, ok bool) {
-	if ws.innerUnreach > 0 || ws.frontBad > 0 {
+// ViewSum returns Σ cur over the whole ball and whether the candidate is
+// admissible: false when a ball vertex became unreachable or a frontier
+// vertex (Dist == K) was pushed beyond the radius (Prop. 2.2's guard).
+func (ws *Workspace) ViewSum() (sum int64, ok bool) {
+	if ws.unreach > 0 || ws.frontBad > 0 {
 		return 0, false
 	}
-	return ws.innerSum, true
+	return ws.sumReach, true
 }
 
 // BallAdj returns the ball-CSR row of local l: its neighbors within the

@@ -124,7 +124,8 @@ var (
 	ExtractView = view.Extract
 	// MaxBestResponse is the exact MAXNCG best response (§5.3 reduction).
 	MaxBestResponse = bestresponse.MaxBestResponse
-	// SumDelta evaluates the worst-case SUMNCG cost change (Prop. 2.2).
+	// SumDelta evaluates the worst-case SUMNCG cost change (Prop. 2.2),
+	// summed over the whole view; +Inf when a frontier vertex leaves it.
 	SumDelta = bestresponse.SumDelta
 )
 
