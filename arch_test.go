@@ -72,6 +72,7 @@ var archRules = []struct {
 	{"one-assembly", oneAssembly},
 	{"one-clock", oneClock},
 	{"one-fake-clock", oneFakeClock},
+	{"one-responder-assembly", oneResponderAssembly},
 }
 
 // onePeerClient: one peer client, with no second HTTP client, transport
@@ -425,6 +426,23 @@ func oneFakeClock(tr *tree) (out []finding) {
 			}
 		}
 	}
+	return out
+}
+
+// oneResponderAssembly: one place writes each move rule.
+// internal/dynamics/responders.go builds every responder on its own
+// Evaluator, and a run reports the solver work of its responses
+// (Result.Scan), so no caller needs an Evaluator of its own to read them.
+// A non-test bestresponse.NewEvaluator call outside internal/bestresponse
+// and internal/dynamics is a second copy of a rule, free to drift from the
+// one a sweep runs.
+func oneResponderAssembly(tr *tree) (out []finding) {
+	everywhere := func(*goFile) bool { return true }
+	tr.inspect(nonTest(everywhere, "internal/bestresponse", "internal/dynamics"), func(f *goFile, n ast.Node) {
+		if sel, ok := n.(*ast.SelectorExpr); ok && f.qualified(sel, "repro/internal/bestresponse") == "NewEvaluator" {
+			out = append(out, tr.find(sel, "bestresponse.NewEvaluator outside internal/dynamics"))
+		}
+	})
 	return out
 }
 

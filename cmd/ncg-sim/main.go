@@ -18,7 +18,6 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/bestresponse"
 	"repro/internal/dynamics"
 	"repro/internal/game"
 	"repro/internal/gen"
@@ -86,13 +85,6 @@ func main() {
 	cfg := dynamics.DefaultConfig(v, *alpha, *k)
 	cfg.MaxRounds = *rounds
 	cfg.CollectPerRound = true
-	var scan *bestresponse.Evaluator
-	if v == game.Max {
-		// NewMaxResponder's rule, on an Evaluator whose scan counters the
-		// summary can read.
-		scan = bestresponse.NewEvaluator()
-		cfg.Responder = scan.MaxBestResponse
-	}
 
 	fmt.Printf("%s dynamics: n=%d α=%g k=%d graph=%s seed=%d\n\n",
 		v, *n, *alpha, *k, *graphF, *seed)
@@ -106,12 +98,11 @@ func main() {
 
 	fmt.Printf("\noutcome: %s after %d rounds, %d total moves",
 		res.Status, res.Rounds, res.TotalMoves)
-	if scan != nil {
+	if v == game.Max {
 		// A solve that ran out of search budget returns a dominating set
 		// nobody certified: that many responses may not have been best ones.
-		st := scan.ScanStats()
 		fmt.Printf("; %d responder calls, %d solves, %d out of search budget",
-			st.Calls, st.Solves, st.BudgetExhausted)
+			res.Evaluations, res.Scan.Solves, res.Scan.BudgetExhausted)
 	}
 	fmt.Println()
 	fs := res.FinalStats

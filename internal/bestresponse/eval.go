@@ -29,11 +29,6 @@ import (
 // close to rB of them on a long path under full knowledge. The solver reads
 // a level in place, as its slab. The slab is kept at its high-water mark.
 //
-// An Evaluator also counts what its exact MAXNCG scans did (ScanStats):
-// most of that work is proving that no cheaper dominating set exists, and
-// the counters say how much of it the root bounds and the carried lower
-// bound of MaxBestResponse disposed of.
-//
 // An Evaluator is not safe for concurrent use: give each worker its own.
 type Evaluator struct {
 	ws view.Workspace
@@ -62,18 +57,17 @@ type Evaluator struct {
 	bestSet []int
 	solver  mds.Solver
 
-	stats ScanStats
 	// onSkip, set by tests only, sees every level the scan's carried bound
 	// skips, with the cap its solve would have run under.
 	onSkip func(h, limit int)
 }
 
-// ScanStats counts what the exact MAXNCG scan (MaxBestResponse) has done
-// over an Evaluator's lifetime. The counts depend only on the sequence of
-// calls, never on timing, and are observations: nothing that is written to
-// a checkpoint reads them.
+// ScanStats counts what one exact MAXNCG scan (MaxBestResponse) did: most
+// of it is proving that no cheaper dominating set exists, and the counts
+// say how much the root bounds and the carried lower bound disposed of.
+// They depend on the call's inputs alone (a fresh and a reused Evaluator
+// agree), and no checkpoint reads them.
 type ScanStats struct {
-	Calls  int64 // MaxBestResponse calls
 	Levels int64 // target eccentricities below the player's current cost
 	// Solves + Skipped is every level whose cap was computed; the rest of
 	// Levels fell to the incumbent found at a higher level.
@@ -87,8 +81,15 @@ type ScanStats struct {
 	BudgetExhausted int64
 }
 
-// ScanStats returns the counters accumulated so far.
-func (e *Evaluator) ScanStats() ScanStats { return e.stats }
+// Add sums o into s: a run's counts are its responses' sum.
+func (s *ScanStats) Add(o ScanStats) {
+	s.Levels += o.Levels
+	s.Solves += o.Solves
+	s.Skipped += o.Skipped
+	s.RootRefusals += o.RootRefusals
+	s.Nodes += o.Nodes
+	s.BudgetExhausted += o.BudgetExhausted
+}
 
 const (
 	flagCurrent uint8 = 1 << iota // local is a current strategy target
@@ -404,7 +405,6 @@ func capOne(reach, h int) (ok bool, nodes, proved int) {
 // nothing (mds.Solver.Proved) and leaves lb alone.
 func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Response {
 	e.prepare(s, u, k)
-	e.stats.Calls++
 	cur := alpha*float64(s.BoughtCount(u)) + float64(e.ws.ViewEcc())
 	rB := e.ws.Size() - 1 // the center-less view H∖{u}; rest j = local j+1
 	if rB == 0 {
@@ -429,7 +429,7 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 	for hTop >= 1 && float64(hTop) >= cur-epsilon {
 		hTop--
 	}
-	e.stats.Levels += int64(hTop)
+	st := ScanStats{Levels: int64(hTop)}
 
 	// Descending h with the incumbent cap, exactly like the reference:
 	// identical neighborhoods feed an identical branch-and-bound.
@@ -450,7 +450,7 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 			}
 		}
 		if limit <= lb {
-			e.stats.Skipped++
+			st.Skipped++
 			if e.onSkip != nil {
 				e.onSkip(h, limit)
 			}
@@ -473,17 +473,17 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 			extra, ok = e.solver.Solve(rB, e.powers[min(h-1, levels-1)*stride:][:stride], e.forced, limit)
 			nodes, proved = e.solver.Nodes(), e.solver.Proved()
 			if e.solver.Exhausted() {
-				e.stats.BudgetExhausted++
+				st.BudgetExhausted++
 			}
 		}
 		lb = max(lb, proved)
-		e.stats.Solves++
-		e.stats.Nodes += int64(nodes)
+		st.Solves++
+		st.Nodes += int64(nodes)
 		if !ok {
 			// A search that gets past its root expands a child too, so one
 			// node means the root bounds refused.
 			if nodes == 1 {
-				e.stats.RootRefusals++
+				st.RootRefusals++
 			}
 			continue
 		}
@@ -496,24 +496,14 @@ func (e *Evaluator) MaxBestResponse(s *game.State, u, k int, alpha float64) Resp
 	}
 
 	if !improved {
-		return Response{
-			Strategy:    s.Strategy(u),
-			Cost:        cur,
-			CurrentCost: cur,
-			Improving:   false,
-		}
+		return Response{Strategy: s.Strategy(u), Cost: cur, CurrentCost: cur, Scan: st}
 	}
 	strategy := make([]int, 0, len(e.bestSet))
 	for _, j := range e.bestSet {
 		strategy = append(strategy, int(e.ws.Orig[j+1]))
 	}
 	sort.Ints(strategy)
-	return Response{
-		Strategy:    strategy,
-		Cost:        bestCost,
-		CurrentCost: cur,
-		Improving:   true,
-	}
+	return Response{Strategy: strategy, Cost: bestCost, CurrentCost: cur, Improving: true, Scan: st}
 }
 
 // MaxGreedyResponse is the Evaluator form of the package-level

@@ -43,6 +43,9 @@ type Response struct {
 	// Improving reports whether Strategy is strictly better than the
 	// current strategy (by more than epsilon).
 	Improving bool
+	// Scan is the exact MAXNCG scan's work for this one response (zero
+	// for every other responder).
+	Scan ScanStats
 }
 
 // MaxBestResponse computes an exact best response for player u in MAXNCG

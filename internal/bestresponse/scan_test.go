@@ -49,18 +49,23 @@ func TestMaxBestResponseTinyAlpha(t *testing.T) {
 // bound made the scan skip, with the neighborhoods, forced set and cap the
 // solve would have run under: each must be a refusal, or the skip changed
 // an answer. The differential tests already pin the responses; this pins
-// the reason they did not move.
+// the reason they did not move. Each response's counts are its own call's,
+// on a reused Evaluator as on a fresh one, and the checks below run on
+// their sum.
 func TestScanSkipsOnlyFailingLevels(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	var e Evaluator
-	calls, skips := 0, 0
+	var st ScanStats
+	skips := 0
 	for gi, g := range diffGraphs(rng) {
 		s := game.FromGraphRandomOwners(g, rng)
 		for _, k := range []int{1, 2, 3, 1000} {
 			for _, alpha := range []float64{0, 0.5, 1, 2, 3, 5, 8} {
 				for u := 0; u < s.N(); u++ {
 					tag := fmt.Sprintf("g=%d u=%d k=%d a=%g", gi, u, k, alpha)
+					callSkips := 0
 					e.onSkip = func(h, limit int) {
+						callSkips++
 						skips++
 						// The scan builds its powers lazily, so the slab may
 						// not hold level h-1 yet: build it from the BFS.
@@ -68,16 +73,21 @@ func TestScanSkipsOnlyFailingLevels(t *testing.T) {
 							t.Fatalf("%s: skipped h=%d, but %v dominates under its cap %d", tag, h, set, limit)
 						}
 					}
-					checkResponse(t, "MaxBestResponse["+tag+"]",
-						e.MaxBestResponse(s, u, k, alpha), refMaxBestResponse(s, u, k, alpha))
-					calls++
+					r := e.MaxBestResponse(s, u, k, alpha)
+					checkResponse(t, "MaxBestResponse["+tag+"]", r, refMaxBestResponse(s, u, k, alpha))
+					if r.Scan.Skipped != int64(callSkips) {
+						t.Fatalf("%s: stats %+v after %d observed skips", tag, r.Scan, callSkips)
+					}
+					if fresh := NewEvaluator().MaxBestResponse(s, u, k, alpha).Scan; fresh != r.Scan {
+						t.Fatalf("%s: a reused Evaluator counts %+v, a fresh one %+v", tag, r.Scan, fresh)
+					}
+					st.Add(r.Scan)
 				}
 			}
 		}
 	}
-	st := e.ScanStats()
-	if st.Calls != int64(calls) || st.Skipped != int64(skips) {
-		t.Fatalf("stats %+v after %d calls and %d observed skips", st, calls, skips)
+	if st.Skipped != int64(skips) {
+		t.Fatalf("stats %+v after %d observed skips", st, skips)
 	}
 	if st.Skipped == 0 || st.RootRefusals == 0 || st.Nodes <= st.RootRefusals {
 		t.Fatalf("stats %+v: the instances exercise no skip, no root refusal or no search", st)

@@ -29,8 +29,8 @@ import (
 // rounds to convergence, and responder evaluations per round, whose
 // strictly-below-players property CI asserts (the event-driven engine's
 // contract that rounds cost what actually changed). The two exact-MAX
-// rows also carry what the §5.3 scan did per responder call, from
-// bestresponse.Evaluator.ScanStats: dominating-set solves per call, and
+// rows also carry what the §5.3 scan did per responder call, from the
+// run's dynamics.Result.Scan: dominating-set solves per call, and
 // the share of levels whose solve the carried lower bound made
 // unnecessary. Those are counts — they repeat exactly — so CI gates them
 // tightly; the paper-tail row carries its scan's totals, which CI pins
@@ -50,9 +50,10 @@ type cellBench struct {
 	Scan *scanCounts `json:"scan,omitempty"`
 }
 
-// scanCounts is the part of bestresponse.ScanStats a row reports beside
-// its time: the quality of the run's answers (a budget-hit solve may cost
-// a response its certificate) next to the work that bought them.
+// scanCounts is the part of a run's scan counts a row reports beside its
+// time — its responder calls (Result.Evaluations) and the Result.Scan
+// totals: the quality of the run's answers (a budget-hit solve may cost a
+// response its certificate) next to the work that bought them.
 type scanCounts struct {
 	Calls           int64 `json:"calls"`
 	Solves          int64 `json:"solves"`
@@ -186,15 +187,7 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 		case "large-neighborhood":
 			cfg.NewResponder = func() dynamics.Responder { return dynamics.NewLargeNeighborhoodResponder(c.variant) }
 		}
-		probeCfg := cfg
-		var scan *bestresponse.Evaluator
-		if c.variant == game.Max && c.dialect == "" {
-			// Same responder as NewMaxResponder, on an Evaluator whose
-			// counters the row can read afterwards.
-			scan = bestresponse.NewEvaluator()
-			probeCfg.Responder = scan.MaxBestResponse
-		}
-		probe := dynamics.Run(proto.Clone(), probeCfg)
+		probe := dynamics.Run(proto.Clone(), cfg)
 		if probe.Status != dynamics.Converged {
 			t.Fatalf("%s: dynamics did not converge (%v after %d rounds)", c.name, probe.Status, probe.Rounds)
 		}
@@ -215,9 +208,9 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 			Rounds:        probe.Rounds,
 			EvalsPerRound: float64(probe.Evaluations) / float64(probe.Rounds),
 		}
-		if scan != nil {
-			st := scan.ScanStats()
-			row.SolvesPerCall = float64(st.Solves) / float64(st.Calls)
+		if c.variant == game.Max && c.dialect == "" {
+			st := probe.Scan
+			row.SolvesPerCall = float64(st.Solves) / float64(probe.Evaluations)
 			row.SkippedShare = float64(st.Skipped) / float64(st.Solves+st.Skipped)
 			t.Logf("%s: %+v", c.name, st)
 		}
@@ -238,34 +231,31 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 // k = 10. Of the timed cells of ROADMAP direction 3(a)'s class (trees and
 // ER(n, 0.1), n = 66–80, α ∈ {0.025, 0.05, 0.1}, k ∈ {10, 15, 30, 1000}),
 // it is the heaviest whose run takes at most 10 s on a 2-core box: 5.7 M
-// search nodes, none of its solves out of budget. One op is one run, on a
-// fresh Evaluator as NewMaxResponder gives every run; the row reports that
+// search nodes, none of its solves out of budget. One op is one run, on
+// the fresh responder DefaultConfig gives every run; the row reports that
 // run's scan counts beside its time.
 func paperTailRow(t *testing.T) cellBench {
 	t.Helper()
 	rng := rand.New(rand.NewSource(3))
 	proto := game.FromGraphRandomOwners(gen.RandomTree(80, rng), rng)
 	cfg := dynamics.DefaultConfig(game.Max, 0.05, 10)
-	var scan *bestresponse.Evaluator
-	var status dynamics.Status
+	var res dynamics.Result
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			s := proto.Clone()
-			scan = bestresponse.NewEvaluator()
-			cfg.Responder = scan.MaxBestResponse
 			b.StartTimer()
-			status = dynamics.Run(s, cfg).Status
+			res = dynamics.Run(s, cfg)
 		}
 	})
-	if status != dynamics.Converged {
-		t.Fatalf("PaperTailTree80: dynamics did not converge (%v)", status)
+	if res.Status != dynamics.Converged {
+		t.Fatalf("PaperTailTree80: dynamics did not converge (%v)", res.Status)
 	}
-	st := scan.ScanStats()
+	st := res.Scan
 	row := measured(r)
-	row.Scan = &scanCounts{Calls: st.Calls, Solves: st.Solves, Nodes: st.Nodes, BudgetExhausted: st.BudgetExhausted}
-	t.Logf("PaperTailTree80: %.0f ns/op, %d allocs/op, %+v", row.NsPerOp, row.AllocsPerOp, st)
+	row.Scan = &scanCounts{Calls: int64(res.Evaluations), Solves: st.Solves, Nodes: st.Nodes, BudgetExhausted: st.BudgetExhausted}
+	t.Logf("PaperTailTree80: %.0f ns/op, %d allocs/op, %d calls, %+v", row.NsPerOp, row.AllocsPerOp, res.Evaluations, st)
 	return row
 }
 

@@ -65,6 +65,39 @@ func TestSweepContextWorkerInvariance(t *testing.T) {
 	}
 }
 
+// TestSweepContextScanCountsPerCell: each cell of a sweep carries its own
+// exact MAX scan counts, equal to a lone Run of that cell, whether one
+// worker's responder ran every cell or four shared them — a worker's
+// reused Evaluator leaks no count from one cell into the next.
+func TestSweepContextScanCountsPerCell(t *testing.T) {
+	cells := testGrid()
+	cfg := dynamics.DefaultConfig(game.Max, 0, 0)
+	want := make([]dynamics.Result, len(cells))
+	for i, c := range cells {
+		lone := cfg
+		lone.Alpha, lone.K = c.Alpha, c.K
+		want[i] = dynamics.Run(dynamics.CellState(testFactory(14), c, 5), lone)
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := dynamics.SweepContext(context.Background(), cells, cfg, testFactory(14), 5,
+			dynamics.SweepOptions{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		solves := int64(0)
+		for i, r := range got {
+			if r.Result.Scan != want[i].Scan || r.Result.Evaluations != want[i].Evaluations {
+				t.Fatalf("%d workers, cell %+v: %d calls, scan %+v; a lone run makes %d calls, scan %+v",
+					workers, r.Cell, r.Result.Evaluations, r.Result.Scan, want[i].Evaluations, want[i].Scan)
+			}
+			solves += r.Result.Scan.Solves
+		}
+		if solves == 0 {
+			t.Fatal("no cell of the grid ran a dominating-set solve; the test pins nothing")
+		}
+	}
+}
+
 func TestSweepContextEmitsInCanonicalOrder(t *testing.T) {
 	cells := testGrid()
 	cfg := dynamics.DefaultConfig(game.Max, 0, 0)

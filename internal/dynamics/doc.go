@@ -65,6 +65,8 @@
 // fingerprint) — which is exactly what keeps sweep checkpoints
 // byte-identical, so sharding, caching, and replication inherit the
 // speedup for free. Result.Evaluations (responder calls actually made)
-// is the one field allowed to differ: it is how the sub-linear behavior
-// of converging cells is observed in benchmarks.
+// and Result.Scan (the exact MAX scans those calls ran) are the fields
+// allowed to differ: they are how the sub-linear behavior of converging
+// cells is observed in benchmarks, and the engine's counts are at most the
+// naive loop's.
 package dynamics

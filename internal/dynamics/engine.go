@@ -89,10 +89,11 @@ type Result struct {
 	// byte-identical either way, and this field only observes how much
 	// work the engine avoided.
 	Evaluations int
-	// RoundEvaluations records the responder calls of each round when
-	// CollectPerRound is set (parallel to PerRound), so trajectories can
-	// chart the skip rate as a run approaches convergence.
-	RoundEvaluations []int
+	// Scan sums the responses' exact MAXNCG scan counts over the run's
+	// Evaluations calls (zero under every other responder): solver work,
+	// and how many solves ran out of search budget and so may have cost a
+	// response its certificate. Like Evaluations, it is not serialized.
+	Scan bestresponse.ScanStats
 }
 
 // Config parameterizes a dynamics run.
@@ -217,6 +218,7 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 			}
 			evals++
 			r := cfg.Responder(s, u, cfg.K, cfg.Alpha)
+			res.Scan.Add(r.Scan)
 			if r.Improving {
 				if onMove != nil {
 					onMove(round, u, r)
@@ -232,7 +234,6 @@ func runEngine(ctx context.Context, s *game.State, cfg Config, schedule Schedule
 		res.Evaluations += evals
 		if cfg.CollectPerRound {
 			res.PerRound = append(res.PerRound, collect(ps, s, cfg, round, moves))
-			res.RoundEvaluations = append(res.RoundEvaluations, evals)
 		}
 		if moves == 0 {
 			res.Status = Converged

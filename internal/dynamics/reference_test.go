@@ -10,9 +10,10 @@ import (
 // This file is the executable specification of the round loop: the naive
 // dynamics — every player evaluated every round, statistics recomputed
 // from the public one-shot APIs — written with no regard for performance.
-// runEngine must produce byte-identical Results (Evaluations excepted);
-// differential_test.go enforces that over randomized games, variants, and
-// schedules. Change the spec and the engine together, or not at all.
+// runEngine must produce byte-identical Results (Evaluations and Scan
+// excepted); differential_test.go enforces that over randomized games,
+// variants, and schedules. Change the spec and the engine together, or not
+// at all.
 
 // runReference executes cfg under the given schedule exactly as the
 // pre-event-driven loops did. rng may be nil for RoundRobin.
@@ -46,6 +47,7 @@ func runReference(s *game.State, cfg Config, schedule Schedule, rng *rand.Rand) 
 			}
 			evals++
 			r := cfg.Responder(s, u, cfg.K, cfg.Alpha)
+			res.Scan.Add(r.Scan)
 			if r.Improving {
 				s.SetStrategy(u, r.Strategy)
 				moves++
@@ -56,7 +58,6 @@ func runReference(s *game.State, cfg Config, schedule Schedule, rng *rand.Rand) 
 		res.Evaluations += evals
 		if cfg.CollectPerRound {
 			res.PerRound = append(res.PerRound, referenceCollect(s, cfg, round, moves))
-			res.RoundEvaluations = append(res.RoundEvaluations, evals)
 		}
 		if moves == 0 {
 			res.Status = Converged

@@ -801,6 +801,13 @@ func (r *Registry) mergeGossipLocked(from string, mr *sweepd.MembersResponse, no
 		}
 		if l.Owner == from {
 			fromOwns[l.JobID] = true
+		} else if o := r.members[l.Owner]; o != nil && o.state == StateAlive && !o.lastSeen.IsZero() {
+			// An owner we have heard from and hold alive is pulled every
+			// tick, so hearsay of its leases is no news, only a finished
+			// job's lease bounced back after the owner dropped it. (A seed
+			// is alive before any contact; a dead owner's job still
+			// reaches its adopter by hearsay.)
+			continue
 		} else if cur, ok := r.leases[l.JobID]; ok &&
 			cur.Generation == l.Generation && cur.Owner == l.Owner {
 			// Hearsay must not refresh a lease we already hold: only the

@@ -692,3 +692,83 @@ func TestWakeHelloVoidingAProbeAsksForAnother(t *testing.T) {
 		t.Fatal("a confirmed member's probe left a wake behind")
 	}
 }
+
+// pullOnce is one pull of to's gossip by from, merged the way a probe
+// cycle merges it; the test, not the loop, picks the order of pulls.
+func (n *meshNet) pullOnce(t *testing.T, from, to string) {
+	t.Helper()
+	r := n.regs[from]
+	mr, err := r.probe.members(to)
+	if err != nil {
+		t.Fatalf("%s pulls %s: %v", from, to, err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.mergeGossipLocked(to, mr, sweepd.Time().Now())
+}
+
+// TestMeshLeaseDroppedByOwnerStaysDropped: once a job's owner drops its
+// lease, each member's copy goes at that member's next pull from the
+// owner and never comes back, whatever order the pulls run in. Hearsay
+// from a third member must not restore it: the owner is alive, so every
+// member pulls it every tick and hears its leases firsthand. Without
+// that rule two members passed a finished job's lease back and forth,
+// and its last copy outlived the job by seconds.
+func TestMeshLeaseDroppedByOwnerStaysDropped(t *testing.T) {
+	net := playedMesh(t, 3, Options{ProbeInterval: time.Hour})
+	var pairs [][2]string // every ordered member pair: one tick of pulls
+	for _, from := range net.urls {
+		for _, to := range net.urls {
+			if from != to {
+				pairs = append(pairs, [2]string{from, to})
+			}
+		}
+	}
+	for seed := uint64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 1))
+		owner := meshURL(rng.IntN(3))
+		job := fmt.Sprintf("j%d", seed)
+		holds := func(u string) bool {
+			for _, l := range net.regs[u].Leases() {
+				if l.JobID == job {
+					return true
+				}
+			}
+			return false
+		}
+
+		net.regs[owner].UpdateLease(sweepd.JobLease{JobID: job, Owner: owner, Generation: 1})
+		for _, p := range pairs {
+			net.pullOnce(t, p[0], p[1])
+		}
+		for _, u := range net.urls {
+			if !holds(u) {
+				t.Fatalf("seed %d: %s does not hold the lease after a tick of pulls", seed, u)
+			}
+		}
+
+		// Three ticks of pulls in seeded orders, the owner dropping the
+		// lease before a seeded pull of the first.
+		dropAt := rng.IntN(len(pairs))
+		pulledOwner := make(map[string]bool) // since the drop
+		for tick := 0; tick < 3; tick++ {
+			rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+			for i, p := range pairs {
+				if tick == 0 && i == dropAt {
+					net.regs[owner].DropLease(job, 1)
+					pulledOwner[owner] = true
+				}
+				net.pullOnce(t, p[0], p[1])
+				if p[1] == owner && (tick > 0 || i >= dropAt) {
+					pulledOwner[p[0]] = true
+				}
+				for _, u := range net.urls {
+					if pulledOwner[u] && holds(u) {
+						t.Fatalf("seed %d, tick %d, pull %d (%s pulls %s): %s holds the lease after it pulled the owner %s that dropped it",
+							seed, tick, i, p[0], p[1], u, owner)
+					}
+				}
+			}
+		}
+	}
+}
