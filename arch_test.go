@@ -176,9 +176,9 @@ func oneFramer(tr *tree) (out []finding) {
 }
 
 // oneLineCodec: one line codec; encoding/json reads the hand-editable
-// state file and nothing else. Cell-result, trajectory and lease lines
-// are written and scanned by the pair in internal/ncgio/codec.go, which
-// decodes canonical bytes only. The reflection codec survives as the
+// state file and nothing else. Cell-result and trajectory lines, on disk
+// and on a lease stream, are written and scanned by the pair in
+// internal/ncgio/codec.go, which decodes canonical bytes only. The reflection codec survives as the
 // test oracle (oracle_test.go) and as DecodeState's lenient reader in
 // ncgio.go; an encoding/json import in another non-test file of the
 // package is a second codec.

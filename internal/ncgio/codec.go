@@ -10,9 +10,10 @@ import (
 	"repro/internal/game"
 )
 
-// The line codec. Every record this package frames — a cell-result line, a
-// trajectory sidecar line, a lease-stream envelope — is written by the
-// appender below and read back by the scanner below, and by nothing else.
+// The line codec. Every record this package frames — a cell-result line or
+// a trajectory sidecar line, in a file or on a lease stream — is written
+// by the appender below and read back by the scanner below, and by nothing
+// else.
 // The appender's bytes are the ones encoding/json wrote for the same shapes
 // (fixed key order, no white space, its float rule); the scanner accepts
 // exactly the bytes the appender produces, so a line that decodes is the

@@ -94,9 +94,6 @@ func TestNonFiniteFloatsDoNotEncode(t *testing.T) {
 		if line, err := MarshalTrajectory(dynamics.Cell{Alpha: 1}, r.Result.PerRound); err == nil {
 			t.Errorf("MarshalTrajectory(%v) = %s", f, line)
 		}
-		if line, err := MarshalLeaseRecord([]byte(`{}`), r.Result.PerRound); err == nil {
-			t.Errorf("MarshalLeaseRecord(%v) = %s", f, line)
-		}
 		CheckAgainstOracle(t, r) // the oracle refuses too
 	}
 }
@@ -190,10 +187,6 @@ func TestOnlyCanonicalBytesDecode(t *testing.T) {
 		if _, err := UnmarshalCell(bad); err == nil {
 			t.Errorf("%s: UnmarshalCell accepted %s", name, bad)
 		}
-		rec, _ := MarshalLeaseRecord(bad, nil)
-		if _, err := UnmarshalLeaseRecord(rec); err == nil {
-			t.Errorf("%s: UnmarshalLeaseRecord accepted %s", name, rec)
-		}
 	}
 	for _, name := range lenient {
 		got, err := oracleUnmarshalCellResult(variants[name])
@@ -251,8 +244,8 @@ func TestStateBoundsAreChecked(t *testing.T) {
 	}
 }
 
-// TestTrajectoryLinesAreStrict: the sidecar line and the lease envelope
-// go through the same scanner, so only their canonical bytes decode.
+// TestTrajectoryLinesAreStrict: the sidecar line goes through the same
+// scanner as the result line, so only its canonical bytes decode.
 func TestTrajectoryLinesAreStrict(t *testing.T) {
 	r := edgeResult(1, game.NewState(2))
 	tline, err := MarshalTrajectory(r.Cell, r.Result.PerRound)
@@ -272,22 +265,6 @@ func TestTrajectoryLinesAreStrict(t *testing.T) {
 		}
 		if _, err := UnmarshalTrajectory([]byte(bad)); err == nil {
 			t.Errorf("%s: UnmarshalTrajectory accepted %s", name, bad)
-		}
-	}
-	line, err := MarshalCellResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range map[string]string{
-		"empty per_round": `{"result":` + string(line) + `,"per_round":[]}`,
-		"null per_round":  `{"result":` + string(line) + `,"per_round":null}`,
-		"no result":       `{"per_round":[]}`,
-		"space":           `{"result": ` + string(line) + `}`,
-		"keys swapped":    `{"per_round":[],"result":` + string(line) + `}`,
-		"trailing bytes":  `{"result":` + string(line) + `}}`,
-	} {
-		if _, err := UnmarshalLeaseRecord([]byte(bad)); err == nil {
-			t.Errorf("%s: UnmarshalLeaseRecord accepted %s", name, bad)
 		}
 	}
 }

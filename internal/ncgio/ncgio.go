@@ -10,8 +10,10 @@
 // mid-append — never a record. Lines is that rule and the only place it is
 // written. Readers skip blank lines and leave a tail alone; only a file's
 // owner, about to append again, may truncate one (ReadCheckpoint,
-// RepairTail). Whoever stores foreign bytes verbatim also refuses padding
-// and blank lines, which Lines' offsets reveal.
+// RepairTail). Whoever stores foreign bytes verbatim, or resumes from a
+// checkpoint and sidecar a crash may have damaged, also refuses padding and
+// blank lines, which Lines' offsets reveal. A peer lease streams the same
+// records, a trajectory cell's sidecar line before its result line.
 package ncgio
 
 import (

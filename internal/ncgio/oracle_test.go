@@ -39,11 +39,6 @@ type oracleTrajectory struct {
 	PerRound []dynamics.RoundStats `json:"per_round"`
 }
 
-type oracleLeaseRecord struct {
-	Result   json.RawMessage       `json:"result"`
-	PerRound []dynamics.RoundStats `json:"per_round,omitempty"`
-}
-
 func oracleMarshalState(s *game.State) (json.RawMessage, error) {
 	out := oracleState{N: s.N()}
 	for u := 0; u < s.N(); u++ {
@@ -114,26 +109,6 @@ func oracleUnmarshalTrajectory(line []byte) (TrajectoryRecord, error) {
 	return TrajectoryRecord(tr), nil
 }
 
-func oracleMarshalLeaseRecord(resultLine []byte, perRound []dynamics.RoundStats) ([]byte, error) {
-	return json.Marshal(oracleLeaseRecord{Result: json.RawMessage(resultLine), PerRound: perRound})
-}
-
-func oracleUnmarshalLeaseRecord(line []byte) (dynamics.CellResult, error) {
-	var lr oracleLeaseRecord
-	if err := json.Unmarshal(line, &lr); err != nil {
-		return dynamics.CellResult{}, fmt.Errorf("ncgio: %w", err)
-	}
-	if len(lr.Result) == 0 {
-		return dynamics.CellResult{}, fmt.Errorf("ncgio: lease record has no result")
-	}
-	r, err := oracleUnmarshalCellResult(lr.Result)
-	if err != nil {
-		return dynamics.CellResult{}, err
-	}
-	r.Result.PerRound = lr.PerRound
-	return r, nil
-}
-
 // sameResult reports whether two decoded results agree in everything the
 // wire carries (states by the arcs they hold).
 func sameResult(a, b dynamics.CellResult) bool {
@@ -201,8 +176,8 @@ func CheckAgainstOracle(t testing.TB, r dynamics.CellResult) {
 		}
 	}
 
-	// The trajectory line and the lease envelope, with the cell's own
-	// trajectory (nil unless the sweep collected one) and an empty one.
+	// The trajectory line, with the cell's own trajectory (nil unless the
+	// sweep collected one) and an empty one.
 	for _, perRound := range [][]dynamics.RoundStats{r.Result.PerRound, {}} {
 		tline, err := MarshalTrajectory(r.Cell, perRound)
 		if err != nil {
@@ -219,19 +194,5 @@ func CheckAgainstOracle(t testing.TB, r dynamics.CellResult) {
 			t.Fatalf("UnmarshalTrajectory = %+v, oracle decodes %+v", tr, want)
 		}
 
-		rec, err := MarshalLeaseRecord(line, perRound)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, _ := oracleMarshalLeaseRecord(line, perRound); !bytes.Equal(rec, want) {
-			t.Fatalf("MarshalLeaseRecord differs from encoding/json:\n got %s\nwant %s", rec, want)
-		}
-		lr, err := UnmarshalLeaseRecord(rec)
-		if err != nil {
-			t.Fatalf("canonical lease record refused: %v\n%s", err, rec)
-		}
-		if want, _ := oracleUnmarshalLeaseRecord(rec); !sameResult(lr, want) {
-			t.Fatalf("UnmarshalLeaseRecord = %+v, oracle decodes %+v", lr, want)
-		}
 	}
 }

@@ -42,65 +42,6 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLeaseRecordRoundTrip: the trajectory lease envelope carries the
-// canonical result bytes untouched and reattaches PerRound on decode.
-func TestLeaseRecordRoundTrip(t *testing.T) {
-	r := dynamics.CellResult{
-		Cell: dynamics.Cell{Alpha: 1.5, K: 3, Seed: 2},
-		Result: dynamics.Result{
-			Status:     dynamics.Converged,
-			Rounds:     4,
-			TotalMoves: 9,
-			FinalStats: dynamics.RoundStats{Round: 4, Diameter: 3, SocialCost: 20},
-		},
-	}
-	resultLine, err := MarshalCellResult(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := []dynamics.RoundStats{
-		{Round: 1, Moves: 5, Diameter: 4, SocialCost: 25},
-		{Round: 2, Moves: 0, Diameter: 3, SocialCost: 20},
-	}
-	rec, err := MarshalLeaseRecord(resultLine, pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.ContainsRune(rec, '\n') {
-		t.Fatal("lease record contains a newline")
-	}
-	got, err := UnmarshalLeaseRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cell != r.Cell || got.Result.Status != r.Result.Status ||
-		got.Result.Rounds != r.Result.Rounds || got.Result.TotalMoves != r.Result.TotalMoves ||
-		got.Result.FinalStats != r.Result.FinalStats {
-		t.Fatalf("result round-trip mismatch: %+v", got)
-	}
-	if len(got.Result.PerRound) != len(pr) || got.Result.PerRound[0] != pr[0] || got.Result.PerRound[1] != pr[1] {
-		t.Fatalf("per-round round-trip mismatch: %+v", got.Result.PerRound)
-	}
-	// The embedded result must re-marshal to the exact checkpoint bytes
-	// the follower computed — the leader appends them verbatim.
-	back, err := MarshalCellResult(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(back, resultLine) {
-		t.Fatal("embedded result bytes not canonical after round-trip")
-	}
-}
-
-func TestUnmarshalLeaseRecordRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalLeaseRecord([]byte(`{"per_round": []}`)); err == nil {
-		t.Fatal("record without result accepted")
-	}
-	if _, err := UnmarshalLeaseRecord([]byte(`{"result": {"status": "nope"}}`)); err == nil {
-		t.Fatal("record with bad embedded result accepted")
-	}
-}
-
 func TestUnmarshalTrajectoryRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalTrajectory([]byte(`{"alpha": "nope"}`)); err == nil {
 		t.Fatal("garbage accepted")

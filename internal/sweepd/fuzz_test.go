@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"maps"
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 
@@ -40,8 +42,7 @@ func honestReplica(t testing.TB, sp Spec) (m store.ReplicaManifest, checkpoint, 
 		t.Fatal(err)
 	}
 	return store.ReplicaManifest{
-		JobID: sp.ID(), Kernel: sp.KernelHash(), Generation: 1, Status: string(StatusDone),
-		CheckpointLines: len(checkpoint), TrajectoryLines: len(sidecar), Spec: specJSON,
+		JobID: sp.ID(), Kernel: sp.KernelHash(), Generation: 1, Status: string(StatusDone), Spec: specJSON,
 	}, checkpoint, sidecar
 }
 
@@ -179,6 +180,87 @@ func FuzzSpecDecode(f *testing.F) {
 		}
 		if verr2 := sp.Validate(); (verr == nil) != (verr2 == nil) {
 			t.Fatalf("Validate changed its mind under a second Normalize: %v → %v", verr, verr2)
+		}
+	})
+}
+
+// FuzzTrajectoryResume damages one file of a done four-cell trajectory
+// job — it inserts, deletes or overwrites bytes at an offset of the
+// checkpoint or of the sidecar — and resumes the job: both files must end
+// byte-identical to the undamaged pair. The files carry no checksum, so
+// damage that leaves another canonical record of the same cell in place of
+// the first one it touches is not damage any reader can see; such an input
+// is skipped.
+func FuzzTrajectoryResume(f *testing.F) {
+	sp := Spec{N: 8, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2, Trajectories: true}
+	sp.Normalize()
+	_, ck, side := honestReplica(f, sp)
+	want := [2][]byte{bytes.Join(ck, nil), bytes.Join(side, nil)}
+	cellOf := [2]func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell}
+	const insert, remove, overwrite = 0, 1, 2
+	f.Add(true, uint8(insert), uint16(len(side[0])), []byte("\n"))    // a blank line between sidecar records
+	f.Add(true, uint8(insert), uint16(len(side[0])), []byte("  "))    // a padded sidecar record
+	f.Add(false, uint8(insert), uint16(len(ck[0])+len(ck[1])), ck[1]) // a checkpoint record duplicated
+	f.Add(true, uint8(remove), uint16(len(want[1])-1), []byte("x"))   // the sidecar's last newline lost
+	f.Add(false, uint8(overwrite), uint16(2), []byte("beta"))         // a checkpoint key respelled
+	f.Fuzz(func(t *testing.T, sidecar bool, op uint8, off uint16, data []byte) {
+		i := 0
+		if sidecar {
+			i = 1
+		}
+		var files [2][]byte
+		files[1-i] = want[1-i]
+		b := want[i]
+		at := int(off) % (len(b) + 1)
+		cut, ins := at, data
+		switch op % 3 {
+		case remove:
+			cut, ins = min(len(b), at+len(data)), nil
+		case overwrite:
+			cut = min(len(b), at+len(data))
+		}
+		files[i] = slices.Concat(b[:at], ins, b[cut:])
+
+		recs, wantRecs := bytes.SplitAfter(files[i], []byte("\n")), bytes.SplitAfter(want[i], []byte("\n"))
+		for j := 0; j < len(recs) && j < sp.NumCells(); j++ {
+			if bytes.Equal(recs[j], wantRecs[j]) {
+				continue
+			}
+			line, whole := bytes.CutSuffix(recs[j], []byte("\n"))
+			if c, err := cellOf[i](line); whole && err == nil && c == sp.CellAt(j) {
+				t.Skipf("record %d is another canonical record of its cell", j)
+			}
+			break
+		}
+
+		st, err := OpenStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, _, err := st.CreateJob(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths := [2]string{st.ResultsPath(id), st.TrajectoryPath(id)}
+		for k, path := range paths {
+			if err := os.WriteFile(path, files[k], 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mgr := NewManager(st, nil, 1)
+		if err := mgr.Resume(); err != nil {
+			t.Fatal(err)
+		}
+		waitStatus(t, mgr, id, StatusDone)
+		mgr.Close()
+		for k, path := range paths {
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[k]) {
+				t.Fatalf("%s after resume:\n%q\nwant\n%q", filepath.Base(path), got, want[k])
+			}
 		}
 	})
 }

@@ -18,9 +18,8 @@ import (
 // heartbeat lines interleaved while long cells compute; the leader
 // counts lines, so a stream that ends short of End-Start records is a
 // failed lease and the remainder is reclaimed. When the spec collects
-// trajectories, each line is instead an ncgio lease record wrapping the
-// canonical result line together with the cell's per-round stats (the
-// bare codec intentionally drops them).
+// trajectories, each cell is the two lines the leader appends for it: its
+// sidecar line (ncgio.MarshalTrajectory), then its result line.
 type LeaseRequest struct {
 	Spec  Spec `json:"spec"`
 	Start int  `json:"start"`

@@ -151,11 +151,10 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 // protocol: validate the leader's spec and range, then stream each cell's
 // canonical result line as the local pool produces it (in canonical
 // order), with blank heartbeat lines while long cells compute so the
-// leader's lease watchdog can tell "slow" from "dead". Trajectory specs
-// stream ncgio lease records instead of bare result lines, carrying each
-// cell's per-round stats alongside its canonical checkpoint bytes. A
-// failure after streaming began simply ends the stream short — the leader
-// counts lines and reclaims the remainder.
+// leader's lease watchdog can tell "slow" from "dead". A trajectory
+// spec's cell is its sidecar line, then its result line: the two lines the
+// leader appends. A failure after streaming began simply ends the stream
+// short — the leader counts cells and reclaims the remainder.
 func (h *handler) peerLease(w http.ResponseWriter, r *http.Request) {
 	var req LeaseRequest
 	if !decodeJSON(w, r, 1<<20, "lease", &req) {

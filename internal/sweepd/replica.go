@@ -22,12 +22,12 @@ import (
 // line — must be the COMPLETE checkpoint (one record per grid cell, in
 // canonical cell order), then for trajectory specs the complete sidecar,
 // and nothing else: no padding, no blank line, no torn tail. One pass
-// finds where the checkpoint ends (after NumCells canonical records; the
-// manifest's line counts are only cross-checked) and judges both halves,
-// validating each line once. What passes is stored byte for byte, so a
-// replica is served, and adoption seeded from it, with the trust of a
-// locally computed checkpoint: the line codec decodes canonical bytes
-// only, so every stored line is the encoding of the cell it records.
+// finds where the checkpoint ends (after NumCells canonical records) and
+// judges both halves, validating each line once. What passes is stored
+// byte for byte, so a replica is served, and adoption seeded from it, with
+// the trust of a locally computed checkpoint: the line codec decodes
+// canonical bytes only, so every stored line is the encoding of the cell
+// it records.
 func VerifyReplica(id string, m store.ReplicaManifest, body []byte) (checkpoint, trajectory []byte, err error) {
 	fail := func(format string, args ...any) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("sweepd: replica of job %s: "+format, append([]any{id}, args...)...)
@@ -50,14 +50,6 @@ func VerifyReplica(id string, m store.ReplicaManifest, body []byte) (checkpoint,
 	}
 	if kh := sp.KernelHash(); m.Kernel != kh {
 		return fail("manifest kernel %q does not match spec kernel %q", m.Kernel, kh)
-	}
-	total, wantTraj := sp.NumCells(), 0
-	if sp.Trajectories {
-		wantTraj = total
-	}
-	if m.CheckpointLines != total || m.TrajectoryLines != wantTraj {
-		return fail("manifest frames %d checkpoint and %d trajectory lines, grid wants %d and %d",
-			m.CheckpointLines, m.TrajectoryLines, total, wantTraj)
 	}
 	end, err := sp.canonicalPrefix(body, ncgio.UnmarshalCell)
 	if err != nil {
@@ -252,12 +244,10 @@ func readGrid(path string, total int) ([]byte, error) {
 // manifest line, then the full checkpoint, then the full sidecar.
 func (rp *Replicator) buildBody(job Job) ([]byte, error) {
 	id, sp := job.ID, job.Spec
-	total, trajLines := sp.NumCells(), 0
-	checkpoint, err := readGrid(rp.opts.Store.ResultsPath(id), total)
+	checkpoint, err := readGrid(rp.opts.Store.ResultsPath(id), sp.NumCells())
 	var trajectory []byte
 	if err == nil && sp.Trajectories {
-		trajectory, err = readGrid(rp.opts.Store.TrajectoryPath(id), total)
-		trajLines = total
+		trajectory, err = readGrid(rp.opts.Store.TrajectoryPath(id), sp.NumCells())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sweepd: replicating job %s: %w", id, err)
@@ -273,15 +263,13 @@ func (rp *Replicator) buildBody(job Job) ([]byte, error) {
 		}
 	}
 	manifest := store.ReplicaManifest{
-		JobID:           id,
-		Kernel:          sp.KernelHash(),
-		Generation:      gen,
-		Status:          string(StatusDone),
-		CheckpointLines: total,
-		TrajectoryLines: trajLines,
-		Spec:            specJSON,
-		Created:         job.Created,
-		Finished:        job.Finished,
+		JobID:      id,
+		Kernel:     sp.KernelHash(),
+		Generation: gen,
+		Status:     string(StatusDone),
+		Spec:       specJSON,
+		Created:    job.Created,
+		Finished:   job.Finished,
 	}
 	head, err := json.Marshal(manifest)
 	if err != nil {

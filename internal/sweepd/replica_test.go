@@ -604,8 +604,7 @@ func TestReadRejectsMalformedJobID(t *testing.T) {
 		t.Fatal(err)
 	}
 	manifest, err := json.Marshal(store.ReplicaManifest{
-		JobID: "../evil", Kernel: sp.KernelHash(), Generation: 1, Status: string(StatusDone),
-		CheckpointLines: 1, Spec: specJSON,
+		JobID: "../evil", Kernel: sp.KernelHash(), Generation: 1, Status: string(StatusDone), Spec: specJSON,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -755,6 +754,51 @@ func TestAdoptSeedsOnlyCanonicalPrefix(t *testing.T) {
 		}
 		if string(got) != string(want) {
 			t.Errorf("%s: adopted checkpoint differs from the uninterrupted run's (%d vs %d bytes)", name, len(got), len(want))
+		}
+	}
+}
+
+// TestReplicaUnderOldManifestIsServed: manifests written before the
+// manifest stopped framing the body carry checkpoint_lines and
+// trajectory_lines. A replica stored under one is still read and served
+// byte for byte: decoding ignores the two fields.
+func TestReplicaUnderOldManifestIsServed(t *testing.T) {
+	leaderMgr, _, _, leaderSrv, _ := newLifecycleRig(t, Config{})
+	_, _, followerSrv, dir := newReplicaRig(t, Config{})
+
+	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2, Trajectories: true}
+	job := runDoneJob(t, leaderMgr, sp)
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := postReplica(t, followerSrv.URL, job.ID, string(body)); code != http.StatusOK {
+		t.Fatalf("replica push = %d", code)
+	}
+	path := filepath.Join(dir, "replicas", job.ID, "manifest.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	old["checkpoint_lines"], old["trajectory_lines"] = 2, 2
+	if data, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []string{"", "/results", "/trajectories"} {
+		_, want := getRaw(t, leaderSrv.URL+"/sweeps/"+job.ID+read, nil)
+		resp, got := getRaw(t, followerSrv.URL+"/sweeps/"+job.ID+read, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s under an old manifest = %d", read, resp.StatusCode)
+		}
+		if read != "" && string(got) != string(want) {
+			t.Fatalf("%s: follower serves %d bytes, leader %d", read, len(got), len(want))
 		}
 	}
 }

@@ -1,21 +1,27 @@
 package sweepd
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/sweepd/store"
 )
 
 // TestResumeFromEveryPrefix holds resume to the canonical-order rule: from
 // whatever bytes an earlier run (or anything else) left in the checkpoint
-// — every clean cut, a torn tail, a damaged record, two records swapped, a
-// padded record, a line past the grid — the job keeps the canonical prefix,
-// recomputes or cache-serves the rest, and finishes with a checkpoint (and,
-// for the trajectory twin, a sidecar damaged the same way) byte-identical
-// to an uninterrupted run's. Once with no cache, once with a disk cache
-// that already holds the whole grid.
+// — every clean cut, a torn tail, a blank line between records, a damaged
+// record, two records swapped, a padded record, a line past the grid — the
+// job keeps the canonical prefix, recomputes or cache-serves the rest, and
+// finishes with a checkpoint byte-identical to an uninterrupted run's. The
+// trajectory twin damages both its files the same way, or one of them
+// alone: both finish byte-identical, and the finished job's replica body
+// passes VerifyReplica. Once with no cache, once with a disk cache that
+// already holds the whole grid.
 func TestResumeFromEveryPrefix(t *testing.T) {
 	for _, trajectories := range []bool{false, true} {
 		sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2, 3}, Seeds: 2, Trajectories: trajectories}
@@ -56,6 +62,7 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 		}
 		plants = append(plants,
 			plant{"torn tail", func(recs []string) string { return join(recs[:3]...) + recs[3][:len(recs[3])/2] }, 3},
+			plant{"blank line between records", func(recs []string) string { return join(recs[:3]...) + "\n" + join(recs[3:]...) }, 3},
 			plant{"damaged middle record", func(recs []string) string {
 				return join(recs[:2]...) + `{"alpha":1,"k":` + "\n" + join(recs[3:]...)
 			}, 2},
@@ -68,21 +75,38 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 			plant{"whole line past the grid", func(recs []string) string { return join(recs...) + recs[n-1] }, n},
 		)
 
+		// A trajectory job's plant damages both files, then each one alone.
+		type damage struct {
+			plant
+			files []int
+		}
+		var damages []damage
 		for _, p := range plants {
+			damages = append(damages, damage{p, []int{0, 1}})
+			if trajectories {
+				damages = append(damages, damage{p, []int{0}}, damage{p, []int{1}})
+			}
+		}
+
+		for _, p := range damages {
 			for _, cached := range []bool{false, true} {
-				name := fmt.Sprintf("trajectories=%v/%s/cached=%v", trajectories, p.name, cached)
+				name := fmt.Sprintf("trajectories=%v/%s/files %v/cached=%v", trajectories, p.name, p.files, cached)
 				dir := t.TempDir()
-				store, err := OpenStore(dir)
+				st, err := OpenStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := store.CreateJob(sp); err != nil {
+				if _, _, err := st.CreateJob(sp); err != nil {
 					t.Fatal(err)
 				}
-				paths := [2]string{store.ResultsPath(id), store.TrajectoryPath(id)}
+				paths := [2]string{st.ResultsPath(id), st.TrajectoryPath(id)}
 				for i, path := range paths {
 					if recs := strings.SplitAfter(want[i], "\n"); len(recs) > 1 {
-						if err := os.WriteFile(path, []byte(p.rewrite(recs[:n])), 0o644); err != nil {
+						data := want[i]
+						if slices.Contains(p.files, i) {
+							data = p.rewrite(recs[:n])
+						}
+						if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -103,7 +127,7 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				mgr := NewManager(store, cache, 2)
+				mgr := NewManager(st, cache, 2)
 				if err := mgr.Resume(); err != nil {
 					t.Fatal(err)
 				}
@@ -129,6 +153,18 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 				}
 				if job.CacheHits != wantHits {
 					t.Errorf("%s: %d cache hits, want %d", name, job.CacheHits, wantHits)
+				}
+				body, err := NewReplicator(ReplicatorOptions{Store: st}).buildBody(job)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				head, rest, _ := strings.Cut(string(body), "\n")
+				var m store.ReplicaManifest
+				if err := json.Unmarshal([]byte(head), &m); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := VerifyReplica(id, m, []byte(rest)); err != nil {
+					t.Errorf("%s: the finished job's replica is refused: %v", name, err)
 				}
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/dynamics"
@@ -38,21 +39,21 @@ func (m *Manager) executorFor(js *jobState, sp Spec) dynamics.Executor {
 
 // sweepLines sweeps cells — a contiguous range of sp's canonical grid —
 // and hands emit every cell from position skip on, in canonical order, as
-// its canonical line. A cell the result cache holds is emitted as the
-// cached bytes, hit set and Result zero: nothing is decoded (Cache says
-// why the bytes can be trusted). Any other cell is computed on exec — the
+// its canonical line and, for a trajectory spec, its sidecar line (nil
+// otherwise). A cell the result cache holds is emitted as the cached
+// bytes, hit set and Result zero: nothing is decoded (Cache says why the
+// bytes can be trusted). Any other cell is computed on exec — the
 // executor executorFor chose, or the local pool for a lease — and encoded
 // once. Cells before skip, the caller's checkpointed prefix, are not
 // looked up, computed or emitted.
 //
 // Trajectory specs bypass the cache in both directions: its codec drops
 // PerRound, so a cache-served cell would leave a silent hole in the
-// sidecar or the lease record. Two sweeps of one kernel running at once
-// may both compute a cell neither found cached; per-cell seeding makes
-// the two lines the same bytes, and the cache keeps one entry and spills
-// it once.
+// sidecar. Two sweeps of one kernel running at once may both compute a
+// cell neither found cached; per-cell seeding makes the two lines the same
+// bytes, and the cache keeps one entry and spills it once.
 func (m *Manager) sweepLines(ctx context.Context, sp Spec, cells []dynamics.Cell, skip int, exec dynamics.Executor,
-	observe func(i int, d time.Duration), emit func(r dynamics.CellResult, line []byte, hit bool) error) error {
+	observe func(i int, d time.Duration), emit func(r dynamics.CellResult, line, sidecar []byte, hit bool) error) error {
 	kernel := sp.KernelHash()
 	useCache := !sp.Trajectories
 	// hits holds a cache-served cell's line from the look-up until its turn
@@ -81,13 +82,65 @@ func (m *Manager) sweepLines(ctx context.Context, sp Spec, cells []dynamics.Cell
 					return err
 				}
 			}
-			return emit(r, line, hit)
+			var sidecar []byte
+			if sp.Trajectories {
+				if sidecar, err = ncgio.MarshalTrajectory(r.Cell, r.Result.PerRound); err != nil {
+					return err
+				}
+			}
+			return emit(r, line, sidecar, hit)
 		},
 		DiscardResults: true,
 		Executor:       exec,
 		Observe:        observe,
 	})
 	return err
+}
+
+// resumePrefix cuts the job's checkpoint and, for a trajectory job, its
+// sidecar to their canonical prefixes, and both to the records both hold,
+// and returns the checkpoint's retained bytes and how many cells they
+// record. Every retained line is decoded in full, and the first that is
+// torn, damaged, out of place or padded is cut off with all that follows,
+// to be recomputed: so the finished files are the canonical grid. The
+// runner appends a cell's sidecar line before its checkpoint line and
+// syncs the two files apart, so a crash can leave either one longer; the
+// records only one holds are recomputed too, deterministically.
+func (m *Manager) resumePrefix(id string, sp Spec) (checkpoint []byte, done int, err error) {
+	paths := []string{m.store.ResultsPath(id), m.store.TrajectoryPath(id)}
+	cellOf := []func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell}
+	if !sp.Trajectories {
+		paths = paths[:1]
+	}
+	data := make([][]byte, len(paths))
+	done = sp.NumCells()
+	for i, path := range paths {
+		if data[i], err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
+			return nil, 0, err
+		}
+		keep, _ := sp.canonicalPrefix(data[i], cellOf[i]) // a refusal is where recomputing starts, not an error
+		n := 0
+		for range ncgio.Lines(data[i][:keep]) {
+			n++
+		}
+		done = min(done, n)
+	}
+	for i, path := range paths {
+		keep, n := 0, 0
+		for _, end := range ncgio.Lines(data[i]) {
+			if n == done {
+				break
+			}
+			keep, n = end, n+1
+		}
+		if keep < len(data[i]) { // never true of a missing file
+			if err := os.Truncate(path, int64(keep)); err != nil {
+				return nil, 0, err
+			}
+		}
+		data[i] = data[i][:keep]
+	}
+	return data[0], done, nil
 }
 
 // runJob resumes the job from its checkpoint and sweeps the remaining
@@ -99,48 +152,20 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	id, sp := js.job.ID, js.job.Spec
 	fail := func(err error) { m.finish(js, StatusFailed, err.Error()) }
 
-	if sp.Trajectories {
-		// Truncate checkpoint and sidecar to their longest common
-		// cell-prefix before reading either: crash damage (surplus
-		// sidecar record from a mid-append kill, or a tail one file
-		// persisted and the other lost to power failure) is dropped and
-		// recomputed deterministically, so the finished pair is always
-		// byte-identical to an uninterrupted run's.
-		if err := m.store.ReconcileTrajectories(id); err != nil {
-			fail(err)
-			return
-		}
-	}
-	// What survives of an earlier run is the checkpoint's canonical prefix:
-	// every retained line is decoded in full, and the first that is torn,
-	// damaged, out of place or padded is cut off with all that follows and
-	// recomputed, so the finished file is the canonical grid.
-	path := m.store.ResultsPath(id)
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
+	data, done, err := m.resumePrefix(id, sp)
+	if err != nil {
 		fail(err)
 		return
 	}
-	keep, _ := sp.canonicalPrefix(data, ncgio.UnmarshalCell) // a refusal is where recomputing starts, not an error
-	if keep < len(data) {
-		err = os.Truncate(path, int64(keep))
-		if err == nil && sp.Trajectories {
-			err = m.store.ReconcileTrajectories(id) // the sidecar agreed with the longer prefix
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
-	}
 	// The retained lines warm the cache as bytes — copied, so that an entry
-	// does not pin the file buffer — and their count is the resume point.
+	// does not pin the file buffer.
 	kernel := sp.KernelHash()
-	done := 0
-	for line := range ncgio.Lines(data[:keep]) {
-		if !sp.Trajectories {
-			m.cache.Put(kernel, sp.CellAt(done), bytes.Clone(line))
+	if !sp.Trajectories {
+		i := 0
+		for line := range ncgio.Lines(data) {
+			m.cache.Put(kernel, sp.CellAt(i), bytes.Clone(line))
+			i++
 		}
-		done++
 	}
 	m.mu.Lock()
 	js.job.Completed = done
@@ -157,8 +182,8 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	}
 	defer w.Close()
 
-	// Trajectory jobs stream per-round stats into a sidecar next to the
-	// checkpoint (reconciled above); the main codec stays small.
+	// A trajectory job's per-round stats go to a sidecar beside the
+	// checkpoint, so the checkpoint codec stays small.
 	var tw *ncgio.CheckpointWriter
 	if sp.Trajectories {
 		tw, err = m.store.TrajectoryAppender(id)
@@ -169,19 +194,11 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 		defer tw.Close()
 	}
 
-	emit := func(r dynamics.CellResult, line []byte, hit bool) error {
-		if tw != nil && len(r.Result.PerRound) > 0 {
-			// Sidecar line BEFORE checkpoint line: a process kill between
-			// the two appends then leaves a surplus sidecar record rather
-			// than a checkpointed cell with no trajectory; either way —
-			// including a power loss persisting one file's tail but not
-			// the other's — resume truncates both files to their common
-			// prefix and recomputes the difference.
-			tline, err := ncgio.MarshalTrajectory(r.Cell, r.Result.PerRound)
-			if err != nil {
-				return err
-			}
-			if err := tw.AppendLine(tline); err != nil {
+	emit := func(r dynamics.CellResult, line, sidecar []byte, hit bool) error {
+		if sidecar != nil {
+			// The sidecar line goes first: a kill between the two appends
+			// leaves a surplus sidecar record, which resume cuts.
+			if err := tw.AppendLine(sidecar); err != nil {
 				return err
 			}
 		}
@@ -230,20 +247,16 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 }
 
 // ServeLease computes the contiguous cell range [start, end) of the
-// spec's canonical grid on the local worker pool, emitting one canonical
-// ncgio CellResult line per cell in canonical order — the follower half
-// of the peer-sharding protocol (POST /peer/leases). Lease work draws
-// from the same worker gate as local jobs, so a daemon serving peers
-// never exceeds its configured CPU-bound concurrency, and it shares the
-// result cache both ways: cached cells are answered with the cache's
-// bytes, computed cells warm its memory tier. The spec must be normalized
-// and validated by the caller.
-//
-// Trajectory specs change the framing, not the protocol: each cell is
-// emitted as one ncgio lease record wrapping the canonical result line
-// with its per-round stats (the checkpoint codec drops them, so bare
-// lines could not carry the very data the spec asked for).
-func (m *Manager) ServeLease(ctx context.Context, sp Spec, start, end int, emit func(line []byte) error) error {
+// spec's canonical grid on the local worker pool and hands emit each cell,
+// in canonical order, as the lines the leader appends for it: its
+// canonical result line, preceded for a trajectory spec by its sidecar
+// line and a newline — the follower half of the peer-sharding protocol
+// (POST /peer/leases). Lease work draws from the same worker gate as local
+// jobs, so a daemon serving peers never exceeds its configured CPU-bound
+// concurrency, and it shares the result cache both ways: cached cells are
+// answered with the cache's bytes, computed cells warm its memory tier.
+// The spec must be normalized and validated by the caller.
+func (m *Manager) ServeLease(ctx context.Context, sp Spec, start, end int, emit func(lines []byte) error) error {
 	if n := sp.NumCells(); start < 0 || end > n || start >= end {
 		return fmt.Errorf("sweepd: lease range [%d, %d) outside grid of %d cells", start, end, n)
 	}
@@ -251,13 +264,9 @@ func (m *Manager) ServeLease(ctx context.Context, sp Spec, start, end int, emit 
 	// Expand only the leased range: a follower serving thousands of
 	// leases against a six-figure grid must not pay O(grid) per lease.
 	return m.sweepLines(ctx, sp, sp.CellsRange(start, end), 0, dynamics.LocalExecutor{}, nil,
-		func(r dynamics.CellResult, line []byte, hit bool) error {
-			if sp.Trajectories {
-				rec, err := ncgio.MarshalLeaseRecord(line, r.Result.PerRound)
-				if err != nil {
-					return err
-				}
-				return emit(rec)
+		func(r dynamics.CellResult, line, sidecar []byte, hit bool) error {
+			if sidecar != nil {
+				return emit(slices.Concat(sidecar, []byte{'\n'}, line))
 			}
 			if !hit {
 				// Memory tier only: this kernel may belong to no local job,

@@ -360,10 +360,12 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 		"completed", job.Completed, "total", job.Total)
 }
 
-// fetchCheckpoint asks each alive peer for the orphan's results file
-// and returns the first non-empty body. Usually every peer 404s — the
-// dead leader held the only copy — and the adopter recomputes from its
-// cell cache instead.
+// fetchCheckpoint asks each alive peer for its own copy of the orphan's
+// results file and returns the first non-empty body. The read carries
+// hop=1: a peer without a copy would otherwise redirect to the lease
+// owner, the dead leader, and cost this tick a dial to it. Usually every
+// peer 404s — the dead leader held the only copy — and the adopter
+// recomputes from its cell cache instead.
 func (s *Scheduler) fetchCheckpoint(jobID string) []byte {
 	for _, m := range s.opts.Cluster.Members() {
 		if m.Self || m.State != "alive" {
@@ -371,7 +373,7 @@ func (s *Scheduler) fetchCheckpoint(jobID string) []byte {
 		}
 		ctx, cancel := context.WithTimeout(s.ctx, sweepd.PeerCallTimeout)
 		var b []byte
-		resp, err := sweepd.Peer.Do(ctx, http.MethodGet, m.URL+"/sweeps/"+jobID+"/results", "", nil, 0, nil)
+		resp, err := sweepd.Peer.Do(ctx, http.MethodGet, m.URL+"/sweeps/"+jobID+"/results?hop=1", "", nil, 0, nil)
 		if err == nil {
 			b, err = io.ReadAll(io.LimitReader(resp.Body, maxCheckpointFetch))
 			resp.Body.Close()

@@ -13,6 +13,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -534,5 +535,56 @@ func TestHeartbeatFollowsAdoptAfter(t *testing.T) {
 		if got := s.beat.Truncate(time.Millisecond); got != tc.want {
 			t.Errorf("AdoptAfter %v: heartbeat %v, want %v", tc.adoptAfter, s.beat, tc.want)
 		}
+	}
+}
+
+// leaseTable is the sweepd.Cluster a member's read handler consults for
+// where to redirect: a lease table and nothing else.
+type leaseTable []sweepd.JobLease
+
+func (leaseTable) Self() string                      { return "http://member.invalid" }
+func (leaseTable) Hello(string)                      {}
+func (leaseTable) Members() []sweepd.MemberInfo      { return nil }
+func (leaseTable) ClusterStats() sweepd.ClusterStats { return sweepd.ClusterStats{} }
+func (l leaseTable) Leases() []sweepd.JobLease       { return l }
+func (leaseTable) Tombstones() []sweepd.Tombstone    { return nil }
+func (leaseTable) ReplicaHolders(string) []string    { return nil }
+
+// TestTailFetchStopsAtTheMemberAsked: an adopter asks each alive member
+// for its own copy of the orphan's checkpoint. A member that holds none
+// redirects a plain read to the lease owner, which during adoption is the
+// dead leader; the fetch must not follow it there. The stand-in for the
+// dead leader counts the requests that reach it, and must see none.
+func TestTailFetchStopsAtTheMemberAsked(t *testing.T) {
+	sp := testSpec()
+	var deadHits atomic.Int32
+	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		deadHits.Add(1)
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(dead.Close)
+	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: dead.URL, Generation: 1, Updated: time.Now().Add(-time.Minute)}
+
+	st, err := sweepd.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr := sweepd.NewManager(st, nil, 1)
+	t.Cleanup(mgr.Close)
+	member := httptest.NewServer(sweepd.NewHandlerConfig(mgr, sweepd.Config{Cluster: leaseTable{orphan}}))
+	t.Cleanup(member.Close)
+
+	c := newFakeCluster("http://self:1")
+	c.leases[sp.ID()] = orphan
+	c.members = []sweepd.MemberInfo{{URL: dead.URL, State: "down"}, {URL: member.URL, State: "alive"}}
+	c.loads = []sweepd.MemberLoad{{URL: member.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
+	m := &fakeManager{}
+	s := newTestScheduler(t, c, m)
+	s.tick()
+	if len(m.adopted) != 1 || len(m.adopted[0].checkpoint) != 0 {
+		t.Fatalf("adopt calls = %+v, want one with nothing to seed", m.adopted)
+	}
+	if n := deadHits.Load(); n != 0 {
+		t.Fatalf("the dead leader's stand-in saw %d requests: the tail fetch followed the member's redirect", n)
 	}
 }

@@ -118,9 +118,9 @@ type handler struct {
 //	                            dir, spill segment, summary state)
 //	POST   /peer/leases         compute a contiguous cell range for a peer
 //	                            daemon, streaming canonical result lines back
-//	                            (lease records carrying per-round stats for
-//	                            trajectory specs — the follower half of the
-//	                            sharding protocol)
+//	                            (each after its sidecar line for trajectory
+//	                            specs — the follower half of the sharding
+//	                            protocol)
 //	POST   /peer/hello          a booting daemon announces its advertise URL
 //	                            and is registered as an alive member
 //	GET    /peer/members        this daemon's identity, load and member table

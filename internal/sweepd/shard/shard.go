@@ -75,8 +75,7 @@ func (p *Pool) Stats() sweepd.PeerStats {
 // ExecutorFor implements sweepd.ExecutorProvider. It snapshots the
 // source's alive peers for this job and returns nil (run locally) when
 // none are alive. Trajectory specs shard like any other: their leases
-// stream ncgio lease records carrying each cell's per-round stats next
-// to its canonical result line.
+// stream each cell's sidecar line before its result line.
 func (p *Pool) ExecutorFor(sp sweepd.Spec, onRemote func(cells int)) dynamics.Executor {
 	peers := p.source.AlivePeers()
 	if len(peers) == 0 {
@@ -242,6 +241,10 @@ func (e *executor) lease(ctx context.Context, peer string, cr cellRange, cells [
 	// here is a heartbeat the watchdog must see the moment it arrives.
 	br := bufio.NewReaderSize(resp.Body, 64*1024)
 	want := cr.len()
+	// A trajectory cell arrives as the two lines the leader appends, sidecar
+	// line first; each must name the cell at the next grid index.
+	sidecar := e.spec.Trajectories // the next line is a sidecar line
+	var perRound []dynamics.RoundStats
 	for got < want {
 		line, rerr := br.ReadBytes('\n')
 		if rerr != nil {
@@ -252,23 +255,29 @@ func (e *executor) lease(ctx context.Context, peer string, cr cellRange, cells [
 		if len(line) == 0 {
 			continue // heartbeat
 		}
+		idx := cr.start + got
+		var cell dynamics.Cell
 		var rec dynamics.CellResult
 		var uerr error
-		if e.spec.Trajectories {
-			// Trajectory leases wrap each result line with its per-round
-			// stats; unwrapping reattaches them, so the sidecar the leader
-			// writes is identical to a locally computed cell's.
-			rec, uerr = ncgio.UnmarshalLeaseRecord(line)
+		if sidecar {
+			var tr ncgio.TrajectoryRecord
+			tr, uerr = ncgio.UnmarshalTrajectory(line)
+			cell, perRound = tr.Cell(), tr.PerRound
 		} else {
 			rec, uerr = ncgio.UnmarshalCellResult(line)
+			cell, rec.Result.PerRound = rec.Cell, perRound
 		}
 		if uerr != nil {
 			return got, fmt.Errorf("shard: peer %s: %w", peer, uerr)
 		}
-		idx := cr.start + got
-		if rec.Cell != cells[idx] {
-			return got, fmt.Errorf("shard: peer %s returned cell %+v at grid index %d, want %+v", peer, rec.Cell, idx, cells[idx])
+		if cell != cells[idx] {
+			return got, fmt.Errorf("shard: peer %s returned cell %+v at grid index %d, want %+v", peer, cell, idx, cells[idx])
 		}
+		if sidecar {
+			sidecar = false
+			continue
+		}
+		sidecar = e.spec.Trajectories
 		if !send(dynamics.IndexedResult{Index: idx, Result: rec.Result}) {
 			return got, ctx.Err()
 		}

@@ -212,9 +212,9 @@ func TestShardedSweepByteIdentical(t *testing.T) {
 }
 
 // TestShardedTrajectorySweep: a trajectory spec shards like any other —
-// its leases stream lease records carrying per-round stats — and both the
-// checkpoint and the trajectory sidecar finish byte-identical to a
-// lone-daemon run's.
+// its leases stream each cell's sidecar line before its result line — and
+// both the checkpoint and the trajectory sidecar finish byte-identical to
+// a lone-daemon run's.
 func TestShardedTrajectorySweep(t *testing.T) {
 	sp := sweepd.Spec{
 		N:            14,
@@ -271,6 +271,72 @@ func TestShardedTrajectorySweep(t *testing.T) {
 	}
 	if job.RemoteCells == 0 {
 		t.Fatal("job snapshot counted no remote cells")
+	}
+}
+
+// TestTrajectoryLeaseWrongSidecarCellRefused: a peer whose trajectory
+// lease streams a sidecar line naming the wrong cell (the first two
+// cells' sidecar lines swapped, every line well-formed) is refused at that
+// line. The leader computes the range locally, and the job's checkpoint
+// and sidecar end byte-identical to a solo run's.
+func TestTrajectoryLeaseWrongSidecarCellRefused(t *testing.T) {
+	sp := sweepd.Spec{N: 12, Alphas: []float64{0.5, 2}, Ks: []int{2}, Seeds: 2, Trajectories: true}
+	sp.Normalize()
+	files := func(d *daemon, id string) (ckpt, traj []byte) {
+		t.Helper()
+		var err error
+		if ckpt, err = os.ReadFile(d.store.ResultsPath(id)); err != nil {
+			t.Fatal(err)
+		}
+		if traj, err = os.ReadFile(d.store.TrajectoryPath(id)); err != nil {
+			t.Fatal(err)
+		}
+		return ckpt, traj
+	}
+	solo := newDaemon(t, 2)
+	job, _, err := solo.mgr.Submit(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitDone(t, solo.mgr, job.ID)
+	refCkpt, refTraj := files(solo, job.ID)
+
+	honest := newDaemon(t, 2)
+	var served atomic.Uint64
+	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		honest.srv.Config.Handler.ServeHTTP(rec, r)
+		var lines [][]byte
+		for _, line := range bytes.Split(rec.Body.Bytes(), []byte("\n")) {
+			if len(line) > 0 {
+				lines = append(lines, line)
+			}
+		}
+		if len(lines) >= 4 { // sidecar, result, sidecar, result
+			lines[0], lines[2] = lines[2], lines[0]
+		}
+		served.Add(1)
+		w.Write(append(bytes.Join(lines, []byte("\n")), '\n')) //nolint:errcheck
+	}))
+	t.Cleanup(liar.Close)
+
+	leader := newDaemon(t, 2)
+	pool := shard.New([]string{liar.URL}, shard.Options{LeaseCells: 2})
+	leader.mgr.SetExecutorProvider(pool)
+	if job, _, err = leader.mgr.Submit(sp); err != nil {
+		t.Fatal(err)
+	}
+	done := waitDone(t, leader.mgr, job.ID)
+	if served.Load() == 0 {
+		t.Fatal("the peer served no lease; the refusal was not exercised")
+	}
+	if st := pool.Stats(); st.LeaseFailures != 1 || st.RemoteCells != 0 || done.RemoteCells != 0 {
+		t.Fatalf("pool stats %+v, job remote cells %d: want one refused lease and no remote cell", st, done.RemoteCells)
+	}
+	ckpt, traj := files(leader, job.ID)
+	if !bytes.Equal(ckpt, refCkpt) || !bytes.Equal(traj, refTraj) {
+		t.Fatalf("files differ from a solo run's: checkpoint %d vs %d bytes, sidecar %d vs %d",
+			len(ckpt), len(refCkpt), len(traj), len(refTraj))
 	}
 }
 

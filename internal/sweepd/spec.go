@@ -76,11 +76,10 @@ type Spec struct {
 	// main CellResult codec stays small either way. Collection costs one
 	// graph.PowerStats pass per round. Because the cache codec drops PerRound,
 	// trajectory jobs bypass the result cache — every cell is computed
-	// (locally or on a peer: leases for trajectory specs stream ncgio
-	// lease records that carry per-round stats next to each canonical
-	// result line) or resumed from this job's own checkpoint, whose
-	// sidecar record was already written, so the sidecar is always the
-	// complete grid.
+	// (locally, or on a peer, whose lease streams each cell's sidecar line
+	// before its result line) or resumed, and resume keeps only the cells
+	// both files hold canonically, so the sidecar is always the complete
+	// grid.
 	Trajectories bool `json:"trajectories,omitempty"`
 }
 

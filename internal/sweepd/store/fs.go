@@ -3,7 +3,6 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"iter"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -67,9 +66,8 @@ func (fs *FS) TrajectoryPath(id string) string {
 
 // TrajectoryAppender opens the job's trajectory sidecar for streaming
 // appends, repairing any torn tail first so a fresh line never merges
-// into a torn one. Callers resuming a job run ReconcileTrajectories
-// before this (which already truncates past the common prefix, torn
-// tails included) — the repair here is the writer's cheap backstop, an
+// into a torn one. A resuming runner has already cut the sidecar to its
+// canonical prefix; the repair is the writer's own backstop, an
 // O(tail-chunk) backwards scan.
 func (fs *FS) TrajectoryAppender(id string) (*ncgio.CheckpointWriter, error) {
 	path := fs.TrajectoryPath(id)
@@ -77,60 +75,6 @@ func (fs *FS) TrajectoryAppender(id string) (*ncgio.CheckpointWriter, error) {
 		return nil, err
 	}
 	return ncgio.NewCheckpointWriter(path)
-}
-
-// ReconcileTrajectories truncates a trajectory job's checkpoint AND
-// sidecar back to their longest common cell-prefix before a resume. The
-// runner appends both files in the same canonical cell order (sidecar
-// line first), so after a clean run they list identical cell sequences;
-// any divergence is crash damage — a process killed between the two
-// appends leaves one surplus sidecar record, and a power loss can
-// persist either file's tail without the other's (the two files fsync
-// independently). Truncating both to the agreed prefix is always safe:
-// per-cell determinism recomputes the dropped tail byte-identically,
-// whereas a checkpointed cell whose sidecar record was lost could never
-// regenerate it (resume skips checkpointed cells). Missing files are
-// empty prefixes. Only the job's own runner may call this (truncation
-// races a live writer).
-//
-// Both files are read whole (ncgio.Lines frames bytes, not streams): the
-// memory the runner spends on the checkpoint one call later, plus the
-// sidecar's size, once per resume of a trajectory job.
-func (fs *FS) ReconcileTrajectories(id string) error {
-	paths := [2]string{fs.ResultsPath(id), fs.TrajectoryPath(id)}
-	var data [2][]byte
-	for i, path := range paths {
-		var err error
-		if data[i], err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	nextTr, stop := iter.Pull2(ncgio.Lines(data[1]))
-	defer stop()
-	var agreed [2]int // where the common prefix ends in each file
-	for ckLine, ckEnd := range ncgio.Lines(data[0]) {
-		trLine, trEnd, ok := nextTr()
-		if !ok {
-			break
-		}
-		cell, err := ncgio.UnmarshalCell(ckLine)
-		if err != nil {
-			break // corrupt checkpoint record; drop it and the rest
-		}
-		trec, err := ncgio.UnmarshalTrajectory(trLine)
-		if err != nil || trec.Cell() != cell {
-			break
-		}
-		agreed = [2]int{ckEnd, trEnd}
-	}
-	for i, path := range paths {
-		if agreed[i] < len(data[i]) { // never true of a missing file
-			if err := os.Truncate(path, int64(agreed[i])); err != nil {
-				return fmt.Errorf("store: reconciling trajectories: %w", err)
-			}
-		}
-	}
-	return nil
 }
 
 // CreateJob persists pre-marshaled spec bytes under the given content

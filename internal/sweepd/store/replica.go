@@ -17,7 +17,10 @@ import (
 // manifest.json persisted next to the replica's artifact files. The
 // spec travels as raw JSON so the store stays independent of the sweepd
 // spec type; sweepd decodes and verifies it (content address, kernel
-// hash, canonical cell order) before a replica is ever stored.
+// hash, canonical cell order) before a replica is ever stored. The spec
+// fixes how many records the body holds, so the manifest does not repeat
+// it; manifests that still carry checkpoint_lines and trajectory_lines
+// decode, the two fields ignored.
 type ReplicaManifest struct {
 	// JobID is the job's content address; Kernel its kernel hash. The
 	// receiver recomputes both from Spec and rejects mismatches, so a
@@ -31,11 +34,6 @@ type ReplicaManifest struct {
 	// Status is the job's terminal status; only "done" jobs replicate
 	// (their artifacts are immutable — every cell is checkpointed).
 	Status string `json:"status"`
-	// CheckpointLines / TrajectoryLines frame the body that follows the
-	// manifest line: exactly that many checkpoint lines, then that many
-	// trajectory lines. CheckpointLines must equal the spec's grid size.
-	CheckpointLines int `json:"checkpoint_lines"`
-	TrajectoryLines int `json:"trajectory_lines,omitempty"`
 	// Spec is the job's normalized spec, verbatim.
 	Spec json.RawMessage `json:"spec"`
 	// Created / Finished mirror the leader's lifecycle record so a

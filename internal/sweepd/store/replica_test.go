@@ -10,13 +10,12 @@ import (
 
 func testManifest(id string) ReplicaManifest {
 	return ReplicaManifest{
-		JobID:           id,
-		Kernel:          "deadbeef",
-		Generation:      3,
-		Status:          "done",
-		CheckpointLines: 2,
-		Spec:            []byte(`{"n":10}`),
-		StoredAt:        time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC),
+		JobID:      id,
+		Kernel:     "deadbeef",
+		Generation: 3,
+		Status:     "done",
+		Spec:       []byte(`{"n":10}`),
+		StoredAt:   time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC),
 	}
 }
 
@@ -35,7 +34,7 @@ func TestReplicaSetPutRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.JobID != id || m.Generation != 3 || m.CheckpointLines != 2 {
+	if m.JobID != id || m.Generation != 3 {
 		t.Fatalf("manifest round-trip = %+v", m)
 	}
 	got, err := os.ReadFile(rs.ResultsPath(id))

@@ -258,57 +258,6 @@ func TestStoreConformance(t *testing.T) {
 			t.Fatalf("committed job was swept: %v", err)
 		}
 	})
-
-	t.Run("ReconcileTrajectories", func(t *testing.T) {
-		st := open(t)
-		sp := spec()
-		sp.Trajectories = true
-		sp.Normalize()
-		id, _, err := st.CreateJob(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := st.Appender(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		writeCells(t, ck, sp, 2)
-		tw, err := st.TrajectoryAppender(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sidecar runs one record ahead: the mid-append crash shape
-		// (sidecar line written, checkpoint line lost).
-		for i := 0; i < 3; i++ {
-			c := sp.CellsRange(i, i+1)[0]
-			line, err := ncgio.MarshalTrajectory(c, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := tw.AppendLine(line); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.ReconcileTrajectories(id); err != nil {
-			t.Fatal(err)
-		}
-		res, err := st.LoadResults(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := os.Open(st.TrajectoryPath(id))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		recs := readTrajectories(t, f)
-		if len(res) != 2 || len(recs) != 2 {
-			t.Fatalf("after reconcile: %d checkpoint cells, %d sidecar records; want 2 and 2 (longest common prefix)", len(res), len(recs))
-		}
-	})
 }
 
 // cellResult fabricates a valid result for the spec's i-th canonical

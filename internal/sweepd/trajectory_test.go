@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/ncgio"
@@ -356,9 +357,9 @@ func TestTrajectoryReconcileLostSidecarTail(t *testing.T) {
 }
 
 // TestTrajectoryLeaseStreamsRecords: POST /peer/leases for a trajectory
-// spec streams one lease record per cell — the canonical result line
-// wrapped with its per-round stats — in canonical order, so trajectory
-// sweeps can shard without the sidecar losing data.
+// spec streams each cell as the two lines the leader appends for it, its
+// sidecar line and then its result line, in canonical order: the lines of
+// the job's own sidecar and checkpoint, byte for byte.
 func TestTrajectoryLeaseStreamsRecords(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -370,42 +371,40 @@ func TestTrajectoryLeaseStreamsRecords(t *testing.T) {
 	defer srv.Close()
 
 	sp := trajSpec()
+	job := runDoneJob(t, mgr, sp)
+	var files [2][]string
+	for i, path := range []string{store.TrajectoryPath(job.ID), store.ResultsPath(job.ID)} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	}
+
 	start, end := 1, 5
 	resp := postLease(t, srv.URL, LeaseRequest{Spec: sp, Start: start, End: end})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
-
-	cells := sp.Cells()
+	var want []string
+	for i := start; i < end; i++ {
+		want = append(want, files[0][i], files[1][i])
+	}
+	var got []string
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	i := start
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue // heartbeat
+		if line := sc.Text(); line != "" { // a blank line is a heartbeat
+			got = append(got, line)
 		}
-		rec, err := ncgio.UnmarshalLeaseRecord(line)
-		if err != nil {
-			t.Fatalf("bad lease record %q: %v", line, err)
-		}
-		if rec.Cell != cells[i] {
-			t.Fatalf("record %d is cell %+v, want %+v", i-start, rec.Cell, cells[i])
-		}
-		if len(rec.Result.PerRound) == 0 {
-			t.Fatalf("cell %+v arrived without per-round stats", rec.Cell)
-		}
-		if n := len(rec.Result.PerRound); n != rec.Result.Rounds {
-			t.Fatalf("cell %+v has %d per-round entries, summary says %d rounds", rec.Cell, n, rec.Result.Rounds)
-		}
-		i++
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if i != end {
-		t.Fatalf("stream delivered %d records, want %d", i-start, end-start)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("lease streamed %d lines, want the %d sidecar and result lines of cells [%d, %d):\n got %q\nwant %q",
+			len(got), len(want), start, end, got, want)
 	}
 }
 
