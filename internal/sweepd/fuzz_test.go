@@ -186,11 +186,14 @@ func FuzzSpecDecode(f *testing.F) {
 
 // FuzzTrajectoryResume damages one file of a done four-cell trajectory
 // job — it inserts, deletes or overwrites bytes at an offset of the
-// checkpoint or of the sidecar — and resumes the job: both files must end
-// byte-identical to the undamaged pair. The files carry no checksum, so
-// damage that leaves another canonical record of the same cell in place of
-// the first one it touches is not damage any reader can see; such an input
-// is skipped.
+// checkpoint or of the sidecar — and hands the pair to the job through one
+// of its two doors: written to disk and resumed, or, with adopt set, given
+// to Manager.Adopt on a fresh store as an adoption's seed. Either way both
+// files must end byte-identical to the undamaged pair, and an undamaged
+// pair must append no cell. The files carry no checksum, so damage that
+// leaves another canonical record of the same cell in place of the first
+// one it touches is not damage any reader can see; such an input is
+// skipped.
 func FuzzTrajectoryResume(f *testing.F) {
 	sp := Spec{N: 8, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2, Trajectories: true}
 	sp.Normalize()
@@ -198,12 +201,14 @@ func FuzzTrajectoryResume(f *testing.F) {
 	want := [2][]byte{bytes.Join(ck, nil), bytes.Join(side, nil)}
 	cellOf := [2]func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell}
 	const insert, remove, overwrite = 0, 1, 2
-	f.Add(true, uint8(insert), uint16(len(side[0])), []byte("\n"))    // a blank line between sidecar records
-	f.Add(true, uint8(insert), uint16(len(side[0])), []byte("  "))    // a padded sidecar record
-	f.Add(false, uint8(insert), uint16(len(ck[0])+len(ck[1])), ck[1]) // a checkpoint record duplicated
-	f.Add(true, uint8(remove), uint16(len(want[1])-1), []byte("x"))   // the sidecar's last newline lost
-	f.Add(false, uint8(overwrite), uint16(2), []byte("beta"))         // a checkpoint key respelled
-	f.Fuzz(func(t *testing.T, sidecar bool, op uint8, off uint16, data []byte) {
+	f.Add(false, true, uint8(insert), uint16(len(side[0])), []byte("\n"))    // a blank line between sidecar records
+	f.Add(false, true, uint8(insert), uint16(len(side[0])), []byte("  "))    // a padded sidecar record
+	f.Add(false, false, uint8(insert), uint16(len(ck[0])+len(ck[1])), ck[1]) // a checkpoint record duplicated
+	f.Add(false, true, uint8(remove), uint16(len(want[1])-1), []byte("x"))   // the sidecar's last newline lost
+	f.Add(false, false, uint8(overwrite), uint16(2), []byte("beta"))         // a checkpoint key respelled
+	f.Add(true, true, uint8(insert), uint16(len(side[0])), []byte("\n"))     // an adopted sidecar with a blank line
+	f.Add(true, false, uint8(remove), uint16(0), []byte{})                   // an undamaged pair adopted
+	f.Fuzz(func(t *testing.T, adopt, sidecar bool, op uint8, off uint16, data []byte) {
 		i := 0
 		if sidecar {
 			i = 1
@@ -237,29 +242,36 @@ func FuzzTrajectoryResume(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id, _, err := st.CreateJob(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		id := sp.ID()
 		paths := [2]string{st.ResultsPath(id), st.TrajectoryPath(id)}
-		for k, path := range paths {
-			if err := os.WriteFile(path, files[k], 0o644); err != nil {
-				t.Fatal(err)
+		mgr := NewManager(st, nil, 1)
+		if adopt {
+			_, _, err = mgr.Adopt(sp, files[0], files[1])
+		} else if _, _, err = st.CreateJob(sp); err == nil {
+			for k, path := range paths {
+				if err = os.WriteFile(path, files[k], 0o644); err != nil {
+					break
+				}
+			}
+			if err == nil {
+				err = mgr.Resume()
 			}
 		}
-		mgr := NewManager(st, nil, 1)
-		if err := mgr.Resume(); err != nil {
+		if err != nil {
 			t.Fatal(err)
 		}
 		waitStatus(t, mgr, id, StatusDone)
 		mgr.Close()
+		if n := mgr.Stats().CellsAppended; n != 0 && bytes.Equal(files[0], want[0]) && bytes.Equal(files[1], want[1]) {
+			t.Fatalf("the undamaged pair appended %d cells (adopt %v)", n, adopt)
+		}
 		for k, path := range paths {
 			got, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want[k]) {
-				t.Fatalf("%s after resume:\n%q\nwant\n%q", filepath.Base(path), got, want[k])
+				t.Fatalf("%s after resume (adopt %v):\n%q\nwant\n%q", filepath.Base(path), adopt, got, want[k])
 			}
 		}
 	})

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
 )
 
@@ -163,25 +162,23 @@ func (m *Manager) Replicas() *store.ReplicaSet {
 	return m.replicas
 }
 
-// ReplicaCheckpoint returns the raw checkpoint bytes of a locally held
-// replica of the job, or nil when no replica (or no replica store)
-// exists. The scheduler's adoption path prefers this over refetching
-// the checkpoint tail from peers over HTTP — a dead leader's job seeds
-// from the local copy.
-func (m *Manager) ReplicaCheckpoint(id string) []byte {
+// ReplicaFiles returns the checkpoint and sidecar (nil without
+// trajectories) of a locally held replica of the job, or two nils when
+// there is none: an adoption's seed.
+func (m *Manager) ReplicaFiles(id string) (checkpoint, sidecar []byte) {
 	rs := m.Replicas()
 	if rs == nil {
-		return nil
+		return nil, nil
 	}
-	man, err := rs.Manifest(id)
-	if err != nil || man.JobID != id {
-		return nil
+	if man, err := rs.Manifest(id); err != nil || man.JobID != id {
+		return nil, nil
 	}
-	data, err := os.ReadFile(rs.ResultsPath(id))
+	checkpoint, err := os.ReadFile(rs.ResultsPath(id))
 	if err != nil {
-		return nil
+		return nil, nil
 	}
-	return data
+	sidecar, _ = os.ReadFile(rs.TrajectoryPath(id)) // absent unless the spec collected trajectories
+	return checkpoint, sidecar
 }
 
 // fire runs the hooks registered in *hooks — finishHooks with a job
@@ -286,16 +283,14 @@ func (m *Manager) Submit(sp Spec) (Job, bool, error) {
 }
 
 // Adopt admits a job this daemon is claiming from a dead leader: the
-// spec comes from the job's gossiped lease, and checkpoint (may be nil)
-// is the dead leader's checkpoint tail as fetched from whichever member
-// still had bytes — its maximal canonical prefix seeds the local
-// checkpoint before the runner starts, so adoption resumes rather than
-// recomputes wherever bytes survived. Adoption is quota-exempt: an
-// orphaned job must land somewhere, and the adopter was chosen as the
-// least-loaded member. Determinism makes the rest safe: whatever prefix
-// is imported, the finished checkpoint is byte-identical to an
-// uninterrupted run's.
-func (m *Manager) Adopt(sp Spec, checkpoint []byte) (Job, bool, error) {
+// spec comes from the job's gossiped lease, and checkpoint and sidecar
+// (either may be nil; sidecar is nil without trajectories) are its seed,
+// a replica of the job or a peer's checkpoint tail. They replace the job's
+// files as raw bytes before the runner starts, and its resume judges them
+// like its own, so adoption resumes wherever bytes survived. Adoption is
+// quota-exempt: an orphaned job must land somewhere, and the adopter was
+// chosen as the least-loaded member.
+func (m *Manager) Adopt(sp Spec, checkpoint, sidecar []byte) (Job, bool, error) {
 	sp.Normalize()
 	if err := sp.Validate(); err != nil {
 		return Job{}, false, err
@@ -303,44 +298,39 @@ func (m *Manager) Adopt(sp Spec, checkpoint []byte) (Job, bool, error) {
 	if _, _, err := m.store.CreateJob(sp); err != nil {
 		return Job{}, false, fmt.Errorf("%w: %w", ErrStore, err)
 	}
-	if tmp := m.stageCheckpoint(sp, checkpoint); tmp != "" {
-		// Only the commit happens under mu. admit also registers under mu
-		// before spawning a runner, so no runner can have the checkpoint
-		// open while it is being replaced; a non-empty local checkpoint
-		// wins outright (it is this daemon's own writing).
-		path := m.store.ResultsPath(sp.ID())
-		m.mu.Lock()
-		_, registered := m.jobs[sp.ID()]
-		fi, err := os.Stat(path)
-		if registered || (err == nil && fi.Size() > 0) || os.Rename(tmp, path) != nil {
-			os.Remove(tmp) //nolint:errcheck // best-effort cleanup
+	id := sp.ID()
+	paths := []string{m.store.ResultsPath(id), m.store.TrajectoryPath(id)}
+	tmps := []string{stage(paths[0], checkpoint), stage(paths[1], sidecar)}
+	// Only the commit happens under mu. admit also registers under mu
+	// before spawning a runner, so no runner can have the files open while
+	// they are replaced; a non-empty local checkpoint wins outright (it is
+	// this daemon's own writing), sidecar and all.
+	m.mu.Lock()
+	_, registered := m.jobs[id]
+	if fi, err := os.Stat(paths[0]); tmps[0] != "" && !registered && (err != nil || fi.Size() == 0) {
+		for i, tmp := range tmps {
+			os.Rename(tmp, paths[i]) //nolint:errcheck // "" fails harmlessly; resume keeps what both files hold
 		}
-		m.mu.Unlock()
+	}
+	m.mu.Unlock()
+	for _, tmp := range tmps {
+		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of what was not committed
 	}
 	return m.admit(sp, false)
 }
 
-// stageCheckpoint writes the maximal canonical prefix of raw (a fetched
-// checkpoint tail, or this daemon's replica of the job) to a temp file of
-// its own beside the job's checkpoint and returns its path, "" when there
-// is nothing to seed. The first line canonicalPrefix refuses — torn,
-// alien, out of order, padded, after a blank line — ends the import and
-// the runner recomputes from there, so what lands is byte for byte what
-// this daemon's own writer would have appended. It must not take m.mu:
-// every line is validated (3.5 µs at n = 100, 13 ms for a 3600-cell grid),
-// and /healthz, the peers' probes and every running job's counters wait
-// on that lock. Best-effort: any failure just means
-// adoption starts from less.
-func (m *Manager) stageCheckpoint(sp Spec, raw []byte) string {
-	keep, _ := sp.canonicalPrefix(raw, ncgio.UnmarshalCell) // a refusal is where recomputing starts, not an error
-	if keep == 0 {
+// stage writes raw to a temp file of its own beside path and returns its
+// name, "" when raw is empty or the write fails. Nothing is judged here,
+// under or before the manager lock: the runner's resume does that.
+func stage(path string, raw []byte) string {
+	if len(raw) == 0 {
 		return ""
 	}
-	f, err := os.CreateTemp(filepath.Dir(m.store.ResultsPath(sp.ID())), "adopt-*")
+	f, err := os.CreateTemp(filepath.Dir(path), "adopt-*")
 	if err != nil {
 		return ""
 	}
-	if _, err = f.Write(raw[:keep]); err == nil {
+	if _, err = f.Write(raw); err == nil {
 		err = f.Chmod(0o644) // the mode the appender creates a checkpoint with
 	}
 	if cerr := f.Close(); err != nil || cerr != nil {

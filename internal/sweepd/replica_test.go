@@ -677,10 +677,9 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 }
 
 // TestAdoptStagesOutsideManagerLock: the part of adoption that takes as
-// long as the fetched tail is big — decoding every line, writing the temp
-// file — must not need the manager lock that /healthz, the peers' probes
-// and every running job's counters wait on. Staging completes while the
-// test holds it.
+// long as the seed is big — writing the temp file — must not need the
+// manager lock that /healthz, the peers' probes and every running job's
+// counters wait on. Staging completes while the test holds it.
 func TestAdoptStagesOutsideManagerLock(t *testing.T) {
 	sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 4}
 	sp.Normalize()
@@ -697,7 +696,7 @@ func TestAdoptStagesOutsideManagerLock(t *testing.T) {
 
 	staged := make(chan string, 1)
 	mgr.mu.Lock()
-	go func() { staged <- mgr.stageCheckpoint(sp, want) }()
+	go func() { staged <- stage(mgr.store.ResultsPath(sp.ID()), want) }()
 	var tmp string
 	select {
 	case tmp = <-staged:
@@ -705,10 +704,10 @@ func TestAdoptStagesOutsideManagerLock(t *testing.T) {
 	}
 	mgr.mu.Unlock()
 	if tmp == "" {
-		t.Fatal("stageCheckpoint did not finish while the manager lock was held")
+		t.Fatal("stage did not finish while the manager lock was held")
 	}
 	if got, err := os.ReadFile(tmp); err != nil || string(got) != string(want) {
-		t.Fatalf("staged %d bytes (%v), want the %d-byte canonical prefix", len(got), err, len(want))
+		t.Fatalf("staged %d bytes (%v), want the %d-byte seed", len(got), err, len(want))
 	}
 }
 
@@ -741,7 +740,7 @@ func TestAdoptSeedsOnlyCanonicalPrefix(t *testing.T) {
 		"a ninth record past the grid": {string(want) + recs[7], 8},
 	} {
 		mgr, _, _, _, _ := newLifecycleRig(t, Config{})
-		if _, _, err := mgr.Adopt(sp, []byte(tc.tail)); err != nil {
+		if _, _, err := mgr.Adopt(sp, []byte(tc.tail), nil); err != nil {
 			t.Fatal(err)
 		}
 		waitStatus(t, mgr, job.ID, StatusDone)

@@ -32,15 +32,16 @@
 // lease has not been refreshed for AdoptAfter on the daemon's clock
 // (sweepd.Time, which paces the heartbeat too), every member runs the
 // same deterministic election: the least-loaded alive member (URL as
-// tie-break) adopts. The adopter fetches the checkpoint tail from any
-// alive member that still has bytes (usually none — the dead leader
-// had the file), seeds its local checkpoint with the maximal canonical
-// prefix via Manager.Adopt, and resumes the job as generation+1 leader
-// by writing that lease into its own registry. Gossip carries it from
-// there: every member (a racing adopter, and a zombie ex-leader that
-// answers probes again, included) pulls it within one probe interval.
-// Per-cell determinism makes the recovered checkpoint byte-identical to
-// an uninterrupted run no matter how much of the tail was recovered.
+// tie-break) adopts. Its seed, via Manager.Adopt, is its own replica of
+// the job (both files) when the leader had finished. Without one, a spec
+// without trajectories takes the checkpoint tail of any alive member that
+// has bytes (usually none); a trajectory spec fetches nothing, as a peer's
+// read serves no sidecar. The job's resume judges the seed like its own
+// files. The adopter leads at generation+1 by writing that lease into its
+// own registry, and gossip carries it: every member (a racing adopter and
+// a revived ex-leader included) pulls it within one probe interval.
+// Determinism makes the finished files byte-identical to an uninterrupted
+// run's however much of the seed was kept.
 //
 // # Split-brain guard
 //

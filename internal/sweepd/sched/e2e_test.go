@@ -16,8 +16,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,6 +160,14 @@ func waitMesh(t *testing.T, clk *fakeClock, step time.Duration, ds ...*daemon) {
 // finished checkpoint bytes — the byte-identity baseline.
 func runReference(t *testing.T, sp sweepd.Spec) []byte {
 	t.Helper()
+	checkpoint, _ := referenceFiles(t, sp)
+	return checkpoint
+}
+
+// referenceFiles is runReference returning the sidecar's bytes too (nil
+// for a spec without trajectories).
+func referenceFiles(t *testing.T, sp sweepd.Spec) (checkpoint, sidecar []byte) {
+	t.Helper()
 	ref := newSchedDaemon(t, 4)
 	defer ref.kill()
 	job, _, err := ref.Manager.Submit(sp)
@@ -165,14 +175,19 @@ func runReference(t *testing.T, sp sweepd.Spec) []byte {
 		t.Fatal(err)
 	}
 	waitDone(t, ref.Manager, job.ID)
-	data, err := os.ReadFile(ref.Store.ResultsPath(job.ID))
+	checkpoint, err = os.ReadFile(ref.Store.ResultsPath(job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(data) == 0 {
+	if len(checkpoint) == 0 {
 		t.Fatal("reference checkpoint is empty")
 	}
-	return data
+	if sp.Trajectories {
+		if sidecar, err = os.ReadFile(ref.Store.TrajectoryPath(job.ID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return checkpoint, sidecar
 }
 
 // TestSubmitLeadsWhereReceived: POST /sweeps to the one busy daemon of
@@ -406,6 +421,178 @@ func (e leaseFirstExec) Execute(ctx context.Context, req dynamics.ExecRequest) <
 		}
 		req.Gate = e.local
 		for ir := range e.exec.Execute(ctx, req) {
+			select {
+			case out <- ir:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return out
+}
+
+// TestAdoptionCountsRecomputedCells measures what an adoption recomputes.
+// Three members run real cells, the leader sharding its grid over both
+// peers, and the leader is killed once half the grid is in its
+// checkpoint. The adopter's run must end with the reference bytes, and
+// each cell of the grid must reach its checkpoint from exactly one of its
+// seed, its cache and its executor (local or leased). The counts are
+// logged. A job killed mid-run has no replica and no copy on a peer, so
+// the seed is empty; a plain spec's cache holds the cells the adopter
+// computed on the dead leader's leases, and a trajectory spec, which
+// bypasses the cache, computes its whole grid again.
+func TestAdoptionCountsRecomputedCells(t *testing.T) {
+	for _, trajectories := range []bool{false, true} {
+		sp := sweepd.Spec{
+			N:            16,
+			Alphas:       []float64{0.5, 1, 2},
+			Ks:           []int{2, 1000},
+			Seeds:        4, // 24 cells
+			Trajectories: trajectories,
+		}
+		sp.Normalize()
+		name := "plain"
+		if trajectories {
+			name = "trajectories"
+		}
+		t.Run(name, func(t *testing.T) {
+			clk := useFakeClock(t)
+			ref, refSidecar := referenceFiles(t, sp)
+			total := sp.NumCells()
+
+			a := newSchedDaemon(t, 1)
+			b := newSchedDaemon(t, 2, a.url)
+			c := newSchedDaemon(t, 2, a.url)
+			reached := make(chan struct{})
+			a.Manager.SetExecutorProvider(halfway{shard.NewFromSource(a.Registry, shard.Options{LeaseCells: 4}), total / 2, reached})
+			computed := map[*daemon]*atomic.Int64{}
+			for _, d := range []*daemon{b, c} {
+				computed[d] = new(atomic.Int64)
+				d.Manager.SetExecutorProvider(counting{shard.NewFromSource(d.Registry, shard.Options{LeaseCells: 4}), computed[d]})
+			}
+			waitMesh(t, clk, beat, a, b, c)
+
+			job, _, err := a.Manager.Submit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-reached:
+			case <-time.After(120 * time.Second):
+				t.Fatal("the leader's executor did not deliver the first half of the grid")
+			}
+			clk.stepUntil(t, beat, 30, "half the grid in the leader's checkpoint, its lease at both survivors", func() bool {
+				j, _ := a.Manager.Get(job.ID)
+				return j.Completed == total/2 && b.leads(job.ID, a.url) && c.leads(job.ID, a.url)
+			})
+			a.kill()
+
+			clk.stepUntil(t, beat, 60, "a survivor adopts", func() bool {
+				return b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions > 0
+			})
+			adopter := c
+			if b.Scheduler.Stats().Adoptions > 0 {
+				adopter = b
+			}
+			done := waitDone(t, adopter.Manager, job.ID)
+			seeded := total - int(adopter.Manager.Stats().CellsAppended)
+			fresh := int(computed[adopter].Load())
+			t.Logf("%s: of %d cells the adopter seeded %d, took %d from its cache and computed %d (%d of them on its peer)",
+				name, total, seeded, done.CacheHits, fresh, done.RemoteCells)
+			if seeded+done.CacheHits+fresh != total {
+				t.Fatalf("seeded %d + cache hits %d + computed %d != %d cells", seeded, done.CacheHits, fresh, total)
+			}
+
+			for _, f := range []struct {
+				path string
+				want []byte
+			}{{adopter.Store.ResultsPath(job.ID), ref}, {adopter.Store.TrajectoryPath(job.ID), refSidecar}} {
+				if f.want == nil {
+					continue
+				}
+				got, err := os.ReadFile(f.path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, f.want) {
+					t.Fatalf("adopted %s differs from the reference (%d vs %d bytes)", filepath.Base(f.path), len(got), len(f.want))
+				}
+			}
+		})
+	}
+}
+
+// halfway runs a job on pool but lets only the cells before half reach
+// the runner, closing reached once they all have; the job then stays
+// running, its checkpoint half full, until it is canceled.
+type halfway struct {
+	pool    *shard.Pool
+	half    int
+	reached chan struct{}
+}
+
+func (h halfway) ExecutorFor(sp sweepd.Spec, onRemote func(int)) dynamics.Executor {
+	var exec dynamics.Executor = dynamics.LocalExecutor{}
+	if e := h.pool.ExecutorFor(sp, onRemote); e != nil {
+		exec = e
+	}
+	return halfwayExec{h, exec}
+}
+
+type halfwayExec struct {
+	halfway
+	exec dynamics.Executor
+}
+
+func (e halfwayExec) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan dynamics.IndexedResult {
+	out := make(chan dynamics.IndexedResult)
+	go func() {
+		defer close(out)
+		sent := 0
+		for ir := range e.exec.Execute(ctx, req) {
+			if ir.Index >= e.half {
+				continue
+			}
+			select {
+			case out <- ir:
+			case <-ctx.Done():
+				return
+			}
+			if sent++; sent == e.half {
+				close(e.reached)
+			}
+		}
+		<-ctx.Done()
+	}()
+	return out
+}
+
+// counting runs a job on pool, or on the local pool when no peer is alive,
+// and counts the cells its executor delivers.
+type counting struct {
+	pool *shard.Pool
+	n    *atomic.Int64
+}
+
+func (c counting) ExecutorFor(sp sweepd.Spec, onRemote func(int)) dynamics.Executor {
+	var exec dynamics.Executor = dynamics.LocalExecutor{}
+	if e := c.pool.ExecutorFor(sp, onRemote); e != nil {
+		exec = e
+	}
+	return countingExec{c.n, exec}
+}
+
+type countingExec struct {
+	n    *atomic.Int64
+	exec dynamics.Executor
+}
+
+func (e countingExec) Execute(ctx context.Context, req dynamics.ExecRequest) <-chan dynamics.IndexedResult {
+	out := make(chan dynamics.IndexedResult)
+	go func() {
+		defer close(out)
+		for ir := range e.exec.Execute(ctx, req) {
+			e.n.Add(1)
 			select {
 			case out <- ir:
 			case <-ctx.Done():

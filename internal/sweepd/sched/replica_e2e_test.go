@@ -10,6 +10,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -166,72 +167,91 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 }
 
 // TestAdoptionSeedsFromLocalReplicaEndToEnd: a stale lease points at a
-// dead leader for a job the survivors hold replicas of. The adopter
-// must seed its copy from the local replica — no HTTP tail-fetch (the
-// only candidate peer would 404 anyway) — and finish byte-identically.
+// dead leader for a job the survivors hold replicas of. The adopter must
+// seed its copy from the local replica — no HTTP tail-fetch (the only
+// candidate peer would 404 anyway) — and finish with both of its files
+// byte-identical to the replica's without appending a cell, a trajectory
+// spec's sidecar included.
 func TestAdoptionSeedsFromLocalReplicaEndToEnd(t *testing.T) {
-	sp := sweepd.Spec{
-		N:      16,
-		Alphas: []float64{0.5, 1, 2},
-		Ks:     []int{2, 1000},
-		Seeds:  4, // 24 cells
-	}
-	sp.Normalize()
-
-	clk := useFakeClock(t)
-	a := newSchedDaemon(t, 4)
-	b := newSchedDaemon(t, 2, a.url)
-	c := newSchedDaemon(t, 2, a.url)
-	waitMesh(t, clk, beat, a, b, c)
-
-	job, _, err := a.Manager.Submit(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, a.Manager, job.ID)
-	waitReplica(t, clk, job.ID, b, c)
-	a.kill()
-	// Inject only once both survivors have found A down. A pull from A
-	// still in flight would otherwise land after the injection and drop
-	// the lease, which its owner A no longer lists.
-	clk.stepUntil(t, beat, 30, "both survivors find the leader down", func() bool {
-		return b.finds(a.url, "down") && c.finds(a.url, "down")
-	})
-
-	// Resurrect the lease as if the leader died mid-run: owner dead,
-	// generation 1. Both survivors hold a verified replica, so whichever
-	// wins the adoption election can seed without touching the network.
-	lease := sweepd.JobLease{JobID: job.ID, Spec: sp, Owner: a.url, Generation: 1}
-	for _, survivor := range []*daemon{b, c} {
-		if !survivor.Registry.UpdateLease(lease) {
-			t.Fatalf("lease injection rejected by %s", survivor.url)
+	for _, trajectories := range []bool{false, true} {
+		sp := sweepd.Spec{
+			N:            16,
+			Alphas:       []float64{0.5, 1, 2},
+			Ks:           []int{2, 1000},
+			Seeds:        4, // 24 cells
+			Trajectories: trajectories,
 		}
-	}
+		sp.Normalize()
+		name := "plain"
+		if trajectories {
+			name = "trajectories"
+		}
+		t.Run(name, func(t *testing.T) {
+			clk := useFakeClock(t)
+			a := newSchedDaemon(t, 4)
+			b := newSchedDaemon(t, 2, a.url)
+			c := newSchedDaemon(t, 2, a.url)
+			waitMesh(t, clk, beat, a, b, c)
 
-	clk.stepUntil(t, beat, 60, "a survivor adopts", func() bool {
-		return b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions > 0
-	})
-	adopter := c
-	if b.Scheduler.Stats().Adoptions > 0 {
-		adopter = b
-	}
-	if st := adopter.Scheduler.Stats(); st.ReplicaSeeds != 1 {
-		t.Fatalf("adopter stats = %+v, want ReplicaSeeds=1 (adoption must not tail-fetch)", st)
-	}
+			job, _, err := a.Manager.Submit(sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitDone(t, a.Manager, job.ID)
+			waitReplica(t, clk, job.ID, b, c)
+			a.kill()
+			// Inject only once both survivors have found A down. A pull from A
+			// still in flight would otherwise land after the injection and drop
+			// the lease, which its owner A no longer lists.
+			clk.stepUntil(t, beat, 30, "both survivors find the leader down", func() bool {
+				return b.finds(a.url, "down") && c.finds(a.url, "down")
+			})
 
-	// Seeded from a complete replica, the adopted job finishes without
-	// recomputing — and its primary checkpoint matches the replica bytes.
-	waitDone(t, adopter.Manager, job.ID)
-	adopted, err := os.ReadFile(adopter.Store.ResultsPath(job.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	replica, err := os.ReadFile(adopter.Replicas.ResultsPath(job.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(adopted, replica) {
-		t.Fatalf("adopted checkpoint differs from the replica it was seeded from (%d vs %d bytes)",
-			len(adopted), len(replica))
+			// Resurrect the lease as if the leader died mid-run: owner dead,
+			// generation 1. Both survivors hold a verified replica, so whichever
+			// wins the adoption election can seed without touching the network.
+			lease := sweepd.JobLease{JobID: job.ID, Spec: sp, Owner: a.url, Generation: 1}
+			for _, survivor := range []*daemon{b, c} {
+				if !survivor.Registry.UpdateLease(lease) {
+					t.Fatalf("lease injection rejected by %s", survivor.url)
+				}
+			}
+
+			clk.stepUntil(t, beat, 60, "a survivor adopts", func() bool {
+				return b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions > 0
+			})
+			adopter := c
+			if b.Scheduler.Stats().Adoptions > 0 {
+				adopter = b
+			}
+			if st := adopter.Scheduler.Stats(); st.ReplicaSeeds != 1 {
+				t.Fatalf("adopter stats = %+v, want ReplicaSeeds=1 (adoption must not tail-fetch)", st)
+			}
+
+			// Seeded from a complete replica, the adopted job finishes without
+			// recomputing — and its files match the replica's bytes.
+			waitDone(t, adopter.Manager, job.ID)
+			if n := adopter.Manager.Stats().CellsAppended; n != 0 {
+				t.Fatalf("the adopted run appended %d of %d cells, want none", n, sp.NumCells())
+			}
+			files := [][2]string{{adopter.Store.ResultsPath(job.ID), adopter.Replicas.ResultsPath(job.ID)}}
+			if trajectories {
+				files = append(files, [2]string{adopter.Store.TrajectoryPath(job.ID), adopter.Replicas.TrajectoryPath(job.ID)})
+			}
+			for _, f := range files {
+				adopted, err := os.ReadFile(f[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				replica, err := os.ReadFile(f[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(adopted, replica) {
+					t.Fatalf("adopted %s differs from the replica it was seeded from (%d vs %d bytes)",
+						filepath.Base(f[0]), len(adopted), len(replica))
+				}
+			}
+		})
 	}
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // maxCheckpointFetch bounds how much of a peer's checkpoint tail the
-// adopter will buffer. A truncated tail is safe: Manager.Adopt keeps
-// only the maximal canonical prefix, and the run recomputes the rest.
+// adopter will buffer. A truncated tail is safe: the adopted run's resume
+// keeps only its canonical prefix and recomputes the rest.
 const maxCheckpointFetch = 64 << 20
 
 // Cluster is the registry surface the scheduler drives. Implemented by
@@ -41,13 +41,14 @@ type Cluster interface {
 // Implemented by *sweepd.Manager.
 type Manager interface {
 	Submit(sp sweepd.Spec) (sweepd.Job, bool, error)
-	Adopt(sp sweepd.Spec, checkpoint []byte) (sweepd.Job, bool, error)
+	// Adopt admits an orphaned job seeded with raw checkpoint and sidecar
+	// bytes, which its resume judges like its own files. ReplicaFiles
+	// reads a local replica's two files (two nils when there is none):
+	// adoption seeds from them rather than tail-fetch from peers.
+	Adopt(sp sweepd.Spec, checkpoint, sidecar []byte) (sweepd.Job, bool, error)
 	List() []sweepd.Job
 	Load() sweepd.LoadInfo
-	// ReplicaCheckpoint returns the raw checkpoint bytes of a locally
-	// held replica of the job, or nil when none exists — adoption
-	// prefers this over an HTTP tail-fetch from peers.
-	ReplicaCheckpoint(id string) []byte
+	ReplicaFiles(id string) (checkpoint, sidecar []byte)
 }
 
 // Options configures a Scheduler. Cluster and Manager are required.
@@ -307,14 +308,13 @@ func (s *Scheduler) electAdopter(self string) string {
 	return best
 }
 
-// adoptJob takes over an orphaned job: recover the checkpoint — from
-// this daemon's own replica of the job when one exists (verified on
-// receipt, no network needed, and present even when the dead leader
-// held the only live copy), else whatever tail an alive peer still
-// holds — seed it locally, resume the sweep, and publish the
-// generation+1 lease. The lease came from a peer and its JobID is about
-// to name a replica directory, a URL path and the lease published here: one
-// that is not its spec's content address (16 hex digits) is skipped.
+// adoptJob takes over an orphaned job: seed it from this daemon's own
+// replica of the job when one exists (both files, verified on receipt),
+// else, without trajectories, from whatever checkpoint tail an alive peer
+// holds — a peer's read serves no sidecar — resume the sweep, and publish
+// the generation+1 lease. The lease came from a peer and its JobID is
+// about to name a replica directory, a URL path and the lease published
+// here: one that is not its spec's content address is skipped.
 func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	sp := l.Spec
 	sp.Normalize()
@@ -322,14 +322,17 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 		slog.Warn("sched: skipping a lease whose job id is not its spec's", "job", l.JobID, "owner", l.Owner, "spec_id", sp.ID())
 		return
 	}
-	checkpoint := s.opts.Manager.ReplicaCheckpoint(l.JobID)
+	checkpoint, sidecar := s.opts.Manager.ReplicaFiles(l.JobID)
+	seed := "replica"
 	if checkpoint != nil {
 		s.replicaSeeds.Add(1)
-		slog.Info("sched: seeding adoption from the local replica", "job", l.JobID, "bytes", len(checkpoint))
-	} else {
-		checkpoint = s.fetchCheckpoint(l.JobID)
+	} else if !sp.Trajectories {
+		checkpoint, seed = s.fetchCheckpoint(l.JobID), "tail"
 	}
-	job, _, err := s.opts.Manager.Adopt(l.Spec, checkpoint)
+	if checkpoint == nil {
+		seed = "none"
+	}
+	job, _, err := s.opts.Manager.Adopt(l.Spec, checkpoint, sidecar)
 	if err != nil {
 		slog.Warn("sched: adoption failed", "job", l.JobID, "owner", l.Owner, "err", err)
 		return
@@ -357,7 +360,7 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	}
 	s.adoptions.Add(1)
 	slog.Info("sched: adopted job", "job", l.JobID, "owner", self, "generation", newGen, "was", l.Owner,
-		"completed", job.Completed, "total", job.Total)
+		"seed", seed, "seed_bytes", len(checkpoint)+len(sidecar), "total", job.Total)
 }
 
 // fetchCheckpoint asks each alive peer for its own copy of the orphan's

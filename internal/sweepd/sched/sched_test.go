@@ -101,8 +101,8 @@ func (c *fakeCluster) lease(jobID string) (sweepd.JobLease, bool) {
 
 // adoptCall records one Manager.Adopt invocation.
 type adoptCall struct {
-	spec       sweepd.Spec
-	checkpoint []byte
+	spec                sweepd.Spec
+	checkpoint, sidecar []byte
 }
 
 // fakeManager scripts the manager surface: a fixed load, a job list,
@@ -112,8 +112,9 @@ type fakeManager struct {
 	load    sweepd.LoadInfo
 	jobs    []sweepd.Job
 	adopted []adoptCall
-	// replicaCheckpoints scripts ReplicaCheckpoint by job ID (nil map =
-	// no replicas held); replicaAsked records the IDs it was asked for.
+	// replicaCheckpoints scripts ReplicaFiles' checkpoint by job ID (nil
+	// map = no replicas held); replicaAsked records the IDs it was asked
+	// for.
 	replicaCheckpoints map[string][]byte
 	replicaAsked       []string
 }
@@ -122,10 +123,10 @@ func (m *fakeManager) Submit(sp sweepd.Spec) (sweepd.Job, bool, error) {
 	return sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning}, true, nil
 }
 
-func (m *fakeManager) Adopt(sp sweepd.Spec, checkpoint []byte) (sweepd.Job, bool, error) {
+func (m *fakeManager) Adopt(sp sweepd.Spec, checkpoint, sidecar []byte) (sweepd.Job, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.adopted = append(m.adopted, adoptCall{sp, checkpoint})
+	m.adopted = append(m.adopted, adoptCall{sp, checkpoint, sidecar})
 	job := sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning, Total: sp.NumCells()}
 	m.jobs = append(m.jobs, job)
 	return job, true, nil
@@ -143,11 +144,11 @@ func (m *fakeManager) Load() sweepd.LoadInfo {
 	return m.load
 }
 
-func (m *fakeManager) ReplicaCheckpoint(id string) []byte {
+func (m *fakeManager) ReplicaFiles(id string) (checkpoint, sidecar []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.replicaAsked = append(m.replicaAsked, id)
-	return m.replicaCheckpoints[id]
+	return m.replicaCheckpoints[id], nil
 }
 
 func (m *fakeManager) setJobs(jobs ...sweepd.Job) {
@@ -385,33 +386,59 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 
 // TestAdoptionRecordCarriesJobOwnerGeneration: the record of an adoption
 // names the job, its new owner and the generation it leads at, the
-// attributes an operator filters a job's history by.
+// attributes an operator filters a job's history by, and where its seed
+// came from. A trajectory job without a replica has no seed: it fetches
+// no tail, since a peer's read serves no sidecar, so the peer holding a
+// checkpoint is not asked.
 func TestAdoptionRecordCarriesJobOwnerGeneration(t *testing.T) {
-	logs := captureLog(t)
-	sp := testSpec()
-	c := newFakeCluster("http://self:1")
-	m := &fakeManager{replicaCheckpoints: map[string][]byte{sp.ID(): []byte("replica-bytes\n")}}
-	s := newTestScheduler(t, c, m)
-	c.leases[sp.ID()] = sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 4, Updated: time.Now().Add(-time.Minute)}
-	c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}}
+	trajectory := testSpec()
+	trajectory.Trajectories = true
+	for _, tc := range []struct {
+		name    string
+		sp      sweepd.Spec
+		replica []byte
+		seed    []string
+	}{
+		{"replica", testSpec(), []byte("replica-bytes\n"), []string{"seed=replica", "seed_bytes=14"}},
+		{"no seed", trajectory, nil, []string{"seed=none", "seed_bytes=0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			logs := captureLog(t)
+			sp := tc.sp
+			peer := newPeerDaemon(t)
+			peer.checkpoint = []byte("checkpoint-tail\n")
+			c := newFakeCluster("http://self:1")
+			m := &fakeManager{replicaCheckpoints: map[string][]byte{sp.ID(): tc.replica}}
+			s := newTestScheduler(t, c, m)
+			c.leases[sp.ID()] = sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 4, Updated: time.Now().Add(-time.Minute)}
+			c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: peer.srv.URL, State: "alive"}}
+			c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
 
-	s.tick()
-	if st := s.Stats(); st.Adoptions != 1 {
-		t.Fatalf("stats = %+v, want one adoption", st)
-	}
-	var adopted []string
-	for _, line := range strings.Split(logs.String(), "\n") {
-		if strings.Contains(line, "sched: adopted job") {
-			adopted = append(adopted, line)
-		}
-	}
-	if len(adopted) != 1 {
-		t.Fatalf("adoption records = %q, want one", adopted)
-	}
-	for _, attr := range []string{"job=" + sp.ID(), "owner=http://self:1", "generation=5"} {
-		if !strings.Contains(adopted[0], attr) {
-			t.Fatalf("adoption record %q lacks %s", adopted[0], attr)
-		}
+			s.tick()
+			if st := s.Stats(); st.Adoptions != 1 {
+				t.Fatalf("stats = %+v, want one adoption", st)
+			}
+			var adopted []string
+			for _, line := range strings.Split(logs.String(), "\n") {
+				if strings.Contains(line, "sched: adopted job") {
+					adopted = append(adopted, line)
+				}
+			}
+			if len(adopted) != 1 {
+				t.Fatalf("adoption records = %q, want one", adopted)
+			}
+			for _, attr := range append([]string{"job=" + sp.ID(), "owner=http://self:1", "generation=5"}, tc.seed...) {
+				if !strings.Contains(adopted[0], attr) {
+					t.Fatalf("adoption record %q lacks %s", adopted[0], attr)
+				}
+			}
+			peer.mu.Lock()
+			fetches := peer.fetches
+			peer.mu.Unlock()
+			if fetches != 0 {
+				t.Fatalf("peer saw %d checkpoint fetches, want none", fetches)
+			}
+		})
 	}
 }
 
@@ -466,7 +493,7 @@ func TestAdoptionSkipsLeaseWithForeignJobID(t *testing.T) {
 
 	s.tick()
 	if len(m.replicaAsked) != 0 || len(m.adopted) != 0 {
-		t.Fatalf("manager saw ReplicaCheckpoint%q and %d Adopt calls, want none", m.replicaAsked, len(m.adopted))
+		t.Fatalf("manager saw ReplicaFiles%q and %d Adopt calls, want none", m.replicaAsked, len(m.adopted))
 	}
 	peer.mu.Lock()
 	fetches := peer.fetches

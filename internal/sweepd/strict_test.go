@@ -72,7 +72,7 @@ func TestNonCanonicalLineLandsNowhere(t *testing.T) {
 			}
 			mgr := NewManager(store, nil, 2)
 			if door == "adopt" {
-				_, _, err = mgr.Adopt(sp, body)
+				_, _, err = mgr.Adopt(sp, body, nil)
 			} else {
 				if _, _, err = store.CreateJob(sp); err == nil {
 					if err = os.WriteFile(store.ResultsPath(id), body, 0o644); err == nil {
