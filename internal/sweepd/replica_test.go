@@ -757,6 +757,43 @@ func TestAdoptSeedsOnlyCanonicalPrefix(t *testing.T) {
 	}
 }
 
+// TestAdoptKeepsALocalCheckpoint: a job whose checkpoint already holds
+// records on this daemon keeps its own files, sidecar included, whatever
+// seed an adoption brings; the run appends the cells after them.
+func TestAdoptKeepsALocalCheckpoint(t *testing.T) {
+	sp := Spec{N: 8, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2, Trajectories: true}
+	sp.Normalize()
+	_, ck, side := honestReplica(t, sp)
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _, err := st.CreateJob(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths := []string{st.ResultsPath(id), st.TrajectoryPath(id)}
+	for k, recs := range [][][]byte{ck, side} {
+		if err := os.WriteFile(paths[k], recs[0], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mgr := NewManager(st, nil, 1)
+	if _, _, err := mgr.Adopt(sp, bytes.Join(ck, nil), bytes.Join(side, nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, mgr, id, StatusDone)
+	mgr.Close()
+	if got, want := mgr.Stats().CellsAppended, uint64(sp.NumCells()-1); got != want {
+		t.Errorf("appended %d cells, want the %d after the local record", got, want)
+	}
+	for k, recs := range [][][]byte{ck, side} {
+		if got, err := os.ReadFile(paths[k]); err != nil || !bytes.Equal(got, bytes.Join(recs, nil)) {
+			t.Errorf("%s differs from the uninterrupted run's (%v)", filepath.Base(paths[k]), err)
+		}
+	}
+}
+
 // TestReplicaUnderOldManifestIsServed: manifests written before the
 // manifest stopped framing the body carry checkpoint_lines and
 // trajectory_lines. A replica stored under one is still read and served
