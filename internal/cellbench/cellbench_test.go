@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +50,12 @@ type cellBench struct {
 	Cells int `json:"cells,omitempty"`
 	// Scan is set on the paper-tail row: what its run's scan did.
 	Scan *scanCounts `json:"scan,omitempty"`
+	// Counts is set on the sweep job's replay rows (replay_test.go): what
+	// one op of the row did, which repeats exactly and CI pins.
+	Counts map[string]int64 `json:"counts,omitempty"`
+	// PartsShare is set on the sweep row when its replay rows ran beside
+	// it: factory + respond + dirty + encode over the whole row.
+	PartsShare float64 `json:"parts_share,omitempty"`
 }
 
 // scanCounts is the part of a run's scan counts a row reports beside its
@@ -92,12 +100,20 @@ func gnpState(n int, p float64) *game.State {
 // TestBenchCell writes BENCH_cell.json when BENCH_OUT names the output
 // path; without it the test is a no-op skip so the regular suite never
 // pays for the measurement. The cases mirror the Benchmark functions in
-// internal/bestresponse and internal/swap one for one.
+// internal/bestresponse and internal/swap one for one. BENCH_ROWS, a
+// comma-separated list of row names, measures only those rows (ab.sh's
+// pairs); the file then holds just them and calib_ns.
 func TestBenchCell(t *testing.T) {
 	out := os.Getenv("BENCH_OUT")
 	if out == "" {
 		t.Skip("set BENCH_OUT=<path> to measure and write BENCH_cell.json")
 	}
+	keep := func(string) bool { return true }
+	if list := os.Getenv("BENCH_ROWS"); list != "" {
+		rows := strings.Split(list, ",")
+		keep = func(name string) bool { return slices.Contains(rows, name) }
+	}
+	calib := calibNs()
 
 	s100 := benchState(100)
 	s60 := benchState(60)
@@ -117,6 +133,9 @@ func TestBenchCell(t *testing.T) {
 
 	results := make(map[string]cellBench, len(cases))
 	for _, c := range cases {
+		if !keep(c.name) {
+			continue
+		}
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -128,22 +147,44 @@ func TestBenchCell(t *testing.T) {
 			c.name, results[c.name].NsPerOp, results[c.name].AllocsPerOp, results[c.name].BytesPerOp)
 	}
 
-	for name, row := range convergenceRows(t) {
+	for name, row := range convergenceRows(t, keep) {
 		results[name] = row
 	}
-	for name, row := range statsPassRows() {
+	for name, row := range statsPassRows(keep) {
 		results[name] = row
 	}
-	results["SweepJobMaxLocal"] = sweepJobRow(t)
-	results["PaperTailTree80"] = paperTailRow(t)
-	for name, row := range cellLineRows(t) {
+	if keep("SweepJobMaxLocal") {
+		results["SweepJobMaxLocal"] = sweepJobRow(t)
+	}
+	if keep("PaperTailTree80") {
+		results["PaperTailTree80"] = paperTailRow(t)
+	}
+	for name, row := range cellLineRows(t, keep) {
 		results[name] = row
+	}
+	for name, row := range replayRows(t, keep) {
+		results[name] = row
+	}
+	if whole, ok := results["SweepJobMaxLocal"]; ok {
+		parts := 0.0
+		for _, p := range []string{"factory", "respond", "dirty", "encode"} {
+			parts += results["SweepJobMaxLocal/"+p].NsPerOp
+		}
+		if parts > 0 {
+			whole.PartsShare = parts / whole.NsPerOp
+			results["SweepJobMaxLocal"] = whole
+			t.Logf("SweepJobMaxLocal: factory+respond+dirty+encode = %.3f of the row", whole.PartsShare)
+		}
 	}
 
 	payload := struct {
-		Benchmarks  map[string]cellBench `json:"benchmarks"`
-		GeneratedAt string               `json:"generated_at"`
-	}{Benchmarks: results, GeneratedAt: time.Now().UTC().Format(time.RFC3339)}
+		Benchmarks map[string]cellBench `json:"benchmarks"`
+		// CalibNs is bench/calib.go's fixed kernel timed in this run: the
+		// box's speed beside the rows, which no change to the repository
+		// moves.
+		CalibNs     float64 `json:"calib_ns"`
+		GeneratedAt string  `json:"generated_at"`
+	}{Benchmarks: results, CalibNs: calib, GeneratedAt: time.Now().UTC().Format(time.RFC3339)}
 	data, err := json.MarshalIndent(payload, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +200,7 @@ func TestBenchCell(t *testing.T) {
 // engine exists to improve. Each row records the run shape (players,
 // rounds, responder evaluations per round) alongside the usual
 // measurements.
-func convergenceRows(t *testing.T) map[string]cellBench {
+func convergenceRows(t *testing.T, keep func(string) bool) map[string]cellBench {
 	t.Helper()
 	cases := []struct {
 		name    string
@@ -178,6 +219,9 @@ func convergenceRows(t *testing.T) map[string]cellBench {
 	}
 	rows := make(map[string]cellBench, len(cases))
 	for _, c := range cases {
+		if !keep(c.name) {
+			continue
+		}
 		proto := gnpState(c.n, c.p)
 		cfg := dynamics.DefaultConfig(c.variant, c.alpha, c.k)
 		switch c.dialect {
@@ -265,7 +309,7 @@ func paperTailRow(t *testing.T) cellBench {
 // is a handful of levels; a 1000-vertex path is the other side of the
 // trade, one level per hop of a diameter-999 network, reported so the cost
 // is on record and gated only on allocations.
-func statsPassRows() map[string]cellBench {
+func statsPassRows(keep func(string) bool) map[string]cellBench {
 	still := func(*game.State, int, int, float64) bestresponse.Response {
 		return bestresponse.Response{}
 	}
@@ -277,6 +321,13 @@ func statsPassRows() map[string]cellBench {
 	rows := map[string]cellBench{}
 	for shape, proto := range protos {
 		for _, variant := range []game.Variant{game.Max, game.Sum} {
+			name := "CollectMax" + shape
+			if variant == game.Sum {
+				name = "CollectSum" + shape
+			}
+			if !keep(name) {
+				continue
+			}
 			cfg := dynamics.Config{Variant: variant, Alpha: 2, K: 3, Responder: still}
 			r := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
@@ -284,10 +335,6 @@ func statsPassRows() map[string]cellBench {
 					dynamics.Run(proto, cfg)
 				}
 			})
-			name := "CollectMax" + shape
-			if variant == game.Sum {
-				name = "CollectSum" + shape
-			}
 			rows[name] = measured(r)
 		}
 	}
@@ -304,7 +351,7 @@ func statsPassRows() map[string]cellBench {
 // and a summary pay; Validate what resume, adoption, a replica holder and a
 // disk-cache hit pay for every line they keep as bytes — it allocates
 // nothing, and CI holds it to ≤ 2.
-func cellLineRows(t *testing.T) map[string]cellBench {
+func cellLineRows(t *testing.T, keep func(string) bool) map[string]cellBench {
 	t.Helper()
 	cell := []dynamics.Cell{{Alpha: 2, K: 3, Seed: 1}}
 	cfg := dynamics.DefaultConfig(game.Max, 0, 0)
@@ -323,6 +370,9 @@ func cellLineRows(t *testing.T) map[string]cellBench {
 			"Decode":   func() error { _, err := ncgio.UnmarshalCellResult(line); return err },
 			"Validate": func() error { _, err := ncgio.UnmarshalCell(line); return err },
 		} {
+			if !keep("CellLine" + op + shape) {
+				continue
+			}
 			br := testing.Benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
