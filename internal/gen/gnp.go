@@ -8,20 +8,21 @@ import (
 )
 
 // GNP returns an Erdős–Rényi random graph G(n,p): every unordered vertex
-// pair becomes an edge independently with probability p.
+// pair becomes an edge independently with probability p, drawn in the
+// ascending (u, v) order graph.FromEdges takes.
 func GNP(n int, p float64, rng *rand.Rand) *graph.Graph {
 	if p < 0 || p > 1 {
 		panic("gen: GNP probability out of [0,1]")
 	}
-	g := graph.New(n)
+	var edges []graph.Edge
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				g.AddEdge(u, v)
+				edges = append(edges, graph.Edge{U: u, V: v})
 			}
 		}
 	}
-	return g
+	return graph.FromEdges(n, edges)
 }
 
 // GNPConnected samples G(n,p) graphs until a connected one appears,

@@ -124,10 +124,14 @@ func (o oracleGraph) toggle(a, b int, on bool) {
 	}
 }
 
-// distFrom returns the distance from src to every vertex it reaches.
-func (o oracleGraph) distFrom(src int) map[int]int {
-	dist := map[int]int{src: 0}
-	for queue := []int{src}; len(queue) > 0; queue = queue[1:] {
+// distFrom returns the distance from the nearest of srcs to every vertex
+// they reach.
+func (o oracleGraph) distFrom(srcs ...int) map[int]int {
+	dist := map[int]int{}
+	for _, src := range srcs {
+		dist[src] = 0
+	}
+	for queue := slices.Clone(srcs); len(queue) > 0; queue = queue[1:] {
 		v := queue[0]
 		for w := range o[v] {
 			if _, seen := dist[w]; !seen {
@@ -386,5 +390,109 @@ func TestWorkspaceMatchesOracle(t *testing.T) {
 	if isolated == 0 || whole == 0 || allFrontier == 0 || cut == 0 {
 		t.Fatalf("covered %d isolated centers, %d whole-graph balls, %d all-frontier balls, %d radius-bounded balls; want all four",
 			isolated, whole, allFrontier, cut)
+	}
+}
+
+// TestBallEccFromMatchesOracle checks BallEccFrom, and BallDistFrom for a
+// single source, against a BFS on the oracle's copy of the ball without
+// its center, in local ids: the distance from the nearest source to every
+// local (unreach32 for the center and every local the sources do not
+// reach), and the eccentricity of the sources over the locals other than
+// the center. Source sets are empty or random locals; one reused
+// Workspace sees balls from the center alone (k = 0) to the whole graph,
+// where a scan's last write lands in the queue's slot past the ball.
+func TestBallEccFromMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	var ws Workspace
+	empty, split, whole := 0, 0, 0
+	for _, n := range []int{1, 2, 9, 60, 130, 7} {
+		g := graph.New(n)
+		o := oracleGraph{}
+		for step := 0; step < 2*n+2; step++ {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				on := rng.Intn(5) > 0
+				if on {
+					g.AddEdge(a, b)
+				} else {
+					g.RemoveEdge(a, b)
+				}
+				o.toggle(a, b, on)
+			}
+			u := rng.Intn(n)
+			for _, k := range []int{0, 1, 2, 3, n} {
+				ws.Extract(g, u, k)
+				b := ws.Size()
+				rest := oracleGraph{} // the center-less ball, in local ids
+				for l := 1; l < b; l++ {
+					rest[l] = map[int]bool{}
+					for w := range o[int(ws.Orig[l])] {
+						if lw := ws.LocalOf(w); lw > 0 {
+							rest.toggle(l, lw, true)
+						}
+					}
+				}
+				if b > 2 && len(rest.distFrom(1)) < b-1 {
+					split++
+				}
+				for trial := 0; trial < 4; trial++ {
+					var srcs []int
+					if trial > 0 && b > 1 {
+						for _, l := range rng.Perm(b - 1)[:1+rng.Intn(min(b-1, 3))] {
+							srcs = append(srcs, l+1)
+						}
+					}
+					tag := fmt.Sprintf("n=%d step=%d u=%d k=%d srcs=%v", n, step, u, k, srcs)
+					want := rest.distFrom(srcs...)
+					wantEcc := 0
+					for l := 1; l < b; l++ {
+						if d, ok := want[l]; !ok {
+							wantEcc = graph.Unreachable
+						} else if wantEcc != graph.Unreachable {
+							wantEcc = max(wantEcc, d)
+						}
+					}
+					src32 := make([]int32, len(srcs))
+					for i, l := range srcs {
+						src32[i] = int32(l)
+					}
+					out := make([]int32, b)
+					if got := ws.BallEccFrom(src32, out); got != wantEcc {
+						t.Fatalf("%s: BallEccFrom = %d, oracle %d", tag, got, wantEcc)
+					}
+					checkBallDist(t, tag, out, want)
+					if len(srcs) == 1 {
+						clear(out)
+						ws.BallDistFrom(src32[0], out)
+						checkBallDist(t, tag+" BallDistFrom", out, want)
+					}
+					switch {
+					case len(srcs) == 0:
+						empty++
+					case b == n && n > 2 && len(want) == b-1:
+						whole++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d empty source sets, %d balls split by their center, %d whole-graph balls fully reached", empty, split, whole)
+	if empty == 0 || split == 0 || whole == 0 {
+		t.Fatalf("covered %d empty source sets, %d balls split by their center, %d whole-graph balls fully reached; want all three",
+			empty, split, whole)
+	}
+}
+
+// checkBallDist compares a BallEccFrom distance row with the oracle's
+// distances, which name only the locals reached.
+func checkBallDist(t *testing.T, tag string, out []int32, want map[int]int) {
+	t.Helper()
+	for l, d := range out {
+		w, ok := want[l]
+		if !ok {
+			w = int(unreach32)
+		}
+		if int(d) != w {
+			t.Fatalf("%s: local %d at %d, oracle %d (reached %v)", tag, l, d, w, ok)
+		}
 	}
 }

@@ -117,12 +117,13 @@ func (ws *Workspace) ViewBase() int64 { return ws.viewBase }
 // preserved. The incremental state is left unset; call ResetBase before
 // reading any aggregate.
 //
-// The ball CSR is written during the BFS itself: every neighbor of an
-// interior vertex (distance < k) is in the ball and has its local id by the
-// time that vertex's scan ends, and BFS order puts all interior rows before
-// the first frontier row. Only the frontier (distance k) has neighbors
-// outside the ball, so only its rows are filtered, afterwards. Every buffer
-// is kept at its high-water mark.
+// The ball CSR is written during the BFS itself, one level at a time:
+// every neighbor of an interior vertex (distance < k) is in the ball and
+// has its local id by the time that vertex's scan ends, and BFS order puts
+// all interior rows before the first frontier row. Only the frontier
+// (distance k) has neighbors outside the ball, so only its rows are
+// filtered, afterwards. No scan branches on what it reads: it writes the
+// next slot and advances by a flag. Every buffer keeps its high-water mark.
 func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 	if k < 0 {
 		panic("view: negative radius")
@@ -135,51 +136,61 @@ func (ws *Workspace) Extract(g *graph.Graph, u, k int) {
 		ws.lid = make([]int32, g.N())
 	}
 	ws.K = k
-	ws.Orig = ws.Orig[:0]
-	ws.Dist = ws.Dist[:0]
 	ws.CenterAdj = ws.CenterAdj[:0]
-	ws.off = append(ws.off[:0], 0, 0) // the center's row is empty
-	ws.tgt = ws.tgt[:0]
 	ws.viewBase = 0
 
-	// Ball BFS over the global graph; lid doubles as the visited mark.
-	ws.lid[u] = 1
-	ws.Orig = append(ws.Orig, int32(u))
-	ws.Dist = append(ws.Dist, 0)
-	head := 0
-	for ; head < len(ws.Orig) && int(ws.Dist[head]) < k; head++ {
-		d := ws.Dist[head]
-		ws.viewBase += int64(d)
-		for _, w := range g.Neighbors(int(ws.Orig[head])) {
-			if ws.lid[w] == 0 {
-				ws.Orig = append(ws.Orig, w)
-				ws.Dist = append(ws.Dist, d+1)
-				ws.lid[w] = int32(len(ws.Orig))
-			}
-			if int(w) != u {
-				ws.tgt = append(ws.tgt, ws.lid[w]-1)
-			}
+	// Ball BFS over the global graph; lid doubles as the visited mark. b
+	// and t count the ball's vertices and the row slots written, and level
+	// d is orig[lo:b] once its predecessor's rows are scanned.
+	lid := ws.lid
+	orig, dist, tgt := reserve(ws.Orig, 0, 1), reserve(ws.Dist, 0, 1), ws.tgt
+	off := append(ws.off[:0], 0, 0) // the center's row is empty
+	orig[0], lid[u] = int32(u), 1
+	b, t, lo := 1, 0, 0
+	for d := int32(0); lo < b; d++ {
+		for l := lo; l < b; l++ {
+			dist[l] = d
 		}
-		if head == 0 {
-			// What the center's scan wrote is its adjacency, in global
-			// adjacency order (empty when k == 0 ends the BFS before it).
-			ws.CenterAdj = append(ws.CenterAdj, ws.tgt...)
-			ws.tgt = ws.tgt[:0]
-			continue
+		ws.viewBase += int64(d) * int64(b-lo)
+		if int(d) == k {
+			break
 		}
-		ws.off = append(ws.off, int32(len(ws.tgt)))
+		hi := b
+		for _, v := range orig[lo:hi] {
+			row := g.Neighbors(int(v))
+			orig, tgt = reserve(orig, b, len(row)), reserve(tgt, t, len(row))
+			for _, w := range row {
+				lw := lid[w]
+				fresh := flag(lw == 0)
+				lw += int32(fresh * (b + 1))
+				lid[w], orig[b] = lw, w
+				b += fresh
+				tgt[t] = lw - 1
+				t += flag(lw != 1) // lid 1 is the center
+			}
+			off = append(off, int32(t))
+		}
+		if d == 0 { // the center's scan wrote its adjacency, in global order
+			ws.CenterAdj = append(ws.CenterAdj, tgt[:t]...)
+			off, t = off[:2], 0
+		}
+		lo = hi
+		dist = reserve(dist, lo, b-lo)
 	}
-	b := len(ws.Orig)
-	ws.viewBase += int64(k) * int64(b-head) // the frontier, all at distance k
-	// Frontier rows; max skips the center when k == 0 stopped the BFS there.
-	for l := max(head, 1); l < b; l++ {
-		for _, w := range g.Neighbors(int(ws.Orig[l])) {
-			if int(w) != u && ws.lid[w] != 0 {
-				ws.tgt = append(ws.tgt, ws.lid[w]-1)
-			}
+	// Frontier rows (max skips the center when k == 0 stopped the BFS); with
+	// its mark cleared, one test drops the center and what is outside.
+	lid[u] = 0
+	for _, v := range orig[max(lo, 1):b] {
+		row := g.Neighbors(int(v))
+		tgt = reserve(tgt, t, len(row))
+		for _, w := range row {
+			tgt[t] = lid[w] - 1
+			t += flag(lid[w] != 0)
 		}
-		ws.off = append(ws.off, int32(len(ws.tgt)))
+		off = append(off, int32(t))
 	}
+	lid[u] = 1
+	ws.Orig, ws.Dist, ws.off, ws.tgt = orig[:b], dist[:b], off, tgt[:t]
 	// BFS order is distance order: the last vertex is a farthest one.
 	ws.viewEcc = ws.Dist[b-1]
 
@@ -386,30 +397,48 @@ func (ws *Workspace) BallDistFrom(src int32, out []int32) { ws.BallEccFrom([]int
 // the center. It returns the eccentricity of the set in the center-less
 // ball: the largest distance from it to a local other than the center, or
 // graph.Unreachable when one is unreached (always, for an empty srcs and a
-// ball that holds more than the center).
+// ball that holds more than the center). The scan is branch-free like
+// Extract's, so the queue has a slot past the Size()-1 locals it holds.
 func (ws *Workspace) BallEccFrom(srcs, out []int32) int {
 	for i := range out {
 		out[i] = unreach32
 	}
-	q := slices.Grow(ws.queue[:0], len(out))
+	q := reserve(ws.queue, 0, len(out))
+	n := copy(q, srcs)
 	for _, src := range srcs {
 		out[src] = 0
-		q = append(q, src)
 	}
 	d := int32(0) // the last dequeued local's distance, the largest
-	for head := 0; head < len(q); head++ {
+	for head := 0; head < n; head++ {
 		v := q[head]
 		d = out[v]
 		for _, w := range ws.tgt[ws.off[v]:ws.off[v+1]] {
-			if out[w] == unreach32 {
-				out[w] = d + 1
-				q = append(q, w)
-			}
+			ow := out[w]
+			q[n] = w
+			n += flag(ow == unreach32)
+			out[w] = min(ow, d+1)
 		}
 	}
 	ws.queue = q
-	if len(q) < len(out)-1 {
+	if n < len(out)-1 {
 		return graph.Unreachable
 	}
 	return int(d)
+}
+
+// reserve returns s, s[:n] kept, with at least n+extra slots.
+func reserve(s []int32, n, extra int) []int32 {
+	if n+extra > len(s) {
+		s = slices.Grow(s[:n], extra)
+		s = s[:cap(s)]
+	}
+	return s
+}
+
+// flag is 1 for true, 0 for false: a SETcc, not a branch.
+func flag(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
