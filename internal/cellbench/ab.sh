@@ -8,8 +8,10 @@
 # first (odd pairs the parent). Each run measures only the named rows
 # (BENCH_ROWS) and the calibration kernel (calib_ns). Prints, per row, the
 # median [Q1, Q3] of each side, the change in the median and the pairs the
-# change won (lower ns/op), in CHANGES.md's format. Both checkouts must
-# know BENCH_ROWS. Example:
+# change won (lower ns/op), in CHANGES.md's format. BENCHTIME (default
+# 1s, as TestBenchCell) is each row's -test.benchtime; the whole
+# SweepJobMaxLocal row runs about 8 ops in 1s. Both checkouts must know
+# BENCH_ROWS. Example:
 #
 #   git archive HEAD~1 | tar -x -C /tmp/parent
 #   internal/cellbench/ab.sh /tmp/parent SweepJobMaxLocal SweepJobMaxLocal/extract
@@ -31,7 +33,7 @@ trap 'rm -rf "$work"' EXIT
 
 run() { # side pair
 	BENCH_OUT="$work/$1_$2.json" BENCH_ROWS="$rows" \
-		"$work/$1.test" -test.run '^TestBenchCell$' -test.count 1 >"$work/$1_$2.log" 2>&1 ||
+		"$work/$1.test" -test.run '^TestBenchCell$' -test.count 1 -test.benchtime "${BENCHTIME:-1s}" >"$work/$1_$2.log" 2>&1 ||
 		{ cat "$work/$1_$2.log" >&2; exit 1; }
 }
 for i in $(seq 1 "$pairs"); do

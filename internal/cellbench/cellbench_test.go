@@ -179,9 +179,8 @@ func TestBenchCell(t *testing.T) {
 
 	payload := struct {
 		Benchmarks map[string]cellBench `json:"benchmarks"`
-		// CalibNs is bench/calib.go's fixed kernel timed in this run: the
-		// box's speed beside the rows, which no change to the repository
-		// moves.
+		// CalibNs is bench/calib.go's fixed kernel, timed as this run
+		// began: the box's speed, which no change to the repository moves.
 		CalibNs     float64 `json:"calib_ns"`
 		GeneratedAt string  `json:"generated_at"`
 	}{Benchmarks: results, CalibNs: calib, GeneratedAt: time.Now().UTC().Format(time.RFC3339)}

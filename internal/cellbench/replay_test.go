@@ -240,12 +240,12 @@ func replayDirty(b *testing.B, rec *sweepJobRecord) map[string]int64 {
 	return map[string]int64{"moves": int64(len(rec.moves)), "dirtied": dirtied}
 }
 
-func replayEncode(_ *testing.B, rec *sweepJobRecord) map[string]int64 {
+func replayEncode(b *testing.B, rec *sweepJobRecord) map[string]int64 {
 	var bytes int64
 	for _, r := range rec.results {
 		line, err := ncgio.MarshalCellResult(r)
 		if err != nil {
-			panic(err)
+			b.Fatal(err)
 		}
 		bytes += int64(len(line))
 	}
@@ -255,7 +255,7 @@ func replayEncode(_ *testing.B, rec *sweepJobRecord) map[string]int64 {
 // calibKernelBuf and calibKernel copy bench/calib.go's fixed kernel: a
 // xorshift stream scattered into and gathered from a 256 KiB buffer. No
 // change to the repository can speed it up, so its time says how fast
-// the box ran while the rows beside it were measured.
+// the box ran when the run began.
 var calibKernelBuf = make([]uint64, 1<<15)
 
 func calibKernel() uint64 {
