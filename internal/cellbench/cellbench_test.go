@@ -54,7 +54,7 @@ type cellBench struct {
 	// one op of the row did, which repeats exactly and CI pins.
 	Counts map[string]int64 `json:"counts,omitempty"`
 	// PartsShare is set on the sweep row when its replay rows ran beside
-	// it: factory + respond + dirty + encode over the whole row.
+	// it: factory + respond + engine + encode over the whole row.
 	PartsShare float64 `json:"parts_share,omitempty"`
 }
 
@@ -167,13 +167,13 @@ func TestBenchCell(t *testing.T) {
 	}
 	if whole, ok := results["SweepJobMaxLocal"]; ok {
 		parts := 0.0
-		for _, p := range []string{"factory", "respond", "dirty", "encode"} {
+		for _, p := range []string{"factory", "respond", "engine", "encode"} {
 			parts += results["SweepJobMaxLocal/"+p].NsPerOp
 		}
 		if parts > 0 {
 			whole.PartsShare = parts / whole.NsPerOp
 			results["SweepJobMaxLocal"] = whole
-			t.Logf("SweepJobMaxLocal: factory+respond+dirty+encode = %.3f of the row", whole.PartsShare)
+			t.Logf("SweepJobMaxLocal: factory+respond+engine+encode = %.3f of the row", whole.PartsShare)
 		}
 	}
 

@@ -26,10 +26,12 @@ type sweepJobRecord struct {
 }
 
 // replayCall is one responder call, made once its cell's state had taken
-// the first after of the recorded moves.
+// the first after of the recorded moves; an improving call's move is
+// moves[after].
 type replayCall struct {
 	cell, u, k, after int
 	alpha             float64
+	improving         bool
 }
 
 // replayMove is one applied move.
@@ -56,8 +58,8 @@ func recordSweepJob(t *testing.T) *sweepJobRecord {
 				last = s
 			}
 			cell := len(rec.starts) - 1
-			rec.calls = append(rec.calls, replayCall{cell: cell, u: u, k: k, after: len(rec.moves), alpha: alpha})
 			r := respond(s, u, k, alpha)
+			rec.calls = append(rec.calls, replayCall{cell: cell, u: u, k: k, after: len(rec.moves), alpha: alpha, improving: r.Improving})
 			if r.Improving {
 				rec.moves = append(rec.moves, replayMove{cell: cell, u: u, k: k, strategy: slices.Clone(r.Strategy)})
 			}
@@ -106,15 +108,18 @@ func (rec *sweepJobRecord) replayCalls(b *testing.B, each func(s *game.State, c 
 //     finds them) and one ball BFS from them per call, the BFS the scan
 //     runs for its cap-1 levels (here on every call);
 //   - respond: every call, whole, on one Evaluator;
-//   - dirty: every move's dirty-set search and its application;
+//   - dirty: every move's dirty-set search and its application, the
+//     search run on every move (the kernel alone);
+//   - engine: every cell run through dynamics.RunContext on a responder
+//     that hands back the recorded responses;
 //   - encode: the 120 checkpoint lines.
 //
 // extract, reach and respond apply the moves between calls too (the
 // engine's SetStrategy, which dirty also times). extract and reach are
-// parts of respond; factory, respond, dirty and encode are the layers a
-// cell is made of, and what is left of the whole row beside them is the
-// engine's own (the statistics pass, fingerprints, the sweep's
-// sequencing). Each row carries its exact counts.
+// parts of respond; factory, respond, engine and encode are the layers a
+// cell is made of. engine is the engine's own work: activation (dirty's
+// searches, as the engine decides to run them), the moves, fingerprints
+// and the final statistics pass. Each row carries its exact counts.
 func replayRows(t *testing.T, keep func(string) bool) map[string]cellBench {
 	t.Helper()
 	parts := []struct {
@@ -126,6 +131,7 @@ func replayRows(t *testing.T, keep func(string) bool) map[string]cellBench {
 		{"reach", replayReach},
 		{"respond", replayRespond},
 		{"dirty", replayDirty},
+		{"engine", replayEngine},
 		{"encode", replayEncode},
 	}
 	rows := map[string]cellBench{}
@@ -238,6 +244,41 @@ func replayDirty(b *testing.B, rec *sweepJobRecord) map[string]int64 {
 		s.SetStrategy(m.u, m.strategy)
 	}
 	return map[string]int64{"moves": int64(len(rec.moves)), "dirtied": dirtied}
+}
+
+// replayEngine fails when the engine asks for a call out of the record's
+// order: its responses would then not be the ones the job computed.
+func replayEngine(b *testing.B, rec *sweepJobRecord) map[string]int64 {
+	cfg := dynamics.DefaultConfig(game.Max, 0, 0)
+	next, cell := 0, 0
+	cfg.Responder = func(_ *game.State, u, k int, _ float64) bestresponse.Response {
+		if next == len(rec.calls) || rec.calls[next].cell != cell || rec.calls[next].u != u || rec.calls[next].k != k {
+			b.Fatalf("cell %d: the engine asked for player %d at call %d, out of the record's order", cell, u, next)
+		}
+		c := rec.calls[next]
+		next++
+		if !c.improving {
+			return bestresponse.Response{}
+		}
+		return bestresponse.Response{Improving: true, Strategy: rec.moves[c.after].strategy}
+	}
+	var moves, rounds int64
+	for i, start := range rec.starts {
+		b.StopTimer()
+		s := start.Clone()
+		b.StartTimer()
+		cell, cfg.Alpha, cfg.K = i, sweepJobCells[i].Alpha, sweepJobCells[i].K
+		res, err := dynamics.RunContext(context.Background(), s, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		moves += int64(res.TotalMoves)
+		rounds += int64(res.Rounds)
+	}
+	if next != len(rec.calls) {
+		b.Fatalf("the engine made %d of the record's %d calls", next, len(rec.calls))
+	}
+	return map[string]int64{"cells": int64(len(rec.starts)), "calls": int64(next), "moves": moves, "rounds": rounds}
 }
 
 func replayEncode(b *testing.B, rec *sweepJobRecord) map[string]int64 {
