@@ -20,9 +20,13 @@ import (
 // edge existed before the move and ends at a source, so she was within k
 // of a source before it. Everything starts dirty, so the first round
 // evaluates everyone.
+//
+// nclean counts the clean players. A search only sets dirty bits, so a
+// move made while no player is clean needs none: apply then only moves.
 type dirtySet struct {
 	k       int
 	dirty   []bool
+	nclean  int
 	scratch *graph.Scratch
 	srcs    []int32
 }
@@ -42,13 +46,23 @@ func (d *dirtySet) clean(u int) bool { return !d.dirty[u] }
 
 // settle records a non-improving evaluation: u stays clean until a move
 // touches her neighborhood.
-func (d *dirtySet) settle(u int) { d.dirty[u] = false }
+func (d *dirtySet) settle(u int) {
+	if d.dirty[u] {
+		d.nclean++
+	}
+	d.dirty[u] = false
+}
 
 // apply performs u's move and dirties every possibly-affected player.
 func (d *dirtySet) apply(s *game.State, u int, strategy []int) {
-	d.srcs = s.StrategyDiff(u, strategy, append(d.srcs[:0], int32(u)))
-	for _, v := range s.Graph().MultiBFSWithinScratch(d.srcs, d.k, d.scratch) {
-		d.dirty[v] = true
+	if d.nclean > 0 {
+		d.srcs = s.StrategyDiff(u, strategy, append(d.srcs[:0], int32(u)))
+		for _, v := range s.Graph().MultiBFSWithinScratch(d.srcs, d.k, d.scratch) {
+			if !d.dirty[v] {
+				d.nclean--
+			}
+			d.dirty[v] = true
+		}
 	}
 	s.SetStrategy(u, strategy)
 }

@@ -1,6 +1,8 @@
 package dynamics
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -107,5 +109,107 @@ func TestWarmupEvaluations(t *testing.T) {
 	}
 	if total != 33768 {
 		t.Fatalf("warm-up grid made %d evaluations, want 33768", total)
+	}
+}
+
+// TestDirtySetCountsItsCleanPlayers drives the counted dirtySet and an
+// always-searching copy of the rule it replaced (search on every move,
+// mark what the search reaches) through the settle and apply steps of
+// real runs: the engine's loop, step by step, checked against
+// RunScheduledContext's evaluations, moves and final profile. After every
+// step the dirty bits must be equal and nclean must count the clean
+// players; settling a clean player again must change neither. It logs how
+// many searches the count let apply skip, and there must be some.
+func TestDirtySetCountsItsCleanPlayers(t *testing.T) {
+	skipped, moves := 0, 0
+	for _, n := range []int{1, 2, 9, 40} {
+		scratch := graph.GetScratch(n)
+		defer graph.PutScratch(scratch)
+		for _, k := range []int{0, 1, 2, 3, n} {
+			for _, schedule := range []Schedule{RoundRobin, FixedPermutation, RandomEachRound} {
+				for seed := int64(0); seed < 3; seed++ {
+					label := fmt.Sprintf("n=%d k=%d %v seed %d", n, k, schedule, seed)
+					proto := randomState(n, rand.New(rand.NewSource(seed)))
+					cfg := Config{Variant: game.Max, Alpha: 1, K: k, NewResponder: NewMaxResponder, MaxRounds: 30, CycleCheckAfter: 30}
+					want, err := RunScheduledContext(context.Background(), proto.Clone(), cfg, schedule, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					s, rng, respond := proto.Clone(), rand.New(rand.NewSource(seed)), NewMaxResponder()
+					d := newDirtySet(n, k)
+					ref := slices.Repeat([]bool{true}, n)
+					check := func(step string, u int) {
+						t.Helper()
+						clean := 0
+						for v := range n {
+							if d.dirty[v] != ref[v] {
+								t.Fatalf("%s, %s of player %d: player %d dirty=%v, the always-searching rule says %v", label, step, u, v, d.dirty[v], ref[v])
+							}
+							if !ref[v] {
+								clean++
+							}
+						}
+						if d.nclean != clean {
+							t.Fatalf("%s, %s of player %d: nclean=%d, %d players are clean", label, step, u, d.nclean, clean)
+						}
+					}
+					var order []int
+					if schedule != RoundRobin {
+						order = rng.Perm(n)
+					}
+					evals, total := 0, 0
+					for round := 1; round <= cfg.MaxRounds; round++ {
+						if schedule == RandomEachRound {
+							order = rng.Perm(n)
+						}
+						moved := 0
+						for idx := range n {
+							u := idx
+							if order != nil {
+								u = order[idx]
+							}
+							if d.clean(u) {
+								d.settle(u)
+								check("a second settle", u)
+								continue
+							}
+							evals++
+							r := respond(s, u, k, cfg.Alpha)
+							if !r.Improving {
+								d.settle(u)
+								ref[u] = false
+								check("the settle", u)
+								continue
+							}
+							srcs := s.StrategyDiff(u, r.Strategy, []int32{int32(u)})
+							for _, v := range s.Graph().MultiBFSWithinScratch(srcs, k, scratch) {
+								ref[v] = true
+							}
+							d.srcs = d.srcs[:0]
+							d.apply(s, u, r.Strategy)
+							if len(d.srcs) == 0 {
+								skipped++
+							}
+							moved++
+							check("the move", u)
+						}
+						total += moved
+						if moved == 0 {
+							break
+						}
+					}
+					d.release()
+					if evals != want.Evaluations || total != want.TotalMoves || s.Fingerprint() != want.Final.Fingerprint() {
+						t.Fatalf("%s: the steps made %d evaluations and %d moves, the engine %d and %d (same profile: %v)",
+							label, evals, total, want.Evaluations, want.TotalMoves, s.Fingerprint() == want.Final.Fingerprint())
+					}
+					moves += total
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d moves needed no search", skipped, moves)
+	if skipped == 0 {
+		t.Fatal("no move was made with every player dirty: the skip is never taken")
 	}
 }

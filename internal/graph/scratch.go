@@ -25,7 +25,7 @@ func (s *Scratch) grow(n int) {
 	}
 	s.seen = append(make([]uint32, 0, n), s.seen...)[:n]
 	s.dist = make([]int32, n)
-	s.queue = make([]int32, n)
+	s.queue = make([]int32, n+1)
 }
 
 // begin starts a fresh traversal over n vertices: everything unvisited,
@@ -62,6 +62,11 @@ func (s *Scratch) visit(v int32, d int32) bool {
 // which decides local ids in views and hence every downstream tie-break
 // — as a prefix of the scratch queue, valid until the next traversal.
 // The caller has checked that every source indexes rows and k >= 0.
+//
+// The arc scan does not branch on what it reads: it stamps w, moves
+// dist[w] to du+1 only when w was unseen, writes w to the next queue slot
+// and advances by a 0/1 flag. Once all n vertices are queued the scan
+// still writes that slot, so the queue holds n+1.
 func (s *Scratch) bfs(rows [][]int32, srcs []int32, k int) []int32 {
 	s.begin(len(rows))
 	tail := 0
@@ -71,20 +76,30 @@ func (s *Scratch) bfs(rows [][]int32, srcs []int32, k int) []int32 {
 			tail++
 		}
 	}
+	seen, dist, queue, epoch := s.seen, s.dist, s.queue, s.epoch
 	for head := 0; head < tail; head++ {
-		u := s.queue[head]
-		du := s.dist[u]
+		u := queue[head]
+		du := dist[u]
 		if int(du) == k {
 			continue
 		}
 		for _, w := range rows[u] {
-			if s.visit(w, du+1) {
-				s.queue[tail] = w
-				tail++
-			}
+			fresh := flag(seen[w] != epoch)
+			seen[w] = epoch
+			dist[w] += int32(fresh) * (du + 1 - dist[w])
+			queue[tail] = w
+			tail += fresh
 		}
 	}
-	return s.queue[:tail]
+	return queue[:tail]
+}
+
+// flag is 1 for true, 0 for false: a SETcc, not a branch.
+func flag(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Dist returns the distance recorded for v by the most recent traversal,
