@@ -56,6 +56,10 @@ type cellBench struct {
 	// PartsShare is set on the sweep row when its replay rows ran beside
 	// it: factory + respond + engine + encode over the whole row.
 	PartsShare float64 `json:"parts_share,omitempty"`
+	// CalibNs is bench/calib.go's fixed kernel, timed just before and
+	// just after the row (the mean of the two): the box's speed while the
+	// row ran.
+	CalibNs float64 `json:"calib_ns"`
 }
 
 // scanCounts is the part of a run's scan counts a row reports beside its
@@ -69,12 +73,21 @@ type scanCounts struct {
 	BudgetExhausted int64 `json:"budget_exhausted"`
 }
 
+// benchmark is testing.Benchmark with the calibration kernel timed
+// beside it, before and after.
+func benchmark(f func(b *testing.B)) (testing.BenchmarkResult, float64) {
+	before := calibNs()
+	r := testing.Benchmark(f)
+	return r, (before + calibNs()) / 2
+}
+
 // measured is the row of a benchmark that reports nothing but its cost.
-func measured(r testing.BenchmarkResult) cellBench {
+func measured(r testing.BenchmarkResult, calib float64) cellBench {
 	return cellBench{
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),
+		CalibNs:     calib,
 	}
 }
 
@@ -136,13 +149,13 @@ func TestBenchCell(t *testing.T) {
 		if !keep(c.name) {
 			continue
 		}
-		r := testing.Benchmark(func(b *testing.B) {
+		r, calib := benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.fn(i)
 			}
 		})
-		results[c.name] = measured(r)
+		results[c.name] = measured(r, calib)
 		t.Logf("%s: %.0f ns/op, %d allocs/op, %d B/op",
 			c.name, results[c.name].NsPerOp, results[c.name].AllocsPerOp, results[c.name].BytesPerOp)
 	}
@@ -234,7 +247,7 @@ func convergenceRows(t *testing.T, keep func(string) bool) map[string]cellBench 
 		if probe.Status != dynamics.Converged {
 			t.Fatalf("%s: dynamics did not converge (%v after %d rounds)", c.name, probe.Status, probe.Rounds)
 		}
-		r := testing.Benchmark(func(b *testing.B) {
+		r, calib := benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -243,14 +256,9 @@ func convergenceRows(t *testing.T, keep func(string) bool) map[string]cellBench 
 				dynamics.Run(s, cfg)
 			}
 		})
-		row := cellBench{
-			NsPerOp:       float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp:   r.AllocsPerOp(),
-			BytesPerOp:    r.AllocedBytesPerOp(),
-			Players:       c.n,
-			Rounds:        probe.Rounds,
-			EvalsPerRound: float64(probe.Evaluations) / float64(probe.Rounds),
-		}
+		row := measured(r, calib)
+		row.Players, row.Rounds = c.n, probe.Rounds
+		row.EvalsPerRound = float64(probe.Evaluations) / float64(probe.Rounds)
 		if c.variant == game.Max && c.dialect == "" {
 			st := probe.Scan
 			row.SolvesPerCall = float64(st.Solves) / float64(probe.Evaluations)
@@ -283,7 +291,7 @@ func paperTailRow(t *testing.T) cellBench {
 	proto := game.FromGraphRandomOwners(gen.RandomTree(80, rng), rng)
 	cfg := dynamics.DefaultConfig(game.Max, 0.05, 10)
 	var res dynamics.Result
-	r := testing.Benchmark(func(b *testing.B) {
+	r, calib := benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
@@ -296,7 +304,7 @@ func paperTailRow(t *testing.T) cellBench {
 		t.Fatalf("PaperTailTree80: dynamics did not converge (%v)", res.Status)
 	}
 	st := res.Scan
-	row := measured(r)
+	row := measured(r, calib)
 	row.Scan = &scanCounts{Calls: int64(res.Evaluations), Solves: st.Solves, Nodes: st.Nodes, BudgetExhausted: st.BudgetExhausted}
 	t.Logf("PaperTailTree80: %.0f ns/op, %d allocs/op, %d calls, %+v", row.NsPerOp, row.AllocsPerOp, res.Evaluations, st)
 	return row
@@ -328,13 +336,13 @@ func statsPassRows(keep func(string) bool) map[string]cellBench {
 				continue
 			}
 			cfg := dynamics.Config{Variant: variant, Alpha: 2, K: 3, Responder: still}
-			r := testing.Benchmark(func(b *testing.B) {
+			r, calib := benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					dynamics.Run(proto, cfg)
 				}
 			})
-			rows[name] = measured(r)
+			rows[name] = measured(r, calib)
 		}
 	}
 	return rows
@@ -372,7 +380,7 @@ func cellLineRows(t *testing.T, keep func(string) bool) map[string]cellBench {
 			if !keep("CellLine" + op + shape) {
 				continue
 			}
-			br := testing.Benchmark(func(b *testing.B) {
+			br, calib := benchmark(func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if err := fn(); err != nil {
@@ -380,7 +388,7 @@ func cellLineRows(t *testing.T, keep func(string) bool) map[string]cellBench {
 					}
 				}
 			})
-			row := measured(br)
+			row := measured(br, calib)
 			rows["CellLine"+op+shape] = row
 			t.Logf("CellLine%s%s: %d-byte line, %.0f ns/op, %d allocs/op", op, shape, len(line), row.NsPerOp, row.AllocsPerOp)
 		}
@@ -421,14 +429,20 @@ func BenchmarkSweepJobMaxLocal(b *testing.B) {
 
 // sweepJobRow reports BenchmarkSweepJobMaxLocal per cell.
 func sweepJobRow(t *testing.T) cellBench {
-	r := testing.Benchmark(BenchmarkSweepJobMaxLocal)
+	r, calib := benchmark(BenchmarkSweepJobMaxLocal)
+	row := perCell(r, calib)
+	t.Logf("SweepJobMaxLocal: %.0f ns/cell, %d allocs/cell over %d jobs", row.NsPerOp, row.AllocsPerOp, r.N)
+	return row
+}
+
+// perCell is the row of a benchmark whose op is the sweep job's cells.
+func perCell(r testing.BenchmarkResult, calib float64) cellBench {
 	per := int64(r.N) * int64(len(sweepJobCells))
-	row := cellBench{
+	return cellBench{
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(per),
 		AllocsPerOp: int64(r.MemAllocs) / per,
 		BytesPerOp:  int64(r.MemBytes) / per,
 		Cells:       len(sweepJobCells),
+		CalibNs:     calib,
 	}
-	t.Logf("SweepJobMaxLocal: %.0f ns/cell, %d allocs/cell over %d jobs", row.NsPerOp, row.AllocsPerOp, r.N)
-	return row
 }

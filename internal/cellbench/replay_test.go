@@ -147,20 +147,15 @@ func replayRows(t *testing.T, keep func(string) bool) map[string]cellBench {
 				len(rec.starts), len(rec.calls), len(rec.moves))
 		}
 		var counts map[string]int64
-		r := testing.Benchmark(func(b *testing.B) {
+		r, calib := benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				counts = p.op(b, rec)
 			}
 		})
-		per := int64(r.N) * int64(len(sweepJobCells))
-		rows[name] = cellBench{
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(per),
-			AllocsPerOp: int64(r.MemAllocs) / per,
-			BytesPerOp:  int64(r.MemBytes) / per,
-			Cells:       len(sweepJobCells),
-			Counts:      counts,
-		}
+		row := perCell(r, calib)
+		row.Counts = counts
+		rows[name] = row
 		t.Logf("%s: %.0f ns/cell, %d allocs/cell, %v", name, rows[name].NsPerOp, rows[name].AllocsPerOp, counts)
 	}
 	return rows
