@@ -19,13 +19,11 @@ import (
 // shortest path to it; the part of that path up to its first changed
 // edge existed before the move and ends at a source, so she was within k
 // of a source before it. Everything starts dirty, so the first round
-// evaluates everyone.
-//
-// nclean counts the clean players. A search only sets dirty bits, so a
-// move made while no player is clean needs none: apply then only moves.
+// evaluates everyone. nclean counts the clean players: a search only marks
+// players dirty, so a move made while none is clean needs no search.
 type dirtySet struct {
 	k       int
-	dirty   []bool
+	dirty   []uint8 // 1 dirty, 0 clean
 	nclean  int
 	scratch *graph.Scratch
 	srcs    []int32
@@ -34,23 +32,21 @@ type dirtySet struct {
 // newDirtySet builds the activation tracker for a run of n players at
 // view radius k.
 func newDirtySet(n, k int) *dirtySet {
-	d := &dirtySet{k: k, dirty: make([]bool, n), scratch: graph.GetScratch(n)}
+	d := &dirtySet{k: k, dirty: make([]uint8, n), scratch: graph.GetScratch(n)}
 	for i := range d.dirty {
-		d.dirty[i] = true
+		d.dirty[i] = 1
 	}
 	return d
 }
 
 // clean reports whether u can be skipped this activation.
-func (d *dirtySet) clean(u int) bool { return !d.dirty[u] }
+func (d *dirtySet) clean(u int) bool { return d.dirty[u] == 0 }
 
 // settle records a non-improving evaluation: u stays clean until a move
 // touches her neighborhood.
 func (d *dirtySet) settle(u int) {
-	if d.dirty[u] {
-		d.nclean++
-	}
-	d.dirty[u] = false
+	d.nclean += int(d.dirty[u])
+	d.dirty[u] = 0
 }
 
 // apply performs u's move and dirties every possibly-affected player.
@@ -58,10 +54,8 @@ func (d *dirtySet) apply(s *game.State, u int, strategy []int) {
 	if d.nclean > 0 {
 		d.srcs = s.StrategyDiff(u, strategy, append(d.srcs[:0], int32(u)))
 		for _, v := range s.Graph().MultiBFSWithinScratch(d.srcs, d.k, d.scratch) {
-			if !d.dirty[v] {
-				d.nclean--
-			}
-			d.dirty[v] = true
+			d.nclean -= int(1 - d.dirty[v])
+			d.dirty[v] = 1
 		}
 	}
 	s.SetStrategy(u, strategy)

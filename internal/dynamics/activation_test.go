@@ -142,8 +142,8 @@ func TestDirtySetCountsItsCleanPlayers(t *testing.T) {
 						t.Helper()
 						clean := 0
 						for v := range n {
-							if d.dirty[v] != ref[v] {
-								t.Fatalf("%s, %s of player %d: player %d dirty=%v, the always-searching rule says %v", label, step, u, v, d.dirty[v], ref[v])
+							if (d.dirty[v] == 1) != ref[v] {
+								t.Fatalf("%s, %s of player %d: player %d dirty=%d, the always-searching rule says %v", label, step, u, v, d.dirty[v], ref[v])
 							}
 							if !ref[v] {
 								clean++

@@ -41,6 +41,9 @@
 // length ≤ k from a player to a source reaches, at or before its first
 // added edge, a source along edges that were already there. The post-move
 // search would mark a subset of what the pre-move one marked.
+// The engine counts its clean players: a move made while none is clean
+// needs neither the diff nor the search, which only marks players dirty.
+// Early in a run, and under full knowledge, most moves are such moves.
 // Full-knowledge responders (k beyond the diameter) degrade gracefully:
 // the bounded BFS covers the whole component, reproducing dirty-everyone
 // behavior.

@@ -61,12 +61,10 @@ func (s *Scratch) visit(v int32, d int32) bool {
 // order — sources in the order given, then neighbours in row order,
 // which decides local ids in views and hence every downstream tie-break
 // — as a prefix of the scratch queue, valid until the next traversal.
-// The caller has checked that every source indexes rows and k >= 0.
-//
-// The arc scan does not branch on what it reads: it stamps w, moves
-// dist[w] to du+1 only when w was unseen, writes w to the next queue slot
-// and advances by a 0/1 flag. Once all n vertices are queued the scan
-// still writes that slot, so the queue holds n+1.
+// The caller has checked that every source indexes rows and k >= 0. The
+// arc scan does not branch on what it reads: it writes w to the next
+// queue slot, and sets dist[w] and advances only when w was unseen, so
+// the queue has a spare slot past the n vertices for the last write.
 func (s *Scratch) bfs(rows [][]int32, srcs []int32, k int) []int32 {
 	s.begin(len(rows))
 	tail := 0
@@ -84,7 +82,10 @@ func (s *Scratch) bfs(rows [][]int32, srcs []int32, k int) []int32 {
 			continue
 		}
 		for _, w := range rows[u] {
-			fresh := flag(seen[w] != epoch)
+			fresh := 0 // a SETcc, not a branch
+			if seen[w] != epoch {
+				fresh = 1
+			}
 			seen[w] = epoch
 			dist[w] += int32(fresh) * (du + 1 - dist[w])
 			queue[tail] = w
@@ -92,14 +93,6 @@ func (s *Scratch) bfs(rows [][]int32, srcs []int32, k int) []int32 {
 		}
 	}
 	return queue[:tail]
-}
-
-// flag is 1 for true, 0 for false: a SETcc, not a branch.
-func flag(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // Dist returns the distance recorded for v by the most recent traversal,
