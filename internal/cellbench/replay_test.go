@@ -220,7 +220,8 @@ func replayRespond(b *testing.B, rec *sweepJobRecord) map[string]int64 {
 	}
 }
 
-// replayDirty is the engine's dirtySet.apply over the recorded moves.
+// replayDirty is the engine's dirtySet.apply over the recorded moves with
+// the search made on every move, as if a player were always clean.
 func replayDirty(b *testing.B, rec *sweepJobRecord) map[string]int64 {
 	scratch := graph.GetScratch(rec.starts[0].N())
 	defer graph.PutScratch(scratch)
