@@ -61,7 +61,7 @@ var archRules = []struct {
 	{"peer-client", onePeerClient},
 	{"traversal", oneTraversalKernel},
 	{"graph-goroutines", noGraphGoroutines},
-	{"spill", spillByAppend},
+	{"cache-writes-nothing", cacheWritesNothing},
 	{"framer", oneFramer},
 	{"line-codec", oneLineCodec},
 	{"sweep-call-site", oneSweepCallSite},
@@ -132,20 +132,22 @@ func noGraphGoroutines(tr *tree) (out []finding) {
 	return out
 }
 
-// spillByAppend: spill by append; no per-cell file is created on the
-// emit path. The cache's disk tier is one segment per kernel, appended to
-// in place; a temp file or a rename in cache.go is a second layout.
-func spillByAppend(tr *tree) (out []finding) {
+// cacheWritesNothing: the cache writes nothing. Its disk tier is an
+// index over the job checkpoints, which only their runners write and only
+// a job's own resume cuts; a call in cache.go that creates, writes,
+// truncates or removes a file, or repairs a torn tail, is a second writer.
+func cacheWritesNothing(tr *tree) (out []finding) {
 	tr.inspect(nonTest(in("internal/sweepd/cache.go")), func(f *goFile, n ast.Node) {
-		switch n := n.(type) {
-		case *ast.Ident:
-			if n.Name == "CreateTemp" {
-				out = append(out, tr.find(n, "CreateTemp in cache.go"))
-			}
-		case *ast.SelectorExpr:
-			if f.qualified(n, "os") == "Rename" {
-				out = append(out, tr.find(n, "os.Rename in cache.go"))
-			}
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		name, osName := sel.Sel.Name, f.qualified(sel, "os")
+		switch {
+		case name == "WriteAt", name == "Truncate", osName == "OpenFile", osName == "WriteFile",
+			strings.HasPrefix(osName, "Create"), strings.HasPrefix(osName, "Mkdir"), strings.HasPrefix(osName, "Remove"),
+			f.qualified(sel, "repro/internal/ncgio") == "RepairTail":
+			out = append(out, tr.find(sel, "%s in cache.go", name))
 		}
 	})
 	return out

@@ -41,7 +41,6 @@ func newFlagSet(cfg *node.Config) (*flag.FlagSet, *string) {
 	fs.StringVar(&cfg.Data, "data", cfg.Data, "job store directory")
 	fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "sweep worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.Cache, "cache", cfg.Cache, "result cache entries in memory (0 disables caching entirely)")
-	fs.StringVar(&cfg.CacheDir, "cache-dir", cfg.CacheDir, `result-cache spill directory ("" = <data>/cache, "none" = memory-only)`)
 	fs.DurationVar(&cfg.JobTTL, "job-ttl", cfg.JobTTL, "GC done/failed jobs this long after they finish (0 disables GC)")
 	fs.IntVar(&cfg.MaxJobs, "max-jobs", cfg.MaxJobs, "running-job cap; a new spec submitted at the cap gets 429, finished jobs do not count (0 = unlimited)")
 	fs.Float64Var(&cfg.Rate, "rate", cfg.Rate, "per-endpoint-class request limit in req/s; beyond it 429 + Retry-After (0 = unlimited)")

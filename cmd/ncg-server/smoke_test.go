@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"net/http"
 	"os"
@@ -211,9 +212,10 @@ func members(t *testing.T, base string) (mr sweepd.MembersResponse) {
 	return mr
 }
 
-// TestLoneDaemon: a job runs through submit, follow, summary and purge
-// over the flag-set cache directory; SIGTERM ends the process with exit
-// 0; and every stderr line is a JSON record, none about fan-out.
+// TestLoneDaemon: a job runs through submit, follow, summary and purge,
+// leaving its checkpoint as the only copy of its cells under -data;
+// SIGTERM ends the process with exit 0; and every stderr line is a JSON
+// record, none about fan-out.
 func TestLoneDaemon(t *testing.T) {
 	p := start(t, "-addr", "127.0.0.1:0", "-max-jobs", "16", "-rate", "200")
 	if p.url == "" {
@@ -227,8 +229,15 @@ func TestLoneDaemon(t *testing.T) {
 	if doJSON(t, http.MethodGet, p.url+"/sweeps/"+id+"/summary", "", http.StatusOK, &sum); len(sum.Groups) != 1 {
 		t.Fatalf("summary has %d groups, want 1", len(sum.Groups))
 	}
-	if _, err := os.Stat(filepath.Join(p.data, "cache")); err != nil {
-		t.Fatalf("the disk cache did not spill under -data: %v", err)
+	jobDir := filepath.Join(p.data, id) + string(filepath.Separator)
+	err := filepath.WalkDir(p.data, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && (!d.IsDir() && !strings.HasPrefix(path, jobDir) || d.Name() == "cache") {
+			t.Errorf("%s lies outside the job's store directory", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	var purge struct{ Purged bool }
 	if doJSON(t, http.MethodDelete, p.url+"/sweeps/"+id+"?purge=1", "", http.StatusOK, &purge); !purge.Purged {

@@ -8,7 +8,10 @@
 # first (odd pairs the parent). Each run measures only the named rows
 # (BENCH_ROWS) and the calibration kernel (calib_ns). Prints, per row, the
 # median [Q1, Q3] of each side, the change in the median and the pairs the
-# change won (lower ns/op), in CHANGES.md's format. BENCHTIME (default
+# change won (lower ns/op), in CHANGES.md's format. The calib_ns line is
+# printed for drift only: the kernel is the same code on both sides, but
+# each side's test binary lays it out apart, so its two medians are not
+# comparable across binaries, and no row is divided by it. BENCHTIME (default
 # 1s, as TestBenchCell) is each row's -test.benchtime; the whole
 # SweepJobMaxLocal row runs about 8 ops in 1s. Both checkouts must know
 # BENCH_ROWS. Example:

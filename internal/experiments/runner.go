@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/dynamics"
 	"repro/internal/ncgio"
@@ -14,17 +13,19 @@ import (
 // (no HTTP, no peers) over a job store. Jobs are content-addressed by
 // their spec, so drivers that read the same grid share one job, a spec
 // re-submitted after a kill resumes from its checkpoint's clean prefix,
-// and overlapping grids of one kernel are served from the disk cache.
+// and overlapping grids of one kernel are served from the result cache,
+// whose disk tier is an index over the store's checkpoints.
 type Runner struct {
 	*sweepd.Manager
 	tmp string // the store, when Open made it; removed by Close
 }
 
-// Open starts a runner whose job store is dir and whose result cache
-// spills under dir/cache — the layout of `ncg-server -data dir`, one
-// process at a time. An empty dir means a temporary store that Close
-// removes. There is no Manager.Resume: a job an earlier process left
-// unfinished resumes when a driver submits its spec again, not before.
+// Open starts a runner whose job store is dir — the layout of
+// `ncg-server -data dir`, one process at a time. An empty dir means a
+// temporary store that Close removes. There is no Manager.Resume: a job
+// an earlier process left unfinished resumes when a driver submits its
+// spec again, not before; but every checkpoint in dir serves the cache
+// from the runner's first sweep on.
 func Open(dir string) (*Runner, error) {
 	tmp := ""
 	if dir == "" {
@@ -35,14 +36,11 @@ func Open(dir string) (*Runner, error) {
 		dir = tmp
 	}
 	store, err := sweepd.OpenStore(dir)
-	var cache *sweepd.Cache
-	if err == nil {
-		cache, err = sweepd.NewDiskCache(1<<16, filepath.Join(dir, "cache")) // ncg-server's default size
-	}
 	if err != nil {
 		os.RemoveAll(tmp) //nolint:errcheck // best-effort cleanup of our own temp dir
 		return nil, err
 	}
+	cache := sweepd.NewCache(1 << 16) // ncg-server's default size
 	return &Runner{Manager: sweepd.NewManager(store, cache, 0), tmp: tmp}, nil
 }
 

@@ -101,21 +101,34 @@ func TestReopenResumesFromTornCheckpoint(t *testing.T) {
 }
 
 // A sub-grid of a finished grid is a new job of the same kernel: every
-// cell is a cache hit.
+// cell is a cache hit — in the same process, and in the next one over the
+// same directory, where every hit is read from the first job's checkpoint.
 func TestSubGridIsServedFromCache(t *testing.T) {
-	p := micro(t)
-	render(t, p, figure5)
-	p.AlphaGrid = p.AlphaGrid[1:]
-	render(t, p, figure5)
-	for _, job := range p.Runner.List() {
-		if len(job.Spec.Alphas) == 1 {
-			if job.Total != len(p.Ks())*p.Seeds() || job.CacheHits != job.Total {
-				t.Fatalf("sub-grid job: %d cache hits of %d cells", job.CacheHits, job.Total)
+	for _, reopen := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reopen=%v", reopen), func(t *testing.T) {
+			p := micro(t)
+			render(t, p, figure5)
+			if reopen {
+				dir := filepath.Dir(filepath.Dir(p.Runner.ResultsPath(p.Runner.List()[0].ID)))
+				p.Runner.Close()
+				p.Runner = open(t, dir)
 			}
-			return
-		}
+			p.AlphaGrid = p.AlphaGrid[1:]
+			render(t, p, figure5)
+			for _, job := range p.Runner.List() {
+				if len(job.Spec.Alphas) == 1 {
+					if job.Total != len(p.Ks())*p.Seeds() || job.CacheHits != job.Total {
+						t.Fatalf("sub-grid job: %d cache hits of %d cells", job.CacheHits, job.Total)
+					}
+					if disk := p.Runner.CacheStats().DiskHits; reopen && disk != uint64(job.Total) {
+						t.Fatalf("after reopening: %d of %d hits from disk", disk, job.Total)
+					}
+					return
+				}
+			}
+			t.Fatal("no sub-grid job")
+		})
 	}
-	t.Fatal("no sub-grid job")
 }
 
 // The store failing is an error, never a silent in-memory run: a file

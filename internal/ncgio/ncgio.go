@@ -4,8 +4,7 @@
 // plus the sorted arc list (buyer → target), which is exactly the
 // information content of a strategy profile σ.
 //
-// Framing. Checkpoints, trajectory sidecars, cache segments and replica
-// bodies are JSONL: a record is a non-blank line terminated by '\n', and
+// Framing. Checkpoints, trajectory sidecars and replica bodies are JSONL: a record is a non-blank line terminated by '\n', and
 // bytes after the last newline are a torn tail — the trace of a crash
 // mid-append — never a record. Lines is that rule and the only place it is
 // written. Readers skip blank lines and leave a tail alone; only a file's

@@ -118,54 +118,34 @@ func BenchmarkCacheGetPut(b *testing.B) {
 	}
 }
 
-// BenchmarkCacheSpill measures the disk tier on its own: put spills
-// fresh cells of four kernels (the emit path pays this once per computed
-// cell), get reads back cells the memory tier has evicted (decode and key
-// check included), miss asks a warm kernel for a cell it never held.
+// BenchmarkCacheSpill measures the disk tier on its own, over four
+// kernels whose retained checkpoints hold 4096 cells each: get reads back
+// cells the memory tier has evicted (open, read, close, decode and key
+// check included), miss asks a warm kernel for a cell none of its
+// checkpoints holds. There is no put: a computed line's only disk write
+// is its checkpoint append.
 func BenchmarkCacheSpill(b *testing.B) {
 	kernels := make([]string, 4)
 	for i := range kernels {
 		kernels[i] = fmt.Sprintf("kernel-%d", i)
 	}
+	cells := dynamics.Grid([]float64{0.5, 1, 2, 5}, []int{2, 4, 8, 1000}, 256)
 	open := func(b *testing.B) *Cache {
-		c, err := NewDiskCache(64, b.TempDir())
-		if err != nil {
-			b.Fatal(err)
+		c, dir := NewCache(64), b.TempDir()
+		for _, kernel := range kernels {
+			path := filepath.Join(dir, kernel)
+			writeCheckpoint(b, path, cells)
+			c.retain(kernel, path, false)
 		}
 		return c
 	}
-	// fill spills 4096 cells a kernel, leaving the last 64 in memory.
-	fill := func(c *Cache) []dynamics.Cell {
-		cells := dynamics.Grid([]float64{0.5, 1, 2, 5}, []int{2, 4, 8, 1000}, 256)
-		for _, kernel := range kernels {
-			for _, cell := range cells {
-				c.Put(kernel, cell, cacheLine(cell))
-			}
-		}
-		return cells
-	}
-	b.Run("put", func(b *testing.B) {
-		sp := Spec{N: 40, Alphas: []float64{2}, Ks: []int{1000}, Seeds: 1}
-		sp.Normalize()
-		line, err := ncgio.MarshalCellResult(dynamics.Sweep(sp.Cells(), sp.Config(), sp.Factory(), 1)[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		c := open(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c.Put(kernels[i%len(kernels)], dynamics.Cell{Alpha: 2, K: 1000, Seed: int64(i)}, line)
-		}
-	})
 	b.Run("get", func(b *testing.B) {
 		c := open(b)
-		cells := fill(c)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, ok := c.Get(kernels[i%len(kernels)], cells[i%len(cells)]); !ok {
-				b.Fatal("spilled cell missed")
+				b.Fatal("retained cell missed")
 			}
 		}
 		b.StopTimer()
@@ -175,7 +155,9 @@ func BenchmarkCacheSpill(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		c := open(b)
-		fill(c)
+		for _, kernel := range kernels { // read each kernel's checkpoint into the index
+			c.Get(kernel, cells[0])
+		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -1,7 +1,9 @@
 package sweepd
 
 import (
+	"bytes"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,8 +15,8 @@ import (
 	"repro/internal/ncgio"
 )
 
-// cacheLine builds a valid canonical cell-result line for cell (spill
-// loads validate their content, so synthetic test lines must parse).
+// cacheLine builds a valid canonical cell-result line for cell (disk
+// reads validate their content, so synthetic test lines must parse).
 func cacheLine(cell dynamics.Cell) []byte {
 	line, err := ncgio.MarshalCellResult(dynamics.CellResult{
 		Cell:   cell,
@@ -26,9 +28,24 @@ func cacheLine(cell dynamics.Cell) []byte {
 	return line
 }
 
+// writeCheckpoint writes the cells' lines to path, a checkpoint as a
+// runner leaves it, and returns its bytes.
+func writeCheckpoint(t testing.TB, path string, cells []dynamics.Cell) []byte {
+	t.Helper()
+	var data []byte
+	for _, cell := range cells {
+		data = append(append(data, cacheLine(cell)...), '\n')
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestCacheConcurrent hammers Put/Get/Stats from many goroutines over a
 // cache small enough to evict constantly; run under -race (CI does) it
-// guards the locking across both tiers.
+// guards the locking across both tiers. The disk variant indexes a
+// checkpoint that holds half the cells.
 func TestCacheConcurrent(t *testing.T) {
 	for _, disk := range []bool{false, true} {
 		name := "memory"
@@ -36,16 +53,13 @@ func TestCacheConcurrent(t *testing.T) {
 			name = "disk"
 		}
 		t.Run(name, func(t *testing.T) {
-			var c *Cache
-			if disk {
-				var err error
-				if c, err = NewDiskCache(8, t.TempDir()); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				c = NewCache(8)
-			}
+			c := NewCache(8)
 			cells := dynamics.Grid([]float64{0.5, 1, 2}, []int{2, 4}, 4)
+			if disk {
+				path := filepath.Join(t.TempDir(), "results.jsonl")
+				writeCheckpoint(t, path, cells[:len(cells)/2])
+				c.retain("kern", path, false)
+			}
 			var wg sync.WaitGroup
 			for g := 0; g < 8; g++ {
 				wg.Add(1)
@@ -71,16 +85,18 @@ func TestCacheConcurrent(t *testing.T) {
 			if st.Entries > 8 {
 				t.Fatalf("memory tier over its bound: %+v", st)
 			}
-			if st.Hits == 0 || st.Misses == 0 {
+			if st.Hits == 0 || st.Misses == 0 || disk != (st.DiskHits > 0) {
 				t.Fatalf("degenerate workload: %+v", st)
 			}
 		})
 	}
 }
 
-// segmentPath is where kernel's spilled lines live under a cache dir.
-func segmentPath(dir, kernel string) string {
-	return filepath.Join(dir, kernel, segmentName)
+// indexed reports whether kernel has a disk index in c.
+func indexed(c *Cache, kernel string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.disk[kernel] != nil
 }
 
 // evictAll pushes every earlier entry out of c's memory tier, so the next
@@ -88,47 +104,35 @@ func segmentPath(dir, kernel string) string {
 func evictAll(c *Cache) {
 	for i := 0; i < c.max; i++ {
 		cell := dynamics.Cell{Alpha: 99, K: i, Seed: -1}
-		c.PutMemory("filler", cell, cacheLine(cell))
+		c.Put("filler", cell, cacheLine(cell))
 	}
 }
 
-// TestDiskCacheSurvivesRestart is the persistence contract: a fresh cache
-// opened over the same spill directory serves the previous process's
-// entries as hits, however few of them its memory tier can hold.
+// TestDiskCacheSurvivesRestart is the persistence contract: a retained
+// checkpoint serves its kernel however few lines the memory tier holds,
+// and a fresh cache that retains it again — the next process — serves
+// every line as a hit.
 func TestDiskCacheSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	c1, err := NewDiskCache(4, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path := filepath.Join(t.TempDir(), "results.jsonl")
 	cells := dynamics.Grid([]float64{1, 2, 3}, []int{2, 4}, 1) // 6 cells > memory bound 4
-	for _, cell := range cells {
-		c1.Put("kern", cell, cacheLine(cell))
-	}
-	if st := c1.Stats(); st.Evictions == 0 {
-		t.Fatalf("expected memory evictions, got %+v", st)
-	}
-	// Evicted entries are still served — from disk, promoted back.
-	for _, cell := range cells {
-		line, ok := c1.Get("kern", cell)
-		if !ok || string(line) != string(cacheLine(cell)) {
-			t.Fatalf("cell %+v lost after eviction", cell)
+	data := writeCheckpoint(t, path, cells)
+	c1 := NewCache(4)
+	c1.retain("kern", path, false)
+	for range 2 { // the second pass finds the memory tier holding the last 4
+		for _, cell := range cells {
+			if line, ok := c1.Get("kern", cell); !ok || string(line) != string(cacheLine(cell)) {
+				t.Fatalf("cell %+v not served from its checkpoint", cell)
+			}
 		}
 	}
-	if st := c1.Stats(); st.DiskHits == 0 {
-		t.Fatalf("evicted entries not served from disk: %+v", st)
-	}
-	// One file per kernel, whatever the number of cells.
-	if files, err := os.ReadDir(filepath.Join(dir, "kern")); err != nil || len(files) != 1 || files[0].Name() != segmentName {
-		t.Fatalf("spill directory holds %v (%v), want only %s", files, err, segmentName)
+	if st := c1.Stats(); st.Evictions == 0 || st.DiskHits != 2*uint64(len(cells)) {
+		t.Fatalf("stats = %+v, want every read from disk", st)
 	}
 
-	// "Restart": a brand-new cache over the same directory is warm, beyond
+	// "Restart": a brand-new cache over the same checkpoint is warm, beyond
 	// what its memory tier holds.
-	c2, err := NewDiskCache(2, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c2 := NewCache(2)
+	c2.retain("kern", path, false)
 	for _, cell := range cells {
 		line, ok := c2.Get("kern", cell)
 		if !ok || string(line) != string(cacheLine(cell)) {
@@ -147,78 +151,91 @@ func TestDiskCacheSurvivesRestart(t *testing.T) {
 		t.Fatalf("memory-tier hit counted as disk: %+v", st)
 	}
 
-	// A different kernel stays partitioned, and an unknown cell of a
-	// known kernel misses.
+	// A different kernel stays partitioned, an unknown cell of a known
+	// kernel misses, and the checkpoint is as it was written.
 	if _, ok := c2.Get("other", cells[0]); ok {
 		t.Fatal("kernel hash must partition the disk tier")
 	}
 	if _, ok := c2.Get("kern", dynamics.Cell{Alpha: 9, K: 9, Seed: 9}); ok {
 		t.Fatal("unknown cell served")
 	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("the cache changed the checkpoint (%v)", err)
+	}
 }
 
-// TestSegmentTornTailTruncated: a daemon killed mid-append leaves half a
-// record at the end of a segment. The next process truncates it, serves
-// every record before it, and appends after them.
-func TestSegmentTornTailTruncated(t *testing.T) {
+// TestIndexLeavesCheckpointsAlone: a job of kernel K left a checkpoint
+// whose last line a crash tore. A second job of K, submitted to a manager
+// that never resumed the first, is served every whole line of it, and
+// recomputes the torn cell; the first job's file stays byte-identical —
+// only a job's own resume cuts its tail.
+func TestIndexLeavesCheckpointsAlone(t *testing.T) {
 	dir := t.TempDir()
-	c1, err := NewDiskCache(4, dir)
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := dynamics.Grid([]float64{1, 2, 3, 4}, []int{2}, 1)
-	for _, cell := range cells[:3] {
-		c1.Put("kern", cell, cacheLine(cell))
+	first := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2}
+	second := Spec{N: 10, Alphas: []float64{1, 2, 3}, Ks: []int{2}, Seeds: 2}
+	first.Normalize()
+	second.Normalize()
+	if first.KernelHash() != second.KernelHash() {
+		t.Fatal("test setup: the two specs must share a kernel")
 	}
-	path := segmentPath(dir, "kern")
-	whole, err := os.ReadFile(path)
-	if err != nil {
+	want := canonicalBytes(t, second)
+	lines := strings.SplitAfter(string(want), "\n")
+	torn := strings.Join(lines[:3], "") + lines[3][:len(lines[3])/2]
+	if _, _, err := st.CreateJob(first); err != nil {
 		t.Fatal(err)
 	}
-	torn := cacheLine(cells[3])
-	if err := os.WriteFile(path, append(whole[:len(whole):len(whole)], torn[:len(torn)/2]...), 0o644); err != nil {
+	if err := os.WriteFile(st.ResultsPath(first.ID()), []byte(torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	c2, err := NewDiskCache(4, dir)
+	cache, err := NewDiskCache(64, filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c2.Get("kern", cells[3]); ok {
-		t.Fatal("torn record served")
+	mgr := NewManager(st, cache, 2)
+	defer mgr.Close()
+	job := runDoneJob(t, mgr, second)
+	if job.CacheHits != 3 || cache.Stats().DiskHits != 3 {
+		t.Fatalf("second job: %d cache hits, stats %+v; want the first job's 3 whole lines, all from disk",
+			job.CacheHits, cache.Stats())
 	}
-	for _, cell := range cells[:3] {
-		if line, ok := c2.Get("kern", cell); !ok || string(line) != string(cacheLine(cell)) {
-			t.Fatalf("cell %+v before the torn tail lost", cell)
-		}
+	if got, err := os.ReadFile(st.ResultsPath(first.ID())); err != nil || string(got) != torn {
+		t.Fatalf("the first job's checkpoint changed under the index (%v)", err)
 	}
-	if data, err := os.ReadFile(path); err != nil || string(data) != string(whole) {
-		t.Fatalf("segment after repair is %d bytes (%v), want the %d-byte whole-line prefix", len(data), err, len(whole))
-	}
-	c2.Put("kern", cells[3], cacheLine(cells[3]))
-
-	c3, err := NewDiskCache(4, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cell := range cells {
-		if line, ok := c3.Get("kern", cell); !ok || string(line) != string(cacheLine(cell)) {
-			t.Fatalf("cell %+v lost after appending behind a repaired tail", cell)
-		}
+	if got, err := os.ReadFile(st.ResultsPath(second.ID())); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("the second job's checkpoint differs from its canonical grid (%v)", err)
 	}
 }
 
-// TestDiskCacheRejectsCorruptSpill: bytes in the middle of a segment that
-// no longer decode, or that decode to another cell than the index says,
-// are never served; the cell misses, its neighbours hit, and its next Put
-// appends a fresh record.
+// canonicalBytes is sp's checkpoint as an uninterrupted run writes it.
+func canonicalBytes(t *testing.T, sp Spec) []byte {
+	t.Helper()
+	var out []byte
+	for _, r := range dynamics.Sweep(sp.Cells(), sp.Config(), sp.Factory(), sp.BaseSeed) {
+		line, err := ncgio.MarshalCellResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, line...), '\n')
+	}
+	return out
+}
+
+// TestDiskCacheRejectsCorruptSpill: bytes of a retained checkpoint that no
+// longer decode, or that decode to another cell than the index says, are
+// never served; the cell misses, its neighbours hit, and its ref is
+// dropped, so the line stays a miss even once its bytes are whole again.
 func TestDiskCacheRejectsCorruptSpill(t *testing.T) {
 	cells := dynamics.Grid([]float64{1, 2, 3}, []int{2}, 1)
 	record := int64(len(cacheLine(cells[1])) + 1)
 	for _, tc := range []struct {
 		name    string
 		with    []byte // overwrites the middle record, byte for byte
-		restart bool   // a new process scans the damage; else a live index points at it
+		restart bool   // the damage comes before the first read; else after
 	}{
 		{"undecodable, live index", []byte(strings.Repeat("#", int(record)-1)), false},
 		{"undecodable, scanned", []byte(strings.Repeat("#", int(record)-1)), true},
@@ -226,15 +243,18 @@ func TestDiskCacheRejectsCorruptSpill(t *testing.T) {
 		{"another cell's record, scanned", cacheLine(cells[0]), true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			c, err := NewDiskCache(2, dir)
-			if err != nil {
-				t.Fatal(err)
+			path := filepath.Join(t.TempDir(), "results.jsonl")
+			whole := writeCheckpoint(t, path, cells)
+			c := NewCache(2)
+			c.retain("kern", path, false)
+			if !tc.restart {
+				for _, cell := range cells {
+					if _, ok := c.Get("kern", cell); !ok {
+						t.Fatalf("cell %+v not indexed", cell)
+					}
+				}
+				evictAll(c)
 			}
-			for _, cell := range cells {
-				c.Put("kern", cell, cacheLine(cell))
-			}
-			path := segmentPath(dir, "kern")
 			f, err := os.OpenFile(path, os.O_WRONLY, 0)
 			if err != nil {
 				t.Fatal(err)
@@ -243,13 +263,6 @@ func TestDiskCacheRejectsCorruptSpill(t *testing.T) {
 				t.Fatal(err)
 			}
 			f.Close()
-			if tc.restart {
-				if c, err = NewDiskCache(2, dir); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				evictAll(c)
-			}
 
 			if _, ok := c.Get("kern", cells[1]); ok {
 				t.Fatal("corrupt record served as a hit")
@@ -259,77 +272,81 @@ func TestDiskCacheRejectsCorruptSpill(t *testing.T) {
 					t.Fatalf("neighbour %+v of a corrupt record lost", cell)
 				}
 			}
-			c.Put("kern", cells[1], cacheLine(cells[1]))
-			if fi, err := os.Stat(path); err != nil || fi.Size() != 4*record {
-				t.Fatalf("segment after re-putting the dropped cell: %v bytes (%v), want %d", fi.Size(), err, 4*record)
+			if err := os.WriteFile(path, whole, 0o644); err != nil {
+				t.Fatal(err)
 			}
-			evictAll(c)
-			if line, ok := c.Get("kern", cells[1]); !ok || string(line) != string(cacheLine(cells[1])) {
-				t.Fatal("fresh record not served")
+			if _, ok := c.Get("kern", cells[1]); ok {
+				t.Fatal("a dropped ref was served")
 			}
 		})
 	}
 }
 
-// TestSegmentConcurrentJobs: two jobs of one kernel finishing the same
-// cells at once (and a reader) leave a segment that is a clean
-// checkpoint with every cell in it exactly once. Run under -race.
+// TestSegmentConcurrentJobs: two runners append the same cells of one
+// kernel to their own checkpoints at once, indexing each line, while a
+// reader asks for them: a hit always carries its cell's line, and once
+// both are done every cell is served from disk.
 func TestSegmentConcurrentJobs(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewDiskCache(8, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCache(8)
 	cells := dynamics.Grid([]float64{0.5, 1, 2, 3}, []int{2, 3, 4, 5}, 8)
 	var wg sync.WaitGroup
 	for job := 0; job < 3; job++ {
 		wg.Add(1)
 		go func(job int) {
 			defer wg.Done()
-			for i := range cells {
-				cell := cells[i]
-				switch job {
-				case 1:
-					cell = cells[len(cells)-1-i]
-					fallthrough
-				case 0:
-					c.Put("kern", cell, cacheLine(cell))
-				default:
+			if job == 2 {
+				for _, cell := range cells {
 					if line, ok := c.Get("kern", cell); ok && string(line) != string(cacheLine(cell)) {
 						t.Errorf("cell %+v served a foreign line", cell)
 					}
 				}
+				return
+			}
+			path := filepath.Join(dir, fmt.Sprintf("job%d.jsonl", job))
+			w, err := ncgio.NewCheckpointWriter(path)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer w.Close()
+			c.retain("kern", path, true)
+			var off int64
+			for i := range cells {
+				cell := cells[i]
+				if job == 1 {
+					cell = cells[len(cells)-1-i]
+				}
+				line := cacheLine(cell)
+				if err := w.AppendLine(line); err != nil {
+					t.Error(err)
+					return
+				}
+				c.index("kern", path, cell, off, len(line))
+				off += int64(len(line)) + 1
 			}
 		}(job)
 	}
 	wg.Wait()
-	data, err := os.ReadFile(segmentPath(dir, "kern"))
-	if err != nil {
-		t.Fatal(err)
+	evictAll(c)
+	before := c.Stats().DiskHits
+	for _, cell := range cells {
+		if line, ok := c.Get("kern", cell); !ok || string(line) != string(cacheLine(cell)) {
+			t.Fatalf("cell %+v not served from disk", cell)
+		}
 	}
-	recs, clean := ncgio.DecodePrefix(data)
-	if clean != len(data) || len(recs) != len(cells) {
-		t.Fatalf("segment decodes to %d records over %d of %d bytes, want %d records and all of it",
-			len(recs), clean, len(data), len(cells))
-	}
-	seen := make(map[dynamics.Cell]bool)
-	for _, r := range recs {
-		seen[r.Cell] = true
-	}
-	if len(seen) != len(cells) {
-		t.Fatalf("segment holds %d distinct cells, want %d", len(seen), len(cells))
+	if got := c.Stats().DiskHits - before; got != uint64(len(cells)) {
+		t.Fatalf("%d disk hits, want %d", got, len(cells))
 	}
 }
 
-// TestSegmentChurn drives more kernels than descriptors from several
-// goroutines that spill, read back and remove them at once: whatever the
-// interleaving of descriptor eviction and kernel removal, a hit carries
-// the cell's own line. Run under -race.
+// TestSegmentChurn: runners of several kernels append and index, evict
+// their jobs (file removed, checkpoint released) and read, all at once;
+// whatever the interleaving, a hit carries the cell's own line. Run under
+// -race.
 func TestSegmentChurn(t *testing.T) {
-	c, err := NewDiskCache(4, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	c := NewCache(4)
 	cells := dynamics.Grid([]float64{1, 2}, []int{2, 3}, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -337,14 +354,35 @@ func TestSegmentChurn(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
+			offs := map[string]int64{} // this runner's live checkpoints
 			for i := 0; i < 2000; i++ {
-				kernel := fmt.Sprintf("kern-%d", rng.Intn(maxOpenSegments+16))
+				kernel := fmt.Sprintf("kern-%d", rng.Intn(6))
+				path := filepath.Join(dir, fmt.Sprintf("%s-job%d.jsonl", kernel, g))
 				cell := cells[rng.Intn(len(cells))]
 				switch op := rng.Intn(10); {
 				case op == 0:
-					c.RemoveKernel(kernel)
+					os.Remove(path) //nolint:errcheck // may not exist yet
+					c.release(kernel, path)
+					delete(offs, path)
 				case op < 5:
-					c.Put(kernel, cell, cacheLine(cell))
+					off, ok := offs[path]
+					if !ok {
+						c.retain(kernel, path, true)
+					}
+					line := cacheLine(cell)
+					f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					_, err = f.Write(append(line, '\n'))
+					f.Close()
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					c.index(kernel, path, cell, off, len(line))
+					offs[path] = off + int64(len(line)) + 1
 				default:
 					if line, ok := c.Get(kernel, cell); ok && string(line) != string(cacheLine(cell)) {
 						t.Errorf("kernel %s cell %+v served a foreign line", kernel, cell)
@@ -359,9 +397,9 @@ func TestSegmentChurn(t *testing.T) {
 	}
 }
 
-// TestSegmentDescriptorsBounded: the disk tier holds at most
-// maxOpenSegments descriptors however many kernels it spills for, and a
-// segment closed to stay under the bound still serves.
+// TestSegmentDescriptorsBounded: the disk tier keeps no descriptor open
+// however many kernels it serves — each read opens and closes its
+// checkpoint — and serves every one of them.
 func TestSegmentDescriptorsBounded(t *testing.T) {
 	openFDs := func() int {
 		fds, err := os.ReadDir("/proc/self/fd")
@@ -370,102 +408,116 @@ func TestSegmentDescriptorsBounded(t *testing.T) {
 		}
 		return len(fds)
 	}
+	dir := t.TempDir()
 	before := openFDs()
-	c, err := NewDiskCache(4, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCache(4)
 	const kernels = 300
 	cell := dynamics.Cell{Alpha: 1, K: 2, Seed: 3}
 	for i := 0; i < kernels; i++ {
-		c.Put(fmt.Sprintf("kern-%d", i), cell, cacheLine(cell))
+		path := filepath.Join(dir, fmt.Sprintf("job-%d.jsonl", i))
+		writeCheckpoint(t, path, []dynamics.Cell{cell})
+		c.retain(fmt.Sprintf("kern-%d", i), path, false)
 	}
 	for i := 0; i < kernels; i++ {
 		if _, ok := c.Get(fmt.Sprintf("kern-%d", i), cell); !ok {
-			t.Fatalf("kernel %d of %d lost its spilled cell", i, kernels)
+			t.Fatalf("kernel %d of %d lost its cell", i, kernels)
 		}
 	}
-	if st := c.Stats(); st.DiskHits < kernels-4 {
+	if st := c.Stats(); st.DiskHits != kernels {
 		t.Fatalf("reads did not reach the disk tier: %+v", st)
 	}
-	if grew := openFDs() - before; grew > maxOpenSegments {
-		t.Fatalf("%d kernels hold %d descriptors, bound is %d", kernels, grew, maxOpenSegments)
+	if grew := openFDs() - before; grew > 0 {
+		t.Fatalf("%d kernels left %d descriptors open", kernels, grew)
 	}
 }
 
-// TestCacheRemoveKernel: job GC removes a kernel's entries from both
-// tiers and reports the spill bytes reclaimed — the segment, and any
-// per-cell files an older daemon left beside it, which are never read —
-// leaving other kernels untouched.
+// TestCacheRemoveKernel: releasing an evicted job's checkpoint forgets
+// its lines, while the kernel's other checkpoints still serve; releasing
+// the kernel's last one removes the kernel from both tiers, leaving other
+// kernels untouched.
 func TestCacheRemoveKernel(t *testing.T) {
 	dir := t.TempDir()
-	c, err := NewDiskCache(16, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCache(16)
 	cells := dynamics.Grid([]float64{1, 2}, []int{2}, 1)
+	a, b, other := filepath.Join(dir, "a"), filepath.Join(dir, "b"), filepath.Join(dir, "other")
+	writeCheckpoint(t, a, cells)
+	writeCheckpoint(t, b, cells[:1])
+	writeCheckpoint(t, other, cells)
+	c.retain("k1", a, false)
+	c.retain("k1", b, false)
+	c.retain("k2", other, false)
+	c.Put("k1", cells[0], cacheLine(cells[0]))
 	for _, cell := range cells {
-		c.Put("k1", cell, cacheLine(cell))
-		c.Put("k2", cell, cacheLine(cell))
+		if _, ok := c.Get("k2", cell); !ok {
+			t.Fatal("k2 not served")
+		}
 	}
-	old := dynamics.Cell{Alpha: 5, K: 2, Seed: 0}
-	legacy := append(cacheLine(old), '\n')
-	if err := os.WriteFile(filepath.Join(dir, "k1", "a4014000000000000-k2-s0.jsonl"), legacy, 0o644); err != nil {
-		t.Fatal(err)
+
+	c.release("k1", a)
+	evictAll(c)
+	if _, ok := c.Get("k1", cells[1]); ok {
+		t.Fatal("a line only the released checkpoint holds was served")
 	}
-	if _, ok := c.Get("k1", old); ok {
-		t.Fatal("a legacy per-cell file was read")
+	if _, ok := c.Get("k1", cells[0]); !ok {
+		t.Fatal("the kernel's remaining checkpoint lost its line")
 	}
-	want := int64(len(legacy))
-	for _, cell := range cells {
-		want += int64(len(cacheLine(cell)) + 1)
-	}
-	if reclaimed := c.RemoveKernel("k1"); reclaimed != want {
-		t.Fatalf("reclaimed = %d, want %d (segment + legacy file)", reclaimed, want)
+	c.release("k1", b)
+	if indexed(c, "k1") {
+		t.Fatal("index survived the kernel's last release")
 	}
 	if _, ok := c.Get("k1", cells[0]); ok {
-		t.Fatal("removed kernel still served")
-	}
-	if _, err := os.Stat(filepath.Join(dir, "k1")); !os.IsNotExist(err) {
-		t.Fatal("spill dir survived RemoveKernel")
-	}
-	if c.segs["k1"] != nil {
-		t.Fatal("index survived RemoveKernel")
+		t.Fatal("removed kernel still served from memory")
 	}
 	if _, ok := c.Get("k2", cells[0]); !ok {
 		t.Fatal("unrelated kernel lost")
 	}
-	if n := c.RemoveKernel("k1"); n != 0 {
-		t.Fatalf("double remove reclaimed %d bytes", n)
-	}
-	// The kernel can come back: a later job spills into a fresh segment.
-	c.Put("k1", cells[0], cacheLine(cells[0]))
-	evictAll(c)
-	if _, ok := c.Get("k1", cells[0]); !ok {
-		t.Fatal("kernel spilled after its removal not served from disk")
+	c.release("k1", b) // twice is a no-op
+
+	// The kernel can come back: a later job's checkpoint serves it.
+	c.retain("k1", a, false)
+	if _, ok := c.Get("k1", cells[1]); !ok {
+		t.Fatal("kernel retained after its removal not served")
 	}
 
-	// A kernel directory found at boot and never touched is reaped too.
-	c2, err := NewDiskCache(16, dir)
+	// A disabled or nil cache indexes nothing.
+	for _, dc := range []*Cache{NewCache(0), nil} {
+		dc.retain("k1", a, false)
+		dc.index("k1", a, cells[0], 0, 1)
+		dc.release("k1", a)
+		if _, ok := dc.Get("k1", cells[0]); ok {
+			t.Fatal("a disabled cache served a checkpoint")
+		}
+	}
+}
+
+// TestOneCopyOnDisk: the checkpoint is the only copy of a computed cell on
+// disk. After one job finishes, every byte in the data directory lies
+// under the job's store directory; the cache wrote nothing, not even its
+// directory.
+func TestOneCopyOnDisk(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := c2.RemoveKernel("k2"); n <= 0 || c2.segs["k2"] != nil {
-		t.Fatalf("untouched kernel: reclaimed %d bytes, segment %v", n, c2.segs["k2"])
+	cache, err := NewDiskCache(1024, filepath.Join(dir, "cache"))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Memory-only cache: entries purge, no disk bytes to reclaim; a nil
-	// cache is a no-op.
-	mc := NewCache(4)
-	mc.Put("k", cells[0], cacheLine(cells[0]))
-	if n := mc.RemoveKernel("k"); n != 0 {
-		t.Fatalf("memory-only remove reclaimed %d bytes", n)
+	mgr := NewManager(st, cache, 2)
+	defer mgr.Close()
+	job := runDoneJob(t, mgr, Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2})
+	jobDir := filepath.Join(dir, job.ID)
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !strings.HasPrefix(path, jobDir+string(filepath.Separator)) {
+			t.Errorf("%s lies outside the job's store directory", path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := mc.Get("k", cells[0]); ok {
-		t.Fatal("memory tier survived RemoveKernel")
-	}
-	var nilCache *Cache
-	if n := nilCache.RemoveKernel("k"); n != 0 {
-		t.Fatal("nil cache reclaimed bytes")
+	if _, err := os.Stat(filepath.Join(dir, "cache")); !os.IsNotExist(err) {
+		t.Fatalf("the cache made its directory: %v", err)
 	}
 }

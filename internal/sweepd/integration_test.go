@@ -5,10 +5,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/dynamics"
+	"repro/internal/ncgio"
 )
 
 // bigSpec is sized so a sweep takes long enough to interrupt reliably but
@@ -140,39 +142,26 @@ func TestKilledJobResumesByteIdentical(t *testing.T) {
 }
 
 // TestWarmRestartServesFromDiskCache upgrades restart determinism to
-// restart warmth: a daemon killed mid-sweep leaves a spill segment behind,
-// and a restarted daemon serves those cells from the disk cache — zero
-// recomputation — even in the worst case where the checkpoint itself is
-// gone, while the final results stay byte-identical to an uninterrupted
-// run.
+// restart warmth: a daemon killed mid-sweep leaves its checkpoint's clean
+// prefix behind, and after a restart a new job of the same kernel is
+// served those cells from it — read from disk, as nothing put them in
+// memory — while every checkpoint stays byte-identical to an
+// uninterrupted run's.
 func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	sp := bigSpec()
-
-	// Reference: uninterrupted run in its own store, no cache involved.
-	refStore, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refMgr := NewManager(refStore, nil, 4)
-	refJob, _, err := refMgr.Submit(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitStatus(t, refMgr, refJob.ID, StatusDone)
-	refMgr.Close()
-	refBytes, err := os.ReadFile(refStore.ResultsPath(refJob.ID))
-	if err != nil {
-		t.Fatal(err)
+	sub := Spec{N: sp.N, Alphas: sp.Alphas[:2], Ks: sp.Ks, Seeds: sp.Seeds}
+	sub.Normalize()
+	if sub.KernelHash() != sp.KernelHash() {
+		t.Fatal("test setup: the sub-grid must share the kernel")
 	}
 
-	// First daemon: disk-backed cache, killed once a few cells landed.
+	// First daemon: killed once a few cells landed.
 	dir := t.TempDir()
-	cacheDir := filepath.Join(dir, "cache")
 	store1, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1, err := NewDiskCache(4096, cacheDir)
+	c1, err := NewDiskCache(4096, filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,55 +174,49 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	}
 	<-taken
 	mgr1.Close()
+	prefix, err := ncgio.ReadCheckpoint(store1.ResultsPath(job1.ID))
+	if err != nil || len(prefix) == 0 || len(prefix) >= sp.NumCells() {
+		t.Fatalf("the kill left %d of %d cells (%v); want a proper prefix", len(prefix), sp.NumCells(), err)
+	}
+	overlap := 0
+	for _, r := range prefix {
+		if slices.Contains(sub.Cells(), r.Cell) {
+			overlap++
+		}
+	}
 
-	segment, err := os.ReadFile(filepath.Join(cacheDir, sp.KernelHash(), segmentName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled := bytes.Count(segment, []byte("\n"))
-	if spilled == 0 {
-		t.Fatal("no cells spilled before the kill")
-	}
-
-	// Worst-case restart: the checkpoint is lost entirely (equivalently, a
-	// brand-new job with the same cells arrives) — only the spill tier
-	// remains to keep the hit rate.
-	if err := os.Remove(store1.ResultsPath(job1.ID)); err != nil {
-		t.Fatal(err)
-	}
+	// Restart: the killed job resumes and finishes, then the sub-grid job
+	// arrives. Its cells from the surviving prefix are disk hits; the
+	// ones the resumed job computed are memory hits.
 	store2, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := NewDiskCache(4096, cacheDir)
+	c2, err := NewDiskCache(4096, filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	mgr2 := NewManager(store2, c2, 4)
+	defer mgr2.Close()
 	if err := mgr2.Resume(); err != nil {
 		t.Fatal(err)
 	}
-	done := waitStatus(t, mgr2, job1.ID, StatusDone)
-	mgr2.Close()
-
-	// Every spilled cell must be cache-served — i.e. recomputed cells are
-	// exactly Total - spilled, none of the spilled set.
-	if done.CacheHits != spilled {
-		t.Fatalf("cache hits = %d, want %d (every spilled cell, no recomputation)",
-			done.CacheHits, spilled)
+	waitStatus(t, mgr2, job1.ID, StatusDone)
+	job2 := runDoneJob(t, mgr2, sub)
+	if job2.CacheHits != sub.NumCells() {
+		t.Fatalf("sub-grid job: %d cache hits, want all %d cells", job2.CacheHits, sub.NumCells())
 	}
-	cs := c2.Stats()
-	if cs.Hits == 0 || cs.DiskHits != uint64(spilled) {
-		t.Fatalf("warm cache stats = %+v, want %d disk hits", cs, spilled)
+	if cs := c2.Stats(); cs.DiskHits != uint64(overlap) {
+		t.Fatalf("warm cache stats = %+v, want %d disk hits (the prefix's overlap)", cs, overlap)
 	}
-
-	resumed, err := os.ReadFile(store2.ResultsPath(job1.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(resumed, refBytes) {
-		t.Fatalf("warm-restart results differ from uninterrupted run: %d vs %d bytes",
-			len(resumed), len(refBytes))
+	for _, j := range []struct {
+		id string
+		sp Spec
+	}{{job1.ID, sp}, {job2.ID, sub}} {
+		got, err := os.ReadFile(store2.ResultsPath(j.id))
+		if err != nil || !bytes.Equal(got, canonicalBytes(t, j.sp)) {
+			t.Fatalf("job %s differs from an uninterrupted run (%v)", j.id, err)
+		}
 	}
 }
 

@@ -91,8 +91,9 @@ func (m *Manager) Cancel(id string) (Job, bool) {
 }
 
 // Evict removes a terminal job entirely: its store directory (spec,
-// meta, checkpoint), its kernel's cache spill segment when no other
-// retained job shares the kernel, and its registration — after which
+// meta, checkpoint), its checkpoint's place in the cache's disk index
+// (with its kernel's memory entries when no other retained checkpoint
+// shares the kernel), and its registration — after which
 // GET /sweeps/{id} is a 404 and resubmitting the spec recomputes from
 // scratch. It reports ok=false for an unknown job and ErrJobRunning for
 // a job that is still running (cancel first) or mid-purge (retry). A
@@ -129,24 +130,8 @@ func (m *Manager) Evict(id string) (Job, bool, error) {
 		// deleted.
 		js.evicting = true
 		job := js.job
-		// Reap the kernel's spill tier only when no other retained job
-		// uses it (spec N==0 marks a zero-spec placeholder, no kernel).
-		kernel := ""
-		if job.Spec.N != 0 {
-			kernel = job.Spec.KernelHash()
-			for _, other := range m.jobs {
-				if other != js && other.job.Spec.N != 0 && other.job.Spec.KernelHash() == kernel {
-					kernel = ""
-					break
-				}
-			}
-		}
 		m.mu.Unlock()
 
-		var reclaimed int64
-		if kernel != "" {
-			reclaimed = m.cache.RemoveKernel(kernel)
-		}
 		if err := m.store.DeleteJob(id); err != nil {
 			// Deregistering only after the files are gone keeps a failed
 			// purge retryable: the API must not report a sweep vanished
@@ -157,11 +142,11 @@ func (m *Manager) Evict(id string) (Job, bool, error) {
 			return job, true, err
 		}
 
+		m.cache.release(job.Spec.KernelHash(), m.store.ResultsPath(id))
 		m.mu.Lock()
 		delete(m.jobs, id)
 		js.notify()
 		m.jobsEvicted++
-		m.spillBytesReclaimed += uint64(reclaimed)
 		m.mu.Unlock()
 		fire(m, &m.evictHooks, id)
 		return job, true, nil
@@ -253,10 +238,9 @@ type ManagerStats struct {
 	// Jobs counts jobs per lifecycle status (every status has an entry,
 	// possibly 0, so metric series never appear and disappear).
 	Jobs map[JobStatus]int
-	// JobsEvicted / SpillBytesReclaimed count TTL-GC and explicit-purge
-	// work since the manager started.
-	JobsEvicted         uint64
-	SpillBytesReclaimed uint64
+	// JobsEvicted counts TTL-GC and explicit-purge work since the manager
+	// started.
+	JobsEvicted uint64
 	// RemoteCells counts cells computed by peer daemons for this
 	// manager's jobs since it started.
 	RemoteCells uint64
@@ -280,15 +264,14 @@ func (m *Manager) Stats() ManagerStats {
 		jobs[js.job.Status]++
 	}
 	return ManagerStats{
-		CellsAppended:       m.cellsAppended,
-		Uptime:              Time().Now().Sub(m.started),
-		Jobs:                jobs,
-		JobsEvicted:         m.jobsEvicted,
-		SpillBytesReclaimed: m.spillBytesReclaimed,
-		RemoteCells:         m.remoteCells,
-		QueueDepth:          jobs[StatusRunning],
-		BusyWorkers:         m.workers - len(m.gate),
-		MaxJobs:             m.maxJobs,
+		CellsAppended: m.cellsAppended,
+		Uptime:        Time().Now().Sub(m.started),
+		Jobs:          jobs,
+		JobsEvicted:   m.jobsEvicted,
+		RemoteCells:   m.remoteCells,
+		QueueDepth:    jobs[StatusRunning],
+		BusyWorkers:   m.workers - len(m.gate),
+		MaxJobs:       m.maxJobs,
 	}
 }
 

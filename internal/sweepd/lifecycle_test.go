@@ -20,7 +20,7 @@ type daemonClock = Clock
 
 var installClock = UseClock
 
-// newLifecycleRig builds a manager over a disk-backed cache with a fake
+// newLifecycleRig builds a manager over a result cache with a fake
 // clock, plus the HTTP layer (handler internals exposed for summary-
 // state assertions).
 func newLifecycleRig(t *testing.T, cfg Config) (*Manager, *fakeClock, *handler, *httptest.Server, string) {
@@ -47,8 +47,8 @@ func newLifecycleRig(t *testing.T, cfg Config) (*Manager, *fakeClock, *handler, 
 
 // TestGCReapsTerminalJobEndToEnd is the tentpole contract: once a done
 // job's TTL lapses, one GC pass reclaims its store directory, its
-// kernel's cache spill segment, and the server's summary state — and the
-// job is gone from the API.
+// kernel's place in the cache's disk index, and the server's summary
+// state — and the job is gone from the API.
 func TestGCReapsTerminalJobEndToEnd(t *testing.T) {
 	mgr, clk, h, srv, dir := newLifecycleRig(t, Config{})
 
@@ -73,11 +73,13 @@ func TestGCReapsTerminalJobEndToEnd(t *testing.T) {
 	}
 	h.mu.Unlock()
 	jobDir := filepath.Join(dir, job.ID)
-	spillDir := filepath.Join(dir, "cache", sp.KernelHash())
-	for _, p := range []string{jobDir, filepath.Join(jobDir, "meta.json"), spillDir} {
+	for _, p := range []string{jobDir, filepath.Join(jobDir, "meta.json")} {
 		if _, err := os.Stat(p); err != nil {
 			t.Fatalf("missing before GC: %s: %v", p, err)
 		}
+	}
+	if !indexed(mgr.cache, sp.KernelHash()) {
+		t.Fatal("the done job's checkpoint is not in the cache's disk index")
 	}
 
 	// Within TTL: nothing reaped.
@@ -92,10 +94,11 @@ func TestGCReapsTerminalJobEndToEnd(t *testing.T) {
 	if _, ok := mgr.Get(job.ID); ok {
 		t.Fatal("job still registered after GC")
 	}
-	for _, p := range []string{jobDir, spillDir} {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("still on disk after GC: %s", p)
-		}
+	if _, err := os.Stat(jobDir); !os.IsNotExist(err) {
+		t.Fatalf("still on disk after GC: %s", jobDir)
+	}
+	if indexed(mgr.cache, sp.KernelHash()) {
+		t.Fatal("the evicted job's kernel is still in the cache's disk index")
 	}
 	h.mu.Lock()
 	leaked := h.summaries[job.ID] != nil
@@ -107,8 +110,8 @@ func TestGCReapsTerminalJobEndToEnd(t *testing.T) {
 		t.Fatalf("GET evicted job = %d, want 404", code)
 	}
 	st := mgr.Stats()
-	if st.JobsEvicted != 1 || st.SpillBytesReclaimed == 0 {
-		t.Fatalf("GC counters = evicted %d, spill bytes %d", st.JobsEvicted, st.SpillBytesReclaimed)
+	if st.JobsEvicted != 1 {
+		t.Fatalf("GC counters = evicted %d", st.JobsEvicted)
 	}
 }
 

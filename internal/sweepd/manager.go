@@ -68,10 +68,12 @@ type Manager struct {
 	// started (computed or cache-served; resume-skipped cells excluded),
 	// feeding the /metrics throughput gauges.
 	cellsAppended uint64
-	// jobsEvicted / spillBytesReclaimed count GC (and explicit purge)
-	// work since the manager started.
-	jobsEvicted         uint64
-	spillBytesReclaimed uint64
+	// jobsEvicted counts GC (and explicit purge) work since the manager
+	// started.
+	jobsEvicted uint64
+	// retained is done once the store's jobs are in the cache's disk
+	// index (retainStored).
+	retained sync.Once
 	// remoteCells counts cells computed by peer daemons across all jobs
 	// since this manager started.
 	remoteCells uint64
@@ -248,6 +250,21 @@ func (m *Manager) Resume() error {
 		m.admit(sp, false)
 	}
 	return nil
+}
+
+// retainStored puts the checkpoint of every non-trajectory job the store
+// holds in the cache's disk index, so a cell that any retained checkpoint
+// of its kernel holds is served from it, whether or not this process ran
+// that job (internal/experiments runs without Resume). A manager does it
+// once, before its first cache look-up; a job admitted later retains its
+// checkpoint when its runner starts.
+func (m *Manager) retainStored() {
+	ids, _ := m.store.Jobs() // an unlisted store retains nothing
+	for _, id := range ids {
+		if sp, err := m.store.LoadSpec(id); err == nil && !sp.Trajectories {
+			m.cache.retain(sp.KernelHash(), m.store.ResultsPath(id), false)
+		}
+	}
 }
 
 // Submit admits a job for the normalized, validated spec. Identical specs

@@ -32,7 +32,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 	series("sweepd_cells_per_second", "gauge", "Mean checkpoint throughput over the daemon's uptime.", cellsPerSec)
 	series("sweepd_uptime_seconds", "gauge", "Seconds since the daemon's manager started.", ms.Uptime.Seconds())
 	series("sweepd_cache_hits_total", "counter", "Result-cache hits (memory and disk tiers).", cs.Hits)
-	series("sweepd_cache_disk_hits_total", "counter", "Subset of hits promoted from the disk spill tier.", cs.DiskHits)
+	series("sweepd_cache_disk_hits_total", "counter", "Subset of hits read from a retained job's checkpoint.", cs.DiskHits)
 	series("sweepd_cache_misses_total", "counter", "Result-cache misses.", cs.Misses)
 	series("sweepd_cache_evictions_total", "counter", "Memory-tier LRU evictions.", cs.Evictions)
 	series("sweepd_cache_entries", "gauge", "Entries resident in the memory tier.", cs.Entries)
@@ -41,7 +41,6 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 		sample(ms.Jobs[st], "sweepd_jobs{status=%q}", st)
 	}
 	series("sweepd_jobs_evicted_total", "counter", "Jobs removed by TTL GC or explicit purge.", ms.JobsEvicted)
-	series("sweepd_spill_bytes_reclaimed_total", "counter", "Cache spill-file bytes deleted by job eviction.", ms.SpillBytesReclaimed)
 	series("sweepd_queue_depth", "gauge", "Running jobs contending for the shared worker gate.", ms.QueueDepth)
 	series("sweepd_busy_workers", "gauge", "Worker-pool tokens currently checked out.", ms.BusyWorkers)
 	series("sweepd_throttled_requests_total", "counter", "Requests shed with 429 by the rate limiter.", h.throttled.Load())

@@ -31,7 +31,6 @@ type Config struct {
 	Data          string        // -data
 	Workers       int           // -workers
 	Cache         int           // -cache
-	CacheDir      string        // -cache-dir
 	JobTTL        time.Duration // -job-ttl
 	MaxJobs       int           // -max-jobs
 	Rate          float64       // -rate
@@ -106,19 +105,7 @@ func New(cfg Config) (_ *Node, err error) {
 	if n.Store, err = sweepd.OpenStore(cfg.Data); err != nil {
 		return nil, fmt.Errorf("opening the job store: %w", err)
 	}
-	var cache *sweepd.Cache
-	if cfg.CacheDir == "none" {
-		cache = sweepd.NewCache(cfg.Cache)
-	} else {
-		dir := cfg.CacheDir
-		if dir == "" {
-			dir = filepath.Join(cfg.Data, "cache")
-		}
-		if cache, err = sweepd.NewDiskCache(cfg.Cache, dir); err != nil {
-			return nil, fmt.Errorf("opening the result cache: %w", err)
-		}
-	}
-	n.Manager = sweepd.NewManager(n.Store, cache, cfg.Workers)
+	n.Manager = sweepd.NewManager(n.Store, sweepd.NewCache(cfg.Cache), cfg.Workers)
 	defer func() {
 		if err != nil {
 			n.Manager.Close()

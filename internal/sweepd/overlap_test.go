@@ -13,16 +13,15 @@ import (
 // TestConcurrentOverlappingJobs: two jobs of one kernel whose grids overlap,
 // submitted back to back, run side by side on one disk cache. Either may
 // compute a shared cell the other is computing too; per-cell seeding makes
-// both lines the same bytes, so each checkpoint is its spec's canonical grid
-// and the kernel's segment holds every cell once.
+// both lines the same bytes, so each checkpoint is its spec's canonical grid,
+// and the cache's disk index serves every cell of both from them.
 func TestConcurrentOverlappingJobs(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cacheDir := filepath.Join(dir, "cache")
-	cache, err := NewDiskCache(4096, cacheDir)
+	cache, err := NewDiskCache(4096, filepath.Join(dir, "cache"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +45,7 @@ func TestConcurrentOverlappingJobs(t *testing.T) {
 		t.Fatal("test setup: the two specs must share a kernel")
 	}
 
-	distinct := map[dynamics.Cell]bool{}
+	distinct := map[dynamics.Cell][]byte{}
 	for i, sp := range specs {
 		waitStatus(t, mgr, ids[i], StatusDone)
 		var want []byte
@@ -56,7 +55,7 @@ func TestConcurrentOverlappingJobs(t *testing.T) {
 				t.Fatal(err)
 			}
 			want = append(append(want, line...), '\n')
-			distinct[r.Cell] = true
+			distinct[r.Cell] = line
 		}
 		got, err := os.ReadFile(store.ResultsPath(ids[i]))
 		if err != nil {
@@ -67,27 +66,16 @@ func TestConcurrentOverlappingJobs(t *testing.T) {
 		}
 	}
 
-	segment, err := os.ReadFile(filepath.Join(cacheDir, specs[0].KernelHash(), segmentName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled := map[dynamics.Cell]bool{}
-	for line := range ncgio.Lines(segment) {
-		cell, err := ncgio.UnmarshalCell(line)
-		if err != nil {
-			t.Fatalf("segment line %q: %v", line, err)
-		}
-		if spilled[cell] {
-			t.Fatalf("segment holds cell %+v twice", cell)
-		}
-		spilled[cell] = true
-	}
-	for cell := range distinct {
-		if !spilled[cell] {
-			t.Fatalf("segment lacks cell %+v", cell)
+	// Both checkpoints are in the cache's disk index: with the memory tier
+	// emptied, every distinct cell of both grids is served from one of them.
+	evictAll(cache)
+	before := cache.Stats().DiskHits
+	for cell, line := range distinct {
+		if got, ok := cache.Get(specs[0].KernelHash(), cell); !ok || !bytes.Equal(got, line) {
+			t.Fatalf("cell %+v not served from a checkpoint", cell)
 		}
 	}
-	if len(spilled) != len(distinct) {
-		t.Fatalf("segment holds %d cells, want the %d distinct cells of both grids", len(spilled), len(distinct))
+	if got := cache.Stats().DiskHits - before; got != uint64(len(distinct)) {
+		t.Fatalf("%d disk hits, want the %d distinct cells of both grids", got, len(distinct))
 	}
 }

@@ -111,6 +111,10 @@ func TestPeerLeaseStreamsCanonicalLines(t *testing.T) {
 	if after.Hits-before.Hits != uint64(end-start) {
 		t.Fatalf("second lease hit the cache %d times, want %d", after.Hits-before.Hits, end-start)
 	}
+	// Only the memory tier: no local checkpoint holds a lease's cells.
+	if indexed(mgr.cache, sp.KernelHash()) || after.DiskHits != 0 {
+		t.Fatalf("lease cells reached the cache's disk index: %+v", after)
+	}
 	for i := range lines2 {
 		if !bytes.Equal(lines2[i], lines[i]) {
 			t.Fatalf("cache-served lease line %d differs", i)
@@ -120,7 +124,7 @@ func TestPeerLeaseStreamsCanonicalLines(t *testing.T) {
 	// And what a hit answers is the cache's bytes, not a re-encoding of
 	// them: mark one cached line in a way a decode + encode would erase.
 	marked := append(bytes.TrimSuffix(lines[1], []byte("}")), `,"mark":1}`...)
-	mgr.cache.PutMemory(sp.KernelHash(), sp.CellAt(start+1), marked)
+	mgr.cache.Put(sp.KernelHash(), sp.CellAt(start+1), marked)
 	resp3 := postLease(t, srv.URL, LeaseRequest{Spec: sp, Start: start, End: end})
 	defer resp3.Body.Close()
 	if lines3 := readLeaseLines(t, resp3.Body); len(lines3) != end-start || !bytes.Equal(lines3[1], marked) {

@@ -20,8 +20,9 @@ import (
 // finishes with a checkpoint byte-identical to an uninterrupted run's. The
 // trajectory twin damages both its files the same way, or one of them
 // alone: both finish byte-identical, and the finished job's replica body
-// passes VerifyReplica. Once with no cache, once with a disk cache that
-// already holds the whole grid.
+// passes VerifyReplica. Once with no cache, once beside a finished job of
+// the same kernel whose checkpoint holds the whole grid: every cell past
+// the surviving prefix is then read from that checkpoint.
 func TestResumeFromEveryPrefix(t *testing.T) {
 	for _, trajectories := range []bool{false, true} {
 		sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2, 3}, Seeds: 2, Trajectories: trajectories}
@@ -43,6 +44,9 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 			return string(data)
 		}
 		want := [2]string{read(refStore.ResultsPath(id)), read(refStore.TrajectoryPath(id))}
+		superset := Spec{N: sp.N, Alphas: sp.Alphas, Ks: sp.Ks, Seeds: sp.Seeds + 1}
+		superset.Normalize()
+		supersetBytes := canonicalBytes(t, superset)
 		if got := strings.Count(want[0], "\n"); got != n {
 			t.Fatalf("reference checkpoint has %d records, want %d", got, n)
 		}
@@ -113,19 +117,15 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 				}
 				var cache *Cache
 				if cached {
-					// Fill the spill tier, then reopen it cold: every hit is a
-					// disk promotion.
-					cdir := filepath.Join(dir, "cache")
-					fill, err := NewDiskCache(64, cdir)
-					if err != nil {
+					// A finished job of the kernel, never trajectories (so of
+					// another kernel when sp collects them).
+					if _, _, err := st.CreateJob(superset); err != nil {
 						t.Fatal(err)
 					}
-					for i, rec := range strings.SplitAfter(want[0], "\n")[:n] {
-						fill.Put(sp.KernelHash(), sp.CellAt(i), []byte(strings.TrimSuffix(rec, "\n")))
-					}
-					if cache, err = NewDiskCache(64, cdir); err != nil {
+					if err := os.WriteFile(st.ResultsPath(superset.ID()), supersetBytes, 0o644); err != nil {
 						t.Fatal(err)
 					}
+					cache = NewCache(64)
 				}
 				mgr := NewManager(st, cache, 2)
 				if err := mgr.Resume(); err != nil {

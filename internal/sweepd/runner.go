@@ -6,7 +6,6 @@ package sweepd
 // it as a prefix length — cells before it are skipped by index.
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -51,11 +50,14 @@ func (m *Manager) executorFor(js *jobState, sp Spec) dynamics.Executor {
 // PerRound, so a cache-served cell would leave a silent hole in the
 // sidecar. Two sweeps of one kernel running at once may both compute a
 // cell neither found cached; per-cell seeding makes the two lines the same
-// bytes, and the cache keeps one entry and spills it once.
+// bytes, and the cache keeps one entry.
 func (m *Manager) sweepLines(ctx context.Context, sp Spec, cells []dynamics.Cell, skip int, exec dynamics.Executor,
 	observe func(i int, d time.Duration), emit func(r dynamics.CellResult, line, sidecar []byte, hit bool) error) error {
 	kernel := sp.KernelHash()
 	useCache := !sp.Trajectories
+	if useCache && !m.cache.disabled() {
+		m.retained.Do(m.retainStored)
+	}
 	// hits holds a cache-served cell's line from the look-up until its turn
 	// in the sequencer.
 	hits := make([][]byte, len(cells))
@@ -157,15 +159,12 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 		fail(err)
 		return
 	}
-	// The retained lines warm the cache as bytes — copied, so that an entry
-	// does not pin the file buffer.
-	kernel := sp.KernelHash()
+	// The checkpoint serves the kernel's other jobs through the cache's
+	// disk index: its retained lines are read on the kernel's next miss,
+	// and each line appended here is indexed at off.
+	kernel, path, off := sp.KernelHash(), m.store.ResultsPath(id), int64(len(data))
 	if !sp.Trajectories {
-		i := 0
-		for line := range ncgio.Lines(data) {
-			m.cache.Put(kernel, sp.CellAt(i), bytes.Clone(line))
-			i++
-		}
+		m.cache.retain(kernel, path, off == 0)
 	}
 	m.mu.Lock()
 	js.job.Completed = done
@@ -205,9 +204,13 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 		if err := w.AppendLine(line); err != nil {
 			return err
 		}
-		if !hit && !sp.Trajectories {
-			m.cache.Put(kernel, r.Cell, line)
+		if !sp.Trajectories {
+			if !hit {
+				m.cache.Put(kernel, r.Cell, line)
+			}
+			m.cache.index(kernel, path, r.Cell, off, len(line))
 		}
+		off += int64(len(line)) + 1
 		m.mu.Lock()
 		js.job.Completed++
 		if hit {
@@ -254,7 +257,8 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 // (POST /peer/leases). Lease work draws from the same worker gate as local
 // jobs, so a daemon serving peers never exceeds its configured CPU-bound
 // concurrency, and it shares the result cache both ways: cached cells are
-// answered with the cache's bytes, computed cells warm its memory tier.
+// answered with the cache's bytes, computed cells warm its memory tier
+// (and only that: no local checkpoint holds them).
 // The spec must be normalized and validated by the caller.
 func (m *Manager) ServeLease(ctx context.Context, sp Spec, start, end int, emit func(lines []byte) error) error {
 	if n := sp.NumCells(); start < 0 || end > n || start >= end {
@@ -269,9 +273,7 @@ func (m *Manager) ServeLease(ctx context.Context, sp Spec, start, end int, emit 
 				return emit(slices.Concat(sidecar, []byte{'\n'}, line))
 			}
 			if !hit {
-				// Memory tier only: this kernel may belong to no local job,
-				// and a segment without an owning job is never GC'd.
-				m.cache.PutMemory(kernel, r.Cell, line)
+				m.cache.Put(kernel, r.Cell, line)
 			}
 			return emit(line)
 		})

@@ -115,7 +115,7 @@ type handler struct {
 //	                            NDJSON (404 unless the spec set trajectories)
 //	DELETE /sweeps/{id}         cancel a running job (409 if already terminal);
 //	                            ?purge=1 evicts a terminal job entirely (store
-//	                            dir, spill segment, summary state)
+//	                            dir, cache-index entries, summary state)
 //	POST   /peer/leases         compute a contiguous cell range for a peer
 //	                            daemon, streaming canonical result lines back
 //	                            (each after its sidecar line for trajectory
@@ -321,7 +321,7 @@ func (h *handler) cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // purge handles DELETE /sweeps/{id}?purge=1: evict a terminal job
-// entirely — store directory, spill segment, summary state — instead of
+// entirely — store directory, cache-index entries, summary state — instead of
 // the default cancel-keeping-the-checkpoint semantics.
 func (h *handler) purge(w http.ResponseWriter, id string) {
 	job, ok, err := h.m.Evict(id)

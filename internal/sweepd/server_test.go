@@ -673,7 +673,6 @@ func TestServerMetrics(t *testing.T) {
 		`sweepd_jobs{status="done"} 1`,
 		`sweepd_jobs{status="running"} 0`,
 		"sweepd_jobs_evicted_total 0\n",
-		"sweepd_spill_bytes_reclaimed_total ",
 		"sweepd_queue_depth 0\n",
 		"sweepd_busy_workers 0\n",
 		"sweepd_throttled_requests_total 0\n",
