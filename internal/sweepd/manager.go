@@ -252,16 +252,16 @@ func (m *Manager) Resume() error {
 	return nil
 }
 
-// retainStored puts the checkpoint of every non-trajectory job the store
-// holds in the cache's disk index, so a cell that any retained checkpoint
-// of its kernel holds is served from it, whether or not this process ran
-// that job (internal/experiments runs without Resume). A manager does it
-// once, before its first cache look-up; a job admitted later retains its
-// checkpoint when its runner starts.
+// retainStored puts the checkpoint of every valid non-trajectory job the
+// store holds in the cache's disk index, so a cell that any retained
+// checkpoint of its kernel holds is served from it, whether or not this
+// process ran that job (internal/experiments runs without Resume). A
+// manager does it once, before its first cache look-up; a job admitted
+// later retains its checkpoint when its runner starts.
 func (m *Manager) retainStored() {
 	ids, _ := m.store.Jobs() // an unlisted store retains nothing
 	for _, id := range ids {
-		if sp, err := m.store.LoadSpec(id); err == nil && !sp.Trajectories {
+		if sp, err := m.store.LoadSpec(id); err == nil && sp.Validate() == nil && !sp.Trajectories {
 			m.cache.retain(sp.KernelHash(), m.store.ResultsPath(id), false)
 		}
 	}
