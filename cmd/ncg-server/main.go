@@ -50,7 +50,7 @@ func newFlagSet(cfg *node.Config) (*flag.FlagSet, *string) {
 	fs.StringVar(&cfg.Advertise, "advertise", cfg.Advertise, "this daemon's own base URL, announced to seed peers so it joins their clusters live (e.g. http://10.0.0.3:8080)")
 	fs.DurationVar(&cfg.ProbeInterval, "probe-interval", cfg.ProbeInterval, "peer health-probe cadence")
 	fs.DurationVar(&cfg.AdoptAfter, "adopt-after", cfg.AdoptAfter, "adopt a job whose leader's lease has gone stale for this long")
-	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "push each finished job's artifacts to this many least-loaded alive members (0 disables pushing; receiving stays on)")
+	fs.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "push each job's checkpoint, while it runs and once it is done, to this many least-loaded alive members (0 disables pushing; receiving stays on)")
 	fs.Float64Var(&cfg.ReplicaRate, "replica-rate", cfg.ReplicaRate, "request limit for POST /peer/replicas/{id} in req/s (0 = unlimited)")
 	fs.BoolVar(&cfg.Pprof, "pprof", cfg.Pprof, "expose net/http/pprof under /debug/pprof/ (off by default; exempt from -rate like /healthz)")
 	return fs, addr

@@ -47,11 +47,15 @@ func honestReplica(t testing.TB, sp Spec) (m store.ReplicaManifest, checkpoint, 
 }
 
 // FuzzVerifyReplica feeds arbitrary bytes after an honest manifest of a
-// fixed 4-cell spec (with and without a sidecar). It must not panic, and
-// whatever it accepts is stored byte for byte, so an accepted body is
-// exactly the grid's records, each followed by one '\n', cut where the
-// checkpoint ends — the two halves concatenate back to the input — and
-// each record is the canonical encoding of what it decodes to.
+// fixed 4-cell spec (with and without a sidecar), pushed to a holder that
+// stores the first kept records of the honest files, as a running tail
+// or as the done push, starting skew bytes past where the holder's files
+// end. It must not panic, and whatever it accepts is appended byte for
+// byte, so an accepted push starts where the holder's files end, and its
+// body is whole records, each followed by one '\n', cut where the
+// checkpoint's new records end — the two halves concatenate back to the
+// input — each the canonical encoding of what it decodes to, with no file
+// past the grid and, for a done push, both files complete.
 func FuzzVerifyReplica(f *testing.F) {
 	sp := Spec{N: 8, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2}
 	plain, ck, _ := honestReplica(f, sp)
@@ -64,55 +68,133 @@ func FuzzVerifyReplica(f *testing.F) {
 		}
 		return bytes.Join(all, nil)
 	}
+	// push is the holder's view of one push: it stores the first kept
+	// records of each honest file, and the manifest starts skew bytes past
+	// where its checkpoint ends.
+	push := func(trajectories, running bool, kept int, skew int64) (store.ReplicaManifest, replicaHeld) {
+		m, side := plain, [][]byte(nil)
+		if trajectories {
+			m, side = traj, tside
+		}
+		var held replicaHeld
+		held.size[0], held.records[0] = int64(len(join(ck[:kept]))), kept
+		if trajectories {
+			held.size[1], held.records[1] = int64(len(join(side[:kept]))), kept
+		}
+		if running {
+			m.Status = string(StatusRunning)
+		}
+		m.CheckpointFrom, m.TrajectoryFrom = held.size[0]+skew, held.size[1]
+		return m, held
+	}
 	honest := join(tck, tside)
-	// The property below is vacuous unless honest bodies pass.
-	if _, _, err := VerifyReplica(plain.JobID, plain, join(ck)); err != nil {
+	// The property below is vacuous unless honest pushes pass: the whole
+	// grid at once, and two pushes — a running tail, then the done one —
+	// that store the leader's files.
+	if _, _, err := VerifyReplica(plain.JobID, plain, replicaHeld{}, join(ck)); err != nil {
 		f.Fatal(err)
 	}
-	if _, _, err := VerifyReplica(traj.JobID, traj, honest); err != nil {
+	if _, _, err := VerifyReplica(traj.JobID, traj, replicaHeld{}, honest); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(join(ck), false)
-	f.Add(honest, true)
-	f.Add(bytes.ReplaceAll(honest, []byte("\n"), []byte(" \n  ")), true)                   // padded
-	f.Add(bytes.ReplaceAll(honest, []byte("\n"), []byte("\n\n")), true)                    // blank-separated
-	f.Add(join(tck, [][]byte{[]byte("\n")}, tside), true)                                  // blank line at the cut
-	f.Add(join(tck[:3], tside), true)                                                      // one record short
-	f.Add(join([][]byte{tck[1], tck[0]}, tck[2:], tside), true)                            // two records swapped
-	f.Add(join(tck, [][]byte{tside[1], tside[0]}, tside[2:]), true)                        // two sidecar records swapped
-	f.Add(join(ck, tside), false)                                                          // sidecar for a spec without one
-	f.Add(append(bytes.Clone(honest), `{"alpha":1`...), true)                              // torn tail
-	f.Add(join(tck, tside, tside[3:]), true)                                               // a whole line too many
-	f.Add(bytes.Replace(join(ck), []byte(`{"alpha"`), []byte(`{"x":1,"alpha"`), 1), false) // extra field
+	for _, trajectories := range []bool{false, true} {
+		side := map[bool][][]byte{true: tside}[trajectories]
+		var stored [2][]byte
+		for i, p := range []struct {
+			running    bool
+			kept, upto int
+		}{{true, 0, 2}, {false, 2, 4}} {
+			m, held := push(trajectories, p.running, p.kept, 0)
+			body := join(ck[p.kept:p.upto])
+			if trajectories {
+				body = join(tck[p.kept:p.upto], side[p.kept:p.upto])
+			}
+			checkpoint, trajectory, err := VerifyReplica(m.JobID, m, held, body)
+			if err != nil {
+				f.Fatalf("trajectories=%v: push %d: %v", trajectories, i, err)
+			}
+			stored[0], stored[1] = append(stored[0], checkpoint...), append(stored[1], trajectory...)
+		}
+		if !bytes.Equal(stored[0], join(ck)) || !bytes.Equal(stored[1], join(side)) {
+			f.Fatalf("trajectories=%v: two pushes stored %d and %d bytes, the leader holds %d and %d",
+				trajectories, len(stored[0]), len(stored[1]), len(join(ck)), len(join(side)))
+		}
+	}
+	add := func(body []byte, trajectories bool) { f.Add(body, trajectories, false, uint8(0), int64(0)) }
+	add(join(ck), false)
+	add(honest, true)
+	add(bytes.ReplaceAll(honest, []byte("\n"), []byte(" \n  ")), true)                   // padded
+	add(bytes.ReplaceAll(honest, []byte("\n"), []byte("\n\n")), true)                    // blank-separated
+	add(join(tck, [][]byte{[]byte("\n")}, tside), true)                                  // blank line at the cut
+	add(join(tck[:3], tside), true)                                                      // one record short
+	add(join([][]byte{tck[1], tck[0]}, tck[2:], tside), true)                            // two records swapped
+	add(join(tck, [][]byte{tside[1], tside[0]}, tside[2:]), true)                        // two sidecar records swapped
+	add(join(ck, tside), false)                                                          // sidecar for a spec without one
+	add(append(bytes.Clone(honest), `{"alpha":1`...), true)                              // torn tail
+	add(join(tck, tside, tside[3:]), true)                                               // a whole line too many
+	add(bytes.Replace(join(ck), []byte(`{"alpha"`), []byte(`{"x":1,"alpha"`), 1), false) // extra field
 	// The first record (α = 1) under every respelling of strict_test.go's table.
 	variants := nonCanonical(f, bytes.TrimSuffix(ck[0], []byte("\n")))
 	for _, name := range slices.Sorted(maps.Keys(variants)) {
-		f.Add(join([][]byte{variants[name], []byte("\n")}, ck[1:]), false)
-		f.Add(join([][]byte{variants[name], []byte("\n")}, tck[1:], tside), true)
+		add(join([][]byte{variants[name], []byte("\n")}, ck[1:]), false)
+		add(join([][]byte{variants[name], []byte("\n")}, tck[1:], tside), true)
 	}
-	f.Fuzz(func(t *testing.T, body []byte, trajectories bool) {
-		m, wantTraj := plain, 0
-		if trajectories {
-			m, wantTraj = traj, 4
+	// Tails, each refused.
+	for _, tc := range []struct {
+		name                  string
+		body                  []byte
+		trajectories, running bool
+		kept                  uint8
+		skew                  int64
+	}{
+		{"an offset that is not the stored length", join(ck[2:]), false, false, 2, 1},
+		{"an offset into a file the holder does not have", join(tck[2:], tside[2:]), true, true, 2, -int64(len(ck[1]))},
+		{"a tail that starts a record early", join(ck[1:3]), false, true, 2, 0},
+		{"a tail that skips a record", join(tck[3:], tside[2:]), true, true, 2, 0},
+		{"a torn tail", append(join(ck[1:3]), ck[3][:5]...), false, true, 1, 0},
+		{"a running tail past the grid", join(ck[2:], ck[3:]), false, true, 2, 0},
+		{"a sidecar tail past the grid", join(tck[2:], tside[2:], tside[3:]), true, true, 2, 0},
+		{"a done push that leaves the grid short", join(ck[1:3]), false, false, 1, 0},
+		{"a done push that leaves the sidecar short", join(tck[1:], tside[1:3]), true, false, 1, 0},
+	} {
+		m, held := push(tc.trajectories, tc.running, int(tc.kept), tc.skew)
+		if _, _, err := VerifyReplica(m.JobID, m, held, tc.body); err == nil {
+			f.Fatalf("%s: accepted", tc.name)
 		}
-		checkpoint, trajectory, err := VerifyReplica(m.JobID, m, body)
+		f.Add(tc.body, tc.trajectories, tc.running, tc.kept, tc.skew)
+	}
+	f.Add(join(ck[:2]), false, true, uint8(0), int64(0))             // the honest sequence's first push
+	f.Add(join(tck[2:], tside[2:]), true, false, uint8(2), int64(0)) // and its second
+	f.Fuzz(func(t *testing.T, body []byte, trajectories, running bool, kept uint8, skew int64) {
+		k := int(kept) % 5
+		m, held := push(trajectories, running, k, skew)
+		checkpoint, trajectory, err := VerifyReplica(m.JobID, m, held, body)
 		if err != nil {
 			return
+		}
+		if skew != 0 {
+			t.Fatalf("accepted a push starting %d bytes away from the stored files", skew)
 		}
 		if !bytes.Equal(append(bytes.Clone(checkpoint), trajectory...), body) {
 			t.Fatalf("accepted halves (%d + %d bytes) are not the %d-byte input", len(checkpoint), len(trajectory), len(body))
 		}
 		for name, half := range map[string]struct {
-			data []byte
-			want int
-		}{"checkpoint": {checkpoint, 4}, "trajectory": {trajectory, wantTraj}} {
+			data   []byte
+			stored int
+		}{"checkpoint": {checkpoint, k}, "trajectory": {trajectory, held.records[1]}} {
 			lines := bytes.SplitAfter(half.data, []byte{'\n'})
 			if last := lines[len(lines)-1]; len(last) != 0 {
 				t.Fatalf("accepted %s ends in a torn tail %q", name, last)
 			}
 			lines = lines[:len(lines)-1]
-			if len(lines) != half.want {
-				t.Fatalf("accepted %s has %d lines, want %d", name, len(lines), half.want)
+			total := half.stored + len(lines)
+			switch {
+			case name == "trajectory" && !trajectories && len(lines) > 0:
+				t.Fatalf("accepted %d sidecar lines for a spec without one", len(lines))
+			case total > 4:
+				t.Fatalf("accepted %s holds %d records, the grid has 4", name, total)
+			case !running && (trajectories || name == "checkpoint") && total != 4:
+				t.Fatalf("accepted done %s holds %d records, want 4", name, total)
 			}
 			for i, line := range lines {
 				rec := line[:len(line)-1]

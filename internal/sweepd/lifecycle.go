@@ -180,16 +180,22 @@ func (m *Manager) StartGC(ttl, interval time.Duration) {
 
 // gcOnce runs one GC pass: sweep half-created orphan dirs older than
 // ttl, expire replicas stored at least ttl ago (their receiver-stamped
-// clock, so expiry never depends on the dead leader's clock; the evict
-// hooks run for them, as reads served from a replica leave per-job state
-// too), then evict every done/failed job whose terminal timestamp (or,
-// lacking one, its creation time) is at least ttl old.
+// clock, so expiry never depends on the dead leader's clock; each leaves
+// the cache's disk index, and the evict hooks run for them, as reads
+// served from a replica leave per-job state too), then evict every
+// done/failed job whose terminal timestamp (or, lacking one, its creation
+// time) is at least ttl old.
 func (m *Manager) gcOnce(ttl time.Duration) {
 	cutoff := Time().Now().Add(-ttl)
 	m.store.SweepOrphans(cutoff) //nolint:errcheck // best-effort
 	if rs := m.Replicas(); rs != nil {
 		expired, _ := rs.SweepExpired(cutoff) // best-effort
-		fire(m, &m.evictHooks, expired...)
+		ids := make([]string, len(expired))
+		for i, man := range expired {
+			ids[i] = man.JobID
+			m.cache.release(man.Kernel, rs.ResultsPath(man.JobID))
+		}
+		fire(m, &m.evictHooks, ids...)
 	}
 	m.mu.Lock()
 	var victims []string

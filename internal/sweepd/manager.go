@@ -139,8 +139,9 @@ func (m *Manager) OnEvict(fn func(id string)) {
 // OnFinish registers fn to run (outside the manager lock, with a
 // snapshot of the job) each time a job reaches a terminal status —
 // including terminal jobs re-registered by Resume, so replication
-// deficits heal across restarts. Used by the replicator to push
-// finished checkpoints to peers. Call before Resume.
+// deficits heal across restarts — and at each Heartbeat that names it
+// while it runs. Used by the replicator to push checkpoints to peers.
+// Call before Resume.
 func (m *Manager) OnFinish(fn func(job Job)) {
 	m.mu.Lock()
 	m.finishHooks = append(m.finishHooks, fn)
@@ -164,9 +165,25 @@ func (m *Manager) Replicas() *store.ReplicaSet {
 	return m.replicas
 }
 
+// Heartbeat runs the OnFinish hooks with a snapshot of each named job
+// that is still running: the scheduler calls it each tick with the jobs it
+// leads, and the replicator pushes what their checkpoints gained since.
+func (m *Manager) Heartbeat(ids []string) {
+	var jobs []Job
+	m.mu.Lock()
+	for _, id := range ids {
+		if js, ok := m.jobs[id]; ok && js.job.Status == StatusRunning {
+			jobs = append(jobs, js.job)
+		}
+	}
+	m.mu.Unlock()
+	fire(m, &m.finishHooks, jobs...)
+}
+
 // ReplicaFiles returns the checkpoint and sidecar (nil without
-// trajectories) of a locally held replica of the job, or two nils when
-// there is none: an adoption's seed.
+// trajectories) of a locally held replica of the job — the tails its
+// leader pushed while it ran, or the whole grid once it was done — or two
+// nils when there is none: an adoption's seed.
 func (m *Manager) ReplicaFiles(id string) (checkpoint, sidecar []byte) {
 	rs := m.Replicas()
 	if rs == nil {
@@ -253,16 +270,24 @@ func (m *Manager) Resume() error {
 }
 
 // retainStored puts the checkpoint of every valid non-trajectory job the
-// store holds in the cache's disk index, so a cell that any retained
-// checkpoint of its kernel holds is served from it, whether or not this
+// store holds, and of every done replica, in the cache's disk index, so a
+// cell that any of them holds is served from it, whether or not this
 // process ran that job (internal/experiments runs without Resume). A
 // manager does it once, before its first cache look-up; a job admitted
-// later retains its checkpoint when its runner starts.
+// later retains its checkpoint when its runner starts, and a replica when
+// a push stores it.
 func (m *Manager) retainStored() {
 	ids, _ := m.store.Jobs() // an unlisted store retains nothing
 	for _, id := range ids {
 		if sp, err := m.store.LoadSpec(id); err == nil && sp.Validate() == nil && !sp.Trajectories {
 			m.cache.retain(sp.KernelHash(), m.store.ResultsPath(id), false)
+		}
+	}
+	if rs := m.Replicas(); rs != nil {
+		for _, id := range rs.List() {
+			if man, err := rs.Manifest(id); err == nil {
+				m.cache.retain(man.Kernel, rs.ResultsPath(id), false)
+			}
 		}
 	}
 }
@@ -302,11 +327,12 @@ func (m *Manager) Submit(sp Spec) (Job, bool, error) {
 // Adopt admits a job this daemon is claiming from a dead leader: the
 // spec comes from the job's gossiped lease, and checkpoint and sidecar
 // (either may be nil; sidecar is nil without trajectories) are its seed,
-// a replica of the job or a peer's checkpoint tail. They replace the job's
-// files as raw bytes before the runner starts, and its resume judges them
-// like its own, so adoption resumes wherever bytes survived. Adoption is
-// quota-exempt: an orphaned job must land somewhere, and the adopter was
-// chosen as the least-loaded member.
+// this member's replica of the job. They replace the job's files as raw
+// bytes before the runner starts, and its resume judges them like its
+// own, so adoption resumes wherever bytes survived; the snapshot returned
+// is taken once that resume has counted them. Adoption is quota-exempt:
+// an orphaned job must land somewhere, and the adopter was chosen as the
+// least-loaded member.
 func (m *Manager) Adopt(sp Spec, checkpoint, sidecar []byte) (Job, bool, error) {
 	sp.Normalize()
 	if err := sp.Validate(); err != nil {
@@ -333,7 +359,18 @@ func (m *Manager) Adopt(sp Spec, checkpoint, sidecar []byte) (Job, bool, error) 
 	for _, tmp := range tmps {
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of what was not committed
 	}
-	return m.admit(sp, false)
+	job, created, err := m.admit(sp, false)
+	m.mu.Lock()
+	js := m.jobs[id]
+	m.mu.Unlock()
+	if err == nil && js != nil {
+		select {
+		case <-js.resumed:
+		case <-js.done:
+		}
+		job, _ = m.Get(id)
+	}
+	return job, created, err
 }
 
 // stage writes raw to a temp file of its own beside path and returns its
@@ -427,9 +464,10 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 			Total:   sp.NumCells(),
 			Created: meta.Created,
 		},
-		cancel: cancel,
-		done:   make(chan struct{}),
-		hist:   &latencyHist{},
+		cancel:  cancel,
+		done:    make(chan struct{}),
+		resumed: make(chan struct{}),
+		hist:    &latencyHist{},
 	}
 	old := m.jobs[id]
 	if old != nil {

@@ -117,7 +117,7 @@ func New(cfg Config) (_ *Node, err error) {
 	n.Manager.SetMaxJobs(cfg.MaxJobs)
 	// Replica storage is always on (receiving costs nothing until a peer
 	// pushes); Replicas only governs how many copies this daemon pushes of
-	// its OWN finished jobs.
+	// its OWN jobs.
 	if n.Replicas, err = store.OpenReplicaSet(filepath.Join(cfg.Data, "replicas")); err != nil {
 		return nil, fmt.Errorf("opening the replica store: %w", err)
 	}

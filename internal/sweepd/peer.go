@@ -128,8 +128,8 @@ type JobLease struct {
 	// lexicographically smaller owner URL, identically on every member.
 	Generation uint64 `json:"generation"`
 	// Completed / Total snapshot checkpoint progress at heartbeat time —
-	// observability only; the adopter re-derives real progress from the
-	// checkpoint bytes it can actually fetch.
+	// observability only; the adopter re-derives real progress from its
+	// own replica of the job.
 	Completed int `json:"completed"`
 	Total     int `json:"total"`
 	// Updated is stamped locally by each registry that stores the lease
@@ -162,7 +162,7 @@ type SchedStats struct {
 	Adoptions      uint64 `json:"adoptions"`
 	LeadershipLost uint64 `json:"leadership_lost"`
 	// ReplicaSeeds counts adoptions whose checkpoint was seeded from a
-	// local replica instead of an HTTP tail-fetch from peers.
+	// local replica: the tails or the whole grid the leader pushed here.
 	ReplicaSeeds uint64 `json:"replica_seeds"`
 }
 

@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,7 +13,7 @@ import (
 )
 
 // maxReplicaBody bounds one POST /peer/replicas/{id} body (manifest +
-// full checkpoint + sidecar), mirroring the adoption tail-fetch cap.
+// checkpoint tail + sidecar tail).
 const maxReplicaBody = 64 << 20
 
 // clustered guards the endpoints that drive the cluster registry: a daemon
@@ -81,15 +82,20 @@ func (h *handler) peerMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.gossipPayload())
 }
 
-// receiveReplica serves POST /peer/replicas/{id}: a leader pushing one
-// finished job's immutable artifacts. The body is one ReplicaManifest
-// line, then the full canonical checkpoint, then (for trajectory specs)
-// the full sidecar. Nothing lands unverified (VerifyReplica): the spec
+// receiveReplica serves POST /peer/replicas/{id}: a leader pushing the
+// bytes one job's checkpoint and sidecar gained since its last push to
+// this member — the tail of a running job, or the last one of a done job.
+// The body is one ReplicaManifest line naming where the push starts in
+// each file, then the checkpoint's new records, then (for trajectory
+// specs) the sidecar's. Nothing lands unverified (VerifyReplica): the spec
 // must hash to the job ID and the manifest kernel, and every line must be
 // the record of its grid position, framed as the leader's writer frames
-// it — what is stored is what was verified, byte for byte. The manifest
-// generation is the zombie guard: a push from a deposed leader (lower
-// generation than the stored copy's) answers 409 and changes nothing.
+// it — what is stored is what was verified, byte for byte. A push that
+// does not start where the stored replica ends stores nothing, and the
+// answer (replicaReply) says where it ends. The manifest generation is
+// the zombie guard: a push from a deposed leader (lower generation than
+// the stored copy's) answers 409 and changes nothing. A done replica is
+// final: a later push is answered as held, and stores nothing.
 func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 	rs := h.m.Replicas()
 	if rs == nil {
@@ -117,34 +123,55 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad replica manifest line: "+err.Error())
 		return
 	}
-	checkpoint, trajectory, err := VerifyReplica(id, m, rest)
+	h.receiving.Lock()
+	defer h.receiving.Unlock()
+	held, cur, ok := heldReplica(rs, id)
+	reply := replicaReply{Held: ok && cur.Status != string(StatusRunning), Checkpoint: held.size[0], Trajectory: held.size[1]}
+	if ok && cur.Generation > m.Generation {
+		writeJSON(w, http.StatusConflict, map[string]any{
+			"error": fmt.Sprintf("replica of job %s already stored at generation %d; push was generation %d",
+				id, cur.Generation, m.Generation),
+		})
+		return
+	}
+	if reply.Held {
+		// Same job ⇒ same immutable bytes (determinism), whoever pushes.
+		writeJSON(w, http.StatusOK, reply)
+		return
+	}
+	checkpoint, trajectory, err := VerifyReplica(id, m, held, rest)
+	if errors.Is(err, errReplicaOffset) {
+		writeJSON(w, http.StatusOK, reply)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if cur, err := rs.Manifest(id); err == nil {
-		if cur.Generation > m.Generation {
-			writeJSON(w, http.StatusConflict, map[string]any{
-				"error": fmt.Sprintf("replica of job %s already stored at generation %d; push was generation %d",
-					id, cur.Generation, m.Generation),
-			})
-			return
-		}
-		if cur.Generation == m.Generation {
-			// Same generation ⇒ same leader ⇒ same immutable bytes
-			// (determinism); re-pushes are idempotent.
-			writeJSON(w, http.StatusOK, map[string]any{"stored": false, "held": true})
-			return
-		}
 	}
 	m.StoredAt = Time().Now()
 	if err := rs.Put(m, checkpoint, trajectory); err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	// The replica's cells serve this member's jobs of its kernel: each line
+	// is indexed as it lands, like a runner's append (trajectory kernels
+	// are never looked up).
+	if sp, err := decodeSpec(m.Spec); err == nil && !sp.Trajectories {
+		path, off, n := rs.ResultsPath(id), held.size[0], held.records[0]
+		h.m.cache.retain(m.Kernel, path, off == 0)
+		for line, end := range ncgio.Lines(checkpoint) {
+			h.m.cache.index(m.Kernel, path, sp.CellAt(n), off+int64(end-1-len(line)), len(line))
+			n++
+		}
+	}
 	h.replicasReceived.Add(1)
 	h.replicaBytesReceived.Add(uint64(len(body)))
-	writeJSON(w, http.StatusOK, map[string]any{"stored": true, "held": true})
+	writeJSON(w, http.StatusOK, replicaReply{
+		Stored:     true,
+		Held:       m.Status == string(StatusDone),
+		Checkpoint: held.size[0] + int64(len(checkpoint)),
+		Trajectory: held.size[1] + int64(len(trajectory)),
+	})
 }
 
 // peerLease serves POST /peer/leases, the follower half of the sharding

@@ -13,14 +13,16 @@ import (
 
 // replicaJob reconstructs a Job snapshot from a locally held replica of
 // a finished job this manager never ran: the read-fan-out view. The
-// snapshot is marked Replica so clients can tell it from the leader's.
+// snapshot is marked Replica so clients can tell it from the leader's. A
+// running job's replica — the tails its leader pushed so far — is not
+// served: its reads are the leader's until the done push lands.
 func (h *handler) replicaJob(id string) (Job, bool) {
 	rs := h.m.Replicas()
 	if rs == nil {
 		return Job{}, false
 	}
 	m, err := rs.Manifest(id)
-	if err != nil || m.JobID != id {
+	if err != nil || m.JobID != id || m.Status == string(StatusRunning) {
 		return Job{}, false
 	}
 	sp, err := decodeSpec(m.Spec)

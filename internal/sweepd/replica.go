@@ -1,48 +1,84 @@
 package sweepd
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/dynamics"
 	"repro/internal/ncgio"
 	"repro/internal/sweepd/store"
 )
 
-// VerifyReplica checks one incoming replica push against the job
-// identity it claims and cuts it into the two files it is stored as. The
-// manifest's spec must hash to the URL's job ID and the manifest's
-// kernel, the job must be done, and body — what follows the manifest
-// line — must be the COMPLETE checkpoint (one record per grid cell, in
-// canonical cell order), then for trajectory specs the complete sidecar,
-// and nothing else: no padding, no blank line, no torn tail. One pass
-// finds where the checkpoint ends (after NumCells canonical records) and
-// judges both halves, validating each line once. What passes is stored
-// byte for byte, so a replica is served, and adoption seeded from it, with
-// the trust of a locally computed checkpoint: the line codec decodes
-// canonical bytes only, so every stored line is the encoding of the cell
-// it records.
-func VerifyReplica(id string, m store.ReplicaManifest, body []byte) (checkpoint, trajectory []byte, err error) {
+// errReplicaOffset marks a push that does not start where the holder's
+// replica ends: nothing of it is judged or stored, and the answer says
+// where the replica ends, so the pusher resends from there.
+var errReplicaOffset = errors.New("push does not start where the stored replica ends")
+
+// replicaHeld is what a member stores of a job, per file (checkpoint, then
+// sidecar): the length of its whole lines and the records they hold.
+type replicaHeld struct {
+	size    [2]int64
+	records [2]int
+}
+
+// heldReplica reads what rs stores of job id, without decoding a line
+// (each was judged when it was pushed), and its manifest; ok=false when
+// there is none.
+func heldReplica(rs *store.ReplicaSet, id string) (held replicaHeld, m store.ReplicaManifest, ok bool) {
+	m, err := rs.Manifest(id)
+	if err != nil {
+		return held, m, false
+	}
+	for i, path := range []string{rs.ResultsPath(id), rs.TrajectoryPath(id)} {
+		data, _ := os.ReadFile(path) // a missing file holds nothing
+		for _, end := range ncgio.Lines(data) {
+			held.size[i], held.records[i] = int64(end), held.records[i]+1
+		}
+	}
+	return held, m, true
+}
+
+// VerifyReplica judges one replica push against the job identity it
+// claims and what the holder stores of the job, and cuts the new bytes
+// into the two files they extend. The manifest's spec must hash to the
+// URL's job ID and the manifest's kernel, the job must be running or done,
+// and the push must start where the holder's files end (errReplicaOffset).
+// body, what follows the manifest line, must be the checkpoint's next
+// records in canonical cell order from the stored record count on, then
+// for trajectory specs the sidecar's, and nothing else: no padding, no
+// blank line, no torn tail, no record past the grid; a done push must
+// complete both files. Each new line is validated once; the stored prefix
+// is not decoded again. What passes is appended byte for byte, so a
+// replica is served, and adoption seeded from it, with the trust of a
+// locally computed checkpoint: the line codec decodes canonical bytes
+// only, so every stored line is the encoding of the cell it records.
+func VerifyReplica(id string, m store.ReplicaManifest, held replicaHeld, body []byte) (checkpoint, trajectory []byte, err error) {
 	fail := func(format string, args ...any) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("sweepd: replica of job %s: "+format, append([]any{id}, args...)...)
 	}
 	if m.JobID != id {
 		return fail("manifest names job %q", m.JobID)
 	}
-	if m.Status != string(StatusDone) {
-		return fail("non-terminal status %q; only done jobs replicate", m.Status)
+	done := m.Status == string(StatusDone)
+	if !done && m.Status != string(StatusRunning) {
+		return fail("status %q; only running and done jobs replicate", m.Status)
 	}
 	sp, err := decodeSpec(m.Spec)
-	if err != nil {
-		return fail("invalid spec: %w", err)
+	if err == nil {
+		err = sp.Validate()
 	}
-	if err := sp.Validate(); err != nil {
+	if err != nil {
 		return fail("invalid spec: %w", err)
 	}
 	if sp.ID() != id {
@@ -51,22 +87,25 @@ func VerifyReplica(id string, m store.ReplicaManifest, body []byte) (checkpoint,
 	if kh := sp.KernelHash(); m.Kernel != kh {
 		return fail("manifest kernel %q does not match spec kernel %q", m.Kernel, kh)
 	}
-	end, err := sp.canonicalPrefix(body, ncgio.UnmarshalCell)
-	if err != nil {
-		return fail("checkpoint: %w", err)
+	if from := [2]int64{m.CheckpointFrom, m.TrajectoryFrom}; from != held.size {
+		return fail("%w: it starts at bytes %v, the replica holds %v", errReplicaOffset, from, held.size)
 	}
-	checkpoint, trajectory = body[:end], body[end:]
-	rest := trajectory
-	if sp.Trajectories {
-		if end, err = sp.canonicalPrefix(trajectory, trajectoryCell); err != nil {
-			return fail("sidecar: %w", err)
+	var files [2][]byte
+	rest := body
+	for i, cellOf := range []func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell} {
+		if i == 1 && !sp.Trajectories {
+			break
 		}
-		rest = trajectory[end:]
+		end, err := sp.canonicalPrefix(rest, held.records[i], cellOf)
+		if err != nil && done {
+			return fail("%s: %w", [2]string{"checkpoint", "sidecar"}[i], err)
+		}
+		files[i], rest = rest[:end], rest[end:]
 	}
 	if len(rest) > 0 {
 		return fail("%d bytes follow the last record", len(rest))
 	}
-	return checkpoint, trajectory, nil
+	return files[0], files[1], nil
 }
 
 // ReplicatorOptions wires a Replicator into the daemon.
@@ -90,15 +129,16 @@ type ReplicatorOptions struct {
 	Generation func(jobID string) uint64
 }
 
-// Replicator pushes each finished job's immutable artifacts (spec,
-// lifecycle record, checkpoint, trajectory sidecar) to the least-loaded
+// Replicator pushes each job's checkpoint and sidecar to the least-loaded
 // alive members, so results survive the leader's disk and reads fan out
-// across the mesh. Register JobFinished as a Manager.OnFinish hook;
-// pushes run asynchronously and Close cancels the running ones. The
-// deficit-based target choice makes re-fires idempotent and cheap: a job
-// already held by Fanout alive members (or with no member to push to)
-// pushes nothing and reads nothing, so Resume re-announcing finished jobs
-// after a restart heals under-replication without duplicating bytes.
+// across the mesh: at each scheduler heartbeat (Manager.Heartbeat) the
+// lines a running job appended since its last push, and once it is done
+// the last ones, which make each copy a served replica. Register
+// JobFinished as a Manager.OnFinish hook; pushes run asynchronously and
+// Close cancels the running ones. A done job already held by Fanout alive
+// members (or with no member to push to) pushes nothing and reads nothing,
+// so Resume re-announcing finished jobs after a restart heals
+// under-replication without duplicating bytes.
 type Replicator struct {
 	opts ReplicatorOptions
 
@@ -114,6 +154,25 @@ type Replicator struct {
 	mu     sync.Mutex
 	closed bool
 	wg     sync.WaitGroup
+	tails  map[string]*tails // by job, while it runs
+}
+
+// tails is what a job's pushes placed: per member, the bytes of the
+// checkpoint and sidecar it stores, by its last answer. The lock keeps one
+// push of the job on its way.
+type tails struct {
+	sync.Mutex
+	at map[string][2]int64
+}
+
+// replicaReply answers POST /peer/replicas/{id}: whether the push was
+// stored, whether the member holds the done replica, and the bytes of the
+// checkpoint and sidecar it stores, where its next push starts.
+type replicaReply struct {
+	Stored     bool  `json:"stored"`
+	Held       bool  `json:"held"`
+	Checkpoint int64 `json:"checkpoint_bytes"`
+	Trajectory int64 `json:"trajectory_bytes"`
 }
 
 // NewReplicator builds a replicator over the options.
@@ -121,18 +180,16 @@ func NewReplicator(opts ReplicatorOptions) *Replicator {
 	if opts.Fanout <= 0 {
 		opts.Fanout = 2
 	}
-	rp := &Replicator{opts: opts}
+	rp := &Replicator{opts: opts, tails: make(map[string]*tails)}
 	rp.ctx, rp.cancel = context.WithCancel(context.Background())
 	return rp
 }
 
-// JobFinished is the Manager.OnFinish hook: push the job's artifacts in
-// the background (terminal-but-not-done jobs are skipped — canceled and
-// failed checkpoints are partial, hence still mutable under resume).
+// JobFinished is the Manager.OnFinish hook, which Manager.Heartbeat fires
+// with running snapshots too: push the job's new bytes in the background.
+// Canceled and failed jobs push nothing: their checkpoints are partial,
+// hence still mutable under resume.
 func (rp *Replicator) JobFinished(job Job) {
-	if job.Status != StatusDone {
-		return
-	}
 	rp.mu.Lock()
 	if rp.closed {
 		rp.mu.Unlock()
@@ -142,24 +199,22 @@ func (rp *Replicator) JobFinished(job Job) {
 	rp.mu.Unlock()
 	go func() {
 		defer rp.wg.Done()
-		if err := rp.Replicate(job); err != nil {
-			slog.Warn("sweepd: replication failed", "job", job.ID, "err", err)
+		if err := rp.replicate(job); err != nil {
+			slog.Warn("sweepd: replication failed", "job", job.ID, "status", job.Status, "err", err)
 		}
 	}()
 }
 
-// Replicate synchronously pushes the job's artifacts to enough
-// least-loaded alive members to reach the configured fanout, skipping
-// members that already hold a replica. Failed targets are skipped in
-// favor of the next candidate; the residual deficit (if any) heals on
-// the next finish re-fire (daemon restart) rather than blocking here.
-// With no member to push to — a lone daemon — it does nothing and says
-// nothing: that deficit is the deployment's, not the job's.
-func (rp *Replicator) Replicate(job Job) error {
-	if job.Status != StatusDone {
-		return nil
-	}
-	id := job.ID
+// replicate pushes what the job's fanout lacks: first to the members that
+// got its earlier tails, then to the least-loaded others. A running job
+// skips a heartbeat while its last push is on its way, and a done job
+// waits for it; members advertising the done replica count against the
+// fanout. Failed targets are skipped for the next candidate; a done job's
+// residual deficit heals on the next finish re-fire (daemon restart). With
+// no member to push to — a lone daemon — it does nothing and says nothing:
+// that deficit is the deployment's, not the job's.
+func (rp *Replicator) replicate(job Job) error {
+	id, running := job.ID, job.Status == StatusRunning
 	holders := map[string]bool{}
 	if rp.opts.Holders != nil {
 		for _, u := range rp.opts.Holders(id) {
@@ -167,136 +222,192 @@ func (rp *Replicator) Replicate(job Job) error {
 		}
 	}
 	need := rp.opts.Fanout - len(holders)
-	if need <= 0 {
+	if (!running && job.Status != StatusDone) || need <= 0 {
+		rp.drop(id, nil)
 		return nil
 	}
+	rp.mu.Lock()
+	t := rp.tails[id]
+	if t == nil {
+		t = &tails{at: make(map[string][2]int64)}
+		rp.tails[id] = t
+	}
+	rp.mu.Unlock()
+	if !running {
+		t.Lock()
+	} else if !t.TryLock() {
+		return nil
+	}
+	defer t.Unlock()
 	self := ""
 	if rp.opts.Self != nil {
 		self = rp.opts.Self()
 	}
 	var cands []MemberLoad
 	for _, ml := range rp.opts.Targets() {
-		if ml.URL == self || holders[ml.URL] {
-			continue
+		if ml.URL != self && !holders[ml.URL] {
+			cands = append(cands, ml)
 		}
-		cands = append(cands, ml)
-	}
-	if len(cands) == 0 {
-		return nil
 	}
 	sort.Slice(cands, func(i, j int) bool {
+		_, ti := t.at[cands[i].URL]
+		_, tj := t.at[cands[j].URL]
+		if ti != tj {
+			return ti
+		}
 		if cands[i].Load != cands[j].Load {
 			return cands[i].Load.Less(cands[j].Load)
 		}
 		return cands[i].URL < cands[j].URL
 	})
-	body, err := rp.buildBody(job)
-	if err != nil {
-		return err
-	}
-
 	var firstErr error
+	finished := !running
 	for _, ml := range cands {
 		if need <= 0 {
 			break
 		}
-		if err := rp.push(ml.URL, id, body); err != nil {
+		at, held, err := rp.pushTo(ml.URL, job, t.at[ml.URL])
+		if err != nil {
 			rp.pushFailures.Add(1)
 			slog.Warn("sweepd: replica push failed", "job", id, "member", ml.URL, "err", err)
-			if firstErr == nil {
-				firstErr = err
-			}
+			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
-		rp.pushed.Add(1)
-		rp.bytesPushed.Add(uint64(len(body)))
+		t.at[ml.URL] = at
+		finished = finished || held // a late running snapshot of a job pushed done
 		need--
+	}
+	if finished || len(t.at) == 0 {
+		rp.drop(id, t)
 	}
 	if need > 0 && firstErr != nil {
 		return firstErr
 	}
-	if need > 0 {
+	if need > 0 && !running && len(cands) > 0 {
 		slog.Warn("sweepd: job under-replicated", "job", id, "placed", rp.opts.Fanout-need, "fanout", rp.opts.Fanout)
 	}
 	return nil
 }
 
-// readGrid reads the whole lines of a done job's checkpoint or sidecar:
-// one record per grid cell by definition, so any other line count (none is
-// decoded) means the job was evicted, or its file damaged, since — don't
-// ship it.
-func readGrid(path string, total int) ([]byte, error) {
-	data, err := os.ReadFile(path)
+// drop forgets what the job's pushes placed (only t's, when t is set).
+func (rp *Replicator) drop(id string, t *tails) {
+	rp.mu.Lock()
+	if t == nil || rp.tails[id] == t {
+		delete(rp.tails, id)
+	}
+	rp.mu.Unlock()
+}
+
+// pushTo sends base the job's bytes past at, what it was last known to
+// store, and once more from where its answer says its files end if that
+// is elsewhere; a running job with nothing new is sent nothing. It returns
+// what base stores and whether that is the done replica, which a done
+// job's push must leave.
+func (rp *Replicator) pushTo(base string, job Job, at [2]int64) ([2]int64, bool, error) {
+	for range 2 {
+		body, fresh, err := rp.buildBody(job, at)
+		if err != nil || (fresh == 0 && job.Status == StatusRunning) {
+			return at, false, err
+		}
+		reply, err := rp.push(base, job.ID, body)
+		if err != nil {
+			return at, false, err
+		}
+		at = [2]int64{reply.Checkpoint, reply.Trajectory}
+		if reply.Held || (reply.Stored && job.Status == StatusRunning) {
+			if job.Status == StatusDone {
+				rp.pushed.Add(1)
+			}
+			return at, reply.Held, nil
+		}
+	}
+	return at, false, fmt.Errorf("sweepd: %s stores bytes %v of job %s and took no push from there", base, at, job.ID)
+}
+
+// buildBody assembles the wire body of POST /peer/replicas/{id} for a
+// member storing from[0] bytes of the job's checkpoint and from[1] of its
+// sidecar: one manifest line naming those offsets, then the whole lines
+// of each file past them. fresh counts the bytes after the manifest line.
+func (rp *Replicator) buildBody(job Job, from [2]int64) (body []byte, fresh int, err error) {
+	id, sp := job.ID, job.Spec
+	var tail [2][]byte
+	for i, path := range []string{rp.opts.Store.ResultsPath(id), rp.opts.Store.TrajectoryPath(id)} {
+		if i == 1 && !sp.Trajectories {
+			break
+		}
+		if tail[i], err = readTail(path, from[i]); err != nil {
+			return nil, 0, fmt.Errorf("sweepd: replicating job %s: %w", id, err)
+		}
+	}
+	specJSON, err := json.Marshal(sp)
+	if err != nil {
+		return nil, 0, fmt.Errorf("sweepd: %w", err)
+	}
+	gen := uint64(1)
+	if rp.opts.Generation != nil {
+		gen = max(gen, rp.opts.Generation(id))
+	}
+	head, err := json.Marshal(store.ReplicaManifest{
+		JobID:          id,
+		Kernel:         sp.KernelHash(),
+		Generation:     gen,
+		Status:         string(job.Status),
+		CheckpointFrom: from[0],
+		TrajectoryFrom: from[1],
+		Spec:           specJSON,
+		Created:        job.Created,
+		Finished:       job.Finished,
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("sweepd: %w", err)
+	}
+	body = slices.Concat(head, []byte{'\n'}, tail[0], tail[1])
+	return body, len(body) - len(head) - 1, nil
+}
+
+// readTail reads the whole lines of path past byte from; a missing file,
+// or one no longer than from, has none.
+func readTail(path string, from int64) ([]byte, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	got, whole := 0, 0
-	for _, end := range ncgio.Lines(data) {
-		got, whole = got+1, end
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil || fi.Size() <= from {
+		return nil, err
 	}
-	if got != total {
-		return nil, fmt.Errorf("%s has %d complete lines, grid has %d cells", path, got, total)
+	data := make([]byte, fi.Size()-from)
+	if _, err := f.ReadAt(data, from); err != nil {
+		return nil, err
+	}
+	whole := 0
+	for _, end := range ncgio.Lines(data) {
+		whole = end
 	}
 	return data[:whole], nil
 }
 
-// buildBody assembles the wire body of POST /peer/replicas/{id}: one
-// manifest line, then the full checkpoint, then the full sidecar.
-func (rp *Replicator) buildBody(job Job) ([]byte, error) {
-	id, sp := job.ID, job.Spec
-	checkpoint, err := readGrid(rp.opts.Store.ResultsPath(id), sp.NumCells())
-	var trajectory []byte
-	if err == nil && sp.Trajectories {
-		trajectory, err = readGrid(rp.opts.Store.TrajectoryPath(id), sp.NumCells())
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sweepd: replicating job %s: %w", id, err)
-	}
-	specJSON, err := json.Marshal(sp)
-	if err != nil {
-		return nil, fmt.Errorf("sweepd: %w", err)
-	}
-	gen := uint64(1)
-	if rp.opts.Generation != nil {
-		if g := rp.opts.Generation(id); g > 0 {
-			gen = g
-		}
-	}
-	manifest := store.ReplicaManifest{
-		JobID:      id,
-		Kernel:     sp.KernelHash(),
-		Generation: gen,
-		Status:     string(StatusDone),
-		Spec:       specJSON,
-		Created:    job.Created,
-		Finished:   job.Finished,
-	}
-	head, err := json.Marshal(manifest)
-	if err != nil {
-		return nil, fmt.Errorf("sweepd: %w", err)
-	}
-	body := make([]byte, 0, len(head)+1+len(checkpoint)+len(trajectory))
-	body = append(body, head...)
-	body = append(body, '\n')
-	body = append(body, checkpoint...)
-	body = append(body, trajectory...)
-	return body, nil
-}
-
-// push POSTs one replica body to a member; any non-2xx answer is a
-// failure (the handler answers 200 for an idempotent same-generation
-// repush too). A 429 from the receiver's -replica-rate class is waited
-// out rather than counted: the deficit would otherwise stay until the
-// next restart re-fires the finish hook.
-func (rp *Replicator) push(base, id string, body []byte) error {
+// push POSTs one replica body to a member and returns its answer; any
+// non-2xx answer is a failure. A 429 from the receiver's -replica-rate
+// class is waited out rather than counted: the deficit would otherwise
+// stay until the next restart re-fires the finish hook.
+func (rp *Replicator) push(base, id string, body []byte) (reply replicaReply, err error) {
 	ctx, cancel := context.WithTimeout(rp.ctx, PeerCallTimeout)
 	defer cancel()
 	resp, err := Peer.Do(ctx, http.MethodPost, base+"/peer/replicas/"+id, "application/x-ndjson", body, PeerCallTimeout, nil)
 	if err != nil {
-		return err
+		return reply, err
 	}
-	discard(resp)
-	return nil
+	defer discard(resp)
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&reply); err != nil {
+		return reply, fmt.Errorf("sweepd: replica push to %s: bad answer: %w", base, err)
+	}
+	rp.bytesPushed.Add(uint64(len(body)))
+	return reply, nil
 }
 
 // Stats snapshots the push counters for /healthz and /metrics.

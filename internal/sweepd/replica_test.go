@@ -86,7 +86,7 @@ func TestReplicationPushAndReplicaServedReads(t *testing.T) {
 			return []MemberLoad{{URL: followerSrv.URL}}
 		},
 	})
-	if err := rp.Replicate(job); err != nil {
+	if err := rp.replicate(job); err != nil {
 		t.Fatal(err)
 	}
 	if st := rp.Stats(); st.Pushed != 1 || st.PushFailures != 0 || st.BytesPushed == 0 {
@@ -152,7 +152,7 @@ func TestReplicationPushAndReplicaServedReads(t *testing.T) {
 
 	// Re-replication at the same generation is idempotent: the push
 	// succeeds (200) but the follower stores nothing new.
-	if err := rp.Replicate(job); err != nil {
+	if err := rp.replicate(job); err != nil {
 		t.Fatal(err)
 	}
 	if got := fh.replicasReceived.Load(); got != 1 {
@@ -166,7 +166,7 @@ func TestReplicationPushAndReplicaServedReads(t *testing.T) {
 		Targets: func() []MemberLoad { return []MemberLoad{{URL: followerSrv.URL}} },
 		Holders: func(string) []string { return []string{followerSrv.URL} },
 	})
-	if err := rp2.Replicate(job); err != nil {
+	if err := rp2.replicate(job); err != nil {
 		t.Fatal(err)
 	}
 	if st := rp2.Stats(); st.Pushed != 0 {
@@ -198,7 +198,7 @@ func TestReplicateReadsNothingWithoutADeficitOrACandidate(t *testing.T) {
 	} {
 		opts.Store, opts.Fanout = st, 1
 		rp := NewReplicator(opts)
-		if err := rp.Replicate(job); err != nil {
+		if err := rp.replicate(job); err != nil {
 			t.Errorf("%s: Replicate = %v, want nil", name, err)
 		}
 		if got := rp.Stats(); got != (ReplicaStats{}) {
@@ -253,7 +253,7 @@ func TestReplicateWarnsOnlyWithACandidate(t *testing.T) {
 		Self:    func() string { return "http://self" },
 		Targets: func() []MemberLoad { return []MemberLoad{{URL: "http://self"}} },
 	})
-	if err := lone.Replicate(job); err != nil {
+	if err := lone.replicate(job); err != nil {
 		t.Fatalf("lone Replicate = %v", err)
 	}
 	if got := logs.String(); strings.Contains(got, job.ID) {
@@ -269,7 +269,7 @@ func TestReplicateWarnsOnlyWithACandidate(t *testing.T) {
 		Fanout:  1,
 		Targets: func() []MemberLoad { return []MemberLoad{{URL: refusing.URL}} },
 	})
-	if err := short.Replicate(job); err == nil {
+	if err := short.replicate(job); err == nil {
 		t.Fatal("a push to a refusing member succeeded")
 	}
 	var warned bool
@@ -289,7 +289,7 @@ func TestReplicaTrajectories404CountsNoRead(t *testing.T) {
 	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
 	_, fh, followerSrv, _ := newReplicaRig(t, Config{})
 	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
-	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestReplicaPushWaitsOutReplicaRate(t *testing.T) {
 	for _, seeds := range []int{1, 2} {
 		job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: seeds})
 		pushed := make(chan error, 1)
-		go func() { pushed <- rp.Replicate(job) }()
+		go func() { pushed <- rp.replicate(job) }()
 		if seeds == 2 {
 			// The clock has not moved since the first push took the
 			// receiver's token: the second waits out Retry-After, and
@@ -406,7 +406,7 @@ func TestReceiveReplicaVerification(t *testing.T) {
 	job := runDoneJob(t, leaderMgr, sp)
 
 	rp := NewReplicator(ReplicatorOptions{Store: leaderMgr.store, Generation: func(string) uint64 { return 5 }})
-	body, err := rp.buildBody(job)
+	body, _, err := rp.buildBody(job, [2]int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +535,7 @@ func TestReceiveReplicaRejectsNonCanonicalFraming(t *testing.T) {
 
 	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2, Trajectories: true}
 	job := runDoneJob(t, leaderMgr, sp)
-	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +640,7 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	mgr, h, srv, _ := newReplicaRig(t, Config{})
 
 	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
-	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -804,7 +804,7 @@ func TestReplicaUnderOldManifestIsServed(t *testing.T) {
 
 	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2, Trajectories: true}
 	job := runDoneJob(t, leaderMgr, sp)
-	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job)
+	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
 	if err != nil {
 		t.Fatal(err)
 	}

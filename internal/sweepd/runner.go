@@ -120,7 +120,7 @@ func (m *Manager) resumePrefix(id string, sp Spec) (checkpoint []byte, done int,
 		if data[i], err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
 			return nil, 0, err
 		}
-		keep, _ := sp.canonicalPrefix(data[i], cellOf[i]) // a refusal is where recomputing starts, not an error
+		keep, _ := sp.canonicalPrefix(data[i], 0, cellOf[i]) // a refusal is where recomputing starts, not an error
 		n := 0
 		for range ncgio.Lines(data[i][:keep]) {
 			n++
@@ -155,6 +155,10 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	fail := func(err error) { m.finish(js, StatusFailed, err.Error()) }
 
 	data, done, err := m.resumePrefix(id, sp)
+	m.mu.Lock()
+	js.job.Completed = done
+	m.mu.Unlock()
+	close(js.resumed)
 	if err != nil {
 		fail(err)
 		return
@@ -166,9 +170,6 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	if !sp.Trajectories {
 		m.cache.retain(kernel, path, off == 0)
 	}
-	m.mu.Lock()
-	js.job.Completed = done
-	m.mu.Unlock()
 	if err := sp.checkKernel(); err != nil && done < sp.NumCells() {
 		fail(err) // a stored spec of an older kernel is served, never computed on
 		return

@@ -33,11 +33,11 @@
 // (sweepd.Time, which paces the heartbeat too), every member runs the
 // same deterministic election: the least-loaded alive member (URL as
 // tie-break) adopts. Its seed, via Manager.Adopt, is its own replica of
-// the job (both files) when the leader had finished. Without one, a spec
-// without trajectories takes the checkpoint tail of any alive member that
-// has bytes (usually none); a trajectory spec fetches nothing, as a peer's
-// read serves no sidecar. The job's resume judges the seed like its own
-// files. The adopter leads at generation+1 by writing that lease into its
+// the job (both files): the whole grid when the leader had finished, else
+// the tails the leader pushed at each heartbeat up to its last (each
+// heartbeat hands the jobs a member leads to Manager.Heartbeat, whose
+// hooks push them). The job's resume judges the seed like its own files,
+// and the adopter's lease counts what it kept. The adopter leads at generation+1 by writing that lease into its
 // own registry, and gossip carries it: every member (a racing adopter and
 // a revived ex-leader included) pulls it within one probe interval.
 // Determinism makes the finished files byte-identical to an uninterrupted

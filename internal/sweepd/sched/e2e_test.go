@@ -433,14 +433,13 @@ func (e leaseFirstExec) Execute(ctx context.Context, req dynamics.ExecRequest) <
 
 // TestAdoptionCountsRecomputedCells measures what an adoption recomputes.
 // Three members run real cells, the leader sharding its grid over both
-// peers, and the leader is killed once half the grid is in its
-// checkpoint. The adopter's run must end with the reference bytes, and
-// each cell of the grid must reach its checkpoint from exactly one of its
-// seed, its cache and its executor (local or leased). The counts are
-// logged. A job killed mid-run has no replica and no copy on a peer, so
-// the seed is empty; a plain spec's cache holds the cells the adopter
-// computed on the dead leader's leases, and a trajectory spec, which
-// bypasses the cache, computes its whole grid again.
+// peers, and the leader is killed once half the grid is in its checkpoint
+// and a heartbeat has pushed that half to both peers as the running job's
+// tail. The adopter's run must end with the reference bytes, and each
+// cell of the grid must reach its checkpoint from exactly one of its seed,
+// its cache and its executor (local or leased): the seed is the pushed
+// half, whatever the spec, and only the other half is taken from the
+// cache or computed.
 func TestAdoptionCountsRecomputedCells(t *testing.T) {
 	for _, trajectories := range []bool{false, true} {
 		sp := sweepd.Spec{
@@ -485,6 +484,15 @@ func TestAdoptionCountsRecomputedCells(t *testing.T) {
 				j, _ := a.Manager.Get(job.ID)
 				return j.Completed == total/2 && b.leads(job.ID, a.url) && c.leads(job.ID, a.url)
 			})
+			clk.stepUntil(t, beat, 30, "a heartbeat pushes the half to both survivors", func() bool {
+				for _, d := range []*daemon{b, c} {
+					checkpoint, sidecar := d.Manager.ReplicaFiles(job.ID)
+					if bytes.Count(checkpoint, []byte("\n")) != total/2 || (trajectories && bytes.Count(sidecar, []byte("\n")) != total/2) {
+						return false
+					}
+				}
+				return true
+			})
 			a.kill()
 
 			clk.stepUntil(t, beat, 60, "a survivor adopts", func() bool {
@@ -499,8 +507,9 @@ func TestAdoptionCountsRecomputedCells(t *testing.T) {
 			fresh := int(computed[adopter].Load())
 			t.Logf("%s: of %d cells the adopter seeded %d, took %d from its cache and computed %d (%d of them on its peer)",
 				name, total, seeded, done.CacheHits, fresh, done.RemoteCells)
-			if seeded+done.CacheHits+fresh != total {
-				t.Fatalf("seeded %d + cache hits %d + computed %d != %d cells", seeded, done.CacheHits, fresh, total)
+			if seeded != total/2 || done.CacheHits+fresh != total-total/2 {
+				t.Fatalf("seeded %d + cache hits %d + computed %d, want the %d pushed cells seeded and the other %d taken or computed",
+					seeded, done.CacheHits, fresh, total/2, total-total/2)
 			}
 
 			for _, f := range []struct {

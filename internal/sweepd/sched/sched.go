@@ -3,20 +3,13 @@ package sched
 import (
 	"context"
 	"errors"
-	"io"
 	"log/slog"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/sweepd"
 )
-
-// maxCheckpointFetch bounds how much of a peer's checkpoint tail the
-// adopter will buffer. A truncated tail is safe: the adopted run's resume
-// keeps only its canonical prefix and recomputes the rest.
-const maxCheckpointFetch = 64 << 20
 
 // Cluster is the registry surface the scheduler drives. Implemented by
 // *cluster.Registry; tests substitute fakes.
@@ -42,13 +35,16 @@ type Cluster interface {
 type Manager interface {
 	Submit(sp sweepd.Spec) (sweepd.Job, bool, error)
 	// Adopt admits an orphaned job seeded with raw checkpoint and sidecar
-	// bytes, which its resume judges like its own files. ReplicaFiles
-	// reads a local replica's two files (two nils when there is none):
-	// adoption seeds from them rather than tail-fetch from peers.
+	// bytes, which its resume judges like its own files, and returns the
+	// snapshot that counts what it kept. ReplicaFiles reads a local
+	// replica's two files (two nils when there is none): adoption's seed.
 	Adopt(sp sweepd.Spec, checkpoint, sidecar []byte) (sweepd.Job, bool, error)
 	List() []sweepd.Job
 	Load() sweepd.LoadInfo
 	ReplicaFiles(id string) (checkpoint, sidecar []byte)
+	// Heartbeat hands the manager's hooks the jobs this member leads,
+	// each tick: the replicator pushes what their checkpoints gained.
+	Heartbeat(ids []string)
 }
 
 // Options configures a Scheduler. Cluster and Manager are required.
@@ -63,7 +59,8 @@ type Options struct {
 	AdoptAfter time.Duration
 }
 
-// heartbeatFor is the scheduler tick — lease refresh and adoption scan —
+// heartbeatFor is the scheduler tick — lease refresh, checkpoint tail
+// pushes and adoption scan —
 // for an adoption window: a fifteenth of it, capped at 2s. A job's first
 // lease goes out up to one tick after the job starts, and a leader that
 // dies before then leaves a job no member knows about, so that window
@@ -81,8 +78,7 @@ type Scheduler struct {
 	beat time.Duration // heartbeatFor(opts.AdoptAfter)
 
 	// ctx is the scheduler's lifetime: Close cancels it, which stops the
-	// loop and ends the peer calls of a running tick, so Close never
-	// waits on a black-holed peer.
+	// loop.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -180,14 +176,15 @@ func (s *Scheduler) SubmitSweep(_ context.Context, sp sweepd.Spec) (sweepd.Job, 
 	return s.opts.Manager.Submit(sp)
 }
 
-// tick is one scheduler round: refresh leases for jobs we lead, then
-// scan for orphans to adopt. Exercised directly by tests.
+// tick is one scheduler round: refresh leases for jobs we lead and push
+// their checkpoint tails, then scan for orphans to adopt. Exercised
+// directly by tests.
 func (s *Scheduler) tick() {
 	self := s.opts.Cluster.Self()
 	if self == "" {
 		return // not announced yet
 	}
-	s.heartbeat(self)
+	s.opts.Manager.Heartbeat(s.heartbeat(self))
 	s.adoptPass(self)
 }
 
@@ -196,8 +193,9 @@ func (s *Scheduler) tick() {
 // lease names us keeps its generation, and one whose lease names a peer
 // (or whose refresh a newer peer lease rejects) is ceded — its local run
 // still finishes; determinism makes the duplicate compute harmless. Our
-// leases of jobs that stopped running are dropped.
-func (s *Scheduler) heartbeat(self string) {
+// leases of jobs that stopped running are dropped. It returns the jobs we
+// lead.
+func (s *Scheduler) heartbeat(self string) (led []string) {
 	jobs := s.opts.Manager.List()
 	table := make(map[string]sweepd.JobLease)
 	for _, l := range s.opts.Cluster.Leases() {
@@ -236,7 +234,9 @@ func (s *Scheduler) heartbeat(self string) {
 			s.ceded[job.ID] = true
 			s.leadershipLost.Add(1)
 			slog.Warn("sched: leadership lost to a newer generation; running as non-leader", "job", job.ID, "generation", gen)
+			continue
 		}
+		led = append(led, job.ID)
 	}
 
 	for id, l := range table {
@@ -249,6 +249,7 @@ func (s *Scheduler) heartbeat(self string) {
 			delete(s.ceded, id)
 		}
 	}
+	return led
 }
 
 // adoptPass scans the lease table for jobs whose owner is gone and
@@ -309,10 +310,10 @@ func (s *Scheduler) electAdopter(self string) string {
 }
 
 // adoptJob takes over an orphaned job: seed it from this daemon's own
-// replica of the job when one exists (both files, verified on receipt),
-// else, without trajectories, from whatever checkpoint tail an alive peer
-// holds — a peer's read serves no sidecar — resume the sweep, and publish
-// the generation+1 lease. The lease came from a peer and its JobID is
+// replica of the job when one exists (both files, verified on receipt:
+// the grid, or the tails the leader pushed while it ran), resume the
+// sweep, and publish the generation+1 lease with the cells the resume
+// kept. The lease came from a peer and its JobID is
 // about to name a replica directory, a URL path and the lease published
 // here: one that is not its spec's content address is skipped.
 func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
@@ -323,14 +324,10 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 		return
 	}
 	checkpoint, sidecar := s.opts.Manager.ReplicaFiles(l.JobID)
-	seed := "replica"
+	seed := "none"
 	if checkpoint != nil {
+		seed = "replica"
 		s.replicaSeeds.Add(1)
-	} else if !sp.Trajectories {
-		checkpoint, seed = s.fetchCheckpoint(l.JobID), "tail"
-	}
-	if checkpoint == nil {
-		seed = "none"
 	}
 	job, _, err := s.opts.Manager.Adopt(l.Spec, checkpoint, sidecar)
 	if err != nil {
@@ -361,31 +358,4 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	s.adoptions.Add(1)
 	slog.Info("sched: adopted job", "job", l.JobID, "owner", self, "generation", newGen, "was", l.Owner,
 		"seed", seed, "seed_bytes", len(checkpoint)+len(sidecar), "total", job.Total)
-}
-
-// fetchCheckpoint asks each alive peer for its own copy of the orphan's
-// results file and returns the first non-empty body. The read carries
-// hop=1: a peer without a copy would otherwise redirect to the lease
-// owner, the dead leader, and cost this tick a dial to it. Usually every
-// peer 404s — the dead leader held the only copy — and the adopter
-// recomputes from its cell cache instead.
-func (s *Scheduler) fetchCheckpoint(jobID string) []byte {
-	for _, m := range s.opts.Cluster.Members() {
-		if m.Self || m.State != "alive" {
-			continue
-		}
-		ctx, cancel := context.WithTimeout(s.ctx, sweepd.PeerCallTimeout)
-		var b []byte
-		resp, err := sweepd.Peer.Do(ctx, http.MethodGet, m.URL+"/sweeps/"+jobID+"/results?hop=1", "", nil, 0, nil)
-		if err == nil {
-			b, err = io.ReadAll(io.LimitReader(resp.Body, maxCheckpointFetch))
-			resp.Body.Close()
-		}
-		cancel()
-		if err == nil && len(b) > 0 {
-			slog.Info("sched: recovered checkpoint bytes", "job", jobID, "member", m.URL, "bytes", len(b))
-			return b
-		}
-	}
-	return nil
 }

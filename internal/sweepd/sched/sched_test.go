@@ -2,18 +2,15 @@ package sched
 
 // Unit tests for the scheduler's two behaviors — leadership
 // heartbeating and adoption — against scripted fakes of the registry
-// and the manager, with httptest daemons standing in for peers where
-// real HTTP matters (checkpoint recovery). Cluster e2e lives in
-// e2e_test.go and replica_e2e_test.go.
+// and the manager. Cluster e2e lives in e2e_test.go and
+// replica_e2e_test.go.
 
 import (
 	"bytes"
 	"log"
-	"net/http"
-	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -117,6 +114,8 @@ type fakeManager struct {
 	// for.
 	replicaCheckpoints map[string][]byte
 	replicaAsked       []string
+	// heartbeats records the job IDs each Heartbeat was handed.
+	heartbeats [][]string
 }
 
 func (m *fakeManager) Submit(sp sweepd.Spec) (sweepd.Job, bool, error) {
@@ -127,7 +126,8 @@ func (m *fakeManager) Adopt(sp sweepd.Spec, checkpoint, sidecar []byte) (sweepd.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.adopted = append(m.adopted, adoptCall{sp, checkpoint, sidecar})
-	job := sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning, Total: sp.NumCells()}
+	// The real manager counts the records its resume keeps of the seed.
+	job := sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning, Total: sp.NumCells(), Completed: bytes.Count(checkpoint, []byte("\n"))}
 	m.jobs = append(m.jobs, job)
 	return job, true, nil
 }
@@ -151,6 +151,12 @@ func (m *fakeManager) ReplicaFiles(id string) (checkpoint, sidecar []byte) {
 	return m.replicaCheckpoints[id], nil
 }
 
+func (m *fakeManager) Heartbeat(ids []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.heartbeats = append(m.heartbeats, ids)
+}
+
 func (m *fakeManager) setJobs(jobs ...sweepd.Job) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -170,38 +176,10 @@ func newTestScheduler(t *testing.T, c *fakeCluster, m *fakeManager) *Scheduler {
 	return s
 }
 
-// peerDaemon is a minimal fake peer: it serves a canned checkpoint for
-// /sweeps/{id}/results (404 when empty).
-type peerDaemon struct {
-	mu         sync.Mutex
-	checkpoint []byte
-	fetches    int // GET /sweeps/{id}/results requests seen
-	srv        *httptest.Server
-}
-
-func newPeerDaemon(t *testing.T) *peerDaemon {
-	t.Helper()
-	p := &peerDaemon{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /sweeps/{id}/results", func(w http.ResponseWriter, r *http.Request) {
-		p.mu.Lock()
-		p.fetches++
-		ck := p.checkpoint
-		p.mu.Unlock()
-		if len(ck) == 0 {
-			http.NotFound(w, r)
-			return
-		}
-		w.Write(ck) //nolint:errcheck
-	})
-	p.srv = httptest.NewServer(mux)
-	t.Cleanup(p.srv.Close)
-	return p
-}
-
 // TestHeartbeatLeasesRunningJobsAndDropsFinished: one tick publishes a
-// generation-1 lease per running job; the tick after the job finishes
-// withdraws it.
+// generation-1 lease per running job and hands the job to the manager's
+// Heartbeat, whose hooks push its checkpoint tail; the tick after the job
+// finishes withdraws the lease and hands over nothing.
 func TestHeartbeatLeasesRunningJobsAndDropsFinished(t *testing.T) {
 	sp := testSpec()
 	c := newFakeCluster("http://self:1")
@@ -219,6 +197,9 @@ func TestHeartbeatLeasesRunningJobsAndDropsFinished(t *testing.T) {
 	s.tick()
 	if _, ok := c.lease(sp.ID()); ok {
 		t.Fatal("finished job's lease was not withdrawn")
+	}
+	if len(m.heartbeats) != 2 || !slices.Equal(m.heartbeats[0], []string{sp.ID()}) || len(m.heartbeats[1]) != 0 {
+		t.Fatalf("Heartbeat calls = %q, want the running job once, then none", m.heartbeats)
 	}
 	if st := s.Stats(); st.LeadershipLost != 0 {
 		t.Fatalf("stats = %+v", st)
@@ -278,17 +259,15 @@ func TestHeartbeatCedesToPreexistingLease(t *testing.T) {
 }
 
 // TestAdoptionElectionAndClaim: an orphaned stale lease is adopted by
-// the least-loaded member only; the adopter recovers the checkpoint
-// tail from an alive peer and claims the job at the next generation in
-// its own lease table (gossip carries it from there). A member that
+// the least-loaded member only; the adopter seeds the job from its own
+// replica and claims it at the next generation in its own lease table
+// (gossip carries it from there), with the cells the seed holds. A member that
 // loses the election leaves the lease alone.
 func TestAdoptionElectionAndClaim(t *testing.T) {
 	sp := testSpec()
-	peer := newPeerDaemon(t)
-	peer.checkpoint = []byte("checkpoint-tail\n")
 
 	c := newFakeCluster("http://self:1")
-	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 1}}
+	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 1}, replicaCheckpoints: map[string][]byte{sp.ID(): []byte("checkpoint-tail\n")}}
 	s := newTestScheduler(t, c, m)
 	past := time.Now().Add(-time.Minute)
 	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 1, Updated: past}
@@ -296,11 +275,11 @@ func TestAdoptionElectionAndClaim(t *testing.T) {
 	c.leases[sp.ID()] = orphan // pin the stale Updated stamp
 	c.members = []sweepd.MemberInfo{
 		{URL: "http://dead:1", State: "down"},
-		{URL: peer.srv.URL, State: "alive"},
+		{URL: "http://peer:1", State: "alive"},
 	}
 
 	// The peer looks idler: election goes to it, we do nothing.
-	c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{}}}
+	c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{}}}
 	s.tick()
 	if len(m.adopted) != 0 {
 		t.Fatal("lost election but adopted anyway")
@@ -308,14 +287,14 @@ func TestAdoptionElectionAndClaim(t *testing.T) {
 
 	// Now we are the least loaded: adopt, seed, claim.
 	m.load = sweepd.LoadInfo{}
-	c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
+	c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{QueueDepth: 5}}}
 	s.tick()
 	if len(m.adopted) != 1 || string(m.adopted[0].checkpoint) != "checkpoint-tail\n" {
 		t.Fatalf("adopt calls = %+v", m.adopted)
 	}
 	l, _ := c.lease(sp.ID())
-	if l.Owner != "http://self:1" || l.Generation != 2 {
-		t.Fatalf("post-adoption lease = %+v", l)
+	if l.Owner != "http://self:1" || l.Generation != 2 || l.Completed != 1 {
+		t.Fatalf("post-adoption lease = %+v, want generation 2 counting the seed's one cell", l)
 	}
 	if st := s.Stats(); st.Adoptions != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -352,13 +331,9 @@ func TestAdoptionWaitsForStaleness(t *testing.T) {
 }
 
 // TestAdoptionSeedsFromLocalReplica: when the adopter already holds a
-// verified replica of the job, adoption seeds from those local bytes and
-// never tail-fetches over HTTP — the peer's (different) checkpoint must
-// not be touched.
+// verified replica of the job, adoption seeds from those local bytes.
 func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 	sp := testSpec()
-	peer := newPeerDaemon(t)
-	peer.checkpoint = []byte("http-tail-must-not-be-used\n")
 
 	c := newFakeCluster("http://self:1")
 	m := &fakeManager{
@@ -371,9 +346,9 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 	c.leases[sp.ID()] = orphan // pin the stale Updated stamp
 	c.members = []sweepd.MemberInfo{
 		{URL: "http://dead:1", State: "down"},
-		{URL: peer.srv.URL, State: "alive"},
+		{URL: "http://peer:1", State: "alive"},
 	}
-	c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
+	c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{QueueDepth: 5}}}
 
 	s.tick()
 	if len(m.adopted) != 1 || string(m.adopted[0].checkpoint) != "replica-bytes\n" {
@@ -387,12 +362,8 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 // TestAdoptionRecordCarriesJobOwnerGeneration: the record of an adoption
 // names the job, its new owner and the generation it leads at, the
 // attributes an operator filters a job's history by, and where its seed
-// came from. A trajectory job without a replica has no seed: it fetches
-// no tail, since a peer's read serves no sidecar, so the peer holding a
-// checkpoint is not asked.
+// came from: the adopter's replica, or none.
 func TestAdoptionRecordCarriesJobOwnerGeneration(t *testing.T) {
-	trajectory := testSpec()
-	trajectory.Trajectories = true
 	for _, tc := range []struct {
 		name    string
 		sp      sweepd.Spec
@@ -400,19 +371,17 @@ func TestAdoptionRecordCarriesJobOwnerGeneration(t *testing.T) {
 		seed    []string
 	}{
 		{"replica", testSpec(), []byte("replica-bytes\n"), []string{"seed=replica", "seed_bytes=14"}},
-		{"no seed", trajectory, nil, []string{"seed=none", "seed_bytes=0"}},
+		{"no seed", testSpec(), nil, []string{"seed=none", "seed_bytes=0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			logs := captureLog(t)
 			sp := tc.sp
-			peer := newPeerDaemon(t)
-			peer.checkpoint = []byte("checkpoint-tail\n")
 			c := newFakeCluster("http://self:1")
 			m := &fakeManager{replicaCheckpoints: map[string][]byte{sp.ID(): tc.replica}}
 			s := newTestScheduler(t, c, m)
 			c.leases[sp.ID()] = sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 4, Updated: time.Now().Add(-time.Minute)}
-			c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: peer.srv.URL, State: "alive"}}
-			c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
+			c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: "http://peer:1", State: "alive"}}
+			c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{QueueDepth: 5}}}
 
 			s.tick()
 			if st := s.Stats(); st.Adoptions != 1 {
@@ -431,12 +400,6 @@ func TestAdoptionRecordCarriesJobOwnerGeneration(t *testing.T) {
 				if !strings.Contains(adopted[0], attr) {
 					t.Fatalf("adoption record %q lacks %s", adopted[0], attr)
 				}
-			}
-			peer.mu.Lock()
-			fetches := peer.fetches
-			peer.mu.Unlock()
-			if fetches != 0 {
-				t.Fatalf("peer saw %d checkpoint fetches, want none", fetches)
 			}
 		})
 	}
@@ -478,8 +441,6 @@ func (l *lockedBuffer) String() string {
 // is not the content address of the spec it carries is left alone: no
 // replica lookup, no fetch from a peer, no adoption, no new lease.
 func TestAdoptionSkipsLeaseWithForeignJobID(t *testing.T) {
-	peer := newPeerDaemon(t)
-	peer.checkpoint = []byte("checkpoint-tail\n")
 	c := newFakeCluster("http://self:1")
 	m := &fakeManager{}
 	s := newTestScheduler(t, c, m)
@@ -487,60 +448,19 @@ func TestAdoptionSkipsLeaseWithForeignJobID(t *testing.T) {
 	c.leases[orphan.JobID] = orphan
 	c.members = []sweepd.MemberInfo{
 		{URL: "http://dead:1", State: "down"},
-		{URL: peer.srv.URL, State: "alive"},
+		{URL: "http://peer:1", State: "alive"},
 	}
-	c.loads = []sweepd.MemberLoad{{URL: peer.srv.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
+	c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{QueueDepth: 5}}}
 
 	s.tick()
 	if len(m.replicaAsked) != 0 || len(m.adopted) != 0 {
 		t.Fatalf("manager saw ReplicaFiles%q and %d Adopt calls, want none", m.replicaAsked, len(m.adopted))
-	}
-	peer.mu.Lock()
-	fetches := peer.fetches
-	peer.mu.Unlock()
-	if fetches != 0 {
-		t.Fatalf("peer saw %d checkpoint fetches, want none", fetches)
 	}
 	if l, _ := c.lease(orphan.JobID); l.Owner != orphan.Owner || l.Generation != 1 {
 		t.Fatalf("lease = %+v, want untouched", l)
 	}
 	if st := s.Stats(); st.Adoptions != 0 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-// TestCloseDoesNotWaitOnBlackHoledPeer: a tick stuck in a peer call —
-// here the adoption's checkpoint fetch, against a member that accepts the
-// request and never answers — must not hold Close: it cancels the
-// scheduler's lifetime context, which every peer call of the loop carries.
-func TestCloseDoesNotWaitOnBlackHoledPeer(t *testing.T) {
-	entered, release := make(chan struct{}, 1), make(chan struct{})
-	srv := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
-		select {
-		case entered <- struct{}{}:
-		default:
-		}
-		<-release
-	}))
-	defer srv.Close()
-	defer close(release) // only after Close has returned
-
-	sp := testSpec()
-	c := newFakeCluster("http://self:1")
-	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 1, Updated: time.Now().Add(-time.Minute)}
-	c.leases[sp.ID()] = orphan
-	c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: srv.URL, State: "alive"}}
-	s, err := New(Options{Cluster: c, Manager: &fakeManager{}, AdoptAfter: 15 * time.Millisecond}) // 1ms ticks
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	<-entered
-
-	start := time.Now()
-	s.Close()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("Close waited %v on a peer that never answers", elapsed)
 	}
 }
 
@@ -562,56 +482,5 @@ func TestHeartbeatFollowsAdoptAfter(t *testing.T) {
 		if got := s.beat.Truncate(time.Millisecond); got != tc.want {
 			t.Errorf("AdoptAfter %v: heartbeat %v, want %v", tc.adoptAfter, s.beat, tc.want)
 		}
-	}
-}
-
-// leaseTable is the sweepd.Cluster a member's read handler consults for
-// where to redirect: a lease table and nothing else.
-type leaseTable []sweepd.JobLease
-
-func (leaseTable) Self() string                      { return "http://member.invalid" }
-func (leaseTable) Hello(string)                      {}
-func (leaseTable) Members() []sweepd.MemberInfo      { return nil }
-func (leaseTable) ClusterStats() sweepd.ClusterStats { return sweepd.ClusterStats{} }
-func (l leaseTable) Leases() []sweepd.JobLease       { return l }
-func (leaseTable) Tombstones() []sweepd.Tombstone    { return nil }
-func (leaseTable) ReplicaHolders(string) []string    { return nil }
-
-// TestTailFetchStopsAtTheMemberAsked: an adopter asks each alive member
-// for its own copy of the orphan's checkpoint. A member that holds none
-// redirects a plain read to the lease owner, which during adoption is the
-// dead leader; the fetch must not follow it there. The stand-in for the
-// dead leader counts the requests that reach it, and must see none.
-func TestTailFetchStopsAtTheMemberAsked(t *testing.T) {
-	sp := testSpec()
-	var deadHits atomic.Int32
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		deadHits.Add(1)
-		http.NotFound(w, r)
-	}))
-	t.Cleanup(dead.Close)
-	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: dead.URL, Generation: 1, Updated: time.Now().Add(-time.Minute)}
-
-	st, err := sweepd.OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := sweepd.NewManager(st, nil, 1)
-	t.Cleanup(mgr.Close)
-	member := httptest.NewServer(sweepd.NewHandlerConfig(mgr, sweepd.Config{Cluster: leaseTable{orphan}}))
-	t.Cleanup(member.Close)
-
-	c := newFakeCluster("http://self:1")
-	c.leases[sp.ID()] = orphan
-	c.members = []sweepd.MemberInfo{{URL: dead.URL, State: "down"}, {URL: member.URL, State: "alive"}}
-	c.loads = []sweepd.MemberLoad{{URL: member.URL, Load: sweepd.LoadInfo{QueueDepth: 5}}}
-	m := &fakeManager{}
-	s := newTestScheduler(t, c, m)
-	s.tick()
-	if len(m.adopted) != 1 || len(m.adopted[0].checkpoint) != 0 {
-		t.Fatalf("adopt calls = %+v, want one with nothing to seed", m.adopted)
-	}
-	if n := deadHits.Load(); n != 0 {
-		t.Fatalf("the dead leader's stand-in saw %d requests: the tail fetch followed the member's redirect", n)
 	}
 }

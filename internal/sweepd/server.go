@@ -92,6 +92,9 @@ type handler struct {
 	replicaReads         atomic.Uint64
 	replicaRedirects     atomic.Uint64
 	notModified          atomic.Uint64
+	// receiving serializes replica pushes: a push is judged against the
+	// stored lengths it then extends.
+	receiving sync.Mutex
 
 	mu        sync.Mutex
 	summaries map[string]*summaryState

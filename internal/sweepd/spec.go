@@ -291,16 +291,18 @@ func (sp Spec) CellsRange(start, end int) []dynamics.Cell {
 }
 
 // canonicalPrefix is the canonical-order rule for checkpoint-format bytes
-// this process did not append itself, written once. It walks the leading
+// this process did not append itself, written once. data continues a file
+// that holds from records already; canonicalPrefix walks the leading
 // records of data (framed by ncgio.Lines) that cellOf decodes, that are
 // cell i of the grid at position i, and that occupy exactly their line
 // plus one newline — no padding, no blank line before them — and stops
-// after NumCells of them. data[:end] is that prefix, a checkpoint a runner
-// can resume from; err, nil exactly when the prefix is the whole grid,
-// says why the next record was refused. cellOf is a decoder of ncgio's
-// line codec, which refuses any spelling of a record but the canonical one.
-func (sp Spec) canonicalPrefix(data []byte, cellOf func(line []byte) (dynamics.Cell, error)) (end int, err error) {
-	n, total := 0, sp.NumCells()
+// once the file holds NumCells of them. data[:end] is that prefix, a
+// checkpoint a runner can resume from; err, nil exactly when the file then
+// holds the whole grid, says why the next record was refused. cellOf is a
+// decoder of ncgio's line codec, which refuses any spelling of a record
+// but the canonical one.
+func (sp Spec) canonicalPrefix(data []byte, from int, cellOf func(line []byte) (dynamics.Cell, error)) (end int, err error) {
+	n, total := from, sp.NumCells()
 	for line, next := range ncgio.Lines(data) {
 		if n == total {
 			break

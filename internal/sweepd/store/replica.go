@@ -12,15 +12,15 @@ import (
 	"time"
 )
 
-// ReplicaManifest identifies one replicated finished job: both the wire
-// header of POST /peer/replicas/{id} (first line of the body) and the
-// manifest.json persisted next to the replica's artifact files. The
-// spec travels as raw JSON so the store stays independent of the sweepd
-// spec type; sweepd decodes and verifies it (content address, kernel
-// hash, canonical cell order) before a replica is ever stored. The spec
-// fixes how many records the body holds, so the manifest does not repeat
-// it; manifests that still carry checkpoint_lines and trajectory_lines
-// decode, the two fields ignored.
+// ReplicaManifest identifies one replicated job: both the wire header of
+// POST /peer/replicas/{id} (first line of the body) and the manifest.json
+// persisted next to the replica's artifact files. The spec travels as raw
+// JSON so the store stays independent of the sweepd spec type; sweepd
+// decodes and verifies it (content address, kernel hash, canonical cell
+// order) before a push is ever stored. The spec fixes how many records a
+// done replica holds, so the manifest does not repeat it; manifests that
+// still carry checkpoint_lines and trajectory_lines decode, the two fields
+// ignored.
 type ReplicaManifest struct {
 	// JobID is the job's content address; Kernel its kernel hash. The
 	// receiver recomputes both from Spec and rejects mismatches, so a
@@ -31,9 +31,15 @@ type ReplicaManifest struct {
 	// zombie guard: a replica already stored at a higher generation
 	// rejects pushes from older (deposed) leaders.
 	Generation uint64 `json:"generation"`
-	// Status is the job's terminal status; only "done" jobs replicate
-	// (their artifacts are immutable — every cell is checkpointed).
+	// Status is the job's status when it was pushed: "running" for a
+	// tail, "done" for the push that completes the grid. Only a replica
+	// that is not running is held (List): its artifacts are immutable.
 	Status string `json:"status"`
+	// CheckpointFrom and TrajectoryFrom are where a push's bytes start in
+	// the checkpoint and the sidecar: the lengths the holder must already
+	// store. A stored manifest carries neither.
+	CheckpointFrom int64 `json:"checkpoint_from,omitempty"`
+	TrajectoryFrom int64 `json:"trajectory_from,omitempty"`
 	// Spec is the job's normalized spec, verbatim.
 	Spec json.RawMessage `json:"spec"`
 	// Created / Finished mirror the leader's lifecycle record so a
@@ -46,28 +52,27 @@ type ReplicaManifest struct {
 	StoredAt time.Time `json:"stored_at,omitzero"`
 }
 
-// ReplicaSet stores verified replicas of other members' finished jobs,
-// one directory per job ID under its root: manifest.json, results.jsonl
-// and (for trajectory specs) trajectory.jsonl. Each replica commits
-// atomically — staged in a temp dir, renamed into place — so a crash
-// mid-receive leaves no half-replica to serve. A ReplicaSet is safe for
-// concurrent use.
+// ReplicaSet stores verified replicas of other members' jobs, one
+// directory per job ID under its root: manifest.json, results.jsonl and
+// (for trajectory specs) trajectory.jsonl. A running job's replica grows
+// by the tails its leader pushes; the push that completes the grid makes
+// it done, and only then held. A ReplicaSet is safe for concurrent use.
 type ReplicaSet struct {
 	root string
 	// mu serializes Put/Delete against each other; reads of a replica's
 	// files go straight to the filesystem (directory renames are atomic).
 	mu sync.Mutex
-	// held is the sorted IDs of the replicas stored here: every liveness
+	// ids is the sorted IDs of the held replicas stored here: every liveness
 	// probe, /metrics scrape and gossip reply asks for it, so it is kept
 	// in memory — seeded by one directory walk at open, then replaced,
 	// never modified in place, under mu by whatever Put or Delete did to
 	// one ID (noteHeld). List is one atomic load.
-	held atomic.Pointer[[]string]
+	ids atomic.Pointer[[]string]
 }
 
 // OpenReplicaSet opens (creating if needed) a replica store rooted at
-// dir, clearing any staging dirs a crash mid-Put left behind and reading
-// which replicas it holds.
+// dir, clearing any staging dirs an older build's crash mid-Put left
+// behind and reading which replicas it holds.
 func OpenReplicaSet(dir string) (*ReplicaSet, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -82,11 +87,11 @@ func OpenReplicaSet(dir string) (*ReplicaSet, error) {
 		switch {
 		case strings.HasSuffix(e.Name(), ".tmp"):
 			os.RemoveAll(filepath.Join(dir, e.Name())) //nolint:errcheck // best-effort cleanup
-		case e.IsDir() && jobIDPattern.MatchString(e.Name()) && rs.hasManifest(e.Name()):
+		case e.IsDir() && jobIDPattern.MatchString(e.Name()) && rs.held(e.Name()):
 			ids = append(ids, e.Name())
 		}
 	}
-	rs.held.Store(&ids)
+	rs.ids.Store(&ids)
 	return rs, nil
 }
 
@@ -108,49 +113,65 @@ func (rs *ReplicaSet) TrajectoryPath(id string) string {
 	return filepath.Join(rs.dir(id), "trajectory.jsonl")
 }
 
-// Put stores one verified replica atomically, replacing any existing
-// copy (callers enforce the generation guard first). trajectory may be
-// nil for specs without a sidecar.
+// Put stores one verified push: it cuts the replica's checkpoint and
+// sidecar to where the push starts, appends the push's bytes, then swaps
+// in the manifest. A crash part-way leaves, under the previous manifest,
+// whole verified lines or a torn one that the next push's cut removes;
+// nothing is held until a done manifest lands. A push from 0 with no
+// sidecar bytes leaves no sidecar. Callers enforce the generation guard
+// and the offsets first.
 func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) error {
 	if m.JobID == "" || !jobIDPattern.MatchString(m.JobID) {
 		return fmt.Errorf("store: replica manifest has invalid job id %q", m.JobID)
 	}
-	mdata, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	defer rs.noteHeld(m.JobID)
-	tmp := rs.dir(m.JobID) + ".tmp"
-	if err := os.RemoveAll(tmp); err != nil {
+	err := os.MkdirAll(rs.dir(m.JobID), 0o755)
+	if err == nil {
+		err = extend(rs.ResultsPath(m.JobID), m.CheckpointFrom, checkpoint)
+	}
+	if err == nil {
+		err = extend(rs.TrajectoryPath(m.JobID), m.TrajectoryFrom, trajectory)
+	}
+	m.CheckpointFrom, m.TrajectoryFrom = 0, 0
+	var mdata []byte
+	if err == nil {
+		mdata, err = json.MarshalIndent(m, "", "  ")
+	}
+	tmp := rs.manifestPath(m.JobID) + ".tmp"
+	if err == nil {
+		err = os.WriteFile(tmp, append(mdata, '\n'), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp, rs.manifestPath(m.JobID))
+	}
+	if err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.MkdirAll(tmp, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	cleanup := func(err error) error {
-		os.RemoveAll(tmp) //nolint:errcheck // best-effort
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(tmp, "results.jsonl"), checkpoint, 0o644); err != nil {
-		return cleanup(err)
-	}
-	if len(trajectory) > 0 {
-		if err := os.WriteFile(filepath.Join(tmp, "trajectory.jsonl"), trajectory, 0o644); err != nil {
-			return cleanup(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(tmp, "manifest.json"), append(mdata, '\n'), 0o644); err != nil {
-		return cleanup(err)
-	}
-	if err := os.RemoveAll(rs.dir(m.JobID)); err != nil {
-		return cleanup(err)
-	}
-	if err := os.Rename(tmp, rs.dir(m.JobID)); err != nil {
-		return cleanup(err)
 	}
 	return nil
+}
+
+// extend cuts path to from bytes and appends tail; with neither, the file
+// goes.
+func extend(path string, from int64, tail []byte) error {
+	if from == 0 && len(tail) == 0 {
+		if err := os.Remove(path); !os.IsNotExist(err) {
+			return err
+		}
+		return nil
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	if err = f.Truncate(from); err == nil {
+		_, err = f.WriteAt(tail, from)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Manifest reads a replica's manifest back; os.IsNotExist(err) means no
@@ -172,15 +193,15 @@ func (rs *ReplicaSet) Manifest(id string) (ReplicaManifest, error) {
 	return m, nil
 }
 
-// List returns the IDs of all stored replicas, sorted. The slice is
-// shared with later calls: read it, do not write to it.
-func (rs *ReplicaSet) List() []string { return *rs.held.Load() }
+// List returns the IDs of the held replicas stored here, sorted. The
+// slice is shared with later calls: read it, do not write to it.
+func (rs *ReplicaSet) List() []string { return *rs.ids.Load() }
 
-// hasManifest reports whether a complete replica of id is on disk: its
-// directory is renamed into place with the manifest inside.
-func (rs *ReplicaSet) hasManifest(id string) bool {
-	_, err := os.Stat(rs.manifestPath(id))
-	return err == nil
+// held reports whether a held replica of id is on disk: it has a
+// manifest, and the manifest does not say the job is still running.
+func (rs *ReplicaSet) held(id string) bool {
+	m, err := rs.Manifest(id)
+	return err == nil && m.Status != "running"
 }
 
 // noteHeld brings id's membership in the held set in line with the disk
@@ -188,9 +209,9 @@ func (rs *ReplicaSet) hasManifest(id string) bool {
 // that failed after removing the old copy holds nothing). Called with mu
 // held.
 func (rs *ReplicaSet) noteHeld(id string) {
-	ids := *rs.held.Load()
+	ids := *rs.ids.Load()
 	i, listed := slices.BinarySearch(ids, id)
-	switch stored := rs.hasManifest(id); {
+	switch stored := rs.held(id); {
 	case stored && !listed:
 		ids = slices.Insert(slices.Clone(ids), i, id)
 	case !stored && listed:
@@ -198,7 +219,7 @@ func (rs *ReplicaSet) noteHeld(id string) {
 	default:
 		return
 	}
-	rs.held.Store(&ids)
+	rs.ids.Store(&ids)
 }
 
 // Delete removes one replica.
@@ -212,17 +233,26 @@ func (rs *ReplicaSet) Delete(id string) error {
 	return nil
 }
 
-// SweepExpired removes replicas stored before cutoff — the replica half
-// of TTL GC, so replicated checkpoints cannot accumulate forever on
-// members that never ran the job — and reports the IDs it removed. A
-// replica whose manifest is unreadable falls back to the directory's
-// modtime.
-func (rs *ReplicaSet) SweepExpired(cutoff time.Time) (removed []string, err error) {
-	for _, id := range rs.List() {
-		var stored time.Time
-		if m, merr := rs.Manifest(id); merr == nil {
-			stored = m.StoredAt
+// SweepExpired removes replicas stored before cutoff, running or done —
+// the replica half of TTL GC, so replicated checkpoints cannot accumulate
+// forever on members that never ran the job — and returns the manifests
+// of those it removed. A replica whose manifest is unreadable falls back
+// to the directory's modtime, and is returned with only its JobID set.
+func (rs *ReplicaSet) SweepExpired(cutoff time.Time) (removed []ReplicaManifest, err error) {
+	entries, err := os.ReadDir(rs.root)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	for _, e := range entries {
+		id := e.Name()
+		if !e.IsDir() || !jobIDPattern.MatchString(id) {
+			continue
 		}
+		m, merr := rs.Manifest(id)
+		if merr != nil {
+			m = ReplicaManifest{JobID: id}
+		}
+		stored := m.StoredAt
 		if stored.IsZero() {
 			if fi, serr := os.Stat(rs.dir(id)); serr == nil {
 				stored = fi.ModTime()
@@ -237,7 +267,7 @@ func (rs *ReplicaSet) SweepExpired(cutoff time.Time) (removed []string, err erro
 			}
 			continue
 		}
-		removed = append(removed, id)
+		removed = append(removed, m)
 	}
 	return removed, err
 }
