@@ -37,20 +37,18 @@ type CacheStats struct {
 // process's encoder or validated by its decoder (ncgio.UnmarshalCell: every
 // check of a full decode, and only canonical bytes pass) on the way in. A
 // line enters two ways — a computed cell, encoded once by sweepLines (Put);
-// a line of a retained job's checkpoint or of a replica, validated when
-// Get reads it.
+// a line of a retained checkpoint or replica, validated when Get reads it.
 //
 // The memory tier is an LRU of at most max lines. The disk tier holds no
 // bytes of its own: it is an index, per kernel, from each cell to where a
 // line of one of the kernel's retained checkpoints holds it. The manager
-// puts every retained non-trajectory job's checkpoint and every replica
-// this member stores in it (retain), and takes an evicted job's or an
-// expired replica's out (release); a kernel's unread checkpoints are
-// read on its next miss, and a runner's or a replica push's append adds
-// its line (index). The
-// cache writes no file: a line that a resume cut, a purge removed or
-// anything else changed no longer decodes to its cell, so its read is a
-// miss and its place is forgotten, never a wrong hit.
+// puts every retained non-trajectory job's checkpoint and every replica in
+// it (retain), and takes an evicted one out (release); a kernel's unread
+// checkpoints are read on its next miss, and a runner's or a push's append
+// adds its line (index). The cache writes no file: a line that a resume
+// cut, a purge removed or anything else changed no longer decodes to its
+// cell, so its read is a miss and its place is forgotten, never a wrong
+// hit.
 type Cache struct {
 	mu        sync.Mutex
 	max       int

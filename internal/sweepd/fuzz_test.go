@@ -50,9 +50,9 @@ func honestReplica(t testing.TB, sp Spec) (m store.ReplicaManifest, checkpoint, 
 // fixed 4-cell spec (with and without a sidecar), pushed to a holder that
 // stores the first kept records of the honest files, as a running tail
 // or as the done push, starting skew bytes past where the holder's files
-// end. It must not panic, and whatever it accepts is appended byte for
-// byte, so an accepted push starts where the holder's files end, and its
-// body is whole records, each followed by one '\n', cut where the
+// end. It must not panic, and whatever it accepts is written byte for
+// byte, so an accepted push starts where the holder's files end or at 0,
+// and its body is whole records, each followed by one '\n', cut where the
 // checkpoint's new records end — the two halves concatenate back to the
 // input — each the canonical encoding of what it decodes to, with no file
 // past the grid and, for a done push, both files complete.
@@ -69,32 +69,31 @@ func FuzzVerifyReplica(f *testing.F) {
 		return bytes.Join(all, nil)
 	}
 	// push is the holder's view of one push: it stores the first kept
-	// records of each honest file, and the manifest starts skew bytes past
-	// where its checkpoint ends.
-	push := func(trajectories, running bool, kept int, skew int64) (store.ReplicaManifest, replicaHeld) {
+	// records of each honest file (cur), and the manifest starts skew bytes
+	// past where its checkpoint ends.
+	push := func(trajectories, running bool, kept int, skew int64) (m, cur store.ReplicaManifest) {
 		m, side := plain, [][]byte(nil)
 		if trajectories {
 			m, side = traj, tside
 		}
-		var held replicaHeld
-		held.size[0], held.records[0] = int64(len(join(ck[:kept]))), kept
+		cur.CheckpointFrom, cur.Records[0] = int64(len(join(ck[:kept]))), kept
 		if trajectories {
-			held.size[1], held.records[1] = int64(len(join(side[:kept]))), kept
+			cur.TrajectoryFrom, cur.Records[1] = int64(len(join(side[:kept]))), kept
 		}
 		if running {
 			m.Status = string(StatusRunning)
 		}
-		m.CheckpointFrom, m.TrajectoryFrom = held.size[0]+skew, held.size[1]
-		return m, held
+		m.CheckpointFrom, m.TrajectoryFrom = cur.CheckpointFrom+skew, cur.TrajectoryFrom
+		return m, cur
 	}
 	honest := join(tck, tside)
 	// The property below is vacuous unless honest pushes pass: the whole
 	// grid at once, and two pushes — a running tail, then the done one —
 	// that store the leader's files.
-	if _, _, err := VerifyReplica(plain.JobID, plain, replicaHeld{}, join(ck)); err != nil {
+	if _, _, err := VerifyReplica(plain.JobID, plain, store.ReplicaManifest{}, join(ck)); err != nil {
 		f.Fatal(err)
 	}
-	if _, _, err := VerifyReplica(traj.JobID, traj, replicaHeld{}, honest); err != nil {
+	if _, _, err := VerifyReplica(traj.JobID, traj, store.ReplicaManifest{}, honest); err != nil {
 		f.Fatal(err)
 	}
 	for _, trajectories := range []bool{false, true} {
@@ -104,12 +103,12 @@ func FuzzVerifyReplica(f *testing.F) {
 			running    bool
 			kept, upto int
 		}{{true, 0, 2}, {false, 2, 4}} {
-			m, held := push(trajectories, p.running, p.kept, 0)
+			m, cur := push(trajectories, p.running, p.kept, 0)
 			body := join(ck[p.kept:p.upto])
 			if trajectories {
 				body = join(tck[p.kept:p.upto], side[p.kept:p.upto])
 			}
-			checkpoint, trajectory, err := VerifyReplica(m.JobID, m, held, body)
+			checkpoint, trajectory, err := VerifyReplica(m.JobID, m, cur, body)
 			if err != nil {
 				f.Fatalf("trajectories=%v: push %d: %v", trajectories, i, err)
 			}
@@ -120,6 +119,14 @@ func FuzzVerifyReplica(f *testing.F) {
 				trajectories, len(stored[0]), len(stored[1]), len(join(ck)), len(join(side)))
 		}
 	}
+	// A push from the start replaces what the holder stores of the file.
+	replace := join(tck, tside[2:])
+	m, cur := push(true, false, 2, -int64(len(join(ck[:2]))))
+	if checkpoint, trajectory, err := VerifyReplica(m.JobID, m, cur, replace); err != nil ||
+		!bytes.Equal(checkpoint, join(tck)) || !bytes.Equal(trajectory, join(tside[2:])) {
+		f.Fatalf("a done push replacing the checkpoint of a holder of two records: %v", err)
+	}
+	f.Add(replace, true, false, uint8(2), -int64(len(join(ck[:2]))))
 	add := func(body []byte, trajectories bool) { f.Add(body, trajectories, false, uint8(0), int64(0)) }
 	add(join(ck), false)
 	add(honest, true)
@@ -157,8 +164,8 @@ func FuzzVerifyReplica(f *testing.F) {
 		{"a done push that leaves the grid short", join(ck[1:3]), false, false, 1, 0},
 		{"a done push that leaves the sidecar short", join(tck[1:], tside[1:3]), true, false, 1, 0},
 	} {
-		m, held := push(tc.trajectories, tc.running, int(tc.kept), tc.skew)
-		if _, _, err := VerifyReplica(m.JobID, m, held, tc.body); err == nil {
+		m, cur := push(tc.trajectories, tc.running, int(tc.kept), tc.skew)
+		if _, _, err := VerifyReplica(m.JobID, m, cur, tc.body); err == nil {
 			f.Fatalf("%s: accepted", tc.name)
 		}
 		f.Add(tc.body, tc.trajectories, tc.running, tc.kept, tc.skew)
@@ -167,13 +174,16 @@ func FuzzVerifyReplica(f *testing.F) {
 	f.Add(join(tck[2:], tside[2:]), true, false, uint8(2), int64(0)) // and its second
 	f.Fuzz(func(t *testing.T, body []byte, trajectories, running bool, kept uint8, skew int64) {
 		k := int(kept) % 5
-		m, held := push(trajectories, running, k, skew)
-		checkpoint, trajectory, err := VerifyReplica(m.JobID, m, held, body)
+		m, cur := push(trajectories, running, k, skew)
+		checkpoint, trajectory, err := VerifyReplica(m.JobID, m, cur, body)
 		if err != nil {
 			return
 		}
-		if skew != 0 {
+		if skew != 0 && m.CheckpointFrom != 0 {
 			t.Fatalf("accepted a push starting %d bytes away from the stored files", skew)
+		}
+		if m.CheckpointFrom == 0 {
+			k = 0 // the push replaces the checkpoint
 		}
 		if !bytes.Equal(append(bytes.Clone(checkpoint), trajectory...), body) {
 			t.Fatalf("accepted halves (%d + %d bytes) are not the %d-byte input", len(checkpoint), len(trajectory), len(body))
@@ -181,7 +191,7 @@ func FuzzVerifyReplica(f *testing.F) {
 		for name, half := range map[string]struct {
 			data   []byte
 			stored int
-		}{"checkpoint": {checkpoint, k}, "trajectory": {trajectory, held.records[1]}} {
+		}{"checkpoint": {checkpoint, k}, "trajectory": {trajectory, cur.Records[1]}} {
 			lines := bytes.SplitAfter(half.data, []byte{'\n'})
 			if last := lines[len(lines)-1]; len(last) != 0 {
 				t.Fatalf("accepted %s ends in a torn tail %q", name, last)

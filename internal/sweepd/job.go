@@ -55,10 +55,6 @@ type jobState struct {
 	// done is closed when the runner goroutine has fully exited (runJob
 	// returned and the checkpoint file is closed), gating safe restarts.
 	done chan struct{}
-	// resumed is closed once the runner has judged the checkpoint and
-	// counted what it kept in Completed; nil for spec-load-failed
-	// placeholders.
-	resumed chan struct{}
 	// evicting is set (under Manager.mu) while Evict deletes the job's
 	// files; it blocks restarts so no runner starts inside a directory
 	// that is being removed.

@@ -62,7 +62,8 @@ type Manager struct {
 	// the HTTP layer registers one to drop its per-job summary state.
 	evictHooks []func(id string)
 	// finishHooks run (outside mu) each time a job reaches a terminal
-	// status; the replicator registers one to push finished checkpoints.
+	// status, and with running snapshots at each Heartbeat; the replicator
+	// registers one to push checkpoints.
 	finishHooks []func(job Job)
 	// cellsAppended counts checkpoint lines written since this manager
 	// started (computed or cache-served; resume-skipped cells excluded),
@@ -330,7 +331,7 @@ func (m *Manager) Submit(sp Spec) (Job, bool, error) {
 // this member's replica of the job. They replace the job's files as raw
 // bytes before the runner starts, and its resume judges them like its
 // own, so adoption resumes wherever bytes survived; the snapshot returned
-// is taken once that resume has counted them. Adoption is quota-exempt:
+// counts the cells that resume keeps. Adoption is quota-exempt:
 // an orphaned job must land somewhere, and the adopter was chosen as the
 // least-loaded member.
 func (m *Manager) Adopt(sp Spec, checkpoint, sidecar []byte) (Job, bool, error) {
@@ -350,25 +351,20 @@ func (m *Manager) Adopt(sp Spec, checkpoint, sidecar []byte) (Job, bool, error) 
 	// this daemon's own writing), sidecar and all.
 	m.mu.Lock()
 	_, registered := m.jobs[id]
+	seeded := false
 	if fi, err := os.Stat(paths[0]); tmps[0] != "" && !registered && (err != nil || fi.Size() == 0) {
 		for i, tmp := range tmps {
 			os.Rename(tmp, paths[i]) //nolint:errcheck // "" fails harmlessly; resume keeps what both files hold
 		}
+		seeded = true
 	}
 	m.mu.Unlock()
 	for _, tmp := range tmps {
 		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of what was not committed
 	}
 	job, created, err := m.admit(sp, false)
-	m.mu.Lock()
-	js := m.jobs[id]
-	m.mu.Unlock()
-	if err == nil && js != nil {
-		select {
-		case <-js.resumed:
-		case <-js.done:
-		}
-		job, _ = m.Get(id)
+	if created && seeded {
+		job.Completed = sp.kept(checkpoint, sidecar)
 	}
 	return job, created, err
 }
@@ -464,10 +460,9 @@ func (m *Manager) admit(sp Spec, enforceQuota bool) (Job, bool, error) {
 			Total:   sp.NumCells(),
 			Created: meta.Created,
 		},
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		resumed: make(chan struct{}),
-		hist:    &latencyHist{},
+		cancel: cancel,
+		done:   make(chan struct{}),
+		hist:   &latencyHist{},
 	}
 	old := m.jobs[id]
 	if old != nil {

@@ -2,8 +2,8 @@ package sweepd
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
 	"net/http"
@@ -82,20 +82,16 @@ func (h *handler) peerMembers(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h.gossipPayload())
 }
 
-// receiveReplica serves POST /peer/replicas/{id}: a leader pushing the
-// bytes one job's checkpoint and sidecar gained since its last push to
-// this member — the tail of a running job, or the last one of a done job.
-// The body is one ReplicaManifest line naming where the push starts in
-// each file, then the checkpoint's new records, then (for trajectory
-// specs) the sidecar's. Nothing lands unverified (VerifyReplica): the spec
-// must hash to the job ID and the manifest kernel, and every line must be
-// the record of its grid position, framed as the leader's writer frames
-// it — what is stored is what was verified, byte for byte. A push that
-// does not start where the stored replica ends stores nothing, and the
-// answer (replicaReply) says where it ends. The manifest generation is
-// the zombie guard: a push from a deposed leader (lower generation than
-// the stored copy's) answers 409 and changes nothing. A done replica is
-// final: a later push is answered as held, and stores nothing.
+// receiveReplica serves POST /peer/replicas/{id}: a leader pushing one
+// job's checkpoint and sidecar — a running job's tail, or a done job's
+// last one. The body is one ReplicaManifest line naming where the push
+// starts in each file, then the checkpoint's records, then (for trajectory
+// specs) the sidecar's. Nothing lands unverified (VerifyReplica): what is
+// stored is what was verified, byte for byte, judged against the stored
+// manifest, so no stored file is read. The manifest generation is the
+// zombie guard: a push from a deposed leader (lower generation than the
+// stored copy's) answers 409 and changes nothing. A done replica is final:
+// a later push is judged, answered as held, and stores nothing.
 func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 	rs := h.m.Replicas()
 	if rs == nil {
@@ -123,32 +119,35 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad replica manifest line: "+err.Error())
 		return
 	}
-	h.receiving.Lock()
-	defer h.receiving.Unlock()
-	held, cur, ok := heldReplica(rs, id)
-	reply := replicaReply{Held: ok && cur.Status != string(StatusRunning), Checkpoint: held.size[0], Trajectory: held.size[1]}
-	if ok && cur.Generation > m.Generation {
+	mu := &h.receiving[crc32.ChecksumIEEE([]byte(id))%uint32(len(h.receiving))]
+	mu.Lock()
+	defer mu.Unlock()
+	cur, err := rs.Manifest(id) // the zero manifest when none is stored
+	stored := err == nil
+	if stored && cur.Generation > m.Generation {
 		writeJSON(w, http.StatusConflict, map[string]any{
 			"error": fmt.Sprintf("replica of job %s already stored at generation %d; push was generation %d",
 				id, cur.Generation, m.Generation),
 		})
 		return
 	}
-	if reply.Held {
-		// Same job ⇒ same immutable bytes (determinism), whoever pushes.
-		writeJSON(w, http.StatusOK, reply)
-		return
-	}
-	checkpoint, trajectory, err := VerifyReplica(id, m, held, rest)
-	if errors.Is(err, errReplicaOffset) {
-		writeJSON(w, http.StatusOK, reply)
-		return
-	}
+	checkpoint, trajectory, err := VerifyReplica(id, m, cur, rest)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	m.StoredAt = Time().Now()
+	if stored && cur.Status != string(StatusRunning) {
+		// Same job ⇒ same immutable bytes (determinism), whoever pushes.
+		writeJSON(w, http.StatusOK, map[string]any{"stored": false, "held": true})
+		return
+	}
+	// Each part lands where it starts: a file it extends keeps its records.
+	m.Records, m.StoredAt = [2]int{}, Time().Now()
+	for i, from := range [2]int64{m.CheckpointFrom, m.TrajectoryFrom} {
+		if from != 0 {
+			m.Records[i] = cur.Records[i]
+		}
+	}
 	if err := rs.Put(m, checkpoint, trajectory); err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -157,21 +156,19 @@ func (h *handler) receiveReplica(w http.ResponseWriter, r *http.Request) {
 	// is indexed as it lands, like a runner's append (trajectory kernels
 	// are never looked up).
 	if sp, err := decodeSpec(m.Spec); err == nil && !sp.Trajectories {
-		path, off, n := rs.ResultsPath(id), held.size[0], held.records[0]
+		path, off, n := rs.ResultsPath(id), m.CheckpointFrom, m.Records[0]
 		h.m.cache.retain(m.Kernel, path, off == 0)
 		for line, end := range ncgio.Lines(checkpoint) {
 			h.m.cache.index(m.Kernel, path, sp.CellAt(n), off+int64(end-1-len(line)), len(line))
 			n++
 		}
 	}
-	h.replicasReceived.Add(1)
+	done := m.Status == string(StatusDone)
+	if done {
+		h.replicasReceived.Add(1)
+	}
 	h.replicaBytesReceived.Add(uint64(len(body)))
-	writeJSON(w, http.StatusOK, replicaReply{
-		Stored:     true,
-		Held:       m.Status == string(StatusDone),
-		Checkpoint: held.size[0] + int64(len(checkpoint)),
-		Trajectory: held.size[1] + int64(len(trajectory)),
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"stored": true, "held": done})
 }
 
 // peerLease serves POST /peer/leases, the follower half of the sharding

@@ -15,11 +15,11 @@ import (
 
 // PeerClient is the one HTTP call path between daemons: gossip (the
 // /peer/members pull, which is also the health probe, and /peer/hello),
-// lease streams and replica pushes all go through it. It owns what those calls must agree on — a bounded dial, the wait
-// on a 429's Retry-After, and draining, bounding and closing every body
-// the caller does not get back. It sets
-// no overall timeout: each call's deadline is its context's, and a lease
-// stream has none (the lease TTL watchdog owns its liveness).
+// lease streams and replica pushes all go through it. It owns what those
+// calls must agree on — a bounded dial, the wait on a 429's Retry-After,
+// and draining, bounding and closing every body the caller does not get
+// back. It sets no overall timeout: each call's deadline is its context's,
+// and a lease stream has none (the lease TTL watchdog owns its liveness).
 type PeerClient struct {
 	hc *http.Client
 }

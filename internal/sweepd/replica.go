@@ -4,10 +4,10 @@ import (
 	"cmp"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os"
 	"slices"
@@ -20,50 +20,21 @@ import (
 	"repro/internal/sweepd/store"
 )
 
-// errReplicaOffset marks a push that does not start where the holder's
-// replica ends: nothing of it is judged or stored, and the answer says
-// where the replica ends, so the pusher resends from there.
-var errReplicaOffset = errors.New("push does not start where the stored replica ends")
-
-// replicaHeld is what a member stores of a job, per file (checkpoint, then
-// sidecar): the length of its whole lines and the records they hold.
-type replicaHeld struct {
-	size    [2]int64
-	records [2]int
-}
-
-// heldReplica reads what rs stores of job id, without decoding a line
-// (each was judged when it was pushed), and its manifest; ok=false when
-// there is none.
-func heldReplica(rs *store.ReplicaSet, id string) (held replicaHeld, m store.ReplicaManifest, ok bool) {
-	m, err := rs.Manifest(id)
-	if err != nil {
-		return held, m, false
-	}
-	for i, path := range []string{rs.ResultsPath(id), rs.TrajectoryPath(id)} {
-		data, _ := os.ReadFile(path) // a missing file holds nothing
-		for _, end := range ncgio.Lines(data) {
-			held.size[i], held.records[i] = int64(end), held.records[i]+1
-		}
-	}
-	return held, m, true
-}
-
 // VerifyReplica judges one replica push against the job identity it
-// claims and what the holder stores of the job, and cuts the new bytes
-// into the two files they extend. The manifest's spec must hash to the
-// URL's job ID and the manifest's kernel, the job must be running or done,
-// and the push must start where the holder's files end (errReplicaOffset).
-// body, what follows the manifest line, must be the checkpoint's next
-// records in canonical cell order from the stored record count on, then
-// for trajectory specs the sidecar's, and nothing else: no padding, no
-// blank line, no torn tail, no record past the grid; a done push must
-// complete both files. Each new line is validated once; the stored prefix
-// is not decoded again. What passes is appended byte for byte, so a
-// replica is served, and adoption seeded from it, with the trust of a
-// locally computed checkpoint: the line codec decodes canonical bytes
-// only, so every stored line is the encoding of the cell it records.
-func VerifyReplica(id string, m store.ReplicaManifest, held replicaHeld, body []byte) (checkpoint, trajectory []byte, err error) {
+// claims and cur, the stored manifest of what the holder has of the job
+// (zero when it has none), and cuts body, what follows the manifest line,
+// into the bytes it writes to the checkpoint and the sidecar. The spec must
+// hash to the URL's job ID and the manifest's kernel, and the job must be
+// running or done. Each file's part starts where the stored file ends,
+// extending it (judged from the stored record count on, so the stored
+// prefix is not decoded again), or at 0, replacing it. body must be the
+// checkpoint's records in canonical cell order, then for trajectory specs
+// the sidecar's, and nothing else: no padding, no blank line, no torn
+// tail, no record past the grid; a done push must complete both files.
+// What passes is written byte for byte, so a replica is served, and
+// adoption seeded from it, with the trust of a locally computed
+// checkpoint: the line codec decodes canonical bytes only.
+func VerifyReplica(id string, m, cur store.ReplicaManifest, body []byte) (checkpoint, trajectory []byte, err error) {
 	fail := func(format string, args ...any) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("sweepd: replica of job %s: "+format, append([]any{id}, args...)...)
 	}
@@ -87,18 +58,22 @@ func VerifyReplica(id string, m store.ReplicaManifest, held replicaHeld, body []
 	if kh := sp.KernelHash(); m.Kernel != kh {
 		return fail("manifest kernel %q does not match spec kernel %q", m.Kernel, kh)
 	}
-	if from := [2]int64{m.CheckpointFrom, m.TrajectoryFrom}; from != held.size {
-		return fail("%w: it starts at bytes %v, the replica holds %v", errReplicaOffset, from, held.size)
-	}
 	var files [2][]byte
 	rest := body
 	for i, cellOf := range []func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell} {
+		name, first := [2]string{"checkpoint", "sidecar"}[i], 0
+		from, held := [2]int64{m.CheckpointFrom, m.TrajectoryFrom}[i], [2]int64{cur.CheckpointFrom, cur.TrajectoryFrom}[i]
+		if from != 0 && from != held {
+			return fail("%s push starts at byte %d; the replica holds %d", name, from, held)
+		} else if from != 0 {
+			first = cur.Records[i]
+		}
 		if i == 1 && !sp.Trajectories {
 			break
 		}
-		end, err := sp.canonicalPrefix(rest, held.records[i], cellOf)
+		end, err := sp.canonicalPrefix(rest, first, cellOf)
 		if err != nil && done {
-			return fail("%s: %w", [2]string{"checkpoint", "sidecar"}[i], err)
+			return fail("%s: %w", name, err)
 		}
 		files[i], rest = rest[:end], rest[end:]
 	}
@@ -157,22 +132,13 @@ type Replicator struct {
 	tails  map[string]*tails // by job, while it runs
 }
 
-// tails is what a job's pushes placed: per member, the bytes of the
-// checkpoint and sidecar it stores, by its last answer. The lock keeps one
-// push of the job on its way.
+// tails is where a job's pushes stand: the members in to store its
+// checkpoint and sidecar up to at. The lock keeps one push of the job on
+// its way.
 type tails struct {
 	sync.Mutex
-	at map[string][2]int64
-}
-
-// replicaReply answers POST /peer/replicas/{id}: whether the push was
-// stored, whether the member holds the done replica, and the bytes of the
-// checkpoint and sidecar it stores, where its next push starts.
-type replicaReply struct {
-	Stored     bool  `json:"stored"`
-	Held       bool  `json:"held"`
-	Checkpoint int64 `json:"checkpoint_bytes"`
-	Trajectory int64 `json:"trajectory_bytes"`
+	at [2]int64
+	to map[string]bool
 }
 
 // NewReplicator builds a replicator over the options.
@@ -205,23 +171,24 @@ func (rp *Replicator) JobFinished(job Job) {
 	}()
 }
 
-// replicate pushes what the job's fanout lacks: first to the members that
-// got its earlier tails, then to the least-loaded others. A running job
-// skips a heartbeat while its last push is on its way, and a done job
-// waits for it; members advertising the done replica count against the
-// fanout. Failed targets are skipped for the next candidate; a done job's
-// residual deficit heals on the next finish re-fire (daemon restart). With
-// no member to push to — a lone daemon — it does nothing and says nothing:
-// that deficit is the deployment's, not the job's.
+// replicate pushes what the job's fanout lacks: to the members that hold
+// its earlier tails first, the bytes past them, then to the least-loaded
+// others, from the start. A running job skips a heartbeat while its last
+// push is on its way, and a done job waits for it; members advertising the
+// done replica count against the fanout. Failed targets are skipped for
+// the next candidate, and are pushed to from the start next time; a done
+// job's residual deficit heals on the next finish re-fire (daemon
+// restart). With no member to push to — a lone daemon — it does nothing
+// and says nothing: that deficit is the deployment's, not the job's.
 func (rp *Replicator) replicate(job Job) error {
 	id, running := job.ID, job.Status == StatusRunning
-	holders := map[string]bool{}
+	skip := map[string]bool{} // the holders, then this daemon
 	if rp.opts.Holders != nil {
 		for _, u := range rp.opts.Holders(id) {
-			holders[u] = true
+			skip[u] = true
 		}
 	}
-	need := rp.opts.Fanout - len(holders)
+	need := rp.opts.Fanout - len(skip)
 	if (!running && job.Status != StatusDone) || need <= 0 {
 		rp.drop(id, nil)
 		return nil
@@ -229,7 +196,7 @@ func (rp *Replicator) replicate(job Job) error {
 	rp.mu.Lock()
 	t := rp.tails[id]
 	if t == nil {
-		t = &tails{at: make(map[string][2]int64)}
+		t = &tails{}
 		rp.tails[id] = t
 	}
 	rp.mu.Unlock()
@@ -239,20 +206,25 @@ func (rp *Replicator) replicate(job Job) error {
 		return nil
 	}
 	defer t.Unlock()
-	self := ""
 	if rp.opts.Self != nil {
-		self = rp.opts.Self()
+		skip[rp.opts.Self()] = true
 	}
 	var cands []MemberLoad
+	kept := 0
 	for _, ml := range rp.opts.Targets() {
-		if ml.URL != self && !holders[ml.URL] {
+		if !skip[ml.URL] {
 			cands = append(cands, ml)
+			if t.to[ml.URL] {
+				kept++
+			}
 		}
 	}
+	if len(cands) == 0 {
+		rp.drop(id, t)
+		return nil
+	}
 	sort.Slice(cands, func(i, j int) bool {
-		_, ti := t.at[cands[i].URL]
-		_, tj := t.at[cands[j].URL]
-		if ti != tj {
+		if ti, tj := t.to[cands[i].URL], t.to[cands[j].URL]; ti != tj {
 			return ti
 		}
 		if cands[i].Load != cands[j].Load {
@@ -260,36 +232,60 @@ func (rp *Replicator) replicate(job Job) error {
 		}
 		return cands[i].URL < cands[j].URL
 	})
+	// One read serves every member, so they all end where it does: it
+	// starts where the job's members stand, or at the start when another
+	// member is to be pushed to (any candidate may be, for a done job).
+	from := t.at
+	if kept < min(need, len(cands)) || (!running && kept < len(cands)) {
+		from = [2]int64{}
+	}
+	data, err := rp.readTails(job, from)
+	if err != nil {
+		return err
+	}
+	to, finished := map[string]bool{}, !running
 	var firstErr error
-	finished := !running
 	for _, ml := range cands {
 		if need <= 0 {
 			break
 		}
-		at, held, err := rp.pushTo(ml.URL, job, t.at[ml.URL])
+		at := [2]int64{}
+		if t.to[ml.URL] {
+			at = t.at
+		} else if from != at {
+			continue // read past its start: the next heartbeat pushes to it
+		}
+		var part [2][]byte
+		for i := range part {
+			part[i] = data[i][min(at[i]-from[i], int64(len(data[i]))):]
+		}
+		held := false
+		if !running || len(part[0])+len(part[1]) > 0 {
+			held, err = rp.push(ml.URL, job, at, part)
+		}
 		if err != nil {
 			rp.pushFailures.Add(1)
 			slog.Warn("sweepd: replica push failed", "job", id, "member", ml.URL, "err", err)
 			firstErr = cmp.Or(firstErr, err)
 			continue
 		}
-		t.at[ml.URL] = at
-		finished = finished || held // a late running snapshot of a job pushed done
+		to[ml.URL], finished = true, finished || held // held: a late running snapshot of a job pushed done
 		need--
 	}
-	if finished || len(t.at) == 0 {
+	t.at, t.to = [2]int64{from[0] + int64(len(data[0])), from[1] + int64(len(data[1]))}, to
+	if finished || len(to) == 0 {
 		rp.drop(id, t)
 	}
 	if need > 0 && firstErr != nil {
 		return firstErr
 	}
-	if need > 0 && !running && len(cands) > 0 {
+	if need > 0 && !running {
 		slog.Warn("sweepd: job under-replicated", "job", id, "placed", rp.opts.Fanout-need, "fanout", rp.opts.Fanout)
 	}
 	return nil
 }
 
-// drop forgets what the job's pushes placed (only t's, when t is set).
+// drop forgets where the job's pushes stand (only t's, when t is set).
 func (rp *Replicator) drop(id string, t *tails) {
 	rp.mu.Lock()
 	if t == nil || rp.tails[id] == t {
@@ -298,58 +294,47 @@ func (rp *Replicator) drop(id string, t *tails) {
 	rp.mu.Unlock()
 }
 
-// pushTo sends base the job's bytes past at, what it was last known to
-// store, and once more from where its answer says its files end if that
-// is elsewhere; a running job with nothing new is sent nothing. It returns
-// what base stores and whether that is the done replica, which a done
-// job's push must leave.
-func (rp *Replicator) pushTo(base string, job Job, at [2]int64) ([2]int64, bool, error) {
-	for range 2 {
-		body, fresh, err := rp.buildBody(job, at)
-		if err != nil || (fresh == 0 && job.Status == StatusRunning) {
-			return at, false, err
-		}
-		reply, err := rp.push(base, job.ID, body)
-		if err != nil {
-			return at, false, err
-		}
-		at = [2]int64{reply.Checkpoint, reply.Trajectory}
-		if reply.Held || (reply.Stored && job.Status == StatusRunning) {
-			if job.Status == StatusDone {
-				rp.pushed.Add(1)
-			}
-			return at, reply.Held, nil
-		}
-	}
-	return at, false, fmt.Errorf("sweepd: %s stores bytes %v of job %s and took no push from there", base, at, job.ID)
-}
-
-// buildBody assembles the wire body of POST /peer/replicas/{id} for a
-// member storing from[0] bytes of the job's checkpoint and from[1] of its
-// sidecar: one manifest line naming those offsets, then the whole lines
-// of each file past them. fresh counts the bytes after the manifest line.
-func (rp *Replicator) buildBody(job Job, from [2]int64) (body []byte, fresh int, err error) {
-	id, sp := job.ID, job.Spec
-	var tail [2][]byte
-	for i, path := range []string{rp.opts.Store.ResultsPath(id), rp.opts.Store.TrajectoryPath(id)} {
-		if i == 1 && !sp.Trajectories {
+// readTails reads the whole lines of the job's checkpoint and sidecar past
+// bytes from[0] and from[1]; a missing file has none.
+func (rp *Replicator) readTails(job Job, from [2]int64) (data [2][]byte, err error) {
+	for i, path := range []string{rp.opts.Store.ResultsPath(job.ID), rp.opts.Store.TrajectoryPath(job.ID)} {
+		if i == 1 && !job.Spec.Trajectories {
 			break
 		}
-		if tail[i], err = readTail(path, from[i]); err != nil {
-			return nil, 0, fmt.Errorf("sweepd: replicating job %s: %w", id, err)
+		f, err := os.Open(path)
+		if os.IsNotExist(err) {
+			continue
+		} else if err == nil {
+			data[i], err = io.ReadAll(io.NewSectionReader(f, from[i], math.MaxInt64-from[i]))
+			f.Close()
 		}
+		if err != nil {
+			return data, fmt.Errorf("sweepd: replicating job %s: %w", job.ID, err)
+		}
+		whole := 0
+		for _, end := range ncgio.Lines(data[i]) {
+			whole = end
+		}
+		data[i] = data[i][:whole]
 	}
-	specJSON, err := json.Marshal(sp)
+	return data, nil
+}
+
+// buildBody assembles the wire body of POST /peer/replicas/{id}: one
+// manifest line naming where each part starts (from), then the
+// checkpoint's part and the sidecar's.
+func (rp *Replicator) buildBody(job Job, from [2]int64, part [2][]byte) ([]byte, error) {
+	specJSON, err := json.Marshal(job.Spec)
 	if err != nil {
-		return nil, 0, fmt.Errorf("sweepd: %w", err)
+		return nil, fmt.Errorf("sweepd: %w", err)
 	}
 	gen := uint64(1)
 	if rp.opts.Generation != nil {
-		gen = max(gen, rp.opts.Generation(id))
+		gen = max(gen, rp.opts.Generation(job.ID))
 	}
 	head, err := json.Marshal(store.ReplicaManifest{
-		JobID:          id,
-		Kernel:         sp.KernelHash(),
+		JobID:          job.ID,
+		Kernel:         job.Spec.KernelHash(),
 		Generation:     gen,
 		Status:         string(job.Status),
 		CheckpointFrom: from[0],
@@ -359,55 +344,39 @@ func (rp *Replicator) buildBody(job Job, from [2]int64) (body []byte, fresh int,
 		Finished:       job.Finished,
 	})
 	if err != nil {
-		return nil, 0, fmt.Errorf("sweepd: %w", err)
+		return nil, fmt.Errorf("sweepd: %w", err)
 	}
-	body = slices.Concat(head, []byte{'\n'}, tail[0], tail[1])
-	return body, len(body) - len(head) - 1, nil
+	return slices.Concat(head, []byte{'\n'}, part[0], part[1]), nil
 }
 
-// readTail reads the whole lines of path past byte from; a missing file,
-// or one no longer than from, has none.
-func readTail(path string, from int64) ([]byte, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+// push POSTs a member the job's parts starting at from and returns
+// whether the member holds the done replica; any non-2xx answer is a
+// failure. A 429 from the receiver's -replica-rate class is waited out
+// rather than counted: the deficit would otherwise stay until the next
+// restart re-fires the finish hook.
+func (rp *Replicator) push(base string, job Job, from [2]int64, part [2][]byte) (held bool, err error) {
+	body, err := rp.buildBody(job, from, part)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil || fi.Size() <= from {
-		return nil, err
-	}
-	data := make([]byte, fi.Size()-from)
-	if _, err := f.ReadAt(data, from); err != nil {
-		return nil, err
-	}
-	whole := 0
-	for _, end := range ncgio.Lines(data) {
-		whole = end
-	}
-	return data[:whole], nil
-}
-
-// push POSTs one replica body to a member and returns its answer; any
-// non-2xx answer is a failure. A 429 from the receiver's -replica-rate
-// class is waited out rather than counted: the deficit would otherwise
-// stay until the next restart re-fires the finish hook.
-func (rp *Replicator) push(base, id string, body []byte) (reply replicaReply, err error) {
 	ctx, cancel := context.WithTimeout(rp.ctx, PeerCallTimeout)
 	defer cancel()
-	resp, err := Peer.Do(ctx, http.MethodPost, base+"/peer/replicas/"+id, "application/x-ndjson", body, PeerCallTimeout, nil)
+	resp, err := Peer.Do(ctx, http.MethodPost, base+"/peer/replicas/"+job.ID, "application/x-ndjson", body, PeerCallTimeout, nil)
 	if err != nil {
-		return reply, err
+		return false, err
 	}
 	defer discard(resp)
+	var reply struct {
+		Held bool `json:"held"`
+	}
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&reply); err != nil {
-		return reply, fmt.Errorf("sweepd: replica push to %s: bad answer: %w", base, err)
+		return false, fmt.Errorf("sweepd: replica push to %s: bad answer: %w", base, err)
+	}
+	if job.Status == StatusDone {
+		rp.pushed.Add(1)
 	}
 	rp.bytesPushed.Add(uint64(len(body)))
-	return reply, nil
+	return reply.Held, nil
 }
 
 // Stats snapshots the push counters for /healthz and /metrics.

@@ -19,6 +19,16 @@ import (
 
 // newReplicaRig builds a lifecycle rig with replica storage enabled —
 // the receiving side of a replication push.
+// wholeBody is the body of a push of the job's whole files: what a leader
+// sends a member that stores nothing of the job.
+func (rp *Replicator) wholeBody(job Job) ([]byte, error) {
+	data, err := rp.readTails(job, [2]int64{})
+	if err != nil {
+		return nil, err
+	}
+	return rp.buildBody(job, [2]int64{}, data)
+}
+
 func newReplicaRig(t *testing.T, cfg Config) (*Manager, *handler, *httptest.Server, string) {
 	t.Helper()
 	mgr, _, h, srv, dir := newLifecycleRig(t, cfg)
@@ -289,7 +299,7 @@ func TestReplicaTrajectories404CountsNoRead(t *testing.T) {
 	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
 	_, fh, followerSrv, _ := newReplicaRig(t, Config{})
 	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
-	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).wholeBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +416,7 @@ func TestReceiveReplicaVerification(t *testing.T) {
 	job := runDoneJob(t, leaderMgr, sp)
 
 	rp := NewReplicator(ReplicatorOptions{Store: leaderMgr.store, Generation: func(string) uint64 { return 5 }})
-	body, _, err := rp.buildBody(job, [2]int64{})
+	body, err := rp.wholeBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,7 +545,7 @@ func TestReceiveReplicaRejectsNonCanonicalFraming(t *testing.T) {
 
 	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2, Trajectories: true}
 	job := runDoneJob(t, leaderMgr, sp)
-	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).wholeBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,7 +650,7 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	mgr, h, srv, _ := newReplicaRig(t, Config{})
 
 	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2})
-	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).wholeBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -804,7 +814,7 @@ func TestReplicaUnderOldManifestIsServed(t *testing.T) {
 
 	sp := Spec{N: 10, Alphas: []float64{1}, Ks: []int{2}, Seeds: 2, Trajectories: true}
 	job := runDoneJob(t, leaderMgr, sp)
-	body, _, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).buildBody(job, [2]int64{})
+	body, err := NewReplicator(ReplicatorOptions{Store: leaderMgr.store}).wholeBody(job)
 	if err != nil {
 		t.Fatal(err)
 	}

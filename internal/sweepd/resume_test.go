@@ -154,7 +154,7 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 				if job.CacheHits != wantHits {
 					t.Errorf("%s: %d cache hits, want %d", name, job.CacheHits, wantHits)
 				}
-				body, _, err := NewReplicator(ReplicatorOptions{Store: st}).buildBody(job, [2]int64{})
+				body, err := NewReplicator(ReplicatorOptions{Store: st}).wholeBody(job)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -163,7 +163,7 @@ func TestResumeFromEveryPrefix(t *testing.T) {
 				if err := json.Unmarshal([]byte(head), &m); err != nil {
 					t.Fatal(err)
 				}
-				if _, _, err := VerifyReplica(id, m, replicaHeld{}, []byte(rest)); err != nil {
+				if _, _, err := VerifyReplica(id, m, store.ReplicaManifest{}, []byte(rest)); err != nil {
 					t.Errorf("%s: the finished job's replica is refused: %v", name, err)
 				}
 			}

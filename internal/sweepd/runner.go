@@ -110,23 +110,16 @@ func (m *Manager) sweepLines(ctx context.Context, sp Spec, cells []dynamics.Cell
 // records only one holds are recomputed too, deterministically.
 func (m *Manager) resumePrefix(id string, sp Spec) (checkpoint []byte, done int, err error) {
 	paths := []string{m.store.ResultsPath(id), m.store.TrajectoryPath(id)}
-	cellOf := []func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell}
 	if !sp.Trajectories {
 		paths = paths[:1]
 	}
 	data := make([][]byte, len(paths))
-	done = sp.NumCells()
 	for i, path := range paths {
 		if data[i], err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
 			return nil, 0, err
 		}
-		keep, _ := sp.canonicalPrefix(data[i], 0, cellOf[i]) // a refusal is where recomputing starts, not an error
-		n := 0
-		for range ncgio.Lines(data[i][:keep]) {
-			n++
-		}
-		done = min(done, n)
 	}
+	done = sp.kept(data...)
 	for i, path := range paths {
 		keep, n := 0, 0
 		for _, end := range ncgio.Lines(data[i]) {
@@ -145,6 +138,24 @@ func (m *Manager) resumePrefix(id string, sp Spec) (checkpoint []byte, done int,
 	return data[0], done, nil
 }
 
+// kept counts the cells a resume keeps of a job's checkpoint and, for a
+// trajectory job, its sidecar: the records both canonical prefixes hold.
+func (sp Spec) kept(data ...[]byte) int {
+	done := sp.NumCells()
+	for i, cellOf := range []func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell} {
+		if i == 1 && !sp.Trajectories {
+			break
+		}
+		keep, _ := sp.canonicalPrefix(data[i], 0, cellOf) // a refusal is where recomputing starts, not an error
+		n := 0
+		for range ncgio.Lines(data[i][:keep]) {
+			n++
+		}
+		done = min(done, n)
+	}
+	return done
+}
+
 // runJob resumes the job from its checkpoint and sweeps the remaining
 // cells, appending each result (in canonical cell order) as one JSONL
 // line. Cells found in the cross-job cache are reused without
@@ -155,10 +166,6 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	fail := func(err error) { m.finish(js, StatusFailed, err.Error()) }
 
 	data, done, err := m.resumePrefix(id, sp)
-	m.mu.Lock()
-	js.job.Completed = done
-	m.mu.Unlock()
-	close(js.resumed)
 	if err != nil {
 		fail(err)
 		return
@@ -170,6 +177,9 @@ func (m *Manager) runJob(ctx context.Context, js *jobState) {
 	if !sp.Trajectories {
 		m.cache.retain(kernel, path, off == 0)
 	}
+	m.mu.Lock()
+	js.job.Completed = done
+	m.mu.Unlock()
 	if err := sp.checkKernel(); err != nil && done < sp.NumCells() {
 		fail(err) // a stored spec of an older kernel is served, never computed on
 		return

@@ -34,12 +34,13 @@
 // same deterministic election: the least-loaded alive member (URL as
 // tie-break) adopts. Its seed, via Manager.Adopt, is its own replica of
 // the job (both files): the whole grid when the leader had finished, else
-// the tails the leader pushed at each heartbeat up to its last (each
-// heartbeat hands the jobs a member leads to Manager.Heartbeat, whose
-// hooks push them). The job's resume judges the seed like its own files,
-// and the adopter's lease counts what it kept. The adopter leads at generation+1 by writing that lease into its
-// own registry, and gossip carries it: every member (a racing adopter and
-// a revived ex-leader included) pulls it within one probe interval.
+// the tails it pushed up to its last heartbeat (each tick hands the jobs a
+// member leads to Manager.Heartbeat, whose hooks push them). The job's
+// resume judges the seed like its own files, and the adopter's lease
+// counts what it kept. The adopter leads at generation+1 by writing that
+// lease into its own registry, and gossip carries it: every member (a
+// racing adopter and a revived ex-leader included) pulls it within one
+// probe interval.
 // Determinism makes the finished files byte-identical to an uninterrupted
 // run's however much of the seed was kept.
 //

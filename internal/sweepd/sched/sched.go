@@ -60,12 +60,11 @@ type Options struct {
 }
 
 // heartbeatFor is the scheduler tick — lease refresh, checkpoint tail
-// pushes and adoption scan —
-// for an adoption window: a fifteenth of it, capped at 2s. A job's first
-// lease goes out up to one tick after the job starts, and a leader that
-// dies before then leaves a job no member knows about, so that window
-// shrinks with the adoption window: 30s (the default) ticks every 2s, 2s
-// every 133ms, 300ms every 20ms.
+// pushes and adoption scan — for an adoption window: a fifteenth of it,
+// capped at 2s. A job's first lease goes out up to one tick after the job
+// starts, and a leader that dies before then leaves a job no member knows
+// about, so that window shrinks with the adoption window: 30s (the
+// default) ticks every 2s, 2s every 133ms, 300ms every 20ms.
 func heartbeatFor(adoptAfter time.Duration) time.Duration {
 	return min(2*time.Second, adoptAfter/15)
 }

@@ -92,9 +92,9 @@ type handler struct {
 	replicaReads         atomic.Uint64
 	replicaRedirects     atomic.Uint64
 	notModified          atomic.Uint64
-	// receiving serializes replica pushes: a push is judged against the
-	// stored lengths it then extends.
-	receiving sync.Mutex
+	// receiving serializes the replica pushes of a job (and of the jobs
+	// whose IDs share its lock) between reading its manifest and Put.
+	receiving [64]sync.Mutex
 
 	mu        sync.Mutex
 	summaries map[string]*summaryState

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -36,10 +37,12 @@ type ReplicaManifest struct {
 	// that is not running is held (List): its artifacts are immutable.
 	Status string `json:"status"`
 	// CheckpointFrom and TrajectoryFrom are where a push's bytes start in
-	// the checkpoint and the sidecar: the lengths the holder must already
-	// store. A stored manifest carries neither.
-	CheckpointFrom int64 `json:"checkpoint_from,omitempty"`
-	TrajectoryFrom int64 `json:"trajectory_from,omitempty"`
+	// the checkpoint and the sidecar. In a stored manifest they are the
+	// lengths the holder stores, and Records counts the records in each
+	// file: what the holder wrote (Put), never a pusher's word.
+	CheckpointFrom int64  `json:"checkpoint_from,omitempty"`
+	TrajectoryFrom int64  `json:"trajectory_from,omitempty"`
+	Records        [2]int `json:"records,omitzero"`
 	// Spec is the job's normalized spec, verbatim.
 	Spec json.RawMessage `json:"spec"`
 	// Created / Finished mirror the leader's lifecycle record so a
@@ -113,13 +116,11 @@ func (rs *ReplicaSet) TrajectoryPath(id string) string {
 	return filepath.Join(rs.dir(id), "trajectory.jsonl")
 }
 
-// Put stores one verified push: it cuts the replica's checkpoint and
-// sidecar to where the push starts, appends the push's bytes, then swaps
-// in the manifest. A crash part-way leaves, under the previous manifest,
-// whole verified lines or a torn one that the next push's cut removes;
-// nothing is held until a done manifest lands. A push from 0 with no
-// sidecar bytes leaves no sidecar. Callers enforce the generation guard
-// and the offsets first.
+// Put stores one verified push: it writes each file's new bytes at m's
+// from, cutting what follows (a torn append a crash left), then swaps in
+// m with its froms and Records advanced past them; a file shorter than its
+// from (a replica removed since its manifest was read) is refused. Callers
+// enforce the generation guard and judge the bytes first.
 func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) error {
 	if m.JobID == "" || !jobIDPattern.MatchString(m.JobID) {
 		return fmt.Errorf("store: replica manifest has invalid job id %q", m.JobID)
@@ -134,7 +135,10 @@ func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) erro
 	if err == nil {
 		err = extend(rs.TrajectoryPath(m.JobID), m.TrajectoryFrom, trajectory)
 	}
-	m.CheckpointFrom, m.TrajectoryFrom = 0, 0
+	m.CheckpointFrom += int64(len(checkpoint))
+	m.TrajectoryFrom += int64(len(trajectory))
+	m.Records[0] += bytes.Count(checkpoint, []byte{'\n'})
+	m.Records[1] += bytes.Count(trajectory, []byte{'\n'})
 	var mdata []byte
 	if err == nil {
 		mdata, err = json.MarshalIndent(m, "", "  ")
@@ -152,7 +156,8 @@ func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) erro
 	return nil
 }
 
-// extend cuts path to from bytes and appends tail; with neither, the file
+// extend writes tail at byte from of path and cuts what follows; a file
+// shorter than from is refused, and with neither from nor tail the file
 // goes.
 func extend(path string, from int64, tail []byte) error {
 	if from == 0 && len(tail) == 0 {
@@ -165,7 +170,14 @@ func extend(path string, from int64, tail []byte) error {
 	if err != nil {
 		return err
 	}
-	if err = f.Truncate(from); err == nil {
+	fi, err := f.Stat()
+	if err == nil && fi.Size() < from {
+		err = fmt.Errorf("%s holds %d bytes, its manifest %d", path, fi.Size(), from)
+	}
+	if err == nil {
+		err = f.Truncate(from)
+	}
+	if err == nil {
 		_, err = f.WriteAt(tail, from)
 	}
 	if cerr := f.Close(); err == nil {

@@ -238,3 +238,38 @@ func TestReplicaSetListMatchesWalk(t *testing.T) {
 	}
 	check("SweepExpired", "00000000000000bb")
 }
+
+// TestReplicaSetPutRefusesAShortFile: Put records the lengths and records
+// it stored, and a push judged against that manifest after the replica
+// was removed (an expiry between the read and the write) is refused,
+// never written past a zero-filled start.
+func TestReplicaSetPutRefusesAShortFile(t *testing.T) {
+	rs, err := OpenReplicaSet(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := "00000000000000ac"
+	if err := rs.Put(testManifest(id), []byte("a\nb\n"), []byte("c\n")); err != nil {
+		t.Fatal(err)
+	}
+	cur, err := rs.Manifest(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur.CheckpointFrom != 4 || cur.TrajectoryFrom != 2 || cur.Records != [2]int{2, 1} {
+		t.Fatalf("stored manifest says bytes %d+%d, records %v; want 4+2, [2 1]",
+			cur.CheckpointFrom, cur.TrajectoryFrom, cur.Records)
+	}
+	if err := rs.Delete(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.Put(cur, []byte("d\n"), nil); err == nil {
+		t.Fatal("Put extended a replica that is gone")
+	}
+	if data, _ := os.ReadFile(rs.ResultsPath(id)); len(data) != 0 {
+		t.Fatalf("a refused Put left %q", data)
+	}
+	if ids := rs.List(); len(ids) != 0 {
+		t.Fatalf("a refused Put is held: %v", ids)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"regexp"
 	"testing"
+
+	"repro/internal/sweepd/store"
 )
 
 // nonCanonical returns spellings of a canonical cell-result line that are
@@ -55,13 +57,13 @@ func TestNonCanonicalLineLandsNowhere(t *testing.T) {
 	sp.Normalize()
 	id, n, damaged := sp.ID(), sp.NumCells(), 2
 	want := bytes.Join(recs, nil)
-	if _, _, err := VerifyReplica(id, m, replicaHeld{}, want); err != nil {
+	if _, _, err := VerifyReplica(id, m, store.ReplicaManifest{}, want); err != nil {
 		t.Fatalf("the honest body: %v", err)
 	}
 
 	for name, bad := range nonCanonical(t, bytes.TrimSuffix(recs[damaged], []byte("\n"))) {
 		body := bytes.Join([][]byte{bytes.Join(recs[:damaged], nil), bad, []byte("\n"), bytes.Join(recs[damaged+1:], nil)}, nil)
-		if _, _, err := VerifyReplica(id, m, replicaHeld{}, body); err == nil {
+		if _, _, err := VerifyReplica(id, m, store.ReplicaManifest{}, body); err == nil {
 			t.Errorf("%s: VerifyReplica accepted a body holding %s", name, bad)
 		}
 

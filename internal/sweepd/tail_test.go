@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"os"
+	"sync"
 	"testing"
 	"time"
 )
@@ -58,8 +59,9 @@ func TestRunningReplicaStaysInvisible(t *testing.T) {
 	if err := rp.replicate(running); err != nil {
 		t.Fatal(err)
 	}
-	if got := fh.replicasReceived.Load(); got != 1 {
-		t.Fatalf("holder stored %d pushes, want the running tail", got)
+	if got := fh.replicasReceived.Load(); got != 0 || fh.replicaBytesReceived.Load() == 0 {
+		t.Fatalf("holder counts %d replicas and %d bytes after a running tail; want its bytes, no replica",
+			got, fh.replicaBytesReceived.Load())
 	}
 	checkpoint, sidecar := holder.ReplicaFiles(job.ID)
 	if !bytes.Equal(checkpoint, cut(full[0], 1)) || !bytes.Equal(sidecar, cut(full[1], 2)) {
@@ -169,5 +171,119 @@ func TestAdoptCountsItsSeed(t *testing.T) {
 	}
 	if job.Completed != sp.NumCells() {
 		t.Fatalf("adopted snapshot counts %d of %d seeded cells", job.Completed, sp.NumCells())
+	}
+}
+
+// TestTailPushesNeedNoResend: a pusher that does not know what a member
+// stores — a restarted leader, an adopter — pushes from the start, and the
+// holder replaces its tail with it; the pusher's next tail extends it. A
+// member that lost its tail refuses the next push (one failure, nothing
+// resent), and the one after that starts from the start again.
+func TestTailPushesNeedNoResend(t *testing.T) {
+	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	holder, _, holderSrv, _ := newReplicaRig(t, Config{})
+	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2})
+	full, err := os.ReadFile(leaderMgr.ResultsPath(job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(full, []byte("\n"))
+	st, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.CreateJob(job.Spec); err != nil {
+		t.Fatal(err)
+	}
+	running := job
+	running.Status, running.Finished = StatusRunning, time.Time{}
+	pusher := func() *Replicator {
+		return NewReplicator(ReplicatorOptions{
+			Store:   st,
+			Fanout:  1,
+			Targets: func() []MemberLoad { return []MemberLoad{{URL: holderSrv.URL}} },
+		})
+	}
+	heartbeat := func(rp *Replicator, records int, refused bool) {
+		t.Helper()
+		want := bytes.Join(lines[:records], nil)
+		if err := os.WriteFile(st.ResultsPath(job.ID), want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		failures := rp.Stats().PushFailures
+		err := rp.replicate(running)
+		if got := rp.Stats().PushFailures - failures; (err != nil) != refused || (got == 1) != refused {
+			t.Fatalf("%d records: push error %v, %d failures; want refused=%v", records, err, got, refused)
+		}
+		if refused {
+			return
+		}
+		got, _ := holder.ReplicaFiles(job.ID)
+		man, err := holder.Replicas().Manifest(job.ID)
+		if err != nil || !bytes.Equal(got, want) || man.CheckpointFrom != int64(len(want)) || man.Records[0] != records {
+			t.Fatalf("holder stores %d bytes, its manifest %d bytes and %v records (%v); want the %d records pushed",
+				len(got), man.CheckpointFrom, man.Records, err, records)
+		}
+	}
+	first := pusher()
+	heartbeat(first, 1, false)
+	heartbeat(first, 2, false)
+	restarted := pusher()
+	heartbeat(restarted, 3, false)
+	if err := holder.Replicas().Delete(job.ID); err != nil {
+		t.Fatal(err)
+	}
+	heartbeat(restarted, 4, true)
+	heartbeat(restarted, 4, false)
+}
+
+// TestConcurrentPushesOfOneJob: pushes of one job that arrive together —
+// running tails from 0 and the done push from 0, several of each — are
+// judged and stored one at a time: each is answered 200, and the holder
+// ends with the leader's files, done, its manifest counting them.
+func TestConcurrentPushesOfOneJob(t *testing.T) {
+	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	holder, _, holderSrv, _ := newReplicaRig(t, Config{})
+	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2, Trajectories: true})
+	rp := NewReplicator(ReplicatorOptions{Store: leaderMgr.store})
+	data, err := rp.readTails(job, [2]int64{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := rp.buildBody(job, [2]int64{}, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := job
+	running.Status = StatusRunning
+	half := func(b []byte) []byte { return bytes.Join(bytes.SplitAfter(b, []byte("\n"))[:2], nil) }
+	tail, err := rp.buildBody(running, [2]int64{}, [2][]byte{half(data[0]), half(data[1])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body := [][]byte{tail, done}[i%2]
+			resp, err := http.Post(holderSrv.URL+"/peer/replicas/"+job.ID, "application/x-ndjson", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("push %d answered %d", i, resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	checkpoint, sidecar := holder.ReplicaFiles(job.ID)
+	man, err := holder.Replicas().Manifest(job.ID)
+	if err != nil || man.Status != string(StatusDone) || !bytes.Equal(checkpoint, data[0]) || !bytes.Equal(sidecar, data[1]) ||
+		man.CheckpointFrom != int64(len(data[0])) || man.TrajectoryFrom != int64(len(data[1])) || man.Records != [2]int{4, 4} {
+		t.Fatalf("holder stores %d+%d bytes under %+v (%v); want the leader's %d+%d, done, 4 records each",
+			len(checkpoint), len(sidecar), man, err, len(data[0]), len(data[1]))
 	}
 }
