@@ -46,6 +46,26 @@ func honestReplica(t testing.TB, sp Spec) (m store.ReplicaManifest, checkpoint, 
 	}, checkpoint, sidecar
 }
 
+// plantReplica stores checkpoint and sidecar, unjudged, as mgr's replica
+// of sp's job, giving mgr a replica set if it has none: the seed its next
+// Adopt of sp takes.
+func plantReplica(t testing.TB, mgr *Manager, sp Spec, checkpoint, sidecar []byte) {
+	t.Helper()
+	rs := mgr.Replicas()
+	if rs == nil {
+		var err error
+		if rs, err = store.OpenReplicaSet(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		mgr.SetReplicas(rs)
+	}
+	sp.Normalize()
+	m := store.ReplicaManifest{JobID: sp.ID(), Kernel: sp.KernelHash(), Generation: 1, Status: string(StatusRunning)}
+	if err := rs.Put(m, checkpoint, sidecar); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // FuzzVerifyReplica feeds arbitrary bytes after an honest manifest of a
 // fixed 4-cell spec (with and without a sidecar), pushed to a holder that
 // stores the first kept records of the honest files, as a running tail
@@ -279,13 +299,13 @@ func FuzzSpecDecode(f *testing.F) {
 // FuzzTrajectoryResume damages one file of a done four-cell trajectory
 // job — it inserts, deletes or overwrites bytes at an offset of the
 // checkpoint or of the sidecar — and hands the pair to the job through one
-// of its two doors: written to disk and resumed, or, with adopt set, given
-// to Manager.Adopt on a fresh store as an adoption's seed. Either way both
-// files must end byte-identical to the undamaged pair, and an undamaged
-// pair must append no cell. The files carry no checksum, so damage that
-// leaves another canonical record of the same cell in place of the first
-// one it touches is not damage any reader can see; such an input is
-// skipped.
+// of its two doors: written to disk and resumed, or, with adopt set,
+// planted as the replica a fresh store's Manager.Adopt takes as its seed.
+// Either way both files must end byte-identical to the undamaged pair,
+// and an undamaged pair must append no cell. The files carry no checksum,
+// so damage that leaves another canonical record of the same cell in
+// place of the first one it touches is not damage any reader can see;
+// such an input is skipped.
 func FuzzTrajectoryResume(f *testing.F) {
 	sp := Spec{N: 8, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2, Trajectories: true}
 	sp.Normalize()
@@ -338,7 +358,8 @@ func FuzzTrajectoryResume(f *testing.F) {
 		paths := [2]string{st.ResultsPath(id), st.TrajectoryPath(id)}
 		mgr := NewManager(st, nil, 1)
 		if adopt {
-			_, _, err = mgr.Adopt(sp, files[0], files[1])
+			plantReplica(t, mgr, sp, files[0], files[1])
+			_, _, err = mgr.Adopt(sp)
 		} else if _, _, err = st.CreateJob(sp); err == nil {
 			for k, path := range paths {
 				if err = os.WriteFile(path, files[k], 0o644); err != nil {

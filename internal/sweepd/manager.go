@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -181,26 +180,6 @@ func (m *Manager) Heartbeat(ids []string) {
 	fire(m, &m.finishHooks, jobs...)
 }
 
-// ReplicaFiles returns the checkpoint and sidecar (nil without
-// trajectories) of a locally held replica of the job — the tails its
-// leader pushed while it ran, or the whole grid once it was done — or two
-// nils when there is none: an adoption's seed.
-func (m *Manager) ReplicaFiles(id string) (checkpoint, sidecar []byte) {
-	rs := m.Replicas()
-	if rs == nil {
-		return nil, nil
-	}
-	if man, err := rs.Manifest(id); err != nil || man.JobID != id {
-		return nil, nil
-	}
-	checkpoint, err := os.ReadFile(rs.ResultsPath(id))
-	if err != nil {
-		return nil, nil
-	}
-	sidecar, _ = os.ReadFile(rs.TrajectoryPath(id)) // absent unless the spec collected trajectories
-	return checkpoint, sidecar
-}
-
 // fire runs the hooks registered in *hooks — finishHooks with a job
 // snapshot, evictHooks with an ID — for each v: snapshotted under mu, run
 // outside it.
@@ -326,15 +305,14 @@ func (m *Manager) Submit(sp Spec) (Job, bool, error) {
 }
 
 // Adopt admits a job this daemon is claiming from a dead leader: the
-// spec comes from the job's gossiped lease, and checkpoint and sidecar
-// (either may be nil; sidecar is nil without trajectories) are its seed,
-// this member's replica of the job. They replace the job's files as raw
-// bytes before the runner starts, and its resume judges them like its
-// own, so adoption resumes wherever bytes survived; the snapshot returned
-// counts the cells that resume keeps. Adoption is quota-exempt:
-// an orphaned job must land somewhere, and the adopter was chosen as the
-// least-loaded member.
-func (m *Manager) Adopt(sp Spec, checkpoint, sidecar []byte) (Job, bool, error) {
+// spec comes from the job's gossiped lease, and its seed is this member's
+// replica of the job, moved into the job's files before the runner starts
+// (seeded reports whether one was). The runner's resume judges them like
+// its own, so adoption resumes wherever bytes survived; the snapshot
+// counts the records the replica's manifest says it stored. Adoption is
+// quota-exempt: an orphaned job must land somewhere, and the adopter was
+// chosen as the least-loaded member.
+func (m *Manager) Adopt(sp Spec) (job Job, seeded bool, err error) {
 	sp.Normalize()
 	if err := sp.Validate(); err != nil {
 		return Job{}, false, err
@@ -343,51 +321,29 @@ func (m *Manager) Adopt(sp Spec, checkpoint, sidecar []byte) (Job, bool, error) 
 		return Job{}, false, fmt.Errorf("%w: %w", ErrStore, err)
 	}
 	id := sp.ID()
-	paths := []string{m.store.ResultsPath(id), m.store.TrajectoryPath(id)}
-	tmps := []string{stage(paths[0], checkpoint), stage(paths[1], sidecar)}
-	// Only the commit happens under mu. admit also registers under mu
+	// The move is two renames under mu. admit also registers under mu
 	// before spawning a runner, so no runner can have the files open while
 	// they are replaced; a non-empty local checkpoint wins outright (it is
 	// this daemon's own writing), sidecar and all.
+	var man store.ReplicaManifest
 	m.mu.Lock()
+	rs := m.replicas
 	_, registered := m.jobs[id]
-	seeded := false
-	if fi, err := os.Stat(paths[0]); tmps[0] != "" && !registered && (err != nil || fi.Size() == 0) {
-		for i, tmp := range tmps {
-			os.Rename(tmp, paths[i]) //nolint:errcheck // "" fails harmlessly; resume keeps what both files hold
-		}
-		seeded = true
+	if fi, err := os.Stat(m.store.ResultsPath(id)); rs != nil && !registered && (err != nil || fi.Size() == 0) {
+		man, seeded = rs.Take(id, m.store.ResultsPath(id), m.store.TrajectoryPath(id))
 	}
 	m.mu.Unlock()
-	for _, tmp := range tmps {
-		os.Remove(tmp) //nolint:errcheck // best-effort cleanup of what was not committed
+	if seeded {
+		m.cache.release(man.Kernel, rs.ResultsPath(id))
 	}
-	job, created, err := m.admit(sp, false)
-	if created && seeded {
-		job.Completed = sp.kept(checkpoint, sidecar)
+	job, _, err = m.admit(sp, false)
+	if seeded {
+		job.Completed = min(job.Total, man.Records[0])
+		if sp.Trajectories {
+			job.Completed = min(job.Completed, man.Records[1])
+		}
 	}
-	return job, created, err
-}
-
-// stage writes raw to a temp file of its own beside path and returns its
-// name, "" when raw is empty or the write fails. Nothing is judged here,
-// under or before the manager lock: the runner's resume does that.
-func stage(path string, raw []byte) string {
-	if len(raw) == 0 {
-		return ""
-	}
-	f, err := os.CreateTemp(filepath.Dir(path), "adopt-*")
-	if err != nil {
-		return ""
-	}
-	if _, err = f.Write(raw); err == nil {
-		err = f.Chmod(0o644) // the mode the appender creates a checkpoint with
-	}
-	if cerr := f.Close(); err != nil || cerr != nil {
-		os.Remove(f.Name()) //nolint:errcheck // best-effort cleanup
-		return ""
-	}
-	return f.Name()
+	return job, seeded, err
 }
 
 // admit registers the job and starts its runner. A job that is running

@@ -85,7 +85,7 @@ func (h *handler) metrics(w http.ResponseWriter, r *http.Request) {
 		ss := h.schedStats()
 		series("sweepd_sched_adoptions_total", "counter", "Orphaned jobs this member adopted from dead leaders.", ss.Adoptions)
 		series("sweepd_sched_leadership_lost_total", "counter", "Local jobs ceded to a peer holding a newer lease generation.", ss.LeadershipLost)
-		series("sweepd_sched_replica_seeds_total", "counter", "Adoptions seeded from a local replica instead of an HTTP tail-fetch.", ss.ReplicaSeeds)
+		series("sweepd_sched_replica_seeds_total", "counter", "Adoptions seeded from this member's replica of the job.", ss.ReplicaSeeds)
 	}
 	if h.replicaStats != nil {
 		rs := h.replicaStats()

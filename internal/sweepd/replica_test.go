@@ -686,41 +686,6 @@ func TestReplicaExpiryReleasesSummaryState(t *testing.T) {
 	}
 }
 
-// TestAdoptStagesOutsideManagerLock: the part of adoption that takes as
-// long as the seed is big — writing the temp file — must not need the
-// manager lock that /healthz, the peers' probes and every running job's
-// counters wait on. Staging completes while the test holds it.
-func TestAdoptStagesOutsideManagerLock(t *testing.T) {
-	sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 4}
-	sp.Normalize()
-	refMgr, _, _, _, _ := newLifecycleRig(t, Config{})
-	job := runDoneJob(t, refMgr, sp)
-	want, err := os.ReadFile(refMgr.ResultsPath(job.ID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr, _, _, _, _ := newLifecycleRig(t, Config{})
-	if _, _, err := mgr.store.CreateJob(sp); err != nil {
-		t.Fatal(err)
-	}
-
-	staged := make(chan string, 1)
-	mgr.mu.Lock()
-	go func() { staged <- stage(mgr.store.ResultsPath(sp.ID()), want) }()
-	var tmp string
-	select {
-	case tmp = <-staged:
-	case <-time.After(30 * time.Second):
-	}
-	mgr.mu.Unlock()
-	if tmp == "" {
-		t.Fatal("stage did not finish while the manager lock was held")
-	}
-	if got, err := os.ReadFile(tmp); err != nil || string(got) != string(want) {
-		t.Fatalf("staged %d bytes (%v), want the %d-byte seed", len(got), err, len(want))
-	}
-}
-
 // TestAdoptSeedsOnlyCanonicalPrefix: adoption imports a fetched tail only
 // up to the first record that is not framed the way this daemon's own
 // writer frames it, recomputes the rest, and ends byte-identical to an
@@ -750,7 +715,8 @@ func TestAdoptSeedsOnlyCanonicalPrefix(t *testing.T) {
 		"a ninth record past the grid": {string(want) + recs[7], 8},
 	} {
 		mgr, _, _, _, _ := newLifecycleRig(t, Config{})
-		if _, _, err := mgr.Adopt(sp, []byte(tc.tail), nil); err != nil {
+		plantReplica(t, mgr, sp, []byte(tc.tail), nil)
+		if _, _, err := mgr.Adopt(sp); err != nil {
 			t.Fatal(err)
 		}
 		waitStatus(t, mgr, job.ID, StatusDone)
@@ -789,7 +755,8 @@ func TestAdoptKeepsALocalCheckpoint(t *testing.T) {
 		}
 	}
 	mgr := NewManager(st, nil, 1)
-	if _, _, err := mgr.Adopt(sp, bytes.Join(ck, nil), bytes.Join(side, nil)); err != nil {
+	plantReplica(t, mgr, sp, bytes.Join(ck, nil), bytes.Join(side, nil))
+	if _, _, err := mgr.Adopt(sp); err != nil {
 		t.Fatal(err)
 	}
 	waitStatus(t, mgr, id, StatusDone)
@@ -801,6 +768,56 @@ func TestAdoptKeepsALocalCheckpoint(t *testing.T) {
 		if got, err := os.ReadFile(paths[k]); err != nil || !bytes.Equal(got, bytes.Join(recs, nil)) {
 			t.Errorf("%s differs from the uninterrupted run's (%v)", filepath.Base(paths[k]), err)
 		}
+	}
+}
+
+// TestAdoptTakesTheReplica: adoption moves the holder's replica into the
+// job. The replica's path leaves the holder's cache index and the job's
+// own path enters it, and the job finishes with the leader's bytes without
+// appending a cell.
+func TestAdoptTakesTheReplica(t *testing.T) {
+	leaderMgr, _, _, _, _ := newLifecycleRig(t, Config{})
+	holder, _, holderSrv, _ := newReplicaRig(t, Config{})
+	job := runDoneJob(t, leaderMgr, Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2})
+	rp := NewReplicator(ReplicatorOptions{
+		Store:   leaderMgr.store,
+		Fanout:  1,
+		Targets: func() []MemberLoad { return []MemberLoad{{URL: holderSrv.URL}} },
+	})
+	if err := rp.replicate(job); err != nil {
+		t.Fatal(err)
+	}
+	replica := holder.Replicas().ResultsPath(job.ID)
+	indexed := func(path string) bool {
+		holder.cache.mu.Lock()
+		defer holder.cache.mu.Unlock()
+		k := holder.cache.disk[job.Spec.KernelHash()]
+		return k != nil && k.files[path] != nil
+	}
+	if !indexed(replica) {
+		t.Fatal("the stored replica is not in the holder's cache index")
+	}
+
+	adopted, seeded, err := holder.Adopt(job.Spec)
+	if err != nil || !seeded || adopted.Completed != job.Total {
+		t.Fatalf("Adopt = %+v, seeded %v (%v); want the replica's %d cells", adopted, seeded, err, job.Total)
+	}
+	if indexed(replica) {
+		t.Fatal("the taken replica's path is still in the holder's cache index")
+	}
+	waitStatus(t, holder, job.ID, StatusDone)
+	if !indexed(holder.ResultsPath(job.ID)) {
+		t.Fatal("the adopted job's checkpoint is not in the holder's cache index")
+	}
+	if n := holder.Stats().CellsAppended; n != 0 {
+		t.Fatalf("the adopted run appended %d cells, want none", n)
+	}
+	got, err := os.ReadFile(holder.ResultsPath(job.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := os.ReadFile(leaderMgr.ResultsPath(job.ID)); !bytes.Equal(got, want) {
+		t.Fatalf("adopted checkpoint differs from the leader's (%d vs %d bytes)", len(got), len(want))
 	}
 }
 

@@ -114,12 +114,18 @@ func (m *Manager) resumePrefix(id string, sp Spec) (checkpoint []byte, done int,
 		paths = paths[:1]
 	}
 	data := make([][]byte, len(paths))
-	for i, path := range paths {
-		if data[i], err = os.ReadFile(path); err != nil && !os.IsNotExist(err) {
+	done = sp.NumCells()
+	for i, cellOf := range []func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell}[:len(paths)] {
+		if data[i], err = os.ReadFile(paths[i]); err != nil && !os.IsNotExist(err) {
 			return nil, 0, err
 		}
+		keep, _ := sp.canonicalPrefix(data[i], 0, cellOf) // a refusal is where recomputing starts, not an error
+		n := 0
+		for range ncgio.Lines(data[i][:keep]) {
+			n++
+		}
+		done = min(done, n)
 	}
-	done = sp.kept(data...)
 	for i, path := range paths {
 		keep, n := 0, 0
 		for _, end := range ncgio.Lines(data[i]) {
@@ -136,24 +142,6 @@ func (m *Manager) resumePrefix(id string, sp Spec) (checkpoint []byte, done int,
 		data[i] = data[i][:keep]
 	}
 	return data[0], done, nil
-}
-
-// kept counts the cells a resume keeps of a job's checkpoint and, for a
-// trajectory job, its sidecar: the records both canonical prefixes hold.
-func (sp Spec) kept(data ...[]byte) int {
-	done := sp.NumCells()
-	for i, cellOf := range []func([]byte) (dynamics.Cell, error){ncgio.UnmarshalCell, trajectoryCell} {
-		if i == 1 && !sp.Trajectories {
-			break
-		}
-		keep, _ := sp.canonicalPrefix(data[i], 0, cellOf) // a refusal is where recomputing starts, not an error
-		n := 0
-		for range ncgio.Lines(data[i][:keep]) {
-			n++
-		}
-		done = min(done, n)
-	}
-	return done
 }
 
 // runJob resumes the job from its checkpoint and sweeps the remaining

@@ -32,12 +32,14 @@
 // lease has not been refreshed for AdoptAfter on the daemon's clock
 // (sweepd.Time, which paces the heartbeat too), every member runs the
 // same deterministic election: the least-loaded alive member (URL as
-// tie-break) adopts. Its seed, via Manager.Adopt, is its own replica of
-// the job (both files): the whole grid when the leader had finished, else
-// the tails it pushed up to its last heartbeat (each tick hands the jobs a
-// member leads to Manager.Heartbeat, whose hooks push them). The job's
-// resume judges the seed like its own files, and the adopter's lease
-// counts what it kept. The adopter leads at generation+1 by writing that
+// tie-break) adopts, handing Manager.Adopt the lease's spec alone: the
+// manager moves the adopter's own replica of the job (both files, renamed
+// under -data) into the job's directory. That is the whole grid when the
+// leader had finished, else the tails it pushed up to its last heartbeat
+// (each tick hands the jobs a member leads to Manager.Heartbeat, whose
+// hooks push them). The job's resume judges the seed like its own files,
+// and the adopter's lease counts the records the replica stored. The
+// adopter leads at generation+1 by writing that
 // lease into its own registry, and gossip carries it: every member (a
 // racing adopter and a revived ex-leader included) pulls it within one
 // probe interval.

@@ -289,9 +289,10 @@ func (h holdOne) ExecutorFor(sp sweepd.Spec, _ func(int)) dynamics.Executor {
 // generation (LeadershipLost ticks, the adopter keeps the job) instead of
 // split-braining, and the adopter finishes with a byte-identical
 // checkpoint. Every member holds the job on a gate, so it is running at
-// each step however fast the kernel is. Only the adopter's is let go,
-// and it runs on the production lease pool, which must lease cells to
-// the other survivor: the adopted run is a sharded one.
+// each step however fast the kernel is. The survivors' gate opens once the
+// zombie has ceded, and the adopter's run is on the production lease pool,
+// which must lease cells to the other survivor: the adopted run is a
+// sharded one.
 func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	sp := sweepd.Spec{
 		N:      16,
@@ -304,7 +305,7 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	ref := runReference(t, sp)
 
 	leader := heldExecutor{make(chan struct{})} // never fed
-	release := make(chan struct{}, 1)           // fed once the zombie has ceded
+	release := make(chan struct{})              // closed once the zombie has ceded
 	a := newSchedDaemon(t, 1)
 	a.Manager.SetExecutorProvider(leader)
 	b := newSchedDaemon(t, 2, a.url)
@@ -328,14 +329,18 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 	a.kill()
 
 	// Three failed probes take A down, and 30s without a refresh make its
-	// lease stale: one survivor adopts and re-leases at generation 2.
-	clk.stepUntil(t, beat, 60, "a survivor adopts", func() bool {
-		return b.Scheduler.Stats().Adoptions+c.Scheduler.Stats().Adoptions > 0
+	// lease stale: a survivor adopts and re-leases at generation 2. Both
+	// may adopt in one tick; the lease tie-break leaves one owner, and the
+	// adopter is the one both survivors' tables name.
+	var adopter *daemon
+	clk.stepUntil(t, beat, 60, "both survivors name one adopter", func() bool {
+		for _, d := range []*daemon{b, c} {
+			if b.leads(job.ID, d.url) && c.leads(job.ID, d.url) {
+				adopter = d
+			}
+		}
+		return adopter != nil
 	})
-	adopter := c
-	if b.Scheduler.Stats().Adoptions > 0 {
-		adopter = b
-	}
 	if ls := adopter.Registry.Leases(); len(ls) != 1 || ls[0].JobID != job.ID || ls[0].Owner != adopter.url || ls[0].Generation != 2 {
 		t.Fatalf("adopter's lease table = %+v, want the job at generation 2 under %s", ls, adopter.url)
 	}
@@ -353,7 +358,7 @@ func TestLeaderDeathAdoptionAndZombieCede(t *testing.T) {
 
 	// The adopter finishes the job, sharded, byte-identically to the
 	// reference.
-	release <- struct{}{}
+	close(release)
 	waitDone(t, adopter.Manager, job.ID)
 	if st := pools[adopter].Stats(); st.RemoteCells == 0 {
 		t.Fatalf("the adopted run leased no cells: %+v", st)
@@ -486,7 +491,8 @@ func TestAdoptionCountsRecomputedCells(t *testing.T) {
 			})
 			clk.stepUntil(t, beat, 30, "a heartbeat pushes the half to both survivors", func() bool {
 				for _, d := range []*daemon{b, c} {
-					checkpoint, sidecar := d.Manager.ReplicaFiles(job.ID)
+					checkpoint, _ := os.ReadFile(d.Replicas.ResultsPath(job.ID))
+					sidecar, _ := os.ReadFile(d.Replicas.TrajectoryPath(job.ID))
 					if bytes.Count(checkpoint, []byte("\n")) != total/2 || (trajectories && bytes.Count(sidecar, []byte("\n")) != total/2) {
 						return false
 					}

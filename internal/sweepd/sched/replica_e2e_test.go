@@ -2,8 +2,8 @@ package sched_test
 
 // End-to-end tests for replicated durable storage: a finished job's
 // artifacts survive the leader's death — replica-served reads stay
-// byte-identical, and a later adoption seeds from the local replica
-// instead of tail-fetching over HTTP.
+// byte-identical, and a later adoption moves the local replica into the
+// job.
 
 import (
 	"bytes"
@@ -168,10 +168,9 @@ func TestReplicaServesResultsAfterLeaderDeath(t *testing.T) {
 
 // TestAdoptionSeedsFromLocalReplicaEndToEnd: a stale lease points at a
 // dead leader for a job the survivors hold replicas of. The adopter must
-// seed its copy from the local replica — no HTTP tail-fetch (the only
-// candidate peer would 404 anyway) — and finish with both of its files
-// byte-identical to the replica's without appending a cell, a trajectory
-// spec's sidecar included.
+// seed its copy from the local replica, moving it into the job, and finish
+// with both of its files byte-identical to the dead leader's without
+// appending a cell, a trajectory spec's sidecar included.
 func TestAdoptionSeedsFromLocalReplicaEndToEnd(t *testing.T) {
 	for _, trajectories := range []bool{false, true} {
 		sp := sweepd.Spec{
@@ -225,31 +224,34 @@ func TestAdoptionSeedsFromLocalReplicaEndToEnd(t *testing.T) {
 				adopter = b
 			}
 			if st := adopter.Scheduler.Stats(); st.ReplicaSeeds != 1 {
-				t.Fatalf("adopter stats = %+v, want ReplicaSeeds=1 (adoption must not tail-fetch)", st)
+				t.Fatalf("adopter stats = %+v, want ReplicaSeeds=1", st)
+			}
+			if _, err := os.Stat(filepath.Dir(adopter.Replicas.ResultsPath(job.ID))); !os.IsNotExist(err) {
+				t.Fatalf("the adopter's replica directory is still there (%v)", err)
 			}
 
 			// Seeded from a complete replica, the adopted job finishes without
-			// recomputing — and its files match the replica's bytes.
+			// recomputing — and its files match the dead leader's bytes.
 			waitDone(t, adopter.Manager, job.ID)
 			if n := adopter.Manager.Stats().CellsAppended; n != 0 {
 				t.Fatalf("the adopted run appended %d of %d cells, want none", n, sp.NumCells())
 			}
-			files := [][2]string{{adopter.Store.ResultsPath(job.ID), adopter.Replicas.ResultsPath(job.ID)}}
+			files := [][2]string{{adopter.Store.ResultsPath(job.ID), a.Store.ResultsPath(job.ID)}}
 			if trajectories {
-				files = append(files, [2]string{adopter.Store.TrajectoryPath(job.ID), adopter.Replicas.TrajectoryPath(job.ID)})
+				files = append(files, [2]string{adopter.Store.TrajectoryPath(job.ID), a.Store.TrajectoryPath(job.ID)})
 			}
 			for _, f := range files {
 				adopted, err := os.ReadFile(f[0])
 				if err != nil {
 					t.Fatal(err)
 				}
-				replica, err := os.ReadFile(f[1])
+				leader, err := os.ReadFile(f[1])
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(adopted, replica) {
-					t.Fatalf("adopted %s differs from the replica it was seeded from (%d vs %d bytes)",
-						filepath.Base(f[0]), len(adopted), len(replica))
+				if !bytes.Equal(adopted, leader) {
+					t.Fatalf("adopted %s differs from the dead leader's (%d vs %d bytes)",
+						filepath.Base(f[0]), len(adopted), len(leader))
 				}
 			}
 		})

@@ -34,14 +34,13 @@ type Cluster interface {
 // Implemented by *sweepd.Manager.
 type Manager interface {
 	Submit(sp sweepd.Spec) (sweepd.Job, bool, error)
-	// Adopt admits an orphaned job seeded with raw checkpoint and sidecar
-	// bytes, which its resume judges like its own files, and returns the
-	// snapshot that counts what it kept. ReplicaFiles reads a local
-	// replica's two files (two nils when there is none): adoption's seed.
-	Adopt(sp sweepd.Spec, checkpoint, sidecar []byte) (sweepd.Job, bool, error)
+	// Adopt admits an orphaned job, moving this member's replica of it,
+	// if it holds one, into the job's files for its resume to judge; it
+	// reports whether it did, and the snapshot counts what the replica
+	// stored.
+	Adopt(sp sweepd.Spec) (job sweepd.Job, seeded bool, err error)
 	List() []sweepd.Job
 	Load() sweepd.LoadInfo
-	ReplicaFiles(id string) (checkpoint, sidecar []byte)
 	// Heartbeat hands the manager's hooks the jobs this member leads,
 	// each tick: the replicator pushes what their checkpoints gained.
 	Heartbeat(ids []string)
@@ -311,10 +310,10 @@ func (s *Scheduler) electAdopter(self string) string {
 // adoptJob takes over an orphaned job: seed it from this daemon's own
 // replica of the job when one exists (both files, verified on receipt:
 // the grid, or the tails the leader pushed while it ran), resume the
-// sweep, and publish the generation+1 lease with the cells the resume
-// kept. The lease came from a peer and its JobID is
-// about to name a replica directory, a URL path and the lease published
-// here: one that is not its spec's content address is skipped.
+// sweep, and publish the generation+1 lease with the cells the replica
+// stored. The lease came from a peer and its JobID is about to name a
+// replica directory, a URL path and the lease published here: one that is
+// not its spec's content address is skipped.
 func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	sp := l.Spec
 	sp.Normalize()
@@ -322,16 +321,15 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 		slog.Warn("sched: skipping a lease whose job id is not its spec's", "job", l.JobID, "owner", l.Owner, "spec_id", sp.ID())
 		return
 	}
-	checkpoint, sidecar := s.opts.Manager.ReplicaFiles(l.JobID)
-	seed := "none"
-	if checkpoint != nil {
-		seed = "replica"
-		s.replicaSeeds.Add(1)
-	}
-	job, _, err := s.opts.Manager.Adopt(l.Spec, checkpoint, sidecar)
+	job, seeded, err := s.opts.Manager.Adopt(l.Spec)
 	if err != nil {
 		slog.Warn("sched: adoption failed", "job", l.JobID, "owner", l.Owner, "err", err)
 		return
+	}
+	seed := "none"
+	if seeded {
+		seed = "replica"
+		s.replicaSeeds.Add(1)
 	}
 	newGen := l.Generation + 1
 	s.mu.Lock()
@@ -356,5 +354,5 @@ func (s *Scheduler) adoptJob(self string, l sweepd.JobLease) {
 	}
 	s.adoptions.Add(1)
 	slog.Info("sched: adopted job", "job", l.JobID, "owner", self, "generation", newGen, "was", l.Owner,
-		"seed", seed, "seed_bytes", len(checkpoint)+len(sidecar), "total", job.Total)
+		"seed", seed, "completed", job.Completed, "total", job.Total)
 }

@@ -98,8 +98,8 @@ func (c *fakeCluster) lease(jobID string) (sweepd.JobLease, bool) {
 
 // adoptCall records one Manager.Adopt invocation.
 type adoptCall struct {
-	spec                sweepd.Spec
-	checkpoint, sidecar []byte
+	spec   sweepd.Spec
+	seeded bool
 }
 
 // fakeManager scripts the manager surface: a fixed load, a job list,
@@ -109,11 +109,9 @@ type fakeManager struct {
 	load    sweepd.LoadInfo
 	jobs    []sweepd.Job
 	adopted []adoptCall
-	// replicaCheckpoints scripts ReplicaFiles' checkpoint by job ID (nil
-	// map = no replicas held); replicaAsked records the IDs it was asked
-	// for.
-	replicaCheckpoints map[string][]byte
-	replicaAsked       []string
+	// replicas scripts the records each held replica stores, by job ID
+	// (nil map = no replicas held); Adopt takes the job's.
+	replicas map[string]int
 	// heartbeats records the job IDs each Heartbeat was handed.
 	heartbeats [][]string
 }
@@ -122,14 +120,16 @@ func (m *fakeManager) Submit(sp sweepd.Spec) (sweepd.Job, bool, error) {
 	return sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning}, true, nil
 }
 
-func (m *fakeManager) Adopt(sp sweepd.Spec, checkpoint, sidecar []byte) (sweepd.Job, bool, error) {
+func (m *fakeManager) Adopt(sp sweepd.Spec) (sweepd.Job, bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.adopted = append(m.adopted, adoptCall{sp, checkpoint, sidecar})
-	// The real manager counts the records its resume keeps of the seed.
-	job := sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning, Total: sp.NumCells(), Completed: bytes.Count(checkpoint, []byte("\n"))}
+	records, seeded := m.replicas[sp.ID()]
+	delete(m.replicas, sp.ID())
+	m.adopted = append(m.adopted, adoptCall{sp, seeded})
+	// The real manager counts the records its replica stored.
+	job := sweepd.Job{ID: sp.ID(), Spec: sp, Status: sweepd.StatusRunning, Total: sp.NumCells(), Completed: records}
 	m.jobs = append(m.jobs, job)
-	return job, true, nil
+	return job, seeded, nil
 }
 
 func (m *fakeManager) List() []sweepd.Job {
@@ -142,13 +142,6 @@ func (m *fakeManager) Load() sweepd.LoadInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.load
-}
-
-func (m *fakeManager) ReplicaFiles(id string) (checkpoint, sidecar []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.replicaAsked = append(m.replicaAsked, id)
-	return m.replicaCheckpoints[id], nil
 }
 
 func (m *fakeManager) Heartbeat(ids []string) {
@@ -267,7 +260,7 @@ func TestAdoptionElectionAndClaim(t *testing.T) {
 	sp := testSpec()
 
 	c := newFakeCluster("http://self:1")
-	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 1}, replicaCheckpoints: map[string][]byte{sp.ID(): []byte("checkpoint-tail\n")}}
+	m := &fakeManager{load: sweepd.LoadInfo{QueueDepth: 1}, replicas: map[string]int{sp.ID(): 1}}
 	s := newTestScheduler(t, c, m)
 	past := time.Now().Add(-time.Minute)
 	orphan := sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 1, Updated: past}
@@ -289,7 +282,7 @@ func TestAdoptionElectionAndClaim(t *testing.T) {
 	m.load = sweepd.LoadInfo{}
 	c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{QueueDepth: 5}}}
 	s.tick()
-	if len(m.adopted) != 1 || string(m.adopted[0].checkpoint) != "checkpoint-tail\n" {
+	if len(m.adopted) != 1 || !m.adopted[0].seeded {
 		t.Fatalf("adopt calls = %+v", m.adopted)
 	}
 	l, _ := c.lease(sp.ID())
@@ -337,7 +330,7 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 
 	c := newFakeCluster("http://self:1")
 	m := &fakeManager{
-		replicaCheckpoints: map[string][]byte{sp.ID(): []byte("replica-bytes\n")},
+		replicas: map[string]int{sp.ID(): 1},
 	}
 	s := newTestScheduler(t, c, m)
 	past := time.Now().Add(-time.Minute)
@@ -351,7 +344,7 @@ func TestAdoptionSeedsFromLocalReplica(t *testing.T) {
 	c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{QueueDepth: 5}}}
 
 	s.tick()
-	if len(m.adopted) != 1 || string(m.adopted[0].checkpoint) != "replica-bytes\n" {
+	if len(m.adopted) != 1 || !m.adopted[0].seeded {
 		t.Fatalf("adopt calls = %+v, want one seeded from the local replica", m.adopted)
 	}
 	if st := s.Stats(); st.Adoptions != 1 || st.ReplicaSeeds != 1 {
@@ -367,17 +360,17 @@ func TestAdoptionRecordCarriesJobOwnerGeneration(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		sp      sweepd.Spec
-		replica []byte
+		replica map[string]int
 		seed    []string
 	}{
-		{"replica", testSpec(), []byte("replica-bytes\n"), []string{"seed=replica", "seed_bytes=14"}},
-		{"no seed", testSpec(), nil, []string{"seed=none", "seed_bytes=0"}},
+		{"replica", testSpec(), map[string]int{testSpec().ID(): 3}, []string{"seed=replica", "completed=3"}},
+		{"no seed", testSpec(), nil, []string{"seed=none", "completed=0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			logs := captureLog(t)
 			sp := tc.sp
 			c := newFakeCluster("http://self:1")
-			m := &fakeManager{replicaCheckpoints: map[string][]byte{sp.ID(): tc.replica}}
+			m := &fakeManager{replicas: tc.replica}
 			s := newTestScheduler(t, c, m)
 			c.leases[sp.ID()] = sweepd.JobLease{JobID: sp.ID(), Spec: sp, Owner: "http://dead:1", Generation: 4, Updated: time.Now().Add(-time.Minute)}
 			c.members = []sweepd.MemberInfo{{URL: "http://dead:1", State: "down"}, {URL: "http://peer:1", State: "alive"}}
@@ -439,7 +432,7 @@ func (l *lockedBuffer) String() string {
 // TestAdoptionSkipsLeaseWithForeignJobID: a lease's JobID comes from a
 // peer and is about to name a replica directory and a URL path. One that
 // is not the content address of the spec it carries is left alone: no
-// replica lookup, no fetch from a peer, no adoption, no new lease.
+// adoption, no new lease.
 func TestAdoptionSkipsLeaseWithForeignJobID(t *testing.T) {
 	c := newFakeCluster("http://self:1")
 	m := &fakeManager{}
@@ -453,8 +446,8 @@ func TestAdoptionSkipsLeaseWithForeignJobID(t *testing.T) {
 	c.loads = []sweepd.MemberLoad{{URL: "http://peer:1", Load: sweepd.LoadInfo{QueueDepth: 5}}}
 
 	s.tick()
-	if len(m.replicaAsked) != 0 || len(m.adopted) != 0 {
-		t.Fatalf("manager saw ReplicaFiles%q and %d Adopt calls, want none", m.replicaAsked, len(m.adopted))
+	if len(m.adopted) != 0 {
+		t.Fatalf("manager saw %d Adopt calls, want none", len(m.adopted))
 	}
 	if l, _ := c.lease(orphan.JobID); l.Owner != orphan.Owner || l.Generation != 1 {
 		t.Fatalf("lease = %+v, want untouched", l)

@@ -62,7 +62,7 @@ type ReplicaManifest struct {
 // it done, and only then held. A ReplicaSet is safe for concurrent use.
 type ReplicaSet struct {
 	root string
-	// mu serializes Put/Delete against each other; reads of a replica's
+	// mu serializes Put/Delete/Take against each other; reads of a replica's
 	// files go straight to the filesystem (directory renames are atomic).
 	mu sync.Mutex
 	// ids is the sorted IDs of the held replicas stored here: every liveness
@@ -118,27 +118,34 @@ func (rs *ReplicaSet) TrajectoryPath(id string) string {
 
 // Put stores one verified push: it writes each file's new bytes at m's
 // from, cutting what follows (a torn append a crash left), then swaps in
-// m with its froms and Records advanced past them; a file shorter than its
-// from (a replica removed since its manifest was read) is refused. Callers
+// m with its froms and Records advanced past them. A push that extends a
+// file shorter than its from (a replica removed or taken since its
+// manifest was read) is refused before anything is written. Callers
 // enforce the generation guard and judge the bytes first.
 func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) error {
 	if m.JobID == "" || !jobIDPattern.MatchString(m.JobID) {
 		return fmt.Errorf("store: replica manifest has invalid job id %q", m.JobID)
 	}
+	paths := [2]string{rs.ResultsPath(m.JobID), rs.TrajectoryPath(m.JobID)}
+	froms := [2]int64{m.CheckpointFrom, m.TrajectoryFrom}
+	tails := [2][]byte{checkpoint, trajectory}
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	for i, path := range paths {
+		if fi, err := os.Stat(path); froms[i] > 0 && (err != nil || fi.Size() < froms[i]) {
+			return fmt.Errorf("store: %s holds less than its manifest's %d bytes", path, froms[i])
+		}
+	}
 	defer rs.noteHeld(m.JobID)
 	err := os.MkdirAll(rs.dir(m.JobID), 0o755)
-	if err == nil {
-		err = extend(rs.ResultsPath(m.JobID), m.CheckpointFrom, checkpoint)
-	}
-	if err == nil {
-		err = extend(rs.TrajectoryPath(m.JobID), m.TrajectoryFrom, trajectory)
+	for i, path := range paths {
+		if err == nil {
+			err = extend(path, froms[i], tails[i])
+		}
+		m.Records[i] += bytes.Count(tails[i], []byte{'\n'})
 	}
 	m.CheckpointFrom += int64(len(checkpoint))
 	m.TrajectoryFrom += int64(len(trajectory))
-	m.Records[0] += bytes.Count(checkpoint, []byte{'\n'})
-	m.Records[1] += bytes.Count(trajectory, []byte{'\n'})
 	var mdata []byte
 	if err == nil {
 		mdata, err = json.MarshalIndent(m, "", "  ")
@@ -156,9 +163,8 @@ func (rs *ReplicaSet) Put(m ReplicaManifest, checkpoint, trajectory []byte) erro
 	return nil
 }
 
-// extend writes tail at byte from of path and cuts what follows; a file
-// shorter than from is refused, and with neither from nor tail the file
-// goes.
+// extend writes tail at byte from of path, which holds at least from
+// bytes, and cuts what follows; with neither from nor tail the file goes.
 func extend(path string, from int64, tail []byte) error {
 	if from == 0 && len(tail) == 0 {
 		if err := os.Remove(path); !os.IsNotExist(err) {
@@ -170,20 +176,31 @@ func extend(path string, from int64, tail []byte) error {
 	if err != nil {
 		return err
 	}
-	fi, err := f.Stat()
-	if err == nil && fi.Size() < from {
-		err = fmt.Errorf("%s holds %d bytes, its manifest %d", path, fi.Size(), from)
-	}
-	if err == nil {
-		err = f.Truncate(from)
-	}
-	if err == nil {
+	if err = f.Truncate(from); err == nil {
 		_, err = f.WriteAt(tail, from)
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// Take moves the replica of id into a job's files, its checkpoint to
+// checkpoint and its sidecar (if it has one) to sidecar, and removes the
+// replica: an adoption's seed. Both paths must be on the replica set's
+// file system. It returns the replica's stored manifest, and false when
+// no replica of id is stored here or its checkpoint could not be moved.
+func (rs *ReplicaSet) Take(id, checkpoint, sidecar string) (ReplicaManifest, bool) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	m, err := rs.Manifest(id)
+	if err != nil || m.JobID != id || os.Rename(rs.ResultsPath(id), checkpoint) != nil {
+		return ReplicaManifest{}, false
+	}
+	os.Rename(rs.TrajectoryPath(id), sidecar) //nolint:errcheck // absent unless the spec collected trajectories
+	os.RemoveAll(rs.dir(id))                  //nolint:errcheck // what is left has no checkpoint; TTL GC sweeps it
+	rs.noteHeld(id)
+	return m, true
 }
 
 // Manifest reads a replica's manifest back; os.IsNotExist(err) means no

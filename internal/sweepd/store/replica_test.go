@@ -241,35 +241,93 @@ func TestReplicaSetListMatchesWalk(t *testing.T) {
 
 // TestReplicaSetPutRefusesAShortFile: Put records the lengths and records
 // it stored, and a push judged against that manifest after the replica
-// was removed (an expiry between the read and the write) is refused,
-// never written past a zero-filled start.
+// went (deleted by an expiry, or taken by an adoption, between the read
+// and the write) is refused before it writes: never written past a
+// zero-filled start, no directory comes back, and the held set is what it
+// was.
 func TestReplicaSetPutRefusesAShortFile(t *testing.T) {
+	for _, door := range []string{"Delete", "Take"} {
+		rs, err := OpenReplicaSet(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, other := "00000000000000ac", "00000000000000ad"
+		for _, id := range []string{id, other} {
+			if err := rs.Put(testManifest(id), []byte("a\nb\n"), []byte("c\n")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur, err := rs.Manifest(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.CheckpointFrom != 4 || cur.TrajectoryFrom != 2 || cur.Records != [2]int{2, 1} {
+			t.Fatalf("stored manifest says bytes %d+%d, records %v; want 4+2, [2 1]",
+				cur.CheckpointFrom, cur.TrajectoryFrom, cur.Records)
+		}
+		if door == "Delete" {
+			err = rs.Delete(id)
+		} else if _, ok := rs.Take(id, filepath.Join(t.TempDir(), "results.jsonl"), filepath.Join(t.TempDir(), "trajectory.jsonl")); !ok {
+			err = os.ErrNotExist
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", door, err)
+		}
+		// The second push extends only the sidecar: its checkpoint part,
+		// from 0, must not be written either.
+		for _, m := range []ReplicaManifest{cur, {JobID: id, TrajectoryFrom: 2}} {
+			if err := rs.Put(m, []byte("d\n"), nil); err == nil {
+				t.Fatalf("after %s: Put at bytes %d+%d extended a replica that is gone", door, m.CheckpointFrom, m.TrajectoryFrom)
+			}
+			if _, err := os.Stat(rs.dir(id)); !os.IsNotExist(err) {
+				t.Fatalf("after %s: a refused Put left the replica's directory (%v)", door, err)
+			}
+			if ids := rs.List(); !slices.Equal(ids, []string{other}) {
+				t.Fatalf("after %s: List = %v, want [%s]", door, ids, other)
+			}
+		}
+	}
+}
+
+// TestReplicaSetTake: Take moves a replica's two files byte for byte to
+// the paths it is given, removes the replica, and hands back its stored
+// manifest; it takes a done replica as well as a running one, and reports
+// false when none is stored.
+func TestReplicaSetTake(t *testing.T) {
 	rs, err := OpenReplicaSet(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := "00000000000000ac"
-	if err := rs.Put(testManifest(id), []byte("a\nb\n"), []byte("c\n")); err != nil {
-		t.Fatal(err)
+	dst := t.TempDir()
+	ck, tr := filepath.Join(dst, "results.jsonl"), filepath.Join(dst, "trajectory.jsonl")
+	if _, ok := rs.Take("00000000000000af", ck, tr); ok {
+		t.Fatal("Take took a replica that is not stored")
 	}
-	cur, err := rs.Manifest(id)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(ck); !os.IsNotExist(err) {
+		t.Fatalf("a refused Take wrote %s (%v)", ck, err)
 	}
-	if cur.CheckpointFrom != 4 || cur.TrajectoryFrom != 2 || cur.Records != [2]int{2, 1} {
-		t.Fatalf("stored manifest says bytes %d+%d, records %v; want 4+2, [2 1]",
-			cur.CheckpointFrom, cur.TrajectoryFrom, cur.Records)
-	}
-	if err := rs.Delete(id); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Put(cur, []byte("d\n"), nil); err == nil {
-		t.Fatal("Put extended a replica that is gone")
-	}
-	if data, _ := os.ReadFile(rs.ResultsPath(id)); len(data) != 0 {
-		t.Fatalf("a refused Put left %q", data)
-	}
-	if ids := rs.List(); len(ids) != 0 {
-		t.Fatalf("a refused Put is held: %v", ids)
+	for _, status := range []string{"running", "done"} {
+		id := "00000000000000af"
+		m := testManifest(id)
+		m.Status = status
+		if err := rs.Put(m, []byte("a\nb\n"), []byte("c\n")); err != nil {
+			t.Fatal(err)
+		}
+		held := len(rs.List())
+		got, ok := rs.Take(id, ck, tr)
+		if !ok || got.JobID != id || got.Status != status || got.Records != [2]int{2, 1} {
+			t.Fatalf("%s: Take = %+v, %v; want the stored manifest", status, got, ok)
+		}
+		for path, want := range map[string]string{ck: "a\nb\n", tr: "c\n"} {
+			if data, err := os.ReadFile(path); err != nil || string(data) != want {
+				t.Fatalf("%s: %s holds %q (%v), want %q", status, filepath.Base(path), data, err, want)
+			}
+		}
+		if _, err := os.Stat(rs.dir(id)); !os.IsNotExist(err) {
+			t.Fatalf("%s: the taken replica's directory is still there (%v)", status, err)
+		}
+		if ids := rs.List(); len(ids) != 0 || held != map[string]int{"running": 0, "done": 1}[status] {
+			t.Fatalf("%s: held %d before Take, List = %v after", status, held, ids)
+		}
 	}
 }

@@ -74,7 +74,8 @@ func TestNonCanonicalLineLandsNowhere(t *testing.T) {
 			}
 			mgr := NewManager(store, nil, 2)
 			if door == "adopt" {
-				_, _, err = mgr.Adopt(sp, body, nil)
+				plantReplica(t, mgr, sp, body, nil)
+				_, _, err = mgr.Adopt(sp)
 			} else {
 				if _, _, err = store.CreateJob(sp); err == nil {
 					if err = os.WriteFile(store.ResultsPath(id), body, 0o644); err == nil {

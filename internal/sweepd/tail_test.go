@@ -63,7 +63,7 @@ func TestRunningReplicaStaysInvisible(t *testing.T) {
 		t.Fatalf("holder counts %d replicas and %d bytes after a running tail; want its bytes, no replica",
 			got, fh.replicaBytesReceived.Load())
 	}
-	checkpoint, sidecar := holder.ReplicaFiles(job.ID)
+	checkpoint, sidecar := replicaFiles(holder, job.ID)
 	if !bytes.Equal(checkpoint, cut(full[0], 1)) || !bytes.Equal(sidecar, cut(full[1], 2)) {
 		t.Fatalf("holder's tail = %d and %d bytes, want the whole lines pushed (%d and %d)",
 			len(checkpoint), len(sidecar), len(cut(full[0], 1)), len(cut(full[1], 2)))
@@ -152,9 +152,16 @@ func TestReplicaServesTheHoldersCache(t *testing.T) {
 	}
 }
 
-// TestAdoptCountsItsSeed: the snapshot Adopt returns is taken after the
-// runner's resume judged the seed, so the adopter's first lease counts the
-// cells it kept.
+// replicaFiles reads m's replica of job id: its checkpoint and sidecar,
+// nil when absent.
+func replicaFiles(m *Manager, id string) (checkpoint, sidecar []byte) {
+	checkpoint, _ = os.ReadFile(m.Replicas().ResultsPath(id))
+	sidecar, _ = os.ReadFile(m.Replicas().TrajectoryPath(id))
+	return checkpoint, sidecar
+}
+
+// TestAdoptCountsItsSeed: the snapshot Adopt returns counts the cells its
+// replica stored, so the adopter's first lease counts its seed.
 func TestAdoptCountsItsSeed(t *testing.T) {
 	sp := Spec{N: 10, Alphas: []float64{1, 2}, Ks: []int{2}, Seeds: 2}
 	_, recs, _ := honestReplica(t, sp)
@@ -165,7 +172,8 @@ func TestAdoptCountsItsSeed(t *testing.T) {
 	}
 	mgr := NewManager(st, nil, 2)
 	t.Cleanup(mgr.Close)
-	job, _, err := mgr.Adopt(sp, bytes.Join(recs, nil), nil)
+	plantReplica(t, mgr, sp, bytes.Join(recs, nil), nil)
+	job, _, err := mgr.Adopt(sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +226,7 @@ func TestTailPushesNeedNoResend(t *testing.T) {
 		if refused {
 			return
 		}
-		got, _ := holder.ReplicaFiles(job.ID)
+		got, _ := replicaFiles(holder, job.ID)
 		man, err := holder.Replicas().Manifest(job.ID)
 		if err != nil || !bytes.Equal(got, want) || man.CheckpointFrom != int64(len(want)) || man.Records[0] != records {
 			t.Fatalf("holder stores %d bytes, its manifest %d bytes and %v records (%v); want the %d records pushed",
@@ -279,7 +287,7 @@ func TestConcurrentPushesOfOneJob(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	checkpoint, sidecar := holder.ReplicaFiles(job.ID)
+	checkpoint, sidecar := replicaFiles(holder, job.ID)
 	man, err := holder.Replicas().Manifest(job.ID)
 	if err != nil || man.Status != string(StatusDone) || !bytes.Equal(checkpoint, data[0]) || !bytes.Equal(sidecar, data[1]) ||
 		man.CheckpointFrom != int64(len(data[0])) || man.TrajectoryFrom != int64(len(data[1])) || man.Records != [2]int{4, 4} {
